@@ -82,7 +82,8 @@ void Run() {
             Expr::Compare(Expr::CmpOp::kLe, Expr::Field({"timestamp"}),
                           Expr::Int(los[r] + width)));
         plan.aggregates.push_back(AggSpec::CountStar());
-        auto result = RunCompiled(datasets[i]->dataset(), plan);
+        auto result =
+            RunCompiled(*datasets[i]->dataset()->GetSnapshot(), plan);
         LSMCOL_CHECK(result.ok());
       }
       std::printf(" %9.4fs", timer.Seconds() / kRanges);

@@ -131,7 +131,7 @@ inline double TimeQuery(Dataset* ds, const QueryPlan& plan, bool compiled,
   ds->cache()->Clear();
   ds->cache()->ResetStats();
   Timer timer;
-  auto r = RunQuery(ds, plan, compiled);
+  auto r = RunQuery(*ds->GetSnapshot(), plan, compiled);
   LSMCOL_CHECK(r.ok());
   double seconds = timer.Seconds();
   if (bytes_read != nullptr) *bytes_read = ds->cache()->stats().bytes_read;
@@ -150,7 +150,7 @@ inline double TimeQueryAvg(Dataset* ds, const QueryPlan& plan, bool compiled,
   double total = 0;
   for (int i = 0; i < reps; ++i) {
     Timer timer;
-    auto r = RunQuery(ds, plan, compiled);
+    auto r = RunQuery(*ds->GetSnapshot(), plan, compiled);
     LSMCOL_CHECK(r.ok());
     total += timer.Seconds();
   }

@@ -71,7 +71,7 @@ int main() {
   names.projections.push_back(Expr::Field({"brand", "name"}));
   names.order_by = 0;
   names.order_desc = false;
-  auto result = RunCompiled(*dataset, names);
+  auto result = RunCompiled(*(*dataset)->GetSnapshot(), names);
   LSMCOL_CHECK(result.ok());
   std::printf("object-branded products:\n");
   for (const auto& row : result->rows) {
@@ -87,7 +87,7 @@ int main() {
   QueryPlan stats;
   stats.aggregates.push_back(AggSpec::Sum(Expr::Field({"price"})));
   stats.aggregates.push_back(AggSpec::Count(Expr::Field({"price"})));
-  auto price = RunCompiled(*dataset, stats);
+  auto price = RunCompiled(*(*dataset)->GetSnapshot(), stats);
   LSMCOL_CHECK(price.ok());
   std::printf("price sum=%s (4 numeric) count=%s (all present)\n",
               ToJson(price->rows[0][0]).c_str(),

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   for (Dataset* dataset : {vb, amax}) {
     cache.Clear();
     cache.ResetStats();
-    auto result = RunCompiled(dataset, plan);
+    auto result = RunCompiled(*dataset->GetSnapshot(), plan);
     LSMCOL_CHECK(result.ok());
     std::printf("\n%s: read %.2f MiB for top-10 max temperatures:\n",
                 LayoutKindName(dataset->layout()),

@@ -46,11 +46,16 @@ struct RecordAssembler::Slots {
   mutable std::vector<const ShredCell*> cells;      // current positions
 };
 
+const std::vector<int>& RecordAssembler::ColumnsOf(
+    const SchemaNode& node) const {
+  auto [it, inserted] = columns_.try_emplace(&node);
+  if (inserted) CollectColumns(node, &it->second);
+  return it->second;
+}
+
 Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
                                     const std::vector<bool>* projection) const {
-  // Column list under this node (small trees; recomputed per call).
-  std::vector<int> cols;
-  CollectColumns(node, &cols);
+  const std::vector<int>& cols = ColumnsOf(node);
   if (projection != nullptr) {
     bool any = false;
     for (int c : cols) {
@@ -109,13 +114,14 @@ Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
       }
       if (!has_list) return Value::Missing();
       Value arr = Value::MakeArray();
-      // Save current cells, advance per element, restore afterwards.
-      std::vector<const ShredCell*> saved(cols.size());
-      for (size_t i = 0; i < cols.size(); ++i) saved[i] = slots.cells[cols[i]];
+      // Save current cells, advance per element, restore afterwards. The
+      // saved cells are addressed by offset: nested arrays grow saved_.
+      const size_t base = saved_.size();
+      for (int c : cols) saved_.push_back(slots.cells[c]);
       size_t missing_elements = 0;
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < cols.size(); ++j) {
-          const ShredCell* cell = saved[j];
+          const ShredCell* cell = saved_[base + j];
           if (cell != nullptr && cell->kind == ShredCell::Kind::kList) {
             slots.cells[cols[j]] = &cell->children[i];
           } else {
@@ -130,7 +136,10 @@ Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
           arr.Push(std::move(element));
         }
       }
-      for (size_t j = 0; j < cols.size(); ++j) slots.cells[cols[j]] = saved[j];
+      for (size_t j = 0; j < cols.size(); ++j) {
+        slots.cells[cols[j]] = saved_[base + j];
+      }
+      saved_.resize(base);
       // A single all-missing element is the def-level-conflated encoding of
       // an empty array (§3.2.1 / DESIGN.md §4).
       if (n == 1 && missing_elements == 1) {

@@ -7,6 +7,7 @@
 #ifndef LSMCOL_COLUMNAR_ASSEMBLER_H_
 #define LSMCOL_COLUMNAR_ASSEMBLER_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/columnar/column_reader.h"
@@ -14,7 +15,8 @@
 
 namespace lsmcol {
 
-/// Assembles records from shredded columns.
+/// Assembles records from shredded columns. Single-threaded: it keeps
+/// per-node scratch between calls.
 class RecordAssembler {
  public:
   /// The schema must outlive the assembler.
@@ -41,8 +43,14 @@ class RecordAssembler {
 
   Value AssembleNode(const SchemaNode& node, const Slots& slots,
                      const std::vector<bool>* projection) const;
+  /// The column ids under `node`, computed on its first visit.
+  const std::vector<int>& ColumnsOf(const SchemaNode& node) const;
 
   const Schema* schema_;
+  mutable std::unordered_map<const SchemaNode*, std::vector<int>> columns_;
+  /// Array nodes save their columns' cells here while they iterate the
+  /// elements (a stack: arrays nest).
+  mutable std::vector<const ShredCell*> saved_;
 };
 
 }  // namespace lsmcol

@@ -1,5 +1,8 @@
 #include "src/columnar/column_reader.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "src/columnar/column_writer.h"
 #include "src/encoding/bitpack.h"
 
@@ -92,9 +95,9 @@ Status ColumnChunkReader::SkipValue() {
 Status ColumnChunkReader::TransferValue(ColumnChunkWriter* writer) {
   switch (info_.type) {
     case AtomicType::kBoolean: {
-      bool v = false;
-      LSMCOL_RETURN_NOT_OK(ReadBool(&v));
-      writer->AddBool(v);
+      uint64_t v = 0;
+      LSMCOL_RETURN_NOT_OK(bools_.Next(&v));
+      writer->AddBool(v != 0);
       return Status::OK();
     }
     case AtomicType::kInt64: {
@@ -105,7 +108,11 @@ Status ColumnChunkReader::TransferValue(ColumnChunkWriter* writer) {
     }
     case AtomicType::kDouble: {
       double v = 0;
-      LSMCOL_RETURN_NOT_OK(ReadDouble(&v));
+      if (doubles_remaining_ == 0) {
+        return Status::Corruption("double column values exhausted");
+      }
+      --doubles_remaining_;
+      LSMCOL_RETURN_NOT_OK(doubles_.ReadDouble(&v));
       writer->AddDouble(v);
       return Status::OK();
     }
@@ -302,35 +309,6 @@ Status ColumnChunkReader::CopyRecordTo(ColumnChunkWriter* writer) {
   return ParseRecordInto(nullptr, ParseMode::kCopy, writer);
 }
 
-Status ColumnChunkReader::NextEntry(int* def, bool* has_value) {
-  if (AtEnd()) return Status::OutOfRange("column chunk exhausted");
-  uint64_t raw = 0;
-  LSMCOL_RETURN_NOT_OK(defs_.Next(&raw));
-  ++entries_read_;
-  *def = static_cast<int>(raw);
-  *has_value = info_.is_pk || *def == info_.max_def;
-  return Status::OK();
-}
-
-Status ColumnChunkReader::ReadBool(bool* out) {
-  uint64_t v = 0;
-  LSMCOL_RETURN_NOT_OK(bools_.Next(&v));
-  *out = v != 0;
-  return Status::OK();
-}
-
-Status ColumnChunkReader::ReadInt64(int64_t* out) { return ints_.Next(out); }
-
-Status ColumnChunkReader::ReadDouble(double* out) {
-  if (doubles_remaining_ == 0) {
-    return Status::Corruption("double column values exhausted");
-  }
-  --doubles_remaining_;
-  return doubles_.ReadDouble(out);
-}
-
-Status ColumnChunkReader::ReadString(Slice* out) { return strings_.Next(out); }
-
 Status ColumnChunkReader::NextEntryBatch(size_t max_entries,
                                          ColumnEntryBatch* out) {
   out->Clear();
@@ -338,22 +316,27 @@ Status ColumnChunkReader::NextEntryBatch(size_t max_entries,
   if (n > max_entries) n = max_entries;
   if (n == 0) return Status::OK();
 
-  // Def levels in one run-granular pass.
-  def_scratch_.resize(n);
-  size_t decoded = 0;
-  LSMCOL_RETURN_NOT_OK(defs_.DecodeBatch(n, def_scratch_.data(), &decoded));
-  LSMCOL_DCHECK(decoded == n);
-  entries_read_ += n;
+  // Def levels, run-granular, staged through a small fixed buffer so a
+  // whole-chunk batch costs no chunk-sized scratch.
   out->defs.resize(n);
-  out->value_index.assign(n, -1);
+  out->value_index.resize(n);
   const uint64_t max_def = static_cast<uint64_t>(info_.max_def);
   size_t values = 0;
-  for (size_t i = 0; i < n; ++i) {
-    out->defs[i] = static_cast<int>(def_scratch_[i]);
-    if (info_.is_pk || def_scratch_[i] == max_def) {
-      out->value_index[i] = static_cast<int32_t>(values++);
+  uint64_t staged[512];
+  for (size_t done = 0; done < n;) {
+    const size_t take = std::min(n - done, std::size(staged));
+    size_t decoded = 0;
+    LSMCOL_RETURN_NOT_OK(defs_.DecodeBatch(take, staged, &decoded));
+    LSMCOL_DCHECK(decoded == take);
+    for (size_t i = 0; i < take; ++i) {
+      out->defs[done + i] = static_cast<int>(staged[i]);
+      out->value_index[done + i] = info_.is_pk || staged[i] == max_def
+                                       ? static_cast<int32_t>(values++)
+                                       : -1;
     }
+    done += take;
   }
+  entries_read_ += n;
 
   // All present values in one typed batch.
   if (values == 0) return Status::OK();
@@ -384,6 +367,43 @@ Status ColumnChunkReader::NextEntryBatch(size_t max_entries,
     }
   }
   return Status::Corruption("unknown column type");
+}
+
+Status RecordStarts(const ColumnInfo& info, const std::vector<int>& defs,
+                    std::vector<uint32_t>* starts) {
+  starts->clear();
+  const std::vector<int>& darr = info.array_defs;
+  const int m = info.array_count();
+  // Arrays an entry of def level e implies open (ParseRecordInto's k).
+  auto opened = [&](int e) {
+    int k = 0;
+    while (k < m && darr[k] <= e) ++k;
+    return k;
+  };
+  size_t i = 0;
+  while (i < defs.size()) {
+    starts->push_back(static_cast<uint32_t>(i));
+    const int d0 = defs[i++];
+    // Flat columns, and records whose outermost array is missing, are one
+    // standalone entry.
+    if (info.is_pk || m == 0 || d0 < darr[0]) continue;
+    int current = opened(d0);
+    while (true) {
+      if (i >= defs.size()) {
+        return Status::Corruption("column record missing closing delimiter");
+      }
+      const int e = defs[i++];
+      if (e > current - 1) {
+        current = opened(e);  // a value entry
+      } else if (e == 0) {
+        break;  // the record's closing delimiter
+      } else {
+        current = e;  // a delimiter: e arrays remain open
+      }
+    }
+  }
+  starts->push_back(static_cast<uint32_t>(defs.size()));
+  return Status::OK();
 }
 
 }  // namespace lsmcol

@@ -2,8 +2,8 @@
 // reader that parses each record's entries — using the delimiter state
 // machine of §3.2.1 — into a small nested structure (ShredCell) that the
 // record assembler consumes, plus batched record skipping used during LSM
-// reconciliation (§4.4) and a raw typed interface used by the compiled
-// query engine (§5).
+// reconciliation (§4.4) and a vectorized entry decode that pushed-down
+// predicates and the compiled query engine (§5) index into.
 //
 // Delimiter disambiguation invariant (see DESIGN.md §4): while the
 // innermost open array has (1-based) index k, element entries carry
@@ -111,15 +111,6 @@ class ColumnChunkReader {
   /// the paper discusses).
   Status CopyRecordTo(ColumnChunkWriter* writer);
 
-  // --- Raw typed access (compiled engine). Entries are surfaced one at a
-  // time; has_value is true iff def == max_def (always true for PK).
-  Status NextEntry(int* def, bool* has_value);
-  // Valid right after NextEntry returned has_value == true.
-  Status ReadBool(bool* out);
-  Status ReadInt64(int64_t* out);
-  Status ReadDouble(double* out);
-  Status ReadString(Slice* out);
-
   /// Vectorized read: decode the next min(max_entries, remaining) entries
   /// (def levels plus every present value) into *out, cleared first.
   /// Invariants:
@@ -153,9 +144,15 @@ class ColumnChunkReader {
   BufferReader doubles_{Slice()};
   size_t doubles_remaining_ = 0;
   DeltaLengthStringDecoder strings_;
-
-  std::vector<uint64_t> def_scratch_;  // NextEntryBatch def staging
 };
+
+/// Splits a chunk's def levels, decoded from its first entry on (e.g. by
+/// one NextEntryBatch over the whole chunk), into records with the
+/// delimiter rule of ColumnChunkReader::NextRecord: record r spans entries
+/// [(*starts)[r], (*starts)[r + 1]), and starts->back() == defs.size().
+/// Corruption when the last record lacks its closing delimiter.
+Status RecordStarts(const ColumnInfo& info, const std::vector<int>& defs,
+                    std::vector<uint32_t>* starts);
 
 }  // namespace lsmcol
 

@@ -438,13 +438,11 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   leaf_index_ = leaf_index;
   position_in_leaf_ = 0;
   for (ColumnState& st : columns_) {
+    st.chunk_loaded = false;
     st.loaded = false;
-    st.exists = false;
     st.consumed = 0;
     st.seq = 0;
-  }
-  for (PredColumn& pc : pred_columns_) {
-    pc.loaded = false;
+    st.entries.reset();  // whole-leaf decodes are freed, not kept
   }
   const Schema* schema = component_->schema();
   const auto& leaf = component_->reader().leaves()[leaf_index];
@@ -527,54 +525,46 @@ Result<bool> ColumnarComponentCursor::Next() {
   }
 }
 
+Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
+  ColumnState& st = columns_[column_id];
+  if (!st.chunk_loaded) {
+    if (component_->meta().layout == LayoutKind::kApax) {
+      st.chunk = apax_leaf_.chunk(column_id);
+    } else {
+      st.chunk = Slice();
+      const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
+      if (extent.size != 0) {
+        // Fetch only this column's megapage pages.
+        Buffer raw;
+        LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
+            leaf_index_, extent.offset, extent.size, &raw));
+        LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
+            raw.slice(), component_->schema()->column(column_id),
+            component_->meta().compressed, &st.chunk_storage, nullptr,
+            nullptr));
+        st.chunk = st.chunk_storage.slice();
+      }
+    }
+    st.chunk_loaded = true;
+  }
+  *out = st.chunk;
+  return Status::OK();
+}
+
 Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
   ColumnState& st = columns_[column_id];
   if (st.seq == record_seq_) return Status::OK();
-  const Schema* schema = component_->schema();
-  const ColumnInfo& info = schema->column(column_id);
   if (!st.loaded) {
+    Slice chunk;
+    LSMCOL_RETURN_NOT_OK(LeafChunk(column_id, &chunk));
+    if (!chunk.empty()) {
+      LSMCOL_RETURN_NOT_OK(
+          st.reader.Init(chunk, component_->schema()->column(column_id)));
+    }
     st.loaded = true;
     st.consumed = 0;
-    if (component_->meta().layout == LayoutKind::kApax) {
-      Slice chunk = apax_leaf_.chunk(column_id);
-      st.exists = !chunk.empty();
-      if (st.exists) {
-        LSMCOL_RETURN_NOT_OK(st.reader.Init(chunk, info));
-      }
-    } else {
-      const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
-      st.exists = extent.size != 0;
-      if (st.exists) {
-        // A predicate column already fetched+decompressed this leaf's
-        // megapage; read over its buffer instead of fetching again (both
-        // buffers live exactly until the next LoadLeaf, which resets
-        // loaded flags on both sides before either is overwritten).
-        const PredColumn* pred = nullptr;
-        for (const PredColumn& pc : pred_columns_) {
-          if (pc.column_id == column_id && pc.loaded &&
-              !pc.chunk_storage.empty()) {
-            pred = &pc;
-            break;
-          }
-        }
-        if (pred != nullptr) {
-          LSMCOL_RETURN_NOT_OK(
-              st.reader.Init(pred->chunk_storage.slice(), info));
-        } else {
-          // First touch of this column in this leaf: fetch only its
-          // megapage's physical pages.
-          Buffer raw;
-          LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-              leaf_index_, extent.offset, extent.size, &raw));
-          LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-              raw.slice(), info, component_->meta().compressed,
-              &st.chunk_storage, nullptr, nullptr));
-          LSMCOL_RETURN_NOT_OK(st.reader.Init(st.chunk_storage.slice(), info));
-        }
-      }
-    }
   }
-  if (!st.exists) {
+  if (st.chunk.empty()) {
     // Column unknown when this leaf was written: all-missing.
     st.record = ColumnRecord();
     st.seq = record_seq_;
@@ -594,40 +584,49 @@ Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
   return Status::OK();
 }
 
-Result<const ColumnRecord*> ColumnarComponentCursor::Column(int column_id) {
-  LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(column_id));
-  return static_cast<const ColumnRecord*>(&columns_[column_id].record);
-}
-
-Status ColumnarComponentCursor::LoadPredColumn(PredColumn* pc) {
-  pc->loaded = true;
-  const Schema* schema = component_->schema();
-  const ColumnInfo& info = schema->column(pc->column_id);
+Result<const ColumnarComponentCursor::LeafEntries*>
+ColumnarComponentCursor::LoadLeafEntries(int column_id) {
+  ColumnState& st = columns_[column_id];
+  if (st.entries != nullptr) return st.entries.get();
   Slice chunk;
-  if (component_->meta().layout == LayoutKind::kApax) {
-    chunk = apax_leaf_.chunk(pc->column_id);
-  } else {
-    // A column that is both filtered-on and projected shares one
-    // megapage fetch+decompress per leaf with EnsureColumnCurrent.
-    ColumnState& st = columns_[pc->column_id];
-    if (!(st.loaded && st.exists && !st.chunk_storage.empty())) {
-      const AmaxColumnExtent& extent = amax_page0_.extent(pc->column_id);
-      LSMCOL_DCHECK(extent.size != 0);  // zone test vetoed absent columns
-      Buffer raw;
-      LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-          leaf_index_, extent.offset, extent.size, &raw));
-      LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-          raw.slice(), info, component_->meta().compressed,
-          &pc->chunk_storage, nullptr, nullptr));
-      chunk = pc->chunk_storage.slice();
-    } else {
-      chunk = st.chunk_storage.slice();
+  LSMCOL_RETURN_NOT_OK(LeafChunk(column_id, &chunk));
+  auto le = std::make_unique<LeafEntries>();
+  if (!chunk.empty()) {
+    const ColumnInfo& info = component_->schema()->column(column_id);
+    ColumnChunkReader reader;
+    LSMCOL_RETURN_NOT_OK(reader.Init(chunk, info));
+    LSMCOL_RETURN_NOT_OK(
+        reader.NextEntryBatch(reader.entry_count(), &le->batch));
+    LSMCOL_RETURN_NOT_OK(RecordStarts(info, le->batch.defs, &le->starts));
+    if (le->starts.size() != static_cast<size_t>(leaf_records_) + 1) {
+      return Status::Corruption("column " + info.path + " holds " +
+                                std::to_string(le->starts.size() - 1) +
+                                " records in a leaf of " +
+                                std::to_string(leaf_records_));
+    }
+    // The decode copied an array column's values out of its (large)
+    // megapage; unless string values alias it or a record reader uses it,
+    // free it now rather than at the next leaf.
+    if (info.array_count() > 0 && info.type != AtomicType::kString &&
+        !st.loaded) {
+      st.chunk_storage = Buffer();
+      st.chunk = Slice();
+      st.chunk_loaded = false;
     }
   }
-  LSMCOL_RETURN_NOT_OK(pc->reader.Init(chunk, info));
-  // Flat column: entries == records, so the whole leaf decodes into one
-  // positionally indexable batch.
-  return pc->reader.NextEntryBatch(pc->reader.entry_count(), &pc->batch);
+  st.entries = std::move(le);
+  return st.entries.get();
+}
+
+Status ColumnarComponentCursor::RecordSpan(int column_id, ColumnSpan* out) {
+  LSMCOL_ASSIGN_OR_RETURN(const LeafEntries* le, LoadLeafEntries(column_id));
+  *out = ColumnSpan();
+  if (le->starts.empty()) return Status::OK();  // absent from the leaf
+  const size_t rec = static_cast<size_t>(position_in_leaf_ - 1);
+  out->batch = &le->batch;
+  out->begin = le->starts[rec];
+  out->end = le->starts[rec + 1];
+  return Status::OK();
 }
 
 Result<PredicateVerdict> ColumnarComponentCursor::TestPushedPredicates() {
@@ -638,30 +637,30 @@ Result<PredicateVerdict> ColumnarComponentCursor::TestPushedPredicates() {
     if (!pred.MatchesInt(key_)) return PredicateVerdict::kNoMatch;
   }
   const size_t rec = static_cast<size_t>(position_in_leaf_ - 1);
-  for (PredColumn& pc : pred_columns_) {
-    if (!pc.loaded) LSMCOL_RETURN_NOT_OK(LoadPredColumn(&pc));
-    if (rec >= pc.batch.entry_count()) {
-      return Status::Corruption("predicate column shorter than leaf");
-    }
-    if (pc.batch.defs[rec] != pc.max_def) {
+  for (const PredColumn& pc : pred_columns_) {
+    LSMCOL_ASSIGN_OR_RETURN(const LeafEntries* le,
+                            LoadLeafEntries(pc.column_id));
+    // Flat column: entries == records. A column absent from the leaf is
+    // MISSING, which compares false (its zone test vetoes the leaf first).
+    const ColumnEntryBatch& batch = le->batch;
+    if (rec >= batch.entry_count() || batch.defs[rec] != pc.max_def) {
       return PredicateVerdict::kNoMatch;  // MISSING/NULL compares false
     }
-    const int32_t vi = pc.batch.value_index[rec];
+    const auto vi = static_cast<size_t>(batch.value_index[rec]);
     for (const TypedPredicate& pred : pc.preds) {
       bool match = true;
       switch (pc.type) {
         case AtomicType::kBoolean:
-          match = pred.MatchesInt(
-              static_cast<int64_t>(pc.batch.bools[static_cast<size_t>(vi)]));
+          match = pred.MatchesInt(static_cast<int64_t>(batch.bools[vi]));
           break;
         case AtomicType::kInt64:
-          match = pred.MatchesInt(pc.batch.ints[static_cast<size_t>(vi)]);
+          match = pred.MatchesInt(batch.ints[vi]);
           break;
         case AtomicType::kDouble:
-          match = pred.MatchesDouble(pc.batch.doubles[static_cast<size_t>(vi)]);
+          match = pred.MatchesDouble(batch.doubles[vi]);
           break;
         case AtomicType::kString:
-          match = pred.MatchesString(pc.batch.strings[static_cast<size_t>(vi)]);
+          match = pred.MatchesString(batch.strings[vi]);
           break;
       }
       if (!match) return PredicateVerdict::kNoMatch;

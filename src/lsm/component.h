@@ -12,7 +12,8 @@
 // primary keys while records are being skipped, advancing the projected
 // columns' iterators in batches when a record is actually accessed (§4.4),
 // and — for AMAX — reads a column's megapage pages only on first access
-// within a leaf (§4.3).
+// within a leaf (§4.3). It also hands out typed per-record spans of a
+// column's whole-leaf decode (RecordSpan) for the compiled engine.
 
 #ifndef LSMCOL_LSM_COMPONENT_H_
 #define LSMCOL_LSM_COMPONENT_H_
@@ -280,44 +281,64 @@ class ColumnarComponentCursor : public TupleCursor {
   Status SeekForward(int64_t target) override;
   Result<PredicateVerdict> TestPushedPredicates() override;
 
-  /// Typed access for the compiled engine: the current record's parse for
-  /// one column (must be within the projection). May trigger the batched
-  /// catch-up of the column's iterator (§4.4).
-  Result<const ColumnRecord*> Column(int column_id);
+  /// The current record's entries of one column: entries [begin, end) of
+  /// `batch`. `batch` is null when the column is absent from the leaf
+  /// (every record's value is missing).
+  struct ColumnSpan {
+    const ColumnEntryBatch* batch = nullptr;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  /// Typed access for the compiled engine. The first call for a column in
+  /// a leaf decodes the column's whole chunk in one NextEntryBatch and
+  /// splits it into records (RecordStarts); later records index into that
+  /// decode. The span stays valid until the cursor leaves the leaf.
+  Status RecordSpan(int column_id, ColumnSpan* out);
 
   const Schema* component_schema() const { return component_->schema(); }
 
  private:
-  struct ColumnState {
-    bool loaded = false;       // chunk reader initialized for current leaf
-    bool exists = false;       // column present in current leaf
-    ColumnChunkReader reader;
-    Buffer chunk_storage;      // AMAX decompressed megapage
-    uint64_t consumed = 0;     // records consumed within current leaf
-    uint64_t seq = 0;          // cursor sequence `record` belongs to
-    ColumnRecord record;
+  /// One column's whole-leaf decode, shared by pushed predicates and
+  /// RecordSpan.
+  struct LeafEntries {
+    ColumnEntryBatch batch;
+    /// Record r spans entries [starts[r], starts[r + 1]); empty when the
+    /// column is absent from the leaf.
+    std::vector<uint32_t> starts;
   };
 
-  /// One pushed-down column: every predicate on it, compiled, plus the
-  /// whole-leaf batch decode its per-record checks index into.
+  struct ColumnState {
+    bool chunk_loaded = false;  // `chunk` holds the current leaf's
+    Slice chunk;                // empty: column absent from the leaf
+    Buffer chunk_storage;       // AMAX decompressed megapage
+    bool loaded = false;        // `reader` initialized for current leaf
+    ColumnChunkReader reader;
+    uint64_t consumed = 0;      // records consumed within current leaf
+    uint64_t seq = 0;           // cursor sequence `record` belongs to
+    ColumnRecord record;
+    /// The current leaf's decode; null until first used in the leaf.
+    std::unique_ptr<LeafEntries> entries;
+  };
+
+  /// One pushed-down column: every predicate on it, compiled. Per-record
+  /// checks index into the column's whole-leaf decode.
   struct PredColumn {
     int column_id = -1;
     int max_def = 0;
     AtomicType type = AtomicType::kInt64;
     std::vector<TypedPredicate> preds;  // conjunctive
-    bool loaded = false;                // batch decoded for current leaf
-    ColumnChunkReader reader;
-    Buffer chunk_storage;  // AMAX decompressed megapage
-    ColumnEntryBatch batch;
   };
 
   Status LoadLeaf(size_t leaf_index);
+  /// The column's chunk in the current leaf; an AMAX megapage is fetched
+  /// and decompressed on the first call per leaf only.
+  Status LeafChunk(int column_id, Slice* out);
   Status EnsureColumnCurrent(int column_id);
+  Result<const LeafEntries*> LoadLeafEntries(int column_id);
   Status ResolveProjection(const Projection& projection);
   void ResolvePredicates(const ScanPredicateSet& predicates);
   /// Zone tests for the current leaf; sets leaf_zone_match_.
   void EvaluateLeafZones();
-  Status LoadPredColumn(PredColumn* pc);
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 
   const Component* component_;

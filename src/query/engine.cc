@@ -31,12 +31,85 @@ struct AggState {
   Value max;
 };
 
+/// An item column a column-native unnest reads: its values hold entries
+/// whose def level is max_def. id -1: the field is absent from the
+/// component, so every value is MISSING.
+struct ItemColumn {
+  int id = -1;
+  int max_def = 0;
+  AtomicType type = AtomicType::kInt64;
+};
+
+using ColumnSpan = ColumnarComponentCursor::ColumnSpan;
+
+/// Sets *best to the value index of the first minimal (max: maximal) value
+/// among the entries [begin, end) that hold one; false when none does.
+/// `key` maps a value index to something whose operator< is
+/// CompareValues' order within the column's type; the first of equal
+/// values wins, as with Fold's strict comparisons.
+template <typename Key>
+bool FirstBest(const ColumnEntryBatch& batch, size_t begin, size_t end,
+               int max_def, bool max, Key key, size_t* best) {
+  bool found = false;
+  for (size_t e = begin; e < end; ++e) {
+    if (batch.defs[e] != max_def) continue;
+    const auto vi = static_cast<size_t>(batch.value_index[e]);
+    if (!found || (max ? key(*best) < key(vi) : key(vi) < key(*best))) {
+      *best = vi;
+      found = true;
+    }
+  }
+  return found;
+}
+
+bool BestValueIndex(const ColumnEntryBatch& b, const ItemColumn& column,
+                    size_t begin, size_t end, bool max, size_t* best) {
+  const int def = column.max_def;
+  switch (column.type) {
+    case AtomicType::kBoolean:
+      return FirstBest(b, begin, end, def, max,
+                       [&](size_t i) { return b.bools[i]; }, best);
+    case AtomicType::kInt64:
+      // CompareValues orders every number as a double.
+      return FirstBest(
+          b, begin, end, def, max,
+          [&](size_t i) { return static_cast<double>(b.ints[i]); }, best);
+    case AtomicType::kDouble:
+      return FirstBest(b, begin, end, def, max,
+                       [&](size_t i) { return b.doubles[i]; }, best);
+    case AtomicType::kString:
+      return FirstBest(b, begin, end, def, max,
+                       [&](size_t i) { return b.strings[i].view(); }, best);
+  }
+  return false;
+}
+
+Value BatchValue(const ColumnEntryBatch& b, AtomicType type, size_t vi) {
+  switch (type) {
+    case AtomicType::kBoolean:
+      return Value::Bool(b.bools[vi] != 0);
+    case AtomicType::kInt64:
+      return Value::Int(b.ints[vi]);
+    case AtomicType::kDouble:
+      return Value::Double(b.doubles[vi]);
+    case AtomicType::kString:
+      return Value::String(b.strings[vi].ToString());
+  }
+  return Value::Missing();
+}
+
 class Aggregator {
  public:
+  struct Group {
+    std::vector<Value> keys;
+    std::vector<AggState> states;
+  };
+
   explicit Aggregator(const QueryPlan* plan) : plan_(plan) {}
 
-  Status Add(EvalContext* ctx) {
-    // Evaluate group keys.
+  /// The current tuple's group (keys evaluated in ctx), created on first
+  /// use.
+  Result<Group*> GroupFor(EvalContext* ctx) {
     std::string key;
     std::vector<Value> key_values(plan_->group_keys.size());
     for (size_t i = 0; i < plan_->group_keys.size(); ++i) {
@@ -48,46 +121,70 @@ class Aggregator {
       group.keys = std::move(key_values);
       group.states.resize(plan_->aggregates.size());
     }
+    return &group;
+  }
+
+  Status Add(EvalContext* ctx) {
+    LSMCOL_ASSIGN_OR_RETURN(Group * group, GroupFor(ctx));
     for (size_t i = 0; i < plan_->aggregates.size(); ++i) {
       const AggSpec& spec = plan_->aggregates[i];
-      AggState& state = group.states[i];
+      AggState& state = group->states[i];
       if (spec.input == nullptr) {  // COUNT(*)
         ++state.count;
         continue;
       }
       Value v;
       LSMCOL_RETURN_NOT_OK(spec.input->Eval(ctx, &v));
-      if (v.is_missing() || v.is_null()) continue;
-      switch (spec.kind) {
-        case AggSpec::Kind::kCount:
-          ++state.count;
-          break;
-        case AggSpec::Kind::kSum:
-          if (!v.is_number()) break;
-          ++state.count;
-          if (v.is_int() && state.sum_is_int) {
-            state.isum += v.int_value();
-          } else {
-            if (state.sum_is_int) {
-              state.sum = static_cast<double>(state.isum);
-              state.sum_is_int = false;
-            }
-            state.sum += v.as_double();
-          }
-          break;
-        case AggSpec::Kind::kMin:
-          if (state.min.is_missing() || CompareValues(v, state.min) < 0) {
-            state.min = v;
-          }
-          break;
-        case AggSpec::Kind::kMax:
-          if (state.max.is_missing() || CompareValues(v, state.max) > 0) {
-            state.max = v;
-          }
-          break;
-      }
+      Fold(spec, v, &state);
     }
     return Status::OK();
+  }
+
+  /// Add() for aggregate i over the n elements of one record's unnested
+  /// array at once: the input reads `column`, whose values for the
+  /// elements are `span`'s first n entries (span.batch null: all
+  /// MISSING). Folds the same values in the same order as n Add() calls,
+  /// except that MIN/MAX fold only the record's first-best value, which
+  /// ends in the same state.
+  void AddElements(Group* group, size_t i, size_t n, const ItemColumn& column,
+                   const ColumnSpan& span) {
+    const AggSpec& spec = plan_->aggregates[i];
+    AggState& state = group->states[i];
+    if (spec.input == nullptr) {  // COUNT(*)
+      state.count += n;
+      return;
+    }
+    if (span.batch == nullptr) return;
+    const ColumnEntryBatch& b = *span.batch;
+    const size_t begin = span.begin;
+    const size_t end = begin + n;
+    switch (spec.kind) {
+      case AggSpec::Kind::kCount:
+        for (size_t e = begin; e < end; ++e) {
+          if (b.defs[e] == column.max_def) ++state.count;
+        }
+        break;
+      case AggSpec::Kind::kSum:
+        if (column.type != AtomicType::kInt64 &&
+            column.type != AtomicType::kDouble) {
+          break;  // SUM skips non-numbers
+        }
+        for (size_t e = begin; e < end; ++e) {
+          if (b.defs[e] != column.max_def) continue;
+          const auto vi = static_cast<size_t>(b.value_index[e]);
+          Fold(spec, BatchValue(b, column.type, vi), &state);
+        }
+        break;
+      case AggSpec::Kind::kMin:
+      case AggSpec::Kind::kMax: {
+        size_t vi = 0;
+        if (BestValueIndex(b, column, begin, end,
+                           spec.kind == AggSpec::Kind::kMax, &vi)) {
+          Fold(spec, BatchValue(b, column.type, vi), &state);
+        }
+        break;
+      }
+    }
   }
 
   void FinishInto(QueryResult* result) {
@@ -121,13 +218,39 @@ class Aggregator {
     }
   }
 
-  bool group_all() const { return plan_->group_keys.empty(); }
-
  private:
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<AggState> states;
-  };
+  /// Folds one input value into an aggregate's state.
+  static void Fold(const AggSpec& spec, const Value& v, AggState* state) {
+    if (v.is_missing() || v.is_null()) return;
+    switch (spec.kind) {
+      case AggSpec::Kind::kCount:
+        ++state->count;
+        break;
+      case AggSpec::Kind::kSum:
+        if (!v.is_number()) break;
+        ++state->count;
+        if (v.is_int() && state->sum_is_int) {
+          state->isum += v.int_value();
+        } else {
+          if (state->sum_is_int) {
+            state->sum = static_cast<double>(state->isum);
+            state->sum_is_int = false;
+          }
+          state->sum += v.as_double();
+        }
+        break;
+      case AggSpec::Kind::kMin:
+        if (state->min.is_missing() || CompareValues(v, state->min) < 0) {
+          state->min = v;
+        }
+        break;
+      case AggSpec::Kind::kMax:
+        if (state->max.is_missing() || CompareValues(v, state->max) > 0) {
+          state->max = v;
+        }
+        break;
+    }
+  }
 
   const QueryPlan* plan_;
   std::unordered_map<std::string, Group> groups_;
@@ -331,6 +454,196 @@ class CursorFieldSource : public FieldSource {
   std::vector<MemoEntry> memo_;  // a handful of paths; linear scan wins
 };
 
+bool UsesVar(const Expr& e, const std::string& var) {
+  const bool binds = e.kind() == Expr::Kind::kVar ||
+                     e.kind() == Expr::Kind::kVarPath ||
+                     e.kind() == Expr::Kind::kSome;
+  if (binds && e.var_name() == var) return true;
+  for (const ExprPtr& child : e.children()) {
+    if (UsesVar(*child, var)) return true;
+  }
+  return false;
+}
+
+/// The compiled engine's column-native UNNEST (docs/ARCHITECTURE.md,
+/// "Compiled engine: column-native unnest").
+///
+/// A plan qualifies when its one UNNEST walks a record path, it
+/// aggregates, and the unnest variable appears only as VarPath(var, p)
+/// aggregate inputs: group keys and the post-unnest filter then read
+/// record fields alone, so they hold for every element of a record.
+///
+/// A record qualifies when its LSM winner is a columnar component whose
+/// schema reaches the array through object fields, with an item that is
+/// neither a union nor an array, and resolves every p through object
+/// fields to one atomic column (or to nothing: the value is MISSING).
+/// Its elements are then read from per-record column spans and folded
+/// into the aggregates in typed loops; every other record takes the
+/// Path() route, which assembles the array.
+class ColumnUnnest {
+ public:
+  explicit ColumnUnnest(const QueryPlan& plan) : plan_(plan) {
+    if (plan.unnests.size() != 1 || plan.aggregates.empty()) return;
+    const UnnestSpec& unnest = plan.unnests[0];
+    if (unnest.array->kind() != Expr::Kind::kField) return;
+    for (const AggSpec& spec : plan.aggregates) {
+      if (spec.input == nullptr) continue;  // COUNT(*)
+      if (spec.input->kind() != Expr::Kind::kVarPath ||
+          spec.input->var_name() != unnest.var ||
+          spec.input->field_path().empty()) {
+        return;
+      }
+    }
+    for (const ExprPtr& key : plan.group_keys) {
+      if (UsesVar(*key, unnest.var)) return;
+    }
+    if (plan.filter != nullptr && UsesVar(*plan.filter, unnest.var)) return;
+    eligible_ = true;
+  }
+
+  /// The scan's projection. A qualifying plan names the item fields its
+  /// aggregates read (array path + p) instead of the whole array, and no
+  /// path under the array for a COUNT(*)-only unnest, which counts
+  /// elements from one column.
+  Projection ScanProjection() const {
+    if (!eligible_) return Projection::Of(plan_.ScanPaths());
+    QueryPlan record_only = plan_;
+    record_only.unnests.clear();
+    std::vector<std::vector<std::string>> paths = record_only.ScanPaths();
+    for (const AggSpec& spec : plan_.aggregates) {
+      if (spec.input == nullptr) continue;
+      std::vector<std::string> path = plan_.unnests[0].array->field_path();
+      const auto& item_path = spec.input->field_path();
+      path.insert(path.end(), item_path.begin(), item_path.end());
+      paths.push_back(std::move(path));
+    }
+    return Projection::Of(std::move(paths));
+  }
+
+  /// Unnests the current record from its columns and aggregates its
+  /// tuples (after the pre-filter passed). False, having done nothing,
+  /// when the plan or the record's winner does not qualify.
+  Result<bool> Run(TupleCursor* winner, EvalContext* ctx,
+                   Aggregator* aggregator, QueryResult* result) {
+    if (!eligible_) return false;
+    auto* columnar = dynamic_cast<ColumnarComponentCursor*>(winner);
+    if (columnar == nullptr) return false;
+    const Binding& binding = BindingFor(columnar);
+    if (!binding.eligible) return false;
+    // A column under the array holds, per record, one entry below the
+    // array's def level when the array is missing, else one entry per
+    // element plus the closing delimiter. A column created after the
+    // record was written holds one backfilled entry: all its values are
+    // MISSING, and only the count column then knows the array's length.
+    const int array_def = binding.array_def;
+    auto present = [array_def](const ColumnSpan& span) {
+      return span.batch != nullptr &&
+             span.batch->defs[span.begin] >= array_def;
+    };
+    spans_.assign(binding.inputs.size(), ColumnSpan());
+    ColumnSpan length;  // the first span holding the array
+    for (size_t i = 0; i < binding.inputs.size(); ++i) {
+      if (binding.inputs[i].id < 0) continue;
+      ColumnSpan& span = spans_[i];
+      LSMCOL_RETURN_NOT_OK(columnar->RecordSpan(binding.inputs[i].id, &span));
+      if (!present(span)) {
+        span = ColumnSpan();
+      } else if (length.batch == nullptr) {
+        length = span;
+      } else if (span.end - span.begin != length.end - length.begin) {
+        return Status::Corruption("array columns disagree on its length");
+      }
+    }
+    if (length.batch == nullptr) {
+      LSMCOL_RETURN_NOT_OK(
+          columnar->RecordSpan(binding.count_column, &length));
+      if (!present(length)) return true;  // no array: no rows
+    }
+    // A lone element at the array's own level is an empty array.
+    const size_t n = length.end - length.begin - 1;
+    if (n == 1 && length.batch->defs[length.begin] == array_def) {
+      return true;
+    }
+    if (plan_.filter != nullptr) {
+      Value pass;
+      LSMCOL_RETURN_NOT_OK(plan_.filter->Eval(ctx, &pass));
+      if (!IsTrue(pass)) return true;
+    }
+    result->pipeline_tuples += n;
+    LSMCOL_ASSIGN_OR_RETURN(Aggregator::Group * group,
+                            aggregator->GroupFor(ctx));
+    for (size_t i = 0; i < spans_.size(); ++i) {
+      aggregator->AddElements(group, i, n, binding.inputs[i], spans_[i]);
+    }
+    return true;
+  }
+
+ private:
+  /// How one component's schema binds the plan.
+  struct Binding {
+    const TupleCursor* cursor = nullptr;
+    bool eligible = false;
+    int array_def = 0;
+    int count_column = -1;
+    std::vector<ItemColumn> inputs;  // per aggregate; id -1 for COUNT(*)
+  };
+
+  const Binding& BindingFor(ColumnarComponentCursor* cursor) {
+    for (const Binding& binding : bindings_) {
+      if (binding.cursor == cursor) return binding;
+    }
+    bindings_.push_back(Bind(*cursor->component_schema()));
+    bindings_.back().cursor = cursor;
+    return bindings_.back();
+  }
+
+  Binding Bind(const Schema& schema) const {
+    Binding binding;
+    const SchemaNode* array = &schema.root();
+    for (const std::string& step : plan_.unnests[0].array->field_path()) {
+      array = array->is_object() ? array->FindField(step) : nullptr;
+      if (array == nullptr) return binding;
+    }
+    const SchemaNode* item = array->is_array() ? array->item() : nullptr;
+    if (item == nullptr || item->is_union() || item->is_array()) {
+      return binding;
+    }
+    // Column ids grow in discovery order, so the array's first column
+    // existed whenever any of its columns did: its entries count the
+    // elements of every record (later columns are backfilled).
+    const std::vector<int> columns = Schema::ColumnsUnder(array);
+    if (columns.empty() || schema.column(columns[0]).array_count() != 1) {
+      return binding;
+    }
+    binding.array_def = array->def_level();
+    binding.count_column = columns[0];
+    for (const AggSpec& spec : plan_.aggregates) {
+      ItemColumn column;
+      if (spec.input != nullptr) {
+        const SchemaNode* field = item;
+        for (const std::string& step : spec.input->field_path()) {
+          if (!field->is_object()) return binding;
+          field = field->FindField(step);
+          if (field == nullptr) break;  // absent here: MISSING
+        }
+        if (field != nullptr) {
+          if (!field->is_atomic()) return binding;
+          const ColumnInfo& info = schema.column(field->column_id());
+          column = ItemColumn{info.id, info.max_def, info.type};
+        }
+      }
+      binding.inputs.push_back(column);
+    }
+    binding.eligible = true;
+    return binding;
+  }
+
+  const QueryPlan& plan_;
+  bool eligible_ = false;
+  std::vector<Binding> bindings_;  // one per columnar source met
+  std::vector<ColumnSpan> spans_;  // per aggregate, reused across records
+};
+
 }  // namespace
 
 Result<QueryResult> RunCompiled(const Snapshot& snapshot,
@@ -341,8 +654,10 @@ Result<QueryResult> RunCompiled(const Snapshot& snapshot,
   // zone maps can veto whole leaves/megapages before any decode.
   PredicatePushdown pushdown;
   if (plan.pushdown) pushdown = ExtractPushdown(plan);
+  ColumnUnnest column_unnest(plan);
   LSMCOL_ASSIGN_OR_RETURN(
-      auto cursor, snapshot.Scan(ScanProjection(plan), pushdown.predicates));
+      auto cursor,
+      snapshot.Scan(column_unnest.ScanProjection(), pushdown.predicates));
   CursorFieldSource source(cursor.get());
   EvalContext ctx;  // reused across records; unnest vars stay balanced
   ctx.record = &source;
@@ -366,6 +681,10 @@ Result<QueryResult> RunCompiled(const Snapshot& snapshot,
       LSMCOL_RETURN_NOT_OK(plan.pre_filter->Eval(&ctx, &pass));
       if (!IsTrue(pass)) continue;
     }
+    LSMCOL_ASSIGN_OR_RETURN(
+        bool unnested,
+        column_unnest.Run(cursor->winner(), &ctx, &aggregator, &result));
+    if (unnested) continue;
     const bool skip_post_filter =
         covered && pushdown.filter_extracted && pushdown.filter_exact;
     LSMCOL_RETURN_NOT_OK(
@@ -380,19 +699,6 @@ Result<QueryResult> RunQuery(const Snapshot& snapshot, const QueryPlan& plan,
                              bool compiled) {
   return compiled ? RunCompiled(snapshot, plan)
                   : RunInterpreted(snapshot, plan);
-}
-
-Result<QueryResult> RunInterpreted(Dataset* dataset, const QueryPlan& plan) {
-  return RunInterpreted(*dataset->GetSnapshot(), plan);
-}
-
-Result<QueryResult> RunCompiled(Dataset* dataset, const QueryPlan& plan) {
-  return RunCompiled(*dataset->GetSnapshot(), plan);
-}
-
-Result<QueryResult> RunQuery(Dataset* dataset, const QueryPlan& plan,
-                             bool compiled) {
-  return RunQuery(*dataset->GetSnapshot(), plan, compiled);
 }
 
 }  // namespace lsmcol

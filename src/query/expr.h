@@ -92,8 +92,11 @@ class Expr {
   // Structural accessors (predicate pushdown inspects filter trees).
   CmpOp cmp_op() const { return cmp_op_; }
   const std::vector<ExprPtr>& children() const { return children_; }
-  /// Valid for kField (the record path).
+  /// Valid for kField (the record path) and kVarPath (the path below the
+  /// variable).
   const std::vector<std::string>& field_path() const { return path_; }
+  /// Valid for kVar, kVarPath and kSome (the variable bound).
+  const std::string& var_name() const { return var_name_; }
   /// Valid for kLiteral.
   const Value& literal_value() const { return literal_; }
 

@@ -9,6 +9,7 @@
 
 #include "src/datagen/datagen.h"
 #include <fstream>
+#include "src/lsm/dataset.h"
 #include "src/query/engine.h"
 
 namespace lsmcol {
@@ -80,7 +81,7 @@ TEST_F(ShapeTest, AmaxCountStarReadsOnlyPageZeros) {
   }();
   amax.cache->Clear();
   amax.cache->ResetStats();
-  auto result = RunCompiled(amax.dataset.get(), count);
+  auto result = RunCompiled(*amax.dataset->GetSnapshot(), count);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows[0][0].int_value(), static_cast<int64_t>(n));
   const uint64_t count_bytes = amax.cache->stats().bytes_read;
@@ -90,14 +91,14 @@ TEST_F(ShapeTest, AmaxCountStarReadsOnlyPageZeros) {
   text_query.aggregates.push_back(AggSpec::Count(Expr::Field({"text"})));
   amax.cache->Clear();
   amax.cache->ResetStats();
-  ASSERT_TRUE(RunCompiled(amax.dataset.get(), text_query).ok());
+  ASSERT_TRUE(RunCompiled(*amax.dataset->GetSnapshot(), text_query).ok());
   EXPECT_GT(amax.cache->stats().bytes_read, 2 * count_bytes);
 
   // APAX reads everything either way (whole leaf pages).
   auto apax = Build(dir_, Workload::kTweet2, LayoutKind::kApax, n);
   apax.cache->Clear();
   apax.cache->ResetStats();
-  ASSERT_TRUE(RunCompiled(apax.dataset.get(), count).ok());
+  ASSERT_TRUE(RunCompiled(*apax.dataset->GetSnapshot(), count).ok());
   const uint64_t apax_count_bytes = apax.cache->stats().bytes_read;
   EXPECT_GT(apax_count_bytes, 4 * count_bytes);
 }
@@ -107,8 +108,8 @@ TEST_F(ShapeTest, EnginesAgreeOnEveryWorkload) {
     auto built = Build(dir_ + "/" + WorkloadName(w), w, LayoutKind::kAmax, 300);
     QueryPlan plan;
     plan.aggregates.push_back(AggSpec::CountStar());
-    auto interp = RunInterpreted(built.dataset.get(), plan);
-    auto comp = RunCompiled(built.dataset.get(), plan);
+    auto interp = RunInterpreted(*built.dataset->GetSnapshot(), plan);
+    auto comp = RunCompiled(*built.dataset->GetSnapshot(), plan);
     ASSERT_TRUE(interp.ok());
     ASSERT_TRUE(comp.ok());
     EXPECT_EQ(interp->rows[0][0].int_value(), 300);
@@ -141,7 +142,7 @@ TEST_F(ShapeTest, WosUnionQueriesAgreeAcrossLayouts) {
     plan.aggregates.push_back(AggSpec::CountStar());
     plan.order_by = 1;
     plan.limit = 10;
-    auto result = RunCompiled(built.dataset.get(), plan);
+    auto result = RunCompiled(*built.dataset->GetSnapshot(), plan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result->rows.size(), 0u);
     all_rows.push_back(result->rows);

@@ -11,6 +11,7 @@
 
 #include "src/common/rng.h"
 #include "src/json/parser.h"
+#include "src/lsm/dataset.h"
 #include "src/query/engine.h"
 
 namespace lsmcol {
@@ -182,9 +183,9 @@ class QueryEngineTest : public ::testing::TestWithParam<LayoutKind> {
 
   // Run both engines and require identical results; return the rows.
   QueryResult RunBoth(const QueryPlan& plan) {
-    auto interpreted = RunInterpreted(dataset_.get(), plan);
+    auto interpreted = RunInterpreted(*dataset_->GetSnapshot(), plan);
     EXPECT_TRUE(interpreted.ok()) << interpreted.status().ToString();
-    auto compiled = RunCompiled(dataset_.get(), plan);
+    auto compiled = RunCompiled(*dataset_->GetSnapshot(), plan);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     EXPECT_EQ(interpreted->rows.size(), compiled->rows.size());
     EXPECT_EQ(interpreted->pipeline_tuples, compiled->pipeline_tuples);
@@ -371,8 +372,8 @@ TEST_P(HeteroQueryTest, UnionTypedFieldQueries) {
   QueryPlan plan;
   plan.pre_filter = Expr::IsArray(Expr::Field({"address"}));
   plan.aggregates.push_back(AggSpec::CountStar());
-  auto interpreted = RunInterpreted(ds->get(), plan);
-  auto compiled = RunCompiled(ds->get(), plan);
+  auto interpreted = RunInterpreted(*(*ds)->GetSnapshot(), plan);
+  auto compiled = RunCompiled(*(*ds)->GetSnapshot(), plan);
   ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ(interpreted->rows[0][0].int_value(), 133);
@@ -388,8 +389,8 @@ TEST_P(HeteroQueryTest, UnionTypedFieldQueries) {
   // For the object case address.country is a string, not an array; wrap it
   // the SQL++ way: filter arrays only.
   group.pre_filter = Expr::IsArray(Expr::Field({"address"}));
-  auto r1 = RunInterpreted(ds->get(), group);
-  auto r2 = RunCompiled(ds->get(), group);
+  auto r1 = RunInterpreted(*(*ds)->GetSnapshot(), group);
+  auto r2 = RunCompiled(*(*ds)->GetSnapshot(), group);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r1->rows.size(), 2u);
@@ -448,7 +449,7 @@ TEST_P(QueryEngineTest, GroupKeysWithSeparatorBytesNeverMerge) {
   plan.group_keys.push_back(Expr::Field({"k2"}));
   plan.aggregates.push_back(AggSpec::CountStar());
   for (bool compiled : {false, true}) {
-    auto result = RunQuery(ds->get(), plan, compiled);
+    auto result = RunQuery(*(*ds)->GetSnapshot(), plan, compiled);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->rows.size(), pairs.size())
         << "distinct key tuples merged (compiled=" << compiled << ")";
@@ -567,7 +568,7 @@ class ZoneMapTest : public ::testing::TestWithParam<LayoutKind> {
   uint64_t ColdPages(const QueryPlan& plan, QueryResult* result) {
     cache_->Clear();
     cache_->ResetStats();
-    auto r = RunCompiled(dataset_.get(), plan);
+    auto r = RunCompiled(*dataset_->GetSnapshot(), plan);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (result != nullptr) *result = std::move(*r);
     return cache_->stats().pages_read;
@@ -607,7 +608,7 @@ TEST_P(ZoneMapTest, SelectiveRangeReadsFewerPagesAndSameRows) {
     EXPECT_LE(pages_pushed, pages_unpushed);
   }
   // The interpreted engine agrees.
-  auto interpreted = RunInterpreted(dataset_.get(), plan);
+  auto interpreted = RunInterpreted(*dataset_->GetSnapshot(), plan);
   ASSERT_TRUE(interpreted.ok());
   EXPECT_EQ(interpreted->rows.size(), pushed.rows.size());
 }

@@ -80,7 +80,7 @@ TEST_P(QuickstartSmokeTest, IngestFlushQueryBothEngines) {
   plan.order_by = 1;
   plan.order_desc = true;
   for (bool compiled : {false, true}) {
-    auto result = RunQuery(dataset->get(), plan, compiled);
+    auto result = RunQuery(*(*dataset)->GetSnapshot(), plan, compiled);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->rows.size(), 3u)
         << (compiled ? "compiled" : "interpreted");
