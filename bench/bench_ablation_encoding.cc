@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -140,6 +141,118 @@ void BM_LzDecompressTextPage(benchmark::State& state) {
                           static_cast<int64_t>(page.size()));
 }
 BENCHMARK(BM_LzDecompressTextPage);
+
+// Megapage-shaped LZ inputs. tweet_2's AMAX column megapages (~34 KB each)
+// compress into short matches: about 1.1M match tokens averaging ~6 bytes
+// and 0.2M literal tokens per 9 MB. Here 256 recurring 4-9-byte values
+// follow each other, with a short literal run every tenth value or so.
+std::string ShortMatchMegapage() {
+  Rng rng(6);
+  std::vector<std::string> values(256);
+  for (auto& v : values) {
+    const size_t len = 4 + rng.Uniform(6);
+    for (size_t i = 0; i < len; ++i) v.push_back(static_cast<char>(rng.Next()));
+  }
+  std::string page;
+  while (page.size() < 34 * 1024) {
+    if (rng.Bernoulli(0.1)) {
+      const size_t run = 1 + rng.Uniform(23);
+      for (size_t i = 0; i < run; ++i) {
+        page.push_back(static_cast<char>(rng.Next()));
+      }
+    } else {
+      page += values[rng.Uniform(values.size())];
+    }
+  }
+  return page;
+}
+
+// sensors' `readings` megapages: random doubles, ~143 KB, which LZ leaves
+// as 127-byte literal runs.
+std::string DoublesMegapage() {
+  Rng rng(7);
+  std::string page;
+  while (page.size() < 143 * 1024) {
+    const double v = -40.0 + 100.0 * rng.NextDouble();
+    page.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return page;
+}
+
+// Per-MB token counts and mean match length of an LZ stream, reported as
+// counters so the inputs' shape sits next to their speed.
+void SetLzShapeCounters(benchmark::State& state, Slice stream, size_t raw) {
+  BufferReader r(stream);
+  uint64_t len = 0;
+  LSMCOL_CHECK_OK(r.ReadVarint64(&len));
+  double matches = 0, literals = 0, match_bytes = 0;
+  while (!r.empty()) {
+    uint8_t tag = 0;
+    LSMCOL_CHECK_OK(r.ReadByte(&tag));
+    if ((tag & 1) == 0) {
+      ++literals;
+      LSMCOL_CHECK_OK(r.Skip(tag >> 1));
+    } else {
+      uint64_t offset = 0;
+      LSMCOL_CHECK_OK(r.ReadVarint64(&offset));
+      ++matches;
+      match_bytes += (tag >> 1) + 4;
+    }
+  }
+  const double mb = static_cast<double>(raw) / (1 << 20);
+  state.counters["match_tokens_per_MB"] = matches / mb;
+  state.counters["literal_tokens_per_MB"] = literals / mb;
+  state.counters["mean_match_B"] = matches > 0 ? match_bytes / matches : 0;
+  state.counters["ratio"] =
+      static_cast<double>(raw) / static_cast<double>(stream.size());
+}
+
+void LzCompressBench(benchmark::State& state, const std::string& page) {
+  for (auto _ : state) {
+    Buffer out;
+    LzCompress(Slice(page), &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+
+void LzDecompressBench(benchmark::State& state, const std::string& page) {
+  Buffer compressed;
+  LzCompress(Slice(page), &compressed);
+  // One reused buffer, as the readers reuse their megapage buffers.
+  Buffer out;
+  for (auto _ : state) {
+    out.clear();
+    LSMCOL_CHECK_OK(LzDecompress(compressed.slice(), &out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+  SetLzShapeCounters(state, compressed.slice(), page.size());
+}
+
+void BM_LzCompressShortMatchMegapage(benchmark::State& state) {
+  LzCompressBench(state, ShortMatchMegapage());
+}
+BENCHMARK(BM_LzCompressShortMatchMegapage);
+
+void BM_LzDecompressShortMatchMegapage(benchmark::State& state) {
+  LzDecompressBench(state, ShortMatchMegapage());
+}
+BENCHMARK(BM_LzDecompressShortMatchMegapage);
+
+void BM_LzCompressDoublesMegapage(benchmark::State& state) {
+  LzCompressBench(state, DoublesMegapage());
+}
+BENCHMARK(BM_LzCompressDoublesMegapage);
+
+void BM_LzDecompressDoublesMegapage(benchmark::State& state) {
+  LzDecompressBench(state, DoublesMegapage());
+}
+BENCHMARK(BM_LzDecompressDoublesMegapage);
 
 void PrintSizeTable() {
   std::printf("\n==== Ablation A1: encoded sizes (10k values) ====\n");

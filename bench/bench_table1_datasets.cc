@@ -1,6 +1,6 @@
 // Table 1: dataset summary — type, size, number of records, average
 // record size, number of inferred columns, dominant type. Regenerates the
-// table over the synthetic workloads (scaled; see EXPERIMENTS.md).
+// table over the synthetic workloads (scaled; see docs/BENCHMARKS.md).
 
 #include <cstdio>
 #include <map>

@@ -141,7 +141,8 @@ Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
       }
       saved_.resize(base);
       // A single all-missing element is the def-level-conflated encoding of
-      // an empty array (§3.2.1 / DESIGN.md §4).
+      // an empty array (§3.2.1; docs/ARCHITECTURE.md, "Preserved SQL++
+      // semantics").
       if (n == 1 && missing_elements == 1) {
         arr.mutable_array().clear();
       }

@@ -5,7 +5,7 @@
 // reconciliation (§4.4) and a vectorized entry decode that pushed-down
 // predicates and the compiled query engine (§5) index into.
 //
-// Delimiter disambiguation invariant (see DESIGN.md §4): while the
+// Delimiter disambiguation invariant (§3.2.1): while the
 // innermost open array has (1-based) index k, element entries carry
 // def >= d_k >= k, and the only delimiters a well-formed writer can emit
 // are 0..k-1 — so `def <= open_k - 1` identifies a delimiter. The first

@@ -57,7 +57,8 @@ void RecordShredder::WalkArray(const SchemaNode& array_node, const Value& v) {
   if (item == nullptr) {
     // The array has never held a (non-null) element anywhere in the
     // dataset: there are no columns under it, so its presence cannot be
-    // recorded (documented simplification; see DESIGN.md).
+    // recorded, and the record reads back without the field (a known
+    // simplification).
     return;
   }
   const int array_def = array_node.def_level();

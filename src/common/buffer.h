@@ -7,13 +7,38 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/slice.h"
 #include "src/common/status.h"
 
 namespace lsmcol {
+
+/// std::allocator that default-initializes: a vector growing through
+/// resize(n) without a fill value leaves the new bytes uninitialized.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}  // NOLINT
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Growable, contiguous byte buffer. Appends never fail (they grow the
 /// backing store); absolute writes require the offset to be in range.
@@ -28,13 +53,29 @@ class Buffer {
   bool empty() const { return data_.empty(); }
   void clear() { data_.clear(); }
   void reserve(size_t n) { data_.reserve(n); }
-  void resize(size_t n) { data_.resize(n); }
+  /// Drops spare capacity (reallocates and copies when there is any).
+  void ShrinkToFit() { data_.shrink_to_fit(); }
+  /// Growth zero-fills the new bytes; shrinking keeps the prefix.
+  void resize(size_t n) { data_.resize(n, '\0'); }
+
+  /// Grows by n bytes left uninitialized and returns a pointer to the
+  /// first; the caller must write all n (or resize() them away).
+  char* AppendUninitialized(size_t n) {
+    const size_t old = data_.size();
+    data_.resize(old + n);
+    return data_.data() + old;
+  }
 
   Slice slice() const { return Slice(data_.data(), data_.size()); }
 
   void Append(const void* src, size_t n) {
-    const char* p = static_cast<const char*>(src);
-    data_.insert(data_.end(), p, p + n);
+    if (n == 0) return;
+    // src may point into this buffer: keep its offset across a regrowth.
+    const uintptr_t offset = reinterpret_cast<uintptr_t>(src) -
+                             reinterpret_cast<uintptr_t>(data_.data());
+    const bool inside = offset < data_.size();
+    char* dst = AppendUninitialized(n);
+    std::memcpy(dst, inside ? data_.data() + offset : src, n);
   }
   void Append(Slice s) { Append(s.data(), s.size()); }
   void AppendByte(uint8_t b) { data_.push_back(static_cast<char>(b)); }
@@ -80,7 +121,7 @@ class Buffer {
   }
 
  private:
-  std::vector<char> data_;
+  std::vector<char, DefaultInitAllocator<char>> data_;
 };
 
 /// Checked sequential reader over a Slice. All Read* methods return

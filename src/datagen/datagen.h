@@ -9,9 +9,9 @@
 //   tweet_2  moderate columns, monotone timestamp field, used for the
 //            update-intensive secondary-index experiments
 //
-// Contents are synthetic (the originals are proprietary; see DESIGN.md §1)
-// but reproduce the properties the evaluation depends on: column counts,
-// nesting shape, value-type mix, record sizes, sparsity, heterogeneity.
+// Contents are synthetic (the originals are proprietary) but reproduce
+// the properties the evaluation depends on: column counts, nesting shape,
+// value-type mix, record sizes, sparsity, heterogeneity.
 
 #ifndef LSMCOL_DATAGEN_DATAGEN_H_
 #define LSMCOL_DATAGEN_DATAGEN_H_
@@ -35,7 +35,7 @@ enum class Workload : uint8_t {
 const char* WorkloadName(Workload w);
 
 /// Default record counts used by the benchmark harness (scaled from the
-/// paper's ~200 GB datasets to laptop-sized runs; see EXPERIMENTS.md).
+/// paper's ~200 GB datasets to laptop-sized runs; see docs/BENCHMARKS.md).
 uint64_t DefaultBenchRecords(Workload w);
 
 /// Generate record `id` of a workload. Deterministic given (workload, id,

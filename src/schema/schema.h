@@ -28,8 +28,9 @@
 
 namespace lsmcol {
 
-/// Atomic (leaf) column types. JSON null is treated as missing (see
-/// DESIGN.md §1), so there is no null column type.
+/// Atomic (leaf) column types. JSON null, like MISSING, is recorded only in
+/// definition levels (docs/FORMAT.md, "Column chunks"), so there is no
+/// null column type.
 enum class AtomicType : uint8_t {
   kBoolean = 0,
   kInt64 = 1,

@@ -395,6 +395,425 @@ TEST(LzTest, MixedStructuredPayload) {
 }
 
 // ---------------------------------------------------------------------------
+// LZ kernels: every Corruption path, round trips across token shapes and
+// the decoder's fast-loop/tail boundary, a differential mutation loop, and
+// golden digests pinning the encoder's output bytes.
+// ---------------------------------------------------------------------------
+
+// Hand-assembled LZ stream: tokens exactly as written, any declared length.
+class LzStreamBuilder {
+ public:
+  LzStreamBuilder& Literal(const std::string& bytes) {
+    tokens_.AppendByte(static_cast<uint8_t>(bytes.size() << 1));
+    tokens_.Append(Slice(bytes));
+    return *this;
+  }
+  LzStreamBuilder& Match(size_t len, uint64_t offset) {
+    tokens_.AppendByte(static_cast<uint8_t>(((len - 4) << 1) | 1));
+    tokens_.AppendVarint64(offset);
+    return *this;
+  }
+  LzStreamBuilder& Raw(const std::string& bytes) {
+    tokens_.Append(Slice(bytes));
+    return *this;
+  }
+  std::string Finish(uint64_t declared) const {
+    Buffer out;
+    out.AppendVarint64(declared);
+    out.Append(tokens_.slice());
+    return out.slice().ToString();
+  }
+
+ private:
+  Buffer tokens_;
+};
+
+// Byte-at-a-time decoder of the format in docs/FORMAT.md: the oracle the
+// word-at-a-time kernel is checked against.
+bool ReferenceLzDecode(Slice input, std::string* out) {
+  BufferReader r(input);
+  uint64_t len = 0;
+  if (!r.ReadVarint64(&len).ok()) return false;
+  std::string s;
+  while (s.size() < len) {
+    uint8_t tag = 0;
+    if (!r.ReadByte(&tag).ok()) return false;
+    if ((tag & 1) == 0) {
+      Slice bytes;
+      if (tag == 0 || !r.ReadBytes(tag >> 1, &bytes).ok()) return false;
+      s.append(bytes.data(), bytes.size());
+    } else {
+      uint64_t offset = 0;
+      if (!r.ReadVarint64(&offset).ok()) return false;
+      if (offset == 0 || offset > s.size()) return false;
+      for (size_t k = 0; k < (tag >> 1) + 4u; ++k) {
+        s.push_back(s[s.size() - offset]);
+      }
+    }
+  }
+  if (s.size() != len) return false;
+  *out = std::move(s);
+  return true;
+}
+
+constexpr std::string_view kLzPrefix = "existing bytes";
+
+// Decodes after kLzPrefix. On success *decoded holds what was appended; on
+// failure the status must be Corruption and out must be unchanged.
+Status DecodeAfterPrefix(const std::string& stream, std::string* decoded) {
+  Buffer out;
+  out.Append(Slice(kLzPrefix));
+  Status s = LzDecompress(Slice(stream), &out);
+  const std::string all = out.slice().ToString();
+  EXPECT_EQ(all.substr(0, kLzPrefix.size()), kLzPrefix);
+  if (s.ok()) {
+    *decoded = all.substr(kLzPrefix.size());
+  } else {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(all, kLzPrefix) << "a failed decode changed out";
+  }
+  return s;
+}
+
+void ExpectLzCorruption(const std::string& stream) {
+  std::string decoded;
+  const Status s = DecodeAfterPrefix(stream, &decoded);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+void ExpectLzDecodesLikeReference(const std::string& stream) {
+  std::string expected, decoded;
+  ASSERT_TRUE(ReferenceLzDecode(Slice(stream), &expected));
+  ASSERT_TRUE(DecodeAfterPrefix(stream, &decoded).ok());
+  ASSERT_EQ(decoded, expected);
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string s;
+  for (size_t i = 0; i < n; ++i) s.push_back(static_cast<char>(rng->Next()));
+  return s;
+}
+
+// Random bytes long enough to put the tokens under test in the decoder's
+// fast loop (which needs well over 160 bytes of input and output left).
+std::string FastLoopLead(Rng* rng) { return RandomBytes(rng, 127); }
+
+TEST(LzCorruptionTest, EveryErrorPathReturnsCorruptionAndLeavesOutUnchanged) {
+  const std::string abcd = "abcd";
+  // Truncated header varint.
+  ExpectLzCorruption(std::string(1, '\x80'));
+  // Truncated tag: 4 bytes declared, 3 produced, input ends.
+  ExpectLzCorruption(LzStreamBuilder().Literal("abc").Finish(4));
+  // Truncated literal: the run claims 10 bytes, 3 follow.
+  ExpectLzCorruption(LzStreamBuilder().Raw("\x14" "abc").Finish(10));
+  // Truncated offset varint: a continuation byte, then the end.
+  ExpectLzCorruption(
+      LzStreamBuilder().Literal(abcd).Raw("\x01\x80").Finish(8));
+  // Offset varint longer than 10 bytes.
+  ExpectLzCorruption(LzStreamBuilder()
+                         .Literal(abcd)
+                         .Raw("\x01" + std::string(11, '\x80') + "\x01")
+                         .Finish(8));
+  // Zero-length literal.
+  ExpectLzCorruption(LzStreamBuilder().Raw(std::string(1, '\0')).Finish(3));
+  // Offset 0.
+  ExpectLzCorruption(LzStreamBuilder().Literal(abcd).Match(4, 0).Finish(8));
+  // Offset beyond the bytes produced (the prefix in out does not count).
+  ExpectLzCorruption(LzStreamBuilder().Literal(abcd).Match(4, 5).Finish(8));
+  // A literal running past the declared length.
+  ExpectLzCorruption(LzStreamBuilder().Literal(abcd).Finish(2));
+  // A match running past the declared length.
+  ExpectLzCorruption(LzStreamBuilder().Literal(abcd).Match(4, 4).Finish(6));
+  // Declared length ~2^64 in a 12-byte stream: must not reach the
+  // allocator (it used to throw std::bad_alloc).
+  {
+    Buffer stream;
+    stream.AppendVarint64(UINT64_MAX - 7);
+    stream.Append("\x05\x01", 2);
+    ASSERT_EQ(stream.size(), 12u);
+    ExpectLzCorruption(stream.slice().ToString());
+  }
+  // Declared one byte more than the tokens could produce (each 2-byte
+  // match token yields at most 131 bytes).
+  {
+    const std::string tokens = LzStreamBuilder().Literal("a").Match(131, 1)
+                                   .Finish(0).substr(1);
+    ASSERT_EQ(tokens.size(), 4u);
+    Buffer stream;
+    stream.AppendVarint64(2 * 131 + 1);
+    stream.Append(Slice(tokens));
+    ExpectLzCorruption(stream.slice().ToString());
+  }
+}
+
+TEST(LzCorruptionTest, ErrorsInsideTheFastLoopLeaveOutUnchanged) {
+  Rng rng(21);
+  const std::string lead = FastLoopLead(&rng);
+  const std::string tail = RandomBytes(&rng, 100);
+  auto with = [&](const std::string& bad) {
+    // lead, the bad token, then enough valid bytes to keep the fast loop
+    // running past it.
+    return LzStreamBuilder()
+        .Literal(lead)
+        .Literal(lead)
+        .Raw(bad)
+        .Literal(tail)
+        .Literal(tail)
+        .Literal(tail)
+        .Finish(2 * lead.size() + 4 + 3 * tail.size());
+  };
+  ExpectLzCorruption(with(std::string(1, '\0')));  // zero-length literal
+  ExpectLzCorruption(with("\x01" + std::string(1, '\0')));  // offset 0
+  ExpectLzCorruption(with("\x01\xff\x01"));  // offset 255 > 254 produced
+  ExpectLzCorruption(with("\x01" + std::string(11, '\x80')));  // overlong
+  // The same stream with a valid match there (offset 254) decodes.
+  ExpectLzDecodesLikeReference(with("\x01\xfe\x01"));
+}
+
+TEST(LzRoundTripTest, OverlapOffsetsOneToSixteenEveryLength) {
+  Rng rng(22);
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    for (size_t len = 4; len <= 131; ++len) {
+      SCOPED_TRACE("offset=" + std::to_string(offset) +
+                   " len=" + std::to_string(len));
+      const std::string lead = FastLoopLead(&rng);
+      const std::string tail = RandomBytes(&rng, 80);
+      // In the fast loop: two lead literals before, three after.
+      LzStreamBuilder fast;
+      fast.Literal(lead).Literal(lead).Match(len, offset);
+      fast.Literal(tail).Literal(tail).Literal(tail);
+      ExpectLzDecodesLikeReference(
+          fast.Finish(2 * lead.size() + len + 3 * tail.size()));
+      // In the careful tail: the whole stream is shorter than the slack.
+      LzStreamBuilder careful;
+      careful.Literal(tail.substr(0, offset)).Match(len, offset);
+      ExpectLzDecodesLikeReference(careful.Finish(offset + len));
+    }
+    // Compressor round trip of a period-`offset` pattern.
+    const std::string period = RandomBytes(&rng, offset);
+    std::string input = RandomBytes(&rng, 50);
+    while (input.size() < 2000) input += period;
+    input += RandomBytes(&rng, 50);
+    RoundTripLz(input);
+  }
+}
+
+TEST(LzRoundTripTest, MatchLengthsAcrossTokenSplits) {
+  Rng rng(23);
+  // 4..131 fits one token; longer matches split into several, and a
+  // sub-4-byte remainder is carried into the next literal run.
+  for (size_t len = 4; len <= 400; ++len) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    const std::string block = RandomBytes(&rng, 400);
+    std::string input = block;
+    input += RandomBytes(&rng, 3);
+    input += block.substr(0, len);
+    input += RandomBytes(&rng, 3);
+    RoundTripLz(input);
+  }
+}
+
+TEST(LzRoundTripTest, LiteralRunsAndShortInputs) {
+  Rng rng(24);
+  // 0..7 bytes take the literal-only path; 1..127 is one literal token;
+  // longer runs split at 127.
+  for (size_t n = 0; n <= 400; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    RoundTripLz(RandomBytes(&rng, n));
+  }
+  for (size_t run = 1; run <= 127; ++run) {
+    const std::string bytes = RandomBytes(&rng, run);
+    ExpectLzDecodesLikeReference(
+        LzStreamBuilder().Literal(bytes).Finish(run));
+    const std::string lead = FastLoopLead(&rng);
+    ExpectLzDecodesLikeReference(LzStreamBuilder()
+                                     .Literal(lead)
+                                     .Literal(bytes)
+                                     .Literal(lead)
+                                     .Literal(lead)
+                                     .Finish(3 * lead.size() + run));
+  }
+}
+
+TEST(LzRoundTripTest, DecodingAppendsAfterExistingBytes) {
+  Rng rng(25);
+  std::string input;
+  while (input.size() < 5000) input += "{\"k\":" + rng.Word(1, 9) + "}";
+  Buffer compressed;
+  LzCompress(Slice(input), &compressed);
+  std::string decoded;
+  ASSERT_TRUE(DecodeAfterPrefix(compressed.slice().ToString(), &decoded).ok());
+  EXPECT_EQ(decoded, input);
+  // Appending a second stream to the same buffer.
+  Buffer out;
+  ASSERT_TRUE(LzDecompress(compressed.slice(), &out).ok());
+  ASSERT_TRUE(LzDecompress(compressed.slice(), &out).ok());
+  EXPECT_EQ(out.slice().ToString(), input + input);
+}
+
+TEST(LzRoundTripTest, StreamsEndingAroundTheFastLoopSlack) {
+  // Sizes that make the last tokens land just inside, at, and just past
+  // the fast loop's slack on the input or the output side.
+  Rng rng(26);
+  for (size_t n = 100; n <= 700; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::string input;
+    while (input.size() < n) {
+      if (rng.Bernoulli(0.5) && input.size() > 8) {
+        const size_t from = rng.Uniform(input.size() - 4);
+        input += input.substr(from, 4 + rng.Uniform(12));
+      } else {
+        input += RandomBytes(&rng, 1 + rng.Uniform(20));
+      }
+    }
+    input.resize(n);
+    RoundTripLz(input);
+  }
+}
+
+// Truncates, flips bits in, or inserts bytes into valid streams. Each
+// result must decode exactly like the byte-at-a-time reference: OK with
+// the same bytes, or Corruption with out unchanged; never a crash.
+TEST(LzCorruptionTest, MutatedStreamsDecodeLikeTheReference) {
+  Rng rng(27);
+  std::vector<std::string> streams;
+  for (const std::string& input :
+       {std::string(3000, 'a'), RandomBytes(&rng, 600),
+        std::string("{\"id\":1,\"name\":\"x\"}{\"id\":2,\"name\":\"y\"}"),
+        std::string()}) {
+    Buffer compressed;
+    LzCompress(Slice(input), &compressed);
+    streams.push_back(compressed.slice().ToString());
+  }
+  {
+    std::string mixed;
+    while (mixed.size() < 4000) {
+      mixed += rng.Bernoulli(0.5) ? RandomBytes(&rng, 1 + rng.Uniform(9))
+                                  : "sensor_" + rng.Word(1, 6);
+    }
+    Buffer compressed;
+    LzCompress(Slice(mixed), &compressed);
+    streams.push_back(compressed.slice().ToString());
+  }
+  size_t decoded_ok = 0;
+  for (int round = 0; round < 10000; ++round) {
+    std::string s = streams[rng.Uniform(streams.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.Uniform(3)) {
+        case 0:
+          s.resize(rng.Uniform(s.size() + 1));
+          break;
+        case 1:
+          if (!s.empty()) s[rng.Uniform(s.size())] ^= 1 << rng.Uniform(8);
+          break;
+        default:
+          s.insert(rng.Uniform(s.size() + 1), 1,
+                   static_cast<char>(rng.Next()));
+      }
+    }
+    std::string expected, decoded;
+    const bool ref_ok = ReferenceLzDecode(Slice(s), &expected);
+    const Status st = DecodeAfterPrefix(s, &decoded);
+    ASSERT_EQ(st.ok(), ref_ok) << "round " << round << ": " << st.ToString();
+    if (ref_ok) {
+      ASSERT_EQ(decoded, expected) << "round " << round;
+      ++decoded_ok;
+    }
+  }
+  // Both outcomes occur (a bit flip in a literal byte still decodes).
+  EXPECT_GT(decoded_ok, 0u);
+}
+
+TEST(LzTest, MaxCompressedSizeHoldsForWorstCaseTokens) {
+  // One literal byte then a 4-byte match at a 3-byte offset, repeated:
+  // 5 input bytes cost 6, well past 1/127 growth.
+  Rng rng(28);
+  const std::string far = RandomBytes(&rng, 20000);
+  std::string input = far;
+  for (size_t k = 0; k + 4 <= far.size(); k += 4) {
+    input.push_back(static_cast<char>(rng.Next()));
+    input.append(far, k, 4);
+  }
+  Buffer compressed;
+  LzCompress(Slice(input), &compressed);
+  EXPECT_GT(compressed.size(), input.size() + input.size() / 127 + 16);
+  EXPECT_LE(compressed.size(), LzMaxCompressedSize(input.size()));
+  RoundTripLz(input);
+}
+
+// Fixed seeded inputs for the golden digests below.
+std::string JsonTextPage() {
+  Rng rng(101);
+  std::string page;
+  while (page.size() < 65536) {
+    page += "{\"id\":" + std::to_string(rng.Uniform(1000000)) +
+            ",\"user\":\"" + rng.Word(3, 12) + "\",\"lang\":\"" +
+            (rng.Bernoulli(0.8) ? std::string("en") : rng.Word(2, 2)) +
+            "\",\"text\":\"";
+    const int words = static_cast<int>(rng.UniformRange(3, 20));
+    for (int w = 0; w < words; ++w) page += rng.Word(1, 9) + " ";
+    page += "\"}\n";
+  }
+  page.resize(65536);
+  return page;
+}
+
+// Column-page shaped: 4-8-byte dictionary fragments between short literal
+// runs, so most matches are a few bytes long.
+std::string ShortMatchColumnPage() {
+  Rng rng(102);
+  std::vector<std::string> dict(2048);
+  for (auto& d : dict) d = RandomBytes(&rng, 8);
+  std::string page;
+  while (page.size() < 65536) {
+    if (rng.Bernoulli(0.15)) {
+      page += RandomBytes(&rng, 1 + rng.Uniform(23));
+    } else {
+      page.append(dict[rng.Uniform(dict.size())], 0, 4 + rng.Uniform(5));
+    }
+  }
+  page.resize(65536);
+  return page;
+}
+
+uint64_t Fnv1a64(Slice s) {
+  uint64_t h = 14695981039346656037ull;
+  for (size_t i = 0; i < s.size(); ++i) {
+    h = (h ^ static_cast<uint8_t>(s[i])) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The encoder's output bytes are part of the format's contract with
+// stored data sizes: these digests were recorded from the byte-at-a-time
+// encoder, and any change to hashing, window or token choice breaks them.
+TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
+  Rng rng(103);
+  struct Golden {
+    const char* name;
+    std::string input;
+    size_t size;
+    uint64_t digest;
+  } cases[] = {
+      {"json text", JsonTextPage(), 49668, 0x36373d6f2378064aull},
+      {"short-match column", ShortMatchColumnPage(), 58198,
+       0x28204fb6c52c7135ull},
+      {"incompressible", RandomBytes(&rng, 65536), 66056,
+       0x094f1acbcaeb2a3bull},
+      {"same byte", std::string(65536, 'x'), 1007, 0x1fe9633417c3b619ull},
+  };
+  for (const Golden& g : cases) {
+    Buffer compressed;
+    LzCompress(Slice(g.input), &compressed);
+    EXPECT_EQ(compressed.size(), g.size) << g.name;
+    EXPECT_EQ(Fnv1a64(compressed.slice()), g.digest)
+        << g.name << ": 0x" << std::hex << Fnv1a64(compressed.slice());
+    RoundTripLz(g.input);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized round-trip property tests: many independent seeds per codec,
 // with shape (empty / single value / runs / adversarial widths) drawn from
 // the rng itself. The seed is reported on failure so a counterexample can be
