@@ -34,7 +34,7 @@ void Run() {
     auto options = BenchOptions(ws, LayoutKind::kAmax, "tweet2");
     options.amax_max_records = setting.cap;
     options.amax_empty_page_tolerance = setting.tolerance;
-    auto ds = Dataset::Create(options, ws.cache.get());
+    auto ds = Dataset::Open(options, ws.cache.get());
     LSMCOL_CHECK(ds.ok());
     Rng rng(42);
     for (uint64_t i = 0; i < records; ++i) {

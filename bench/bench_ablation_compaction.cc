@@ -25,10 +25,11 @@
 // ordering leans the textbook way (tiered cheapest). Both are real —
 // the JSON records ops so rows are comparable like-for-like.
 //
-// Merges run inline (no scheduler), so ingest throughput honestly pays
-// each policy's merge bill on the writer thread and the run is
-// deterministic. Layout is fixed to AMAX (the paper's headline columnar
-// layout); the policy machinery is layout-independent.
+// Flushes and merges run on the writer thread (the dataset's own
+// zero-worker scheduler), so ingest throughput honestly pays each
+// policy's merge bill and the run is deterministic. Layout is fixed to
+// AMAX (the paper's headline columnar layout); the policy machinery is
+// layout-independent.
 //
 // Usage: bench_ablation_compaction [--json PATH] [--verify]
 //   --json PATH  record per-row results as a JSON array.
@@ -78,7 +79,7 @@ bool Run(bool verify, BenchJson* json) {
       "Ablation A5: compaction policy (write amplification vs read cost)");
   std::printf(
       "dataset: sensors (AMAX), %llu mixed ops over %llu keys (10%% deletes),"
-      " inline merges\n",
+      " merges on the writer thread\n",
       static_cast<unsigned long long>(ops),
       static_cast<unsigned long long>(key_space));
   std::printf("%-14s %12s %9s %9s %6s %10s %10s %9s\n", "policy",

@@ -12,9 +12,9 @@
 // Usage: bench_fig13_ingestion [--json PATH] [--threads N]
 //   --json PATH  record per-cell results as a JSON array.
 //   --threads N  concurrent-client mode: for every insert-only workload
-//                and layout, ingest once on the synchronous path (flushes
-//                and merges inline on the single writer — the paper's
-//                setup) and once with N writer threads over a
+//                and layout, ingest once on the synchronous path (the
+//                single writer runs every flush and merge task — the
+//                paper's setup) and once with N writer threads over a
 //                FlushMergeScheduler (background flush/merge off the
 //                write path), reporting both times and the speedup. Both
 //                runs end fully flushed with the merge policy satisfied.
@@ -70,8 +70,8 @@ DatasetOptions ComparisonOptions(const Workspace& ws, Workload w,
   return options;
 }
 
-/// Synchronous leg: one writer, flushes and merges inline (the
-/// pre-scheduler write path).
+/// Synchronous leg: one writer that runs its own flush and merge tasks
+/// (the dataset's zero-worker scheduler).
 double BuildSync(Workspace* ws, Workload w, LayoutKind layout,
                  uint64_t records) {
   auto ds = Dataset::Open(ComparisonOptions(*ws, w, layout, records, "_sy"),

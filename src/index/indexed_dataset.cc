@@ -7,7 +7,7 @@ namespace lsmcol {
 Result<std::unique_ptr<IndexedDataset>> IndexedDataset::Create(
     const DatasetOptions& options, BufferCache* cache) {
   auto out = std::unique_ptr<IndexedDataset>(new IndexedDataset());
-  LSMCOL_ASSIGN_OR_RETURN(out->dataset_, Dataset::Create(options, cache));
+  LSMCOL_ASSIGN_OR_RETURN(out->dataset_, Dataset::Open(options, cache));
   out->cache_ = cache;
   return out;
 }

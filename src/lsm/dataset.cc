@@ -15,7 +15,11 @@ namespace lsmcol {
 Dataset::Dataset(const DatasetOptions& options, BufferCache* cache)
     : options_(options),
       cache_(cache),
-      scheduler_(options.scheduler),
+      owned_scheduler_(options.scheduler == nullptr
+                           ? std::make_unique<FlushMergeScheduler>(0)
+                           : nullptr),
+      scheduler_(options.scheduler != nullptr ? options.scheduler
+                                              : owned_scheduler_.get()),
       compaction_policy_(MakeCompactionPolicy(options)),
       mu_(MutexRank::kDataset),
       memtable_(std::make_shared<MemTable>()),
@@ -26,22 +30,18 @@ Dataset::Dataset(const DatasetOptions& options, BufferCache* cache)
 }
 
 Dataset::~Dataset() {
-  MutexLock lock(&mu_);
-  shutting_down_ = true;
-  work_cv_.NotifyAll();
-  // In-flight and queued tasks reference this object; queued ones are
-  // guaranteed to run (the scheduler drains its queue even on Stop).
-  // Flush tasks drain the sealed memtables before exiting — only the
-  // active memtable is lost, the documented contract.
-  while (flush_tasks_ != 0 || flush_building_ != 0 || merge_queued_ ||
-         merge_active_) {
-    work_cv_.Wait(&mu_);
+  {
+    MutexLock lock(&mu_);
+    shutting_down_ = true;  // merges stop; flush tasks keep draining
+    work_cv_.NotifyAll();
   }
-}
-
-Result<std::unique_ptr<Dataset>> Dataset::Create(const DatasetOptions& options,
-                                                 BufferCache* cache) {
-  return Open(options, cache);
+  // Queued and in-flight tasks reference this object. Queued ones run
+  // here (caller-runs form) or on the workers (Stop drains them too);
+  // flush tasks drain the sealed memtables before exiting — only the
+  // active memtable is lost, the documented contract.
+  scheduler_->RunCallerTasks(this);
+  MutexLock lock(&mu_);
+  while (BackgroundWorkPendingLocked()) work_cv_.Wait(&mu_);
 }
 
 Result<std::unique_ptr<Dataset>> Dataset::Open(const DatasetOptions& options,
@@ -303,7 +303,6 @@ Status Dataset::Delete(int64_t key) {
 }
 
 Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
-  bool inline_flush = false;
   uint64_t wal_lsn = 0;
   {
     MutexLock lock(&mu_);
@@ -335,24 +334,9 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
       ++stats_.inserts;
     }
     if (memtable_->approximate_bytes() >= options_.memtable_bytes) {
-      if (scheduler_ == nullptr) {
-        inline_flush = true;  // historical synchronous path
-      } else {
-        LSMCOL_RETURN_NOT_OK(RotateMemtableLocked());
-        if (ScheduleFlushLocked()) {
-          WaitForWriteRoomLocked();
-        } else {
-          // Scheduler already stopped (store shutting down): fall back to
-          // draining inline so no data is stranded on the immutable list.
-          Status prior = background_error_;
-          background_error_ = Status::OK();  // let the drain retry
-          DrainImmutablesLocked();
-          Status st = background_error_;
-          background_error_ = Status::OK();
-          if (st.ok()) st = prior;
-          LSMCOL_RETURN_NOT_OK(st);
-        }
-      }
+      LSMCOL_RETURN_NOT_OK(RotateMemtableLocked());
+      ScheduleFlushLocked();
+      WaitForWriteRoomLocked();
     }
   }
   if (wal_ != nullptr) {
@@ -360,8 +344,7 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
     // LSN. Runs without mu_ — followers block here, not the write path.
     LSMCOL_RETURN_NOT_OK(wal_->Sync(wal_lsn));
   }
-  if (inline_flush) return Flush();
-  return Status::OK();
+  return RunOwnTasks();
 }
 
 Status Dataset::RotateMemtableLocked() {
@@ -390,31 +373,37 @@ int Dataset::OldestUnclaimedLocked() const {
   return -1;
 }
 
-bool Dataset::ScheduleFlushLocked() {
-  if (OldestUnclaimedLocked() < 0) return true;
+void Dataset::ScheduleFlushLocked() {
+  if (OldestUnclaimedLocked() < 0) return;
   // One task per sealed memtable lets the worker pool build several
   // components in parallel (publication stays ordered; each task drains
   // whatever is unclaimed, so surplus tasks exit immediately).
-  if (flush_tasks_ >= immutables_.size()) return true;
-  if (scheduler_ != nullptr &&
-      scheduler_->Schedule([this] { BackgroundFlushTask(); })) {
-    ++flush_tasks_;
-    return true;
-  }
-  // Scheduler stopped: fine as long as some in-flight task will drain.
-  return flush_tasks_ > 0;
+  if (flush_tasks_ >= immutables_.size()) return;
+  ++flush_tasks_;
+  scheduler_->Schedule(this, [this] { BackgroundFlushTask(); });
 }
 
 void Dataset::ScheduleMergeLocked() {
   if (!options_.auto_merge || shutting_down_) return;
   if (merge_queued_ || merge_active_) return;
   if (PickMergePlanLocked().none()) return;
-  if (scheduler_ != nullptr &&
-      scheduler_->Schedule([this] { BackgroundMergeTask(); })) {
-    merge_queued_ = true;
-  }
-  // A stopped scheduler skips the merge: merging is an optimization, not
-  // a durability obligation — the next open's policy pass catches up.
+  merge_queued_ = true;
+  scheduler_->Schedule(this, [this] { BackgroundMergeTask(); });
+}
+
+bool Dataset::BackgroundWorkPendingLocked() const {
+  return flush_tasks_ != 0 || flush_building_ != 0 || merge_queued_ ||
+         merge_active_;
+}
+
+Status Dataset::RunOwnTasks() {
+  if (scheduler_->RunCallerTasks(this) == 0) return Status::OK();
+  // The work ran on this thread: report what it hit here, as the
+  // synchronous call it was, instead of on the next write.
+  MutexLock lock(&mu_);
+  Status st = background_error_;
+  background_error_ = Status::OK();
+  return st;
 }
 
 bool Dataset::HasWriteRoomLocked(size_t component_stall) const {
@@ -443,30 +432,23 @@ void Dataset::WaitForWriteRoomLocked() {
     // A stall is only sound while someone is working on draining it. A
     // prior error may have been surfaced-and-cleared with its flush task
     // already gone — the sealed memtables would then sit unclaimed and
-    // this wait would never wake. Re-arm the drain before sleeping.
-    if (immutables_.size() >= options_.max_immutable_memtables &&
-        flush_tasks_ == 0 && flush_building_ == 0) {
-      if (!ScheduleFlushLocked()) {
-        // Scheduler stopped with nothing in flight: drain inline (errors
-        // land in background_error_, which releases the stall).
-        DrainImmutablesLocked();
-        continue;
-      }
-    }
-    if (options_.auto_merge && components_.size() >= component_stall &&
-        !merge_queued_ && !merge_active_) {
+    // this wait would never wake. Re-arm the drain (and the merge, when
+    // the component count stalls) before sleeping.
+    ScheduleFlushLocked();
+    if (options_.auto_merge && components_.size() >= component_stall) {
       ScheduleMergeLocked();
-      if (!merge_queued_ && !merge_active_ &&
-          immutables_.size() < options_.max_immutable_memtables) {
-        // Scheduler refused (stopped): nobody will ever shrink the
-        // component count, so stalling on it alone would hang forever.
-        // Let the write through — the next open's merge policy catches
-        // up. (With sealed memtables still over budget the stall holds:
-        // the re-armed flush above drains them and notifies.)
-        break;
-      }
     }
-    work_cv_.Wait(&mu_);
+    // No task can make room (a quarantined component keeps the policy
+    // from picking a merge): let the write through instead of hanging.
+    if (!BackgroundWorkPendingLocked()) break;
+    // Caller-runs form: the queued work is this writer's to run, so run
+    // it rather than sleep on it. With live workers nothing runs here.
+    mu_.Unlock();
+    const size_t ran = scheduler_->RunCallerTasks(this);
+    mu_.Lock();
+    if (ran == 0 && !HasWriteRoomLocked(component_stall)) {
+      work_cv_.Wait(&mu_);
+    }
   }
 }
 
@@ -559,7 +541,6 @@ Result<std::shared_ptr<Component>> Dataset::BuildFlushComponent(
       LSMCOL_ASSIGN_OR_RETURN(
           auto writer,
           ComponentWriter::Create(tmp, cache_, options_.page_size,
-                                  options_.component_format_version,
                                   options_.fs));
       if (columnar()) {
         LSMCOL_RETURN_NOT_OK(FlushColumnar(memtable, writer.get(), schema));
@@ -749,35 +730,21 @@ Status Dataset::Flush() {
   // Likewise quarantines observed since the last rewrite: Flush() is the
   // deterministic "make durable state current" entry point.
   LSMCOL_RETURN_NOT_OK(MaybePersistDamageLocked());
-  if (had_data && options_.auto_merge) {
-    if (scheduler_ != nullptr) {
-      // Schedule instead of blocking (deterministic callers follow up
-      // with WaitForBackgroundWork or MergeAll).
-      ScheduleMergeLocked();
-      return Status::OK();
-    }
-    lock.Unlock();
-    return MaybeMerge();
-  }
-  return Status::OK();
+  if (had_data) ScheduleMergeLocked();
+  lock.Unlock();
+  return RunOwnTasks();
 }
 
 Status Dataset::WaitForBackgroundWork() {
-  MutexLock lock(&mu_);
-  while (true) {
-    while (flush_tasks_ != 0 || flush_building_ != 0 || merge_queued_ ||
-           merge_active_) {
-      work_cv_.Wait(&mu_);
-    }
-    if (immutables_.empty() || !background_error_.ok()) break;
-    // Sealed memtables with no drainer: their flush died with an error a
-    // previous call already consumed. Restart the drain rather than
-    // waiting for work nobody is doing.
-    if (!ScheduleFlushLocked() || flush_tasks_ == 0) {
-      DrainImmutablesLocked();
-      break;
-    }
+  {
+    MutexLock lock(&mu_);
+    // Sealed memtables whose flush died with an error an earlier call
+    // already consumed have no task left: re-arm their drain.
+    if (background_error_.ok()) ScheduleFlushLocked();
   }
+  scheduler_->RunCallerTasks(this);
+  MutexLock lock(&mu_);
+  while (BackgroundWorkPendingLocked()) work_cv_.Wait(&mu_);
   Status st = background_error_;
   background_error_ = Status::OK();
   return st;
@@ -942,7 +909,6 @@ Status Dataset::MergeRangeLocked(size_t begin, size_t count) {
       LSMCOL_ASSIGN_OR_RETURN(
           auto writer,
           ComponentWriter::Create(tmp, cache_, options_.page_size,
-                                  options_.component_format_version,
                                   options_.fs));
       if (columnar()) {
         if (options_.merge_pipeline == MergePipeline::kRecordAtATime) {
@@ -1883,7 +1849,7 @@ Status Dataset::Lookup(int64_t key, const Projection& projection, Value* out) {
   return GetSnapshot()->Lookup(key, projection, out);
 }
 
-Result<std::unique_ptr<Dataset::LookupBatch>> Dataset::NewLookupBatch(
+Result<std::unique_ptr<LookupBatch>> Dataset::NewLookupBatch(
     const Projection& projection) {
   return GetSnapshot()->NewLookupBatch(projection);
 }
@@ -2210,10 +2176,13 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
     if (!one.ok() && first_failure.ok()) first_failure = one;
   }
 
-  MutexLock lock(&mu_);
-  repairing_ = false;
-  if (repaired > 0) ScheduleMergeLocked();  // quarantine no longer blocks
-  work_cv_.NotifyAll();
+  {
+    MutexLock lock(&mu_);
+    repairing_ = false;
+    if (repaired > 0) ScheduleMergeLocked();  // quarantine no longer blocks
+    work_cv_.NotifyAll();
+  }
+  scheduler_->RunCallerTasks(this);
   return first_failure;
 }
 

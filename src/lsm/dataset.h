@@ -21,11 +21,17 @@
 // components, §6.3); columnar components merge with the *vertical merge*
 // of §4.5.3 (keys first, then one column at a time).
 //
-// Concurrency: with DatasetOptions::scheduler set, a full memtable is
-// *rotated* onto an immutable list and flushed by a background worker
-// while writers continue into a fresh memtable; merges likewise run in
-// the background. The threading model (documented in detail in
-// docs/ARCHITECTURE.md) is:
+// Write path: a full memtable is *rotated* onto an immutable list and
+// flushed by a task on the dataset's FlushMergeScheduler (src/lsm/
+// scheduler.h); each flush schedules a merge task when the compaction
+// policy wants one. That is the only way a flush or merge is triggered.
+// With worker threads the tasks run in the background while writers
+// continue into a fresh memtable. In the caller-runs form (zero workers —
+// the Store's default and a standalone dataset's own scheduler — or a
+// stopped pool) the writer that triggered them runs them once it has
+// released the lock, before its Insert/Delete/Flush returns; that form
+// is deterministic: the same inputs yield the same components. The
+// threading model (documented in detail in docs/ARCHITECTURE.md) is:
 //
 //   * `mu_` guards all mutable dataset state: the active memtable (and
 //     its COW swap), the immutable-memtable list, the component list,
@@ -48,11 +54,8 @@
 //   * Writers stall (back-pressure) when immutable memtables or the
 //     component count pile up faster than the background work drains
 //     them (max_immutable_memtables; the compaction policy's
-//     stall_component_limit).
-//
-// Without a scheduler everything above collapses to the historical
-// synchronous behavior — Insert flushes and merges inline — but the same
-// locked publication paths run, so concurrent readers are always safe.
+//     stall_component_limit). In the caller-runs form a stalled writer
+//     runs the queued tasks itself instead of sleeping.
 //
 // Reads execute against a Snapshot (src/lsm/snapshot.h): an immutable,
 // refcounted view pinning the active memtable, the immutable memtables,
@@ -96,7 +99,7 @@ struct DatasetStats {
   uint64_t merges = 0;
   /// Input bytes of *published* merges (failed merges do not count).
   uint64_t merged_bytes_in = 0;
-  /// Times a writer stalled on back-pressure (scheduler mode only).
+  /// Times a writer stalled on back-pressure.
   uint64_t write_stalls = 0;
 
   // Amplification accounting (the currency compaction policies trade
@@ -196,8 +199,6 @@ struct DatasetBackupPin {
 /// \brief One document collection stored in a primary LSM index.
 class Dataset {
  public:
-  using LookupBatch = ::lsmcol::LookupBatch;  // pre-Snapshot spelling
-
   /// Create-or-recover: validates `options` (see ValidateDatasetOptions),
   /// creates `options.dir` if missing, then either recovers the dataset
   /// recorded by `<dir>/<name>.MANIFEST` — removing stale `*.tmp` and
@@ -208,24 +209,20 @@ class Dataset {
   static Result<std::unique_ptr<Dataset>> Open(const DatasetOptions& options,
                                                BufferCache* cache);
 
-  /// Back-compat alias of Open() (historically Create started empty;
-  /// datasets are durable now, so "create" recovers existing state too).
-  static Result<std::unique_ptr<Dataset>> Create(const DatasetOptions& options,
-                                                 BufferCache* cache);
-
-  /// Waits for this dataset's in-flight background flushes/merges (they
-  /// reference the dataset), then tears down. Sealed memtables queued for
-  /// flush ARE flushed (the background drain completes); only the active
-  /// memtable is lost — same contract as before: Flush() first.
+  /// Runs (caller-runs form) or waits for (worker form) this dataset's
+  /// queued and in-flight flushes/merges — they reference the dataset —
+  /// then tears down. Sealed memtables queued for flush ARE flushed;
+  /// only the active memtable is lost — Flush() first.
   ~Dataset();
 
   /// Insert or replace (upsert) a record. The record must carry the int64
-  /// primary-key field. May trigger a flush — inline without a scheduler,
-  /// in the background (plus possible back-pressure stall) with one.
-  /// Thread-safe; any number of concurrent writers in scheduler mode.
-  /// Surfaces (and clears) a pending background flush/merge error by
-  /// rejecting the write, so pure-ingest callers see failures promptly
-  /// and the sealed-memtable backlog stays bounded.
+  /// primary-key field. A full memtable schedules a flush task (plus a
+  /// possible back-pressure stall); in the caller-runs form that flush
+  /// and the merges it triggers run on this thread before Insert returns,
+  /// and their error is returned. Thread-safe; any number of concurrent
+  /// writers. Surfaces (and clears) a pending background flush/merge
+  /// error by rejecting the write, so pure-ingest callers see failures
+  /// promptly and the sealed-memtable backlog stays bounded.
   Status Insert(const Value& record) LSMCOL_EXCLUDES(mu_);
   Status InsertJson(std::string_view json) LSMCOL_EXCLUDES(mu_);
 
@@ -235,17 +232,20 @@ class Dataset {
   /// Persist all in-memory state: rotates the active memtable and drains
   /// every sealed memtable to disk on the calling thread (deterministic —
   /// the test/bench entry point). Surfaces any error a background flush
-  /// or merge hit earlier. With auto_merge and a scheduler, follow-up
-  /// merges are scheduled, not awaited; without one they run inline.
+  /// or merge hit earlier. With auto_merge the follow-up merge is a task:
+  /// the workers run it (not awaited — WaitForBackgroundWork does), or in
+  /// the caller-runs form this call does before returning.
   Status Flush() LSMCOL_EXCLUDES(mu_);
 
-  /// Run the compaction policy until it is satisfied (inline).
+  /// Run the compaction policy until it is satisfied, on the calling
+  /// thread.
   Status MaybeMerge() LSMCOL_EXCLUDES(mu_);
   /// Merge every on-disk component into one (flushes first).
   Status MergeAll() LSMCOL_EXCLUDES(mu_);
 
   /// Block until no background flush or merge for this dataset is queued
-  /// or running and no sealed memtable awaits flush. Returns (and clears)
+  /// or running and no sealed memtable awaits flush (in the caller-runs
+  /// form the queued ones run on this thread). Returns (and clears)
   /// the first error background work hit, if any. After it returns OK
   /// and absent concurrent writers, all ingested data is durable except
   /// the active memtable.
@@ -286,7 +286,9 @@ class Dataset {
     MutexLock lock(&mu_);
     return *memtable_;
   }
-  /// Sealed memtables awaiting background flush (0 without a scheduler).
+  /// Sealed memtables not yet flushed. In the caller-runs form each
+  /// write runs its own flush, so this is 0 between calls unless a flush
+  /// failed.
   size_t immutable_memtable_count() const LSMCOL_EXCLUDES(mu_);
   uint64_t OnDiskBytes() const LSMCOL_EXCLUDES(mu_);
   DatasetStats stats() const LSMCOL_EXCLUDES(mu_);
@@ -370,16 +372,22 @@ class Dataset {
   /// stays active.
   Status RotateMemtableLocked() LSMCOL_REQUIRES(mu_);
   /// Enqueue flush tasks (up to one per sealed memtable, so the pool can
-  /// build them in parallel). Returns false only when the scheduler was
-  /// stopped AND no task is in flight — the caller must flush inline.
-  bool ScheduleFlushLocked() LSMCOL_REQUIRES(mu_);
+  /// build them in parallel).
+  void ScheduleFlushLocked() LSMCOL_REQUIRES(mu_);
   /// Enqueue the merge task if the policy wants one and none is pending.
   void ScheduleMergeLocked() LSMCOL_REQUIRES(mu_);
+  /// A flush or merge task of this dataset is queued or running.
+  bool BackgroundWorkPendingLocked() const LSMCOL_REQUIRES(mu_);
+  /// Run this dataset's queued tasks on the calling thread (caller-runs
+  /// form; a no-op with live workers). When any ran, returns and clears
+  /// the error they recorded.
+  Status RunOwnTasks() LSMCOL_EXCLUDES(mu_);
   /// Back-pressure predicate: true when a write may proceed (or must
   /// fail fast — background error / shutdown).
   bool HasWriteRoomLocked(size_t component_stall) const
       LSMCOL_REQUIRES(mu_);
-  /// Back-pressure: stall until background work catches up (or fails).
+  /// Back-pressure: stall until background work catches up (or fails);
+  /// in the caller-runs form, run that work instead of sleeping.
   void WaitForWriteRoomLocked() LSMCOL_REQUIRES(mu_);
   /// Scheduler task bodies.
   void BackgroundFlushTask() LSMCOL_EXCLUDES(mu_);
@@ -489,7 +497,12 @@ class Dataset {
   DatasetOptions options_;
   BufferCache* cache_;
   const RowCodec* row_codec_;
-  FlushMergeScheduler* scheduler_;  // nullptr = synchronous mode
+  /// Zero-worker scheduler of a dataset opened without
+  /// DatasetOptions::scheduler; nullptr otherwise.
+  std::unique_ptr<FlushMergeScheduler> owned_scheduler_;
+  /// Runs every flush and merge task: options_.scheduler or the owned
+  /// one. Never null.
+  FlushMergeScheduler* scheduler_;
   /// Merge selection + writer-stall bound (see compaction_policy.h).
   /// Set once in the constructor, immutable and internally stateless
   /// afterwards, so it is callable without mu_ (PickMergePlanLocked

@@ -113,13 +113,6 @@ Status ValidateDatasetOptions(const DatasetOptions& options) {
     return Bad("io_retry.initial_backoff_micros",
                "must not exceed io_retry.max_backoff_micros");
   }
-  if (options.component_format_version != kComponentFormatLegacy &&
-      options.component_format_version != kComponentFormatChecksummed) {
-    return Bad("component_format_version",
-               "must be " + std::to_string(kComponentFormatLegacy) + " or " +
-                   std::to_string(kComponentFormatChecksummed) + ", got " +
-                   std::to_string(options.component_format_version));
-  }
   return Status::OK();
 }
 

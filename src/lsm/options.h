@@ -11,7 +11,6 @@
 
 #include "src/layouts/amax.h"
 #include "src/layouts/row_codec.h"
-#include "src/storage/component_file.h"
 #include "src/storage/file.h"
 #include "src/storage/filesystem.h"
 #include "src/storage/wal.h"
@@ -114,9 +113,9 @@ struct DatasetOptions {
   /// reopened under any policy. Store::OpenDataset sets it from
   /// StoreOptions::compaction.
   CompactionOptions compaction;
-  /// Merge automatically after flushes according to the policy. With a
-  /// `scheduler`, auto-merges are *scheduled* onto its workers instead of
-  /// blocking the writer; without one they run inline as before.
+  /// Merge automatically after flushes according to the policy. Each
+  /// auto-merge is a scheduler task, like the flush that triggered it
+  /// (see `scheduler`).
   bool auto_merge = true;
   /// Columnar merge execution strategy (see MergePipeline). A runtime
   /// knob, not recorded in the manifest: both pipelines produce
@@ -125,23 +124,24 @@ struct DatasetOptions {
 
   // --- Concurrent ingestion (background flush/merge) ---
 
-  /// Background worker pool running this dataset's flushes and merges.
-  /// nullptr (the default) keeps the historical synchronous behavior:
-  /// Insert/Delete flush and merge inline on the calling thread, and the
-  /// dataset is then only thread-safe for concurrent *readers*. With a
-  /// scheduler, a full memtable is rotated onto the immutable list and
-  /// flushed in the background while writers continue into a fresh one,
-  /// and the dataset is fully thread-safe (any number of concurrent
-  /// writers and readers). Not validated (a runtime wiring knob, not
-  /// configuration); must outlive the dataset. Store::OpenDataset sets it
-  /// from StoreOptions::background_threads.
+  /// Task queue running this dataset's flushes and merges (see
+  /// src/lsm/scheduler.h). A full memtable is rotated onto the immutable
+  /// list and flushed by a task; with worker threads that happens in the
+  /// background while writers continue into a fresh memtable. nullptr
+  /// (the default) gives the dataset its own zero-worker scheduler: the
+  /// caller-runs form, where the writing thread runs the flush and its
+  /// merges before Insert/Delete returns (deterministic). Either way the
+  /// dataset is fully thread-safe (any number of concurrent writers and
+  /// readers). Not validated (a runtime wiring knob, not configuration);
+  /// must outlive the dataset. Store::OpenDataset sets it to the store's
+  /// scheduler (StoreOptions::background_threads workers).
   FlushMergeScheduler* scheduler = nullptr;
 
-  /// Back-pressure bound: with a scheduler, writers stall once this many
-  /// sealed (rotated, not-yet-flushed) memtables are queued, resuming as
-  /// the background flush drains them. Higher values absorb longer ingest
-  /// bursts at the cost of memory (each immutable holds up to
-  /// `memtable_bytes`). Must be >= 1. Ignored without a scheduler.
+  /// Back-pressure bound: writers stall once this many sealed (rotated,
+  /// not-yet-flushed) memtables are queued, resuming as the flush tasks
+  /// drain them (in the caller-runs form a stalled writer runs them).
+  /// Higher values absorb longer ingest bursts at the cost of memory
+  /// (each immutable holds up to `memtable_bytes`). Must be >= 1.
   size_t max_immutable_memtables = 4;
 
   /// AMAX mega-leaf shaping (§4.3, §4.5.2). page_size/compress are copied
@@ -183,13 +183,6 @@ struct DatasetOptions {
   /// damage cannot help and delays quarantine. Retry counts and total
   /// backoff surface in DatasetStats.
   IoRetryOptions io_retry;
-
-  /// On-disk component format for *new* components: 3 (the default)
-  /// writes a per-page checksum trailer verified on every cache miss;
-  /// 2 writes the legacy raw-page format. Reads auto-detect per file, so
-  /// a dataset may freely mix both (components written before the
-  /// upgrade stay readable alongside checksummed ones).
-  uint32_t component_format_version = kComponentFormatChecksummed;
 };
 
 /// Checks every field up front and returns InvalidArgument naming the

@@ -1,11 +1,12 @@
 #include "src/lsm/scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace lsmcol {
 
 FlushMergeScheduler::FlushMergeScheduler(int threads) {
-  if (threads < 1) threads = 1;
+  if (threads < 0) threads = 0;
   thread_count_ = threads;
   // No worker can observe a half-built pool: workers only touch state
   // under mu_, and the vector is fully populated before the constructor
@@ -19,14 +20,36 @@ FlushMergeScheduler::FlushMergeScheduler(int threads) {
 
 FlushMergeScheduler::~FlushMergeScheduler() { Stop(); }
 
-bool FlushMergeScheduler::Schedule(std::function<void()> task) {
+void FlushMergeScheduler::Schedule(const void* owner,
+                                   std::function<void()> task) {
   {
     MutexLock lock(&mu_);
-    if (stopping_) return false;
-    queue_.push_back(std::move(task));
+    queue_.push_back({owner, std::move(task)});
   }
   cv_.NotifyOne();
-  return true;
+}
+
+size_t FlushMergeScheduler::RunCallerTasks(const void* owner) {
+  size_t ran = 0;
+  while (true) {
+    std::function<void()> task;
+    {
+      MutexLock lock(&mu_);
+      // Live workers own the queue. Once stopping_ is set a caller may
+      // race a still-draining worker for the same task; the pop under
+      // mu_ hands each task to exactly one of them.
+      if (thread_count_ > 0 && !stopping_) return 0;
+      auto it =
+          std::find_if(queue_.begin(), queue_.end(),
+                       [owner](const Task& t) { return t.owner == owner; });
+      if (it == queue_.end()) return ran;
+      task = std::move(it->run);
+      queue_.erase(it);
+      ++tasks_run_;
+    }
+    task();
+    ++ran;
+  }
 }
 
 bool FlushMergeScheduler::ScheduleLow(
@@ -34,7 +57,7 @@ bool FlushMergeScheduler::ScheduleLow(
     std::chrono::steady_clock::time_point not_before) {
   {
     MutexLock lock(&mu_);
-    if (stopping_) return false;
+    if (thread_count_ == 0 || stopping_) return false;
     low_queue_.emplace(not_before, std::move(task));
   }
   // NotifyAll, not NotifyOne: a worker parked on an earlier low-task
@@ -82,7 +105,7 @@ void FlushMergeScheduler::WorkerLoop() {
           // High lane always wins, even while stopping: tasks carry
           // flushes whose callers rely on them eventually running
           // (Stop's contract).
-          task = std::move(queue_.front());
+          task = std::move(queue_.front().run);
           queue_.pop_front();
           ++tasks_run_;
           break;

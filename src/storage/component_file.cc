@@ -5,29 +5,19 @@
 namespace lsmcol {
 namespace {
 
-// "LSMCOLF2": F1 -> F2 when APAX leaves gained the per-chunk stats table
-// (zone filters). Old components are cleanly rejected at open instead of
-// being mis-parsed; this repo regenerates its datasets, so there is no
-// migration path — recovery surfaces Corruption and the caller rebuilds.
-// "LSMCOLF3": F2 -> F3 when pages gained the checksum trailer. F2 files
-// stay readable (mixed-version datasets are routine after an upgrade);
-// Open sniffs the footer to pick the mode.
-constexpr uint64_t kFooterMagicV2 = 0x4C534D434F4C4632ULL;
-constexpr uint64_t kFooterMagicV3 = 0x4C534D434F4C4633ULL;
+// "LSMCOLF3". F1 -> F2 when APAX leaves gained the per-chunk stats table
+// (zone filters), F2 -> F3 when pages gained the checksum trailer. Files
+// of earlier versions are cleanly rejected at open instead of being
+// mis-parsed; there is no migration path — recovery surfaces Corruption
+// and the caller rebuilds.
+constexpr uint64_t kFooterMagic = 0x4C534D434F4C4633ULL;
 
 }  // namespace
 
 Result<std::unique_ptr<ComponentWriter>> ComponentWriter::Create(
     const std::string& path, BufferCache* cache, size_t page_size,
-    uint32_t format_version, FileSystem* fs) {
-  if (format_version != kComponentFormatLegacy &&
-      format_version != kComponentFormatChecksummed) {
-    return Status::InvalidArgument("unsupported component format version " +
-                                   std::to_string(format_version));
-  }
-  const bool checksummed = format_version == kComponentFormatChecksummed;
-  LSMCOL_ASSIGN_OR_RETURN(auto file,
-                          PageFile::Create(path, page_size, checksummed, fs));
+    FileSystem* fs) {
+  LSMCOL_ASSIGN_OR_RETURN(auto file, PageFile::Create(path, page_size, fs));
   return std::unique_ptr<ComponentWriter>(
       new ComponentWriter(path, std::move(file), cache));
 }
@@ -91,7 +81,7 @@ Status ComponentWriter::Finish(Slice metadata) {
   // Footer page. The trailing validity byte is the paper's "validity bit"
   // (§2.1.1): it is only set once everything else is durable.
   Buffer footer;
-  footer.AppendFixed64(file_->checksummed() ? kFooterMagicV3 : kFooterMagicV2);
+  footer.AppendFixed64(kFooterMagic);
   footer.AppendFixed64(index_page);
   footer.AppendFixed32(index_pages);
   footer.AppendFixed64(index.size());
@@ -107,42 +97,7 @@ Status ComponentWriter::Finish(Slice metadata) {
 Result<std::unique_ptr<ComponentReader>> ComponentReader::Open(
     const std::string& path, BufferCache* cache, size_t page_size,
     FileSystem* fs) {
-  fs = ResolveFs(fs);
-  uint64_t size = 0;
-  {
-    LSMCOL_ASSIGN_OR_RETURN(auto probe, fs->Open(path, /*writable=*/false));
-    LSMCOL_ASSIGN_OR_RETURN(size, probe->Size());
-  }
-  if (size == 0) return Status::Corruption("empty component file: " + path);
-  // Sniff the format from the file size and footer. A v3 (trailered)
-  // file's size is a multiple of page_size + trailer; its footer page
-  // must then verify and carry the F3 magic. Sizes can divide both ways
-  // (lcm of the two page sizes), so a failed v3 attempt falls through to
-  // the legacy parse — but a *verified* checksum failure is damage, and
-  // is preferred over the legacy attempt's "bad magic" noise.
-  const uint64_t physical_v3 = page_size + kPageTrailerBytes;
-  Status v3_err;
-  if (size % physical_v3 == 0) {
-    auto attempt = OpenAs(path, cache, page_size, /*checksummed=*/true, fs);
-    if (attempt.ok()) return attempt;
-    v3_err = attempt.status();
-    if (size % page_size != 0) return v3_err;
-  }
-  if (size % page_size == 0) {
-    auto attempt = OpenAs(path, cache, page_size, /*checksummed=*/false, fs);
-    if (attempt.ok()) return attempt;
-    if (v3_err.IsChecksumMismatch()) return v3_err;
-    return attempt.status();
-  }
-  if (!v3_err.ok()) return v3_err;
-  return Status::Corruption("file size not a multiple of page size: " + path);
-}
-
-Result<std::unique_ptr<ComponentReader>> ComponentReader::OpenAs(
-    const std::string& path, BufferCache* cache, size_t page_size,
-    bool checksummed, FileSystem* fs) {
-  LSMCOL_ASSIGN_OR_RETURN(auto file,
-                          PageFile::Open(path, page_size, checksummed, fs));
+  LSMCOL_ASSIGN_OR_RETURN(auto file, PageFile::Open(path, page_size, fs));
   if (file->page_count() == 0) {
     return Status::Corruption("empty component file: " + path);
   }
@@ -158,7 +113,7 @@ Result<std::unique_ptr<ComponentReader>> ComponentReader::OpenAs(
   uint32_t index_pages = 0, meta_pages = 0;
   uint8_t valid = 0;
   LSMCOL_RETURN_NOT_OK(fr.ReadFixed64(&magic));
-  if (magic != (checksummed ? kFooterMagicV3 : kFooterMagicV2)) {
+  if (magic != kFooterMagic) {
     return Status::Corruption("bad component magic: " + path);
   }
   LSMCOL_RETURN_NOT_OK(fr.ReadFixed64(&index_page));

@@ -38,18 +38,11 @@ struct LeafEntry {
   uint32_t record_count = 0;
 };
 
-/// Component file format versions. v3 added the per-page checksum
-/// trailer (docs/FORMAT.md#page-trailer); v2 files remain readable —
-/// ComponentReader::Open sniffs the footer to pick the mode.
-inline constexpr uint32_t kComponentFormatLegacy = 2;
-inline constexpr uint32_t kComponentFormatChecksummed = 3;
-
 /// Sequential component writer (components are write-once).
 class ComponentWriter {
  public:
   static Result<std::unique_ptr<ComponentWriter>> Create(
       const std::string& path, BufferCache* cache, size_t page_size,
-      uint32_t format_version = kComponentFormatChecksummed,
       FileSystem* fs = nullptr);
 
   /// Drops the writer's cached pages: they are keyed by this PageFile
@@ -87,9 +80,9 @@ class ComponentWriter {
 /// buffer cache.
 class ComponentReader {
  public:
-  /// Opens either format: the footer magic (and, for v3, its page
-  /// checksum) decides whether the file is read with trailer
-  /// verification or as a legacy raw-page file.
+  /// Opens a component file: its footer page must verify and carry the
+  /// current footer magic; anything else (including files of earlier
+  /// format versions) is Corruption.
   static Result<std::unique_ptr<ComponentReader>> Open(const std::string& path,
                                                        BufferCache* cache,
                                                        size_t page_size,
@@ -102,12 +95,6 @@ class ComponentReader {
   size_t page_size() const { return file_->page_size(); }
   uint64_t size_bytes() const { return file_->size_bytes(); }
   const std::string& path() const { return file_->path(); }
-  /// True when pages carry the v3 checksum trailer.
-  bool checksummed() const { return file_->checksummed(); }
-  uint32_t format_version() const {
-    return file_->checksummed() ? kComponentFormatChecksummed
-                                : kComponentFormatLegacy;
-  }
 
   /// Read a leaf's full payload (row layouts, APAX).
   Status ReadLeaf(size_t leaf_index, Buffer* out) const;
@@ -119,7 +106,7 @@ class ComponentReader {
                        Buffer* out) const;
 
   /// Read a leaf's full payload bypassing the buffer cache: every
-  /// physical page is re-read from the filesystem and its trailer (v3)
+  /// physical page is re-read from the filesystem and its trailer
   /// re-verified. The scrubber's read path — a cache hit must never mask
   /// media decay under it. Pages read this way are not inserted into the
   /// cache (scrubbing a cold dataset must not evict the hot set).
@@ -136,11 +123,6 @@ class ComponentReader {
   ComponentReader(std::unique_ptr<PageFile> file, BufferCache* cache,
                   FileSystem* fs)
       : file_(std::move(file)), cache_(cache), fs_(fs) {}
-
-  /// One open attempt in a fixed mode (checksummed or legacy).
-  static Result<std::unique_ptr<ComponentReader>> OpenAs(
-      const std::string& path, BufferCache* cache, size_t page_size,
-      bool checksummed, FileSystem* fs);
 
   std::unique_ptr<PageFile> file_;
   BufferCache* cache_;

@@ -13,8 +13,8 @@ namespace {
 std::atomic<uint64_t> g_next_file_id{1};
 
 // "PGCK" little-endian: marks a page as carrying a trailer at all, so a
-// checksum failure on a legacy page misread in checksummed mode reports
-// as a format mismatch rather than random corruption.
+// page of a trailer-free file misread here reports as a format mismatch
+// rather than random corruption.
 constexpr uint32_t kPageTrailerMagic = 0x4B434750u;
 
 void PutFixed32(char* dst, uint32_t v) {
@@ -67,11 +67,10 @@ uint32_t Fnv1a32(Slice data, uint32_t seed) {
 }
 
 PageFile::PageFile(std::string path, std::unique_ptr<FsFile> file,
-                   size_t page_size, bool checksummed, uint64_t page_count)
+                   size_t page_size, uint64_t page_count)
     : path_(std::move(path)),
       file_(std::move(file)),
       page_size_(page_size),
-      checksummed_(checksummed),
       page_count_(page_count),
       file_id_(g_next_file_id.fetch_add(1)) {}
 
@@ -79,29 +78,26 @@ PageFile::~PageFile() = default;
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
                                                    size_t page_size,
-                                                   bool checksummed,
                                                    FileSystem* fs) {
   LSMCOL_ASSIGN_OR_RETURN(auto file, ResolveFs(fs)->Create(path));
   return std::unique_ptr<PageFile>(
-      new PageFile(path, std::move(file), page_size, checksummed, 0));
+      new PageFile(path, std::move(file), page_size, 0));
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path,
                                                  size_t page_size,
-                                                 bool checksummed,
                                                  FileSystem* fs) {
   LSMCOL_ASSIGN_OR_RETURN(auto file,
                           ResolveFs(fs)->Open(path, /*writable=*/false));
   LSMCOL_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  const size_t physical =
-      page_size + (checksummed ? kPageTrailerBytes : 0);
+  const size_t physical = page_size + kPageTrailerBytes;
   if (size % physical != 0) {
     return Status::Corruption("file size not a multiple of page size: " +
                               path);
   }
   uint64_t pages = size / physical;
   return std::unique_ptr<PageFile>(
-      new PageFile(path, std::move(file), page_size, checksummed, pages));
+      new PageFile(path, std::move(file), page_size, pages));
 }
 
 Status PageFile::WritePage(uint64_t page_no, Slice payload) {
@@ -111,11 +107,9 @@ Status PageFile::WritePage(uint64_t page_no, Slice payload) {
   const size_t physical = physical_page_size();
   std::vector<char> buf(physical, 0);
   ::memcpy(buf.data(), payload.data(), payload.size());
-  if (checksummed_) {
-    PutFixed32(buf.data() + page_size_,
-               PageChecksum(buf.data(), page_size_, page_no));
-    PutFixed32(buf.data() + page_size_ + 4, kPageTrailerMagic);
-  }
+  PutFixed32(buf.data() + page_size_,
+             PageChecksum(buf.data(), page_size_, page_no));
+  PutFixed32(buf.data() + page_size_ + 4, kPageTrailerMagic);
   LSMCOL_RETURN_NOT_OK(
       file_->WriteAt(page_no * physical, Slice(buf.data(), physical)));
   if (page_no >= page_count_) page_count_ = page_no + 1;
@@ -133,17 +127,15 @@ Status PageFile::ReadPage(uint64_t page_no, Buffer* out) const {
     return Status::IOError("short page read in " + path_ + " page " +
                            std::to_string(page_no));
   }
-  if (checksummed_) {
-    const char* trailer = out->data() + page_size_;
-    const uint32_t want = GetFixed32(trailer);
-    const uint32_t magic = GetFixed32(trailer + 4);
-    if (magic != kPageTrailerMagic ||
-        PageChecksum(out->data(), page_size_, page_no) != want) {
-      return Status::ChecksumMismatch("page checksum mismatch in " + path_ +
-                                      " page " + std::to_string(page_no));
-    }
-    out->resize(page_size_);
+  const char* trailer = out->data() + page_size_;
+  const uint32_t want = GetFixed32(trailer);
+  const uint32_t magic = GetFixed32(trailer + 4);
+  if (magic != kPageTrailerMagic ||
+      PageChecksum(out->data(), page_size_, page_no) != want) {
+    return Status::ChecksumMismatch("page checksum mismatch in " + path_ +
+                                    " page " + std::to_string(page_no));
   }
+  out->resize(page_size_);
   return Status::OK();
 }
 

@@ -2,17 +2,16 @@
 // One PageFile backs one LSM on-disk component. All reads normally go
 // through the BufferCache so that I/O is counted and cached.
 //
-// Checksummed mode (component format v3, docs/FORMAT.md#page-trailer):
-// every physical page carries an 8-byte trailer — fixed32 FNV-1a over
-// the zero-padded payload plus the page number, then a fixed32 trailer
-// magic. The trailer is *added* to the page: a physical page is
-// page_size() + kPageTrailerBytes bytes, so page_size() keeps meaning
-// "payload bytes per page" and none of the chunking arithmetic above
-// this layer changes. ReadPage verifies the trailer on every physical
-// read (i.e. on every BufferCache miss) and returns
-// Status::ChecksumMismatch naming the file and page; including the page
-// number in the checksum also catches misdirected reads and writes.
-// Legacy (v2) files have no trailer and read back unverified.
+// Page trailer (docs/FORMAT.md#page-trailer): every physical page carries
+// an 8-byte trailer — fixed32 FNV-1a over the zero-padded payload plus
+// the page number, then a fixed32 trailer magic. The trailer is *added*
+// to the page: a physical page is page_size() + kPageTrailerBytes bytes,
+// so page_size() keeps meaning "payload bytes per page" and none of the
+// chunking arithmetic above this layer changes. ReadPage verifies the
+// trailer on every physical read (i.e. on every BufferCache miss) and
+// returns Status::ChecksumMismatch naming the file and page; including
+// the page number in the checksum also catches misdirected reads and
+// writes.
 
 #ifndef LSMCOL_STORAGE_FILE_H_
 #define LSMCOL_STORAGE_FILE_H_
@@ -30,8 +29,7 @@ namespace lsmcol {
 /// Default on-disk page size (the paper's evaluation setting, §6).
 inline constexpr size_t kDefaultPageSize = 128 * 1024;
 
-/// Bytes of per-page trailer in checksummed mode: fixed32 FNV-1a +
-/// fixed32 trailer magic.
+/// Bytes of per-page trailer: fixed32 FNV-1a + fixed32 trailer magic.
 inline constexpr size_t kPageTrailerBytes = 8;
 
 /// A file of fixed-size pages. Move-only; closes on destruction.
@@ -42,38 +40,32 @@ class PageFile {
   PageFile& operator=(const PageFile&) = delete;
 
   /// Create (truncate) a file for writing. `page_size` is the payload
-  /// bytes per page; with `checksummed`, each physical page carries
-  /// kPageTrailerBytes of verification trailer on top.
+  /// bytes per page; each physical page carries kPageTrailerBytes of
+  /// verification trailer on top.
   static Result<std::unique_ptr<PageFile>> Create(const std::string& path,
                                                   size_t page_size,
-                                                  bool checksummed = true,
                                                   FileSystem* fs = nullptr);
-  /// Open an existing file for reading. `checksummed` must match how the
-  /// file was written (component_file.cc sniffs the footer to decide).
+  /// Open an existing file for reading.
   static Result<std::unique_ptr<PageFile>> Open(const std::string& path,
                                                 size_t page_size,
-                                                bool checksummed = false,
                                                 FileSystem* fs = nullptr);
 
   /// Write one page. `payload` must be <= page_size; it is zero-padded
-  /// (and, in checksummed mode, trailed with its checksum). Pages may be
-  /// written in any order but the file grows as needed.
+  /// and trailed with its checksum. Pages may be written in any order
+  /// but the file grows as needed.
   Status WritePage(uint64_t page_no, Slice payload);
 
-  /// Read one full page payload into out (resized to page_size). In
-  /// checksummed mode the trailer is verified first: a mismatch returns
-  /// Status::ChecksumMismatch naming this file and page.
+  /// Read one full page payload into out (resized to page_size). The
+  /// trailer is verified first: a mismatch returns Status::ChecksumMismatch
+  /// naming this file and page.
   Status ReadPage(uint64_t page_no, Buffer* out) const;
 
   Status Sync();
 
   /// Payload bytes per page (what callers chunk by).
   size_t page_size() const { return page_size_; }
-  /// Bytes per page on disk (payload + trailer in checksummed mode).
-  size_t physical_page_size() const {
-    return page_size_ + (checksummed_ ? kPageTrailerBytes : 0);
-  }
-  bool checksummed() const { return checksummed_; }
+  /// Bytes per page on disk (payload + trailer).
+  size_t physical_page_size() const { return page_size_ + kPageTrailerBytes; }
   uint64_t page_count() const { return page_count_; }
   const std::string& path() const { return path_; }
 
@@ -85,12 +77,11 @@ class PageFile {
 
  private:
   PageFile(std::string path, std::unique_ptr<FsFile> file, size_t page_size,
-           bool checksummed, uint64_t page_count);
+           uint64_t page_count);
 
   std::string path_;
   std::unique_ptr<FsFile> file_;
   size_t page_size_;
-  bool checksummed_;
   uint64_t page_count_;
   uint64_t file_id_;
 };

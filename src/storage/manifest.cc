@@ -117,10 +117,9 @@ Result<Manifest> ReadManifest(const std::string& path, FileSystem* fs) {
     return Status::Corruption("bad manifest magic: " + path);
   }
   LSMCOL_RETURN_NOT_OK(r.ReadByte(&version));
-  // v2 manifests (pre-WAL) are still readable: they simply lack the
-  // wal_floor field, and no WAL segments can exist for them. v3 lacks
-  // only the damage section.
-  if (version < 2 || version > kManifestVersion) {
+  // Only the current version is readable; earlier ones (v2 without
+  // wal_floor, v3 without the damage section) are rejected.
+  if (version != kManifestVersion) {
     return Status::Corruption("unsupported manifest version " +
                               std::to_string(version) + ": " + path);
   }
@@ -133,9 +132,7 @@ Result<Manifest> ReadManifest(const std::string& path, FileSystem* fs) {
   m.pk_field.assign(s.data(), s.size());
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.page_size));
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.next_component_id));
-  if (version >= 3) {
-    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.wal_floor));
-  }
+  LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.wal_floor));
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&count));
   for (uint64_t i = 0; i < count; ++i) {
@@ -147,17 +144,15 @@ Result<Manifest> ReadManifest(const std::string& path, FileSystem* fs) {
   }
   LSMCOL_RETURN_NOT_OK(r.ReadLengthPrefixed(&s));
   m.schema_blob.assign(s.data(), s.size());
-  if (version >= 4) {
-    uint64_t damaged = 0;
-    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&damaged));
-    for (uint64_t i = 0; i < damaged; ++i) {
-      ManifestDamageEntry entry;
-      LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&entry.component_id));
-      LSMCOL_RETURN_NOT_OK(r.ReadByte(&entry.status_code));
-      LSMCOL_RETURN_NOT_OK(r.ReadLengthPrefixed(&s));
-      entry.reason.assign(s.data(), s.size());
-      m.damaged.push_back(std::move(entry));
-    }
+  uint64_t damaged = 0;
+  LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&damaged));
+  for (uint64_t i = 0; i < damaged; ++i) {
+    ManifestDamageEntry entry;
+    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&entry.component_id));
+    LSMCOL_RETURN_NOT_OK(r.ReadByte(&entry.status_code));
+    LSMCOL_RETURN_NOT_OK(r.ReadLengthPrefixed(&s));
+    entry.reason.assign(s.data(), s.size());
+    m.damaged.push_back(std::move(entry));
   }
   return m;
 }

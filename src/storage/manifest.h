@@ -63,11 +63,11 @@ struct Manifest {
   /// Lowest WAL segment sequence that may still hold writes not covered
   /// by the components below — recovery replays segments >= this and may
   /// delete the rest (see storage/wal.h). 1 when no flush has ever
-  /// covered a segment (and for v2 manifests, which predate the WAL).
+  /// covered a segment.
   uint64_t wal_floor = 1;
   std::vector<ManifestComponentEntry> components;  ///< newest first
   std::string schema_blob;  ///< serialized Schema; empty for row layouts
-  /// Quarantined components (v4+); entries for ids not in `components`
+  /// Quarantined components; entries for ids not in `components`
   /// are pruned by the writer, so stale damage never outlives the file
   /// it described.
   std::vector<ManifestDamageEntry> damaged;

@@ -60,12 +60,11 @@ Status ValidateStoreOptions(const StoreOptions& options) {
 }
 
 Store::Store(const StoreOptions& options)
-    : options_(options), cache_(options.cache_bytes, options.page_size) {
-  if (options.background_threads > 0) {
-    scheduler_ =
-        std::make_unique<FlushMergeScheduler>(options.background_threads);
-  }
-  if (options.scrub.enabled && scheduler_ != nullptr) {
+    : options_(options),
+      cache_(options.cache_bytes, options.page_size),
+      scheduler_(std::make_unique<FlushMergeScheduler>(
+          options.background_threads)) {
+  if (options.scrub.enabled) {
     scrubber_ = std::make_unique<Scrubber>(scheduler_.get(), options.scrub);
     scrubber_->Start();
   }
@@ -90,7 +89,7 @@ Status Store::Close() {
     Status st = dataset->WaitForBackgroundWork();
     if (first.ok() && !st.ok()) first = st;
   }
-  if (scheduler_ != nullptr) scheduler_->Stop();
+  scheduler_->Stop();
   return first;
 }
 
@@ -173,7 +172,7 @@ Result<Dataset*> Store::OpenDataset(const std::string& name,
   options.dir = DatasetDir(name);
   options.name = name;
   options.page_size = options_.page_size;
-  options.scheduler = scheduler_.get();  // nullptr => synchronous flushes
+  options.scheduler = scheduler_.get();
   options.wal = options_.wal;
   options.fs = options_.fs;
   options.io_retry = options_.io_retry;

@@ -41,14 +41,14 @@ struct StoreOptions {
   size_t page_size = kDefaultPageSize;
   /// Budget of the BufferCache shared by all datasets.
   size_t cache_bytes = 256u << 20;
-  /// Background flush/merge worker threads shared by every dataset of
-  /// this store (one FlushMergeScheduler). 0 (the default) disables
-  /// background work: flushes and merges run inline on the writing
-  /// thread, exactly the historical synchronous behavior — deterministic
-  /// for tests. With N >= 1, a dataset's full memtable rotates onto an
-  /// immutable list and is flushed off the write path, merges run
-  /// asynchronously, and writers stall only on back-pressure
-  /// (DatasetOptions::max_immutable_memtables). Must be in [0, 256].
+  /// Worker threads of the FlushMergeScheduler shared by every dataset
+  /// of this store. Every flush and merge is a task on it. 0 (the
+  /// default) means the caller runs them: the writing thread runs the
+  /// flush its write triggered, and the merges that flush triggers,
+  /// before the write returns — deterministic for tests. With N >= 1 the
+  /// workers run them off the write path, and writers stall only on
+  /// back-pressure (DatasetOptions::max_immutable_memtables). Must be in
+  /// [0, 256].
   int background_threads = 0;
   /// Write-ahead logging for every dataset of this store (copied into
   /// DatasetOptions::wal by OpenDataset — per-write durability is a
@@ -131,8 +131,9 @@ class Store {
   /// Clean shutdown of background work, in dependency order: (1) wait for
   /// every open dataset's queued/running flushes and merges, (2) stop the
   /// shared scheduler (drains its queue, joins the workers). After Close,
-  /// writers still work but flush inline. Idempotent; returns the first
-  /// background error any dataset reports.
+  /// writers still work; their flushes and merges run on the writing
+  /// thread (the scheduler's caller-runs form). Idempotent; returns the
+  /// first background error any dataset reports.
   Status Close() LSMCOL_EXCLUDES(mu_);
 
   /// Create-or-recover the named dataset. `options.dir`, `options.name`,
@@ -188,7 +189,8 @@ class Store {
   Result<ScrubPassResult> ScrubNow() LSMCOL_EXCLUDES(mu_);
 
   BufferCache* cache() { return &cache_; }
-  /// The shared background scheduler; nullptr when background_threads == 0.
+  /// The shared flush/merge scheduler (zero workers when
+  /// background_threads == 0). Never null.
   FlushMergeScheduler* scheduler() { return scheduler_.get(); }
   /// The background scrubber; nullptr unless StoreOptions::scrub.enabled.
   Scrubber* scrubber() { return scrubber_.get(); }
@@ -202,8 +204,8 @@ class Store {
   StoreOptions options_;
   BufferCache cache_;  // declared before datasets: destroyed after them
   /// Declared before the datasets so it outlives them: each Dataset's
-  /// destructor waits for its own scheduled tasks, which run on these
-  /// workers. (Destruction order: datasets first, then the scheduler.)
+  /// destructor runs or waits for its own scheduled tasks, which live in
+  /// this queue. (Destruction order: datasets first, then the scheduler.)
   std::unique_ptr<FlushMergeScheduler> scheduler_;
 
   /// Guards the dataset map and discovery list: OpenDataset, GetDataset,

@@ -17,7 +17,7 @@
 //    must surface a background flush fault and fully recover, never
 //    wedge (extends the tiered re-arm regression in wal_test.cc).
 //
-// Everything here is deterministic — fixed seeds, no scheduler except
+// Everything here is deterministic — fixed seeds, no worker threads except
 // the single-threaded back-pressure regression, no timing dependence.
 
 #include <gtest/gtest.h>

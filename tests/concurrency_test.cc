@@ -1,8 +1,9 @@
-// Concurrency tests for the background flush/merge scheduler: memtable
-// rotation, snapshots over sealed memtables, back-pressure, shutdown
-// during background work, the stopped-scheduler inline fallback, and a
-// writers-vs-readers stress run with background merges enabled. Built to
-// run clean under ThreadSanitizer (the CI tsan job runs this suite).
+// Concurrency tests for the flush/merge scheduler: memtable rotation,
+// snapshots over sealed memtables, back-pressure, shutdown during
+// background work, a stopped pool running its tasks on the caller,
+// concurrent writers on a zero-worker store, and a writers-vs-readers
+// stress run with background merges enabled. Built to run clean under
+// ThreadSanitizer (the CI tsan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/lsm/compaction_policy.h"
 #include "src/lsm/dataset.h"
 #include "src/lsm/scheduler.h"
 #include "src/store/store.h"
@@ -113,7 +115,7 @@ TEST_P(ConcurrencyTest, SnapshotIncludesSealedMemtables) {
   FlushMergeScheduler scheduler(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(scheduler.Schedule([opened] { opened.wait(); }));
+  scheduler.Schedule(nullptr, [opened] { opened.wait(); });
 
   BufferCache cache(512 * kPage, kPage);
   DatasetOptions options = SmallMemtableOptions();
@@ -154,7 +156,7 @@ TEST_P(ConcurrencyTest, BackPressureStallsWritersUntilFlushCatchesUp) {
   FlushMergeScheduler scheduler(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(scheduler.Schedule([opened] { opened.wait(); }));
+  scheduler.Schedule(nullptr, [opened] { opened.wait(); });
 
   BufferCache cache(512 * kPage, kPage);
   DatasetOptions options = SmallMemtableOptions();
@@ -230,24 +232,75 @@ TEST_P(ConcurrencyTest, CloseDuringBackgroundFlushDrainsSealedMemtables) {
   }
 }
 
-TEST_P(ConcurrencyTest, StoppedSchedulerFallsBackToInlineFlush) {
+TEST_P(ConcurrencyTest, StoppedSchedulerStillMergesAndBoundsComponents) {
+  // Regression: a dataset on a stopped pool used to flush inline but
+  // silently drop every merge, and back-pressure let writes through, so
+  // the component stack grew without bound (28 components after 3,000
+  // inserts, against the tiered policy's stall limit of 10). A stopped
+  // pool is now the caller-runs form: its flushes AND merges run on the
+  // writing thread.
   FlushMergeScheduler scheduler(1);
-  scheduler.Stop();  // writers must fall back to the synchronous path
+  scheduler.Stop();
 
   BufferCache cache(512 * kPage, kPage);
   DatasetOptions options = SmallMemtableOptions();
   options.dir = dir_;
   options.scheduler = &scheduler;
+  const size_t stall_limit =
+      MakeCompactionPolicy(options)->stall_component_limit();
   auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  constexpr int64_t kRecords = 300;
+  constexpr int64_t kRecords = 3000;
   for (int64_t i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE((*ds)->Insert(MakeRecord(i)).ok());
+    Status st = (*ds)->Insert(MakeRecord(i));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_LE((*ds)->component_count(), stall_limit) << "after insert " << i;
   }
   ASSERT_TRUE((*ds)->Flush().ok());
+  EXPECT_GT((*ds)->stats().merges, 0u);
+  EXPECT_LE((*ds)->component_count(), stall_limit);
   EXPECT_EQ((*ds)->immutable_memtable_count(), 0u);
-  EXPECT_GE((*ds)->component_count(), 1u);
-  EXPECT_EQ(ScanKeys(ds->get()).size(), static_cast<size_t>(kRecords));
+  std::vector<int64_t> keys = ScanKeys(ds->get());
+  ASSERT_EQ(keys.size(), static_cast<size_t>(kRecords));
+  for (int64_t i = 0; i < kRecords; ++i) EXPECT_EQ(keys[i], i);
+}
+
+TEST_P(ConcurrencyTest, ZeroWorkerStoreConcurrentWriters) {
+  // background_threads = 0: every flush and merge runs on whichever
+  // writer triggered it. Four writers share the dataset; none may
+  // deadlock on work only it could run, and no key may be lost.
+  auto store = Store::Open(DefaultStoreOptions(0));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  DatasetOptions options = SmallMemtableOptions();
+  options.max_immutable_memtables = 1;  // stall often: writers run the drain
+  auto open = (*store)->OpenDataset("docs", options);
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  Dataset* ds = *open;
+
+  constexpr int kWriters = 4;
+  constexpr int64_t kPerWriter = 300;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const int64_t base = static_cast<int64_t>(w) * kPerWriter;
+      for (int64_t i = 0; i < kPerWriter; ++i) {
+        Status st = ds->Insert(MakeRecord(base + i));
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_TRUE(ds->Flush().ok());
+  EXPECT_EQ(ds->immutable_memtable_count(), 0u);
+  EXPECT_GE(ds->stats().flushes, 2u);
+  std::vector<int64_t> keys = ScanKeys(ds);
+  ASSERT_EQ(keys.size(), static_cast<size_t>(kWriters) * kPerWriter);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i], static_cast<int64_t>(i));
+  }
+  Status close = (*store)->Close();
+  EXPECT_TRUE(close.ok()) << close.ToString();
 }
 
 TEST_P(ConcurrencyTest, StressWritersReadersWithBackgroundMerges) {
@@ -418,7 +471,7 @@ TEST(SchedulerTest, ConcurrentStopJoinsWorkersExactlyOnce) {
   FlushMergeScheduler scheduler(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(scheduler.Schedule([&] { ran.fetch_add(1); }));
+    scheduler.Schedule(nullptr, [&] { ran.fetch_add(1); });
   }
   std::vector<std::thread> stoppers;
   for (int i = 0; i < 4; ++i) {
@@ -427,20 +480,49 @@ TEST(SchedulerTest, ConcurrentStopJoinsWorkersExactlyOnce) {
   for (std::thread& t : stoppers) t.join();
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(scheduler.tasks_run(), 8u);
-  EXPECT_FALSE(scheduler.Schedule([&] { ran.fetch_add(1); }));
 }
 
 TEST(SchedulerTest, RunsTasksAndStopDrains) {
   FlushMergeScheduler scheduler(2);
   std::atomic<int> ran{0};
+  int owner = 0;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(scheduler.Schedule([&] { ran.fetch_add(1); }));
+    scheduler.Schedule(&owner, [&] { ran.fetch_add(1); });
   }
+  EXPECT_EQ(scheduler.RunCallerTasks(&owner), 0u);  // workers own the queue
   scheduler.Stop();  // drains the queue before joining
   EXPECT_EQ(ran.load(), 16);
   EXPECT_EQ(scheduler.tasks_run(), 16u);
-  EXPECT_FALSE(scheduler.Schedule([&] { ran.fetch_add(1); }));
+  // Stopped: still accepted, and run by the owner on its own thread.
+  scheduler.Schedule(&owner, [&] { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(scheduler.RunCallerTasks(&owner), 1u);
+  EXPECT_EQ(ran.load(), 17);
+  EXPECT_FALSE(scheduler.ScheduleLow([&] { ran.fetch_add(1); }));
+}
+
+TEST(SchedulerTest, ZeroWorkersRunOnlyTheCallersOwnTasksInOrder) {
+  FlushMergeScheduler scheduler(0);
+  EXPECT_EQ(scheduler.thread_count(), 0);
+  int a = 0;
+  int b = 0;
+  std::vector<std::string> log;
+  scheduler.Schedule(&a, [&] {
+    log.push_back("a1");
+    // A task may schedule follow-up work; the same call runs it.
+    scheduler.Schedule(&a, [&] { log.push_back("a3"); });
+  });
+  scheduler.Schedule(&b, [&] { log.push_back("b1"); });
+  scheduler.Schedule(&a, [&] { log.push_back("a2"); });
+  EXPECT_TRUE(log.empty());  // nothing runs until an owner asks
+  EXPECT_EQ(scheduler.RunCallerTasks(&a), 3u);
+  EXPECT_EQ(log, (std::vector<std::string>{"a1", "a2", "a3"}));
+  EXPECT_EQ(scheduler.RunCallerTasks(&a), 0u);
+  EXPECT_EQ(scheduler.RunCallerTasks(&b), 1u);
+  EXPECT_EQ(log.back(), "b1");
+  EXPECT_EQ(scheduler.tasks_run(), 4u);
+  // The low lane needs a worker: refused rather than stranded.
+  EXPECT_FALSE(scheduler.ScheduleLow([] {}));
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ BuiltDataset Build(const std::string& dir, Workload w, LayoutKind layout,
   options.page_size = kPage;
   options.memtable_bytes = 1u << 20;
   options.amax_max_records = 2000;
-  auto ds = Dataset::Create(options, out.cache.get());
+  auto ds = Dataset::Open(options, out.cache.get());
   LSMCOL_CHECK(ds.ok());
   out.dataset = std::move(*ds);
   Rng rng(42);

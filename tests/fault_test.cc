@@ -185,54 +185,6 @@ TEST_P(FaultTest, BitFlipQuarantinesOnlyAffectedComponent) {
   EXPECT_GE(health[0].checksum_failures, 1u);
 }
 
-// Satellite: components written before the checksum trailer existed
-// (format v2) and after (v3) coexist in one dataset; reads sniff the
-// format per file.
-TEST_P(FaultTest, MixedFormatVersionsReadTogether) {
-  {
-    auto store = Store::Open(Options());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    DatasetOptions legacy = DocOptions();
-    legacy.component_format_version = kComponentFormatLegacy;
-    auto ds = (*store)->OpenDataset("docs", legacy);
-    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-    for (int64_t i = 0; i < 60; ++i) {
-      ASSERT_TRUE((*ds)->Insert(MakeRecord(i)).ok());
-    }
-    ASSERT_TRUE((*ds)->Flush().ok());  // legacy, trailer-free component
-  }
-  auto store = Store::Open(Options());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto ds_or = (*store)->OpenDataset("docs", DocOptions());  // v3 default
-  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
-  Dataset* ds = *ds_or;
-  for (int64_t i = 1000; i < 1060; ++i) {
-    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
-  }
-  ASSERT_TRUE(ds->Flush().ok());  // checksummed component
-  ASSERT_EQ(ds->component_count(), 2u);
-
-  // Both generations are readable in one scan, and point reads hit both.
-  size_t seen = 0;
-  auto cursor = ds->Scan(Projection::All());
-  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  while (true) {
-    auto ok = (*cursor)->Next();
-    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    if (!*ok) break;
-    ++seen;
-  }
-  EXPECT_EQ(seen, 120u);
-  Value record;
-  ASSERT_TRUE(ds->Lookup(30, &record).ok());
-  ASSERT_TRUE(ds->Lookup(1030, &record).ok());
-  // Merging the two formats produces one checksummed component.
-  ASSERT_TRUE(ds->MergeAll().ok());
-  EXPECT_EQ(ds->component_count(), 1u);
-  ASSERT_TRUE(ds->Lookup(30, &record).ok());
-  ASSERT_TRUE(ds->Lookup(1030, &record).ok());
-}
-
 INSTANTIATE_TEST_SUITE_P(AllLayouts, FaultTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,

@@ -44,7 +44,7 @@ class LsmTest : public ::testing::TestWithParam<LayoutKind> {
   }
 
   void Open(const DatasetOptions& options) {
-    auto ds = Dataset::Create(options, cache_.get());
+    auto ds = Dataset::Open(options, cache_.get());
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     dataset_ = std::move(*ds);
   }
@@ -433,7 +433,7 @@ TEST(AmaxIoTest, ProjectionLimitsBytesRead) {
   options.memtable_bytes = 8u << 20;
   options.amax_max_records = 2000;
   options.compress = false;  // keep megapages wide
-  auto ds = Dataset::Create(options, &cache);
+  auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok());
   // A fat text column and a small int column.
   Rng rng(1);

@@ -137,7 +137,7 @@ class QueryEngineTest : public ::testing::TestWithParam<LayoutKind> {
     options.page_size = kPage;
     options.memtable_bytes = 64 * 1024;
     options.amax_max_records = 300;
-    auto ds = Dataset::Create(options, cache_.get());
+    auto ds = Dataset::Open(options, cache_.get());
     ASSERT_TRUE(ds.ok());
     dataset_ = std::move(*ds);
     LoadGamers();
@@ -353,7 +353,7 @@ TEST_P(HeteroQueryTest, UnionTypedFieldQueries) {
   options.layout = GetParam();
   options.dir = dir;
   options.page_size = kPage;
-  auto ds = Dataset::Create(options, &cache);
+  auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok());
   // "address" is an object for single-author records, an array of objects
   // otherwise (the wos pattern).
@@ -434,7 +434,7 @@ TEST_P(QueryEngineTest, GroupKeysWithSeparatorBytesNeverMerge) {
   options.layout = GetParam();
   options.dir = dir;
   options.page_size = kPage;
-  auto ds = Dataset::Create(options, &cache);
+  auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok());
   for (size_t i = 0; i < pairs.size(); ++i) {
     Value v = Value::MakeObject();
@@ -542,7 +542,7 @@ class ZoneMapTest : public ::testing::TestWithParam<LayoutKind> {
     options.page_size = kPage;
     options.memtable_bytes = 256 * 1024;  // several flushes
     options.amax_max_records = 500;
-    auto ds = Dataset::Create(options, cache_.get());
+    auto ds = Dataset::Open(options, cache_.get());
     ASSERT_TRUE(ds.ok());
     dataset_ = std::move(*ds);
   }

@@ -40,7 +40,7 @@ TEST_P(QuickstartSmokeTest, IngestFlushQueryBothEngines) {
   options.dir = dir_;
   options.name = "gamers";
   options.pk_field = "id";
-  auto dataset = Dataset::Create(options, &cache);
+  auto dataset = Dataset::Open(options, &cache);
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
 
   const char* documents[] = {

@@ -109,15 +109,15 @@ TEST(SchedulerLowLaneTest, HighLanePreemptsAndStopDiscardsLow) {
   // Stall the only worker so both lanes queue up behind it.
   std::atomic<bool> release{false};
   std::atomic<int> order_probe{0};
-  ASSERT_TRUE(scheduler.Schedule([&] {
+  scheduler.Schedule(nullptr, [&] {
     while (!release.load()) std::this_thread::sleep_for(
         std::chrono::milliseconds(1));
-  }));
+  });
   std::atomic<int> low_ran{0};
   std::atomic<int> high_ran{0};
   ASSERT_TRUE(scheduler.ScheduleLow(
       [&] { low_ran = ++order_probe; }));  // due immediately
-  ASSERT_TRUE(scheduler.Schedule([&] { high_ran = ++order_probe; }));
+  scheduler.Schedule(nullptr, [&] { high_ran = ++order_probe; });
   release = true;
   for (int i = 0; i < 500 && (low_ran.load() == 0 || high_ran.load() == 0);
        ++i) {

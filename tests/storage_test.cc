@@ -69,7 +69,7 @@ TEST(PageFileTest, OpenNonexistentFails) {
 
 TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
   std::string path = TempPath("pf_ck1");
-  auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Create(path, kPage);
   ASSERT_TRUE(file.ok());
   EXPECT_EQ((*file)->page_size(), kPage);  // payload budget is unchanged
   EXPECT_EQ((*file)->physical_page_size(), kPage + kPageTrailerBytes);
@@ -82,7 +82,7 @@ TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
   ASSERT_TRUE((*file)->ReadPage(1, &out).ok());
   EXPECT_EQ(std::string(out.data(), kPage), std::string(kPage, 'z'));
   // Reopen sees the trailered geometry.
-  auto reopened = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto reopened = PageFile::Open(path, kPage);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->page_count(), 2u);
   Buffer again;
@@ -94,7 +94,7 @@ TEST(PageFileTest, ChecksummedRoundTripAndPhysicalSize) {
 TEST(PageFileTest, BitFlipDetectedNamingFileAndPage) {
   std::string path = TempPath("pf_ck2");
   {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+    auto file = PageFile::Create(path, kPage);
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->WritePage(0, Slice("page zero")).ok());
     ASSERT_TRUE((*file)->WritePage(1, Slice("page one")).ok());
@@ -110,7 +110,7 @@ TEST(PageFileTest, BitFlipDetectedNamingFileAndPage) {
     f.seekp(static_cast<std::streamoff>(kPage + kPageTrailerBytes + 3));
     f.put(static_cast<char>(c ^ 0x10));
   }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Open(path, kPage);
   ASSERT_TRUE(file.ok());
   Buffer out;
   ASSERT_TRUE((*file)->ReadPage(0, &out).ok());  // untouched page still reads
@@ -127,7 +127,7 @@ TEST(PageFileTest, MisdirectedPageDetected) {
   // internally consistent.
   std::string path = TempPath("pf_ck3");
   {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/true);
+    auto file = PageFile::Create(path, kPage);
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->WritePage(0, Slice("A")).ok());
     ASSERT_TRUE((*file)->WritePage(1, Slice("B")).ok());
@@ -145,28 +145,11 @@ TEST(PageFileTest, MisdirectedPageDetected) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << swapped;
   }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/true);
+  auto file = PageFile::Open(path, kPage);
   ASSERT_TRUE(file.ok());
   Buffer out;
   EXPECT_TRUE((*file)->ReadPage(0, &out).IsChecksumMismatch());
   EXPECT_TRUE((*file)->ReadPage(1, &out).IsChecksumMismatch());
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(PageFileTest, LegacyFormatStillReadable) {
-  std::string path = TempPath("pf_legacy");
-  {
-    auto file = PageFile::Create(path, kPage, /*checksummed=*/false);
-    ASSERT_TRUE(file.ok());
-    EXPECT_EQ((*file)->physical_page_size(), kPage);  // no trailer
-    ASSERT_TRUE((*file)->WritePage(0, Slice("legacy")).ok());
-    ASSERT_TRUE((*file)->Sync().ok());
-  }
-  auto file = PageFile::Open(path, kPage, /*checksummed=*/false);
-  ASSERT_TRUE(file.ok());
-  Buffer out;
-  ASSERT_TRUE((*file)->ReadPage(0, &out).ok());
-  EXPECT_EQ(std::string(out.data(), 6), "legacy");
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
@@ -490,6 +473,54 @@ TEST_F(ComponentFileTest, CorruptFooterRejected) {
     ASSERT_TRUE((*file)->WritePage(0, Slice("garbage")).ok());
   }
   EXPECT_FALSE(ComponentReader::Open(path_, cache_.get(), kPage).ok());
+}
+
+// Format v2 components ("LSMCOLF2" footer, pages without the checksum
+// trailer) are no longer readable: both a genuine v2 file and a trailered
+// file carrying the v2 footer magic are rejected as Corruption.
+TEST_F(ComponentFileTest, FormatV2FooterRejected) {
+  constexpr uint64_t kFooterMagicV2 = 0x4C534D434F4C4632ULL;  // "LSMCOLF2"
+  Buffer index;
+  index.AppendVarint64(0);  // no leaves
+  Buffer footer;
+  footer.AppendFixed64(kFooterMagicV2);
+  footer.AppendFixed64(0);  // index page
+  footer.AppendFixed32(1);
+  footer.AppendFixed64(index.size());
+  footer.AppendFixed64(1);  // metadata page
+  footer.AppendFixed32(1);
+  footer.AppendFixed64(1);
+  footer.AppendByte(1);  // valid
+  const std::string pages[] = {index.slice().ToString(), "m",
+                               footer.slice().ToString()};
+  {
+    // The v2 layout: raw pages of exactly kPage bytes.
+    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+    for (const std::string& payload : pages) {
+      std::string page = payload;
+      page.resize(kPage, '\0');
+      f.write(page.data(), static_cast<std::streamsize>(page.size()));
+    }
+  }
+  auto raw = ComponentReader::Open(path_, cache_.get(), kPage);
+  ASSERT_FALSE(raw.ok());
+  EXPECT_TRUE(raw.status().IsCorruption()) << raw.status().ToString();
+
+  {
+    auto file = PageFile::Create(path_, kPage);
+    ASSERT_TRUE(file.ok());
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*file)->WritePage(i, Slice(pages[i])).ok());
+    }
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  auto trailered = ComponentReader::Open(path_, cache_.get(), kPage);
+  ASSERT_FALSE(trailered.ok());
+  EXPECT_TRUE(trailered.status().IsCorruption())
+      << trailered.status().ToString();
+  EXPECT_NE(trailered.status().ToString().find("bad component magic"),
+            std::string::npos)
+      << trailered.status().ToString();
 }
 
 TEST_F(ComponentFileTest, DestroyRemovesFileAndCacheEntries) {

@@ -207,7 +207,7 @@ TEST_P(WalTest, KillPointAtEveryByteOffsetRecoversExactPrefix) {
 // covered segments — only the active segment remains after a flush.
 TEST_P(WalTest, RotationAdvancesFloorAndDeletesCoveredSegments) {
   DatasetOptions options = Options(dir_);
-  options.memtable_bytes = 4 * 1024;  // force rotations via inline flushes
+  options.memtable_bytes = 4 * 1024;  // force rotations; the writer flushes
   std::map<int64_t, std::string> expected;
   {
     auto dataset = OpenDataset(options);
