@@ -14,6 +14,9 @@
 #   BENCH_compaction.json  Ablation A5: compaction policy — tiered vs
 #                     leveled vs lazy-leveling write/space amplification
 #                     and read cost (cross-policy contents verified)
+#   BENCH_lookup.json warm point lookups on tweet_2 by layout, compaction
+#                     policy and hit/miss mix (each result verified
+#                     against a merged scan sought to the key)
 #
 # Usage: bench/run_benchmarks.sh [build_dir]
 #   build_dir            defaults to build-rel (configured on demand)
@@ -36,7 +39,7 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DLSMCOL_BUILD_TESTS=OFF >/dev/null
 cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
   bench_fig14_queries bench_fig13_ingestion bench_ablation_merge \
-  bench_ablation_wal bench_ablation_compaction >/dev/null
+  bench_ablation_wal bench_ablation_compaction bench_lookup >/dev/null
 
 "$BUILD_DIR/bench/bench_fig10_codegen" $VERIFY_FLAG \
   --json "$ROOT/BENCH_fig10.json"
@@ -50,7 +53,10 @@ cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
   --json "$ROOT/BENCH_wal.json"
 "$BUILD_DIR/bench/bench_ablation_compaction" $VERIFY_FLAG \
   --json "$ROOT/BENCH_compaction.json"
+"$BUILD_DIR/bench/bench_lookup" $VERIFY_FLAG \
+  --json "$ROOT/BENCH_lookup.json"
 
 echo "wrote $ROOT/BENCH_fig10.json, $ROOT/BENCH_fig14.json," \
      "$ROOT/BENCH_fig13.json, $ROOT/BENCH_merge.json," \
-     "$ROOT/BENCH_wal.json, and $ROOT/BENCH_compaction.json"
+     "$ROOT/BENCH_wal.json, $ROOT/BENCH_compaction.json, and" \
+     "$ROOT/BENCH_lookup.json"

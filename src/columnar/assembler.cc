@@ -44,12 +44,36 @@ void CollectColumns(const SchemaNode& node, std::vector<int>* out) {
 struct RecordAssembler::Slots {
   const std::vector<const ColumnRecord*>* records;  // by column id
   mutable std::vector<const ShredCell*> cells;      // current positions
+  /// Array nodes save their columns' cells here while they iterate the
+  /// elements (a stack: arrays nest).
+  mutable std::vector<const ShredCell*> saved;
 };
+
+RecordAssembler::RecordAssembler(const Schema* schema) : schema_(schema) {
+  IndexColumns(schema->root());
+}
+
+void RecordAssembler::IndexColumns(const SchemaNode& node) {
+  CollectColumns(node, &columns_[&node]);
+  switch (node.kind()) {
+    case SchemaNode::Kind::kAtomic:
+      break;
+    case SchemaNode::Kind::kObject:
+      for (const auto& [name, child] : node.fields()) IndexColumns(*child);
+      break;
+    case SchemaNode::Kind::kArray:
+      if (node.item() != nullptr) IndexColumns(*node.item());
+      break;
+    case SchemaNode::Kind::kUnion:
+      for (const auto& alt : node.alternatives()) IndexColumns(*alt);
+      break;
+  }
+}
 
 const std::vector<int>& RecordAssembler::ColumnsOf(
     const SchemaNode& node) const {
-  auto [it, inserted] = columns_.try_emplace(&node);
-  if (inserted) CollectColumns(node, &it->second);
+  auto it = columns_.find(&node);
+  LSMCOL_DCHECK(it != columns_.end());
   return it->second;
 }
 
@@ -115,13 +139,14 @@ Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
       if (!has_list) return Value::Missing();
       Value arr = Value::MakeArray();
       // Save current cells, advance per element, restore afterwards. The
-      // saved cells are addressed by offset: nested arrays grow saved_.
-      const size_t base = saved_.size();
-      for (int c : cols) saved_.push_back(slots.cells[c]);
+      // saved cells are addressed by offset: nested arrays grow the stack.
+      std::vector<const ShredCell*>& saved = slots.saved;
+      const size_t base = saved.size();
+      for (int c : cols) saved.push_back(slots.cells[c]);
       size_t missing_elements = 0;
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < cols.size(); ++j) {
-          const ShredCell* cell = saved_[base + j];
+          const ShredCell* cell = saved[base + j];
           if (cell != nullptr && cell->kind == ShredCell::Kind::kList) {
             slots.cells[cols[j]] = &cell->children[i];
           } else {
@@ -137,9 +162,9 @@ Value RecordAssembler::AssembleNode(const SchemaNode& node, const Slots& slots,
         }
       }
       for (size_t j = 0; j < cols.size(); ++j) {
-        slots.cells[cols[j]] = saved_[base + j];
+        slots.cells[cols[j]] = saved[base + j];
       }
-      saved_.resize(base);
+      saved.resize(base);
       // A single all-missing element is the def-level-conflated encoding of
       // an empty array (§3.2.1; docs/ARCHITECTURE.md, "Preserved SQL++
       // semantics").

@@ -15,12 +15,14 @@
 
 namespace lsmcol {
 
-/// Assembles records from shredded columns. Single-threaded: it keeps
-/// per-node scratch between calls.
+/// Assembles records from shredded columns. Immutable once built (every
+/// node's column list is computed up front), so one assembler serves any
+/// number of threads.
 class RecordAssembler {
  public:
-  /// The schema must outlive the assembler.
-  explicit RecordAssembler(const Schema* schema) : schema_(schema) {}
+  /// The schema must outlive the assembler and stay unchanged while it is
+  /// used.
+  explicit RecordAssembler(const Schema* schema);
 
   /// Assemble one record. `by_column` is indexed by column id; a nullptr
   /// entry means the column is absent in this component (all-missing).
@@ -43,14 +45,13 @@ class RecordAssembler {
 
   Value AssembleNode(const SchemaNode& node, const Slots& slots,
                      const std::vector<bool>* projection) const;
-  /// The column ids under `node`, computed on its first visit.
+  /// The column ids under `node`.
   const std::vector<int>& ColumnsOf(const SchemaNode& node) const;
+  /// Fill columns_ for `node` and its subtree.
+  void IndexColumns(const SchemaNode& node);
 
   const Schema* schema_;
-  mutable std::unordered_map<const SchemaNode*, std::vector<int>> columns_;
-  /// Array nodes save their columns' cells here while they iterate the
-  /// elements (a stack: arrays nest).
-  mutable std::vector<const ShredCell*> saved_;
+  std::unordered_map<const SchemaNode*, std::vector<int>> columns_;
 };
 
 }  // namespace lsmcol

@@ -1,6 +1,7 @@
 #include "src/columnar/column_reader.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 
 #include "src/columnar/column_writer.h"
@@ -30,7 +31,9 @@ Status ColumnChunkReader::Init(Slice chunk, const ColumnInfo& info) {
       BufferReader vr(values);
       uint64_t count = 0;
       LSMCOL_RETURN_NOT_OK(vr.ReadVarint64(&count));
+      doubles_input_ = vr.rest();
       doubles_ = vr;
+      doubles_count_ = count;
       doubles_remaining_ = count;
       return Status::OK();
     }
@@ -195,7 +198,10 @@ Status ColumnChunkReader::ParseRecordInto(ColumnRecord* out, ParseMode mode,
     // k = number of arrays this entry implies open.
     int k = 0;
     while (k < m && darr[k] <= e) ++k;
-    LSMCOL_DCHECK(k >= current);
+    if (k < current) {
+      // A well-formed writer never lets a value close open arrays.
+      return Status::Corruption("column value entry closes open arrays");
+    }
     if (materialize) {
       while (current < k) {
         ShredCell list;
@@ -303,6 +309,121 @@ Status ColumnChunkReader::SkipRecords(size_t n) {
     LSMCOL_RETURN_NOT_OK(ParseRecordInto(nullptr, ParseMode::kSkip, nullptr));
   }
   return Status::OK();
+}
+
+namespace {
+
+template <typename T>
+void AppendRaw(Buffer* out, const T& value) {
+  out->Append(Slice(reinterpret_cast<const char*>(&value), sizeof(T)));
+}
+
+template <typename T>
+T ReadRaw(const char* src) {
+  T value;
+  std::memcpy(&value, src, sizeof(T));
+  return value;
+}
+
+}  // namespace
+
+size_t ColumnChunkReader::MarkSize() const {
+  size_t value_mark = 0;
+  switch (info_.type) {
+    case AtomicType::kBoolean:
+      value_mark = sizeof(RleDecoder::Mark);
+      break;
+    case AtomicType::kInt64:
+      value_mark = sizeof(DeltaInt64Decoder::Mark);
+      break;
+    case AtomicType::kDouble:
+      value_mark = sizeof(uint64_t);
+      break;
+    case AtomicType::kString:
+      value_mark = sizeof(DeltaLengthStringDecoder::Mark);
+      break;
+  }
+  return sizeof(RleDecoder::Mark) + value_mark;
+}
+
+void ColumnChunkReader::AppendMark(Buffer* out) const {
+  AppendRaw(out, defs_.mark());
+  switch (info_.type) {
+    case AtomicType::kBoolean:
+      AppendRaw(out, bools_.mark());
+      return;
+    case AtomicType::kInt64:
+      AppendRaw(out, ints_.mark());
+      return;
+    case AtomicType::kDouble:
+      AppendRaw(out, static_cast<uint64_t>(doubles_count_ -
+                                           doubles_remaining_));
+      return;
+    case AtomicType::kString:
+      AppendRaw(out, strings_.mark());
+      return;
+  }
+}
+
+Status ColumnChunkReader::RestoreMark(const char* mark) {
+  const auto defs = ReadRaw<RleDecoder::Mark>(mark);
+  LSMCOL_RETURN_NOT_OK(defs_.Restore(defs));
+  entries_read_ = defs.position;
+  const char* value_mark = mark + sizeof(RleDecoder::Mark);
+  switch (info_.type) {
+    case AtomicType::kBoolean:
+      return bools_.Restore(ReadRaw<RleDecoder::Mark>(value_mark));
+    case AtomicType::kInt64:
+      return ints_.Restore(ReadRaw<DeltaInt64Decoder::Mark>(value_mark));
+    case AtomicType::kDouble: {
+      const auto consumed = ReadRaw<uint64_t>(value_mark);
+      if (consumed > doubles_count_ || consumed > doubles_input_.size() / 8) {
+        return Status::Corruption("double mark out of range");
+      }
+      doubles_ = BufferReader(doubles_input_.SubSlice(
+          8 * consumed, doubles_input_.size() - 8 * consumed));
+      doubles_remaining_ = doubles_count_ - consumed;
+      return Status::OK();
+    }
+    case AtomicType::kString:
+      return strings_.Restore(
+          ReadRaw<DeltaLengthStringDecoder::Mark>(value_mark));
+  }
+  return Status::Corruption("unknown column type");
+}
+
+Status ColumnChunkReader::BuildSeekIndex(Buffer* out) {
+  out->clear();
+  const bool flat = info_.is_pk || info_.array_count() == 0;
+  while (!AtEnd()) {
+    AppendMark(out);
+    if (flat) {
+      // One entry per record: the stride is a run-granular skip.
+      const size_t left = entry_count() - entries_read_;
+      LSMCOL_RETURN_NOT_OK(SkipRecords(std::min(left, kSeekStride)));
+      continue;
+    }
+    for (size_t i = 0; i < kSeekStride && !AtEnd(); ++i) {
+      LSMCOL_RETURN_NOT_OK(SkipRecords(1));
+    }
+  }
+  return Status::OK();
+}
+
+Status ColumnChunkReader::Seek(size_t record, Slice seek_index) {
+  const size_t mark_size = MarkSize();
+  if (seek_index.size() % mark_size != 0) {
+    return Status::Corruption("seek index does not match the column type");
+  }
+  const size_t checkpoints = seek_index.size() / mark_size;
+  if (checkpoints == 0) {
+    // An empty chunk: only its end exists.
+    return record == 0 ? Status::OK()
+                       : Status::OutOfRange("seek past the column chunk's end");
+  }
+  const size_t checkpoint = std::min(record / kSeekStride, checkpoints - 1);
+  LSMCOL_RETURN_NOT_OK(RestoreMark(seek_index.data() + checkpoint * mark_size));
+  return SkipRecords(record - checkpoint * kSeekStride);
 }
 
 Status ColumnChunkReader::CopyRecordTo(ColumnChunkWriter* writer) {

@@ -5,6 +5,12 @@
 // reconciliation (§4.4) and a vectorized entry decode that pushed-down
 // predicates and the compiled query engine (§5) index into.
 //
+// Point lookups reach one record with Seek: a chunk's seek index, built
+// once by walking it (BuildSeekIndex), holds the reader's whole state —
+// def stream run, value ordinal and value-stream state — at every
+// kSeekStride-th record, so reaching record r restores the checkpoint at
+// or before r and walks fewer than kSeekStride records.
+//
 // Delimiter disambiguation invariant (§3.2.1): while the
 // innermost open array has (1-based) index k, element entries carry
 // def >= d_k >= k, and the only delimiters a well-formed writer can emit
@@ -105,6 +111,21 @@ class ColumnChunkReader {
   /// iterator advance; value decoders still advance internally).
   Status SkipRecords(size_t n);
 
+  /// Records between two seek-index checkpoints.
+  static constexpr size_t kSeekStride = 64;
+
+  /// Walk the whole chunk from where a fresh Init leaves the reader and
+  /// write its seek index to *out (cleared first): a checkpoint before
+  /// every kSeekStride-th record. Validates every entry it walks.
+  Status BuildSeekIndex(Buffer* out);
+
+  /// Position the reader at the start of record `record`, from the seek
+  /// index BuildSeekIndex wrote for this same chunk: restores the nearest
+  /// checkpoint at or before it, then skips fewer than kSeekStride
+  /// records. Moves backwards as well as forwards. Like SkipRecords, it
+  /// may land on the chunk's end, and returns OutOfRange past it.
+  Status Seek(size_t record, Slice seek_index);
+
   /// Replay the next record's exact entry stream (def levels, delimiters,
   /// values) into a chunk writer — the per-column transfer of the vertical
   /// merge (§4.5.3). Decodes and re-encodes the values (the merge CPU cost
@@ -132,6 +153,10 @@ class ColumnChunkReader {
   Status SkipValue();
   Status SkipValues(size_t n);  // batched typed-decoder advance
   Status TransferValue(ColumnChunkWriter* writer);
+  /// A checkpoint: the def stream's mark, then the value stream's.
+  size_t MarkSize() const;
+  void AppendMark(Buffer* out) const;
+  Status RestoreMark(const char* mark);
 
   ColumnInfo info_;
   int max_delim_ = -1;  // array_count - 1; -1 when path has no arrays
@@ -141,7 +166,9 @@ class ColumnChunkReader {
   // Typed value decoders (one active by type).
   DeltaInt64Decoder ints_;
   RleDecoder bools_;
+  Slice doubles_input_;  // the plain doubles after their count
   BufferReader doubles_{Slice()};
+  size_t doubles_count_ = 0;
   size_t doubles_remaining_ = 0;
   DeltaLengthStringDecoder strings_;
 };

@@ -24,8 +24,6 @@ const char* MutexRankName(MutexRank rank) {
       return "Wal";
     case MutexRank::kBufferCache:
       return "BufferCache";
-    case MutexRank::kComponentRowLeaf:
-      return "ComponentRowLeaf";
     case MutexRank::kComponentFault:
       return "ComponentFault";
     case MutexRank::kComponentFaultLog:

@@ -57,8 +57,7 @@ enum class MutexRank : int {
   kDataset = 20,          ///< Dataset::mu_ (all mutable dataset state)
   kScheduler = 30,        ///< FlushMergeScheduler::mu_ (task queue)
   kWal = 40,              ///< WriteAheadLog::mu_ (pending batch, LSNs)
-  kBufferCache = 50,      ///< BufferCache::mu_ (frame table)
-  kComponentRowLeaf = 60, ///< Component::row_leaf_mu_ (decompress FIFO)
+  kBufferCache = 50,      ///< BufferCache::mu_ (entry table)
   kComponentFault = 70,   ///< Component::fault_mu_ (quarantine reason)
   kComponentFaultLog = 75, ///< ComponentFaultCounters::log_mu (damage log)
   kFaultFs = 900,         ///< FaultInjectionFs::mu_ (acquired during any I/O)

@@ -1,5 +1,7 @@
 #include "src/encoding/delta.h"
 
+#include <algorithm>
+
 #include "src/encoding/bitpack.h"
 
 namespace lsmcol {
@@ -80,8 +82,10 @@ void DeltaInt64Encoder::Clear() {
 }
 
 Status DeltaInt64Decoder::Init(Slice input) {
+  input_ = input;
   reader_ = BufferReader(input);
   position_ = 0;
+  resume_in_block_ = 0;
   block_.clear();
   block_pos_ = 0;
   uint64_t count = 0;
@@ -95,25 +99,85 @@ Status DeltaInt64Decoder::Init(Slice input) {
 }
 
 Status DeltaInt64Decoder::LoadBlock() {
+  block_offset_ = offset();
   int64_t min_delta = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadSignedVarint64(&min_delta));
   uint8_t width = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadByte(&width));
   if (width > 64) return Status::Corruption("delta block bit width > 64");
-  // LoadBlock runs only when the previous block is exhausted, so the
-  // remaining deltas are exactly the remaining values. The final block is
+  // LoadBlock runs only when the previous block is exhausted (or, after a
+  // Restore, to resume inside this one), so the remaining deltas are
+  // exactly the values left from the block's start. The final block is
   // short.
-  size_t deltas_remaining = value_count_ - position_;
-  size_t n = deltas_remaining < DeltaInt64Encoder::kBlockSize
-                 ? deltas_remaining
-                 : DeltaInt64Encoder::kBlockSize;
+  const size_t deltas_remaining = value_count_ - position_ + resume_in_block_;
+  const size_t n = deltas_remaining < DeltaInt64Encoder::kBlockSize
+                       ? deltas_remaining
+                       : DeltaInt64Encoder::kBlockSize;
+  if (resume_in_block_ >= n && n > 0) {
+    return Status::Corruption("delta mark out of range");
+  }
   std::vector<uint64_t> raw(n);
   LSMCOL_RETURN_NOT_OK(BitUnpack(&reader_, n, width, raw.data()));
   block_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     block_[i] = static_cast<int64_t>(raw[i] + static_cast<uint64_t>(min_delta));
   }
+  block_pos_ = resume_in_block_;
+  resume_in_block_ = 0;
+  return Status::OK();
+}
+
+DeltaInt64Decoder::Mark DeltaInt64Decoder::mark() const {
+  Mark m;
+  m.position = position_;
+  m.previous = previous_;
+  m.first_pending = first_pending_;
+  if (block_pos_ < block_.size()) {
+    m.offset = block_offset_;
+    m.in_block = static_cast<uint32_t>(block_pos_);
+  } else {
+    m.offset = offset();
+    m.in_block = static_cast<uint32_t>(resume_in_block_);
+  }
+  return m;
+}
+
+Status DeltaInt64Decoder::Restore(const Mark& m) {
+  if (m.offset > input_.size() || m.position > value_count_ ||
+      m.in_block >= DeltaInt64Encoder::kBlockSize ||
+      m.in_block > m.position) {
+    return Status::Corruption("delta mark out of range");
+  }
+  reader_ = BufferReader(input_.SubSlice(m.offset, input_.size() - m.offset));
+  position_ = m.position;
+  first_pending_ = m.first_pending;
+  previous_ = m.previous;
+  block_.clear();
   block_pos_ = 0;
+  // The block is unpacked by the first read, if one comes.
+  resume_in_block_ = m.in_block;
+  return Status::OK();
+}
+
+Status DeltaInt64Decoder::EncodedSize(Slice input, size_t* size) {
+  BufferReader reader(input);
+  uint64_t count = 0;
+  LSMCOL_RETURN_NOT_OK(reader.ReadVarint64(&count));
+  if (count > 0) {
+    int64_t first = 0;
+    LSMCOL_RETURN_NOT_OK(reader.ReadSignedVarint64(&first));
+  }
+  for (uint64_t left = count > 0 ? count - 1 : 0; left > 0;) {
+    const uint64_t n = std::min<uint64_t>(left, DeltaInt64Encoder::kBlockSize);
+    int64_t min_delta = 0;
+    uint8_t width = 0;
+    LSMCOL_RETURN_NOT_OK(reader.ReadSignedVarint64(&min_delta));
+    LSMCOL_RETURN_NOT_OK(reader.ReadByte(&width));
+    if (width > 64) return Status::Corruption("delta block bit width > 64");
+    LSMCOL_RETURN_NOT_OK(reader.Skip(BitPackedSize(n, width)));
+    left -= n;
+  }
+  *size = input.size() - reader.remaining();
   return Status::OK();
 }
 

@@ -54,7 +54,26 @@ class DeltaInt64Encoder {
 /// a batch boundary are resumed transparently on the next call.
 class DeltaInt64Decoder {
  public:
+  /// The decoder's position, restorable without decoding from the start:
+  /// the current block's offset, the index in it, and the running value
+  /// of the delta chain. Trivially copyable (seek tables store raw bytes).
+  struct Mark {
+    uint64_t offset = 0;    ///< the current block's header (or next block)
+    uint64_t position = 0;  ///< values consumed
+    int64_t previous = 0;   ///< last value reconstructed
+    uint32_t in_block = 0;  ///< deltas consumed from the block at `offset`
+    bool first_pending = false;
+  };
+
   Status Init(Slice input);
+
+  /// The current position; Restore(mark) returns to it (same input).
+  Mark mark() const;
+  Status Restore(const Mark& mark);
+
+  /// Byte size of the encoded stream at the front of `input`, found by
+  /// walking the block headers without unpacking any delta.
+  static Status EncodedSize(Slice input, size_t* size);
 
   size_t value_count() const { return value_count_; }
   size_t remaining() const { return value_count_ - position_; }
@@ -76,7 +95,9 @@ class DeltaInt64Decoder {
 
  private:
   Status LoadBlock();
+  size_t offset() const { return input_.size() - reader_.remaining(); }
 
+  Slice input_;
   BufferReader reader_{Slice()};
   size_t value_count_ = 0;
   size_t position_ = 0;
@@ -85,6 +106,9 @@ class DeltaInt64Decoder {
   int64_t first_value_ = 0;
   std::vector<int64_t> block_;  // decoded deltas of the current block
   size_t block_pos_ = 0;
+  size_t block_offset_ = 0;     // where the current block's header starts
+  size_t resume_in_block_ = 0;  // after Restore: deltas of the next block
+                                // already consumed
 };
 
 }  // namespace lsmcol

@@ -1,5 +1,7 @@
 #include "src/encoding/rle.h"
 
+#include <algorithm>
+
 #include "src/encoding/bitpack.h"
 
 namespace lsmcol {
@@ -103,6 +105,7 @@ void RleEncoder::Clear() {
 }
 
 Status RleDecoder::Init(Slice input, int bit_width) {
+  input_ = input;
   reader_ = BufferReader(input);
   bit_width_ = bit_width;
   position_ = 0;
@@ -110,6 +113,7 @@ Status RleDecoder::Init(Slice input, int bit_width) {
   run_remaining_ = 0;
   unpacked_.clear();
   unpacked_pos_ = 0;
+  packed_groups_left_ = 0;
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&count));
   value_count_ = count;
@@ -117,6 +121,7 @@ Status RleDecoder::Init(Slice input, int bit_width) {
 }
 
 Status RleDecoder::Refill() {
+  if (packed_groups_left_ > 0) return UnpackGroups();
   uint64_t header = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&header));
   if ((header & 1) == 0) {
@@ -132,16 +137,105 @@ Status RleDecoder::Refill() {
     }
     rle_value_ = v;
   } else {
-    in_rle_run_ = false;
-    const size_t groups = header >> 1;
-    if (groups == 0) return Status::Corruption("empty bit-packed run");
-    unpacked_.resize(groups * 8);
-    LSMCOL_RETURN_NOT_OK(
-        BitUnpack(&reader_, unpacked_.size(), bit_width_, unpacked_.data()));
-    unpacked_pos_ = 0;
-    run_remaining_ = unpacked_.size();
+    packed_groups_left_ = header >> 1;
+    if (packed_groups_left_ == 0) {
+      return Status::Corruption("empty bit-packed run");
+    }
+    LSMCOL_RETURN_NOT_OK(CheckPackedBytes(offset()));
+    return UnpackGroups();
   }
   return Status::OK();
+}
+
+Status RleDecoder::UnpackGroups(size_t max_groups) {
+  // A group of 8 values packs into exactly bit_width_ bytes, so any group
+  // boundary is a byte offset. Groups past the declared value count are
+  // never read, so where unpacking starts (a Restore lands mid-run) does
+  // not change which bytes a decode needs.
+  const size_t groups =
+      std::min({packed_groups_left_, max_groups, GroupsNeeded()});
+  in_rle_run_ = false;
+  unpacked_offset_ = offset();
+  unpacked_.resize(groups * 8);
+  LSMCOL_RETURN_NOT_OK(
+      BitUnpack(&reader_, unpacked_.size(), bit_width_, unpacked_.data()));
+  packed_groups_left_ -= groups;
+  unpacked_pos_ = 0;
+  run_remaining_ = unpacked_.size();
+  return Status::OK();
+}
+
+size_t RleDecoder::GroupsNeeded() const {
+  const size_t left = value_count_ - position_;
+  return left / 8 + (left % 8 != 0 ? 1 : 0);
+}
+
+Status RleDecoder::CheckPackedBytes(size_t offset) const {
+  // The run's groups up to the one holding the last declared value must
+  // be present: a decode then succeeds or fails the same wherever in the
+  // run it starts (sequentially, or from a Mark).
+  const size_t groups = std::min(packed_groups_left_, GroupsNeeded());
+  const auto bytes_per_group = static_cast<size_t>(bit_width_);
+  if (bytes_per_group != 0 &&
+      groups > (input_.size() - offset) / bytes_per_group) {
+    return Status::Corruption("bit-packed run runs past its input");
+  }
+  return Status::OK();
+}
+
+RleDecoder::Mark RleDecoder::mark() const {
+  Mark m;
+  m.position = position_;
+  if (run_remaining_ == 0) {
+    m.offset = offset();
+    m.run = packed_groups_left_;
+    m.kind = packed_groups_left_ > 0 ? Mark::kPacked : Mark::kBetweenRuns;
+  } else if (in_rle_run_) {
+    m.offset = offset();
+    m.run = run_remaining_;
+    m.value = static_cast<uint32_t>(rle_value_);
+    m.kind = Mark::kRle;
+  } else {
+    const size_t group = unpacked_pos_ / 8;
+    m.offset = unpacked_offset_ + group * static_cast<size_t>(bit_width_);
+    m.run = packed_groups_left_ + unpacked_.size() / 8 - group;
+    m.value = static_cast<uint32_t>(unpacked_pos_ % 8);
+    m.kind = Mark::kPacked;
+  }
+  return m;
+}
+
+Status RleDecoder::Restore(const Mark& m) {
+  if (m.offset > input_.size() || m.position > value_count_) {
+    return Status::Corruption("RLE mark out of range");
+  }
+  reader_ = BufferReader(input_.SubSlice(m.offset, input_.size() - m.offset));
+  position_ = m.position;
+  run_remaining_ = 0;
+  packed_groups_left_ = 0;
+  switch (m.kind) {
+    case Mark::kBetweenRuns:
+      return Status::OK();
+    case Mark::kRle:
+      in_rle_run_ = true;
+      rle_value_ = m.value;
+      run_remaining_ = m.run;
+      return Status::OK();
+    case Mark::kPacked:
+      if (m.run == 0 || m.value >= 8 || m.value > m.position) {
+        return Status::Corruption("RLE mark out of range");
+      }
+      packed_groups_left_ = m.run;
+      position_ = m.position - m.value;  // the group's first value
+      LSMCOL_RETURN_NOT_OK(CheckPackedBytes(m.offset));
+      if (m.value == 0) return Status::OK();  // unpacked on the next read
+      LSMCOL_RETURN_NOT_OK(UnpackGroups(1));
+      position_ = m.position;
+      unpacked_pos_ = m.value;
+      run_remaining_ -= m.value;
+      return Status::OK();
+  }
+  return Status::Corruption("RLE mark out of range");
 }
 
 Status RleDecoder::Next(uint64_t* out) {

@@ -66,7 +66,9 @@ struct RleRun {
 };
 
 /// Streaming decoder with O(1)-amortized Skip. Reads the varint count
-/// header on Init.
+/// header on Init. A bit-packed run is unpacked whole when reached;
+/// restoring a Mark inside one unpacks just the group it lands in, and the
+/// next refill the rest of the run.
 ///
 /// Batch-API invariants (shared by DecodeBatch/DecodeRuns/SkipAndCount):
 ///  * they consume exactly the requested number of values (clamped to
@@ -75,9 +77,25 @@ struct RleRun {
 ///    call — batch boundaries are invisible in the decoded stream.
 class RleDecoder {
  public:
+  /// The decoder's position, restorable without decoding from the start:
+  /// where its next byte is and what is left of the run it stands in.
+  /// Trivially copyable, so seek tables store it as raw bytes.
+  struct Mark {
+    enum Kind : uint8_t { kBetweenRuns, kRle, kPacked };
+    uint64_t offset = 0;    ///< next input byte; kPacked: current group
+    uint64_t position = 0;  ///< values consumed
+    uint64_t run = 0;       ///< kRle: values left; kPacked: groups left
+    uint32_t value = 0;     ///< kRle: run value; kPacked: index in group
+    Kind kind = kBetweenRuns;
+  };
+
   RleDecoder() = default;
 
   Status Init(Slice input, int bit_width);
+
+  /// The current position; Restore(mark) returns to it (same input).
+  Mark mark() const;
+  Status Restore(const Mark& mark);
 
   size_t value_count() const { return value_count_; }
   size_t remaining() const { return value_count_ - position_; }
@@ -105,7 +123,17 @@ class RleDecoder {
 
  private:
   Status Refill();
+  /// Unpack the next min(packed_groups_left_, max_groups) groups (never
+  /// past the group holding the last declared value).
+  Status UnpackGroups(size_t max_groups = SIZE_MAX);
+  size_t offset() const { return input_.size() - reader_.remaining(); }
+  /// Groups holding the values left to decode.
+  size_t GroupsNeeded() const;
+  /// Corruption unless the packed run at `offset` holds every group
+  /// GroupsNeeded() asks of it.
+  Status CheckPackedBytes(size_t offset) const;
 
+  Slice input_;
   BufferReader reader_{Slice()};
   int bit_width_ = 0;
   size_t value_count_ = 0;
@@ -114,8 +142,11 @@ class RleDecoder {
   bool in_rle_run_ = false;
   uint64_t rle_value_ = 0;
   size_t run_remaining_ = 0;  // values left in current run (either kind)
+  // Bit-packed run: the unpacked groups, and where they start.
   std::vector<uint64_t> unpacked_;
   size_t unpacked_pos_ = 0;
+  size_t unpacked_offset_ = 0;
+  size_t packed_groups_left_ = 0;  // of the run, not yet unpacked
 };
 
 }  // namespace lsmcol

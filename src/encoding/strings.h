@@ -69,22 +69,39 @@ class DeltaLengthStringEncoder {
 /// DELTA_LENGTH_BYTE_ARRAY decoder; values are returned as Slices into the
 /// input buffer (zero-copy), so the input must outlive the decoder.
 ///
+/// Lengths are decoded lazily, as values are read: Init reads only the
+/// value count, the first read walks the length stream's block headers to
+/// find the payload, and restoring a Mark does not even do that. Each
+/// length is checked when it is read — a negative one, or one running
+/// past the payload, returns Corruption from the read that reaches it — so
+/// reading every value validates the whole stream.
+///
 /// Batch-API invariant: the batched accessors consume exactly
 /// min(n, remaining()) values and interleave freely with Next/Skip.
 class DeltaLengthStringDecoder {
  public:
+  /// The decoder's position: the length stream's, and the next value's
+  /// offset in the input (0 while the payload is not located yet).
+  struct Mark {
+    DeltaInt64Decoder::Mark lengths;
+    uint64_t byte_pos = 0;
+  };
+
   Status Init(Slice input);
 
-  size_t value_count() const { return value_count_; }
-  size_t remaining() const { return value_count_ - position_; }
+  size_t value_count() const { return lengths_.value_count(); }
+  size_t remaining() const { return lengths_.remaining(); }
+
+  Mark mark() const { return Mark{lengths_.mark(), byte_pos_}; }
+  Status Restore(const Mark& mark);
 
   Status Next(Slice* out);
   Status Skip(size_t n);
 
   /// Zero-copy batch: *lengths points at the next n entry lengths (valid
-  /// until the decoder dies) and *payload covers exactly their
-  /// concatenated bytes — one contiguous slice, no per-value splitting.
-  /// Consumes the values; n must be <= remaining().
+  /// until the next call) and *payload covers exactly their concatenated
+  /// bytes — one contiguous slice, no per-value splitting. Consumes the
+  /// values; n must be <= remaining().
   Status NextBatchRaw(size_t n, const int64_t** lengths, Slice* payload);
 
   /// Decode exactly min(n, remaining()) values as Slices into out[0..];
@@ -92,11 +109,16 @@ class DeltaLengthStringDecoder {
   Status NextBatch(size_t n, Slice* out, size_t* decoded);
 
  private:
-  std::vector<int64_t> lengths_;
-  Slice bytes_;
-  size_t byte_pos_ = 0;
-  size_t value_count_ = 0;
-  size_t position_ = 0;
+  /// Point byte_pos_ at the payload (after the length stream) if unset.
+  Status LocatePayload();
+  /// Decode the next n lengths into batch_ and check them against the
+  /// payload; *total is their sum.
+  Status ReadLengths(size_t n, size_t* total);
+
+  Slice input_;
+  DeltaInt64Decoder lengths_;  // reads from the front of input_
+  std::vector<int64_t> batch_;
+  size_t byte_pos_ = 0;  // offset in input_; 0 = payload not located yet
 };
 
 /// DELTA_BYTE_ARRAY (front-coded) encoder.

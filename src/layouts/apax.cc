@@ -113,7 +113,11 @@ Status ApaxLeaf::Init(Slice payload, bool compressed) {
   } else {
     storage_.Append(payload);
   }
-  BufferReader r(storage_.slice());
+  return Parse(storage_.slice());
+}
+
+Status ApaxLeaf::Parse(Slice payload) {
+  BufferReader r(payload);
   uint64_t record_count = 0, column_count = 0;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&record_count));
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&column_count));

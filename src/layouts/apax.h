@@ -42,11 +42,17 @@ struct ApaxChunkStats {
   std::string min_string, max_string;     ///< kString (full values)
 };
 
-/// Parsed APAX leaf: owns the decompressed payload and exposes per-column
-/// chunk slices.
+/// Parsed APAX leaf: per-column chunk slices and zone stats over a
+/// decompressed payload.
 class ApaxLeaf {
  public:
+  /// Parse a payload as stored, keeping a decompressed (or copied) image
+  /// of it: the chunk slices stay valid for the object's lifetime.
   Status Init(Slice payload, bool compressed);
+  /// Parse an already-decompressed payload in place, without copying it:
+  /// the chunk slices point into `payload`, which must outlive their use
+  /// (readers pass a pinned buffer-cache unit).
+  Status Parse(Slice payload);
 
   uint32_t record_count() const { return record_count_; }
   uint32_t column_count() const { return column_count_; }

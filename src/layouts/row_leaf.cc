@@ -40,14 +40,8 @@ Status RowLeafBuilder::EmitLeaf() {
 
 Status RowLeafBuilder::Finish() { return EmitLeaf(); }
 
-Status RowLeafReader::Init(Slice payload, bool compressed) {
-  decompressed_.clear();
-  if (compressed) {
-    LSMCOL_RETURN_NOT_OK(LzDecompress(payload, &decompressed_));
-  } else {
-    decompressed_.Append(payload);
-  }
-  reader_ = BufferReader(decompressed_.slice());
+Status RowLeafReader::Init(Slice payload) {
+  reader_ = BufferReader(payload);
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&count));
   count_ = static_cast<uint32_t>(count);

@@ -44,18 +44,17 @@ class RowLeafBuilder {
 /// Iterates the entries of one row leaf payload.
 class RowLeafReader {
  public:
-  /// `payload` is the leaf payload as stored (compressed or not).
-  Status Init(Slice payload, bool compressed);
+  /// `payload` is the decompressed leaf payload. It is read in place, so
+  /// it must stay valid while the reader and its rows are in use.
+  Status Init(Slice payload);
 
   uint32_t record_count() const { return count_; }
   bool AtEnd() const { return position_ >= count_; }
 
-  /// Advance to the next entry; the row slice points into the reader's
-  /// internal buffer and is valid until the next Init.
+  /// Advance to the next entry; the row slice points into the payload.
   Status Next(int64_t* key, bool* anti_matter, Slice* row);
 
  private:
-  Buffer decompressed_;
   BufferReader reader_{Slice()};
   uint32_t count_ = 0;
   uint32_t position_ = 0;

@@ -69,6 +69,7 @@ Result<std::unique_ptr<Component>> Component::Open(
     LSMCOL_ASSIGN_OR_RETURN(Schema schema,
                             Schema::Deserialize(schema_blob.slice()));
     component->schema_.emplace(std::move(schema));
+    component->assembler_.emplace(&*component->schema_);
   }
   return component;
 }
@@ -118,8 +119,8 @@ Status Component::NoteRead(Status st) const {
   }
   if (first_damage && fault_counters_ != nullptr) {
     // Queue the damage record for the Dataset to persist. log_mu ranks
-    // above fault_mu_ and row_leaf_mu_, so this is reachable from every
-    // read path without inverting the lock order.
+    // above fault_mu_, so this is reachable from every read path without
+    // inverting the lock order.
     MutexLock log_lock(&fault_counters_->log_mu);
     fault_counters_->damage_log.emplace_back(meta_.component_id, st);
     fault_counters_->damage_records.fetch_add(1, std::memory_order_release);
@@ -129,50 +130,233 @@ Status Component::NoteRead(Status st) const {
 
 Status Component::ReadLeaf(size_t leaf_index, Buffer* out) const {
   LSMCOL_RETURN_NOT_OK(CheckReadable());
-  return NoteRead(reader_->ReadLeaf(leaf_index, out));
-}
-
-Status Component::ReadLeafRange(size_t leaf_index, uint64_t offset,
-                                uint64_t size, Buffer* out) const {
-  LSMCOL_RETURN_NOT_OK(CheckReadable());
-  return NoteRead(reader_->ReadLeafRange(leaf_index, offset, size, out));
-}
-
-Status Component::ScrubLeaf(size_t leaf_index, Buffer* out) const {
-  LSMCOL_RETURN_NOT_OK(CheckReadable());
   return NoteRead(reader_->ReadLeafUncached(leaf_index, out));
 }
 
-Result<std::shared_ptr<const Buffer>> Component::DecompressedRowLeaf(
-    size_t leaf_index) const {
-  {
-    MutexLock lock(&row_leaf_mu_);
-    for (auto& [index, payload] : row_leaf_cache_) {
-      if (index == leaf_index) return payload;
+Result<CacheHandle> Component::FetchUnit(
+    size_t leaf_index, int column, CacheUse use,
+    const BufferCache::UnitLoader& load) const {
+  LSMCOL_RETURN_NOT_OK(CheckReadable());
+  Result<CacheHandle> unit = reader_->FetchDecoded(
+      leaf_index, column, load, use == CacheUse::kInstall);
+  if (!unit.ok()) return NoteRead(unit.status());
+  return unit;
+}
+
+Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
+                                           CacheUse use) const {
+  const LeafEntry& leaf = reader_->leaves()[leaf_index];
+  // An AMAX leaf's unit is its Page 0, which is stored uncompressed.
+  const bool amax = meta_.layout == LayoutKind::kAmax;
+  const uint64_t size =
+      amax ? std::min<uint64_t>(leaf.payload_size, reader_->page_size())
+           : leaf.payload_size;
+  const bool compressed = meta_.compressed && !amax;
+  return FetchUnit(leaf_index, -1, use, [&](Buffer* out) -> Status {
+    if (!compressed) {
+      return reader_->ReadLeafRangeUncached(leaf_index, 0, size, out);
+    }
+    Buffer raw;
+    LSMCOL_RETURN_NOT_OK(
+        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &raw));
+    return LzDecompress(raw.slice(), out);
+  });
+}
+
+Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
+                                               int column_id,
+                                               const AmaxColumnExtent& extent,
+                                               CacheUse use,
+                                               LeafPageMemo* memo) const {
+  return FetchUnit(leaf_index, column_id, use, [&](Buffer* out) {
+    Buffer raw;
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRangeUncached(
+        leaf_index, extent.offset, extent.size, &raw, memo));
+    return ParseAmaxMegapage(raw.slice(), schema_->column(column_id),
+                             meta_.compressed, out, nullptr, nullptr);
+  });
+}
+
+namespace {
+
+// What a columnar leaf's unit carries for lookups (its cache attachment),
+// built on the leaf's first lookup:
+//   records × int64 key | records × byte, 1 for anti-matter.
+class LeafKeys {
+ public:
+  static Status Build(Slice pk_chunk, const ColumnInfo& pk, size_t records,
+                      Buffer* out) {
+    ColumnChunkReader reader;
+    LSMCOL_RETURN_NOT_OK(reader.Init(pk_chunk, pk));
+    ColumnEntryBatch batch;
+    LSMCOL_RETURN_NOT_OK(reader.NextEntryBatch(reader.entry_count(), &batch));
+    if (batch.entry_count() != records || batch.ints.size() != records) {
+      return Status::Corruption("leaf key column holds " +
+                                std::to_string(batch.entry_count()) +
+                                " keys for " + std::to_string(records) +
+                                " records");
+    }
+    out->clear();
+    out->Append(Slice(reinterpret_cast<const char*>(batch.ints.data()),
+                      records * sizeof(int64_t)));
+    for (int def : batch.defs) out->AppendByte(def == 0 ? 1 : 0);
+    return Status::OK();
+  }
+
+  LeafKeys(Slice bytes, size_t records) : bytes_(bytes), records_(records) {}
+
+  /// The index of `key` among the leaf's records; records when absent.
+  size_t Find(int64_t key) const {
+    size_t lo = 0, hi = records_;
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      if (Key(mid) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo < records_ && Key(lo) == key ? lo : records_;
+  }
+  bool anti_matter(size_t record) const {
+    return bytes_[records_ * sizeof(int64_t) + record] != 0;
+  }
+
+ private:
+  int64_t Key(size_t i) const {
+    int64_t key = 0;
+    std::memcpy(&key, bytes_.data() + i * sizeof(int64_t), sizeof(key));
+    return key;
+  }
+
+  Slice bytes_;
+  size_t records_;
+};
+
+}  // namespace
+
+std::vector<bool> Component::ProjectedColumns(
+    const Projection& projection) const {
+  std::vector<bool> projected(static_cast<size_t>(schema_->column_count()),
+                              projection.all);
+  projected[0] = true;  // PK always
+  if (!projection.all) {
+    for (const auto& path : projection.paths) {
+      const SchemaNode* node = schema_->ResolvePath(path);
+      if (node == nullptr) continue;  // path unknown to this component
+      for (int c : Schema::ColumnsUnder(node)) projected[c] = true;
     }
   }
-  // Decompress outside the lock; concurrent misses of the same leaf do
-  // the work twice but both get a valid (shared) payload.
-  Buffer raw;
-  LSMCOL_RETURN_NOT_OK(ReadLeaf(leaf_index, &raw));
-  auto scratch = std::make_shared<Buffer>();
-  if (meta_.compressed) {
-    LSMCOL_RETURN_NOT_OK(LzDecompress(raw.slice(), scratch.get()));
+  return projected;
+}
+
+Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
+                                   Value* out) const {
+  // Key fences: only the leaf that would hold the key can.
+  const auto& leaves = reader_->leaves();
+  const size_t leaf = reader_->LowerBoundLeaf(key);
+  if (leaf == leaves.size() || leaves[leaf].min_key > key) {
+    return KeyProbe::kAbsent;
+  }
+  LSMCOL_ASSIGN_OR_RETURN(CacheHandle unit,
+                          DecodedLeaf(leaf, CacheUse::kInstall));
+  if (!schema_.has_value()) {
+    // Row layouts: a leaf is one page of entries, walked in place.
+    RowLeafReader rows;
+    LSMCOL_RETURN_NOT_OK(rows.Init(unit.data()));
+    while (!rows.AtEnd()) {
+      int64_t k = 0;
+      bool anti_matter = false;
+      Slice row;
+      LSMCOL_RETURN_NOT_OK(rows.Next(&k, &anti_matter, &row));
+      if (k < key) continue;
+      if (k > key) break;
+      if (anti_matter) return KeyProbe::kAntiMatter;
+      LSMCOL_RETURN_NOT_OK(GetRowCodec(meta_.layout).Decode(row, out));
+      return KeyProbe::kRecord;
+    }
+    return KeyProbe::kAbsent;
+  }
+  const bool apax = meta_.layout == LayoutKind::kApax;
+  const size_t records = leaves[leaf].record_count;
+  ApaxLeaf apax_leaf;
+  AmaxPageZero page0;
+  if (apax) {
+    LSMCOL_RETURN_NOT_OK(apax_leaf.Parse(unit.data()));
   } else {
-    scratch->Append(raw.slice());
+    LSMCOL_RETURN_NOT_OK(page0.Init(unit.data()));
   }
-  std::shared_ptr<const Buffer> payload = std::move(scratch);
-  MutexLock lock(&row_leaf_mu_);
-  // Re-check: a concurrent miss of the same leaf may have inserted it
-  // while we decompressed; a duplicate would waste the tiny FIFO.
-  for (auto& [index, cached] : row_leaf_cache_) {
-    if (index == leaf_index) return cached;
+  BufferCache* cache = reader_->cache();
+  Result<Slice> keys_bytes = cache->Attachment(unit, [&](Buffer* built) {
+    return LeafKeys::Build(apax ? apax_leaf.chunk(0) : page0.pk_chunk(),
+                           schema_->column(0), records, built);
+  });
+  if (!keys_bytes.ok()) return NoteRead(keys_bytes.status());
+  const LeafKeys keys(*keys_bytes, records);
+  const size_t record = keys.Find(key);
+  if (record == records) return KeyProbe::kAbsent;
+  if (keys.anti_matter(record)) return KeyProbe::kAntiMatter;
+
+  // The record's entries of each projected column, assembled exactly as
+  // ColumnarComponentCursor::Record does. A column's seek index is built
+  // on its first lookup in the leaf: an APAX column's is a unit of its
+  // own, an AMAX column's is its megapage's attachment.
+  const int ncols = schema_->column_count();
+  const std::vector<bool> projected = ProjectedColumns(projection);
+  std::vector<ColumnRecord> cells(static_cast<size_t>(ncols));
+  std::vector<const ColumnRecord*> by_column(static_cast<size_t>(ncols));
+  ColumnRecord& pk = cells[0];
+  pk.root.kind = ShredCell::Kind::kLeaf;
+  pk.root.def = 1;
+  pk.root.value_index = 0;
+  pk.values.push_back(Value::Int(key));
+  by_column[0] = &pk;
+  ColumnChunkReader column;
+  LeafPageMemo memo;  // AMAX: pages shared by adjacent megapages
+  for (int c = 1; c < ncols; ++c) {
+    if (!projected[c]) continue;
+    by_column[c] = &cells[c];
+    const ColumnInfo& info = schema_->column(c);
+    auto build_index = [&](Slice chunk, Buffer* built) {
+      ColumnChunkReader walker;
+      LSMCOL_RETURN_NOT_OK(walker.Init(chunk, info));
+      return walker.BuildSeekIndex(built);
+    };
+    Slice chunk;
+    CacheHandle holder;  // pins the bytes `chunk` or `index` point into
+    Slice index;
+    if (apax) {
+      chunk = apax_leaf.chunk(c);
+      if (chunk.empty()) continue;  // column unknown to the leaf: missing
+      LSMCOL_ASSIGN_OR_RETURN(
+          holder, FetchUnit(leaf, c, CacheUse::kInstall, [&](Buffer* built) {
+            return build_index(chunk, built);
+          }));
+      index = holder.data();
+    } else {
+      const AmaxColumnExtent& extent = page0.extent(c);
+      if (extent.size == 0) continue;  // column unknown to the leaf
+      LSMCOL_ASSIGN_OR_RETURN(
+          holder, DecodedMegapage(leaf, c, extent, CacheUse::kInstall, &memo));
+      chunk = holder.data();
+      Result<Slice> built = cache->Attachment(
+          holder, [&](Buffer* out) { return build_index(chunk, out); });
+      if (!built.ok()) return NoteRead(built.status());
+      index = *built;
+    }
+    LSMCOL_RETURN_NOT_OK(column.Init(chunk, info));
+    Status st = column.Seek(record, index);
+    if (st.ok()) st = column.NextRecord(&cells[c]);
+    if (st.code() == StatusCode::kOutOfRange) {
+      return Status::Corruption("column " + info.path + " ends before record " +
+                                std::to_string(record) + " of its leaf");
+    }
+    LSMCOL_RETURN_NOT_OK(st);
   }
-  if (row_leaf_cache_.size() >= kRowLeafCacheSize) {
-    row_leaf_cache_.erase(row_leaf_cache_.begin());
-  }
-  row_leaf_cache_.emplace_back(leaf_index, payload);
-  return payload;
+  bool all = true;
+  for (bool p : projected) all = all && p;
+  *out = assembler_->Assemble(by_column, all ? nullptr : &projected);
+  return KeyProbe::kRecord;
 }
 
 // ------------------------------------------------------ RowComponentCursor
@@ -186,10 +370,9 @@ Result<bool> RowComponentCursor::Next() {
         ++leaf_index_;  // whole-leaf skip, no I/O
       }
       if (leaf_index_ >= leaves.size()) return false;
-      LSMCOL_ASSIGN_OR_RETURN(leaf_payload_,
-                              component_->DecompressedRowLeaf(leaf_index_));
-      LSMCOL_RETURN_NOT_OK(
-          leaf_reader_.Init(leaf_payload_->slice(), /*compressed=*/false));
+      LSMCOL_ASSIGN_OR_RETURN(leaf_unit_,
+                              component_->DecodedLeaf(leaf_index_, use_));
+      LSMCOL_RETURN_NOT_OK(leaf_reader_.Init(leaf_unit_.data()));
       leaf_loaded_ = true;
     }
     if (leaf_reader_.AtEnd()) {
@@ -222,16 +405,15 @@ Status RowComponentCursor::SeekForward(int64_t target) {
 ColumnarComponentCursor::ColumnarComponentCursor(
     const Component* component, const Projection& projection,
     const ScanPredicateSet* predicates,
-    std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges)
+    std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges,
+    CacheUse use)
     : component_(component),
-      assembler_(component->schema()),
+      use_(use),
       foreign_ranges_(std::move(foreign_key_ranges)) {
   const Schema* schema = component_->schema();
   LSMCOL_CHECK(schema != nullptr);
   const size_t ncols = static_cast<size_t>(schema->column_count());
-  projected_.assign(ncols, false);
-  projected_[0] = true;  // PK always
-  LSMCOL_CHECK_OK(ResolveProjection(projection));
+  projected_ = component_->ProjectedColumns(projection);
   for (size_t c = 0; c < ncols; ++c) {
     if (projected_[c] && c != 0) projected_ids_.push_back(static_cast<int>(c));
   }
@@ -420,20 +602,6 @@ void ColumnarComponentCursor::EvaluateLeafZones() {
   }
 }
 
-Status ColumnarComponentCursor::ResolveProjection(const Projection& projection) {
-  const Schema* schema = component_->schema();
-  if (projection.all) {
-    projected_.assign(projected_.size(), true);
-    return Status::OK();
-  }
-  for (const auto& path : projection.paths) {
-    const SchemaNode* node = schema->ResolvePath(path);
-    if (node == nullptr) continue;  // path unknown to this component
-    for (int c : Schema::ColumnsUnder(node)) projected_[c] = true;
-  }
-  return Status::OK();
-}
-
 Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   leaf_index_ = leaf_index;
   position_in_leaf_ = 0;
@@ -442,16 +610,17 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
     st.loaded = false;
     st.consumed = 0;
     st.seq = 0;
+    st.megapage = CacheHandle();
     st.entries.reset();  // whole-leaf decodes are freed, not kept
   }
+  page_memo_.clear();
   const Schema* schema = component_->schema();
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
+  LSMCOL_ASSIGN_OR_RETURN(leaf_unit_,
+                          component_->DecodedLeaf(leaf_index, use_));
   if (component_->meta().layout == LayoutKind::kApax) {
-    Buffer payload;
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeaf(leaf_index, &payload));
-    LSMCOL_RETURN_NOT_OK(
-        apax_leaf_.Init(payload.slice(), component_->meta().compressed));
+    LSMCOL_RETURN_NOT_OK(apax_leaf_.Parse(leaf_unit_.data()));
     EvaluateLeafZones();
     leaf_loaded_ = true;
     if (!leaf_zone_match_ &&
@@ -466,12 +635,7 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
                                          schema->column(0)));
   } else {
     // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
-    const uint64_t page0_size =
-        std::min<uint64_t>(leaf.payload_size,
-                           component_->reader().page_size());
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-        leaf_index, 0, page0_size, &amax_page0_bytes_));
-    LSMCOL_RETURN_NOT_OK(amax_page0_.Init(amax_page0_bytes_.slice()));
+    LSMCOL_RETURN_NOT_OK(amax_page0_.Init(leaf_unit_.data()));
     EvaluateLeafZones();
     leaf_loaded_ = true;
     if (!leaf_zone_match_ &&
@@ -534,15 +698,12 @@ Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
       st.chunk = Slice();
       const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
       if (extent.size != 0) {
-        // Fetch only this column's megapage pages.
-        Buffer raw;
-        LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-            leaf_index_, extent.offset, extent.size, &raw));
-        LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-            raw.slice(), component_->schema()->column(column_id),
-            component_->meta().compressed, &st.chunk_storage, nullptr,
-            nullptr));
-        st.chunk = st.chunk_storage.slice();
+        // Only this column's megapage (§4.3).
+        LSMCOL_ASSIGN_OR_RETURN(
+            st.megapage, component_->DecodedMegapage(
+                             leaf_index_, column_id, extent, use_,
+                             &page_memo_));
+        st.chunk = st.megapage.data();
       }
     }
     st.chunk_loaded = true;
@@ -603,15 +764,6 @@ ColumnarComponentCursor::LoadLeafEntries(int column_id) {
                                 std::to_string(le->starts.size() - 1) +
                                 " records in a leaf of " +
                                 std::to_string(leaf_records_));
-    }
-    // The decode copied an array column's values out of its (large)
-    // megapage; unless string values alias it or a record reader uses it,
-    // free it now rather than at the next leaf.
-    if (info.array_count() > 0 && info.type != AtomicType::kString &&
-        !st.loaded) {
-      st.chunk_storage = Buffer();
-      st.chunk = Slice();
-      st.chunk_loaded = false;
     }
   }
   st.entries = std::move(le);
@@ -680,7 +832,8 @@ Status ColumnarComponentCursor::Record(Value* out) {
   }
   bool all = true;
   for (bool p : projected_) all = all && p;
-  *out = assembler_.Assemble(by_column_, all ? nullptr : &projected_);
+  *out = component_->assembler().Assemble(by_column_,
+                                          all ? nullptr : &projected_);
   return Status::OK();
 }
 
@@ -715,7 +868,7 @@ Status ColumnarComponentCursor::Path(const std::vector<std::string>& path,
     LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
     by_column_[c] = &columns_[c].record;
   }
-  Value assembled = assembler_.AssembleSubtree(*node, by_column_);
+  Value assembled = component_->assembler().AssembleSubtree(*node, by_column_);
   if (consumed < path.size()) {
     *out = WalkValuePath(assembled, path, consumed);
   } else {

@@ -11,9 +11,22 @@
 // Path() materialize values lazily. The columnar cursor decodes only
 // primary keys while records are being skipped, advancing the projected
 // columns' iterators in batches when a record is actually accessed (§4.4),
-// and — for AMAX — reads a column's megapage pages only on first access
+// and — for AMAX — fetches a column's megapage only on first access
 // within a leaf (§4.3). It also hands out typed per-record spans of a
 // column's whole-leaf decode (RecordSpan) for the compiled engine.
+//
+// Cursors read leaves as decoded units pinned in the buffer cache
+// (Component::DecodedLeaf/DecodedMegapage): a row or APAX leaf payload,
+// an AMAX Page 0, or one AMAX megapage, verified and decompressed once on
+// a miss and indexed in place afterwards — no per-open copy or LZ.
+//
+// Point lookups use no cursor: Component::Lookup checks the key fences,
+// binary-searches one leaf's keys (decoded once, kept as the leaf unit's
+// cache attachment), and seeks each projected column straight to the
+// record through the column's seek index, built on the column's first
+// lookup in the leaf (an APAX column's index is a cache unit of its own,
+// an AMAX column's is kept as its megapage's attachment). Columns the
+// projection leaves out are never indexed or read.
 
 #ifndef LSMCOL_LSM_COMPONENT_H_
 #define LSMCOL_LSM_COMPONENT_H_
@@ -74,6 +87,34 @@ struct ComponentFaultCounters {
       LSMCOL_GUARDED_BY(log_mu);
 };
 
+/// How a reader's leaf reads use the buffer cache.
+enum class CacheUse : uint8_t {
+  kInstall,  ///< a miss caches the decoded unit (queries, lookups)
+  kOneShot,  ///< hits are served, misses decoded privately and read
+             ///< uncached (merge inputs): nothing is installed
+};
+
+/// Which fields a cursor must be able to materialize.
+struct Projection {
+  bool all = true;
+  std::vector<std::vector<std::string>> paths;
+
+  static Projection All() { return Projection(); }
+  static Projection Of(std::vector<std::vector<std::string>> paths) {
+    Projection p;
+    p.all = false;
+    p.paths = std::move(paths);
+    return p;
+  }
+};
+
+/// What a component holds for one key (Component::Lookup).
+enum class KeyProbe : uint8_t {
+  kAbsent,      ///< no entry: older sources decide
+  kRecord,      ///< a record, materialized
+  kAntiMatter,  ///< a delete: the key is gone, older sources are shadowed
+};
+
 /// An immutable on-disk component.
 class Component {
  public:
@@ -105,33 +146,56 @@ class Component {
   ComponentReader* mutable_reader() { return reader_.get(); }
   /// Schema snapshot (columnar layouts only; nullptr otherwise).
   const Schema* schema() const { return schema_ ? &*schema_ : nullptr; }
+  /// Assembler over schema() (columnar layouts only), shared by every
+  /// reader of the component.
+  const RecordAssembler& assembler() const { return *assembler_; }
+  /// Columnar layouts: by column id, whether `projection` needs the
+  /// column (the PK always; paths unknown to the schema add nothing).
+  std::vector<bool> ProjectedColumns(const Projection& projection) const;
   uint64_t size_bytes() const { return reader_->size_bytes(); }
   const std::string& path() const { return reader_->path(); }
 
-  /// Row-leaf payload with leaf-level compression already removed. Backed
-  /// by a small FIFO cache: the buffer cache of a real system holds
-  /// decompressed pages, so repeated point lookups must not pay the
-  /// decompression again. Returns shared ownership so the bytes stay
-  /// valid for the caller even when concurrent readers (components are
-  /// shared across snapshots and threads) rotate the entry out of the
-  /// FIFO. Thread-safe.
-  Result<std::shared_ptr<const Buffer>> DecompressedRowLeaf(
-      size_t leaf_index) const LSMCOL_EXCLUDES(row_leaf_mu_);
+  /// The leaf's verified, decompressed payload (row and APAX layouts)
+  /// or its Page 0 (AMAX: header, zone prefixes and keys), pinned in the
+  /// buffer cache. Like every checked read it fails fast once the
+  /// component is quarantined, even when the unit is cached, and a miss
+  /// that surfaces data damage (a page checksum, or an LZ stream that does
+  /// not decode) quarantines the component. Thread-safe.
+  Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use) const;
+  /// One column's AMAX megapage at `extent` (from the leaf's Page 0),
+  /// decompressed and stripped of its string min/max prefix: the bytes
+  /// ColumnChunkReader::Init takes. Same rules as DecodedLeaf. A miss
+  /// reuses (and adds to) `memo`, the pages the caller already read from
+  /// this leaf, so megapages sharing a page cost one read of it.
+  Result<CacheHandle> DecodedMegapage(size_t leaf_index, int column_id,
+                                      const AmaxColumnExtent& extent,
+                                      CacheUse use,
+                                      LeafPageMemo* memo = nullptr) const;
 
-  /// Checked leaf reads — the only way cursors and merges may touch this
-  /// component's pages. A quarantined component fails fast without I/O;
-  /// a read that surfaces data damage (checksum mismatch, corruption)
-  /// quarantines the component so every later read fails fast too. Other
-  /// components — and the dataset as a whole — stay readable: damage is
-  /// contained to the file that exhibits it.
+  /// Point lookup. Only the leaf whose key fences span `key` is read: its
+  /// keys are binary-searched (decoded once per cached leaf), and a hit
+  /// materializes just that record's entries of the projected columns,
+  /// each column reader jumping to the record through the column's seek
+  /// index (built once per cached column) — no cursor, no walk from the
+  /// leaf's first record. A failure to build a key list or seek index is
+  /// data damage and quarantines like a failed load. Records of row
+  /// layouts come back whole, and columnar ones limited to `projection`
+  /// as ColumnarComponentCursor assembles them. Thread-safe; same
+  /// quarantine rules as DecodedLeaf.
+  Result<KeyProbe> Lookup(int64_t key, const Projection& projection,
+                          Value* out) const;
+
+  /// Checked read of a leaf's raw stored payload, bypassing the buffer
+  /// cache: the physical pages are read and verified even when cached,
+  /// and nothing is installed — how a merge adopts a whole input leaf,
+  /// and the scrubber's probe (a cached copy must never mask media decay
+  /// under it, and scrubbing a cold dataset must not evict the hot set).
+  /// A quarantined component fails fast without I/O; a read that
+  /// surfaces data damage (checksum mismatch, corruption) quarantines the
+  /// component so every later read fails fast too. Other components — and
+  /// the dataset as a whole — stay readable: damage is contained to the
+  /// file that exhibits it.
   Status ReadLeaf(size_t leaf_index, Buffer* out) const;
-  Status ReadLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
-                       Buffer* out) const;
-
-  /// Checked leaf read that bypasses the buffer cache: the physical
-  /// pages are re-read and re-verified even when cached. The scrubber's
-  /// probe — same quarantine semantics as ReadLeaf.
-  Status ScrubLeaf(size_t leaf_index, Buffer* out) const;
 
   /// OK, or the quarantine reason. Cheap (one atomic load when healthy).
   Status CheckReadable() const LSMCOL_EXCLUDES(fault_mu_);
@@ -146,10 +210,12 @@ class Component {
   void Quarantine(const Status& reason) const LSMCOL_EXCLUDES(fault_mu_);
 
  private:
-  static constexpr size_t kRowLeafCacheSize = 4;
-
   Component() = default;
 
+  /// Checked fetch of a decoded unit (see DecodedLeaf); `load` runs on
+  /// a miss.
+  Result<CacheHandle> FetchUnit(size_t leaf_index, int column, CacheUse use,
+                                const BufferCache::UnitLoader& load) const;
   /// Record `st` if it is data damage (quarantining on first sight) and
   /// return it unchanged. Called on every checked read's result.
   Status NoteRead(Status st) const LSMCOL_EXCLUDES(fault_mu_);
@@ -160,30 +226,12 @@ class Component {
   bool salvage_ = false;
   std::unique_ptr<ComponentReader> reader_;
   std::optional<Schema> schema_;
+  std::optional<RecordAssembler> assembler_;
   std::shared_ptr<ComponentFaultCounters> fault_counters_;
   /// Guards quarantine_reason_; quarantined_ is the lock-free fast path.
   mutable Mutex fault_mu_{MutexRank::kComponentFault};
   mutable std::atomic<bool> quarantined_{false};
   mutable Status quarantine_reason_ LSMCOL_GUARDED_BY(fault_mu_);
-  /// Guards row_leaf_cache_ only; everything else is immutable after
-  /// Open() (obsolete_ flips once, under Dataset::mu_).
-  mutable Mutex row_leaf_mu_{MutexRank::kComponentRowLeaf};
-  mutable std::vector<std::pair<size_t, std::shared_ptr<const Buffer>>>
-      row_leaf_cache_ LSMCOL_GUARDED_BY(row_leaf_mu_);
-};
-
-/// Which fields a cursor must be able to materialize.
-struct Projection {
-  bool all = true;
-  std::vector<std::vector<std::string>> paths;
-
-  static Projection All() { return Projection(); }
-  static Projection Of(std::vector<std::vector<std::string>> paths) {
-    Projection p;
-    p.all = false;
-    p.paths = std::move(paths);
-    return p;
-  }
 };
 
 /// What a cursor can say about its current record versus the pushed-down
@@ -225,7 +273,9 @@ class TupleCursor {
 /// Cursor over a row-layout component (Open/VB leaves).
 class RowComponentCursor : public TupleCursor {
  public:
-  RowComponentCursor(const Component* component) : component_(component) {}
+  explicit RowComponentCursor(const Component* component,
+                              CacheUse use = CacheUse::kInstall)
+      : component_(component), use_(use) {}
 
   Result<bool> Next() override;
   int64_t key() const override { return key_; }
@@ -240,12 +290,11 @@ class RowComponentCursor : public TupleCursor {
 
  private:
   const Component* component_;
+  CacheUse use_;
   size_t leaf_index_ = 0;
   bool leaf_loaded_ = false;
-  /// Keeps the decompressed leaf alive while leaf_reader_ iterates it —
-  /// concurrent readers of the same component may rotate it out of the
-  /// component's small FIFO at any time.
-  std::shared_ptr<const Buffer> leaf_payload_;
+  /// Pins the decoded leaf leaf_reader_ iterates (and row_ points into).
+  CacheHandle leaf_unit_;
   RowLeafReader leaf_reader_;
   int64_t key_ = 0;
   bool anti_matter_ = false;
@@ -271,7 +320,8 @@ class ColumnarComponentCursor : public TupleCursor {
   ColumnarComponentCursor(
       const Component* component, const Projection& projection,
       const ScanPredicateSet* predicates = nullptr,
-      std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges = {});
+      std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges = {},
+      CacheUse use = CacheUse::kInstall);
 
   Result<bool> Next() override;
   int64_t key() const override { return key_; }
@@ -310,7 +360,7 @@ class ColumnarComponentCursor : public TupleCursor {
   struct ColumnState {
     bool chunk_loaded = false;  // `chunk` holds the current leaf's
     Slice chunk;                // empty: column absent from the leaf
-    Buffer chunk_storage;       // AMAX decompressed megapage
+    CacheHandle megapage;       // AMAX: pins the bytes `chunk` points into
     bool loaded = false;        // `reader` initialized for current leaf
     ColumnChunkReader reader;
     uint64_t consumed = 0;      // records consumed within current leaf
@@ -331,20 +381,19 @@ class ColumnarComponentCursor : public TupleCursor {
 
   Status LoadLeaf(size_t leaf_index);
   /// The column's chunk in the current leaf; an AMAX megapage is fetched
-  /// and decompressed on the first call per leaf only.
+  /// from the cache on the first call per leaf only.
   Status LeafChunk(int column_id, Slice* out);
   Status EnsureColumnCurrent(int column_id);
   Result<const LeafEntries*> LoadLeafEntries(int column_id);
-  Status ResolveProjection(const Projection& projection);
   void ResolvePredicates(const ScanPredicateSet& predicates);
   /// Zone tests for the current leaf; sets leaf_zone_match_.
   void EvaluateLeafZones();
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 
   const Component* component_;
+  CacheUse use_;
   std::vector<bool> projected_;   // by column id (component schema ids)
   std::vector<int> projected_ids_;
-  RecordAssembler assembler_;
 
   size_t leaf_index_ = 0;
   bool leaf_loaded_ = false;
@@ -353,9 +402,10 @@ class ColumnarComponentCursor : public TupleCursor {
   uint64_t record_seq_ = 0;        // increments on every delivered record
 
   // Per-leaf state.
-  ApaxLeaf apax_leaf_;
-  Buffer amax_page0_bytes_;
+  CacheHandle leaf_unit_;  // APAX: decoded payload; AMAX: Page 0
+  ApaxLeaf apax_leaf_;     // parsed in place over leaf_unit_
   AmaxPageZero amax_page0_;
+  LeafPageMemo page_memo_;  // AMAX: shared pages read by megapage misses
   ColumnChunkReader pk_reader_;
   ColumnEntryBatch pk_batch_;  // whole-leaf PK decode (defs + keys)
   std::vector<ColumnState> columns_;  // by column id

@@ -1018,7 +1018,8 @@ Status Dataset::MergeRows(
   std::vector<std::unique_ptr<RowComponentCursor>> cursors;
   std::vector<bool> has(count, false);
   for (size_t i = 0; i < count; ++i) {
-    cursors.push_back(std::make_unique<RowComponentCursor>(inputs[i].get()));
+    cursors.push_back(std::make_unique<RowComponentCursor>(
+        inputs[i].get(), CacheUse::kOneShot));
     LSMCOL_ASSIGN_OR_RETURN(bool ok, cursors[i]->Next());
     has[i] = ok;
   }
@@ -1059,38 +1060,56 @@ Status Dataset::MergeRows(
 
 namespace {
 
-/// Decoded-APAX-leaf cache shared by the PK merge phase and all column
-/// streams of one component during a vertical merge. Columns sweep the
-/// same leaves in the same order, so a tiny FIFO turns the per-column
-/// re-reads of a whole APAX page into hits — one decompression per leaf
-/// instead of one per leaf per column (which is quadratic-feeling for
-/// 900-column datasets). Entries are shared so a stream suspended mid-leaf
-/// across output-leaf boundaries keeps its chunk bytes alive even if the
-/// FIFO rotates the leaf out underneath it.
-class ApaxLeafCache {
+/// One input leaf's head, parsed: the APAX leaf (its whole payload) or
+/// the AMAX Page 0 (header, extents and keys). `unit` pins the bytes the
+/// APAX chunk slices point into. Megapage misses read the leaf's pages
+/// uncached; `memo` keeps the pages two adjacent megapages share, so each
+/// is read once however many column streams reach it.
+struct MergeLeaf {
+  CacheHandle unit;
+  ApaxLeaf apax;
+  AmaxPageZero page0;
+  mutable LeafPageMemo memo;
+};
+
+/// Parsed-leaf cache shared by the PK merge phase and all column streams
+/// of one component during a vertical merge. Columns sweep the same
+/// leaves in the same order, so a tiny FIFO turns the per-column re-reads
+/// of a leaf head into hits — one read and parse per leaf instead of one
+/// per leaf per column (which is quadratic-feeling for 900-column
+/// datasets). Entries are shared so a stream suspended mid-leaf across
+/// output-leaf boundaries keeps its chunk bytes alive even if the FIFO
+/// rotates the leaf out underneath it. Reads are one-shot: a merge input
+/// is read once, so its leaves are not installed in the buffer cache.
+class MergeLeafCache {
  public:
-  explicit ApaxLeafCache(const Component* component)
+  explicit MergeLeafCache(const Component* component)
       : component_(component) {}
 
-  Result<std::shared_ptr<const ApaxLeaf>> Get(size_t leaf_index) {
+  Result<std::shared_ptr<const MergeLeaf>> Get(size_t leaf_index) {
     for (auto& [index, leaf] : entries_) {
       if (index == leaf_index) return leaf;
     }
-    Buffer payload;
-    LSMCOL_RETURN_NOT_OK(component_->ReadLeaf(leaf_index, &payload));
-    auto leaf = std::make_shared<ApaxLeaf>();
-    LSMCOL_RETURN_NOT_OK(
-        leaf->Init(payload.slice(), component_->meta().compressed));
+    auto leaf = std::make_shared<MergeLeaf>();
+    LSMCOL_ASSIGN_OR_RETURN(
+        leaf->unit, component_->DecodedLeaf(leaf_index, CacheUse::kOneShot));
+    if (component_->meta().layout == LayoutKind::kApax) {
+      LSMCOL_RETURN_NOT_OK(leaf->apax.Parse(leaf->unit.data()));
+    } else {
+      // Page 0 keeps copies of what it parses; release the page now.
+      LSMCOL_RETURN_NOT_OK(leaf->page0.Init(leaf->unit.data()));
+      leaf->unit = CacheHandle();
+    }
     if (entries_.size() >= kCapacity) entries_.erase(entries_.begin());
     entries_.emplace_back(leaf_index,
-                          std::shared_ptr<const ApaxLeaf>(std::move(leaf)));
+                          std::shared_ptr<const MergeLeaf>(std::move(leaf)));
     return entries_.back().second;
   }
 
  private:
   static constexpr size_t kCapacity = 8;
   const Component* component_;
-  std::vector<std::pair<size_t, std::shared_ptr<const ApaxLeaf>>> entries_;
+  std::vector<std::pair<size_t, std::shared_ptr<const MergeLeaf>>> entries_;
 };
 
 /// Streams one component's primary keys, each leaf decoded in one batch
@@ -1098,30 +1117,19 @@ class ApaxLeafCache {
 /// merge's PK phase.
 class MergePkSource {
  public:
-  MergePkSource(const Component* component, ApaxLeafCache* apax_cache)
-      : component_(component), apax_cache_(apax_cache) {}
+  MergePkSource(const Component* component, MergeLeafCache* leaf_cache)
+      : component_(component), leaf_cache_(leaf_cache) {}
 
   /// Decode the next non-empty leaf's PK batch; false when exhausted.
   Result<bool> NextLeaf() {
     const auto& leaves = component_->reader().leaves();
     const ColumnInfo& info = component_->schema()->column(0);
+    const bool apax = component_->meta().layout == LayoutKind::kApax;
     while (leaf_index_ < leaves.size()) {
+      LSMCOL_ASSIGN_OR_RETURN(auto leaf, leaf_cache_->Get(leaf_index_));
       ColumnChunkReader reader;
-      std::shared_ptr<const ApaxLeaf> apax_hold;
-      Buffer page0_bytes;
-      AmaxPageZero page0;
-      if (component_->meta().layout == LayoutKind::kApax) {
-        LSMCOL_ASSIGN_OR_RETURN(apax_hold, apax_cache_->Get(leaf_index_));
-        LSMCOL_RETURN_NOT_OK(reader.Init(apax_hold->chunk(0), info));
-      } else {
-        const uint64_t page0_size = std::min<uint64_t>(
-            leaves[leaf_index_].payload_size,
-            component_->reader().page_size());
-        LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-            leaf_index_, 0, page0_size, &page0_bytes));
-        LSMCOL_RETURN_NOT_OK(page0.Init(page0_bytes.slice()));
-        LSMCOL_RETURN_NOT_OK(reader.Init(page0.pk_chunk(), info));
-      }
+      LSMCOL_RETURN_NOT_OK(reader.Init(
+          apax ? leaf->apax.chunk(0) : leaf->page0.pk_chunk(), info));
       // PK batches copy keys and defs out of the chunk, so the leaf bytes
       // may be released right after this decode.
       LSMCOL_RETURN_NOT_OK(
@@ -1149,7 +1157,7 @@ class MergePkSource {
 
  private:
   const Component* component_;
-  ApaxLeafCache* apax_cache_;
+  MergeLeafCache* leaf_cache_;
   size_t leaf_index_ = 0;
   size_t pos_ = 0;
   bool leaf_has_anti_ = false;
@@ -1165,9 +1173,9 @@ class MergePkSource {
 class ComponentColumnStream {
  public:
   ComponentColumnStream(const Component* component, int column_id,
-                        ApaxLeafCache* apax_cache)
+                        MergeLeafCache* leaf_cache)
       : component_(component), column_id_(column_id),
-        apax_cache_(apax_cache) {
+        leaf_cache_(leaf_cache) {
     absent_in_component_ =
         column_id >= component->schema()->column_count();
   }
@@ -1289,41 +1297,25 @@ class ComponentColumnStream {
     leaf_loaded_ = true;
     const size_t leaf = leaf_index_ - 1;
     const ColumnInfo& info = component_->schema()->column(column_id_);
+    LSMCOL_ASSIGN_OR_RETURN(leaf_head_, leaf_cache_->Get(leaf));
+    megapage_ = CacheHandle();
+    Slice chunk;
     if (component_->meta().layout == LayoutKind::kApax) {
-      LSMCOL_ASSIGN_OR_RETURN(apax_hold_, apax_cache_->Get(leaf));
-      Slice chunk = apax_hold_->chunk(column_id_);
-      leaf_exists_ = !chunk.empty();
-      if (leaf_exists_) {
-        LSMCOL_RETURN_NOT_OK(reader_.Init(chunk, info));
-      }
+      chunk = leaf_head_->apax.chunk(column_id_);
+    } else if (column_id_ == 0) {
+      chunk = leaf_head_->page0.pk_chunk();
     } else {
-      const auto& leaves = component_->reader().leaves();
-      const size_t page_size = component_->reader().page_size();
-      const uint64_t page0_size =
-          std::min<uint64_t>(leaves[leaf].payload_size, page_size);
-      Buffer page0_bytes;
-      LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-          leaf, 0, page0_size, &page0_bytes));
-      LSMCOL_RETURN_NOT_OK(page0_.Init(page0_bytes.slice()));
-      if (column_id_ == 0) {
-        leaf_exists_ = true;
-        pk_chunk_.clear();
-        pk_chunk_.Append(page0_.pk_chunk());
-        LSMCOL_RETURN_NOT_OK(reader_.Init(pk_chunk_.slice(), info));
-      } else {
-        const AmaxColumnExtent& extent = page0_.extent(column_id_);
-        leaf_exists_ = extent.size != 0;
-        if (leaf_exists_) {
-          Buffer raw;
-          LSMCOL_RETURN_NOT_OK(component_->ReadLeafRange(
-              leaf, extent.offset, extent.size, &raw));
-          LSMCOL_RETURN_NOT_OK(ParseAmaxMegapage(
-              raw.slice(), info, component_->meta().compressed,
-              &chunk_storage_, nullptr, nullptr));
-          LSMCOL_RETURN_NOT_OK(reader_.Init(chunk_storage_.slice(), info));
-        }
+      const AmaxColumnExtent& extent = leaf_head_->page0.extent(column_id_);
+      if (extent.size != 0) {
+        LSMCOL_ASSIGN_OR_RETURN(
+            megapage_,
+            component_->DecodedMegapage(leaf, column_id_, extent,
+                                        CacheUse::kOneShot, &leaf_head_->memo));
+        chunk = megapage_.data();
       }
     }
+    leaf_exists_ = !chunk.empty();
+    if (leaf_exists_) LSMCOL_RETURN_NOT_OK(reader_.Init(chunk, info));
     if (leaf_exists_ && pending_skip_ > 0) {
       LSMCOL_RETURN_NOT_OK(
           reader_.SkipRecords(static_cast<size_t>(pending_skip_)));
@@ -1334,17 +1326,15 @@ class ComponentColumnStream {
 
   const Component* component_;
   int column_id_;
-  ApaxLeafCache* apax_cache_;
+  MergeLeafCache* leaf_cache_;
   bool absent_in_component_ = false;
   size_t leaf_index_ = 0;        // next leaf to enter
   uint64_t leaf_remaining_ = 0;  // records left in the current leaf
   bool leaf_loaded_ = false;
   bool leaf_exists_ = false;
   uint64_t pending_skip_ = 0;    // records consumed before the chunk loaded
-  std::shared_ptr<const ApaxLeaf> apax_hold_;
-  AmaxPageZero page0_;
-  Buffer pk_chunk_;
-  Buffer chunk_storage_;
+  std::shared_ptr<const MergeLeaf> leaf_head_;
+  CacheHandle megapage_;  // AMAX: pins the chunk reader_ decodes
   ColumnChunkReader reader_;
   ColumnEntryBatch batch_;
 };
@@ -1404,12 +1394,12 @@ Status Dataset::MergeColumnar(
     bool includes_oldest, ComponentWriter* writer, Schema* schema,
     MergeOutcome* outcome) {
   const size_t count = inputs.size();
-  // Per-input decoded-leaf caches, shared between the PK phase and the
-  // column streams: small components merge with one decompression per
+  // Per-input parsed-leaf caches, shared between the PK phase and the
+  // column streams: small components merge with one read and parse per
   // leaf in total.
-  std::vector<std::unique_ptr<ApaxLeafCache>> apax_caches(count);
+  std::vector<std::unique_ptr<MergeLeafCache>> leaf_caches(count);
   for (size_t i = 0; i < count; ++i) {
-    apax_caches[i] = std::make_unique<ApaxLeafCache>(inputs[i].get());
+    leaf_caches[i] = std::make_unique<MergeLeafCache>(inputs[i].get());
     for (const auto& leaf : inputs[i]->reader().leaves()) {
       outcome->records_in += leaf.record_count;
     }
@@ -1424,7 +1414,7 @@ Status Dataset::MergeColumnar(
   std::vector<bool> live(count, false);
   for (size_t i = 0; i < count; ++i) {
     sources.push_back(std::make_unique<MergePkSource>(inputs[i].get(),
-                                                      apax_caches[i].get()));
+                                                      leaf_caches[i].get()));
     LSMCOL_ASSIGN_OR_RETURN(bool ok, sources[i]->NextLeaf());
     live[i] = ok;
   }
@@ -1554,7 +1544,7 @@ Status Dataset::MergeColumnar(
     for (int c = 0; c < ncols; ++c) {
       streams[i][static_cast<size_t>(c)] =
           std::make_unique<ComponentColumnStream>(inputs[i].get(), c,
-                                                  apax_caches[i].get());
+                                                  leaf_caches[i].get());
     }
     lcur[i].leaves = &inputs[i]->reader().leaves();
     // Adoption splices encoded bytes, so the input must match the output
@@ -1704,7 +1694,8 @@ Status Dataset::MergeColumnarRecordAtATime(
   Projection keys_only = Projection::Of({});
   for (size_t i = 0; i < count; ++i) {
     pk_cursors.push_back(std::make_unique<ColumnarComponentCursor>(
-        inputs[i].get(), keys_only));
+        inputs[i].get(), keys_only, nullptr,
+        std::vector<std::pair<int64_t, int64_t>>(), CacheUse::kOneShot));
     LSMCOL_ASSIGN_OR_RETURN(bool ok, pk_cursors[i]->Next());
     has[i] = ok;
   }
@@ -1745,16 +1736,16 @@ Status Dataset::MergeColumnarRecordAtATime(
   const int ncols = schema->column_count();
   std::vector<std::vector<std::unique_ptr<ComponentColumnStream>>> streams(
       count);
-  std::vector<std::unique_ptr<ApaxLeafCache>> apax_caches(count);
+  std::vector<std::unique_ptr<MergeLeafCache>> leaf_caches(count);
   std::vector<std::vector<size_t>> action_pos(count);  // per input per column
   for (size_t i = 0; i < count; ++i) {
-    apax_caches[i] = std::make_unique<ApaxLeafCache>(inputs[i].get());
+    leaf_caches[i] = std::make_unique<MergeLeafCache>(inputs[i].get());
     streams[i].resize(static_cast<size_t>(ncols));
     action_pos[i].assign(static_cast<size_t>(ncols), 0);
     for (int c = 0; c < ncols; ++c) {
       streams[i][static_cast<size_t>(c)] =
           std::make_unique<ComponentColumnStream>(inputs[i].get(), c,
-                                                  apax_caches[i].get());
+                                                  leaf_caches[i].get());
     }
   }
 
@@ -2142,7 +2133,7 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
           Buffer payload;
           const size_t leaves = (*probe)->reader().leaves().size();
           for (size_t i = 0; st.ok() && i < leaves; ++i) {
-            st = (*probe)->ScrubLeaf(i, &payload);
+            st = (*probe)->ReadLeaf(i, &payload);
           }
         }
         if (!st.ok()) {

@@ -123,7 +123,7 @@ void Scrubber::RunSlice() {
       while (cur.next_leaf < leaf_count &&
              bytes < options_.max_slice_bytes &&
              !stopping_.load(std::memory_order_acquire)) {
-        Status st = comp->ScrubLeaf(cur.next_leaf, &payload);
+        Status st = comp->ReadLeaf(cur.next_leaf, &payload);
         ++leaves;
         if (st.ok()) {
           bytes += payload.size();
@@ -202,7 +202,7 @@ Result<ScrubPassResult> Scrubber::ScrubDataset(Dataset* dataset) {
     bool comp_damaged = false;
     const size_t leaf_count = c.reader().leaves().size();
     for (size_t leaf = 0; leaf < leaf_count; ++leaf) {
-      Status st = c.ScrubLeaf(leaf, &payload);
+      Status st = c.ReadLeaf(leaf, &payload);
       ++result.leaves;
       if (st.ok()) {
         result.bytes += payload.size();

@@ -174,13 +174,27 @@ Status Snapshot::Lookup(int64_t key, Value* out) const {
 
 Status Snapshot::Lookup(int64_t key, const Projection& projection,
                         Value* out) const {
-  LSMCOL_ASSIGN_OR_RETURN(auto cursor, Scan(projection));
-  LSMCOL_RETURN_NOT_OK(cursor->SeekForward(key));
-  LSMCOL_ASSIGN_OR_RETURN(bool ok, cursor->Next());
-  if (!ok || cursor->key() != key) {
+  // The newest source holding the key decides (a record, or anti-matter
+  // that deletes it), so sources are probed newest first and the first
+  // that holds it ends the probe. No source builds a cursor.
+  auto not_found = [key] {
     return Status::NotFound("key " + std::to_string(key));
+  };
+  const MemTable::Entry* entry = memtable_->Find(key);
+  for (size_t i = 0; entry == nullptr && i < immutables_.size(); ++i) {
+    entry = immutables_[i]->Find(key);
   }
-  return cursor->Record(out);
+  if (entry != nullptr) {
+    if (entry->anti_matter) return not_found();
+    return row_codec_->Decode(Slice(entry->row), out);
+  }
+  for (const auto& component : components_) {
+    LSMCOL_ASSIGN_OR_RETURN(KeyProbe probe,
+                            component->Lookup(key, projection, out));
+    if (probe == KeyProbe::kRecord) return Status::OK();
+    if (probe == KeyProbe::kAntiMatter) return not_found();
+  }
+  return not_found();
 }
 
 Result<std::unique_ptr<LookupBatch>> Snapshot::NewLookupBatch(

@@ -121,10 +121,16 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
       const Projection& projection, const ScanPredicateSet& predicates) const;
 
   /// Point lookup. NotFound when the key does not exist (or was deleted)
-  /// in this view.
+  /// in this view. Probes the sources newest first — memtables with
+  /// MemTable::Find, components with Component::Lookup (key fences, then
+  /// one leaf's keys, then one record per projected column) — and stops
+  /// at the first record or anti-matter entry; builds no cursor. Safe to
+  /// call from several threads on one snapshot.
   Status Lookup(int64_t key, Value* out) const;
   /// Point lookup materializing only the projected paths (§4.6: index
-  /// maintenance fetches just the old indexed values).
+  /// maintenance fetches just the old indexed values). The projection
+  /// limits columnar components; memtable and row-layout records come
+  /// back whole.
   Status Lookup(int64_t key, const Projection& projection, Value* out) const;
 
   Result<std::unique_ptr<LookupBatch>> NewLookupBatch(

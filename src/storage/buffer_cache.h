@@ -1,24 +1,47 @@
-// BufferCache: an LRU page cache over PageFiles, with the I/O counters the
-// benchmarks report (pages/bytes read and written, hit rate). It also
-// provides the "temporary buffer confiscation" used by the AMAX writer
-// (§4.5.2): megapage staging buffers are charged against the cache budget
-// instead of a dedicated allocation.
+// BufferCache: the one LRU cache of a Store, with the I/O counters the
+// benchmarks report (pages/bytes read and written, hit rate). It holds
+// two kinds of entry under one byte budget:
+//
+//   * decoded leaf units — a row or APAX leaf payload, an AMAX Page 0, or
+//     one AMAX column megapage, verified and decompressed once on a miss
+//     (FetchDecoded). This is what the read path caches: a warm read runs
+//     no page I/O, no checksum and no LZ. The compressed pages a unit was
+//     decoded from are not kept, so a leaf is cached once, charged by its
+//     decoded bytes.
+//   * raw pages, as stored (Fetch) — what ComponentReader::ReadLeaf and
+//     ReadLeafRange return, used by secondary indexes. Merges and the
+//     scrubber read around the cache and install neither kind.
+//
+// A decoded unit may carry an attachment: bytes derived from it once and
+// kept with it (a column's seek index, a leaf's decoded keys — what point
+// lookups jump with). Every byte is charged in decoded form: the unit's
+// plus its attachment's.
+//
+// It also provides the "temporary buffer confiscation" used by the AMAX
+// writer (§4.5.2): megapage staging buffers are charged against the cache
+// budget instead of a dedicated allocation.
 //
 // Thread-safe: one cache is shared by every dataset of a Store, and with
 // background flushes/merges, writer threads (write-through) and any
 // number of reader threads fetch concurrently. A single mutex guards the
-// frame table, LRU list, and counters — including across the miss read
-// (simple over scalable; per-shard locking is future work). Pinned frames
-// have stable addresses (frames own their Buffers via unique_ptr), so a
-// PageHandle's bytes stay valid without holding the lock.
+// entry table, LRU list, and counters; a miss's read (and decode) runs
+// with it released behind a pinned loading placeholder. Pinned entries
+// are never evicted and have stable addresses (entries own their Buffers
+// via unique_ptr), so a CacheHandle's bytes stay valid without the lock;
+// so do a pinned unit's attachment bytes, published once with an atomic
+// store. A pinned entry may hold the cache above its budget until it is
+// unpinned.
 
 #ifndef LSMCOL_STORAGE_BUFFER_CACHE_H_
 #define LSMCOL_STORAGE_BUFFER_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/mutex.h"
@@ -34,45 +57,74 @@ struct CacheStats {
   uint64_t bytes_read = 0;     ///< physical bytes read
   uint64_t pages_written = 0;  ///< physical page writes
   uint64_t bytes_written = 0;  ///< physical bytes written
-  uint64_t hits = 0;
-  uint64_t misses = 0;
+  uint64_t hits = 0;           ///< page and decoded-unit hits
+  uint64_t misses = 0;         ///< page and decoded-unit misses
   uint64_t evictions = 0;
   uint64_t confiscations = 0;  ///< AMAX staging buffers taken (§4.5.2)
 };
 
 class BufferCache;
 
-/// RAII pin on a cached page. The referenced bytes stay valid while the
-/// handle lives.
-class PageHandle {
+/// RAII pin on a cached page or decoded unit. The referenced bytes stay
+/// valid while the handle lives.
+class CacheHandle {
  public:
-  PageHandle() = default;
-  PageHandle(PageHandle&& other) noexcept { *this = std::move(other); }
-  PageHandle& operator=(PageHandle&& other) noexcept;
-  PageHandle(const PageHandle&) = delete;
-  PageHandle& operator=(const PageHandle&) = delete;
-  ~PageHandle();
+  CacheHandle() = default;
+  CacheHandle(CacheHandle&& other) noexcept { *this = std::move(other); }
+  CacheHandle& operator=(CacheHandle&& other) noexcept;
+  CacheHandle(const CacheHandle&) = delete;
+  CacheHandle& operator=(const CacheHandle&) = delete;
+  ~CacheHandle();
 
   bool valid() const { return cache_ != nullptr; }
   Slice data() const;
 
  private:
   friend class BufferCache;
-  PageHandle(BufferCache* cache, void* frame) : cache_(cache), frame_(frame) {}
+  CacheHandle(BufferCache* cache, void* entry)
+      : cache_(cache), entry_(entry) {}
 
   BufferCache* cache_ = nullptr;
-  void* frame_ = nullptr;
+  void* entry_ = nullptr;
 };
 
-/// \brief LRU page cache (thread-safe, see file comment).
+/// \brief LRU cache of pages and decoded leaf units (thread-safe, see
+/// file comment).
 class BufferCache {
  public:
+  /// Fills `out` with a unit's verified, decoded bytes.
+  using UnitLoader = std::function<Status(Buffer* out)>;
+
   BufferCache(size_t capacity_bytes, size_t page_size)
       : capacity_bytes_(capacity_bytes), page_size_(page_size) {}
 
-  /// Fetch (and pin) a page, reading it on miss.
-  Result<PageHandle> Fetch(const PageFile& file, uint64_t page_no)
+  /// Fetch (and pin) a page as stored, reading it on miss.
+  Result<CacheHandle> Fetch(const PageFile& file, uint64_t page_no)
       LSMCOL_EXCLUDES(mu_);
+
+  /// Fetch (and pin) the decoded unit `column` of leaf `leaf` of `file`
+  /// (column -1: the leaf payload or AMAX Page 0; >= 1: that column's
+  /// AMAX megapage). On a miss `load` runs once, with mu_ released, while
+  /// concurrent fetchers of the same unit wait for it. With `install`
+  /// false a miss is decoded into a private entry freed on unpin, so a
+  /// one-shot reader (a merge input) never displaces the hot set; a hit
+  /// is served either way. A unit larger than the whole capacity is
+  /// served the same way, uncached.
+  Result<CacheHandle> FetchDecoded(const PageFile& file, uint64_t leaf,
+                                   int column, const UnitLoader& load,
+                                   bool install = true) LSMCOL_EXCLUDES(mu_);
+
+  /// Bytes derived from a pinned unit — a column's seek index, a leaf's
+  /// decoded keys — built once by `build` (with mu_ released) and kept
+  /// with the unit: charged with it, freed with it. A built attachment is
+  /// read without the lock. Concurrent first calls may both build; one
+  /// result is kept. The bytes stay valid while `unit` is pinned.
+  Result<Slice> Attachment(const CacheHandle& unit, const UnitLoader& build)
+      LSMCOL_EXCLUDES(mu_);
+
+  /// Count physical page reads that bypass the cache's entries (a decoded
+  /// unit's miss reads its pages straight from the file).
+  void CountPagesRead(uint64_t pages) LSMCOL_EXCLUDES(mu_);
 
   /// Write a page through the cache (updates/installs the cached copy and
   /// writes to the file immediately — components are write-once, so there
@@ -80,11 +132,13 @@ class BufferCache {
   Status WriteThrough(PageFile& file, uint64_t page_no, Slice payload)
       LSMCOL_EXCLUDES(mu_);
 
-  /// Drop all cached pages of a file (component deletion after merge).
+  /// Drop every cached page and decoded unit of a file (component
+  /// deletion after merge). A pinned entry is detached instead: it stays
+  /// readable through its handles and is freed on the last unpin.
   void Invalidate(const PageFile& file) LSMCOL_EXCLUDES(mu_);
 
-  /// Drop every unpinned page (cold-cache measurements). CHECK-fails if
-  /// any page is pinned.
+  /// Drop every cached entry (cold-cache measurements); pinned entries
+  /// are detached as in Invalidate.
   void Clear() LSMCOL_EXCLUDES(mu_);
 
   /// Account for an AMAX staging buffer taken from the cache budget.
@@ -101,74 +155,96 @@ class BufferCache {
     stats_ = CacheStats();
   }
   size_t page_size() const { return page_size_; }
+  /// Bytes charged against the capacity: pages plus decoded units.
   size_t cached_bytes() const LSMCOL_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return frame_count_ * page_size_;
+    return charged_bytes_;
   }
 
  private:
-  friend class PageHandle;
+  friend class CacheHandle;
 
-  // Frame fields are reached through Frame* rather than the cache, so
+  /// Entry identity: (file, page number, kPageColumn) for a raw page,
+  /// (file, leaf, column) for a decoded unit. Equality is exact, so an
+  /// overflowing page number can never alias another file's entry.
+  struct Key {
+    uint64_t file_id;
+    uint64_t index;
+    int64_t column;
+    bool operator==(const Key& other) const {
+      return file_id == other.file_id && index == other.index &&
+             column == other.column;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(
+          (k.file_id << 24) ^ k.index ^
+          (static_cast<uint64_t>(k.column) * 0x9E3779B97F4A7C15ULL));
+    }
+  };
+  static constexpr int64_t kPageColumn = -2;
+
+  // Entry fields are reached through Entry* rather than the cache, so
   // they carry no GUARDED_BY of their own; the invariant is structural:
-  // all mutation happens under mu_, and a pinned frame's Buffer bytes
-  // are immutable (what PageHandle::data() reads lock-free).
-  struct Frame {
-    uint64_t file_id = 0;
-    uint64_t page_no = 0;
-    size_t file_pos = 0;  ///< index into pages_by_file_[file_id]
+  // all mutation happens under mu_, and a pinned entry's Buffer bytes
+  // are immutable (what CacheHandle::data() reads lock-free).
+  struct Entry {
+    Key key{};
+    size_t file_pos = 0;  ///< index into by_file_[key.file_id]
     Buffer data;
+    /// Derived bytes (Attachment): set once, under mu_, and freed with
+    /// the entry, so readers holding a pin load it lock-free.
+    std::atomic<Buffer*> attachment{nullptr};
+    size_t charge = 0;  ///< bytes counted in charged_bytes_ (once loaded)
     int pins = 0;
-    std::list<Frame*>::iterator lru_it;
+    std::list<Entry*>::iterator lru_it;
     bool in_lru = false;
-    /// Placeholder published before the physical read so the miss I/O
-    /// runs outside mu_; concurrent fetchers of the same page wait on
+    /// Placeholder published before the read so the miss I/O runs
+    /// outside mu_; concurrent fetchers of the same entry wait on
     /// load_cv_ instead of reading twice. Pinned while loading, so never
     /// evicted or handed out.
     bool loading = false;
+    /// In entries_ (and by_file_). A detached entry — private to a
+    /// one-shot read, oversized, or invalidated while pinned — is owned
+    /// by its pins and freed on the last unpin.
+    bool resident = true;
+
+    Entry() = default;
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+    ~Entry() { delete attachment.load(std::memory_order_relaxed); }
   };
 
-  /// Composite page identity. Hashed as (file_id << 24) ^ page_no — file
-  /// ids are small and pages rarely exceed 2^24, so the mix is collision-
-  /// light — while equality stays exact, so an overflowing page number
-  /// can never alias another file's page.
-  struct PageKey {
-    uint64_t file_id;
-    uint64_t page_no;
-    bool operator==(const PageKey& other) const {
-      return file_id == other.file_id && page_no == other.page_no;
-    }
-  };
-  struct PageKeyHash {
-    size_t operator()(const PageKey& k) const {
-      return static_cast<size_t>((k.file_id << 24) ^ k.page_no);
-    }
-  };
-
-  void Unpin(Frame* frame) LSMCOL_EXCLUDES(mu_);
+  /// Shared miss/hit path of Fetch and FetchDecoded.
+  Result<CacheHandle> FetchEntry(const Key& key, const UnitLoader& load,
+                                 bool install) LSMCOL_EXCLUDES(mu_);
+  void Unpin(Entry* entry) LSMCOL_EXCLUDES(mu_);
   void EvictIfNeededLocked() LSMCOL_REQUIRES(mu_);
-  void RemoveFromFileListLocked(Frame* frame) LSMCOL_REQUIRES(mu_);
+  /// Remove a resident entry from the table and per-file list and
+  /// uncharge it. Frees it unless pinned (then it is detached).
+  void DropLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
 
-  /// Guards every mutable member below (frames, LRU, per-file lists,
-  /// counters). Physical page I/O runs *outside* it: misses publish a
-  /// loading placeholder first, write-through writes go to a file still
-  /// private to its single writer.
+  /// Guards every mutable member below (entries, LRU, per-file lists,
+  /// counters). Physical I/O and decoding run *outside* it: misses
+  /// publish a loading placeholder first, write-through writes go to a
+  /// file still private to its single writer.
   mutable Mutex mu_{MutexRank::kBufferCache};
-  /// Signaled when a loading frame is published (or its read failed).
+  /// Signaled when a loading entry is published (or its load failed).
   CondVar load_cv_;
   size_t capacity_bytes_;
   size_t page_size_;
-  size_t frame_count_ LSMCOL_GUARDED_BY(mu_) = 0;
+  size_t charged_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
   size_t confiscated_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
   CacheStats stats_ LSMCOL_GUARDED_BY(mu_);
-  // One flat map — a single probe per Fetch instead of two chained maps.
-  std::unordered_map<PageKey, std::unique_ptr<Frame>, PageKeyHash> frames_
+  // One flat map — a single probe per fetch instead of two chained maps.
+  std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> entries_
       LSMCOL_GUARDED_BY(mu_);
-  // Per-file frame list so Invalidate(file) stays O(pages of that file).
-  std::unordered_map<uint64_t, std::vector<Frame*>> pages_by_file_
+  // Per-file entry list so Invalidate(file) stays O(entries of that file).
+  std::unordered_map<uint64_t, std::vector<Entry*>> by_file_
       LSMCOL_GUARDED_BY(mu_);
   // front = most recently used, unpinned only
-  std::list<Frame*> lru_ LSMCOL_GUARDED_BY(mu_);
+  std::list<Entry*> lru_ LSMCOL_GUARDED_BY(mu_);
 };
 
 }  // namespace lsmcol

@@ -171,8 +171,8 @@ ComponentReader::~ComponentReader() {
 }
 
 Status ComponentReader::ReadLeaf(size_t leaf_index, Buffer* out) const {
-  const LeafEntry& leaf = leaves_[leaf_index];
-  return ReadLeafRange(leaf_index, 0, leaf.payload_size, out);
+  LSMCOL_CHECK(leaf_index < leaves_.size());
+  return ReadLeafRange(leaf_index, 0, leaves_[leaf_index].payload_size, out);
 }
 
 Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
@@ -189,7 +189,7 @@ Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
   const uint64_t last = leaf.first_page + (offset + size - 1) / page_size;
   uint64_t skip = offset % page_size;
   for (uint64_t p = first; p <= last; ++p) {
-    LSMCOL_ASSIGN_OR_RETURN(PageHandle handle, cache_->Fetch(*file_, p));
+    LSMCOL_ASSIGN_OR_RETURN(CacheHandle handle, cache_->Fetch(*file_, p));
     Slice data = handle.data();
     const uint64_t want = size - out->size();
     const uint64_t avail = data.size() - skip;
@@ -200,24 +200,56 @@ Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
   return Status::OK();
 }
 
+Status ComponentReader::ReadLeafRangeUncached(size_t leaf_index,
+                                              uint64_t offset, uint64_t size,
+                                              Buffer* out,
+                                              LeafPageMemo* memo) const {
+  LSMCOL_CHECK(leaf_index < leaves_.size());
+  const LeafEntry& leaf = leaves_[leaf_index];
+  if (offset + size > leaf.payload_size) {
+    return Status::OutOfRange("leaf range out of bounds");
+  }
+  out->clear();
+  if (size == 0) return Status::OK();
+  out->reserve(size);  // cached units are charged by size; keep them tight
+  const size_t page_size = file_->page_size();
+  const uint64_t first = leaf.first_page + offset / page_size;
+  const uint64_t last = leaf.first_page + (offset + size - 1) / page_size;
+  uint64_t skip = offset % page_size;
+  uint64_t pages_read = 0;
+  Buffer page;
+  for (uint64_t p = first; p <= last; ++p) {
+    const Buffer* bytes = nullptr;
+    if (memo != nullptr) {
+      for (const auto& [page_no, kept] : *memo) {
+        if (page_no == p) bytes = &kept;
+      }
+    }
+    if (bytes == nullptr) {
+      LSMCOL_RETURN_NOT_OK(file_->ReadPage(p, &page));
+      ++pages_read;
+      const bool shared = (p == first && skip != 0) ||
+                          (p == last && (offset + size) % page_size != 0);
+      if (memo != nullptr && shared) {
+        memo->emplace_back(p, std::move(page));
+        bytes = &memo->back().second;
+      } else {
+        bytes = &page;
+      }
+    }
+    const uint64_t take = std::min(size - out->size(), bytes->size() - skip);
+    out->Append(bytes->data() + skip, take);
+    skip = 0;
+  }
+  if (cache_ != nullptr) cache_->CountPagesRead(pages_read);
+  return Status::OK();
+}
+
 Status ComponentReader::ReadLeafUncached(size_t leaf_index,
                                          Buffer* out) const {
   LSMCOL_CHECK(leaf_index < leaves_.size());
-  const LeafEntry& leaf = leaves_[leaf_index];
-  out->clear();
-  if (leaf.payload_size == 0) return Status::OK();
-  Buffer page;
-  for (uint32_t i = 0; i < leaf.page_count; ++i) {
-    LSMCOL_RETURN_NOT_OK(file_->ReadPage(leaf.first_page + i, &page));
-    const uint64_t take =
-        std::min<uint64_t>(page.size(), leaf.payload_size - out->size());
-    out->Append(page.data(), take);
-    if (out->size() >= leaf.payload_size) break;
-  }
-  if (out->size() != leaf.payload_size) {
-    return Status::Corruption("short leaf payload: " + file_->path());
-  }
-  return Status::OK();
+  return ReadLeafRangeUncached(leaf_index, 0,
+                               leaves_[leaf_index].payload_size, out);
 }
 
 size_t ComponentReader::LowerBoundLeaf(int64_t key) const {

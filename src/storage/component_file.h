@@ -38,6 +38,11 @@ struct LeafEntry {
   uint32_t record_count = 0;
 };
 
+/// Verified pages a reader keeps while it loads the units of one leaf,
+/// so a page shared by two AMAX megapages is read once rather than once
+/// per megapage. Holds only such partially covered pages, by page number.
+using LeafPageMemo = std::vector<std::pair<uint64_t, Buffer>>;
+
 /// Sequential component writer (components are write-once).
 class ComponentWriter {
  public:
@@ -76,8 +81,9 @@ class ComponentWriter {
   bool finished_ = false;
 };
 
-/// Read access to a finished component. All page reads go through the
-/// buffer cache.
+/// Read access to a finished component. Page reads go through the buffer
+/// cache: as cached raw pages (ReadLeaf, ReadLeafRange), or uncached and
+/// counted when a decoded unit is loaded (ReadLeafRangeUncached).
 class ComponentReader {
  public:
   /// Opens a component file: its footer page must verify and carry the
@@ -105,12 +111,32 @@ class ComponentReader {
   Status ReadLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
                        Buffer* out) const;
 
-  /// Read a leaf's full payload bypassing the buffer cache: every
-  /// physical page is re-read from the filesystem and its trailer
-  /// re-verified. The scrubber's read path — a cache hit must never mask
-  /// media decay under it. Pages read this way are not inserted into the
-  /// cache (scrubbing a cold dataset must not evict the hot set).
+  /// Read payload bytes [offset, offset + size) of a leaf bypassing the
+  /// cache's entries: every overlapping physical page is read from the
+  /// filesystem and its trailer verified, and counted in the cache's
+  /// pages_read, but nothing is inserted. How a decoded unit's miss reads
+  /// its pages (the unit, not the pages, is then cached). With `memo`,
+  /// pages it holds are not read again, and the partially covered first
+  /// and last pages read here are added to it.
+  Status ReadLeafRangeUncached(size_t leaf_index, uint64_t offset,
+                               uint64_t size, Buffer* out,
+                               LeafPageMemo* memo = nullptr) const;
+
+  /// The whole leaf payload, read as ReadLeafRangeUncached does. The
+  /// scrubber's read path — a cache hit must never mask media decay
+  /// under it, and scrubbing a cold dataset must not evict the hot set.
   Status ReadLeafUncached(size_t leaf_index, Buffer* out) const;
+
+  /// Fetch (and pin) decoded unit `column` of a leaf through the buffer
+  /// cache (see BufferCache::FetchDecoded); `load` runs on a miss.
+  Result<CacheHandle> FetchDecoded(size_t leaf_index, int column,
+                                   const BufferCache::UnitLoader& load,
+                                   bool install) const {
+    return cache_->FetchDecoded(*file_, leaf_index, column, load, install);
+  }
+
+  /// The cache FetchDecoded goes through (for a unit's attachments).
+  BufferCache* cache() const { return cache_; }
 
   /// Index of the first leaf whose max_key >= key (binary search over the
   /// interior node); leaves().size() when none.

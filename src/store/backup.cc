@@ -302,7 +302,7 @@ Status SalvageComponentFile(
   {
     Buffer payload;
     for (size_t i = 0; i < leaves.size(); ++i) {
-      if (component->ScrubLeaf(i, &payload).ok()) {
+      if (component->ReadLeaf(i, &payload).ok()) {
         readable[i] = true;
         ++result->leaves_readable;
       } else {

@@ -39,7 +39,10 @@ struct StoreOptions {
   std::string dir;
   /// Page size shared by the cache and every dataset.
   size_t page_size = kDefaultPageSize;
-  /// Budget of the BufferCache shared by all datasets.
+  /// Budget of the BufferCache shared by all datasets, charged in
+  /// decoded bytes: the cache holds leaves and AMAX megapages
+  /// decompressed, so the same budget covers fewer leaves than their
+  /// on-disk size suggests.
   size_t cache_bytes = 256u << 20;
   /// Worker threads of the FlushMergeScheduler shared by every dataset
   /// of this store. Every flush and merge is a task on it. 0 (the

@@ -1,7 +1,8 @@
 // Integration tests for end-to-end I/O fault tolerance: ENOSPC mid-flush
 // cleanup and resume, transient-error retry, bit-flip detection +
-// component quarantine across all four layouts, mixed-format-version
-// datasets, and the Store::Health() accessor.
+// component quarantine across all four layouts (including under the
+// decoded-unit cache), mixed-format-version datasets, and the
+// Store::Health() accessor.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "src/storage/fault_injection_fs.h"
+#include "src/storage/file.h"
 #include "src/store/store.h"
 
 namespace lsmcol {
@@ -81,6 +83,16 @@ class FaultTest : public ::testing::TestWithParam<LayoutKind> {
       return a.size() != b.size() ? a.size() < b.size() : a < b;
     });
     return out;
+  }
+
+  static void FlipByteOnDisk(const std::string& path, std::streamoff off) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    f.seekg(off);
+    char c = 0;
+    f.get(c);
+    f.seekp(off);
+    f.put(static_cast<char>(c ^ 0x04));
   }
 
   std::string dir_;
@@ -183,6 +195,76 @@ TEST_P(FaultTest, BitFlipQuarantinesOnlyAffectedComponent) {
   EXPECT_FALSE(health[0].has_background_error);
   EXPECT_EQ(health[0].quarantined_components, 1u);
   EXPECT_GE(health[0].checksum_failures, 1u);
+}
+
+// Decoded-unit cache: damage under a unit nobody has read yet surfaces
+// on the first read that decodes it — a row or APAX leaf, or an AMAX
+// column megapage past Page 0 — and quarantines the component there.
+TEST_P(FaultTest, DamagedUnitQuarantinesOnFirstRead) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t i = 0; i < 80; ++i) {
+    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  const auto components = ComponentFiles();
+  ASSERT_EQ(components.size(), 1u);
+  // The leaf's first page; for AMAX the page after Page 0, where the
+  // megapages start.
+  const std::streamoff page = GetParam() == LayoutKind::kAmax ? 1 : 0;
+  FlipByteOnDisk(components.front(),
+                 page * static_cast<std::streamoff>(kPage + kPageTrailerBytes) +
+                     16);
+
+  Value record;
+  Status st = ds->Lookup(10, &record);
+  EXPECT_TRUE(st.IsDataDamage()) << st.ToString();
+  const DatasetStats stats = ds->stats();
+  EXPECT_EQ(stats.quarantined_components, 1u);
+  EXPECT_GE(stats.checksum_failures, 1u);
+  // Later reads fail fast with the first reason, without new I/O.
+  const uint64_t pages_read = ds->cache()->stats().pages_read;
+  EXPECT_EQ(ds->Lookup(20, &record).ToString(), st.ToString());
+  EXPECT_EQ(ds->cache()->stats().pages_read, pages_read);
+}
+
+// Decoded-unit cache: quarantine is checked before a cached unit is
+// served, so decay found under a warm cache (here by the scrubber, which
+// reads around the cache) stops reads that the cache could still answer.
+TEST_P(FaultTest, QuarantinedComponentServesNoCachedUnit) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t i = 0; i < 80; ++i) {
+    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+
+  Value record;
+  ASSERT_TRUE(ds->Lookup(10, &record).ok());  // decodes and caches units
+  const CacheStats cold = ds->cache()->stats();
+  ASSERT_TRUE(ds->Lookup(10, &record).ok());
+  const CacheStats warm = ds->cache()->stats();
+  EXPECT_GT(warm.hits, cold.hits);
+  EXPECT_EQ(warm.misses, cold.misses);  // served from cached units only
+  EXPECT_EQ(warm.pages_read, cold.pages_read);
+
+  const auto components = ComponentFiles();
+  ASSERT_EQ(components.size(), 1u);
+  FlipByteOnDisk(components.front(), 16);
+  auto pass = (*store)->ScrubNow();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  ASSERT_EQ(pass->damaged, 1u);
+  ASSERT_EQ(ds->stats().quarantined_components, 1u);
+
+  Status st = ds->Lookup(10, &record);
+  EXPECT_TRUE(st.IsDataDamage()) << st.ToString();
+  EXPECT_EQ(ds->cache()->stats().hits, warm.hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, FaultTest,

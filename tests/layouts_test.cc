@@ -229,7 +229,7 @@ TEST(RowLeafTest, BuilderSplitsAtPageBudget) {
     Buffer payload;
     ASSERT_TRUE((*reader)->ReadLeaf(leaf, &payload).ok());
     RowLeafReader leaf_reader;
-    ASSERT_TRUE(leaf_reader.Init(payload.slice(), false).ok());
+    ASSERT_TRUE(leaf_reader.Init(payload.slice()).ok());
     while (!leaf_reader.AtEnd()) {
       int64_t key = 0;
       bool anti = false;

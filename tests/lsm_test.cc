@@ -67,9 +67,10 @@ class LsmTest : public ::testing::TestWithParam<LayoutKind> {
   }
 
   // Scan everything and return records keyed by id.
-  std::map<int64_t, Value> ScanAll() {
+  std::map<int64_t, Value> ScanAll() { return ScanAllOf(dataset_.get()); }
+  std::map<int64_t, Value> ScanAllOf(Dataset* dataset) {
     std::map<int64_t, Value> out;
-    auto cursor = dataset_->Scan(Projection::All());
+    auto cursor = dataset->Scan(Projection::All());
     EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
     while (true) {
       auto ok = (*cursor)->Next();
@@ -412,6 +413,66 @@ TEST_P(LsmTest, RandomizedWorkloadMatchesReferenceModel) {
   }
 }
 
+// Merge inputs are read around the cache: merging a dataset larger than
+// the whole cache leaves another dataset's warm units resident, so its
+// reads stay hits.
+TEST_P(LsmTest, MergeLeavesHotDecodedUnitsResident) {
+  BufferCache cache(32 * kPage, kPage);
+  DatasetOptions hot_options = DefaultOptions();
+  hot_options.dir = dir_ + "/hot";
+  DatasetOptions big_options = DefaultOptions();
+  big_options.dir = dir_ + "/big";
+  big_options.auto_merge = false;
+  std::filesystem::create_directories(hot_options.dir);
+  std::filesystem::create_directories(big_options.dir);
+  auto hot = Dataset::Open(hot_options, &cache);
+  ASSERT_TRUE(hot.ok()) << hot.status().ToString();
+  auto big = Dataset::Open(big_options, &cache);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  Rng rng(12);
+  for (int64_t id = 0; id < 100; ++id) {
+    ASSERT_TRUE((*hot)->Insert(MakeRecord(id, &rng)).ok());
+  }
+  ASSERT_TRUE((*hot)->Flush().ok());
+  // Overlapping rewrites, so the merge reads every input leaf.
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t id = round; id < 9000; id += 2) {
+      ASSERT_TRUE((*big)->Insert(MakeRecord(id, &rng)).ok());
+    }
+    ASSERT_TRUE((*big)->Flush().ok());
+  }
+  uint64_t big_pages = 0;
+  {
+    auto snapshot = (*big)->GetSnapshot();
+    for (size_t c = 0; c < snapshot->component_count(); ++c) {
+      for (const auto& leaf : snapshot->component(c).reader().leaves()) {
+        big_pages += leaf.page_count;
+      }
+    }
+  }
+  ASSERT_GT(big_pages, 48u);  // installing them would evict the rest
+
+  auto read_hot = [&] {
+    Value out;
+    for (int64_t id = 0; id < 100; ++id) {
+      ASSERT_TRUE((*hot)->Lookup(id, &out).ok()) << id;
+    }
+    ASSERT_EQ(ScanAllOf(hot->get()).size(), 100u);
+  };
+  read_hot();
+  ASSERT_LT(cache.cached_bytes(), 16 * kPage);
+  cache.ResetStats();
+  read_hot();
+  ASSERT_EQ(cache.stats().misses, 0u);
+
+  ASSERT_TRUE((*big)->MergeAll().ok());
+  ASSERT_EQ((*big)->component_count(), 1u);
+  cache.ResetStats();
+  read_hot();
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().pages_read, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, LsmTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,
@@ -419,6 +480,65 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, LsmTest,
                          [](const auto& info) {
                            return std::string(LayoutKindName(info.param));
                          });
+
+// AMAX megapages share physical pages. A cold read of every column loads
+// each megapage as its own cached unit, yet reads each page at most once;
+// the warm re-read is served from the decoded units without any I/O.
+TEST(AmaxIoTest, ColdFullReadReadsEachPageOnce) {
+  const std::string dir = testing::TempDir() + "/amax_pages_once";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  BufferCache cache(4096 * kPage, kPage);
+  DatasetOptions options;
+  options.layout = LayoutKind::kAmax;
+  options.dir = dir;
+  options.page_size = kPage;
+  options.amax_max_records = 2000;
+  auto ds = Dataset::Open(options, &cache);
+  ASSERT_TRUE(ds.ok());
+  Rng rng(3);
+  for (int64_t i = 0; i < 3000; ++i) {
+    Value v = Value::MakeObject();
+    v.Set("id", Value::Int(i));
+    for (int f = 0; f < 24; ++f) {  // many small megapages
+      v.Set("f" + std::to_string(f), Value::Int(rng.Uniform(1000)));
+    }
+    v.Set("text", Value::String(rng.Word(20, 60)));
+    ASSERT_TRUE((*ds)->Insert(v).ok());
+  }
+  ASSERT_TRUE((*ds)->Flush().ok());
+  uint64_t leaf_pages = 0;
+  {
+    auto snapshot = (*ds)->GetSnapshot();
+    for (size_t c = 0; c < snapshot->component_count(); ++c) {
+      for (const auto& leaf : snapshot->component(c).reader().leaves()) {
+        leaf_pages += leaf.page_count;
+      }
+    }
+  }
+  auto read_all = [&] {
+    auto cursor = (*ds)->Scan(Projection::All());
+    ASSERT_TRUE(cursor.ok());
+    Value v;
+    while (true) {
+      auto ok = (*cursor)->Next();
+      ASSERT_TRUE(ok.ok());
+      if (!*ok) break;
+      ASSERT_TRUE((*cursor)->Record(&v).ok());
+    }
+  };
+  cache.Clear();
+  cache.ResetStats();
+  read_all();
+  EXPECT_GT(cache.stats().pages_read, 0u);
+  EXPECT_LE(cache.stats().pages_read, leaf_pages);
+  cache.ResetStats();
+  read_all();
+  EXPECT_EQ(cache.stats().pages_read, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  ds->reset();
+  std::filesystem::remove_all(dir);
+}
 
 // Layout-specific behaviour: AMAX column reads touch only needed pages.
 TEST(AmaxIoTest, ProjectionLimitsBytesRead) {

@@ -73,8 +73,6 @@ TEST(MutexTest, RanksAreOrderedAsDocumented) {
   EXPECT_LT(static_cast<int>(MutexRank::kWal),
             static_cast<int>(MutexRank::kBufferCache));
   EXPECT_LT(static_cast<int>(MutexRank::kBufferCache),
-            static_cast<int>(MutexRank::kComponentRowLeaf));
-  EXPECT_LT(static_cast<int>(MutexRank::kComponentRowLeaf),
             static_cast<int>(MutexRank::kLeaf));
 }
 

@@ -1,8 +1,8 @@
 // Integration tests for the online integrity scrubber: read-side bit-flip
 // injection, the scheduler's low-priority lane, synchronous and background
 // scrub passes (detection + quarantine across all four layouts), damage
-// persistence across restart, and the WAL/background-error fields of
-// Store::Health().
+// persistence across restart, repair under the decoded-unit cache, and
+// the WAL/background-error fields of Store::Health().
 
 #include <gtest/gtest.h>
 
@@ -255,6 +255,53 @@ TEST_P(ScrubTest, ScrubNowDetectsDecayUnderWarmCache) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->skipped_quarantined, 1u);
   EXPECT_EQ(again->damaged, 0u);
+}
+
+// Decoded-unit cache: a repaired component is a new file and is read
+// afresh — no unit cached from the damaged file is served for it.
+TEST_P(ScrubTest, RepairedComponentReadsNoStaleUnits) {
+  const std::string backup_dir = dir_ + "_backup";
+  std::filesystem::remove_all(backup_dir);
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  ASSERT_TRUE((*store)->CreateBackup(backup_dir).ok());
+
+  Value before;
+  ASSERT_TRUE(ds->Lookup(10, &before).ok());  // the units are now cached
+  const auto components = ComponentFiles();
+  ASSERT_EQ(components.size(), 1u);
+  FlipByteOnDisk(components.front(), 16);
+  auto pass = (*store)->ScrubNow();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  ASSERT_EQ(pass->damaged, 1u);
+
+  // A snapshot from before the repair keeps the damaged component — and
+  // its cached units — alive across it.
+  const Snapshot::Ref pre_repair = ds->GetSnapshot();
+  ASSERT_TRUE(ds->RepairQuarantined(backup_dir).ok());
+  EXPECT_TRUE(ds->QuarantineList().empty());
+  EXPECT_GT(ds->cache()->cached_bytes(), 0u);
+  const CacheStats repaired = ds->cache()->stats();
+  Value after;
+  ASSERT_TRUE(ds->Lookup(10, &after).ok());
+  EXPECT_EQ(after.Get("name").string_value(), "user_10");
+  EXPECT_EQ(after.Get("name").string_value(),
+            before.Get("name").string_value());
+  const CacheStats read = ds->cache()->stats();
+  EXPECT_EQ(read.hits, repaired.hits);  // nothing served from old units
+  EXPECT_GT(read.misses, repaired.misses);
+  EXPECT_GT(read.pages_read, repaired.pages_read);
+  // The pinned old component still answers as quarantined.
+  EXPECT_TRUE(pre_repair->Lookup(10, &after).IsDataDamage());
+  ASSERT_TRUE((*store)->Close().ok());
+  std::filesystem::remove_all(backup_dir);
 }
 
 // Satellite: scrub-found damage is persisted in the manifest — a restart

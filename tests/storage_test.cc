@@ -1,13 +1,17 @@
 // Tests for the storage layer: PageFile, BufferCache (LRU, pinning, I/O
-// stats, confiscation), ComponentWriter/Reader (leaves, index, metadata,
-// validity, range reads).
+// stats, confiscation, decoded leaf units), ComponentWriter/Reader
+// (leaves, index, metadata, validity, range reads).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/storage/buffer_cache.h"
@@ -370,6 +374,360 @@ TEST(BufferCacheTest, EvictionsInterleaveWithInvalidateAcrossFiles) {
     EXPECT_EQ(h->data().data()[0], 'b'); }
   EXPECT_TRUE(RemoveFileIfExists(path_a).ok());
   EXPECT_TRUE(RemoveFileIfExists(path_b).ok());
+}
+
+// ------------------------------------------------ decoded leaf units
+
+/// A unit loader producing `bytes` copies of `fill`, counting its calls.
+BufferCache::UnitLoader FillLoader(size_t bytes, char fill,
+                                   std::atomic<int>* loads) {
+  return [=](Buffer* out) {
+    loads->fetch_add(1);
+    out->Append(std::string(bytes, fill));
+    return Status::OK();
+  };
+}
+
+TEST(DecodedUnitCacheTest, ChargedByDecodedBytesAndEvictedLru) {
+  const std::string path = TempPath("du1");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(10000, kPage);  // room for two 4,000-byte units
+  std::atomic<int> loads{0};
+  for (uint64_t leaf = 0; leaf < 3; ++leaf) {
+    auto unit = cache.FetchDecoded(**file, leaf, -1,
+                                   FillLoader(4000, 'a', &loads));
+    ASSERT_TRUE(unit.ok());
+    EXPECT_EQ(unit->data().size(), 4000u);
+  }
+  // Charged by decoded bytes, not pages: two units fit, the oldest went.
+  EXPECT_EQ(loads.load(), 3);
+  EXPECT_EQ(cache.cached_bytes(), 8000u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().pages_read, 0u);  // the loader did no page I/O
+  cache.ResetStats();
+  { auto u = cache.FetchDecoded(**file, 2, -1, FillLoader(4000, 'a', &loads));
+    ASSERT_TRUE(u.ok()); }
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(loads.load(), 3);
+  { auto u = cache.FetchDecoded(**file, 0, -1, FillLoader(4000, 'a', &loads));
+    ASSERT_TRUE(u.ok()); }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(loads.load(), 4);
+  // Units of one leaf are distinct per column; a page of the same number
+  // is a different entry again.
+  { auto u = cache.FetchDecoded(**file, 0, 3, FillLoader(100, 'c', &loads));
+    ASSERT_TRUE(u.ok());
+    EXPECT_EQ(u->data().ToString(), std::string(100, 'c')); }
+  EXPECT_EQ(loads.load(), 5);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(DecodedUnitCacheTest, PinnedUnitSurvivesEvictionPressure) {
+  const std::string path = TempPath("du2");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(6000, kPage);
+  std::atomic<int> loads{0};
+  auto pinned =
+      cache.FetchDecoded(**file, 0, -1, FillLoader(4000, 'p', &loads));
+  ASSERT_TRUE(pinned.ok());
+  // A hit re-pins it; pressure from other units must evict those, never
+  // the pinned one, even while the cache sits over budget.
+  { auto again = cache.FetchDecoded(**file, 0, -1,
+                                    FillLoader(4000, 'p', &loads));
+    ASSERT_TRUE(again.ok()); }
+  for (uint64_t leaf = 1; leaf < 6; ++leaf) {
+    auto unit = cache.FetchDecoded(**file, leaf, -1,
+                                   FillLoader(4000, 'x', &loads));
+    ASSERT_TRUE(unit.ok());
+    EXPECT_GT(cache.cached_bytes(), 6000u);  // both pinned: over budget
+  }
+  EXPECT_EQ(cache.cached_bytes(), 4000u);  // only the pinned unit remains
+  EXPECT_EQ(pinned->data().ToString(), std::string(4000, 'p'));
+  cache.ResetStats();
+  { auto hit = cache.FetchDecoded(**file, 0, -1, FillLoader(4000, 'p', &loads));
+    ASSERT_TRUE(hit.ok()); }
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(loads.load(), 6);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(DecodedUnitCacheTest, OversizedAndOneShotUnitsAreServedUncached) {
+  const std::string path = TempPath("du3");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(4000, kPage);
+  std::atomic<int> loads{0};
+  {
+    auto big = cache.FetchDecoded(**file, 0, -1, FillLoader(5000, 'b', &loads));
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(big->data().ToString(), std::string(5000, 'b'));
+    EXPECT_EQ(cache.cached_bytes(), 0u);
+  }
+  {
+    auto once = cache.FetchDecoded(**file, 1, -1,
+                                   FillLoader(1000, 'o', &loads),
+                                   /*install=*/false);
+    ASSERT_TRUE(once.ok());
+    EXPECT_EQ(once->data().ToString(), std::string(1000, 'o'));
+  }
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  // Neither was kept; a one-shot fetch still serves a cached unit.
+  { auto u = cache.FetchDecoded(**file, 1, -1, FillLoader(1000, 'o', &loads));
+    ASSERT_TRUE(u.ok()); }
+  { auto u = cache.FetchDecoded(**file, 1, -1, FillLoader(1000, 'o', &loads),
+                                /*install=*/false);
+    ASSERT_TRUE(u.ok()); }
+  EXPECT_EQ(loads.load(), 3);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.cached_bytes(), 1000u);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(DecodedUnitCacheTest, ConcurrentMissesLoadOnceAndShareBytes) {
+  const std::string path = TempPath("du4");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(1 << 20, kPage);
+  std::atomic<int> loads{0};
+  auto slow_loader = [&](Buffer* out) {
+    loads.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (int i = 0; i < 5000; ++i) out->AppendByte(static_cast<uint8_t>(i));
+    return Status::OK();
+  };
+  Buffer expected;
+  ASSERT_TRUE(slow_loader(&expected).ok());
+  loads = 0;
+  constexpr int kThreads = 8;
+  std::vector<CacheHandle> handles(kThreads);
+  std::vector<std::string> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto unit = cache.FetchDecoded(**file, 7, 2, slow_loader);
+      if (!unit.ok()) return;
+      seen[t] = unit->data().ToString();  // what the fetch handed out
+      handles[t] = std::move(*unit);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<uint64_t>(kThreads - 1));
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(handles[t].valid());
+    EXPECT_EQ(seen[t], expected.slice().ToString());
+    // One copy, shared by every handle.
+    EXPECT_EQ(handles[t].data().data(), handles[0].data().data());
+  }
+  EXPECT_EQ(cache.cached_bytes(), 5000u);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(DecodedUnitCacheTest, InvalidateAndClearDropUnits) {
+  const std::string path_a = TempPath("du5a"), path_b = TempPath("du5b");
+  auto file_a = PageFile::Create(path_a, kPage);
+  auto file_b = PageFile::Create(path_b, kPage);
+  ASSERT_TRUE(file_a.ok());
+  ASSERT_TRUE(file_b.ok());
+  ASSERT_TRUE((*file_a)->WritePage(0, Slice("page")).ok());
+  BufferCache cache(1 << 20, kPage);
+  std::atomic<int> loads{0};
+  for (uint64_t leaf = 0; leaf < 3; ++leaf) {
+    ASSERT_TRUE(cache.FetchDecoded(**file_a, leaf, -1,
+                                   FillLoader(1000, 'a', &loads)).ok());
+    ASSERT_TRUE(cache.FetchDecoded(**file_b, leaf, 1,
+                                   FillLoader(500, 'b', &loads)).ok());
+  }
+  { auto page = cache.Fetch(**file_a, 0); ASSERT_TRUE(page.ok()); }
+  EXPECT_EQ(cache.cached_bytes(), 3 * 1000u + 3 * 500u + kPage);
+  cache.Invalidate(**file_a);  // file A's units and page, not file B's
+  EXPECT_EQ(cache.cached_bytes(), 3 * 500u);
+  cache.ResetStats();
+  ASSERT_TRUE(cache.FetchDecoded(**file_b, 1, 1,
+                                 FillLoader(500, 'b', &loads)).ok());
+  ASSERT_TRUE(cache.FetchDecoded(**file_a, 1, -1,
+                                 FillLoader(1000, 'a', &loads)).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // A unit pinned across Clear() stays readable through its handle, then
+  // is freed on unpin; the cache itself is empty at once.
+  auto pinned =
+      cache.FetchDecoded(**file_b, 2, 1, FillLoader(500, 'b', &loads));
+  ASSERT_TRUE(pinned.ok());
+  cache.Clear();
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  EXPECT_EQ(pinned->data().ToString(), std::string(500, 'b'));
+  *pinned = CacheHandle();
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  cache.ResetStats();
+  ASSERT_TRUE(cache.FetchDecoded(**file_b, 0, 1,
+                                 FillLoader(500, 'b', &loads)).ok());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_TRUE(RemoveFileIfExists(path_a).ok());
+  EXPECT_TRUE(RemoveFileIfExists(path_b).ok());
+}
+
+TEST(DecodedUnitCacheTest, FailedLoadIsNotCached) {
+  const std::string path = TempPath("du6");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(1 << 20, kPage);
+  auto failing = [](Buffer* out) {
+    out->Append(Slice("partial"));
+    return Status::Corruption("bad unit");
+  };
+  auto unit = cache.FetchDecoded(**file, 0, -1, failing);
+  EXPECT_TRUE(unit.status().IsCorruption());
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  std::atomic<int> loads{0};
+  auto retry = cache.FetchDecoded(**file, 0, -1, FillLoader(10, 'r', &loads));
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(retry->data().ToString(), std::string(10, 'r'));
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+// A unit's attachment (a seek index, a leaf's keys) is built once,
+// charged with the unit, and dropped with it.
+TEST(DecodedUnitCacheTest, AttachmentIsChargedAndFreedWithItsUnit) {
+  const std::string path = TempPath("du_attach");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(10000, kPage);
+  std::atomic<int> loads{0};
+  std::atomic<int> builds{0};
+  auto build = [&](Buffer* out) {
+    builds.fetch_add(1);
+    out->Append(std::string(1000, 'i'));
+    return Status::OK();
+  };
+  {
+    auto unit =
+        cache.FetchDecoded(**file, 0, 1, FillLoader(3000, 'u', &loads));
+    ASSERT_TRUE(unit.ok());
+    auto index = cache.Attachment(*unit, build);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->ToString(), std::string(1000, 'i'));
+    EXPECT_EQ(cache.cached_bytes(), 4000u);
+  }
+  {
+    // A later pin of the same unit finds the attachment built.
+    auto unit =
+        cache.FetchDecoded(**file, 0, 1, FillLoader(3000, 'u', &loads));
+    ASSERT_TRUE(unit.ok());
+    auto index = cache.Attachment(*unit, build);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->size(), 1000u);
+  }
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(loads.load(), 1);
+  // Pressure evicts the unit together with its attachment.
+  for (uint64_t leaf = 1; leaf < 4; ++leaf) {
+    auto unit =
+        cache.FetchDecoded(**file, leaf, 1, FillLoader(4000, 'x', &loads));
+    ASSERT_TRUE(unit.ok());
+  }
+  EXPECT_EQ(cache.cached_bytes(), 8000u);
+  {
+    auto unit =
+        cache.FetchDecoded(**file, 0, 1, FillLoader(3000, 'u', &loads));
+    ASSERT_TRUE(unit.ok());
+    ASSERT_TRUE(cache.Attachment(*unit, build).ok());
+  }
+  EXPECT_EQ(builds.load(), 2);  // rebuilt for the reloaded unit
+  cache.Clear();
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  // A failed build attaches nothing; the next call builds again.
+  auto unit = cache.FetchDecoded(**file, 9, 1, FillLoader(10, 'u', &loads));
+  ASSERT_TRUE(unit.ok());
+  auto failed = cache.Attachment(*unit, [](Buffer*) {
+    return Status::Corruption("bad chunk");
+  });
+  EXPECT_TRUE(failed.status().IsCorruption());
+  ASSERT_TRUE(cache.Attachment(*unit, build).ok());
+  EXPECT_EQ(cache.cached_bytes(), 1010u);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+// Threads racing to attach to one unit all get the same bytes.
+TEST(DecodedUnitCacheTest, ConcurrentAttachmentsAgree) {
+  const std::string path = TempPath("du_attach_mt");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(1 << 20, kPage);
+  std::atomic<int> loads{0};
+  for (int round = 0; round < 20; ++round) {
+    const auto leaf = static_cast<uint64_t>(round);
+    std::vector<std::thread> threads;
+    std::vector<std::string> seen(4);
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        auto unit = cache.FetchDecoded(**file, leaf, 2,
+                                       FillLoader(500, 'u', &loads));
+        ASSERT_TRUE(unit.ok());
+        auto index = cache.Attachment(*unit, [&](Buffer* out) {
+          out->Append("index-" + std::to_string(leaf));
+          return Status::OK();
+        });
+        ASSERT_TRUE(index.ok());
+        seen[t] = index->ToString();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const std::string& s : seen) {
+      EXPECT_EQ(s, "index-" + std::to_string(leaf));
+    }
+  }
+  EXPECT_EQ(loads.load(), 20);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(DecodedUnitCacheTest, UncachedRangeReadCountsPagesAndCachesNothing) {
+  const std::string path = TempPath("du7");
+  BufferCache cache(64 * kPage, kPage);
+  {
+    auto writer = ComponentWriter::Create(path, &cache, kPage);
+    ASSERT_TRUE(writer.ok());
+    std::string payload;
+    for (size_t i = 0; i < kPage * 3; ++i) {
+      payload.push_back(static_cast<char>('a' + (i / kPage)));
+    }
+    ASSERT_TRUE((*writer)->AppendLeaf(Slice(payload), 0, 9, 10).ok());
+    ASSERT_TRUE((*writer)->Finish(Slice("")).ok());
+  }
+  auto reader = ComponentReader::Open(path, &cache, kPage);
+  ASSERT_TRUE(reader.ok());
+  cache.ResetStats();
+  Buffer out;
+  ASSERT_TRUE(
+      (*reader)->ReadLeafRangeUncached(0, kPage - 50, 100, &out).ok());
+  EXPECT_EQ(out.slice().ToString(),
+            std::string(50, 'a') + std::string(50, 'b'));
+  EXPECT_EQ(cache.stats().pages_read, 2u);
+  EXPECT_EQ(cache.stats().bytes_read, 2 * kPage);
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  // A memo keeps the partially covered pages, so neighbouring ranges
+  // (AMAX megapages sharing a page) read a shared page once.
+  LeafPageMemo memo;
+  cache.ResetStats();
+  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, 10, kPage - 20, &out,
+                                               &memo).ok());
+  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, kPage - 10, 20, &out,
+                                               &memo).ok());
+  EXPECT_EQ(out.slice().ToString(),
+            std::string(10, 'a') + std::string(10, 'b'));
+  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, kPage + 10, kPage, &out,
+                                               &memo).ok());
+  EXPECT_EQ(out.slice().ToString(),
+            std::string(kPage - 10, 'b') + std::string(10, 'c'));
+  EXPECT_EQ(cache.stats().pages_read, 3u);  // pages 0, 1, 2 once each
+  reader->reset();
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
 class ComponentFileTest : public ::testing::Test {
