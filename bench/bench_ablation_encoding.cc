@@ -14,6 +14,7 @@
 #include "src/encoding/lz.h"
 #include "src/encoding/rle.h"
 #include "src/encoding/strings.h"
+#include "src/storage/file.h"
 
 namespace lsmcol {
 namespace {
@@ -105,6 +106,37 @@ void BM_StringDeltaLengthEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_StringDeltaLengthEncode);
+
+// The page-trailer check over one 128 KiB page: PageChecksum (the v4
+// trailer, 4 lanes of 64-bit words) against the byte-serial FNV-1a that
+// v3 trailers used and WAL frames and manifests still use.
+std::string ChecksumPage() {
+  Rng rng(4);
+  std::string page(kDefaultPageSize, '\0');
+  for (char& c : page) c = static_cast<char>(rng.Next());
+  return page;
+}
+
+void BM_PageChecksum(benchmark::State& state) {
+  const std::string page = ChecksumPage();
+  uint64_t page_no = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageChecksum(Slice(page), page_no++));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageChecksum);
+
+void BM_Fnv1a32Page(benchmark::State& state) {
+  const std::string page = ChecksumPage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Fnv1a32(Slice(page)));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_Fnv1a32Page);
 
 void BM_LzCompressTextPage(benchmark::State& state) {
   Rng rng(5);

@@ -50,6 +50,7 @@ class Buffer {
   const char* data() const { return data_.data(); }
   char* mutable_data() { return data_.data(); }
   size_t size() const { return data_.size(); }
+  size_t capacity() const { return data_.capacity(); }
   bool empty() const { return data_.empty(); }
   void clear() { data_.clear(); }
   void reserve(size_t n) { data_.reserve(n); }

@@ -29,7 +29,11 @@ void AppendChunkStats(const ColumnChunkWriter& w, Buffer* out) {
   }
 }
 
-Status ParseChunkStats(BufferReader* r, ApaxChunkStats* stats) {
+/// Reads one stats entry into `into`; with `into` null the entry is only
+/// checked, and no string is copied.
+Status ReadChunkStats(BufferReader* r, ApaxChunkStats* into) {
+  ApaxChunkStats checked;
+  ApaxChunkStats* stats = into != nullptr ? into : &checked;
   uint8_t has_stats = 0;
   LSMCOL_RETURN_NOT_OK(r->ReadByte(&has_stats));
   stats->has_stats = has_stats != 0;
@@ -52,8 +56,10 @@ Status ParseChunkStats(BufferReader* r, ApaxChunkStats* stats) {
       Slice lo, hi;
       LSMCOL_RETURN_NOT_OK(r->ReadLengthPrefixed(&lo));
       LSMCOL_RETURN_NOT_OK(r->ReadLengthPrefixed(&hi));
-      stats->min_string = lo.ToString();
-      stats->max_string = hi.ToString();
+      if (into != nullptr) {
+        stats->min_string = lo.ToString();
+        stats->max_string = hi.ToString();
+      }
       break;
     }
   }
@@ -123,21 +129,44 @@ Status ApaxLeaf::Parse(Slice payload) {
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&column_count));
   LSMCOL_RETURN_NOT_OK(r.ReadSignedVarint64(&min_key_));
   LSMCOL_RETURN_NOT_OK(r.ReadSignedVarint64(&max_key_));
+  // Each column takes at least a size byte and a stats byte: a count the
+  // payload cannot hold is corrupt, not an allocation to attempt.
+  if (record_count > UINT32_MAX || column_count > r.remaining() / 2) {
+    return Status::Corruption("apax leaf: bad record or column count");
+  }
   record_count_ = static_cast<uint32_t>(record_count);
   column_count_ = static_cast<uint32_t>(column_count);
-  std::vector<uint64_t> sizes(column_count_);
-  for (uint32_t c = 0; c < column_count_; ++c) {
-    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&sizes[c]));
-  }
-  stats_.assign(column_count_, ApaxChunkStats());
-  for (uint32_t c = 0; c < column_count_; ++c) {
-    LSMCOL_RETURN_NOT_OK(ParseChunkStats(&r, &stats_[c]));
-  }
+  // Chunk sizes first, held as sizes of slices that get their bytes once
+  // the stats table is behind.
   chunks_.resize(column_count_);
-  for (uint32_t c = 0; c < column_count_; ++c) {
-    LSMCOL_RETURN_NOT_OK(r.ReadBytes(sizes[c], &chunks_[c]));
+  for (Slice& chunk : chunks_) {
+    uint64_t size = 0;
+    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&size));
+    chunk = Slice(static_cast<const char*>(nullptr), size);
+  }
+  // Every stats entry is checked here but decoded only by stats().
+  const char* const stats_begin = r.rest().data();
+  stats_offsets_.resize(column_count_);
+  for (uint32_t& offset : stats_offsets_) {
+    offset = static_cast<uint32_t>(r.rest().data() - stats_begin);
+    LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, nullptr));
+  }
+  stats_table_ = Slice(stats_begin, r.rest().data() - stats_begin);
+  for (Slice& chunk : chunks_) {
+    LSMCOL_RETURN_NOT_OK(r.ReadBytes(chunk.size(), &chunk));
   }
   return Status::OK();
+}
+
+Result<ApaxChunkStats> ApaxLeaf::stats(int column_id) const {
+  ApaxChunkStats stats;
+  if (column_id < 0 || static_cast<uint32_t>(column_id) >= column_count_) {
+    return stats;
+  }
+  BufferReader r(stats_table_);
+  LSMCOL_RETURN_NOT_OK(r.Skip(stats_offsets_[column_id]));
+  LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, &stats));
+  return stats;
 }
 
 }  // namespace lsmcol

@@ -68,16 +68,12 @@ class ApaxLeaf {
     return chunks_[column_id];
   }
 
-  /// Zone stats for a column; columns this leaf predates (id beyond its
-  /// column_count) report has_stats == false. Leaves always carry the
-  /// stats table — components from before it existed are rejected by the
-  /// footer-magic bump (see component_file.cc).
-  const ApaxChunkStats& stats(int column_id) const {
-    if (column_id < 0 || static_cast<size_t>(column_id) >= stats_.size()) {
-      return empty_stats_;
-    }
-    return stats_[column_id];
-  }
+  /// Zone stats for a column, decoded from the leaf's stats table on each
+  /// call (Parse only checks the table); columns this leaf predates (id
+  /// beyond its column_count) report has_stats == false. Leaves always
+  /// carry the stats table — components from before it existed are
+  /// rejected by the footer-magic bump (see component_file.cc).
+  Result<ApaxChunkStats> stats(int column_id) const;
 
  private:
   Buffer storage_;
@@ -86,8 +82,8 @@ class ApaxLeaf {
   int64_t min_key_ = 0;
   int64_t max_key_ = 0;
   std::vector<Slice> chunks_;
-  std::vector<ApaxChunkStats> stats_;
-  ApaxChunkStats empty_stats_;
+  Slice stats_table_;                   ///< every column's stats entry
+  std::vector<uint32_t> stats_offsets_; ///< column -> entry offset in it
 };
 
 }  // namespace lsmcol

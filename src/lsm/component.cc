@@ -154,7 +154,12 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
   const bool compressed = meta_.compressed && !amax;
   return FetchUnit(leaf_index, -1, use, [&](Buffer* out) -> Status {
     if (!compressed) {
-      return reader_->ReadLeafRangeUncached(leaf_index, 0, size, out);
+      LSMCOL_RETURN_NOT_OK(
+          reader_->ReadLeafRangeUncached(leaf_index, 0, size, out));
+      // Cached as read and charged by size: give back the trailers' room
+      // and an unused last-page tail when they are a real share of it.
+      if (out->capacity() > size + size / 8) out->ShrinkToFit();
+      return Status::OK();
     }
     Buffer raw;
     LSMCOL_RETURN_NOT_OK(
@@ -537,7 +542,10 @@ void ColumnarComponentCursor::EvaluateLeafZones() {
         leaf_zone_match_ = false;
         return;
       }
-      const ApaxChunkStats& stats = apax_leaf_.stats(pc.column_id);
+      // Parse checked every entry; should one still fail, keep the leaf.
+      const Result<ApaxChunkStats> parsed = apax_leaf_.stats(pc.column_id);
+      if (!parsed.ok()) return;
+      const ApaxChunkStats& stats = *parsed;
       if (!stats.has_stats) {
         leaf_zone_match_ = false;  // zero present values in this leaf
         return;

@@ -4,7 +4,7 @@
 // buffer cache means hot pages are read once — so silent media decay on
 // a cold component can sit undetected until the day a merge or query
 // finally touches it. The scrubber closes that window: it re-reads every
-// component leaf through ReadLeafUncached (physical read + v3 trailer
+// component leaf through ReadLeafUncached (physical read + page trailer
 // verification, no cache pollution) on a byte-rate budget, running as
 // low-priority FlushMergeScheduler tasks so a scrub slice never delays a
 // flush or merge.

@@ -1,16 +1,19 @@
 #include "src/storage/component_file.h"
 
+#include <string.h>
+
 #include <algorithm>
 
 namespace lsmcol {
 namespace {
 
-// "LSMCOLF3". F1 -> F2 when APAX leaves gained the per-chunk stats table
-// (zone filters), F2 -> F3 when pages gained the checksum trailer. Files
+// "LSMCOLF4". F1 -> F2 when APAX leaves gained the per-chunk stats table
+// (zone filters), F2 -> F3 when pages gained the checksum trailer, F3 ->
+// F4 when the trailer checksum changed from FNV-1a to PageChecksum. Files
 // of earlier versions are cleanly rejected at open instead of being
 // mis-parsed; there is no migration path — recovery surfaces Corruption
 // and the caller rebuilds.
-constexpr uint64_t kFooterMagic = 0x4C534D434F4C4633ULL;
+constexpr uint64_t kFooterMagic = 0x4C534D434F4C4634ULL;
 
 }  // namespace
 
@@ -97,16 +100,29 @@ Status ComponentWriter::Finish(Slice metadata) {
 Result<std::unique_ptr<ComponentReader>> ComponentReader::Open(
     const std::string& path, BufferCache* cache, size_t page_size,
     FileSystem* fs) {
-  LSMCOL_ASSIGN_OR_RETURN(auto file, PageFile::Open(path, page_size, fs));
-  if (file->page_count() == 0) {
+  LSMCOL_ASSIGN_OR_RETURN(auto opened, PageFile::Open(path, page_size, fs));
+  if (opened->page_count() == 0) {
     return Status::Corruption("empty component file: " + path);
   }
   std::unique_ptr<ComponentReader> reader(
-      new ComponentReader(std::move(file), cache, fs));
-  // Footer.
+      new ComponentReader(std::move(opened), cache, fs));
+  // Footer. A footer page that fails verification yet starts with an
+  // earlier footer magic is a file of an earlier format, whose trailers
+  // hold another checksum: a version mismatch (Corruption), not damage.
+  const PageFile& file = *reader->file_;
   Buffer footer_page;
-  LSMCOL_RETURN_NOT_OK(
-      reader->file_->ReadPage(reader->file_->page_count() - 1, &footer_page));
+  const Status footer_read =
+      file.ReadPages(file.page_count() - 1, 1,
+                     footer_page.AppendUninitialized(file.physical_page_size()));
+  if (footer_read.IsChecksumMismatch()) {
+    const uint64_t magic = DecodeFixed64(footer_page.data());
+    if (magic != kFooterMagic && magic >> 8 == kFooterMagic >> 8) {
+      return Status::Corruption("bad component magic (earlier format): " +
+                                path);
+    }
+  }
+  LSMCOL_RETURN_NOT_OK(footer_read);
+  footer_page.resize(file.page_size());
   BufferReader fr(footer_page.slice());
   uint64_t magic = 0, index_page = 0, index_size = 0, meta_page = 0,
            meta_size = 0;
@@ -129,16 +145,15 @@ Result<std::unique_ptr<ComponentReader>> ComponentReader::Open(
 
   auto read_blob = [&](uint64_t first, uint32_t pages, uint64_t size,
                        Buffer* out) -> Status {
-    out->clear();
-    Buffer page;
-    for (uint32_t i = 0; i < pages; ++i) {
-      LSMCOL_RETURN_NOT_OK(reader->file_->ReadPage(first + i, &page));
-      size_t take = std::min<uint64_t>(reader->file_->page_size(),
-                                       size - out->size());
-      out->Append(page.data(), take);
-      if (out->size() >= size) break;
+    if (first >= file.page_count() || pages > file.page_count() - first ||
+        size > static_cast<uint64_t>(pages) * file.page_size()) {
+      return Status::Corruption("bad blob extent in " + path);
     }
-    if (out->size() != size) return Status::Corruption("short blob");
+    out->clear();
+    LSMCOL_RETURN_NOT_OK(file.ReadPages(
+        first, pages,
+        out->AppendUninitialized(pages * file.physical_page_size())));
+    out->resize(size);
     return Status::OK();
   };
 
@@ -211,37 +226,52 @@ Status ComponentReader::ReadLeafRangeUncached(size_t leaf_index,
   }
   out->clear();
   if (size == 0) return Status::OK();
-  out->reserve(size);  // cached units are charged by size; keep them tight
   const size_t page_size = file_->page_size();
   const uint64_t first = leaf.first_page + offset / page_size;
   const uint64_t last = leaf.first_page + (offset + size - 1) / page_size;
-  uint64_t skip = offset % page_size;
+  const uint64_t skip = offset % page_size;
+  auto memo_page = [&](uint64_t p) -> const Buffer* {
+    if (memo == nullptr) return nullptr;
+    for (const auto& [page_no, kept] : *memo) {
+      if (page_no == p) return &kept;
+    }
+    return nullptr;
+  };
+  // Page p's payload lands at base + (p - first) * page_size. Each run of
+  // pages not in the memo is one verified read, whose trailers need room
+  // beyond its payloads until ReadPages compacts them; later pages
+  // overwrite that room.
+  const uint64_t pages = last - first + 1;
+  char* base = out->AppendUninitialized(pages * file_->physical_page_size());
   uint64_t pages_read = 0;
-  Buffer page;
-  for (uint64_t p = first; p <= last; ++p) {
-    const Buffer* bytes = nullptr;
-    if (memo != nullptr) {
-      for (const auto& [page_no, kept] : *memo) {
-        if (page_no == p) bytes = &kept;
-      }
+  for (uint64_t p = first; p <= last;) {
+    char* dst = base + (p - first) * page_size;
+    if (const Buffer* kept = memo_page(p)) {
+      ::memcpy(dst, kept->data(), page_size);
+      ++p;
+      continue;
     }
-    if (bytes == nullptr) {
-      LSMCOL_RETURN_NOT_OK(file_->ReadPage(p, &page));
-      ++pages_read;
-      const bool shared = (p == first && skip != 0) ||
-                          (p == last && (offset + size) % page_size != 0);
-      if (memo != nullptr && shared) {
-        memo->emplace_back(p, std::move(page));
-        bytes = &memo->back().second;
-      } else {
-        bytes = &page;
-      }
-    }
-    const uint64_t take = std::min(size - out->size(), bytes->size() - skip);
-    out->Append(bytes->data() + skip, take);
-    skip = 0;
+    uint64_t end = p + 1;
+    while (end <= last && memo_page(end) == nullptr) ++end;
+    LSMCOL_RETURN_NOT_OK(file_->ReadPages(p, end - p, dst));
+    pages_read += end - p;
+    p = end;
   }
   if (cache_ != nullptr) cache_->CountPagesRead(pages_read);
+  if (memo != nullptr) {
+    // Keep the partially covered end pages read here: the neighbouring
+    // megapages share them.
+    auto keep = [&](uint64_t p) {
+      if (memo_page(p) != nullptr) return;
+      Buffer kept;
+      kept.Append(base + (p - first) * page_size, page_size);
+      memo->emplace_back(p, std::move(kept));
+    };
+    if (skip != 0) keep(first);
+    if ((offset + size) % page_size != 0) keep(last);
+  }
+  if (skip != 0) ::memmove(base, base + skip, size);
+  out->resize(size);
   return Status::OK();
 }
 

@@ -112,12 +112,15 @@ class ComponentReader {
                        Buffer* out) const;
 
   /// Read payload bytes [offset, offset + size) of a leaf bypassing the
-  /// cache's entries: every overlapping physical page is read from the
-  /// filesystem and its trailer verified, and counted in the cache's
+  /// cache's entries: the overlapping physical pages are read from the
+  /// filesystem with one read (PageFile::ReadPages) straight into `out`,
+  /// their trailers verified in place, and counted in the cache's
   /// pages_read, but nothing is inserted. How a decoded unit's miss reads
   /// its pages (the unit, not the pages, is then cached). With `memo`,
-  /// pages it holds are not read again, and the partially covered first
-  /// and last pages read here are added to it.
+  /// pages it holds are copied rather than read again (splitting the read
+  /// around them), and the partially covered first and last pages read
+  /// here are added to it. `out` keeps room for the trailers of the pages
+  /// read: a caller that caches it as is may ShrinkToFit.
   Status ReadLeafRangeUncached(size_t leaf_index, uint64_t offset,
                                uint64_t size, Buffer* out,
                                LeafPageMemo* memo = nullptr) const;

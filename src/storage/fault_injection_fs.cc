@@ -20,10 +20,12 @@ class FaultFsFile final : public FsFile {
   FaultFsFile(FaultInjectionFs* parent, std::unique_ptr<FsFile> base)
       : FsFile(base->path()), parent_(parent), base_(std::move(base)) {}
 
-  Status ReadAt(uint64_t offset, size_t n, Buffer* out) override {
+  Status ReadInto(uint64_t offset, size_t n, char* dst,
+                  size_t* got) override {
+    *got = 0;
     LSMCOL_RETURN_NOT_OK(parent_->CheckFault(FaultOp::kRead, path_));
-    LSMCOL_RETURN_NOT_OK(base_->ReadAt(offset, n, out));
-    parent_->CheckReadFlip(path_, out);
+    LSMCOL_RETURN_NOT_OK(base_->ReadInto(offset, n, dst, got));
+    parent_->CheckReadFlip(path_, dst, *got);
     return Status::OK();
   }
 
@@ -173,7 +175,8 @@ Status FaultInjectionFs::CheckWrite(const std::string& path,
   return Status::OK();
 }
 
-void FaultInjectionFs::CheckReadFlip(const std::string& path, Buffer* out) {
+void FaultInjectionFs::CheckReadFlip(const std::string& path, char* data,
+                                     size_t size) {
   MutexLock lock(&mu_);
   for (RuleState& rs : rules_) {
     const FaultRule& r = rs.rule;
@@ -185,12 +188,12 @@ void FaultInjectionFs::CheckReadFlip(const std::string& path, Buffer* out) {
     ++rs.hits;
     if (rs.hits <= r.fail_after) continue;
     if (r.max_failures >= 0 && rs.failures >= r.max_failures) continue;
-    if (out->empty()) continue;
+    if (size == 0) continue;
     ++rs.failures;
     ++flipped_bits_;
     // The stored bytes stay pristine — only this read observes the
     // decayed medium, exactly the failure mode scrubbing exists to find.
-    out->mutable_data()[out->size() / 2] ^= 0x01;
+    data[size / 2] ^= 0x01;
   }
 }
 

@@ -160,9 +160,10 @@ class FaultInjectionFs final : public FileSystem {
   Status CheckWrite(const std::string& path, std::string* data)
       LSMCOL_EXCLUDES(mu_);
   /// kRead flip flavor, applied *after* the base read succeeded: flips
-  /// one bit of `*out` per matching kRead flip rule. Error-injecting
-  /// kRead rules are handled by CheckFault before the read.
-  void CheckReadFlip(const std::string& path, Buffer* out)
+  /// one bit of the `size` bytes read into `data` per matching kRead flip
+  /// rule. Error-injecting kRead rules are handled by CheckFault before
+  /// the read.
+  void CheckReadFlip(const std::string& path, char* data, size_t size)
       LSMCOL_EXCLUDES(mu_);
 
   Status InjectLocked(RuleState* rs, FaultOp op, const std::string& path)

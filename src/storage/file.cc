@@ -17,29 +17,67 @@ std::atomic<uint64_t> g_next_file_id{1};
 // rather than random corruption.
 constexpr uint32_t kPageTrailerMagic = 0x4B434750u;
 
-void PutFixed32(char* dst, uint32_t v) {
-  dst[0] = static_cast<char>(v & 0xff);
-  dst[1] = static_cast<char>((v >> 8) & 0xff);
-  dst[2] = static_cast<char>((v >> 16) & 0xff);
-  dst[3] = static_cast<char>((v >> 24) & 0xff);
+// XXH64's primes (the xxHash 64-bit specification).
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+inline uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+inline uint64_t Round(uint64_t acc, uint64_t word) {
+  return Rotl(acc + word * kPrime2, 31) * kPrime1;
 }
 
-uint32_t GetFixed32(const char* src) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(src[0])) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(src[3])) << 24);
+inline uint64_t MergeRound(uint64_t h, uint64_t lane) {
+  return (h ^ Round(0, lane)) * kPrime1 + kPrime4;
 }
 
-/// Checksum of one page: FNV-1a over the zero-padded payload, continued
-/// over the little-endian page number (covers misdirected I/O).
-uint32_t PageChecksum(const char* payload, size_t n, uint64_t page_no) {
-  uint32_t h = Fnv1a32(Slice(payload, n));
-  char num[8];
-  for (int i = 0; i < 8; ++i) {
-    num[i] = static_cast<char>((page_no >> (8 * i)) & 0xff);
+/// XXH64 of [p, p + n) with `seed`.
+uint64_t Xxh64(const char* p, size_t n, uint64_t seed) {
+  const char* const end = p + n;
+  uint64_t h;
+  if (n >= 32) {
+    // Four independent lanes, one 8-byte word each per 32-byte stripe:
+    // the multiplies of different lanes overlap.
+    uint64_t v1 = seed + kPrime1 + kPrime2;
+    uint64_t v2 = seed + kPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, DecodeFixed64(p));
+      v2 = Round(v2, DecodeFixed64(p + 8));
+      v3 = Round(v3, DecodeFixed64(p + 16));
+      v4 = Round(v4, DecodeFixed64(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    h = MergeRound(h, v1);
+    h = MergeRound(h, v2);
+    h = MergeRound(h, v3);
+    h = MergeRound(h, v4);
+  } else {
+    h = seed + kPrime5;
   }
-  return Fnv1a32(Slice(num, sizeof(num)), h);
+  h += static_cast<uint64_t>(n);
+  for (; end - p >= 8; p += 8) {
+    h = Rotl(h ^ Round(0, DecodeFixed64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = Rotl(h ^ (static_cast<uint64_t>(DecodeFixed32(p)) * kPrime1), 23) *
+            kPrime2 +
+        kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = Rotl(h ^ (static_cast<uint8_t>(*p) * kPrime5), 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
 }
 
 }  // namespace
@@ -55,6 +93,11 @@ std::string ErrnoMessage(int err) {
   }
   return std::string(buf);
 #endif
+}
+
+uint32_t PageChecksum(Slice payload, uint64_t page_no) {
+  const uint64_t h = Xxh64(payload.data(), payload.size(), page_no);
+  return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
 uint32_t Fnv1a32(Slice data, uint32_t seed) {
@@ -105,37 +148,56 @@ Status PageFile::WritePage(uint64_t page_no, Slice payload) {
     return Status::InvalidArgument("page payload exceeds page size");
   }
   const size_t physical = physical_page_size();
-  std::vector<char> buf(physical, 0);
-  ::memcpy(buf.data(), payload.data(), payload.size());
-  PutFixed32(buf.data() + page_size_,
-             PageChecksum(buf.data(), page_size_, page_no));
-  PutFixed32(buf.data() + page_size_ + 4, kPageTrailerMagic);
-  LSMCOL_RETURN_NOT_OK(
-      file_->WriteAt(page_no * physical, Slice(buf.data(), physical)));
+  Buffer buf;
+  char* page = buf.AppendUninitialized(physical);
+  ::memcpy(page, payload.data(), payload.size());
+  ::memset(page + payload.size(), 0, page_size_ - payload.size());
+  EncodeFixed32(page + page_size_,
+                PageChecksum(Slice(page, page_size_), page_no));
+  EncodeFixed32(page + page_size_ + 4, kPageTrailerMagic);
+  LSMCOL_RETURN_NOT_OK(file_->WriteAt(page_no * physical, buf.slice()));
   if (page_no >= page_count_) page_count_ = page_no + 1;
   return Status::OK();
 }
 
 Status PageFile::ReadPage(uint64_t page_no, Buffer* out) const {
-  if (page_no >= page_count_) {
-    return Status::OutOfRange("page " + std::to_string(page_no) +
-                              " out of range in " + path_);
+  out->clear();
+  Status st = ReadPages(page_no, 1, out->AppendUninitialized(
+                                        physical_page_size()));
+  out->resize(st.ok() ? page_size_ : 0);
+  return st;
+}
+
+Status PageFile::ReadPages(uint64_t first_page, uint64_t count,
+                           char* dst) const {
+  if (count == 0) return Status::OK();
+  if (first_page >= page_count_ || count > page_count_ - first_page) {
+    return Status::OutOfRange("pages " + std::to_string(first_page) + "+" +
+                              std::to_string(count) + " out of range in " +
+                              path_);
   }
   const size_t physical = physical_page_size();
-  LSMCOL_RETURN_NOT_OK(file_->ReadAt(page_no * physical, physical, out));
-  if (out->size() != physical) {
+  const size_t n = count * physical;
+  size_t got = 0;
+  LSMCOL_RETURN_NOT_OK(file_->ReadInto(first_page * physical, n, dst, &got));
+  if (got != n) {
     return Status::IOError("short page read in " + path_ + " page " +
-                           std::to_string(page_no));
+                           std::to_string(first_page + got / physical));
   }
-  const char* trailer = out->data() + page_size_;
-  const uint32_t want = GetFixed32(trailer);
-  const uint32_t magic = GetFixed32(trailer + 4);
-  if (magic != kPageTrailerMagic ||
-      PageChecksum(out->data(), page_size_, page_no) != want) {
-    return Status::ChecksumMismatch("page checksum mismatch in " + path_ +
-                                    " page " + std::to_string(page_no));
+  for (uint64_t i = 0; i < count; ++i) {
+    const char* page = dst + i * physical;
+    const char* trailer = page + page_size_;
+    if (DecodeFixed32(trailer + 4) != kPageTrailerMagic ||
+        PageChecksum(Slice(page, page_size_), first_page + i) !=
+            DecodeFixed32(trailer)) {
+      return Status::ChecksumMismatch("page checksum mismatch in " + path_ +
+                                      " page " +
+                                      std::to_string(first_page + i));
+    }
+    // The first payload is already in place; later ones close the gaps
+    // the trailers before them leave.
+    if (i > 0) ::memmove(dst + i * page_size_, page, page_size_);
   }
-  out->resize(page_size_);
   return Status::OK();
 }
 

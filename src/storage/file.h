@@ -3,15 +3,15 @@
 // through the BufferCache so that I/O is counted and cached.
 //
 // Page trailer (docs/FORMAT.md#page-trailer): every physical page carries
-// an 8-byte trailer — fixed32 FNV-1a over the zero-padded payload plus
-// the page number, then a fixed32 trailer magic. The trailer is *added*
-// to the page: a physical page is page_size() + kPageTrailerBytes bytes,
-// so page_size() keeps meaning "payload bytes per page" and none of the
-// chunking arithmetic above this layer changes. ReadPage verifies the
-// trailer on every physical read (i.e. on every BufferCache miss) and
-// returns Status::ChecksumMismatch naming the file and page; including
-// the page number in the checksum also catches misdirected reads and
-// writes.
+// an 8-byte trailer — the fixed32 PageChecksum of the zero-padded payload
+// (a 4-lane 64-bit word hash seeded with the page number), then a fixed32
+// trailer magic. The trailer is *added* to the page: a physical page is
+// page_size() + kPageTrailerBytes bytes, so page_size() keeps meaning
+// "payload bytes per page" and none of the chunking arithmetic above this
+// layer changes. ReadPage and ReadPages verify the trailer of every page
+// they read from the file and return Status::ChecksumMismatch naming the
+// file and page; seeding the checksum with the page number also catches
+// misdirected reads and writes.
 
 #ifndef LSMCOL_STORAGE_FILE_H_
 #define LSMCOL_STORAGE_FILE_H_
@@ -29,7 +29,7 @@ namespace lsmcol {
 /// Default on-disk page size (the paper's evaluation setting, §6).
 inline constexpr size_t kDefaultPageSize = 128 * 1024;
 
-/// Bytes of per-page trailer: fixed32 FNV-1a + fixed32 trailer magic.
+/// Bytes of per-page trailer: fixed32 PageChecksum + fixed32 trailer magic.
 inline constexpr size_t kPageTrailerBytes = 8;
 
 /// A file of fixed-size pages. Move-only; closes on destruction.
@@ -59,6 +59,16 @@ class PageFile {
   /// trailer is verified first: a mismatch returns Status::ChecksumMismatch
   /// naming this file and page.
   Status ReadPage(uint64_t page_no, Buffer* out) const;
+
+  /// Read pages [first_page, first_page + count) with one read straight
+  /// into `dst`, which must hold count * physical_page_size() bytes.
+  /// Every page's trailer is verified in place (a mismatch returns
+  /// Status::ChecksumMismatch naming this file and the first bad page),
+  /// then the payloads are compacted: on success dst[0, count *
+  /// page_size()) holds them back to back, and the bytes after are
+  /// unspecified. On a mismatch the bad page is left as read, at
+  /// dst + i * physical_page_size().
+  Status ReadPages(uint64_t first_page, uint64_t count, char* dst) const;
 
   Status Sync();
 
@@ -90,8 +100,15 @@ class PageFile {
 /// the shared static buffer strerror(3) hands out.
 std::string ErrnoMessage(int err);
 
+/// The page-trailer checksum of `payload` stored as page `page_no`:
+/// XXH64 over the payload seeded with the page number (four independent
+/// 64-bit lanes over little-endian 8-byte words), folded to 32 bits as
+/// low ^ high. docs/FORMAT.md#page-trailer spells it out.
+uint32_t PageChecksum(Slice payload, uint64_t page_no);
+
 /// FNV-1a 32-bit over `data`, optionally continuing a running hash. The
-/// one checksum lsmcol uses (pages, WAL frames, manifests).
+/// checksum of the small records: WAL headers and frames, manifests and
+/// the backup manifest. Pages use PageChecksum.
 uint32_t Fnv1a32(Slice data, uint32_t seed = 2166136261u);
 
 /// Delete a file (ignores non-existence).

@@ -32,20 +32,19 @@ class PosixFsFile final : public FsFile {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  Status ReadAt(uint64_t offset, size_t n, Buffer* out) override {
-    out->resize(n);
-    size_t got = 0;
-    while (got < n) {
-      ssize_t r = ::pread(fd_, out->mutable_data() + got, n - got,
-                          static_cast<off_t>(offset + got));
+  Status ReadInto(uint64_t offset, size_t n, char* dst,
+                  size_t* got) override {
+    *got = 0;
+    while (*got < n) {
+      ssize_t r = ::pread(fd_, dst + *got, n - *got,
+                          static_cast<off_t>(offset + *got));
       if (r < 0) {
         if (errno == EINTR) continue;
         return ErrnoStatus("pread", path_);
       }
       if (r == 0) break;  // end of file
-      got += static_cast<size_t>(r);
+      *got += static_cast<size_t>(r);
     }
-    out->resize(got);
     return Status::OK();
   }
 

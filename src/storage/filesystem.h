@@ -48,9 +48,20 @@ class FsFile {
   FsFile(const FsFile&) = delete;
   FsFile& operator=(const FsFile&) = delete;
 
-  /// Read up to `n` bytes at `offset` into `out` (resized to the bytes
-  /// actually read; short only at end-of-file).
-  virtual Status ReadAt(uint64_t offset, size_t n, Buffer* out) = 0;
+  /// Read up to `n` bytes at `offset` straight into `dst` (which holds at
+  /// least `n` bytes); `*got` is the count read, short only at
+  /// end-of-file.
+  virtual Status ReadInto(uint64_t offset, size_t n, char* dst,
+                          size_t* got) = 0;
+
+  /// ReadInto a Buffer, resized to the bytes actually read.
+  Status ReadAt(uint64_t offset, size_t n, Buffer* out) {
+    out->clear();
+    size_t got = 0;
+    Status st = ReadInto(offset, n, out->AppendUninitialized(n), &got);
+    out->resize(got);
+    return st;
+  }
 
   /// Write all of `data` at `offset`, extending the file as needed.
   virtual Status WriteAt(uint64_t offset, Slice data) = 0;

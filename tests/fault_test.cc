@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/storage/component_file.h"
 #include "src/storage/fault_injection_fs.h"
 #include "src/storage/file.h"
 #include "src/store/store.h"
@@ -270,6 +272,94 @@ TEST_P(FaultTest, QuarantinedComponentServesNoCachedUnit) {
 INSTANTIATE_TEST_SUITE_P(AllLayouts, FaultTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
+// A multi-page leaf (an AMAX mega leaf, an APAX leaf whose record batch
+// overflows a page) is read with one read for all its pages, each page
+// verified in place. Damage in the leaf's *last* page must still surface
+// as ChecksumMismatch naming exactly that page, and quarantine only the
+// damaged component.
+class MultiPageLeafFaultTest : public FaultTest {};
+
+TEST_P(MultiPageLeafFaultTest, FlipInLastPageNamesThatPage) {
+  {
+    auto store = Store::Open(Options());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto ds = (*store)->OpenDataset("docs", DocOptions());
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    Rng rng(11);
+    for (int64_t i = 0; i < 40; ++i) {
+      // Random letters: LZ leaves the leaf several pages long. With one
+      // column beside the key, an AMAX leaf's last page belongs to that
+      // column's megapage, which one read covers from Page 0 on.
+      std::string blob(3 * kPage, ' ');
+      for (char& c : blob) c = static_cast<char>('a' + rng.Uniform(26));
+      Value v = Value::MakeObject();
+      v.Set("id", Value::Int(i));
+      v.Set("blob", Value::String(blob));
+      ASSERT_TRUE((*ds)->Insert(v).ok());
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());  // component A: keys 0..39
+    for (int64_t i = 1000; i < 1040; ++i) {
+      ASSERT_TRUE((*ds)->Insert(MakeRecord(i)).ok());
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());  // component B: keys 1000..1039
+  }
+  const auto components = ComponentFiles();
+  ASSERT_EQ(components.size(), 2u);
+  const std::string& victim = components.front();
+  uint64_t last_page = 0;
+  {
+    BufferCache cache(64 * kPage, kPage);
+    auto reader = ComponentReader::Open(victim, &cache, kPage);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (const LeafEntry& leaf : (*reader)->leaves()) {
+      if (leaf.page_count >= 2) {
+        last_page = leaf.first_page + leaf.page_count - 1;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(last_page, 0u) << "no multi-page leaf in " << victim;
+  FlipByteOnDisk(victim, static_cast<std::streamoff>(
+                             last_page * (kPage + kPageTrailerBytes) + 16));
+
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  Status scan_error;
+  auto cursor = ds->Scan(Projection::All());
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  while (scan_error.ok()) {
+    auto more = (*cursor)->Next();
+    if (!more.ok()) {
+      scan_error = more.status();
+    } else if (!*more) {
+      break;
+    } else {
+      Value v;
+      scan_error = (*cursor)->Record(&v);
+    }
+  }
+  ASSERT_TRUE(scan_error.IsChecksumMismatch()) << scan_error.ToString();
+  const std::string message = scan_error.ToString();
+  const std::string named = victim + " page " + std::to_string(last_page);
+  ASSERT_GE(message.size(), named.size());
+  EXPECT_EQ(message.substr(message.size() - named.size()), named) << message;
+  EXPECT_EQ(ds->stats().quarantined_components, 1u);
+  Value record;
+  EXPECT_TRUE(ds->Lookup(10, &record).IsChecksumMismatch());
+  ASSERT_TRUE(ds->Lookup(1000, &record).ok());
+  EXPECT_EQ(record.Get("name").string_value(), "user_1000");
+}
+
+INSTANTIATE_TEST_SUITE_P(ColumnarLayouts, MultiPageLeafFaultTest,
+                         ::testing::Values(LayoutKind::kApax,
                                            LayoutKind::kAmax),
                          [](const auto& info) {
                            return std::string(LayoutKindName(info.param));

@@ -1,0 +1,47 @@
+// libFuzzer entry point for the APAX leaf parser (ApaxLeaf::Parse): the
+// code every cold APAX scan and lookup runs over a decompressed leaf
+// payload. On any input, Parse must return OK or Corruption; after a
+// clean parse, every chunk(c) must lie inside the input, and every
+// stats(c) — one past the last column included — must return OK or
+// Corruption. Anything else aborts; ASan catches reads out of bounds.
+//
+// tests/CMakeLists.txt builds this target only when the compiler accepts
+// -fsanitize=fuzzer (clang). Run it over a seed corpus of real tweet_1
+// leaves:
+//
+//   mkdir -p apax-corpus
+//   ./build/tests/apax_leaf_fuzz_corpus apax-corpus
+//   ./build/tests/apax_leaf_fuzz -max_total_time=60 apax-corpus
+
+#include <cstdint>
+#include <cstdlib>
+
+#include "src/layouts/apax.h"
+
+namespace {
+
+void Check(bool condition) {
+  if (!condition) std::abort();
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  const lsmcol::Slice payload(reinterpret_cast<const char*>(data), size);
+  lsmcol::ApaxLeaf leaf;
+  const lsmcol::Status st = leaf.Parse(payload);
+  Check(st.ok() || st.IsCorruption());
+  if (!st.ok()) return 0;
+  const char* const end = payload.data() + payload.size();
+  for (uint32_t c = 0; c <= leaf.column_count(); ++c) {
+    const int column = static_cast<int>(c);
+    const lsmcol::Slice chunk = leaf.chunk(column);
+    Check(chunk.empty() ||
+          (chunk.data() >= payload.data() && chunk.size() <= size &&
+           chunk.data() <= end - chunk.size()));
+    const auto stats = leaf.stats(column);
+    Check(stats.ok() || stats.status().IsCorruption());
+    if (c == leaf.column_count()) Check(stats.ok() && !stats->has_stats);
+  }
+  return 0;
+}

@@ -75,6 +75,61 @@ TEST(ApaxLeafTest, HeaderAndChunksRoundTrip) {
   RemoveFileIfExists(TempPath("apax"));
 }
 
+// Parse checks every zone-stats entry but decodes none; stats(c) decodes
+// one on demand.
+TEST(ApaxLeafTest, StatsCheckedAtParseDecodedOnDemand) {
+  RemoveFileIfExists(TempPath("apax_stats"));
+  BufferCache cache(64 * kPage, kPage);
+  auto writer = ComponentWriter::Create(TempPath("apax_stats"), &cache, kPage);
+  ASSERT_TRUE(writer.ok());
+  Shredded data;
+  for (int64_t i = 10; i < 50; ++i) data.Add(i, i * 7, "t" + std::to_string(i));
+  ASSERT_TRUE(EmitApaxLeaf(data.writers.get(), writer->get(), false).ok());
+  ASSERT_TRUE((*writer)->Finish(Slice("")).ok());
+  auto reader = ComponentReader::Open(TempPath("apax_stats"), &cache, kPage);
+  ASSERT_TRUE(reader.ok());
+  Buffer payload;
+  ASSERT_TRUE((*reader)->ReadLeaf(0, &payload).ok());
+
+  ApaxLeaf leaf;
+  ASSERT_TRUE(leaf.Parse(payload.slice()).ok());
+  auto num = leaf.stats(1);
+  ASSERT_TRUE(num.ok());
+  EXPECT_TRUE(num->has_stats);
+  EXPECT_EQ(num->type, AtomicType::kInt64);
+  EXPECT_EQ(num->min_int, 70);
+  EXPECT_EQ(num->max_int, 343);
+  auto txt = leaf.stats(2);
+  ASSERT_TRUE(txt.ok());
+  EXPECT_EQ(txt->type, AtomicType::kString);
+  EXPECT_EQ(txt->min_string, "t10");
+  EXPECT_EQ(txt->max_string, "t49");
+  auto absent = leaf.stats(7);  // a column this leaf predates
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(absent->has_stats);
+
+  // Every truncation is Corruption.
+  for (size_t n = 0; n < payload.size(); ++n) {
+    ApaxLeaf cut;
+    EXPECT_TRUE(cut.Parse(Slice(payload.data(), n)).IsCorruption()) << n;
+  }
+  // So is a bad type byte in any entry, the first one here: the stats
+  // table follows the header and the chunk sizes.
+  Buffer header;
+  header.AppendVarint64(40);
+  header.AppendVarint64(3);
+  header.AppendSignedVarint64(10);
+  header.AppendSignedVarint64(49);
+  for (int c = 0; c < 3; ++c) header.AppendVarint64(leaf.chunk(c).size());
+  Buffer bad;
+  bad.Append(payload.slice());
+  ASSERT_EQ(bad.data()[header.size()], 1);  // column 0 has stats
+  bad.mutable_data()[header.size() + 1] = 9;
+  ApaxLeaf rejected;
+  EXPECT_TRUE(rejected.Parse(bad.slice()).IsCorruption());
+  RemoveFileIfExists(TempPath("apax_stats"));
+}
+
 TEST(AmaxLeafTest, PageZeroLayoutAndMegapageOrdering) {
   RemoveFileIfExists(TempPath("amax"));
   BufferCache cache(256 * kPage, kPage);

@@ -157,6 +157,108 @@ TEST(PageFileTest, MisdirectedPageDetected) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
+// PageChecksum is XXH64 seeded with the page number, folded to 32 bits as
+// low ^ high: published XXH64 test vectors, folded, pin it.
+TEST(PageChecksumTest, MatchesFoldedXxh64Vectors) {
+  EXPECT_EQ(PageChecksum(Slice(""), 0), 0xBE9E32AEu);     // ef46db3751d8e999
+  EXPECT_EQ(PageChecksum(Slice("a"), 0), 0x7BC2AAAAu);    // d24ec4f1a98c6e5b
+  EXPECT_EQ(PageChecksum(Slice("abc"), 0), 0xE9CB256Cu);  // 44bc2cf5ad770999
+  EXPECT_EQ(PageChecksum(Slice("xxhash"), 0), 0x1E96FFB5u);
+  EXPECT_EQ(PageChecksum(Slice("xxhash"), 20141025), 0x3117BFB8u);
+  EXPECT_EQ(PageChecksum(Slice("Nobody inspects the spammish repetition"), 0),
+            0x71F923CDu);  // 39 bytes: one 32-byte stripe, then the tail
+}
+
+std::string GoldenPage() {
+  std::string page(kDefaultPageSize, '\0');
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<char>((i * 131 + (i >> 8)) & 0xff);
+  }
+  return page;
+}
+
+// Golden values over full 128 KiB pages (computed by an independent
+// implementation of the algorithm docs/FORMAT.md spells out). A change
+// here is a change of the on-disk format.
+TEST(PageChecksumTest, GoldenPageValues) {
+  const std::string page = GoldenPage();
+  EXPECT_EQ(PageChecksum(Slice(page), 7), 0xD11A4998u);
+  EXPECT_EQ(PageChecksum(Slice(page.data(), 100), 7), 0x880D878Eu);
+  EXPECT_EQ(PageChecksum(Slice(page.data(), 4099), 3), 0x113E2623u);
+  const std::string zeros(kDefaultPageSize, '\0');
+  EXPECT_EQ(PageChecksum(Slice(zeros), 0), 0x9BBB9C4Bu);
+  EXPECT_EQ(PageChecksum(Slice(zeros), 1), 0x96E3F59Eu);
+}
+
+// Every single-bit flip anywhere in a 128 KiB page, and every page number
+// a misdirected read or write could substitute (each of the first 16,384
+// pages, and every single-bit change of the page number), fails
+// verification.
+TEST(PageChecksumTest, EverySingleBitFlipAndPageNumberChangeDetected) {
+  std::string page = GoldenPage();
+  constexpr uint64_t kPageNo = 4242;
+  const uint32_t good = PageChecksum(Slice(page), kPageNo);
+  size_t undetected = 0;
+  for (size_t byte = 0; byte < page.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page[byte] ^= static_cast<char>(1 << bit);
+      undetected += PageChecksum(Slice(page), kPageNo) == good;
+      page[byte] ^= static_cast<char>(1 << bit);
+    }
+  }
+  EXPECT_EQ(undetected, 0u);
+  for (uint64_t other = 0; other < 16384; ++other) {
+    if (other == kPageNo) continue;
+    undetected += PageChecksum(Slice(page), other) == good;
+  }
+  for (int bit = 0; bit < 64; ++bit) {
+    undetected += PageChecksum(Slice(page), kPageNo ^ (1ULL << bit)) == good;
+  }
+  EXPECT_EQ(undetected, 0u);
+}
+
+TEST(PageFileTest, ReadPagesVerifiesAndCompactsInOneRead) {
+  FaultInjectionFs fs;
+  const std::string path = TempPath("pf_multi");
+  {
+    auto file = PageFile::Create(path, kPage, &fs);
+    ASSERT_TRUE(file.ok());
+    for (uint64_t p = 0; p < 4; ++p) {
+      const std::string payload(kPage, static_cast<char>('a' + p));
+      ASSERT_TRUE((*file)->WritePage(p, Slice(payload)).ok());
+    }
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  auto file = PageFile::Open(path, kPage, &fs);
+  ASSERT_TRUE(file.ok());
+  // Only the first read call succeeds: ReadPages must make exactly one.
+  FaultRule rule;
+  rule.path_substring = "pf_multi";
+  rule.op = FaultOp::kRead;
+  rule.fail_after = 1;
+  rule.max_failures = 1;
+  fs.AddRule(rule);
+  std::vector<char> dst(3 * (*file)->physical_page_size());
+  ASSERT_TRUE((*file)->ReadPages(1, 3, dst.data()).ok());
+  EXPECT_EQ(std::string(dst.data(), 3 * kPage),
+            std::string(kPage, 'b') + std::string(kPage, 'c') +
+                std::string(kPage, 'd'));
+  EXPECT_TRUE((*file)->ReadPages(0, 1, dst.data()).IsIOError());
+  EXPECT_EQ((*file)->ReadPages(2, 3, dst.data()).code(),
+            StatusCode::kOutOfRange);
+  fs.ClearRules();
+  // A flipped byte in the last page read is found and named.
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(3 * (kPage + kPageTrailerBytes) + 7));
+  f.put('!');
+  f.close();
+  const Status st = (*file)->ReadPages(1, 3, dst.data());
+  ASSERT_TRUE(st.IsChecksumMismatch()) << st.ToString();
+  EXPECT_NE(st.ToString().find(path + " page 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
 TEST(FaultInjectionFsTest, FailAfterNAndMaxFailures) {
   FaultInjectionFs fs;
   std::string path = TempPath("fifs1");
@@ -879,6 +981,53 @@ TEST_F(ComponentFileTest, FormatV2FooterRejected) {
   EXPECT_NE(trailered.status().ToString().find("bad component magic"),
             std::string::npos)
       << trailered.status().ToString();
+}
+
+// Format v3 components ("LSMCOLF3" footer, page trailers holding FNV-1a
+// over the padded payload and the page number) are no longer readable:
+// their trailers fail the current check, and Open reports the earlier
+// footer magic as Corruption rather than as damage.
+TEST_F(ComponentFileTest, FormatV3FnvTrailersRejected) {
+  constexpr uint64_t kFooterMagicV3 = 0x4C534D434F4C4633ULL;  // "LSMCOLF3"
+  Buffer index;
+  index.AppendVarint64(0);  // no leaves
+  Buffer footer;
+  footer.AppendFixed64(kFooterMagicV3);
+  footer.AppendFixed64(0);  // index page
+  footer.AppendFixed32(1);
+  footer.AppendFixed64(index.size());
+  footer.AppendFixed64(1);  // metadata page
+  footer.AppendFixed32(1);
+  footer.AppendFixed64(1);
+  footer.AppendByte(1);  // valid
+  const std::string payloads[] = {index.slice().ToString(), "m",
+                                  footer.slice().ToString()};
+  {
+    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+    for (uint64_t p = 0; p < 3; ++p) {
+      std::string page = payloads[p];
+      page.resize(kPage, '\0');
+      Buffer num;
+      num.AppendFixed64(p);
+      const uint32_t fnv = Fnv1a32(num.slice(), Fnv1a32(Slice(page)));
+      Buffer trailer;
+      trailer.AppendFixed32(fnv);
+      trailer.AppendFixed32(0x4B434750u);  // "PGCK"
+      page.append(trailer.data(), trailer.size());
+      f.write(page.data(), static_cast<std::streamsize>(page.size()));
+    }
+  }
+  auto reader = ComponentReader::Open(path_, cache_.get(), kPage);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_TRUE(reader.status().IsCorruption()) << reader.status().ToString();
+  EXPECT_NE(reader.status().ToString().find("bad component magic"),
+            std::string::npos)
+      << reader.status().ToString();
+  // The same file's pages fail verification one by one.
+  auto file = PageFile::Open(path_, kPage);
+  ASSERT_TRUE(file.ok());
+  Buffer out;
+  EXPECT_TRUE((*file)->ReadPage(0, &out).IsChecksumMismatch());
 }
 
 TEST_F(ComponentFileTest, DestroyRemovesFileAndCacheEntries) {
