@@ -1,7 +1,6 @@
-// Ablation A3 (§4.5.3, §6.3): merge-pipeline throughput — the run-level
-// columnar merge (batched PK plan, run-copy column stitching, whole-leaf
-// adoption) against the record-at-a-time reference pipeline, on APAX and
-// AMAX, for two component shapes:
+// Ablation A3 (§4.5.3, §6.3): columnar merge throughput — the vertical
+// merge (batched PK plan, run-copy column stitching, whole-leaf adoption)
+// on APAX and AMAX, for two component shapes:
 //
 //   sequential   append-style ingest: each component covers a disjoint
 //                key range — the survivor plan collapses to a few runs and
@@ -11,16 +10,16 @@
 //                be adopted — measures the batched floor, not the fast
 //                path.
 //
-// Expected shape: large speedups on `sequential` (splice-through), near
-// parity (0.9-1.3x run to run) on `interleaved`. Merge throughput is
-// CPU-bound, so the numbers are meaningful on a single-core container.
+// Expected shape: `sequential` an order of magnitude faster than
+// `interleaved` (splice-through). Merge throughput is CPU-bound, so the
+// numbers are meaningful on a single-core container.
 //
 // Usage: bench_ablation_merge [--json PATH] [--verify]
 //   --json PATH  record per-row results as a JSON array.
 //   --verify     exit 1 unless, for every scenario, the merged dataset is
 //                query-equivalent to the unmerged one (scanned via the
-//                record-at-a-time LSM reconciliation) AND both pipelines'
-//                merged components scan identically.
+//                LSM reconciliation) and the merge wrote every record:
+//                both scenarios insert unique keys and delete none.
 
 #include <cstdio>
 #include <cstring>
@@ -83,16 +82,13 @@ ScanDigest DigestScan(Dataset* ds) {
 
 std::unique_ptr<Dataset> BuildComponents(Workspace* ws, LayoutKind layout,
                                          const Scenario& scenario,
-                                         MergePipeline pipeline,
                                          uint64_t records) {
   auto options = BenchOptions(
       *ws, layout,
-      std::string("merge_") + scenario.name + "_" + LayoutKindName(layout) +
-          (pipeline == MergePipeline::kRunLevel ? "_run" : "_ref"));
+      std::string("merge_") + scenario.name + "_" + LayoutKindName(layout));
   options.amax_max_records = BenchAmaxMaxRecords(records);
   options.auto_merge = false;      // exactly kComponents flushed components
   options.memtable_bytes = 1u << 30;  // components cut by manual Flush only
-  options.merge_pipeline = pipeline;
   auto ds = Dataset::Open(options, ws->cache.get());
   LSMCOL_CHECK(ds.ok());
   Rng rng(42);
@@ -112,60 +108,49 @@ std::unique_ptr<Dataset> BuildComponents(Workspace* ws, LayoutKind layout,
 bool Run(bool verify, BenchJson* json) {
   const uint64_t records =
       std::max<uint64_t>(500, ScaledRecords(Workload::kSensors) * 5);
-  PrintHeader("Ablation A3: merge pipeline (run-level vs record-at-a-time)");
+  PrintHeader("Ablation A3: columnar merge throughput");
   std::printf("dataset: sensors, %llu records across %d components\n",
               static_cast<unsigned long long>(records), kComponents);
-  std::printf("%-8s %-13s %14s %14s %9s %8s %9s\n", "layout", "scenario",
-              "run-level", "record-level", "speedup", "runs", "adopted");
+  std::printf("%-8s %-13s %10s %14s %8s %9s\n", "layout", "scenario",
+              "seconds", "records/s", "runs", "adopted");
 
   bool ok = true;
   for (LayoutKind layout : {LayoutKind::kApax, LayoutKind::kAmax}) {
     for (const Scenario& scenario : kScenarios) {
-      double rps[2] = {0, 0};
-      double seconds[2] = {0, 0};
-      DatasetStats stats[2];
-      ScanDigest merged_digest[2];
-      for (int p = 0; p < 2; ++p) {
-        const MergePipeline pipeline = p == 0
-                                           ? MergePipeline::kRunLevel
-                                           : MergePipeline::kRecordAtATime;
-        Workspace ws(std::string("ablation_merge_") + scenario.name + "_" +
-                     LayoutKindName(layout) + (p == 0 ? "_run" : "_ref"));
-        auto ds = BuildComponents(&ws, layout, scenario, pipeline, records);
-        ScanDigest before;
-        if (verify) before = DigestScan(ds.get());
-        Timer timer;
-        LSMCOL_CHECK_OK(ds->MergeAll());
-        seconds[p] = timer.Seconds();
-        stats[p] = ds->stats();
-        rps[p] = static_cast<double>(stats[p].merge_records_in) /
-                 (seconds[p] > 0 ? seconds[p] : 1e-9);
-        if (verify) {
-          merged_digest[p] = DigestScan(ds.get());
-          if (!(before == merged_digest[p])) {
-            std::fprintf(stderr,
-                         "VERIFY FAIL: %s/%s (%s): merge changed query "
-                         "results\n",
-                         LayoutKindName(layout), scenario.name,
-                         p == 0 ? "run-level" : "record-at-a-time");
-            ok = false;
-          }
+      Workspace ws(std::string("ablation_merge_") + scenario.name + "_" +
+                   LayoutKindName(layout));
+      auto ds = BuildComponents(&ws, layout, scenario, records);
+      ScanDigest before;
+      if (verify) before = DigestScan(ds.get());
+      Timer timer;
+      LSMCOL_CHECK_OK(ds->MergeAll());
+      const double seconds = timer.Seconds();
+      const DatasetStats stats = ds->stats();
+      const double rps = static_cast<double>(stats.merge_records_in) /
+                         (seconds > 0 ? seconds : 1e-9);
+      if (verify) {
+        if (!(before == DigestScan(ds.get()))) {
+          std::fprintf(stderr,
+                       "VERIFY FAIL: %s/%s: merge changed query results\n",
+                       LayoutKindName(layout), scenario.name);
+          ok = false;
+        }
+        if (stats.merge_records_out != records) {
+          std::fprintf(stderr,
+                       "VERIFY FAIL: %s/%s: merge wrote %llu of %llu "
+                       "records\n",
+                       LayoutKindName(layout), scenario.name,
+                       static_cast<unsigned long long>(
+                           stats.merge_records_out),
+                       static_cast<unsigned long long>(records));
+          ok = false;
         }
       }
-      if (verify && !(merged_digest[0] == merged_digest[1])) {
-        std::fprintf(stderr,
-                     "VERIFY FAIL: %s/%s: pipelines produced query-different "
-                     "components\n",
-                     LayoutKindName(layout), scenario.name);
-        ok = false;
-      }
-      const double speedup = rps[1] > 0 ? rps[0] / rps[1] : 0;
-      std::printf("%-8s %-13s %10.0f r/s %10.0f r/s %8.2fx %8llu %9llu\n",
-                  LayoutKindName(layout), scenario.name, rps[0], rps[1],
-                  speedup,
-                  static_cast<unsigned long long>(stats[0].merge_runs_copied),
+      std::printf("%-8s %-13s %10.3f %10.0f r/s %8llu %9llu\n",
+                  LayoutKindName(layout), scenario.name, seconds, rps,
+                  static_cast<unsigned long long>(stats.merge_runs_copied),
                   static_cast<unsigned long long>(
-                      stats[0].merge_leaves_adopted));
+                      stats.merge_leaves_adopted));
       if (json != nullptr && json->enabled()) {
         BenchJson::Obj obj;
         obj.Str("bench", "ablation_merge")
@@ -173,15 +158,12 @@ bool Run(bool verify, BenchJson* json) {
             .Str("scenario", scenario.name)
             .Int("records", records)
             .Int("components", kComponents)
-            .Num("run_level_seconds", seconds[0])
-            .Num("record_level_seconds", seconds[1])
-            .Num("run_level_records_per_sec", rps[0])
-            .Num("record_level_records_per_sec", rps[1])
-            .Num("speedup", speedup)
-            .Int("merge_records_in", stats[0].merge_records_in)
-            .Int("merge_records_out", stats[0].merge_records_out)
-            .Int("merge_runs_copied", stats[0].merge_runs_copied)
-            .Int("merge_leaves_adopted", stats[0].merge_leaves_adopted)
+            .Num("run_level_seconds", seconds)
+            .Num("run_level_records_per_sec", rps)
+            .Int("merge_records_in", stats.merge_records_in)
+            .Int("merge_records_out", stats.merge_records_out)
+            .Int("merge_runs_copied", stats.merge_runs_copied)
+            .Int("merge_leaves_adopted", stats.merge_leaves_adopted)
             .Int("verified", verify ? 1 : 0)
             .Int("hardware_threads", std::thread::hardware_concurrency());
         json->Add(obj);

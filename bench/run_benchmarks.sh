@@ -6,8 +6,9 @@
 #   BENCH_fig14.json  Fig. 14 query suite (cross-engine verified)
 #   BENCH_fig13.json  Fig. 13 ingestion, synchronous vs concurrent
 #                     clients over the background flush/merge scheduler
-#   BENCH_merge.json  Ablation A3: run-level vs record-at-a-time merge
-#                     pipeline (cross-pipeline + pre/post-merge verified)
+#   BENCH_merge.json  Ablation A3: columnar merge throughput on disjoint
+#                     and interleaved components (pre/post-merge scans
+#                     and record counts verified)
 #   BENCH_wal.json    Ablation A4: WAL durability cost — no WAL vs
 #                     fsync-per-write vs group commit at 1/4/8 writers
 #                     (crash-image replay verified)

@@ -170,6 +170,11 @@ Status AmaxPageZero::Init(Slice page0) {
   max_key_ = static_cast<int64_t>(max_raw);
   LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&pk_size));
   if (column_count_ == 0) return Status::Corruption("amax: zero columns");
+  // Each non-PK column takes a 32-byte table entry: a count the page
+  // cannot hold is corrupt, not an allocation to attempt.
+  if (uint64_t{column_count_ - 1} * 32 > r.remaining()) {
+    return Status::Corruption("amax: column table exceeds Page 0");
+  }
   extents_.resize(column_count_ - 1);
   for (uint32_t c = 0; c + 1 < column_count_; ++c) {
     AmaxColumnExtent& extent = extents_[c];

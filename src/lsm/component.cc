@@ -410,10 +410,8 @@ Status RowComponentCursor::SeekForward(int64_t target) {
 ColumnarComponentCursor::ColumnarComponentCursor(
     const Component* component, const Projection& projection,
     const ScanPredicateSet* predicates,
-    std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges,
-    CacheUse use)
+    std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges)
     : component_(component),
-      use_(use),
       foreign_ranges_(std::move(foreign_key_ranges)) {
   const Schema* schema = component_->schema();
   LSMCOL_CHECK(schema != nullptr);
@@ -626,7 +624,8 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
   LSMCOL_ASSIGN_OR_RETURN(leaf_unit_,
-                          component_->DecodedLeaf(leaf_index, use_));
+                          component_->DecodedLeaf(leaf_index,
+                                                  CacheUse::kInstall));
   if (component_->meta().layout == LayoutKind::kApax) {
     LSMCOL_RETURN_NOT_OK(apax_leaf_.Parse(leaf_unit_.data()));
     EvaluateLeafZones();
@@ -709,8 +708,8 @@ Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
         // Only this column's megapage (§4.3).
         LSMCOL_ASSIGN_OR_RETURN(
             st.megapage, component_->DecodedMegapage(
-                             leaf_index_, column_id, extent, use_,
-                             &page_memo_));
+                             leaf_index_, column_id, extent,
+                             CacheUse::kInstall, &page_memo_));
         st.chunk = st.megapage.data();
       }
     }

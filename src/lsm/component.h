@@ -320,8 +320,7 @@ class ColumnarComponentCursor : public TupleCursor {
   ColumnarComponentCursor(
       const Component* component, const Projection& projection,
       const ScanPredicateSet* predicates = nullptr,
-      std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges = {},
-      CacheUse use = CacheUse::kInstall);
+      std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges = {});
 
   Result<bool> Next() override;
   int64_t key() const override { return key_; }
@@ -391,7 +390,6 @@ class ColumnarComponentCursor : public TupleCursor {
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 
   const Component* component_;
-  CacheUse use_;
   std::vector<bool> projected_;   // by column id (component schema ids)
   std::vector<int> projected_ids_;
 

@@ -70,6 +70,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -165,15 +166,6 @@ struct DatasetStats {
   uint64_t scrub_damage_found = 0;  ///< scrub probes that surfaced damage
   uint64_t scrub_passes = 0;        ///< full dataset passes completed
   uint64_t scrub_micros = 0;        ///< wall time inside scrub probes
-};
-
-/// One merge's execution counters, filled by the build (which runs without
-/// the dataset lock) and folded into DatasetStats at publish time.
-struct MergeOutcome {
-  uint64_t records_in = 0;
-  uint64_t records_out = 0;
-  uint64_t runs_copied = 0;
-  uint64_t leaves_adopted = 0;
 };
 
 /// Everything a consistent hot backup needs from one dataset, captured in
@@ -405,18 +397,15 @@ class Dataset {
   /// Every failure is recorded in background_error_ (so concurrent builds
   /// waiting for publication order wake and abandon) as well as returned.
   Status FlushOneImmutableLocked() LSMCOL_REQUIRES(mu_);
-  /// The build step of a flush (runs without mu_): writes `tmp`, renames
-  /// to `path`, opens the finished component.
-  Result<std::shared_ptr<Component>> BuildFlushComponent(
-      const MemTable& memtable, uint64_t id, const std::string& tmp,
-      const std::string& path, Schema* schema);
-  Status FlushColumnar(const MemTable& memtable, ComponentWriter* writer,
-                       Schema* schema);
-  Status FlushRows(const MemTable& memtable, ComponentWriter* writer);
-  /// Emit a columnar leaf if the pending chunks reached the layout's
-  /// budget; `force` emits any pending records.
-  Status MaybeEmitColumnarLeaf(ColumnWriterSet* writers,
-                               ComponentWriter* writer, bool force);
+  /// The build step every flush and merge shares (runs without mu_):
+  /// create component `id`'s `.tmp` file, let `fill` write its leaves and
+  /// return the entry count, write the ComponentMeta (with `schema`, which
+  /// `fill` may extend), finish, rename into place and open the result.
+  /// Transient I/O failures retry the whole sequence, so `fill` must
+  /// restart cleanly; on final failure the temp file is unlinked.
+  Result<std::shared_ptr<Component>> BuildComponent(
+      uint64_t id, const Schema* schema,
+      const std::function<Result<uint64_t>(ComponentWriter*)>& fill);
   /// One round of the compaction policy: snapshot the component stack
   /// into CompactionComponentViews and ask compaction_policy_ for the
   /// next merge range (plan.none() = policy satisfied). The caller must
@@ -427,22 +416,10 @@ class Dataset {
   /// around the build). Anti-matter annihilates only when the range
   /// reaches the oldest component.
   Status MergeRangeLocked(size_t begin, size_t count) LSMCOL_REQUIRES(mu_);
-  Status MergeRows(const std::vector<std::shared_ptr<Component>>& inputs,
-                   bool includes_oldest, ComponentWriter* writer,
-                   MergeOutcome* outcome);
-  /// Run-level columnar merge (the default pipeline): a batched PK phase
-  /// emits a run-length survivor plan, then columns move run-at-a-time
-  /// with a whole-leaf adoption fast path. `outcome->records_out` is the
-  /// exact surviving entry count (becomes ComponentMeta::entry_count).
-  Status MergeColumnar(const std::vector<std::shared_ptr<Component>>& inputs,
-                       bool includes_oldest, ComponentWriter* writer,
-                       Schema* schema, MergeOutcome* outcome);
-  /// Reference pipeline: one record per step (the pre-run-level behavior),
-  /// selected by DatasetOptions::merge_pipeline for ablation/verification.
-  Status MergeColumnarRecordAtATime(
-      const std::vector<std::shared_ptr<Component>>& inputs,
-      bool includes_oldest, ComponentWriter* writer, Schema* schema,
-      MergeOutcome* outcome);
+  /// Merge the ranges the policy picks until it is satisfied; the caller
+  /// holds the merge role. `background` also stops at shutdown or once a
+  /// background error is pending. Returns the first merge failure.
+  Status MergeUntilSatisfiedLocked(bool background) LSMCOL_REQUIRES(mu_);
   /// Rebuild + atomically rewrite the manifest from current state. The
   /// contents are snapshotted under mu_, but the write itself (fsync +
   /// rename + dir fsync) runs with the lock released under a dedicated

@@ -77,16 +77,6 @@ struct CompactionOptions {
 Status ValidateCompactionOptions(const CompactionOptions& options,
                                  const std::string& field_prefix);
 
-/// How columnar merges move surviving data (§4.5.3). kRunLevel is the
-/// production pipeline: primary keys merge via per-leaf batch decodes into
-/// a run-length survivor plan, columns are stitched run-at-a-time through
-/// the batch codec APIs, and output leaves covering exactly one input leaf
-/// are adopted byte-for-byte without decoding. kRecordAtATime is the
-/// reference pipeline that replays one record per step — kept for the
-/// merge ablation benchmark and the merge-equivalence tests. Row layouts
-/// ignore the knob.
-enum class MergePipeline { kRunLevel, kRecordAtATime };
-
 struct DatasetOptions {
   /// Physical record layout of the primary index.
   LayoutKind layout = LayoutKind::kAmax;
@@ -117,10 +107,6 @@ struct DatasetOptions {
   /// auto-merge is a scheduler task, like the flush that triggered it
   /// (see `scheduler`).
   bool auto_merge = true;
-  /// Columnar merge execution strategy (see MergePipeline). A runtime
-  /// knob, not recorded in the manifest: both pipelines produce
-  /// query-equivalent components.
-  MergePipeline merge_pipeline = MergePipeline::kRunLevel;
 
   // --- Concurrent ingestion (background flush/merge) ---
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
+#include <unistd.h>
 
 #include "src/columnar/shredder.h"
 #include "src/common/rng.h"
@@ -12,6 +15,8 @@
 #include "src/layouts/amax.h"
 #include "src/layouts/apax.h"
 #include "src/layouts/row_leaf.h"
+
+#include <sys/resource.h>
 
 namespace lsmcol {
 namespace {
@@ -261,6 +266,51 @@ TEST(AmaxLeafTest, Page0OverflowIsReportedNotCorrupted) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   RemoveFileIfExists(TempPath("ovf"));
+}
+
+// A Page 0 header (record count, column count, key range, PK chunk size)
+// followed by `tail` zero bytes.
+Buffer Page0Header(uint32_t column_count, size_t tail) {
+  Buffer page0;
+  page0.AppendFixed32(1);
+  page0.AppendFixed32(column_count);
+  page0.AppendFixed64(0);
+  page0.AppendFixed64(0);
+  page0.AppendFixed32(0);
+  page0.AppendZeros(tail);
+  return page0;
+}
+
+// Caps the address space at its current size plus `bytes`, so a runaway
+// allocation fails at once instead of taking the machine's memory.
+bool LimitAddressSpaceGrowth(uint64_t bytes) {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t pages = 0;
+  if (!(statm >> pages)) return false;
+  const uint64_t limit =
+      pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) + bytes;
+  const rlimit rl{limit, limit};
+  return setrlimit(RLIMIT_AS, &rl) == 0;
+}
+
+TEST(AmaxLeafTest, ColumnTableBeyondThePageIsCorruption) {
+  // 32 bytes per non-PK column: one fits in 32 bytes, two do not.
+  AmaxPageZero page0;
+  EXPECT_TRUE(page0.Init(Page0Header(2, 32).slice()).ok());
+  EXPECT_TRUE(page0.Init(Page0Header(3, 32).slice()).IsCorruption());
+  // A 44-byte Page 0 declaring ~2^32 columns must be rejected before the
+  // table is sized by it (~128 GiB of extents). Run in a child whose
+  // address space may grow by 1 GiB only.
+  const Buffer huge = Page0Header(0xFFFFFFF0u, 16);
+  ASSERT_EQ(huge.size(), 44u);
+  EXPECT_EXIT(
+      {
+        if (!LimitAddressSpaceGrowth(1ull << 30)) std::_Exit(2);
+        AmaxPageZero parsed;
+        const Status st = parsed.Init(huge.slice());
+        std::_Exit(st.IsCorruption() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(RowLeafTest, BuilderSplitsAtPageBudget) {

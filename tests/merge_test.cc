@@ -1,20 +1,20 @@
-// Merge-equivalence suite for the run-level columnar merge pipeline
-// (batched PK plan, run-copy column stitching, whole-leaf adoption):
+// Merge suite for the columnar vertical merge (batched PK plan, run-copy
+// column stitching, whole-leaf adoption) and the row merge:
 //
 //  * randomized workloads — overlapping key ranges, upserts, deletes with
 //    anti-matter both at and away from the oldest component, dropped-run
-//    boundaries straddling leaf edges — asserting query-level equality
-//    between the run-level pipeline and the record-at-a-time reference
-//    pipeline across all four layouts;
+//    boundaries straddling leaf edges — asserting that every scan after a
+//    merge equals both the scan before it and an in-memory model of the
+//    records written, across all four layouts;
 //  * exact ComponentMeta::entry_count on merged components;
 //  * merge observability counters (records in/out, runs, adopted leaves);
-//  * the whole-leaf adoption fast path on disjoint (append-style) inputs.
+//  * the whole-leaf adoption fast path on disjoint (append-style) inputs,
+//    and its guard against splicing leaves of another compression setting.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,8 +64,7 @@ class MergeTest : public ::testing::TestWithParam<LayoutKind> {
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  DatasetOptions BaseOptions(const std::string& name,
-                             MergePipeline pipeline) {
+  DatasetOptions BaseOptions(const std::string& name) {
     DatasetOptions options;
     options.layout = GetParam();
     options.dir = dir_;
@@ -74,7 +73,6 @@ class MergeTest : public ::testing::TestWithParam<LayoutKind> {
     options.memtable_bytes = 1u << 20;  // flush manually
     options.auto_merge = false;
     options.amax_max_records = 64;  // many small leaves per component
-    options.merge_pipeline = pipeline;
     return options;
   }
 
@@ -118,10 +116,25 @@ class MergeTest : public ::testing::TestWithParam<LayoutKind> {
   std::unique_ptr<BufferCache> cache_;
 };
 
-// One randomized op script applied identically to both pipelines:
-// overlapping inserts, upserts, deletes of live keys in older components
-// (anti-matter away from the oldest) and deletes of absent keys
-// (anti-matter that only annihilates when the oldest is included).
+/// What a full scan must return: each live key's latest record, as
+/// ScanAll serializes it. Writes go through Put/Erase to keep it current.
+using Model = std::map<int64_t, std::string>;
+
+void Put(Dataset* ds, Model* model, int64_t key, uint64_t version) {
+  const Value record = MakeRecord(key, version);
+  ASSERT_TRUE(ds->Insert(record).ok());
+  (*model)[key] = ToJson(record);
+}
+
+void Erase(Dataset* ds, Model* model, int64_t key) {
+  ASSERT_TRUE(ds->Delete(key).ok());
+  model->erase(key);
+}
+
+// A randomized op script: overlapping inserts, upserts, deletes of live
+// keys in older components (anti-matter away from the oldest) and deletes
+// of absent keys (anti-matter that only annihilates when the oldest is
+// included).
 struct Op {
   enum Kind { kInsert, kDelete, kFlush } kind;
   int64_t key = 0;
@@ -150,14 +163,14 @@ std::vector<Op> MakeScript(uint64_t seed, int64_t key_space, size_t ops) {
   return script;
 }
 
-void ApplyScript(Dataset* ds, const std::vector<Op>& script) {
+void ApplyScript(Dataset* ds, const std::vector<Op>& script, Model* model) {
   for (const Op& op : script) {
     switch (op.kind) {
       case Op::kInsert:
-        ASSERT_TRUE(ds->Insert(MakeRecord(op.key, op.version)).ok());
+        Put(ds, model, op.key, op.version);
         break;
       case Op::kDelete:
-        ASSERT_TRUE(ds->Delete(op.key).ok());
+        Erase(ds, model, op.key);
         break;
       case Op::kFlush:
         ASSERT_TRUE(ds->Flush().ok());
@@ -166,41 +179,33 @@ void ApplyScript(Dataset* ds, const std::vector<Op>& script) {
   }
 }
 
-TEST_P(MergeTest, RandomizedPipelineEquivalence) {
+TEST_P(MergeTest, RandomizedMergeMatchesModel) {
   for (uint64_t seed : {7u, 21u, 99u}) {
-    auto run = MustOpen(
-        BaseOptions("run_" + std::to_string(seed), MergePipeline::kRunLevel),
-        cache_.get());
-    auto ref = MustOpen(BaseOptions("ref_" + std::to_string(seed),
-                                    MergePipeline::kRecordAtATime),
-                        cache_.get());
-    const auto script = MakeScript(seed, /*key_space=*/600, /*ops=*/900);
-    ApplyScript(run.get(), script);
-    ApplyScript(ref.get(), script);
-    ASSERT_GE(run->component_count(), 2u) << "script produced no merge work";
+    auto ds = MustOpen(BaseOptions("ds_" + std::to_string(seed)),
+                       cache_.get());
+    Model model;
+    ApplyScript(ds.get(), MakeScript(seed, /*key_space=*/600, /*ops=*/900),
+                &model);
+    ASSERT_GE(ds->component_count(), 2u) << "script produced no merge work";
 
-    const auto before = ScanAll(run.get());
-    ASSERT_TRUE(run->MergeAll().ok());
-    ASSERT_TRUE(ref->MergeAll().ok());
-    EXPECT_EQ(run->component_count(), 1u);
+    const auto before = ScanAll(ds.get());
+    EXPECT_EQ(before, model) << "seed " << seed;
+    ASSERT_TRUE(ds->MergeAll().ok());
+    EXPECT_EQ(ds->component_count(), 1u);
 
-    const auto after_run = ScanAll(run.get());
-    const auto after_ref = ScanAll(ref.get());
-    // The merge must not change query results (the pre-merge scan is the
-    // record-at-a-time reconciliation over the unmerged components)...
-    EXPECT_EQ(before, after_run) << "seed " << seed;
-    // ...and both pipelines must produce query-identical components.
-    EXPECT_EQ(after_run, after_ref) << "seed " << seed;
+    // The merge must not change query results: the scan before it
+    // reconciled the unmerged components, and the model saw none.
+    const auto after = ScanAll(ds.get());
+    EXPECT_EQ(before, after) << "seed " << seed;
+    EXPECT_EQ(model, after) << "seed " << seed;
 
     // MergeAll includes the oldest component: every anti-matter entry
     // annihilates, so the exact entry count equals the surviving records.
-    EXPECT_EQ(run->component(0).meta().entry_count, after_run.size());
-    EXPECT_EQ(ref->component(0).meta().entry_count, after_ref.size());
+    EXPECT_EQ(ds->component(0).meta().entry_count, after.size());
 
-    const auto stats = run->stats();
+    const auto stats = ds->stats();
     EXPECT_GT(stats.merge_records_in, 0u);
-    EXPECT_EQ(stats.merge_records_out,
-              run->component(0).meta().entry_count);
+    EXPECT_EQ(stats.merge_records_out, ds->component(0).meta().entry_count);
     if (IsColumnar(GetParam())) {
       EXPECT_GT(stats.merge_runs_copied + stats.merge_leaves_adopted, 0u);
     }
@@ -211,33 +216,23 @@ TEST_P(MergeTest, DroppedRunsStraddlingLeafEdges) {
   // Component 1: keys 0..799 (many leaves). Component 2: updates 300..579
   // and deletes 580..699 — both stretches cross several leaf boundaries,
   // so the survivor plan drops runs that start and end mid-leaf.
-  auto run = MustOpen(BaseOptions("run", MergePipeline::kRunLevel),
-                      cache_.get());
-  auto ref = MustOpen(BaseOptions("ref", MergePipeline::kRecordAtATime),
-                      cache_.get());
-  for (Dataset* ds : {run.get(), ref.get()}) {
-    for (int64_t i = 0; i < 800; ++i) {
-      ASSERT_TRUE(ds->Insert(MakeRecord(i, 1)).ok());
-    }
-    ASSERT_TRUE(ds->Flush().ok());
-    for (int64_t i = 300; i < 580; ++i) {
-      ASSERT_TRUE(ds->Insert(MakeRecord(i, 2)).ok());
-    }
-    for (int64_t i = 580; i < 700; ++i) {
-      ASSERT_TRUE(ds->Delete(i).ok());
-    }
-    ASSERT_TRUE(ds->Flush().ok());
-    ASSERT_EQ(ds->component_count(), 2u);
-  }
-  const auto before = ScanAll(run.get());
+  auto ds = MustOpen(BaseOptions("ds"), cache_.get());
+  Model model;
+  for (int64_t i = 0; i < 800; ++i) Put(ds.get(), &model, i, 1);
+  ASSERT_TRUE(ds->Flush().ok());
+  for (int64_t i = 300; i < 580; ++i) Put(ds.get(), &model, i, 2);
+  for (int64_t i = 580; i < 700; ++i) Erase(ds.get(), &model, i);
+  ASSERT_TRUE(ds->Flush().ok());
+  ASSERT_EQ(ds->component_count(), 2u);
+
+  const auto before = ScanAll(ds.get());
   EXPECT_EQ(before.size(), 800u - 120u);
-  ASSERT_TRUE(run->MergeAll().ok());
-  ASSERT_TRUE(ref->MergeAll().ok());
-  const auto after_run = ScanAll(run.get());
-  EXPECT_EQ(before, after_run);
-  EXPECT_EQ(after_run, ScanAll(ref.get()));
-  EXPECT_EQ(run->component(0).meta().entry_count, 680u);
-  EXPECT_EQ(ref->component(0).meta().entry_count, 680u);
+  EXPECT_EQ(before, model);
+  ASSERT_TRUE(ds->MergeAll().ok());
+  const auto after = ScanAll(ds.get());
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(model, after);
+  EXPECT_EQ(ds->component(0).meta().entry_count, 680u);
 }
 
 TEST_P(MergeTest, PartialMergePreservesAntiMatter) {
@@ -245,57 +240,58 @@ TEST_P(MergeTest, PartialMergePreservesAntiMatter) {
   // of 0..59 (anti-matter for records that live in the *oldest*). A merge
   // of the two newest components must preserve the anti-matter entries;
   // the final full merge annihilates them.
-  auto options = BaseOptions("ds", MergePipeline::kRunLevel);
+  auto options = BaseOptions("ds");
   options.max_components = 2;  // policy: over the limit, merge two newest
   options.size_ratio = 100.0;  // keep the size rule out of the way
   auto ds = MustOpen(options, cache_.get());
-  for (int64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(ds->Insert(MakeRecord(i, 1)).ok());
-  }
+  Model model;
+  for (int64_t i = 0; i < 200; ++i) Put(ds.get(), &model, i, 1);
   ASSERT_TRUE(ds->Flush().ok());
-  for (int64_t i = 200; i < 300; ++i) {
-    ASSERT_TRUE(ds->Insert(MakeRecord(i, 1)).ok());
-  }
+  for (int64_t i = 200; i < 300; ++i) Put(ds.get(), &model, i, 1);
   ASSERT_TRUE(ds->Flush().ok());
-  for (int64_t i = 0; i < 60; ++i) {
-    ASSERT_TRUE(ds->Delete(i).ok());
-  }
+  for (int64_t i = 0; i < 60; ++i) Erase(ds.get(), &model, i);
   ASSERT_TRUE(ds->Flush().ok());
   ASSERT_EQ(ds->component_count(), 3u);
 
   const auto before = ScanAll(ds.get());
   EXPECT_EQ(before.size(), 240u);
+  EXPECT_EQ(before, model);
 
   ASSERT_TRUE(ds->MaybeMerge().ok());
   ASSERT_EQ(ds->component_count(), 2u);
   // Newest merged component = 100 records + 60 preserved anti-matter.
   EXPECT_EQ(ds->component(0).meta().entry_count, 160u);
-  EXPECT_EQ(before, ScanAll(ds.get()));
+  const auto partial = ScanAll(ds.get());
+  EXPECT_EQ(before, partial);
+  EXPECT_EQ(model, partial);
 
   ASSERT_TRUE(ds->MergeAll().ok());
   ASSERT_EQ(ds->component_count(), 1u);
   EXPECT_EQ(ds->component(0).meta().entry_count, 240u);
-  EXPECT_EQ(before, ScanAll(ds.get()));
+  const auto full = ScanAll(ds.get());
+  EXPECT_EQ(before, full);
+  EXPECT_EQ(model, full);
 }
 
 TEST_P(MergeTest, AdoptionOnDisjointComponents) {
   // Append-style ingest: each component covers a disjoint key range, so
   // the survivor plan is a handful of runs and (for columnar layouts with
   // matching settings) most leaves should be adopted undecoded.
-  auto ds = MustOpen(BaseOptions("ds", MergePipeline::kRunLevel),
-                     cache_.get());
+  auto ds = MustOpen(BaseOptions("ds"), cache_.get());
+  Model model;
   constexpr int64_t kPerComponent = 400;
   for (int64_t c = 0; c < 4; ++c) {
     for (int64_t i = 0; i < kPerComponent; ++i) {
-      ASSERT_TRUE(
-          ds->Insert(MakeRecord(c * kPerComponent + i, 1)).ok());
+      Put(ds.get(), &model, c * kPerComponent + i, 1);
     }
     ASSERT_TRUE(ds->Flush().ok());
   }
   ASSERT_EQ(ds->component_count(), 4u);
   const auto before = ScanAll(ds.get());
   ASSERT_TRUE(ds->MergeAll().ok());
-  EXPECT_EQ(before, ScanAll(ds.get()));
+  const auto after = ScanAll(ds.get());
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(model, after);
   EXPECT_EQ(ds->component(0).meta().entry_count, 4u * kPerComponent);
   const auto stats = ds->stats();
   EXPECT_EQ(stats.merge_records_in, 4u * kPerComponent);
@@ -306,48 +302,92 @@ TEST_P(MergeTest, AdoptionOnDisjointComponents) {
   }
 }
 
-TEST_P(MergeTest, FullDeletionMergesToEmpty) {
-  auto run = MustOpen(BaseOptions("run", MergePipeline::kRunLevel),
-                      cache_.get());
-  auto ref = MustOpen(BaseOptions("ref", MergePipeline::kRecordAtATime),
-                      cache_.get());
-  for (Dataset* ds : {run.get(), ref.get()}) {
-    for (int64_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(ds->Insert(MakeRecord(i, 1)).ok());
+TEST_P(MergeTest, MixedCompressionAdoptsOnlyMatchingLeaves) {
+  // Disjoint components written compressed, then more after a reopen
+  // with compression off. The merged component is uncompressed, so only
+  // the uncompressed inputs' leaves may be spliced through whole; a
+  // compressed leaf adopted into it would be unreadable.
+  constexpr int64_t kPerComponent = 400;
+  Model model;
+  auto options = BaseOptions("ds");
+  int64_t next_key = 0;
+  auto write_components = [&](Dataset* ds, int count) {
+    for (int c = 0; c < count; ++c) {
+      for (int64_t i = 0; i < kPerComponent; ++i) {
+        Put(ds, &model, next_key++, 1);
+      }
+      ASSERT_TRUE(ds->Flush().ok());
     }
-    ASSERT_TRUE(ds->Flush().ok());
-    for (int64_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(ds->Delete(i).ok());
-    }
-    ASSERT_TRUE(ds->Flush().ok());
-    ASSERT_TRUE(ds->MergeAll().ok());
-    EXPECT_EQ(ds->component(0).meta().entry_count, 0u);
-    EXPECT_TRUE(ScanAll(ds).empty());
+  };
+  {
+    options.compress = true;
+    auto ds = MustOpen(options, cache_.get());
+    write_components(ds.get(), 2);
   }
+  options.compress = false;
+  uint64_t uncompressed_leaves = 0;
+  {
+    auto ds = MustOpen(options, cache_.get());
+    write_components(ds.get(), 2);
+    ASSERT_EQ(ds->component_count(), 4u);
+    for (size_t i = 0; i < ds->component_count(); ++i) {
+      const Component& component = ds->component(i);
+      if (!component.meta().compressed) {
+        uncompressed_leaves += component.reader().leaves().size();
+      }
+    }
+    ASSERT_GT(uncompressed_leaves, 0u);
+    ASSERT_TRUE(ds->MergeAll().ok());
+    ASSERT_EQ(ds->component_count(), 1u);
+    EXPECT_FALSE(ds->component(0).meta().compressed);
+    const auto stats = ds->stats();
+    if (IsColumnar(GetParam())) {
+      EXPECT_GT(stats.merge_leaves_adopted, 0u);
+      EXPECT_LE(stats.merge_leaves_adopted, uncompressed_leaves);
+    }
+    EXPECT_EQ(model, ScanAll(ds.get()));
+  }
+  auto ds = MustOpen(options, cache_.get());
+  EXPECT_EQ(model, ScanAll(ds.get()));
+}
+
+TEST_P(MergeTest, FullDeletionMergesToEmpty) {
+  auto ds = MustOpen(BaseOptions("ds"), cache_.get());
+  Model model;
+  for (int64_t i = 0; i < 300; ++i) Put(ds.get(), &model, i, 1);
+  ASSERT_TRUE(ds->Flush().ok());
+  for (int64_t i = 0; i < 300; ++i) Erase(ds.get(), &model, i);
+  ASSERT_TRUE(ds->Flush().ok());
+  ASSERT_TRUE(ds->MergeAll().ok());
+  EXPECT_EQ(ds->component(0).meta().entry_count, 0u);
+  EXPECT_TRUE(model.empty());
+  EXPECT_TRUE(ScanAll(ds.get()).empty());
 }
 
 TEST_P(MergeTest, EntryCountSurvivesReopen) {
-  auto options = BaseOptions("ds", MergePipeline::kRunLevel);
+  auto options = BaseOptions("ds");
+  Model model;
   uint64_t expected = 0;
   {
     auto ds = MustOpen(options, cache_.get());
     for (int64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(ds->Insert(MakeRecord(i, 1)).ok());
+      Put(ds.get(), &model, i, 1);
       if (i % 200 == 199) {
         ASSERT_TRUE(ds->Flush().ok());
       }
     }
-    for (int64_t i = 100; i < 150; ++i) {
-      ASSERT_TRUE(ds->Delete(i).ok());
-    }
+    for (int64_t i = 100; i < 150; ++i) Erase(ds.get(), &model, i);
     ASSERT_TRUE(ds->Flush().ok());
     ASSERT_TRUE(ds->MergeAll().ok());
     expected = ds->component(0).meta().entry_count;
     EXPECT_EQ(expected, 450u);
+    EXPECT_EQ(model, ScanAll(ds.get()));
   }
   auto ds = MustOpen(options, cache_.get());
   EXPECT_EQ(TotalMetaEntries(ds.get()), expected);
-  EXPECT_EQ(ScanAll(ds.get()).size(), 450u);
+  const auto after = ScanAll(ds.get());
+  EXPECT_EQ(after.size(), 450u);
+  EXPECT_EQ(model, after);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, MergeTest,
