@@ -18,6 +18,9 @@
 #   BENCH_lookup.json warm point lookups on tweet_2 by layout, compaction
 #                     policy and hit/miss mix (each result verified
 #                     against a merged scan sought to the key)
+#   BENCH_fig16.json  Fig. 16 column scaling on APAX and AMAX, scan- and
+#                     index-based (scan counts verified against a
+#                     full-record scan)
 #
 # Usage: bench/run_benchmarks.sh [build_dir]
 #   build_dir            defaults to build-rel (configured on demand)
@@ -40,7 +43,8 @@ cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DLSMCOL_BUILD_TESTS=OFF >/dev/null
 cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
   bench_fig14_queries bench_fig13_ingestion bench_ablation_merge \
-  bench_ablation_wal bench_ablation_compaction bench_lookup >/dev/null
+  bench_ablation_wal bench_ablation_compaction bench_lookup \
+  bench_fig16_column_scaling >/dev/null
 
 "$BUILD_DIR/bench/bench_fig10_codegen" $VERIFY_FLAG \
   --json "$ROOT/BENCH_fig10.json"
@@ -56,8 +60,10 @@ cmake --build "$BUILD_DIR" -j --target bench_fig10_codegen \
   --json "$ROOT/BENCH_compaction.json"
 "$BUILD_DIR/bench/bench_lookup" $VERIFY_FLAG \
   --json "$ROOT/BENCH_lookup.json"
+"$BUILD_DIR/bench/bench_fig16_column_scaling" $VERIFY_FLAG \
+  --json "$ROOT/BENCH_fig16.json"
 
 echo "wrote $ROOT/BENCH_fig10.json, $ROOT/BENCH_fig14.json," \
      "$ROOT/BENCH_fig13.json, $ROOT/BENCH_merge.json," \
-     "$ROOT/BENCH_wal.json, $ROOT/BENCH_compaction.json, and" \
-     "$ROOT/BENCH_lookup.json"
+     "$ROOT/BENCH_wal.json, $ROOT/BENCH_compaction.json," \
+     "$ROOT/BENCH_lookup.json, and $ROOT/BENCH_fig16.json"

@@ -169,7 +169,7 @@ class Value {
 const Value& MissingValue();
 
 /// Structural equality that ignores object field order (record assembly
-/// normalizes fields to schema order; see RecordAssembler).
+/// normalizes fields to schema order; see AssemblyPlan::Assemble).
 bool ValueEquivalent(const Value& a, const Value& b);
 
 /// SQL++-style path walk starting at path[start]: object steps access the

@@ -69,7 +69,8 @@ Result<std::unique_ptr<Component>> Component::Open(
     LSMCOL_ASSIGN_OR_RETURN(Schema schema,
                             Schema::Deserialize(schema_blob.slice()));
     component->schema_.emplace(std::move(schema));
-    component->assembler_.emplace(&*component->schema_);
+    component->record_plan_.emplace(
+        AssemblyPlan::ForRecord(*component->schema_));
   }
   return component;
 }
@@ -302,25 +303,34 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   if (record == records) return KeyProbe::kAbsent;
   if (keys.anti_matter(record)) return KeyProbe::kAntiMatter;
 
-  // The record's entries of each projected column, assembled exactly as
-  // ColumnarComponentCursor::Record does. A column's seek index is built
+  // The record's entries of each column the plan reads, assembled exactly
+  // as ColumnarComponentCursor::Record does. A column's seek index is built
   // on its first lookup in the leaf: an APAX column's is a unit of its
   // own, an AMAX column's is its megapage's attachment.
-  const int ncols = schema_->column_count();
-  const std::vector<bool> projected = ProjectedColumns(projection);
-  std::vector<ColumnRecord> cells(static_cast<size_t>(ncols));
-  std::vector<const ColumnRecord*> by_column(static_cast<size_t>(ncols));
-  ColumnRecord& pk = cells[0];
-  pk.root.kind = ShredCell::Kind::kLeaf;
-  pk.root.def = 1;
-  pk.root.value_index = 0;
-  pk.values.push_back(Value::Int(key));
-  by_column[0] = &pk;
+  std::optional<AssemblyPlan> projected_plan;
+  if (!projection.all) {
+    const std::vector<bool> projected = ProjectedColumns(projection);
+    projected_plan.emplace(AssemblyPlan::ForRecord(*schema_, &projected));
+  }
+  const AssemblyPlan& plan =
+      projected_plan.has_value() ? *projected_plan : *record_plan_;
+  const std::vector<int>& plan_columns = plan.columns();
+  std::vector<ColumnRecord> cells(plan_columns.size());
+  std::vector<const ColumnRecord*> by_column(
+      static_cast<size_t>(schema_->column_count()));
   ColumnChunkReader column;
   LeafPageMemo memo;  // AMAX: pages shared by adjacent megapages
-  for (int c = 1; c < ncols; ++c) {
-    if (!projected[c]) continue;
-    by_column[c] = &cells[c];
+  for (size_t i = 0; i < plan_columns.size(); ++i) {
+    const int c = plan_columns[i];
+    by_column[static_cast<size_t>(c)] = &cells[i];
+    if (c == 0) {
+      ColumnRecord& pk = cells[i];
+      pk.root.kind = ShredCell::Kind::kLeaf;
+      pk.root.def = 1;
+      pk.root.value_index = 0;
+      pk.values.push_back(Value::Int(key));
+      continue;
+    }
     const ColumnInfo& info = schema_->column(c);
     auto build_index = [&](Slice chunk, Buffer* built) {
       ColumnChunkReader walker;
@@ -351,16 +361,15 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
     }
     LSMCOL_RETURN_NOT_OK(column.Init(chunk, info));
     Status st = column.Seek(record, index);
-    if (st.ok()) st = column.NextRecord(&cells[c]);
+    if (st.ok()) st = column.NextRecord(&cells[i]);
     if (st.code() == StatusCode::kOutOfRange) {
       return Status::Corruption("column " + info.path + " ends before record " +
                                 std::to_string(record) + " of its leaf");
     }
     LSMCOL_RETURN_NOT_OK(st);
   }
-  bool all = true;
-  for (bool p : projected) all = all && p;
-  *out = assembler_->Assemble(by_column, all ? nullptr : &projected);
+  AssemblyScratch scratch;
+  LSMCOL_RETURN_NOT_OK(plan.Assemble(by_column, &scratch, out));
   return KeyProbe::kRecord;
 }
 
@@ -416,12 +425,15 @@ ColumnarComponentCursor::ColumnarComponentCursor(
   const Schema* schema = component_->schema();
   LSMCOL_CHECK(schema != nullptr);
   const size_t ncols = static_cast<size_t>(schema->column_count());
-  projected_ = component_->ProjectedColumns(projection);
-  for (size_t c = 0; c < ncols; ++c) {
-    if (projected_[c] && c != 0) projected_ids_.push_back(static_cast<int>(c));
+  if (projection.all) {
+    record_plan_ = &component_->record_plan();
+  } else {
+    projected_ = component_->ProjectedColumns(projection);
   }
   columns_.resize(ncols);
-  by_column_.assign(ncols, nullptr);
+  by_column_.resize(ncols);
+  by_column_[0] = &pk_record_;
+  for (size_t c = 1; c < ncols; ++c) by_column_[c] = &columns_[c].record;
   if (predicates != nullptr && !predicates->empty()) {
     ResolvePredicates(*predicates);
   }
@@ -830,18 +842,16 @@ Result<PredicateVerdict> ColumnarComponentCursor::TestPushedPredicates() {
 }
 
 Status ColumnarComponentCursor::Record(Value* out) {
-  std::fill(by_column_.begin(), by_column_.end(), nullptr);
-  pk_record_.values[0] = Value::Int(key_);
-  by_column_[0] = &pk_record_;
-  for (int c : projected_ids_) {
-    LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
-    by_column_[c] = &columns_[c].record;
+  if (record_plan_ == nullptr) {
+    projected_plan_.emplace(
+        AssemblyPlan::ForRecord(*component_->schema(), &projected_));
+    record_plan_ = &*projected_plan_;
   }
-  bool all = true;
-  for (bool p : projected_) all = all && p;
-  *out = component_->assembler().Assemble(by_column_,
-                                          all ? nullptr : &projected_);
-  return Status::OK();
+  pk_record_.values[0] = Value::Int(key_);
+  for (int c : record_plan_->columns()) {
+    if (c != 0) LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
+  }
+  return record_plan_->Assemble(by_column_, &scratch_, out);
 }
 
 Status ColumnarComponentCursor::Path(const std::vector<std::string>& path,
@@ -870,12 +880,21 @@ Status ColumnarComponentCursor::Path(const std::vector<std::string>& path,
     *out = Value::Missing();
     return Status::OK();
   }
-  std::fill(by_column_.begin(), by_column_.end(), nullptr);
-  for (int c : Schema::ColumnsUnder(node)) {
-    LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
-    by_column_[c] = &columns_[c].record;
+  const AssemblyPlan* plan = nullptr;
+  for (const AssemblyPlan& cached : path_plans_) {
+    if (cached.root() == node) {
+      plan = &cached;
+      break;
+    }
   }
-  Value assembled = component_->assembler().AssembleSubtree(*node, by_column_);
+  if (plan == nullptr) {
+    plan = &path_plans_.emplace_back(AssemblyPlan::ForNode(*node));
+  }
+  for (int c : plan->columns()) {
+    LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
+  }
+  Value assembled;
+  LSMCOL_RETURN_NOT_OK(plan->Assemble(by_column_, &scratch_, &assembled));
   if (consumed < path.size()) {
     *out = WalkValuePath(assembled, path, consumed);
   } else {

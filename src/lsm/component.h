@@ -146,9 +146,9 @@ class Component {
   ComponentReader* mutable_reader() { return reader_.get(); }
   /// Schema snapshot (columnar layouts only; nullptr otherwise).
   const Schema* schema() const { return schema_ ? &*schema_ : nullptr; }
-  /// Assembler over schema() (columnar layouts only), shared by every
-  /// reader of the component.
-  const RecordAssembler& assembler() const { return *assembler_; }
+  /// The full-record assembly plan over schema() (columnar layouts only),
+  /// shared by every reader of the component.
+  const AssemblyPlan& record_plan() const { return *record_plan_; }
   /// Columnar layouts: by column id, whether `projection` needs the
   /// column (the PK always; paths unknown to the schema add nothing).
   std::vector<bool> ProjectedColumns(const Projection& projection) const;
@@ -226,7 +226,7 @@ class Component {
   bool salvage_ = false;
   std::unique_ptr<ComponentReader> reader_;
   std::optional<Schema> schema_;
-  std::optional<RecordAssembler> assembler_;
+  std::optional<AssemblyPlan> record_plan_;
   std::shared_ptr<ComponentFaultCounters> fault_counters_;
   /// Guards quarantine_reason_; quarantined_ is the lock-free fast path.
   mutable Mutex fault_mu_{MutexRank::kComponentFault};
@@ -321,6 +321,9 @@ class ColumnarComponentCursor : public TupleCursor {
       const Component* component, const Projection& projection,
       const ScanPredicateSet* predicates = nullptr,
       std::vector<std::pair<int64_t, int64_t>> foreign_key_ranges = {});
+  // The assembly state points into the cursor itself.
+  ColumnarComponentCursor(const ColumnarComponentCursor&) = delete;
+  ColumnarComponentCursor& operator=(const ColumnarComponentCursor&) = delete;
 
   Result<bool> Next() override;
   int64_t key() const override { return key_; }
@@ -390,8 +393,9 @@ class ColumnarComponentCursor : public TupleCursor {
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 
   const Component* component_;
-  std::vector<bool> projected_;   // by column id (component schema ids)
-  std::vector<int> projected_ids_;
+  /// By column id (component schema ids); compiled into `record_plan_` on
+  /// the first Record().
+  std::vector<bool> projected_;
 
   size_t leaf_index_ = 0;
   bool leaf_loaded_ = false;
@@ -420,7 +424,14 @@ class ColumnarComponentCursor : public TupleCursor {
   int64_t key_ = 0;
   bool anti_matter_ = false;
   int64_t seek_floor_ = INT64_MIN;
-  std::vector<const ColumnRecord*> by_column_;  // scratch for assembly
+  // Assembly. by_column_[c] points at column c's current record for the
+  // cursor's whole life; a plan reads only the columns it names, each made
+  // current first.
+  const AssemblyPlan* record_plan_ = nullptr;  // Record(): own or shared
+  std::optional<AssemblyPlan> projected_plan_;
+  std::vector<AssemblyPlan> path_plans_;  // Path(): one per resolved node
+  AssemblyScratch scratch_;
+  std::vector<const ColumnRecord*> by_column_;
   ColumnRecord pk_record_;
 };
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +15,10 @@
 #include "src/columnar/shredder.h"
 #include "src/common/rng.h"
 #include "src/json/parser.h"
+#include "src/layouts/apax.h"
+#include "src/lsm/component.h"
 #include "src/schema/schema.h"
+#include "src/storage/buffer_cache.h"
 
 namespace lsmcol {
 namespace {
@@ -893,6 +898,155 @@ TEST(SeekTest, LazyStringLengthsAreCheckedAtTheRead) {
   ASSERT_TRUE(indexer.Init(cut, FlatColumn(AtomicType::kString)).ok());
   Buffer index;
   EXPECT_TRUE(indexer.BuildSeekIndex(&index).IsCorruption());
+}
+
+// ------------------------------- sibling columns disagreeing on an array
+
+// A one-record APAX component of {"id":1,"a":[{"x":1,"y":2},{"x":3,"y":4}]}
+// whose column `victim` holds the one-element record {"id":1,"a":[{"x":1,
+// "y":2}]} instead. Each chunk parses on its own and every page checksum
+// holds; only assembly can see that a.x and a.y disagree on a's length.
+class MismatchedArrayComponent {
+ public:
+  MismatchedArrayComponent()
+      : dir_(testing::TempDir() + "/columnar_mismatch"),
+        cache_(1 << 20, kPage) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~MismatchedArrayComponent() {
+    component_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  void Build(const std::string& victim) {
+    Schema schema("id");
+    ColumnWriterSet writers(&schema);
+    RecordShredder shredder(&schema, &writers);
+    ASSERT_TRUE(Shred(&shredder,
+                      R"({"id":1,"a":[{"x":1,"y":2},{"x":3,"y":4}]})"));
+    ColumnWriterSet short_writers(&schema);
+    RecordShredder short_shredder(&schema, &short_writers);
+    ASSERT_TRUE(Shred(&short_shredder, R"({"id":1,"a":[{"x":1,"y":2}]})"));
+    int column = -1;
+    for (int c = 0; c < schema.column_count(); ++c) {
+      if (schema.column(c).path == "a[*]." + victim) column = c;
+    }
+    ASSERT_GE(column, 0);
+    Buffer chunk;
+    short_writers.writer(column).FinishInto(&chunk);
+    ColumnChunkReader reader;
+    ASSERT_TRUE(reader.Init(chunk.slice(), schema.column(column)).ok());
+    ColumnEntryBatch entries;
+    ASSERT_TRUE(reader.NextEntryBatch(reader.entry_count(), &entries).ok());
+    writers.writer(column).Clear();
+    writers.writer(column).AppendEntries(entries);
+
+    const std::string path = dir_ + "/" + victim;
+    auto out = ComponentWriter::Create(path, &cache_, kPage);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_TRUE(EmitApaxLeaf(&writers, out->get(), /*compress=*/false).ok());
+    ComponentMeta meta;
+    meta.layout = LayoutKind::kApax;
+    meta.compressed = false;
+    meta.component_id = 1;
+    meta.entry_count = 1;
+    Buffer meta_blob;
+    meta.SerializeTo(&meta_blob, &schema);
+    ASSERT_TRUE((*out)->Finish(meta_blob.slice()).ok());
+    out->reset();
+    auto opened = Component::Open(path, &cache_, kPage);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    component_ = std::move(*opened);
+  }
+
+  const Component* component() const { return component_.get(); }
+
+ private:
+  static constexpr size_t kPage = 4096;
+
+  static bool Shred(RecordShredder* shredder, const std::string& json) {
+    auto v = ParseJson(json);
+    return v.ok() && shredder->Shred(*v).ok();
+  }
+
+  std::string dir_;
+  BufferCache cache_;
+  std::unique_ptr<Component> component_;
+};
+
+// Assembly cannot trust any one list cell's length: taking a.y's, it would
+// index past a shorter a.x's list; taking a.x's, it would drop the element
+// a shorter a.y lacks. Every read that assembles `a` fails instead.
+TEST(ArrayLengthMismatchTest, ScanPathAndLookupReturnCorruption) {
+  for (const std::string victim : {"x", "y"}) {
+    SCOPED_TRACE("shorter column: a[*]." + victim);
+    MismatchedArrayComponent fixture;
+    fixture.Build(victim);
+    ASSERT_NE(fixture.component(), nullptr);
+    ColumnarComponentCursor cursor(fixture.component(), Projection::All());
+    auto next = cursor.Next();
+    ASSERT_TRUE(next.ok() && *next);
+    Value out;
+    Status st = cursor.Record(&out);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString() << " " << ToJson(out);
+    st = cursor.Path({"a"}, &out);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString() << " " << ToJson(out);
+    // A projection of `a` reads both columns and fails too.
+    ColumnarComponentCursor projected(fixture.component(),
+                                      Projection::Of({{"a"}}));
+    next = projected.Next();
+    ASSERT_TRUE(next.ok() && *next);
+    st = projected.Record(&out);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString() << " " << ToJson(out);
+    auto probe = fixture.component()->Lookup(1, Projection::All(), &out);
+    EXPECT_TRUE(probe.status().IsCorruption())
+        << probe.status().ToString() << " " << ToJson(out);
+  }
+}
+
+TEST(ArrayLengthMismatchTest, PlanRejectsEveryDirection) {
+  // The same mismatch at the plan level, including an empty list.
+  Schema schema("id");
+  auto v = ParseJson(R"({"id":1,"a":[{"x":1,"y":2},{"x":3,"y":4}]})");
+  ASSERT_TRUE(v.ok());
+  ColumnWriterSet writers(&schema);
+  RecordShredder shredder(&schema, &writers);
+  ASSERT_TRUE(shredder.Shred(*v).ok());
+  const int ncols = schema.column_count();
+  std::vector<ColumnRecord> cells(static_cast<size_t>(ncols));
+  std::vector<const ColumnRecord*> by_column(static_cast<size_t>(ncols));
+  for (int c = 0; c < ncols; ++c) {
+    Buffer chunk;
+    writers.writer(c).FinishInto(&chunk);
+    ColumnChunkReader reader;
+    ASSERT_TRUE(reader.Init(chunk.slice(), schema.column(c)).ok());
+    ASSERT_TRUE(reader.NextRecord(&cells[static_cast<size_t>(c)]).ok());
+    by_column[static_cast<size_t>(c)] = &cells[static_cast<size_t>(c)];
+  }
+  const AssemblyPlan record = AssemblyPlan::ForRecord(schema);
+  const AssemblyPlan node =
+      AssemblyPlan::ForNode(*schema.root().FindField("a"));
+  AssemblyScratch scratch;
+  Value out;
+  ASSERT_TRUE(record.Assemble(by_column, &scratch, &out).ok());
+  EXPECT_EQ(ToJson(out), ToJson(*v));
+  for (int c = 1; c < ncols; ++c) {
+    for (size_t keep : {0, 1}) {
+      ColumnRecord cut = cells[static_cast<size_t>(c)];
+      ASSERT_EQ(cut.root.kind, ShredCell::Kind::kList);
+      cut.root.children.resize(keep);
+      std::vector<const ColumnRecord*> mixed = by_column;
+      mixed[static_cast<size_t>(c)] = &cut;
+      EXPECT_TRUE(record.Assemble(mixed, &scratch, &out).IsCorruption())
+          << "column " << c << " keeps " << keep;
+      EXPECT_TRUE(node.Assemble(mixed, &scratch, &out).IsCorruption())
+          << "column " << c << " keeps " << keep;
+    }
+  }
+  // The scratch is left usable.
+  ASSERT_TRUE(record.Assemble(by_column, &scratch, &out).ok());
+  EXPECT_EQ(ToJson(out), ToJson(*v));
 }
 
 }  // namespace
