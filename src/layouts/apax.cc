@@ -169,4 +169,47 @@ Result<ApaxChunkStats> ApaxLeaf::stats(int column_id) const {
   return stats;
 }
 
+void ApaxLeaf::HeadUnit(Buffer* out) const {
+  const Slice pk = chunk(0);
+  out->reserve(out->size() + 2 * 5 + pk.size());  // two uint32 varints
+  out->AppendVarint64(record_count_);
+  out->AppendVarint64(column_count_);
+  out->Append(pk);
+}
+
+void ApaxLeaf::ColumnUnit(int column_id, Buffer* out) const {
+  LSMCOL_DCHECK(column_id >= 1 &&
+                static_cast<uint32_t>(column_id) < column_count_);
+  const auto c = static_cast<size_t>(column_id);
+  const uint32_t end = c + 1 < stats_offsets_.size()
+                           ? stats_offsets_[c + 1]
+                           : static_cast<uint32_t>(stats_table_.size());
+  const Slice entry = stats_table_.SubSlice(stats_offsets_[c],
+                                            end - stats_offsets_[c]);
+  out->reserve(out->size() + entry.size() + chunks_[c].size());
+  out->Append(entry);
+  out->Append(chunks_[c]);
+}
+
+Status ApaxHead::Parse(Slice unit) {
+  BufferReader r(unit);
+  uint64_t record_count = 0, column_count = 0;
+  LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&record_count));
+  LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&column_count));
+  if (record_count > UINT32_MAX || column_count > UINT32_MAX) {
+    return Status::Corruption("apax head: bad record or column count");
+  }
+  record_count_ = static_cast<uint32_t>(record_count);
+  column_count_ = static_cast<uint32_t>(column_count);
+  pk_chunk_ = r.rest();
+  return Status::OK();
+}
+
+Status ParseApaxColumnUnit(Slice unit, Slice* chunk, ApaxChunkStats* stats) {
+  BufferReader r(unit);
+  LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, stats));
+  *chunk = r.rest();
+  return Status::OK();
+}
+
 }  // namespace lsmcol

@@ -12,6 +12,14 @@
 //     min/max — zone-filter stats over the chunk's present values) |
 //   column chunks (minipages) back to back
 // The payload is LZ-compressed as a unit when compression is on.
+//
+// Readers do not cache a leaf whole. They cache two kinds of decoded unit
+// cut from it (ApaxLeaf::HeadUnit/ColumnUnit), the same two AMAX readers
+// use (Page 0 and megapages), so a cache holds only the columns its
+// readers touch. Units live in memory only and are rebuilt from the leaf
+// on a miss:
+//   head unit:   varint record_count | varint column_count | PK chunk
+//   column unit: the column's stats entry as stored | its minipage
 
 #ifndef LSMCOL_LAYOUTS_APAX_H_
 #define LSMCOL_LAYOUTS_APAX_H_
@@ -75,6 +83,12 @@ class ApaxLeaf {
   /// rejected by the footer-magic bump (see component_file.cc).
   Result<ApaxChunkStats> stats(int column_id) const;
 
+  /// Append the leaf's head unit to `out`.
+  void HeadUnit(Buffer* out) const;
+  /// Append column `column_id`'s unit to `out`; 1 <= column_id <
+  /// column_count().
+  void ColumnUnit(int column_id, Buffer* out) const;
+
  private:
   Buffer storage_;
   uint32_t record_count_ = 0;
@@ -85,6 +99,25 @@ class ApaxLeaf {
   Slice stats_table_;                   ///< every column's stats entry
   std::vector<uint32_t> stats_offsets_; ///< column -> entry offset in it
 };
+
+/// A parsed APAX head unit; the PK chunk points into the unit.
+class ApaxHead {
+ public:
+  Status Parse(Slice unit);
+
+  uint32_t record_count() const { return record_count_; }
+  uint32_t column_count() const { return column_count_; }
+  Slice pk_chunk() const { return pk_chunk_; }
+
+ private:
+  uint32_t record_count_ = 0;
+  uint32_t column_count_ = 0;
+  Slice pk_chunk_;
+};
+
+/// Split an APAX column unit into its minipage (`chunk`, pointing into
+/// the unit) and, when `stats` is non-null, its decoded zone stats.
+Status ParseApaxColumnUnit(Slice unit, Slice* chunk, ApaxChunkStats* stats);
 
 }  // namespace lsmcol
 

@@ -144,8 +144,43 @@ Result<CacheHandle> Component::FetchUnit(
   return unit;
 }
 
-Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
-                                           CacheUse use) const {
+Status Component::LoadApaxLeaf(size_t leaf_index,
+                               ApaxLeafImage* image) const {
+  if (image->leaf == leaf_index) return Status::OK();
+  image->leaf = SIZE_MAX;
+  const uint64_t size = reader_->leaves()[leaf_index].payload_size;
+  if (meta_.compressed) {
+    Buffer stored;
+    LSMCOL_RETURN_NOT_OK(
+        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &stored));
+    image->bytes.clear();
+    LSMCOL_RETURN_NOT_OK(LzDecompress(stored.slice(), &image->bytes));
+  } else {
+    LSMCOL_RETURN_NOT_OK(
+        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &image->bytes));
+  }
+  LSMCOL_RETURN_NOT_OK(image->apax.Parse(image->bytes.slice()));
+  image->leaf = leaf_index;
+  return Status::OK();
+}
+
+Status Component::ReadApaxLeaf(size_t leaf_index,
+                               ApaxLeafImage* image) const {
+  LSMCOL_RETURN_NOT_OK(CheckReadable());
+  return NoteRead(LoadApaxLeaf(leaf_index, image));
+}
+
+Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
+                                           ApaxLeafImage* image) const {
+  if (meta_.layout == LayoutKind::kApax) {
+    ApaxLeafImage own;
+    if (image == nullptr) image = &own;
+    return FetchUnit(leaf_index, -1, use, [&](Buffer* out) {
+      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(leaf_index, image));
+      image->apax.HeadUnit(out);
+      return Status::OK();
+    });
+  }
   const LeafEntry& leaf = reader_->leaves()[leaf_index];
   // An AMAX leaf's unit is its Page 0, which is stored uncompressed.
   const bool amax = meta_.layout == LayoutKind::kAmax;
@@ -169,6 +204,31 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
   });
 }
 
+Result<CacheHandle> Component::DecodedMinipage(size_t leaf_index,
+                                               int column_id, CacheUse use,
+                                               ApaxLeafImage* image) const {
+  // A loader of at most two pointers fits std::function's inline storage,
+  // so a fetch (a lookup makes one per column) allocates nothing.
+  struct {
+    size_t leaf;
+    int column;
+    ApaxLeafImage* image;
+  } args{leaf_index, column_id, image};
+  return FetchUnit(leaf_index, column_id, use,
+                   [this, &args](Buffer* out) -> Status {
+    LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(args.leaf, args.image));
+    const ApaxLeaf& leaf = args.image->apax;
+    if (args.column < 1 ||
+        static_cast<uint32_t>(args.column) >= leaf.column_count()) {
+      return Status::Corruption("apax leaf " + std::to_string(args.leaf) +
+                                " holds no column " +
+                                std::to_string(args.column));
+    }
+    leaf.ColumnUnit(args.column, out);
+    return Status::OK();
+  });
+}
+
 Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
                                                int column_id,
                                                const AmaxColumnExtent& extent,
@@ -185,23 +245,15 @@ Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
 
 namespace {
 
-// What a columnar leaf's unit carries for lookups (its cache attachment),
-// built on the leaf's first lookup:
+// What a columnar leaf's head unit carries for lookups (its cache
+// attachment), built on the leaf's first lookup:
 //   records × int64 key | records × byte, 1 for anti-matter.
 class LeafKeys {
  public:
   static Status Build(Slice pk_chunk, const ColumnInfo& pk, size_t records,
                       Buffer* out) {
-    ColumnChunkReader reader;
-    LSMCOL_RETURN_NOT_OK(reader.Init(pk_chunk, pk));
     ColumnEntryBatch batch;
-    LSMCOL_RETURN_NOT_OK(reader.NextEntryBatch(reader.entry_count(), &batch));
-    if (batch.entry_count() != records || batch.ints.size() != records) {
-      return Status::Corruption("leaf key column holds " +
-                                std::to_string(batch.entry_count()) +
-                                " keys for " + std::to_string(records) +
-                                " records");
-    }
+    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(pk_chunk, pk, records, &batch));
     out->clear();
     out->Append(Slice(reinterpret_cast<const char*>(batch.ints.data()),
                       records * sizeof(int64_t)));
@@ -241,6 +293,20 @@ class LeafKeys {
 
 }  // namespace
 
+Status DecodeLeafKeys(Slice pk_chunk, const ColumnInfo& pk, size_t records,
+                      ColumnEntryBatch* batch) {
+  ColumnChunkReader reader;
+  LSMCOL_RETURN_NOT_OK(reader.Init(pk_chunk, pk));
+  LSMCOL_RETURN_NOT_OK(reader.NextEntryBatch(reader.entry_count(), batch));
+  if (batch->entry_count() != records || batch->ints.size() != records) {
+    return Status::Corruption("leaf key column holds " +
+                              std::to_string(batch->entry_count()) +
+                              " keys for " + std::to_string(records) +
+                              " records");
+  }
+  return Status::OK();
+}
+
 std::vector<bool> Component::ProjectedColumns(
     const Projection& projection) const {
   std::vector<bool> projected(static_cast<size_t>(schema_->column_count()),
@@ -264,8 +330,9 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   if (leaf == leaves.size() || leaves[leaf].min_key > key) {
     return KeyProbe::kAbsent;
   }
+  ApaxLeafImage image;  // APAX misses: the leaf, read once for all units
   LSMCOL_ASSIGN_OR_RETURN(CacheHandle unit,
-                          DecodedLeaf(leaf, CacheUse::kInstall));
+                          DecodedLeaf(leaf, CacheUse::kInstall, &image));
   if (!schema_.has_value()) {
     // Row layouts: a leaf is one page of entries, walked in place.
     RowLeafReader rows;
@@ -285,16 +352,16 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   }
   const bool apax = meta_.layout == LayoutKind::kApax;
   const size_t records = leaves[leaf].record_count;
-  ApaxLeaf apax_leaf;
+  ApaxHead head;
   AmaxPageZero page0;
   if (apax) {
-    LSMCOL_RETURN_NOT_OK(apax_leaf.Parse(unit.data()));
+    LSMCOL_RETURN_NOT_OK(head.Parse(unit.data()));
   } else {
     LSMCOL_RETURN_NOT_OK(page0.Init(unit.data()));
   }
   BufferCache* cache = reader_->cache();
   Result<Slice> keys_bytes = cache->Attachment(unit, [&](Buffer* built) {
-    return LeafKeys::Build(apax ? apax_leaf.chunk(0) : page0.pk_chunk(),
+    return LeafKeys::Build(apax ? head.pk_chunk() : page0.pk_chunk(),
                            schema_->column(0), records, built);
   });
   if (!keys_bytes.ok()) return NoteRead(keys_bytes.status());
@@ -305,8 +372,7 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
 
   // The record's entries of each column the plan reads, assembled exactly
   // as ColumnarComponentCursor::Record does. A column's seek index is built
-  // on its first lookup in the leaf: an APAX column's is a unit of its
-  // own, an AMAX column's is its megapage's attachment.
+  // on its first lookup in the leaf and kept as its unit's attachment.
   std::optional<AssemblyPlan> projected_plan;
   if (!projection.all) {
     const std::vector<bool> projected = ProjectedColumns(projection);
@@ -332,35 +398,31 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
       continue;
     }
     const ColumnInfo& info = schema_->column(c);
-    auto build_index = [&](Slice chunk, Buffer* built) {
-      ColumnChunkReader walker;
-      LSMCOL_RETURN_NOT_OK(walker.Init(chunk, info));
-      return walker.BuildSeekIndex(built);
-    };
     Slice chunk;
-    CacheHandle holder;  // pins the bytes `chunk` or `index` point into
-    Slice index;
+    CacheHandle holder;  // pins the bytes `chunk` and its index point into
     if (apax) {
-      chunk = apax_leaf.chunk(c);
-      if (chunk.empty()) continue;  // column unknown to the leaf: missing
+      // Columns the leaf predates have no unit: missing.
+      if (static_cast<uint32_t>(c) >= head.column_count()) continue;
       LSMCOL_ASSIGN_OR_RETURN(
-          holder, FetchUnit(leaf, c, CacheUse::kInstall, [&](Buffer* built) {
-            return build_index(chunk, built);
-          }));
-      index = holder.data();
+          holder, DecodedMinipage(leaf, c, CacheUse::kInstall, &image));
+      LSMCOL_RETURN_NOT_OK(
+          ParseApaxColumnUnit(holder.data(), &chunk, nullptr));
     } else {
       const AmaxColumnExtent& extent = page0.extent(c);
       if (extent.size == 0) continue;  // column unknown to the leaf
       LSMCOL_ASSIGN_OR_RETURN(
           holder, DecodedMegapage(leaf, c, extent, CacheUse::kInstall, &memo));
       chunk = holder.data();
-      Result<Slice> built = cache->Attachment(
-          holder, [&](Buffer* out) { return build_index(chunk, out); });
-      if (!built.ok()) return NoteRead(built.status());
-      index = *built;
     }
+    if (chunk.empty()) continue;
+    Result<Slice> index = cache->Attachment(holder, [&](Buffer* built) {
+      ColumnChunkReader walker;
+      LSMCOL_RETURN_NOT_OK(walker.Init(chunk, info));
+      return walker.BuildSeekIndex(built);
+    });
+    if (!index.ok()) return NoteRead(index.status());
     LSMCOL_RETURN_NOT_OK(column.Init(chunk, info));
-    Status st = column.Seek(record, index);
+    Status st = column.Seek(record, *index);
     if (st.ok()) st = column.NextRecord(&cells[i]);
     if (st.code() == StatusCode::kOutOfRange) {
       return Status::Corruption("column " + info.path + " ends before record " +
@@ -430,10 +492,9 @@ ColumnarComponentCursor::ColumnarComponentCursor(
   } else {
     projected_ = component_->ProjectedColumns(projection);
   }
-  columns_.resize(ncols);
+  state_of_.resize(ncols);
   by_column_.resize(ncols);
   by_column_[0] = &pk_record_;
-  for (size_t c = 1; c < ncols; ++c) by_column_[c] = &columns_[c].record;
   if (predicates != nullptr && !predicates->empty()) {
     ResolvePredicates(*predicates);
   }
@@ -525,40 +586,41 @@ bool ColumnarComponentCursor::LeafRangeDisjointFromForeign(
   return true;
 }
 
-void ColumnarComponentCursor::EvaluateLeafZones() {
+Status ColumnarComponentCursor::EvaluateLeafZones() {
   leaf_zone_match_ = true;
   if (component_never_match_) {
     // Component-wide veto (missing path / type-incompatible literal):
     // every leaf fails its "zone" so the whole-leaf skip applies.
     leaf_zone_match_ = false;
-    return;
+    return Status::OK();
   }
-  if (!has_checked_predicates_) return;
+  if (!has_checked_predicates_) return Status::OK();
   if (!pk_preds_.empty()) {
     const auto& leaf = component_->reader().leaves()[leaf_index_];
     for (const TypedPredicate& pred : pk_preds_) {
       if (!pred.OverlapsIntZone(leaf.min_key, leaf.max_key)) {
         leaf_zone_match_ = false;
-        return;
+        return Status::OK();
       }
     }
   }
   const bool apax = component_->meta().layout == LayoutKind::kApax;
   for (const PredColumn& pc : pred_columns_) {
     if (apax) {
-      if (apax_leaf_.chunk(pc.column_id).empty()) {
+      Slice chunk;
+      LSMCOL_RETURN_NOT_OK(LeafChunk(pc.column_id, &chunk));
+      if (chunk.empty()) {
         // Column absent from this leaf: the field is MISSING in every
         // record, so nothing here can match.
         leaf_zone_match_ = false;
-        return;
+        return Status::OK();
       }
-      // Parse checked every entry; should one still fail, keep the leaf.
-      const Result<ApaxChunkStats> parsed = apax_leaf_.stats(pc.column_id);
-      if (!parsed.ok()) return;
-      const ApaxChunkStats& stats = *parsed;
+      ApaxChunkStats stats;
+      LSMCOL_RETURN_NOT_OK(ParseApaxColumnUnit(
+          State(pc.column_id).unit.data(), &chunk, &stats));
       if (!stats.has_stats) {
         leaf_zone_match_ = false;  // zero present values in this leaf
-        return;
+        return Status::OK();
       }
       for (const TypedPredicate& pred : pc.preds) {
         bool overlap = true;
@@ -578,14 +640,14 @@ void ColumnarComponentCursor::EvaluateLeafZones() {
         }
         if (!overlap) {
           leaf_zone_match_ = false;
-          return;
+          return Status::OK();
         }
       }
     } else {
       const AmaxColumnExtent& extent = amax_page0_.extent(pc.column_id);
       if (extent.size == 0) {
         leaf_zone_match_ = false;
-        return;
+        return Status::OK();
       }
       for (const TypedPredicate& pred : pc.preds) {
         bool overlap = true;
@@ -613,62 +675,57 @@ void ColumnarComponentCursor::EvaluateLeafZones() {
         }
         if (!overlap) {
           leaf_zone_match_ = false;
-          return;
+          return Status::OK();
         }
       }
     }
   }
+  return Status::OK();
 }
 
 Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   leaf_index_ = leaf_index;
   position_in_leaf_ = 0;
-  for (ColumnState& st : columns_) {
-    st.chunk_loaded = false;
-    st.loaded = false;
-    st.consumed = 0;
-    st.seq = 0;
-    st.megapage = CacheHandle();
-    st.entries.reset();  // whole-leaf decodes are freed, not kept
+  for (const auto& st : states_) {
+    st->chunk_loaded = false;
+    st->loaded = false;
+    st->consumed = 0;
+    st->seq = 0;
+    st->unit = CacheHandle();
+    st->entries.reset();  // whole-leaf decodes are freed, not kept
   }
   page_memo_.clear();
-  const Schema* schema = component_->schema();
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
-  LSMCOL_ASSIGN_OR_RETURN(leaf_unit_,
-                          component_->DecodedLeaf(leaf_index,
-                                                  CacheUse::kInstall));
+  LSMCOL_ASSIGN_OR_RETURN(
+      leaf_unit_,
+      component_->DecodedLeaf(leaf_index, CacheUse::kInstall, &apax_image_));
+  Slice pk_chunk;
   if (component_->meta().layout == LayoutKind::kApax) {
-    LSMCOL_RETURN_NOT_OK(apax_leaf_.Parse(leaf_unit_.data()));
-    EvaluateLeafZones();
-    leaf_loaded_ = true;
-    if (!leaf_zone_match_ &&
-        LeafRangeDisjointFromForeign(leaf.min_key, leaf.max_key)) {
-      // Nothing in this leaf can match the filter, and no other source
-      // holds keys in its range, so skipping it cannot disturb
-      // reconciliation — don't even decode the PKs.
-      position_in_leaf_ = leaf_records_;
-      return Status::OK();
-    }
-    LSMCOL_RETURN_NOT_OK(pk_reader_.Init(apax_leaf_.chunk(0),
-                                         schema->column(0)));
+    LSMCOL_RETURN_NOT_OK(apax_head_.Parse(leaf_unit_.data()));
+    leaf_columns_ = apax_head_.column_count();
+    pk_chunk = apax_head_.pk_chunk();
   } else {
     // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
     LSMCOL_RETURN_NOT_OK(amax_page0_.Init(leaf_unit_.data()));
-    EvaluateLeafZones();
-    leaf_loaded_ = true;
-    if (!leaf_zone_match_ &&
-        LeafRangeDisjointFromForeign(leaf.min_key, leaf.max_key)) {
-      position_in_leaf_ = leaf_records_;
-      return Status::OK();
-    }
-    LSMCOL_RETURN_NOT_OK(
-        pk_reader_.Init(amax_page0_.pk_chunk(), schema->column(0)));
+    leaf_columns_ = amax_page0_.column_count();
+    pk_chunk = amax_page0_.pk_chunk();
   }
-  // The whole leaf's keys and anti-matter defs in one batched decode:
-  // Next() degrades to array reads, and seeks binary-search the keys.
-  LSMCOL_RETURN_NOT_OK(
-      pk_reader_.NextEntryBatch(pk_reader_.entry_count(), &pk_batch_));
+  LSMCOL_RETURN_NOT_OK(EvaluateLeafZones());
+  if (!leaf_zone_match_ &&
+      LeafRangeDisjointFromForeign(leaf.min_key, leaf.max_key)) {
+    // Nothing in this leaf can match the filter, and no other source
+    // holds keys in its range, so skipping it cannot disturb
+    // reconciliation — don't even decode the PKs.
+    position_in_leaf_ = leaf_records_;
+  } else {
+    // The whole leaf's keys and anti-matter defs in one batched decode:
+    // Next() degrades to array reads, and seeks binary-search the keys.
+    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(pk_chunk,
+                                        component_->schema()->column(0),
+                                        leaf_records_, &pk_batch_));
+  }
+  leaf_loaded_ = true;
   return Status::OK();
 }
 
@@ -708,21 +765,40 @@ Result<bool> ColumnarComponentCursor::Next() {
   }
 }
 
+ColumnarComponentCursor::ColumnState& ColumnarComponentCursor::State(
+    int column_id) {
+  LSMCOL_DCHECK(column_id > 0);  // the PK is decoded with the leaf
+  ColumnState*& st = state_of_[static_cast<size_t>(column_id)];
+  if (st == nullptr) {
+    st = states_.emplace_back(std::make_unique<ColumnState>()).get();
+    by_column_[static_cast<size_t>(column_id)] = &st->record;
+  }
+  return *st;
+}
+
 Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
-  ColumnState& st = columns_[column_id];
+  ColumnState& st = State(column_id);
   if (!st.chunk_loaded) {
-    if (component_->meta().layout == LayoutKind::kApax) {
-      st.chunk = apax_leaf_.chunk(column_id);
-    } else {
-      st.chunk = Slice();
-      const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
-      if (extent.size != 0) {
-        // Only this column's megapage (§4.3).
+    st.chunk = Slice();
+    // Columns the leaf predates have no unit: all-missing.
+    if (static_cast<uint32_t>(column_id) < leaf_columns_) {
+      if (component_->meta().layout == LayoutKind::kApax) {
         LSMCOL_ASSIGN_OR_RETURN(
-            st.megapage, component_->DecodedMegapage(
-                             leaf_index_, column_id, extent,
-                             CacheUse::kInstall, &page_memo_));
-        st.chunk = st.megapage.data();
+            st.unit, component_->DecodedMinipage(leaf_index_, column_id,
+                                                 CacheUse::kInstall,
+                                                 &apax_image_));
+        LSMCOL_RETURN_NOT_OK(
+            ParseApaxColumnUnit(st.unit.data(), &st.chunk, nullptr));
+      } else {
+        const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
+        if (extent.size != 0) {
+          // Only this column's megapage (§4.3).
+          LSMCOL_ASSIGN_OR_RETURN(
+              st.unit, component_->DecodedMegapage(
+                           leaf_index_, column_id, extent,
+                           CacheUse::kInstall, &page_memo_));
+          st.chunk = st.unit.data();
+        }
       }
     }
     st.chunk_loaded = true;
@@ -732,7 +808,7 @@ Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
 }
 
 Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
-  ColumnState& st = columns_[column_id];
+  ColumnState& st = State(column_id);
   if (st.seq == record_seq_) return Status::OK();
   if (!st.loaded) {
     Slice chunk;
@@ -766,7 +842,7 @@ Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
 
 Result<const ColumnarComponentCursor::LeafEntries*>
 ColumnarComponentCursor::LoadLeafEntries(int column_id) {
-  ColumnState& st = columns_[column_id];
+  ColumnState& st = State(column_id);
   if (st.entries != nullptr) return st.entries.get();
   Slice chunk;
   LSMCOL_RETURN_NOT_OK(LeafChunk(column_id, &chunk));

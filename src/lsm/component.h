@@ -15,17 +15,23 @@
 // within a leaf (§4.3). It also hands out typed per-record spans of a
 // column's whole-leaf decode (RecordSpan) for the compiled engine.
 //
-// Cursors read leaves as decoded units pinned in the buffer cache
-// (Component::DecodedLeaf/DecodedMegapage): a row or APAX leaf payload,
-// an AMAX Page 0, or one AMAX megapage, verified and decompressed once on
-// a miss and indexed in place afterwards — no per-open copy or LZ.
+// Cursors read leaves as decoded units pinned in the buffer cache, verified
+// and decompressed once on a miss and indexed in place afterwards — no
+// per-open copy or LZ. A row leaf is one unit, its payload. A columnar
+// leaf is a head unit (Component::DecodedLeaf: record and column counts
+// and the PK chunk; for AMAX its Page 0, with the zone prefixes) and one
+// unit per column the leaf holds (an APAX minipage with its stats entry,
+// DecodedMinipage; an AMAX megapage, DecodedMegapage), so a cache holds
+// only the columns its readers touch. An AMAX column miss reads that
+// column's pages. An APAX miss reads the whole leaf once into an image
+// private to the reader (ApaxLeafImage) and cuts from it the units asked
+// for; the leaf itself is never cached.
 //
 // Point lookups use no cursor: Component::Lookup checks the key fences,
-// binary-searches one leaf's keys (decoded once, kept as the leaf unit's
+// binary-searches one leaf's keys (decoded once, kept as the head unit's
 // cache attachment), and seeks each projected column straight to the
 // record through the column's seek index, built on the column's first
-// lookup in the leaf (an APAX column's index is a cache unit of its own,
-// an AMAX column's is kept as its megapage's attachment). Columns the
+// lookup in the leaf and kept as its column unit's attachment. Columns the
 // projection leaves out are never indexed or read.
 
 #ifndef LSMCOL_LSM_COMPONENT_H_
@@ -94,6 +100,23 @@ enum class CacheUse : uint8_t {
              ///< uncached (merge inputs): nothing is installed
 };
 
+/// An APAX leaf as one reader read it: its stored payload read with one
+/// pread, page trailers verified, decompressed and parsed once. Every APAX
+/// unit a miss builds is cut from it, so one reader's misses in a leaf
+/// cost one read of the leaf. Private to that reader (a cursor, a lookup
+/// or a merge input) and never cached.
+struct ApaxLeafImage {
+  size_t leaf = SIZE_MAX;  ///< the leaf `apax` holds; SIZE_MAX: none
+  Buffer bytes;            ///< the decompressed payload `apax` points into
+  ApaxLeaf apax;
+};
+
+/// Decode a columnar leaf's whole PK chunk into `batch`: keys and
+/// anti-matter def levels. Corruption unless it holds exactly `records`
+/// keys, the count the component's leaf index gives the leaf.
+Status DecodeLeafKeys(Slice pk_chunk, const ColumnInfo& pk, size_t records,
+                      ColumnEntryBatch* batch);
+
 /// Which fields a cursor must be able to materialize.
 struct Projection {
   bool all = true;
@@ -155,13 +178,24 @@ class Component {
   uint64_t size_bytes() const { return reader_->size_bytes(); }
   const std::string& path() const { return reader_->path(); }
 
-  /// The leaf's verified, decompressed payload (row and APAX layouts)
-  /// or its Page 0 (AMAX: header, zone prefixes and keys), pinned in the
-  /// buffer cache. Like every checked read it fails fast once the
-  /// component is quarantined, even when the unit is cached, and a miss
-  /// that surfaces data damage (a page checksum, or an LZ stream that does
-  /// not decode) quarantines the component. Thread-safe.
-  Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use) const;
+  /// The leaf's head unit, pinned in the buffer cache: a row leaf's
+  /// verified, decompressed payload, an APAX head unit (ApaxHead), or an
+  /// AMAX Page 0 (header, zone prefixes and keys). An APAX miss reads the
+  /// leaf into `image` unless it holds it already (a private one when
+  /// null). Like every checked read it fails fast once the component is
+  /// quarantined, even when the unit is cached, and a miss that surfaces
+  /// data damage (a page checksum, or an LZ stream or leaf that does not
+  /// decode) quarantines the component. Thread-safe.
+  Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use,
+                                  ApaxLeafImage* image = nullptr) const;
+  /// One column's APAX unit: its stats entry and minipage, split by
+  /// ParseApaxColumnUnit. `column_id` must be below the leaf's column
+  /// count (ApaxHead::column_count): later columns get no unit. A miss
+  /// reads the leaf into `image` unless it holds it already. Same rules
+  /// as DecodedLeaf.
+  Result<CacheHandle> DecodedMinipage(size_t leaf_index, int column_id,
+                                      CacheUse use,
+                                      ApaxLeafImage* image) const;
   /// One column's AMAX megapage at `extent` (from the leaf's Page 0),
   /// decompressed and stripped of its string min/max prefix: the bytes
   /// ColumnChunkReader::Init takes. Same rules as DecodedLeaf. A miss
@@ -171,6 +205,10 @@ class Component {
                                       const AmaxColumnExtent& extent,
                                       CacheUse use,
                                       LeafPageMemo* memo = nullptr) const;
+  /// Checked read of an APAX leaf into `image` (a no-op when it holds the
+  /// leaf already), around the buffer cache: how a merge reads its input
+  /// leaves. Same quarantine rules as ReadLeaf.
+  Status ReadApaxLeaf(size_t leaf_index, ApaxLeafImage* image) const;
 
   /// Point lookup. Only the leaf whose key fences span `key` is read: its
   /// keys are binary-searched (decoded once per cached leaf), and a hit
@@ -216,6 +254,9 @@ class Component {
   /// a miss.
   Result<CacheHandle> FetchUnit(size_t leaf_index, int column, CacheUse use,
                                 const BufferCache::UnitLoader& load) const;
+  /// ReadApaxLeaf without the checks: the APAX units' miss path, whose
+  /// result FetchUnit notes.
+  Status LoadApaxLeaf(size_t leaf_index, ApaxLeafImage* image) const;
   /// Record `st` if it is data damage (quarantining on first sight) and
   /// return it unchanged. Called on every checked read's result.
   Status NoteRead(Status st) const LSMCOL_EXCLUDES(fault_mu_);
@@ -359,10 +400,12 @@ class ColumnarComponentCursor : public TupleCursor {
     std::vector<uint32_t> starts;
   };
 
+  /// A column the cursor has read. Made on the column's first use, so a
+  /// cursor keeps (and resets per leaf) only the columns it reads.
   struct ColumnState {
     bool chunk_loaded = false;  // `chunk` holds the current leaf's
     Slice chunk;                // empty: column absent from the leaf
-    CacheHandle megapage;       // AMAX: pins the bytes `chunk` points into
+    CacheHandle unit;           // pins the column unit `chunk` points into
     bool loaded = false;        // `reader` initialized for current leaf
     ColumnChunkReader reader;
     uint64_t consumed = 0;      // records consumed within current leaf
@@ -382,14 +425,17 @@ class ColumnarComponentCursor : public TupleCursor {
   };
 
   Status LoadLeaf(size_t leaf_index);
-  /// The column's chunk in the current leaf; an AMAX megapage is fetched
-  /// from the cache on the first call per leaf only.
+  /// The column's state, made on first use.
+  ColumnState& State(int column_id);
+  /// The column's chunk in the current leaf; its unit is fetched from the
+  /// cache on the first call per leaf only.
   Status LeafChunk(int column_id, Slice* out);
   Status EnsureColumnCurrent(int column_id);
   Result<const LeafEntries*> LoadLeafEntries(int column_id);
   void ResolvePredicates(const ScanPredicateSet& predicates);
-  /// Zone tests for the current leaf; sets leaf_zone_match_.
-  void EvaluateLeafZones();
+  /// Zone tests for the current leaf; sets leaf_zone_match_. An APAX
+  /// predicate column's stats come with its column unit.
+  Status EvaluateLeafZones();
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 
   const Component* component_;
@@ -404,13 +450,15 @@ class ColumnarComponentCursor : public TupleCursor {
   uint64_t record_seq_ = 0;        // increments on every delivered record
 
   // Per-leaf state.
-  CacheHandle leaf_unit_;  // APAX: decoded payload; AMAX: Page 0
-  ApaxLeaf apax_leaf_;     // parsed in place over leaf_unit_
+  CacheHandle leaf_unit_;  // head unit: APAX head, AMAX Page 0
+  ApaxHead apax_head_;     // parsed in place over leaf_unit_
   AmaxPageZero amax_page0_;
+  uint32_t leaf_columns_ = 0;  // columns the leaf holds; later ids absent
+  ApaxLeafImage apax_image_;  // APAX: the leaf unit misses last read
   LeafPageMemo page_memo_;  // AMAX: shared pages read by megapage misses
-  ColumnChunkReader pk_reader_;
   ColumnEntryBatch pk_batch_;  // whole-leaf PK decode (defs + keys)
-  std::vector<ColumnState> columns_;  // by column id
+  std::vector<std::unique_ptr<ColumnState>> states_;  // columns read so far
+  std::vector<ColumnState*> state_of_;  // by column id; null until read
 
   // Pushdown state.
   bool has_checked_predicates_ = false;  // any zone/typed check applies
@@ -424,9 +472,9 @@ class ColumnarComponentCursor : public TupleCursor {
   int64_t key_ = 0;
   bool anti_matter_ = false;
   int64_t seek_floor_ = INT64_MIN;
-  // Assembly. by_column_[c] points at column c's current record for the
-  // cursor's whole life; a plan reads only the columns it names, each made
-  // current first.
+  // Assembly. by_column_[c] points at column c's current record from the
+  // column's first read on; a plan reads only the columns it names, each
+  // made current first.
   const AssemblyPlan* record_plan_ = nullptr;  // Record(): own or shared
   std::optional<AssemblyPlan> projected_plan_;
   std::vector<AssemblyPlan> path_plans_;  // Path(): one per resolved node

@@ -127,14 +127,13 @@ Status MergeRows(const DatasetOptions& options,
   return builder.Finish();
 }
 
-/// One input leaf's head, parsed: the APAX leaf (its whole payload) or
-/// the AMAX Page 0 (header, extents and keys). `unit` pins the bytes the
-/// APAX chunk slices point into. Megapage misses read the leaf's pages
-/// uncached; `memo` keeps the pages two adjacent megapages share, so each
-/// is read once however many column streams reach it.
+/// One input leaf's head, parsed: the APAX leaf (its whole payload, read
+/// around the cache) or the AMAX Page 0 (header, extents and keys).
+/// Megapage misses read the leaf's pages uncached; `memo` keeps the pages
+/// two adjacent megapages share, so each is read once however many column
+/// streams reach it.
 struct MergeLeaf {
-  CacheHandle unit;
-  ApaxLeaf apax;
+  ApaxLeafImage image;
   AmaxPageZero page0;
   mutable LeafPageMemo memo;
 };
@@ -158,14 +157,15 @@ class MergeLeafCache {
       if (index == leaf_index) return leaf;
     }
     auto leaf = std::make_shared<MergeLeaf>();
-    LSMCOL_ASSIGN_OR_RETURN(
-        leaf->unit, component_->DecodedLeaf(leaf_index, CacheUse::kOneShot));
     if (component_->meta().layout == LayoutKind::kApax) {
-      LSMCOL_RETURN_NOT_OK(leaf->apax.Parse(leaf->unit.data()));
+      LSMCOL_RETURN_NOT_OK(
+          component_->ReadApaxLeaf(leaf_index, &leaf->image));
     } else {
-      // Page 0 keeps copies of what it parses; release the page now.
-      LSMCOL_RETURN_NOT_OK(leaf->page0.Init(leaf->unit.data()));
-      leaf->unit = CacheHandle();
+      // Page 0 keeps copies of what it parses; the page is released here.
+      LSMCOL_ASSIGN_OR_RETURN(
+          CacheHandle unit,
+          component_->DecodedLeaf(leaf_index, CacheUse::kOneShot));
+      LSMCOL_RETURN_NOT_OK(leaf->page0.Init(unit.data()));
     }
     if (entries_.size() >= kCapacity) entries_.erase(entries_.begin());
     entries_.emplace_back(leaf_index,
@@ -194,13 +194,11 @@ class MergePkSource {
     const bool apax = component_->meta().layout == LayoutKind::kApax;
     while (leaf_index_ < leaves.size()) {
       LSMCOL_ASSIGN_OR_RETURN(auto leaf, leaf_cache_->Get(leaf_index_));
-      ColumnChunkReader reader;
-      LSMCOL_RETURN_NOT_OK(reader.Init(
-          apax ? leaf->apax.chunk(0) : leaf->page0.pk_chunk(), info));
       // PK batches copy keys and defs out of the chunk, so the leaf bytes
       // may be released right after this decode.
-      LSMCOL_RETURN_NOT_OK(
-          reader.NextEntryBatch(reader.entry_count(), &batch_));
+      LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(
+          apax ? leaf->image.apax.chunk(0) : leaf->page0.pk_chunk(), info,
+          leaves[leaf_index_].record_count, &batch_));
       ++leaf_index_;
       pos_ = 0;
       if (batch_.entry_count() == 0) continue;
@@ -351,7 +349,7 @@ class ComponentColumnStream {
     megapage_ = CacheHandle();
     Slice chunk;
     if (component_->meta().layout == LayoutKind::kApax) {
-      chunk = leaf_head_->apax.chunk(column_id_);
+      chunk = leaf_head_->image.apax.chunk(column_id_);
     } else if (column_id_ == 0) {
       chunk = leaf_head_->page0.pk_chunk();
     } else {

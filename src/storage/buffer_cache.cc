@@ -118,17 +118,18 @@ Result<Slice> BufferCache::Attachment(const CacheHandle& unit,
                                       const UnitLoader& build) {
   LSMCOL_DCHECK(unit.cache_ == this);
   auto* entry = static_cast<Entry*>(unit.entry_);
-  if (const Buffer* kept = entry->attachment.load(std::memory_order_acquire)) {
-    return kept->slice();
+  if (entry->has_attachment.load(std::memory_order_acquire)) {
+    return entry->attachment.slice();
   }
-  auto built = std::make_unique<Buffer>();
-  LSMCOL_RETURN_NOT_OK(build(built.get()));
+  Buffer built;
+  LSMCOL_RETURN_NOT_OK(build(&built));
   MutexLock lock(&mu_);
-  if (const Buffer* kept = entry->attachment.load(std::memory_order_relaxed)) {
-    return kept->slice();  // another thread's build won
+  if (entry->has_attachment.load(std::memory_order_relaxed)) {
+    return entry->attachment.slice();  // another thread's build won
   }
-  const Slice bytes = built->slice();
-  entry->attachment.store(built.release(), std::memory_order_release);
+  entry->attachment = std::move(built);
+  entry->has_attachment.store(true, std::memory_order_release);
+  const Slice bytes = entry->attachment.slice();
   if (entry->resident) {
     // Pinned by `unit`, so the eviction below cannot pick this entry.
     entry->charge += bytes.size();

@@ -2,12 +2,13 @@
 // benchmarks report (pages/bytes read and written, hit rate). It holds
 // two kinds of entry under one byte budget:
 //
-//   * decoded leaf units — a row or APAX leaf payload, an AMAX Page 0, or
-//     one AMAX column megapage, verified and decompressed once on a miss
-//     (FetchDecoded). This is what the read path caches: a warm read runs
-//     no page I/O, no checksum and no LZ. The compressed pages a unit was
-//     decoded from are not kept, so a leaf is cached once, charged by its
-//     decoded bytes.
+//   * decoded units — a row leaf's payload, a columnar leaf's head (APAX
+//     head unit, AMAX Page 0), or one column of a columnar leaf (APAX
+//     minipage with its stats entry, AMAX megapage), verified and
+//     decompressed once on a miss (FetchDecoded). This is what the read
+//     path caches: a warm read runs no page I/O, no checksum and no LZ.
+//     The compressed pages a unit was decoded from are not kept, so each
+//     unit is cached once, charged by its decoded bytes.
 //   * raw pages, as stored (Fetch) — what ComponentReader::ReadLeaf and
 //     ReadLeafRange return, used by secondary indexes. Merges and the
 //     scrubber read around the cache and install neither kind.
@@ -28,9 +29,9 @@
 // with it released behind a pinned loading placeholder. Pinned entries
 // are never evicted and have stable addresses (entries own their Buffers
 // via unique_ptr), so a CacheHandle's bytes stay valid without the lock;
-// so do a pinned unit's attachment bytes, published once with an atomic
-// store. A pinned entry may hold the cache above its budget until it is
-// unpinned.
+// so do a pinned unit's attachment bytes, published once behind an
+// atomic flag. A pinned entry may hold the cache above its budget until it
+// is unpinned.
 
 #ifndef LSMCOL_STORAGE_BUFFER_CACHE_H_
 #define LSMCOL_STORAGE_BUFFER_CACHE_H_
@@ -103,13 +104,13 @@ class BufferCache {
       LSMCOL_EXCLUDES(mu_);
 
   /// Fetch (and pin) the decoded unit `column` of leaf `leaf` of `file`
-  /// (column -1: the leaf payload or AMAX Page 0; >= 1: that column's
-  /// AMAX megapage). On a miss `load` runs once, with mu_ released, while
-  /// concurrent fetchers of the same unit wait for it. With `install`
-  /// false a miss is decoded into a private entry freed on unpin, so a
-  /// one-shot reader (a merge input) never displaces the hot set; a hit
-  /// is served either way. A unit larger than the whole capacity is
-  /// served the same way, uncached.
+  /// (column -1: the row leaf payload or the columnar leaf's head; >= 1:
+  /// that column's APAX or AMAX unit). On a miss `load` runs once, with
+  /// mu_ released, while concurrent fetchers of the same unit wait for
+  /// it. With `install` false a miss is decoded into a private entry
+  /// freed on unpin, so a one-shot reader (a merge input) never displaces
+  /// the hot set; a hit is served either way. A unit larger than the
+  /// whole capacity is served the same way, uncached.
   Result<CacheHandle> FetchDecoded(const PageFile& file, uint64_t leaf,
                                    int column, const UnitLoader& load,
                                    bool install = true) LSMCOL_EXCLUDES(mu_);
@@ -193,9 +194,12 @@ class BufferCache {
     Key key{};
     size_t file_pos = 0;  ///< index into by_file_[key.file_id]
     Buffer data;
-    /// Derived bytes (Attachment): set once, under mu_, and freed with
-    /// the entry, so readers holding a pin load it lock-free.
-    std::atomic<Buffer*> attachment{nullptr};
+    /// Derived bytes (Attachment): set once, under mu_, before
+    /// has_attachment, and freed with the entry, so readers holding a pin
+    /// read them lock-free once has_attachment is set. Kept in the entry,
+    /// not behind a pointer: a lookup reads one per column.
+    Buffer attachment;
+    std::atomic<bool> has_attachment{false};
     size_t charge = 0;  ///< bytes counted in charged_bytes_ (once loaded)
     int pins = 0;
     std::list<Entry*>::iterator lru_it;
@@ -213,7 +217,6 @@ class BufferCache {
     Entry() = default;
     Entry(const Entry&) = delete;
     Entry& operator=(const Entry&) = delete;
-    ~Entry() { delete attachment.load(std::memory_order_relaxed); }
   };
 
   /// Shared miss/hit path of Fetch and FetchDecoded.

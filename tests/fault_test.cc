@@ -365,6 +365,82 @@ INSTANTIATE_TEST_SUITE_P(ColumnarLayouts, MultiPageLeafFaultTest,
                            return std::string(LayoutKindName(info.param));
                          });
 
+// Column units: damage found under a warm projected scan's cache. A read
+// of a column that scan did not cache misses (APAX re-reads the whole
+// leaf to build the unit, AMAX reads the column's megapage), surfaces
+// the damage and quarantines the component; the units already cached are
+// not served afterwards, to scans or lookups.
+class ColumnUnitFaultTest : public FaultTest {};
+
+TEST_P(ColumnUnitFaultTest, UncachedColumnReadQuarantines) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t i = 0; i < 80; ++i) {
+    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  auto scan = [&](const Projection& projection) {
+    auto cursor = ds->Scan(projection);
+    if (!cursor.ok()) return cursor.status();
+    while (true) {
+      Result<bool> more = (*cursor)->Next();
+      if (!more.ok()) return more.status();
+      if (!*more) return Status::OK();
+      Value v;
+      LSMCOL_RETURN_NOT_OK((*cursor)->Record(&v));
+    }
+  };
+  const Projection names = Projection::Of({{"name"}});
+  ASSERT_TRUE(scan(names).ok());
+  const CacheStats cold = ds->cache()->stats();
+  ASSERT_TRUE(scan(names).ok());
+  const CacheStats warm = ds->cache()->stats();
+  EXPECT_GT(warm.hits, cold.hits);
+  EXPECT_EQ(warm.misses, cold.misses);  // served from cached units only
+  EXPECT_EQ(warm.pages_read, cold.pages_read);
+
+  // Damage every page of every leaf: whatever pages the uncached column's
+  // unit is built from.
+  const auto components = ComponentFiles();
+  ASSERT_EQ(components.size(), 1u);
+  std::vector<uint64_t> pages;
+  {
+    BufferCache cache(64 * kPage, kPage);
+    auto reader = ComponentReader::Open(components.front(), &cache, kPage);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (const LeafEntry& leaf : (*reader)->leaves()) {
+      for (uint32_t p = 0; p < leaf.page_count; ++p) {
+        pages.push_back(leaf.first_page + p);
+      }
+    }
+  }
+  for (uint64_t page : pages) {
+    FlipByteOnDisk(components.front(),
+                   static_cast<std::streamoff>(
+                       page * (kPage + kPageTrailerBytes) + 16));
+  }
+
+  Status st = scan(Projection::Of({{"score"}}));
+  EXPECT_TRUE(st.IsDataDamage()) << st.ToString();
+  EXPECT_EQ(ds->stats().quarantined_components, 1u);
+  const CacheStats damaged = ds->cache()->stats();
+  EXPECT_TRUE(scan(names).IsDataDamage());
+  Value record;
+  EXPECT_TRUE(ds->Lookup(10, names, &record).IsDataDamage());
+  EXPECT_EQ(ds->cache()->stats().hits, damaged.hits);
+  EXPECT_EQ(ds->cache()->stats().pages_read, damaged.pages_read);
+}
+
+INSTANTIATE_TEST_SUITE_P(ColumnarLayouts, ColumnUnitFaultTest,
+                         ::testing::Values(LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
 // ------------------------------------------------- non-parameterized
 
 class FaultFsStoreTest : public ::testing::Test {

@@ -3,7 +3,11 @@
 // payload. On any input, Parse must return OK or Corruption; after a
 // clean parse, every chunk(c) must lie inside the input, and every
 // stats(c) — one past the last column included — must return OK or
-// Corruption. Anything else aborts; ASan catches reads out of bounds.
+// Corruption. Then the cached units a miss cuts from the leaf are built
+// and parsed back: the head unit (ApaxHead) and every column's unit
+// (ParseApaxColumnUnit). Each parse returns OK or Corruption, and an OK
+// one gives back the leaf's counts, PK chunk, minipage and stats.
+// Anything else aborts; ASan catches reads out of bounds.
 //
 // tests/CMakeLists.txt builds this target only when the compiler accepts
 // -fsanitize=fuzzer (clang). Run it over a seed corpus of real tweet_1
@@ -42,6 +46,30 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     const auto stats = leaf.stats(column);
     Check(stats.ok() || stats.status().IsCorruption());
     if (c == leaf.column_count()) Check(stats.ok() && !stats->has_stats);
+  }
+
+  lsmcol::Buffer unit;
+  leaf.HeadUnit(&unit);
+  lsmcol::ApaxHead head;
+  lsmcol::Status parsed = head.Parse(unit.slice());
+  Check(parsed.ok() || parsed.IsCorruption());
+  if (parsed.ok()) {
+    Check(head.record_count() == leaf.record_count() &&
+          head.column_count() == leaf.column_count() &&
+          head.pk_chunk() == leaf.chunk(0));
+  }
+  for (uint32_t c = 1; c < leaf.column_count(); ++c) {
+    const int column = static_cast<int>(c);
+    unit.clear();
+    leaf.ColumnUnit(column, &unit);
+    lsmcol::Slice chunk;
+    lsmcol::ApaxChunkStats stats;
+    parsed = lsmcol::ParseApaxColumnUnit(unit.slice(), &chunk, &stats);
+    Check(parsed.ok() || parsed.IsCorruption());
+    if (!parsed.ok()) continue;
+    Check(chunk == leaf.chunk(column));
+    const auto expected = leaf.stats(column);
+    Check(!expected.ok() || expected->has_stats == stats.has_stats);
   }
   return 0;
 }

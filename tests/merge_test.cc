@@ -9,7 +9,9 @@
 //  * exact ComponentMeta::entry_count on merged components;
 //  * merge observability counters (records in/out, runs, adopted leaves);
 //  * the whole-leaf adoption fast path on disjoint (append-style) inputs,
-//    and its guard against splicing leaves of another compression setting.
+//    and its guard against splicing leaves of another compression setting;
+//  * a leaf whose index claims more records than its key column holds is
+//    refused by scans and merges alike.
 
 #include <gtest/gtest.h>
 
@@ -393,6 +395,72 @@ TEST_P(MergeTest, EntryCountSurvivesReopen) {
 INSTANTIATE_TEST_SUITE_P(AllLayouts, MergeTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
+// A columnar leaf whose index entry claims one record more than its PK
+// chunk holds, every page checksum intact. Scans and merges walk a leaf's
+// decoded keys up to the claimed count, so both must refuse the leaf
+// instead of reading past the keys.
+class LeafKeyCountTest : public MergeTest {};
+
+TEST_P(LeafKeyCountTest, ScanAndMergeReturnCorruption) {
+  const DatasetOptions options = BaseOptions("ds");
+  std::string victim;
+  {
+    auto ds = MustOpen(options, cache_.get());
+    Model model;
+    for (int64_t i = 0; i < 20; ++i) Put(ds.get(), &model, i, 1);
+    ASSERT_TRUE(ds->Flush().ok());
+    for (int64_t i = 10; i < 30; ++i) Put(ds.get(), &model, i, 2);
+    ASSERT_TRUE(ds->Flush().ok());
+    ASSERT_EQ(ds->component_count(), 2u);
+    victim = ds->component(0).path();  // the newer component
+  }
+  {
+    // Re-append the victim's one leaf, payload untouched, under a record
+    // count one too high.
+    BufferCache cache(64 * kPage, kPage);
+    auto component = Component::Open(victim, &cache, kPage);
+    ASSERT_TRUE(component.ok()) << component.status().ToString();
+    const ComponentReader& reader = (*component)->reader();
+    ASSERT_EQ(reader.leaves().size(), 1u);
+    const LeafEntry leaf = reader.leaves()[0];
+    Buffer payload;
+    ASSERT_TRUE(reader.ReadLeaf(0, &payload).ok());
+    Buffer meta;
+    (*component)->meta().SerializeTo(&meta, (*component)->schema());
+    const std::string rebuilt = victim + ".rebuilt";
+    auto out = ComponentWriter::Create(rebuilt, &cache, kPage);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_TRUE((*out)
+                    ->AppendLeaf(payload.slice(), leaf.min_key, leaf.max_key,
+                                 leaf.record_count + 1)
+                    .ok());
+    ASSERT_TRUE((*out)->Finish(meta.slice()).ok());
+    out->reset();
+    component->reset();
+    std::filesystem::rename(rebuilt, victim);
+  }
+  BufferCache cache(1024 * kPage, kPage);
+  auto ds = MustOpen(options, &cache);
+  auto cursor = ds->Scan(Projection::All());
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  Status scan;
+  while (scan.ok()) {
+    Result<bool> more = (*cursor)->Next();
+    scan = more.status();
+    if (scan.ok() && !*more) break;
+  }
+  EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+  const Status merge = ds->MergeAll();
+  EXPECT_TRUE(merge.IsCorruption()) << merge.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Columnar, LeafKeyCountTest,
+                         ::testing::Values(LayoutKind::kApax,
                                            LayoutKind::kAmax),
                          [](const auto& info) {
                            return std::string(LayoutKindName(info.param));

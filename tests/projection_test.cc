@@ -9,10 +9,17 @@
 //   - Path(P) equals WalkValuePath(full record, P).
 // The reference is what the store returns for the whole record, not the
 // input, so known round-trip losses neither mask nor fake a failure.
+//
+// Column units: a projected scan caches each leaf's head and the units of
+// the columns it reads, and nothing else, so a second run reads no page;
+// reads of other shapes after projected scans (full scans, lookups, with
+// or without a projection, in a cache small enough to evict) return what
+// a fresh store returns.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -318,6 +325,174 @@ TEST_P(ProjectionTest, RecordsAndPathsMatchPrunedFullRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Columnar, ProjectionTest,
+                         ::testing::Values(LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
+// Scans `projection` over `ds`, materializing every record; the records
+// by key, serialized.
+std::map<int64_t, std::string> ScanRecords(Dataset* ds,
+                                           const Projection& projection) {
+  std::map<int64_t, std::string> out;
+  auto cursor = ds->Scan(projection);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  while (true) {
+    auto next = (*cursor)->Next();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || !*next) break;
+    Value record;
+    const Status st = (*cursor)->Record(&record);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    out[(*cursor)->key()] = ToJson(record);
+  }
+  return out;
+}
+
+class ColumnUnitTest : public ProjectionTest {
+ protected:
+  // 600 seeded documents over `rounds` flushes, later rounds upserting
+  // and deleting keys of earlier ones.
+  void Load(Dataset* ds, int rounds) {
+    Rng rng(31);
+    for (int round = 0; round < rounds; ++round) {
+      for (int i = 0; i < 600 / rounds; ++i) {
+        const auto key = static_cast<int64_t>(
+            round == 0 ? i : static_cast<int>(rng.Uniform(600)));
+        if (round > 0 && rng.Bernoulli(0.1)) {
+          ASSERT_TRUE(ds->Delete(key).ok());
+          continue;
+        }
+        ASSERT_TRUE(ds->InsertJson(RandomDoc(key, &rng)).ok());
+      }
+      ASSERT_TRUE(ds->Flush().ok());
+    }
+  }
+};
+
+TEST_P(ColumnUnitTest, ProjectedScanCachesOnlyItsColumns) {
+  BufferCache cache(4096 * kPage, kPage);  // holds the whole component
+  auto ds = Dataset::Open(Options(), &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Load(ds->get(), 1);
+  ASSERT_EQ((*ds)->component_count(), 1u);
+  const Projection projection = Projection::Of({{"num"}, {"nested", "a"}});
+
+  cache.Clear();
+  cache.ResetStats();
+  const auto cold = ScanRecords(ds->get(), projection);
+  ASSERT_EQ(cold.size(), 600u);
+  EXPECT_GT(cache.stats().misses, 0u);
+  EXPECT_GT(cache.stats().pages_read, 0u);
+  const size_t cached = cache.cached_bytes();
+  cache.ResetStats();
+  EXPECT_EQ(ScanRecords(ds->get(), projection), cold);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().pages_read, 0u);
+  EXPECT_EQ(cache.cached_bytes(), cached);
+
+  if (GetParam() != LayoutKind::kApax) return;
+  // APAX: what the heads and the projected chunks hold, against the
+  // decompressed leaves a whole-leaf cache would hold.
+  const Component& component = (*ds)->component(0);
+  const std::vector<bool> projected = component.ProjectedColumns(projection);
+  size_t heads = 0, projected_chunks = 0, all_chunks = 0, units = 0;
+  for (size_t i = 0; i < component.reader().leaves().size(); ++i) {
+    Buffer payload;
+    ASSERT_TRUE(component.reader().ReadLeaf(i, &payload).ok());
+    ApaxLeaf leaf;
+    ASSERT_TRUE(leaf.Init(payload.slice(), component.meta().compressed).ok());
+    Buffer head;
+    leaf.HeadUnit(&head);
+    heads += head.size();
+    ++units;
+    for (uint32_t c = 0; c < leaf.column_count(); ++c) {
+      all_chunks += leaf.chunk(static_cast<int>(c)).size();
+      if (c == 0 || !projected[c]) continue;
+      projected_chunks += leaf.chunk(static_cast<int>(c)).size();
+      ++units;
+    }
+  }
+  // A column unit adds its stats entry to its chunk: a few bytes, plus
+  // both strings of a string column's range.
+  EXPECT_LE(cached, heads + projected_chunks + 64 * units);
+  EXPECT_GE(cached, heads + projected_chunks);
+  EXPECT_LT(cached, all_chunks / 2);
+}
+
+TEST_P(ColumnUnitTest, ReadsAfterProjectedScansMatchAFreshStore) {
+  {
+    BufferCache cache(4096 * kPage, kPage);
+    auto ds = Dataset::Open(Options(), &cache);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    Load(ds->get(), 3);
+  }
+  const std::vector<Projection> projections = {
+      Projection::Of({{"num"}}),
+      Projection::Of({{"nested", "a"}, {"txt"}}),
+      Projection::Of({{"nested"}}),
+  };
+  // The reference: each read from a fresh store and cache.
+  auto fresh = [&](const std::function<void(Dataset*)>& read) {
+    BufferCache cache(4096 * kPage, kPage);
+    auto ds = Dataset::Open(Options(), &cache);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    read(ds->get());
+  };
+  std::map<int64_t, std::string> full;
+  fresh([&](Dataset* ds) { full = ScanRecords(ds, Projection::All()); });
+  ASSERT_GT(full.size(), 300u);
+  std::vector<std::map<int64_t, std::string>> projected(projections.size());
+  std::vector<std::map<int64_t, std::string>> looked_up(projections.size());
+  for (size_t p = 0; p < projections.size(); ++p) {
+    fresh([&](Dataset* ds) {
+      for (const auto& [key, record] : full) {
+        Value out;
+        ASSERT_TRUE(ds->Lookup(key, projections[p], &out).ok()) << key;
+        looked_up[p][key] = ToJson(out);
+      }
+    });
+  }
+
+  // A cache that holds everything, and one that evicts within a scan.
+  for (const size_t pages : {4096, 8}) {
+    SCOPED_TRACE("cache pages: " + std::to_string(pages));
+    BufferCache cache(pages * kPage, kPage);
+    auto ds = Dataset::Open(Options(), &cache);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    for (size_t p = 0; p < projections.size(); ++p) {
+      projected[p] = ScanRecords(ds->get(), projections[p]);
+      EXPECT_EQ(projected[p].size(), full.size());
+    }
+    EXPECT_EQ(ScanRecords(ds->get(), Projection::All()), full);
+    for (size_t p = 0; p < projections.size(); ++p) {
+      EXPECT_EQ(ScanRecords(ds->get(), projections[p]), projected[p]);
+    }
+    size_t mismatches = 0;
+    for (const auto& [key, record] : full) {
+      Value out;
+      ASSERT_TRUE((*ds)->Lookup(key, &out).ok()) << key;
+      if (ToJson(out) != record && mismatches++ < 3) {
+        ADD_FAILURE() << "key " << key << ": " << ToJson(out) << " vs "
+                      << record;
+      }
+      for (size_t p = 0; p < projections.size(); ++p) {
+        ASSERT_TRUE((*ds)->Lookup(key, projections[p], &out).ok()) << key;
+        if (ToJson(out) != looked_up[p].at(key) && mismatches++ < 3) {
+          ADD_FAILURE() << "key " << key << " projection " << p << ": "
+                        << ToJson(out) << " vs " << looked_up[p].at(key);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(ScanRecords(ds->get(), Projection::All()), full);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Columnar, ColumnUnitTest,
                          ::testing::Values(LayoutKind::kApax,
                                            LayoutKind::kAmax),
                          [](const auto& info) {

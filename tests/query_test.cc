@@ -730,6 +730,45 @@ TEST_P(ZoneMapTest, MissingPathPredicateShortCircuitsComponent) {
   EXPECT_EQ(result.pipeline_tuples, 0u);
 }
 
+// Zone stats veto exactly the leaves whose ts range misses the filter
+// (ts = 10 * id, so a leaf's range follows from its key fences). APAX
+// takes them from the predicate column's unit and AMAX from Page 0; a
+// vetoed leaf's other columns are never fetched. So a cold run misses on
+// every leaf's head, and per surviving leaf on each column it reads.
+TEST_P(ZoneMapTest, VetoedLeavesFetchOnlyTheirZoneColumn) {
+  LoadMonotone(4000);
+  QueryPlan plan;
+  plan.pre_filter = Expr::And(
+      Expr::Compare(Expr::CmpOp::kGe, Expr::Field({"ts"}), Expr::Int(10000)),
+      Expr::Compare(Expr::CmpOp::kLt, Expr::Field({"ts"}), Expr::Int(10500)));
+  plan.projections.push_back(Expr::Field({"id"}));
+  plan.projections.push_back(Expr::Field({"tag"}));
+  QueryResult result;
+  ColdPages(plan, &result);
+  EXPECT_EQ(result.rows.size(), 50u);
+  const uint64_t misses = cache_->stats().misses;
+
+  uint64_t leaves = 0, surviving = 0;
+  const Snapshot::Ref snapshot = dataset_->GetSnapshot();
+  for (size_t c = 0; c < snapshot->component_count(); ++c) {
+    for (const LeafEntry& leaf : snapshot->component(c).reader().leaves()) {
+      ++leaves;
+      if (leaf.max_key * 10 >= 10000 && leaf.min_key * 10 < 10500) {
+        ++surviving;
+      }
+    }
+  }
+  ASSERT_GT(surviving, 0u);
+  ASSERT_GT(leaves, surviving + 2);
+  // APAX: a head and a ts unit per leaf, a tag unit per surviving leaf.
+  // AMAX: a Page 0 per leaf, ts and tag megapages per surviving leaf.
+  const uint64_t expected = GetParam() == LayoutKind::kApax
+                                ? 2 * leaves + surviving
+                                : leaves + 2 * surviving;
+  EXPECT_EQ(misses, expected) << leaves << " leaves, " << surviving
+                              << " surviving";
+}
+
 INSTANTIATE_TEST_SUITE_P(ColumnarLayouts, ZoneMapTest,
                          ::testing::Values(LayoutKind::kApax,
                                            LayoutKind::kAmax),
