@@ -171,8 +171,7 @@ Result<ApaxChunkStats> ApaxLeaf::stats(int column_id) const {
 
 void ApaxLeaf::HeadUnit(Buffer* out) const {
   const Slice pk = chunk(0);
-  out->reserve(out->size() + 2 * 5 + pk.size());  // two uint32 varints
-  out->AppendVarint64(record_count_);
+  out->reserve(out->size() + 5 + pk.size());  // a uint32 varint
   out->AppendVarint64(column_count_);
   out->Append(pk);
 }
@@ -186,20 +185,19 @@ void ApaxLeaf::ColumnUnit(int column_id, Buffer* out) const {
                            : static_cast<uint32_t>(stats_table_.size());
   const Slice entry = stats_table_.SubSlice(stats_offsets_[c],
                                             end - stats_offsets_[c]);
-  out->reserve(out->size() + entry.size() + chunks_[c].size());
-  out->Append(entry);
+  out->reserve(out->size() + 4 + chunks_[c].size() + entry.size());
+  out->AppendFixed32(static_cast<uint32_t>(chunks_[c].size()));
   out->Append(chunks_[c]);
+  out->Append(entry);
 }
 
 Status ApaxHead::Parse(Slice unit) {
   BufferReader r(unit);
-  uint64_t record_count = 0, column_count = 0;
-  LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&record_count));
+  uint64_t column_count = 0;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&column_count));
-  if (record_count > UINT32_MAX || column_count > UINT32_MAX) {
-    return Status::Corruption("apax head: bad record or column count");
+  if (column_count > UINT32_MAX) {
+    return Status::Corruption("apax head: bad column count");
   }
-  record_count_ = static_cast<uint32_t>(record_count);
   column_count_ = static_cast<uint32_t>(column_count);
   pk_chunk_ = r.rest();
   return Status::OK();
@@ -207,9 +205,11 @@ Status ApaxHead::Parse(Slice unit) {
 
 Status ParseApaxColumnUnit(Slice unit, Slice* chunk, ApaxChunkStats* stats) {
   BufferReader r(unit);
-  LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, stats));
-  *chunk = r.rest();
-  return Status::OK();
+  uint32_t chunk_size = 0;
+  LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&chunk_size));
+  LSMCOL_RETURN_NOT_OK(r.ReadBytes(chunk_size, chunk));
+  if (stats == nullptr) return Status::OK();
+  return ReadChunkStats(&r, stats);
 }
 
 }  // namespace lsmcol

@@ -18,8 +18,13 @@
 // use (Page 0 and megapages), so a cache holds only the columns its
 // readers touch. Units live in memory only and are rebuilt from the leaf
 // on a miss:
-//   head unit:   varint record_count | varint column_count | PK chunk
-//   column unit: the column's stats entry as stored | its minipage
+//   head unit:   varint column_count | PK chunk
+//   column unit: fixed32 minipage size | the minipage |
+//                the column's stats entry as stored
+// Readers take a leaf's record count from the component's leaf index. A
+// column unit puts its minipage first, so a reader that needs no stats
+// finds the minipage without parsing them and touches none of their
+// bytes.
 
 #ifndef LSMCOL_LAYOUTS_APAX_H_
 #define LSMCOL_LAYOUTS_APAX_H_
@@ -105,12 +110,10 @@ class ApaxHead {
  public:
   Status Parse(Slice unit);
 
-  uint32_t record_count() const { return record_count_; }
   uint32_t column_count() const { return column_count_; }
   Slice pk_chunk() const { return pk_chunk_; }
 
  private:
-  uint32_t record_count_ = 0;
   uint32_t column_count_ = 0;
   Slice pk_chunk_;
 };

@@ -173,8 +173,7 @@ Status Component::ReadApaxLeaf(size_t leaf_index,
 Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
                                            ApaxLeafImage* image) const {
   if (meta_.layout == LayoutKind::kApax) {
-    ApaxLeafImage own;
-    if (image == nullptr) image = &own;
+    LSMCOL_DCHECK(image != nullptr);
     return FetchUnit(leaf_index, -1, use, [&](Buffer* out) {
       LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(leaf_index, image));
       image->apax.HeadUnit(out);
@@ -205,7 +204,7 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
 }
 
 Result<CacheHandle> Component::DecodedMinipage(size_t leaf_index,
-                                               int column_id, CacheUse use,
+                                               int column_id,
                                                ApaxLeafImage* image) const {
   // A loader of at most two pointers fits std::function's inline storage,
   // so a fetch (a lookup makes one per column) allocates nothing.
@@ -214,7 +213,7 @@ Result<CacheHandle> Component::DecodedMinipage(size_t leaf_index,
     int column;
     ApaxLeafImage* image;
   } args{leaf_index, column_id, image};
-  return FetchUnit(leaf_index, column_id, use,
+  return FetchUnit(leaf_index, column_id, CacheUse::kInstall,
                    [this, &args](Buffer* out) -> Status {
     LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(args.leaf, args.image));
     const ApaxLeaf& leaf = args.image->apax;
@@ -241,6 +240,48 @@ Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
     return ParseAmaxMegapage(raw.slice(), schema_->column(column_id),
                              meta_.compressed, out, nullptr, nullptr);
   });
+}
+
+Status Component::OpenColumnarLeaf(size_t leaf_index,
+                                   ColumnarLeaf* leaf) const {
+  leaf->leaf = SIZE_MAX;
+  leaf->memo.clear();
+  LSMCOL_ASSIGN_OR_RETURN(
+      leaf->head, DecodedLeaf(leaf_index, CacheUse::kInstall, &leaf->image));
+  if (meta_.layout == LayoutKind::kApax) {
+    LSMCOL_RETURN_NOT_OK(leaf->apax.Parse(leaf->head.data()));
+    leaf->column_count = leaf->apax.column_count();
+    leaf->pk_chunk = leaf->apax.pk_chunk();
+  } else {
+    // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
+    LSMCOL_RETURN_NOT_OK(leaf->page0.Init(leaf->head.data()));
+    leaf->column_count = leaf->page0.column_count();
+    leaf->pk_chunk = leaf->page0.pk_chunk();
+  }
+  leaf->leaf = leaf_index;
+  return Status::OK();
+}
+
+Status Component::ColumnChunk(ColumnarLeaf* leaf, int column_id,
+                              CacheHandle* unit, Slice* chunk) const {
+  *chunk = Slice();
+  // Columns the leaf predates have no unit: all-missing.
+  if (static_cast<uint32_t>(column_id) >= leaf->column_count) {
+    return Status::OK();
+  }
+  if (meta_.layout == LayoutKind::kApax) {
+    LSMCOL_ASSIGN_OR_RETURN(
+        *unit, DecodedMinipage(leaf->leaf, column_id, &leaf->image));
+    return ParseApaxColumnUnit(unit->data(), chunk, nullptr);
+  }
+  const AmaxColumnExtent& extent = leaf->page0.extent(column_id);
+  if (extent.size == 0) return Status::OK();  // column unknown to the leaf
+  // Only this column's megapage (§4.3).
+  LSMCOL_ASSIGN_OR_RETURN(*unit,
+                          DecodedMegapage(leaf->leaf, column_id, extent,
+                                          CacheUse::kInstall, &leaf->memo));
+  *chunk = unit->data();
+  return Status::OK();
 }
 
 namespace {
@@ -330,11 +371,10 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   if (leaf == leaves.size() || leaves[leaf].min_key > key) {
     return KeyProbe::kAbsent;
   }
-  ApaxLeafImage image;  // APAX misses: the leaf, read once for all units
-  LSMCOL_ASSIGN_OR_RETURN(CacheHandle unit,
-                          DecodedLeaf(leaf, CacheUse::kInstall, &image));
   if (!schema_.has_value()) {
     // Row layouts: a leaf is one page of entries, walked in place.
+    LSMCOL_ASSIGN_OR_RETURN(CacheHandle unit,
+                            DecodedLeaf(leaf, CacheUse::kInstall));
     RowLeafReader rows;
     LSMCOL_RETURN_NOT_OK(rows.Init(unit.data()));
     while (!rows.AtEnd()) {
@@ -350,20 +390,15 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
     }
     return KeyProbe::kAbsent;
   }
-  const bool apax = meta_.layout == LayoutKind::kApax;
+  ColumnarLeaf columnar;
+  LSMCOL_RETURN_NOT_OK(OpenColumnarLeaf(leaf, &columnar));
   const size_t records = leaves[leaf].record_count;
-  ApaxHead head;
-  AmaxPageZero page0;
-  if (apax) {
-    LSMCOL_RETURN_NOT_OK(head.Parse(unit.data()));
-  } else {
-    LSMCOL_RETURN_NOT_OK(page0.Init(unit.data()));
-  }
   BufferCache* cache = reader_->cache();
-  Result<Slice> keys_bytes = cache->Attachment(unit, [&](Buffer* built) {
-    return LeafKeys::Build(apax ? head.pk_chunk() : page0.pk_chunk(),
-                           schema_->column(0), records, built);
-  });
+  Result<Slice> keys_bytes =
+      cache->Attachment(columnar.head, [&](Buffer* built) {
+        return LeafKeys::Build(columnar.pk_chunk, schema_->column(0), records,
+                               built);
+      });
   if (!keys_bytes.ok()) return NoteRead(keys_bytes.status());
   const LeafKeys keys(*keys_bytes, records);
   const size_t record = keys.Find(key);
@@ -385,7 +420,6 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   std::vector<const ColumnRecord*> by_column(
       static_cast<size_t>(schema_->column_count()));
   ColumnChunkReader column;
-  LeafPageMemo memo;  // AMAX: pages shared by adjacent megapages
   for (size_t i = 0; i < plan_columns.size(); ++i) {
     const int c = plan_columns[i];
     by_column[static_cast<size_t>(c)] = &cells[i];
@@ -400,21 +434,8 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
     const ColumnInfo& info = schema_->column(c);
     Slice chunk;
     CacheHandle holder;  // pins the bytes `chunk` and its index point into
-    if (apax) {
-      // Columns the leaf predates have no unit: missing.
-      if (static_cast<uint32_t>(c) >= head.column_count()) continue;
-      LSMCOL_ASSIGN_OR_RETURN(
-          holder, DecodedMinipage(leaf, c, CacheUse::kInstall, &image));
-      LSMCOL_RETURN_NOT_OK(
-          ParseApaxColumnUnit(holder.data(), &chunk, nullptr));
-    } else {
-      const AmaxColumnExtent& extent = page0.extent(c);
-      if (extent.size == 0) continue;  // column unknown to the leaf
-      LSMCOL_ASSIGN_OR_RETURN(
-          holder, DecodedMegapage(leaf, c, extent, CacheUse::kInstall, &memo));
-      chunk = holder.data();
-    }
-    if (chunk.empty()) continue;
+    LSMCOL_RETURN_NOT_OK(ColumnChunk(&columnar, c, &holder, &chunk));
+    if (chunk.empty()) continue;  // column unknown to the leaf: missing
     Result<Slice> index = cache->Attachment(holder, [&](Buffer* built) {
       ColumnChunkReader walker;
       LSMCOL_RETURN_NOT_OK(walker.Init(chunk, info));
@@ -644,7 +665,7 @@ Status ColumnarComponentCursor::EvaluateLeafZones() {
         }
       }
     } else {
-      const AmaxColumnExtent& extent = amax_page0_.extent(pc.column_id);
+      const AmaxColumnExtent& extent = leaf_.page0.extent(pc.column_id);
       if (extent.size == 0) {
         leaf_zone_match_ = false;
         return Status::OK();
@@ -694,23 +715,9 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
     st->unit = CacheHandle();
     st->entries.reset();  // whole-leaf decodes are freed, not kept
   }
-  page_memo_.clear();
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
-  LSMCOL_ASSIGN_OR_RETURN(
-      leaf_unit_,
-      component_->DecodedLeaf(leaf_index, CacheUse::kInstall, &apax_image_));
-  Slice pk_chunk;
-  if (component_->meta().layout == LayoutKind::kApax) {
-    LSMCOL_RETURN_NOT_OK(apax_head_.Parse(leaf_unit_.data()));
-    leaf_columns_ = apax_head_.column_count();
-    pk_chunk = apax_head_.pk_chunk();
-  } else {
-    // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
-    LSMCOL_RETURN_NOT_OK(amax_page0_.Init(leaf_unit_.data()));
-    leaf_columns_ = amax_page0_.column_count();
-    pk_chunk = amax_page0_.pk_chunk();
-  }
+  LSMCOL_RETURN_NOT_OK(component_->OpenColumnarLeaf(leaf_index, &leaf_));
   LSMCOL_RETURN_NOT_OK(EvaluateLeafZones());
   if (!leaf_zone_match_ &&
       LeafRangeDisjointFromForeign(leaf.min_key, leaf.max_key)) {
@@ -721,7 +728,7 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   } else {
     // The whole leaf's keys and anti-matter defs in one batched decode:
     // Next() degrades to array reads, and seeks binary-search the keys.
-    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(pk_chunk,
+    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(leaf_.pk_chunk,
                                         component_->schema()->column(0),
                                         leaf_records_, &pk_batch_));
   }
@@ -779,28 +786,8 @@ ColumnarComponentCursor::ColumnState& ColumnarComponentCursor::State(
 Status ColumnarComponentCursor::LeafChunk(int column_id, Slice* out) {
   ColumnState& st = State(column_id);
   if (!st.chunk_loaded) {
-    st.chunk = Slice();
-    // Columns the leaf predates have no unit: all-missing.
-    if (static_cast<uint32_t>(column_id) < leaf_columns_) {
-      if (component_->meta().layout == LayoutKind::kApax) {
-        LSMCOL_ASSIGN_OR_RETURN(
-            st.unit, component_->DecodedMinipage(leaf_index_, column_id,
-                                                 CacheUse::kInstall,
-                                                 &apax_image_));
-        LSMCOL_RETURN_NOT_OK(
-            ParseApaxColumnUnit(st.unit.data(), &st.chunk, nullptr));
-      } else {
-        const AmaxColumnExtent& extent = amax_page0_.extent(column_id);
-        if (extent.size != 0) {
-          // Only this column's megapage (§4.3).
-          LSMCOL_ASSIGN_OR_RETURN(
-              st.unit, component_->DecodedMegapage(
-                           leaf_index_, column_id, extent,
-                           CacheUse::kInstall, &page_memo_));
-          st.chunk = st.unit.data();
-        }
-      }
-    }
+    LSMCOL_RETURN_NOT_OK(
+        component_->ColumnChunk(&leaf_, column_id, &st.unit, &st.chunk));
     st.chunk_loaded = true;
   }
   *out = st.chunk;
@@ -966,8 +953,11 @@ Status ColumnarComponentCursor::Path(const std::vector<std::string>& path,
   if (plan == nullptr) {
     plan = &path_plans_.emplace_back(AssemblyPlan::ForNode(*node));
   }
+  // A path that goes on past the PK resolves to the PK node: its column is
+  // the synthetic record of the current key, as in Record().
+  pk_record_.values[0] = Value::Int(key_);
   for (int c : plan->columns()) {
-    LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
+    if (c != 0) LSMCOL_RETURN_NOT_OK(EnsureColumnCurrent(c));
   }
   Value assembled;
   LSMCOL_RETURN_NOT_OK(plan->Assemble(by_column_, &scratch_, &assembled));

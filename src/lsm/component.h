@@ -18,14 +18,14 @@
 // Cursors read leaves as decoded units pinned in the buffer cache, verified
 // and decompressed once on a miss and indexed in place afterwards — no
 // per-open copy or LZ. A row leaf is one unit, its payload. A columnar
-// leaf is a head unit (Component::DecodedLeaf: record and column counts
-// and the PK chunk; for AMAX its Page 0, with the zone prefixes) and one
-// unit per column the leaf holds (an APAX minipage with its stats entry,
-// DecodedMinipage; an AMAX megapage, DecodedMegapage), so a cache holds
-// only the columns its readers touch. An AMAX column miss reads that
-// column's pages. An APAX miss reads the whole leaf once into an image
-// private to the reader (ApaxLeafImage) and cuts from it the units asked
-// for; the leaf itself is never cached.
+// leaf is a head unit (Component::DecodedLeaf: the column count and the
+// PK chunk; for AMAX its Page 0, with the zone prefixes) and one unit per
+// column the leaf holds (an APAX minipage with its stats entry, an AMAX
+// megapage; Component::ColumnChunk), so a cache holds only the columns its
+// readers touch. An AMAX column miss reads that column's pages. An APAX
+// miss reads the whole leaf once into an image private to the reader
+// (ApaxLeafImage) and cuts from it the units asked for; the leaf itself is
+// never cached.
 //
 // Point lookups use no cursor: Component::Lookup checks the key fences,
 // binary-searches one leaf's keys (decoded once, kept as the head unit's
@@ -111,6 +111,22 @@ struct ApaxLeafImage {
   ApaxLeaf apax;
 };
 
+/// One reader's view of the columnar leaf it reads (a cursor's current
+/// leaf, a lookup's leaf): the head unit, pinned and parsed, and what the
+/// reader's misses in the leaf have read — the APAX leaf image or the
+/// AMAX pages. Filled by Component::OpenColumnarLeaf; private to its
+/// reader.
+struct ColumnarLeaf {
+  size_t leaf = SIZE_MAX;     ///< the leaf `head` belongs to
+  CacheHandle head;           ///< APAX head unit or AMAX Page 0
+  ApaxHead apax;              ///< APAX: parsed over `head`
+  AmaxPageZero page0;         ///< AMAX: parsed over `head`
+  uint32_t column_count = 0;  ///< columns the leaf holds; later ids absent
+  Slice pk_chunk;
+  ApaxLeafImage image;  ///< APAX misses: the leaf, read once
+  LeafPageMemo memo;    ///< AMAX misses: pages shared by megapages
+};
+
 /// Decode a columnar leaf's whole PK chunk into `batch`: keys and
 /// anti-matter def levels. Corruption unless it holds exactly `records`
 /// keys, the count the component's leaf index gives the leaf.
@@ -180,22 +196,24 @@ class Component {
 
   /// The leaf's head unit, pinned in the buffer cache: a row leaf's
   /// verified, decompressed payload, an APAX head unit (ApaxHead), or an
-  /// AMAX Page 0 (header, zone prefixes and keys). An APAX miss reads the
-  /// leaf into `image` unless it holds it already (a private one when
-  /// null). Like every checked read it fails fast once the component is
-  /// quarantined, even when the unit is cached, and a miss that surfaces
-  /// data damage (a page checksum, or an LZ stream or leaf that does not
-  /// decode) quarantines the component. Thread-safe.
+  /// AMAX Page 0 (header, zone prefixes and keys). APAX requires `image`:
+  /// a miss reads the leaf into it unless it holds it already. Like every
+  /// checked read it fails fast once the component is quarantined, even
+  /// when the unit is cached, and a miss that surfaces data damage (a page
+  /// checksum, or an LZ stream or leaf that does not decode) quarantines
+  /// the component. Thread-safe.
   Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use,
                                   ApaxLeafImage* image = nullptr) const;
-  /// One column's APAX unit: its stats entry and minipage, split by
-  /// ParseApaxColumnUnit. `column_id` must be below the leaf's column
-  /// count (ApaxHead::column_count): later columns get no unit. A miss
-  /// reads the leaf into `image` unless it holds it already. Same rules
-  /// as DecodedLeaf.
-  Result<CacheHandle> DecodedMinipage(size_t leaf_index, int column_id,
-                                      CacheUse use,
-                                      ApaxLeafImage* image) const;
+  /// Columnar layouts: pin and parse leaf `leaf_index`'s head unit into
+  /// `leaf` (DecodedLeaf's rules), dropping what it held of another leaf.
+  Status OpenColumnarLeaf(size_t leaf_index, ColumnarLeaf* leaf) const;
+  /// Column `column_id`'s chunk in `leaf`, pinned by `unit`: the minipage
+  /// of its APAX column unit (ParseApaxColumnUnit splits the unit) or its
+  /// AMAX megapage. A miss reads through `leaf`'s image or memo. Empty,
+  /// with `unit` untouched, when the leaf holds no such column. Same
+  /// rules as DecodedLeaf.
+  Status ColumnChunk(ColumnarLeaf* leaf, int column_id, CacheHandle* unit,
+                     Slice* chunk) const;
   /// One column's AMAX megapage at `extent` (from the leaf's Page 0),
   /// decompressed and stripped of its string min/max prefix: the bytes
   /// ColumnChunkReader::Init takes. Same rules as DecodedLeaf. A miss
@@ -257,6 +275,10 @@ class Component {
   /// ReadApaxLeaf without the checks: the APAX units' miss path, whose
   /// result FetchUnit notes.
   Status LoadApaxLeaf(size_t leaf_index, ApaxLeafImage* image) const;
+  /// One column's APAX unit; `column_id` must be below the leaf's column
+  /// count. A miss reads the leaf into `image` unless it holds it already.
+  Result<CacheHandle> DecodedMinipage(size_t leaf_index, int column_id,
+                                      ApaxLeafImage* image) const;
   /// Record `st` if it is data damage (quarantining on first sight) and
   /// return it unchanged. Called on every checked read's result.
   Status NoteRead(Status st) const LSMCOL_EXCLUDES(fault_mu_);
@@ -450,12 +472,7 @@ class ColumnarComponentCursor : public TupleCursor {
   uint64_t record_seq_ = 0;        // increments on every delivered record
 
   // Per-leaf state.
-  CacheHandle leaf_unit_;  // head unit: APAX head, AMAX Page 0
-  ApaxHead apax_head_;     // parsed in place over leaf_unit_
-  AmaxPageZero amax_page0_;
-  uint32_t leaf_columns_ = 0;  // columns the leaf holds; later ids absent
-  ApaxLeafImage apax_image_;  // APAX: the leaf unit misses last read
-  LeafPageMemo page_memo_;  // AMAX: shared pages read by megapage misses
+  ColumnarLeaf leaf_;
   ColumnEntryBatch pk_batch_;  // whole-leaf PK decode (defs + keys)
   std::vector<std::unique_ptr<ColumnState>> states_;  // columns read so far
   std::vector<ColumnState*> state_of_;  // by column id; null until read

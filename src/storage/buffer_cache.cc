@@ -1,5 +1,7 @@
 #include "src/storage/buffer_cache.h"
 
+#include <algorithm>
+
 namespace lsmcol {
 
 CacheHandle& CacheHandle::operator=(CacheHandle&& other) noexcept {
@@ -29,6 +31,10 @@ Slice CacheHandle::data() const {
   return entry->data.slice();
 }
 
+BufferCache::~BufferCache() {
+  for (const Slot& slot : slots_) delete slot.entry;
+}
+
 Result<CacheHandle> BufferCache::Fetch(const PageFile& file,
                                        uint64_t page_no) {
   auto load = [&](Buffer* out) -> Status {
@@ -50,11 +56,12 @@ Result<CacheHandle> BufferCache::FetchDecoded(const PageFile& file,
 Result<CacheHandle> BufferCache::FetchEntry(const Key& key,
                                             const UnitLoader& load,
                                             bool install) {
+  const uint64_t hash = HashOf(key);
   MutexLock lock(&mu_);
   while (true) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) break;
-    Entry* entry = it->second.get();
+    Entry* entry =
+        slots_.empty() ? nullptr : slots_[FindSlotLocked(key, hash)].entry;
+    if (entry == nullptr) break;
     if (entry->loading) {
       // Another thread is loading this exact entry; wait for it to
       // publish (or fail and unpublish) rather than loading twice. The
@@ -63,10 +70,7 @@ Result<CacheHandle> BufferCache::FetchEntry(const Key& key,
       continue;
     }
     ++stats_.hits;
-    if (entry->in_lru) {
-      lru_.erase(entry->lru_it);
-      entry->in_lru = false;
-    }
+    if (entry->in_lru) LruUnlinkLocked(entry);
     ++entry->pins;
     return CacheHandle(this, entry);
   }
@@ -74,8 +78,7 @@ Result<CacheHandle> BufferCache::FetchEntry(const Key& key,
   // Publish a pinned loading placeholder (a resident one only when the
   // result will be cached), then load with mu_ released so other
   // entries' hits and misses proceed concurrently.
-  auto owned = std::make_unique<Entry>();
-  Entry* entry = owned.get();
+  auto* entry = new Entry;
   entry->key = key;
   entry->pins = 1;
   entry->loading = true;
@@ -84,10 +87,8 @@ Result<CacheHandle> BufferCache::FetchEntry(const Key& key,
     auto& file_entries = by_file_[key.file_id];
     entry->file_pos = file_entries.size();
     file_entries.push_back(entry);
-    entries_[key] = std::move(owned);
-  } else {
-    owned.release();  // owned by its pin from here on
-  }
+    InsertLocked(entry);
+  }  // else owned by its pin from here on
   lock.Unlock();
   Status loaded = load(&entry->data);
   lock.Lock();
@@ -158,9 +159,10 @@ Status BufferCache::WriteThrough(PageFile& file, uint64_t page_no,
   // Update the cached copy if present (write-once components make this
   // rare, but merges can reuse page numbers after Invalidate). A loading
   // entry is skipped: its in-flight read owns the buffer.
-  auto it = entries_.find(Key{file.file_id(), page_no, kPageColumn});
-  if (it != entries_.end() && !it->second->loading) {
-    Entry* entry = it->second.get();
+  const Key key{file.file_id(), page_no, kPageColumn};
+  Entry* entry =
+      slots_.empty() ? nullptr : slots_[FindSlotLocked(key, HashOf(key))].entry;
+  if (entry != nullptr && !entry->loading) {
     entry->data.clear();
     entry->data.resize(page_size_);
     std::memcpy(entry->data.mutable_data(), payload.data(), payload.size());
@@ -180,18 +182,13 @@ void BufferCache::DropLocked(Entry* entry) {
   moved->file_pos = entry->file_pos;
   file_entries.pop_back();
   if (file_entries.empty()) by_file_.erase(file_it);
-  if (entry->in_lru) {
-    lru_.erase(entry->lru_it);
-    entry->in_lru = false;
-  }
+  if (entry->in_lru) LruUnlinkLocked(entry);
   charged_bytes_ -= entry->charge;
   entry->charge = 0;
   entry->resident = false;
-  auto it = entries_.find(entry->key);
-  if (entry->pins > 0) {
-    it->second.release();  // its pins own it now; freed on last unpin
-  }
-  entries_.erase(it);
+  EraseSlotLocked(FindSlotLocked(entry->key, HashOf(entry->key)));
+  // A pinned entry is owned by its pins now; freed on last unpin.
+  if (entry->pins == 0) delete entry;
 }
 
 void BufferCache::Invalidate(const PageFile& file) {
@@ -207,7 +204,7 @@ void BufferCache::Invalidate(const PageFile& file) {
 
 void BufferCache::Clear() {
   MutexLock lock(&mu_);
-  while (!entries_.empty()) DropLocked(entries_.begin()->second.get());
+  while (!by_file_.empty()) DropLocked(by_file_.begin()->second.back());
 }
 
 void BufferCache::Confiscate(size_t bytes) {
@@ -231,18 +228,81 @@ void BufferCache::Unpin(Entry* entry) {
     delete entry;
     return;
   }
-  lru_.push_front(entry);
-  entry->lru_it = lru_.begin();
-  entry->in_lru = true;
+  LruPushFrontLocked(entry);
   EvictIfNeededLocked();
 }
 
 void BufferCache::EvictIfNeededLocked() {
   while (charged_bytes_ + confiscated_bytes_ > capacity_bytes_ &&
-         !lru_.empty()) {
+         lru_tail_ != nullptr) {
     ++stats_.evictions;
-    DropLocked(lru_.back());
+    DropLocked(lru_tail_);
   }
+}
+
+size_t BufferCache::FindSlotLocked(const Key& key, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const Slot& slot = slots_[pos];
+    if (slot.entry == nullptr ||
+        (slot.hash == hash && slot.entry->key == key)) {
+      return pos;
+    }
+  }
+}
+
+void BufferCache::InsertLocked(Entry* entry) {
+  if (2 * (entry_count_ + 1) > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), Slot());
+    for (const Slot& slot : old) {
+      if (slot.entry == nullptr) continue;
+      slots_[FindSlotLocked(slot.entry->key, slot.hash)] = slot;
+    }
+  }
+  const uint64_t hash = HashOf(entry->key);
+  Slot& slot = slots_[FindSlotLocked(entry->key, hash)];
+  LSMCOL_DCHECK(slot.entry == nullptr);
+  slot = Slot{hash, entry};
+  ++entry_count_;
+}
+
+void BufferCache::EraseSlotLocked(size_t pos) {
+  LSMCOL_DCHECK(slots_[pos].entry != nullptr);
+  const size_t mask = slots_.size() - 1;
+  // Backward-shift deletion: a later member of the run moves into the
+  // hole unless its home slot lies cyclically in (hole, its position].
+  for (size_t next = (pos + 1) & mask; slots_[next].entry != nullptr;
+       next = (next + 1) & mask) {
+    const size_t home = slots_[next].hash & mask;
+    if (((next - home) & mask) >= ((next - pos) & mask)) {
+      slots_[pos] = slots_[next];
+      pos = next;
+    }
+  }
+  slots_[pos] = Slot();
+  --entry_count_;
+}
+
+void BufferCache::LruPushFrontLocked(Entry* entry) {
+  entry->lru_prev = nullptr;
+  entry->lru_next = lru_head_;
+  if (lru_head_ != nullptr) {
+    lru_head_->lru_prev = entry;
+  } else {
+    lru_tail_ = entry;
+  }
+  lru_head_ = entry;
+  entry->in_lru = true;
+}
+
+void BufferCache::LruUnlinkLocked(Entry* entry) {
+  (entry->lru_prev != nullptr ? entry->lru_prev->lru_next : lru_head_) =
+      entry->lru_next;
+  (entry->lru_next != nullptr ? entry->lru_next->lru_prev : lru_tail_) =
+      entry->lru_prev;
+  entry->lru_prev = entry->lru_next = nullptr;
+  entry->in_lru = false;
 }
 
 }  // namespace lsmcol

@@ -27,8 +27,8 @@
 // number of reader threads fetch concurrently. A single mutex guards the
 // entry table, LRU list, and counters; a miss's read (and decode) runs
 // with it released behind a pinned loading placeholder. Pinned entries
-// are never evicted and have stable addresses (entries own their Buffers
-// via unique_ptr), so a CacheHandle's bytes stay valid without the lock;
+// are never evicted and have stable addresses (entries are heap objects
+// the table points to), so a CacheHandle's bytes stay valid without the lock;
 // so do a pinned unit's attachment bytes, published once behind an
 // atomic flag. A pinned entry may hold the cache above its budget until it
 // is unpinned.
@@ -39,8 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -98,6 +96,10 @@ class BufferCache {
 
   BufferCache(size_t capacity_bytes, size_t page_size)
       : capacity_bytes_(capacity_bytes), page_size_(page_size) {}
+  /// Frees every resident entry. No handle may outlive the cache.
+  ~BufferCache();
+  BufferCache(const BufferCache&) = delete;
+  BufferCache& operator=(const BufferCache&) = delete;
 
   /// Fetch (and pin) a page as stored, reading it on miss.
   Result<CacheHandle> Fetch(const PageFile& file, uint64_t page_no)
@@ -177,47 +179,75 @@ class BufferCache {
              column == other.column;
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(
-          (k.file_id << 24) ^ k.index ^
-          (static_cast<uint64_t>(k.column) * 0x9E3779B97F4A7C15ULL));
-    }
-  };
+  /// Mixes every bit of the key into the low bits the table probes by.
+  static uint64_t HashOf(const Key& k) {
+    uint64_t h = k.file_id * 0x9E3779B97F4A7C15ULL;
+    h ^= k.index * 0xC2B2AE3D27D4EB4FULL;
+    h ^= static_cast<uint64_t>(k.column) * 0x165667B19E3779F9ULL;
+    h ^= h >> 32;
+    h *= 0xD6E8FEB86659FD93ULL;
+    return h ^ (h >> 32);
+  }
   static constexpr int64_t kPageColumn = -2;
 
   // Entry fields are reached through Entry* rather than the cache, so
   // they carry no GUARDED_BY of their own; the invariant is structural:
   // all mutation happens under mu_, and a pinned entry's Buffer bytes
   // are immutable (what CacheHandle::data() reads lock-free).
-  struct Entry {
+  //
+  // A hit reads the first cache line only (key, pins, flags, LRU links,
+  // the data pointers); the line alignment keeps it one line.
+  struct alignas(64) Entry {
     Key key{};
-    size_t file_pos = 0;  ///< index into by_file_[key.file_id]
+    int pins = 0;
+    /// Placeholder published before the read so the miss I/O runs
+    /// outside mu_; concurrent fetchers of the same entry wait on
+    /// load_cv_ instead of reading twice. Pinned while loading, so never
+    /// evicted or handed out.
+    bool loading = false;
+    /// In the table (and by_file_). A detached entry — private to a
+    /// one-shot read, oversized, or invalidated while pinned — is owned
+    /// by its pins and freed on the last unpin.
+    bool resident = true;
+    bool in_lru = false;
+    /// Neighbours in the LRU list (unpinned resident entries only):
+    /// prev is more recently used.
+    Entry* lru_prev = nullptr;
+    Entry* lru_next = nullptr;
     Buffer data;
+    size_t charge = 0;  ///< bytes counted in charged_bytes_ (once loaded)
+    size_t file_pos = 0;  ///< index into by_file_[key.file_id]
     /// Derived bytes (Attachment): set once, under mu_, before
     /// has_attachment, and freed with the entry, so readers holding a pin
     /// read them lock-free once has_attachment is set. Kept in the entry,
     /// not behind a pointer: a lookup reads one per column.
     Buffer attachment;
     std::atomic<bool> has_attachment{false};
-    size_t charge = 0;  ///< bytes counted in charged_bytes_ (once loaded)
-    int pins = 0;
-    std::list<Entry*>::iterator lru_it;
-    bool in_lru = false;
-    /// Placeholder published before the read so the miss I/O runs
-    /// outside mu_; concurrent fetchers of the same entry wait on
-    /// load_cv_ instead of reading twice. Pinned while loading, so never
-    /// evicted or handed out.
-    bool loading = false;
-    /// In entries_ (and by_file_). A detached entry — private to a
-    /// one-shot read, oversized, or invalidated while pinned — is owned
-    /// by its pins and freed on the last unpin.
-    bool resident = true;
 
     Entry() = default;
     Entry(const Entry&) = delete;
     Entry& operator=(const Entry&) = delete;
   };
+
+  /// One slot of the entry table: a resident entry and its key's hash
+  /// (null entry: empty). Open addressing with linear probing over a
+  /// power-of-two array at most half full, so a probe usually reads one
+  /// cache line of slots and then the entry it finds.
+  struct Slot {
+    uint64_t hash = 0;
+    Entry* entry = nullptr;
+  };
+
+  /// The slot holding `key`, or the empty slot that ends its probe.
+  size_t FindSlotLocked(const Key& key, uint64_t hash) const
+      LSMCOL_REQUIRES(mu_);
+  /// Add a resident entry whose key is not in the table.
+  void InsertLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
+  /// Remove the entry in slot `pos`, shifting later members of its probe
+  /// run back so no probe stops early.
+  void EraseSlotLocked(size_t pos) LSMCOL_REQUIRES(mu_);
+  void LruPushFrontLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
+  void LruUnlinkLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
 
   /// Shared miss/hit path of Fetch and FetchDecoded.
   Result<CacheHandle> FetchEntry(const Key& key, const UnitLoader& load,
@@ -240,14 +270,16 @@ class BufferCache {
   size_t charged_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
   size_t confiscated_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
   CacheStats stats_ LSMCOL_GUARDED_BY(mu_);
-  // One flat map — a single probe per fetch instead of two chained maps.
-  std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> entries_
-      LSMCOL_GUARDED_BY(mu_);
+  // The resident entries, which the table owns; size is a power of two
+  // (or zero before the first insert).
+  std::vector<Slot> slots_ LSMCOL_GUARDED_BY(mu_);
+  size_t entry_count_ LSMCOL_GUARDED_BY(mu_) = 0;
   // Per-file entry list so Invalidate(file) stays O(entries of that file).
   std::unordered_map<uint64_t, std::vector<Entry*>> by_file_
       LSMCOL_GUARDED_BY(mu_);
-  // front = most recently used, unpinned only
-  std::list<Entry*> lru_ LSMCOL_GUARDED_BY(mu_);
+  // Unpinned resident entries, most recently used first.
+  Entry* lru_head_ LSMCOL_GUARDED_BY(mu_) = nullptr;
+  Entry* lru_tail_ LSMCOL_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace lsmcol

@@ -6,7 +6,7 @@
 // Corruption. Then the cached units a miss cuts from the leaf are built
 // and parsed back: the head unit (ApaxHead) and every column's unit
 // (ParseApaxColumnUnit). Each parse returns OK or Corruption, and an OK
-// one gives back the leaf's counts, PK chunk, minipage and stats.
+// one gives back the leaf's column count, PK chunk, minipage and stats.
 // Anything else aborts; ASan catches reads out of bounds.
 //
 // tests/CMakeLists.txt builds this target only when the compiler accepts
@@ -54,8 +54,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   lsmcol::Status parsed = head.Parse(unit.slice());
   Check(parsed.ok() || parsed.IsCorruption());
   if (parsed.ok()) {
-    Check(head.record_count() == leaf.record_count() &&
-          head.column_count() == leaf.column_count() &&
+    Check(head.column_count() == leaf.column_count() &&
           head.pk_chunk() == leaf.chunk(0));
   }
   for (uint32_t c = 1; c < leaf.column_count(); ++c) {

@@ -324,6 +324,39 @@ TEST_P(ProjectionTest, RecordsAndPathsMatchPrunedFullRecords) {
   ExpectProjectionsMatchFullRecords(reopened->get(), kSeed + 2);
 }
 
+TEST_P(ProjectionTest, PathPastTheKeyIsMissingAndKeepsTheKey) {
+  auto ds = Dataset::Open(Options(), &cache_);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Rng rng(7);
+  for (int64_t key = 0; key < 200; ++key) {
+    ASSERT_TRUE((*ds)->InsertJson(RandomDoc(key, &rng)).ok());
+  }
+  ASSERT_TRUE((*ds)->Flush().ok());
+  ASSERT_EQ((*ds)->component_count(), 1u);
+  auto cursor = (*ds)->GetSnapshot()->Scan(Projection::All());
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  size_t seen = 0;
+  while (true) {
+    auto next = (*cursor)->Next();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    if (!*next) break;
+    ++seen;
+    const int64_t key = (*cursor)->key();
+    Value past;
+    Status st = (*cursor)->Path({"id", "x"}, &past);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(past.is_missing()) << ToJson(past);
+    Value record;
+    st = (*cursor)->Record(&record);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    const Value& id = record.Get("id");
+    ASSERT_TRUE(id.is_int()) << ToJson(record);
+    EXPECT_EQ(id.int_value(), key);
+  }
+  EXPECT_EQ(seen, 200u);
+  EXPECT_FALSE((*ds)->component(0).quarantined());
+}
+
 INSTANTIATE_TEST_SUITE_P(Columnar, ProjectionTest,
                          ::testing::Values(LayoutKind::kApax,
                                            LayoutKind::kAmax),

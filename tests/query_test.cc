@@ -332,6 +332,28 @@ TEST_P(QueryEngineTest, UnionSiblingColumnsStayFreshAcrossRecords) {
   }
 }
 
+TEST_P(QueryEngineTest, FieldPastTheKeyIsMissing) {
+  // A path that steps past the PK resolves to the PK node on the columnar
+  // layouts: its value is MISSING, and reading it must neither fail nor
+  // disturb the key later reads assemble.
+  QueryPlan plan;
+  plan.pre_filter =
+      Expr::Compare(Expr::CmpOp::kLt, Expr::Field({"id"}), Expr::Int(5));
+  plan.projections.push_back(Expr::Field({"id", "x"}));
+  plan.projections.push_back(Expr::Field({"id"}));
+  plan.order_by = 1;
+  plan.order_desc = false;
+  auto result = RunBoth(plan);
+  ASSERT_EQ(result.rows.size(), 5u);
+  for (size_t i = 0; i < result.rows.size(); ++i) {
+    EXPECT_TRUE(result.rows[i][0].is_missing()) << ToJson(result.rows[i][0]);
+    EXPECT_EQ(result.rows[i][1].int_value(), static_cast<int64_t>(i));
+  }
+  for (size_t c = 0; c < dataset_->component_count(); ++c) {
+    EXPECT_FALSE(dataset_->component(c).quarantined()) << c;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, QueryEngineTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,

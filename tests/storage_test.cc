@@ -674,6 +674,89 @@ TEST(DecodedUnitCacheTest, InvalidateAndClearDropUnits) {
   EXPECT_TRUE(RemoveFileIfExists(path_b).ok());
 }
 
+TEST(DecodedUnitCacheTest, EveryUnitStaysFoundAcrossDropsAndEvictions) {
+  // Thousands of units of three files, scattered keys: the entry table
+  // grows several times, then loses one file's units from the middle of
+  // its probe runs (Invalidate) and, in a smaller cache, LRU victims.
+  // Every unit still resident must be a hit with its own bytes, and
+  // every dropped one a miss.
+  std::vector<std::unique_ptr<PageFile>> files;
+  std::vector<std::string> paths;
+  for (int f = 0; f < 3; ++f) {
+    paths.push_back(TempPath("du_table" + std::to_string(f)));
+    auto file = PageFile::Create(paths.back(), kPage);
+    ASSERT_TRUE(file.ok());
+    files.push_back(std::move(*file));
+  }
+  struct UnitKey {
+    int file;
+    uint64_t leaf;
+    int column;
+  };
+  Rng rng(17);
+  std::vector<UnitKey> keys;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    keys.push_back({static_cast<int>(rng.Uniform(3)), i / 7 + rng.Uniform(3),
+                    static_cast<int>(i % 7) - 1});
+  }
+  std::atomic<int> loads{0};
+  auto bytes_of = [](const UnitKey& k) {
+    return std::to_string(k.file) + "/" + std::to_string(k.leaf) + "/" +
+           std::to_string(k.column);
+  };
+  // Fetches `k`; true on a hit. Checks the bytes either way.
+  auto fetch = [&](BufferCache* cache, const UnitKey& k) {
+    const int before = loads.load();
+    auto unit = cache->FetchDecoded(
+        *files[static_cast<size_t>(k.file)], k.leaf, k.column,
+        [&](Buffer* out) {
+          loads.fetch_add(1);
+          out->Append(Slice(bytes_of(k)));
+          return Status::OK();
+        });
+    EXPECT_TRUE(unit.ok());
+    if (!unit.ok()) return false;
+    EXPECT_EQ(unit->data().ToString(), bytes_of(k));
+    return loads.load() == before;
+  };
+
+  {
+    BufferCache cache(1 << 20, kPage);  // holds them all
+    for (const UnitKey& k : keys) fetch(&cache, k);
+    const int distinct = loads.load();
+    for (const UnitKey& k : keys) EXPECT_TRUE(fetch(&cache, k));
+    EXPECT_EQ(loads.load(), distinct);
+    cache.Invalidate(*files[1]);
+    for (const UnitKey& k : keys) {
+      const bool hit = fetch(&cache, k);
+      if (k.file != 1) {
+        EXPECT_TRUE(hit) << bytes_of(k);
+      }
+    }
+    // File 1's units were all reloaded, once each.
+    for (const UnitKey& k : keys) EXPECT_TRUE(fetch(&cache, k));
+    cache.Clear();
+    EXPECT_EQ(cache.cached_bytes(), 0u);
+    cache.ResetStats();
+    for (const UnitKey& k : keys) fetch(&cache, k);
+    EXPECT_EQ(cache.stats().misses, static_cast<uint64_t>(distinct));
+  }
+  {
+    // Room for about 500 units: each fetch past it evicts the least
+    // recently used one, so the last 400 fetched are resident.
+    BufferCache cache(500 * 8, kPage);
+    for (const UnitKey& k : keys) fetch(&cache, k);
+    EXPECT_GT(cache.stats().evictions, 1000u);
+    for (size_t i = keys.size() - 400; i < keys.size(); ++i) {
+      EXPECT_TRUE(fetch(&cache, keys[i])) << bytes_of(keys[i]);
+    }
+    EXPECT_FALSE(fetch(&cache, keys[0]));
+  }
+  for (const std::string& path : paths) {
+    EXPECT_TRUE(RemoveFileIfExists(path).ok());
+  }
+}
+
 TEST(DecodedUnitCacheTest, FailedLoadIsNotCached) {
   const std::string path = TempPath("du6");
   auto file = PageFile::Create(path, kPage);
