@@ -82,36 +82,41 @@ Status SecondaryIndex::Delete(int64_t sk, int64_t pk) {
   return Add(sk, pk, true);
 }
 
-Status SecondaryIndex::Flush() {
-  if (memtable_.empty()) return Status::OK();
+Result<std::unique_ptr<ComponentReader>> SecondaryIndex::WriteComponent(
+    const EntryMap& entries, bool drop_anti) {
   const std::string path = options_.dir + "/" + options_.name + "_" +
                            std::to_string(next_component_id_++) + ".idx";
   LSMCOL_ASSIGN_OR_RETURN(
       auto writer, ComponentWriter::Create(path, cache_, options_.page_size));
-  std::vector<IndexEntry> entries;
+  std::vector<IndexEntry> leaf;
   std::vector<bool> anti;
   auto emit = [&]() -> Status {
-    if (entries.empty()) return Status::OK();
+    if (leaf.empty()) return Status::OK();
     Buffer payload;
-    EncodeLeaf(entries, anti, &payload);
-    Status st = writer->AppendLeaf(payload.slice(),
-                                   entries.front().secondary_key,
-                                   entries.back().secondary_key,
-                                   static_cast<uint32_t>(entries.size()));
-    entries.clear();
+    EncodeLeaf(leaf, anti, &payload);
+    Status st = writer->AppendLeaf(payload.slice(), leaf.front().secondary_key,
+                                   leaf.back().secondary_key,
+                                   static_cast<uint32_t>(leaf.size()));
+    leaf.clear();
     anti.clear();
     return st;
   };
-  for (const auto& [key, is_anti] : memtable_) {
-    entries.push_back({key.first, key.second});
+  for (const auto& [key, is_anti] : entries) {
+    if (is_anti && drop_anti) continue;  // full merge: anti-matter annihilates
+    leaf.push_back({key.first, key.second});
     anti.push_back(is_anti);
-    if (entries.size() >= kEntriesPerLeaf) LSMCOL_RETURN_NOT_OK(emit());
+    if (leaf.size() >= kEntriesPerLeaf) LSMCOL_RETURN_NOT_OK(emit());
   }
   LSMCOL_RETURN_NOT_OK(emit());
   LSMCOL_RETURN_NOT_OK(writer->Finish(Slice("SIDX")));
-  LSMCOL_ASSIGN_OR_RETURN(
-      auto reader, ComponentReader::Open(path, cache_, options_.page_size));
-  components_.insert(components_.begin(), Component{std::move(reader)});
+  return ComponentReader::Open(path, cache_, options_.page_size);
+}
+
+Status SecondaryIndex::Flush() {
+  if (memtable_.empty()) return Status::OK();
+  LSMCOL_ASSIGN_OR_RETURN(auto reader,
+                          WriteComponent(memtable_, /*drop_anti=*/false));
+  components_.insert(components_.begin(), std::move(reader));
   memtable_.clear();
   if (components_.size() > static_cast<size_t>(options_.max_components)) {
     return MergeAll();
@@ -119,18 +124,24 @@ Status SecondaryIndex::Flush() {
   return Status::OK();
 }
 
-Status SecondaryIndex::ScanComponentRange(
-    const Component& component, int64_t lo, int64_t hi,
-    std::map<std::pair<int64_t, int64_t>, bool>* merged, bool newest_wins) {
-  (void)newest_wins;
-  const auto& leaves = component.reader->leaves();
-  for (size_t i = component.reader->LowerBoundLeaf(lo);
+Status SecondaryIndex::ScanComponentRange(const ComponentReader& component,
+                                          int64_t lo, int64_t hi,
+                                          bool install, EntryMap* merged) {
+  const auto& leaves = component.leaves();
+  for (size_t i = component.LowerBoundLeaf(lo);
        i < leaves.size() && leaves[i].min_key <= hi; ++i) {
-    Buffer payload;
-    LSMCOL_RETURN_NOT_OK(component.reader->ReadLeaf(i, &payload));
+    auto load = [&](Buffer* out) -> Status {
+      LSMCOL_RETURN_NOT_OK(component.ReadLeaf(i, out));
+      // Cached as read and charged by size: give back the trailers' room
+      // and an unused last-page tail when they are a real share of it.
+      if (out->capacity() > out->size() + out->size() / 8) out->ShrinkToFit();
+      return Status::OK();
+    };
+    LSMCOL_ASSIGN_OR_RETURN(CacheHandle leaf,
+                            component.FetchDecoded(i, -1, load, install));
     std::vector<IndexEntry> entries;
     std::vector<bool> anti;
-    LSMCOL_RETURN_NOT_OK(DecodeLeaf(payload.slice(), &entries, &anti));
+    LSMCOL_RETURN_NOT_OK(DecodeLeaf(leaf.data(), &entries, &anti));
     for (size_t j = 0; j < entries.size(); ++j) {
       if (entries[j].secondary_key < lo || entries[j].secondary_key > hi) {
         continue;
@@ -147,15 +158,15 @@ Status SecondaryIndex::ScanComponentRange(
 Status SecondaryIndex::ScanRange(int64_t lo, int64_t hi,
                                  std::vector<IndexEntry>* out) {
   out->clear();
-  std::map<std::pair<int64_t, int64_t>, bool> merged;
+  EntryMap merged;
   // Memtable is newest.
   for (auto it = memtable_.lower_bound({lo, INT64_MIN});
        it != memtable_.end() && it->first.first <= hi; ++it) {
     merged.emplace(it->first, it->second);
   }
-  for (const Component& component : components_) {
+  for (const auto& component : components_) {
     LSMCOL_RETURN_NOT_OK(
-        ScanComponentRange(component, lo, hi, &merged, true));
+        ScanComponentRange(*component, lo, hi, /*install=*/true, &merged));
   }
   for (const auto& [key, anti] : merged) {
     if (!anti) out->push_back({key.first, key.second});
@@ -171,54 +182,29 @@ Result<bool> SecondaryIndex::Contains(int64_t secondary_key) {
 
 Status SecondaryIndex::MergeAll() {
   if (components_.size() < 2 && memtable_.empty()) return Status::OK();
-  std::map<std::pair<int64_t, int64_t>, bool> merged;
-  for (const auto& [key, anti] : memtable_) merged.emplace(key, anti);
-  for (const Component& component : components_) {
-    LSMCOL_RETURN_NOT_OK(ScanComponentRange(component, INT64_MIN, INT64_MAX,
-                                            &merged, true));
+  EntryMap merged = memtable_;  // newest
+  for (const auto& component : components_) {
+    LSMCOL_RETURN_NOT_OK(ScanComponentRange(*component, INT64_MIN, INT64_MAX,
+                                            /*install=*/false, &merged));
   }
-  memtable_.clear();
-  const std::string path = options_.dir + "/" + options_.name + "_" +
-                           std::to_string(next_component_id_++) + ".idx";
-  LSMCOL_ASSIGN_OR_RETURN(
-      auto writer, ComponentWriter::Create(path, cache_, options_.page_size));
-  std::vector<IndexEntry> entries;
-  std::vector<bool> anti;
-  auto emit = [&]() -> Status {
-    if (entries.empty()) return Status::OK();
-    Buffer payload;
-    EncodeLeaf(entries, anti, &payload);
-    Status st = writer->AppendLeaf(payload.slice(),
-                                   entries.front().secondary_key,
-                                   entries.back().secondary_key,
-                                   static_cast<uint32_t>(entries.size()));
-    entries.clear();
-    anti.clear();
-    return st;
-  };
-  for (const auto& [key, is_anti] : merged) {
-    if (is_anti) continue;  // full merge: anti-matter annihilates
-    entries.push_back({key.first, key.second});
-    anti.push_back(false);
-    if (entries.size() >= kEntriesPerLeaf) LSMCOL_RETURN_NOT_OK(emit());
-  }
-  LSMCOL_RETURN_NOT_OK(emit());
-  LSMCOL_RETURN_NOT_OK(writer->Finish(Slice("SIDX")));
-  LSMCOL_ASSIGN_OR_RETURN(
-      auto reader, ComponentReader::Open(path, cache_, options_.page_size));
-  std::vector<Component> old = std::move(components_);
+  LSMCOL_ASSIGN_OR_RETURN(auto reader,
+                          WriteComponent(merged, /*drop_anti=*/true));
+  // The memtable is cleared only once its entries are in the installed
+  // component: a failed merge loses nothing.
+  std::vector<std::unique_ptr<ComponentReader>> old = std::move(components_);
   components_.clear();
-  components_.push_back(Component{std::move(reader)});
-  for (Component& component : old) {
-    LSMCOL_RETURN_NOT_OK(component.reader->Destroy());
+  components_.push_back(std::move(reader));
+  memtable_.clear();
+  for (const auto& component : old) {
+    LSMCOL_RETURN_NOT_OK(component->Destroy());
   }
   return Status::OK();
 }
 
 uint64_t SecondaryIndex::OnDiskBytes() const {
   uint64_t total = 0;
-  for (const Component& component : components_) {
-    total += component.reader->size_bytes();
+  for (const auto& component : components_) {
+    total += component->size_bytes();
   }
   return total;
 }

@@ -62,23 +62,27 @@ class SecondaryIndex {
   size_t component_count() const { return components_.size(); }
 
  private:
-  struct Component {
-    std::unique_ptr<ComponentReader> reader;
-  };
+  // (sk, pk) -> anti-matter flag.
+  using EntryMap = std::map<std::pair<int64_t, int64_t>, bool>;
 
   SecondaryIndex(const SecondaryIndexOptions& options, BufferCache* cache)
       : options_(options), cache_(cache) {}
 
   Status Add(int64_t sk, int64_t pk, bool anti);
-  Status ScanComponentRange(
-      const Component& component, int64_t lo, int64_t hi,
-      std::map<std::pair<int64_t, int64_t>, bool>* merged, bool newest_wins);
+  /// Write `entries` to a new component file and open it. With
+  /// `drop_anti` (a full merge) anti-matter entries are left out.
+  Result<std::unique_ptr<ComponentReader>> WriteComponent(
+      const EntryMap& entries, bool drop_anti);
+  /// Add the entries of `component` with secondary key in [lo, hi] to
+  /// `merged`, keeping the (newer) state already there. Each leaf is read
+  /// as a decoded unit; `install` false reads around the cache (a merge).
+  Status ScanComponentRange(const ComponentReader& component, int64_t lo,
+                            int64_t hi, bool install, EntryMap* merged);
 
   SecondaryIndexOptions options_;
   BufferCache* cache_;
-  // (sk, pk) -> anti-matter flag; newest state wins.
-  std::map<std::pair<int64_t, int64_t>, bool> memtable_;
-  std::vector<Component> components_;  // newest first
+  EntryMap memtable_;  // newest state wins
+  std::vector<std::unique_ptr<ComponentReader>> components_;  // newest first
   uint64_t next_component_id_ = 1;
 };
 

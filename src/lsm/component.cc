@@ -131,7 +131,7 @@ Status Component::NoteRead(Status st) const {
 
 Status Component::ReadLeaf(size_t leaf_index, Buffer* out) const {
   LSMCOL_RETURN_NOT_OK(CheckReadable());
-  return NoteRead(reader_->ReadLeafUncached(leaf_index, out));
+  return NoteRead(reader_->ReadLeaf(leaf_index, out));
 }
 
 Result<CacheHandle> Component::FetchUnit(
@@ -148,16 +148,13 @@ Status Component::LoadApaxLeaf(size_t leaf_index,
                                ApaxLeafImage* image) const {
   if (image->leaf == leaf_index) return Status::OK();
   image->leaf = SIZE_MAX;
-  const uint64_t size = reader_->leaves()[leaf_index].payload_size;
   if (meta_.compressed) {
     Buffer stored;
-    LSMCOL_RETURN_NOT_OK(
-        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &stored));
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf_index, &stored));
     image->bytes.clear();
     LSMCOL_RETURN_NOT_OK(LzDecompress(stored.slice(), &image->bytes));
   } else {
-    LSMCOL_RETURN_NOT_OK(
-        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &image->bytes));
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf_index, &image->bytes));
   }
   LSMCOL_RETURN_NOT_OK(image->apax.Parse(image->bytes.slice()));
   image->leaf = leaf_index;
@@ -190,7 +187,7 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
   return FetchUnit(leaf_index, -1, use, [&](Buffer* out) -> Status {
     if (!compressed) {
       LSMCOL_RETURN_NOT_OK(
-          reader_->ReadLeafRangeUncached(leaf_index, 0, size, out));
+          reader_->ReadLeafRange(leaf_index, 0, size, out));
       // Cached as read and charged by size: give back the trailers' room
       // and an unused last-page tail when they are a real share of it.
       if (out->capacity() > size + size / 8) out->ShrinkToFit();
@@ -198,7 +195,7 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
     }
     Buffer raw;
     LSMCOL_RETURN_NOT_OK(
-        reader_->ReadLeafRangeUncached(leaf_index, 0, size, &raw));
+        reader_->ReadLeafRange(leaf_index, 0, size, &raw));
     return LzDecompress(raw.slice(), out);
   });
 }
@@ -235,7 +232,7 @@ Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
                                                LeafPageMemo* memo) const {
   return FetchUnit(leaf_index, column_id, use, [&](Buffer* out) {
     Buffer raw;
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRangeUncached(
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(
         leaf_index, extent.offset, extent.size, &raw, memo));
     return ParseAmaxMegapage(raw.slice(), schema_->column(column_id),
                              meta_.compressed, out, nullptr, nullptr);

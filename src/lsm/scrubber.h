@@ -1,13 +1,13 @@
 // Scrubber: background integrity scanning of on-disk components.
 //
 // Checksums are only verified when a page is physically read, and the
-// buffer cache means hot pages are read once — so silent media decay on
-// a cold component can sit undetected until the day a merge or query
-// finally touches it. The scrubber closes that window: it re-reads every
-// component leaf through ReadLeafUncached (physical read + page trailer
-// verification, no cache pollution) on a byte-rate budget, running as
-// low-priority FlushMergeScheduler tasks so a scrub slice never delays a
-// flush or merge.
+// buffer cache means hot units are read and decoded once — so silent
+// media decay on a cold component can sit undetected until the day a
+// merge or query finally touches it. The scrubber closes that window: it
+// re-reads every component leaf through ComponentReader::ReadLeaf
+// (physical read + page trailer verification, no cache pollution) on a
+// byte-rate budget, running as low-priority FlushMergeScheduler tasks so
+// a scrub slice never delays a flush or merge.
 //
 // Damage handling is the component's own quarantine machinery: the first
 // damaged leaf quarantines the component, the dataset persists the

@@ -35,27 +35,11 @@ BufferCache::~BufferCache() {
   for (const Slot& slot : slots_) delete slot.entry;
 }
 
-Result<CacheHandle> BufferCache::Fetch(const PageFile& file,
-                                       uint64_t page_no) {
-  auto load = [&](Buffer* out) -> Status {
-    LSMCOL_RETURN_NOT_OK(file.ReadPage(page_no, out));
-    CountPagesRead(1);
-    return Status::OK();
-  };
-  return FetchEntry(Key{file.file_id(), page_no, kPageColumn}, load,
-                    /*install=*/true);
-}
-
 Result<CacheHandle> BufferCache::FetchDecoded(const PageFile& file,
                                               uint64_t leaf, int column,
                                               const UnitLoader& load,
                                               bool install) {
-  return FetchEntry(Key{file.file_id(), leaf, column}, load, install);
-}
-
-Result<CacheHandle> BufferCache::FetchEntry(const Key& key,
-                                            const UnitLoader& load,
-                                            bool install) {
+  const Key key{file.file_id(), leaf, column};
   const uint64_t hash = HashOf(key);
   MutexLock lock(&mu_);
   while (true) {
@@ -146,28 +130,10 @@ void BufferCache::CountPagesRead(uint64_t pages) {
   stats_.bytes_read += pages * page_size_;
 }
 
-Status BufferCache::WriteThrough(PageFile& file, uint64_t page_no,
-                                 Slice payload) {
-  // The physical write runs outside the lock: a component file is
-  // private to its (single) writer until the final rename, so parallel
-  // flush/merge builds and concurrent reader fetches must not serialize
-  // on it. Only the entry/stat bookkeeping needs mu_.
-  LSMCOL_RETURN_NOT_OK(file.WritePage(page_no, payload));
+void BufferCache::CountPagesWritten(uint64_t pages) {
   MutexLock lock(&mu_);
-  ++stats_.pages_written;
-  stats_.bytes_written += page_size_;
-  // Update the cached copy if present (write-once components make this
-  // rare, but merges can reuse page numbers after Invalidate). A loading
-  // entry is skipped: its in-flight read owns the buffer.
-  const Key key{file.file_id(), page_no, kPageColumn};
-  Entry* entry =
-      slots_.empty() ? nullptr : slots_[FindSlotLocked(key, HashOf(key))].entry;
-  if (entry != nullptr && !entry->loading) {
-    entry->data.clear();
-    entry->data.resize(page_size_);
-    std::memcpy(entry->data.mutable_data(), payload.data(), payload.size());
-  }
-  return Status::OK();
+  stats_.pages_written += pages;
+  stats_.bytes_written += pages * page_size_;
 }
 
 void BufferCache::DropLocked(Entry* entry) {

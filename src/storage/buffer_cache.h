@@ -1,17 +1,14 @@
 // BufferCache: the one LRU cache of a Store, with the I/O counters the
-// benchmarks report (pages/bytes read and written, hit rate). It holds
-// two kinds of entry under one byte budget:
-//
-//   * decoded units — a row leaf's payload, a columnar leaf's head (APAX
-//     head unit, AMAX Page 0), or one column of a columnar leaf (APAX
-//     minipage with its stats entry, AMAX megapage), verified and
-//     decompressed once on a miss (FetchDecoded). This is what the read
-//     path caches: a warm read runs no page I/O, no checksum and no LZ.
-//     The compressed pages a unit was decoded from are not kept, so each
-//     unit is cached once, charged by its decoded bytes.
-//   * raw pages, as stored (Fetch) — what ComponentReader::ReadLeaf and
-//     ReadLeafRange return, used by secondary indexes. Merges and the
-//     scrubber read around the cache and install neither kind.
+// benchmarks report (pages/bytes read and written, hit rate). Every
+// entry is a decoded unit under one byte budget: a row leaf's payload, a
+// secondary-index leaf, a columnar leaf's head (APAX head unit, AMAX
+// Page 0), or one column of a columnar leaf (APAX minipage with its stats
+// entry, AMAX megapage), verified and decompressed once on a miss
+// (FetchDecoded). A warm read runs no page I/O, no checksum and no LZ.
+// The compressed pages a unit was decoded from are not kept, so each unit
+// is cached once, charged by its decoded bytes. Merges and the scrubber
+// read around the cache (ComponentReader::ReadLeaf and ReadLeafRange
+// never install anything), and component writes go straight to the file.
 //
 // A decoded unit may carry an attachment: bytes derived from it once and
 // kept with it (a column's seek index, a leaf's decoded keys — what point
@@ -23,9 +20,9 @@
 // budget instead of a dedicated allocation.
 //
 // Thread-safe: one cache is shared by every dataset of a Store, and with
-// background flushes/merges, writer threads (write-through) and any
-// number of reader threads fetch concurrently. A single mutex guards the
-// entry table, LRU list, and counters; a miss's read (and decode) runs
+// background flushes/merges, writer threads (counting their writes) and
+// any number of reader threads use it concurrently. A single mutex guards
+// the entry table, LRU list, and counters; a miss's read (and decode) runs
 // with it released behind a pinned loading placeholder. Pinned entries
 // are never evicted and have stable addresses (entries are heap objects
 // the table points to), so a CacheHandle's bytes stay valid without the lock;
@@ -56,15 +53,15 @@ struct CacheStats {
   uint64_t bytes_read = 0;     ///< physical bytes read
   uint64_t pages_written = 0;  ///< physical page writes
   uint64_t bytes_written = 0;  ///< physical bytes written
-  uint64_t hits = 0;           ///< page and decoded-unit hits
-  uint64_t misses = 0;         ///< page and decoded-unit misses
+  uint64_t hits = 0;           ///< decoded-unit hits
+  uint64_t misses = 0;         ///< decoded-unit misses
   uint64_t evictions = 0;
   uint64_t confiscations = 0;  ///< AMAX staging buffers taken (§4.5.2)
 };
 
 class BufferCache;
 
-/// RAII pin on a cached page or decoded unit. The referenced bytes stay
+/// RAII pin on a cached decoded unit. The referenced bytes stay
 /// valid while the handle lives.
 class CacheHandle {
  public:
@@ -87,8 +84,8 @@ class CacheHandle {
   void* entry_ = nullptr;
 };
 
-/// \brief LRU cache of pages and decoded leaf units (thread-safe, see
-/// file comment).
+/// \brief LRU cache of decoded leaf units (thread-safe, see file
+/// comment).
 class BufferCache {
  public:
   /// Fills `out` with a unit's verified, decoded bytes.
@@ -101,18 +98,14 @@ class BufferCache {
   BufferCache(const BufferCache&) = delete;
   BufferCache& operator=(const BufferCache&) = delete;
 
-  /// Fetch (and pin) a page as stored, reading it on miss.
-  Result<CacheHandle> Fetch(const PageFile& file, uint64_t page_no)
-      LSMCOL_EXCLUDES(mu_);
-
   /// Fetch (and pin) the decoded unit `column` of leaf `leaf` of `file`
-  /// (column -1: the row leaf payload or the columnar leaf's head; >= 1:
-  /// that column's APAX or AMAX unit). On a miss `load` runs once, with
-  /// mu_ released, while concurrent fetchers of the same unit wait for
-  /// it. With `install` false a miss is decoded into a private entry
-  /// freed on unpin, so a one-shot reader (a merge input) never displaces
-  /// the hot set; a hit is served either way. A unit larger than the
-  /// whole capacity is served the same way, uncached.
+  /// (column -1: a row or secondary-index leaf's payload, or a columnar
+  /// leaf's head; >= 1: that column's APAX or AMAX unit). On a miss
+  /// `load` runs once, with mu_ released, while concurrent fetchers of
+  /// the same unit wait for it. With `install` false a miss is decoded
+  /// into a private entry freed on unpin, so a one-shot reader (a merge
+  /// input) never displaces the hot set; a hit is served either way. A
+  /// unit larger than the whole capacity is served the same way, uncached.
   Result<CacheHandle> FetchDecoded(const PageFile& file, uint64_t leaf,
                                    int column, const UnitLoader& load,
                                    bool install = true) LSMCOL_EXCLUDES(mu_);
@@ -125,19 +118,16 @@ class BufferCache {
   Result<Slice> Attachment(const CacheHandle& unit, const UnitLoader& build)
       LSMCOL_EXCLUDES(mu_);
 
-  /// Count physical page reads that bypass the cache's entries (a decoded
-  /// unit's miss reads its pages straight from the file).
+  /// Count physical page reads, which bypass the cache's entries (a
+  /// decoded unit's miss reads its pages straight from the file).
   void CountPagesRead(uint64_t pages) LSMCOL_EXCLUDES(mu_);
+  /// Count physical page writes (components are written straight to
+  /// their files, never through the cache).
+  void CountPagesWritten(uint64_t pages) LSMCOL_EXCLUDES(mu_);
 
-  /// Write a page through the cache (updates/installs the cached copy and
-  /// writes to the file immediately — components are write-once, so there
-  /// is no dirty-page tracking).
-  Status WriteThrough(PageFile& file, uint64_t page_no, Slice payload)
-      LSMCOL_EXCLUDES(mu_);
-
-  /// Drop every cached page and decoded unit of a file (component
-  /// deletion after merge). A pinned entry is detached instead: it stays
-  /// readable through its handles and is freed on the last unpin.
+  /// Drop every cached unit of a file (component deletion after merge).
+  /// A pinned entry is detached instead: it stays readable through its
+  /// handles and is freed on the last unpin.
   void Invalidate(const PageFile& file) LSMCOL_EXCLUDES(mu_);
 
   /// Drop every cached entry (cold-cache measurements); pinned entries
@@ -158,7 +148,8 @@ class BufferCache {
     stats_ = CacheStats();
   }
   size_t page_size() const { return page_size_; }
-  /// Bytes charged against the capacity: pages plus decoded units.
+  /// Bytes charged against the capacity: decoded units and their
+  /// attachments.
   size_t cached_bytes() const LSMCOL_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return charged_bytes_;
@@ -167,9 +158,8 @@ class BufferCache {
  private:
   friend class CacheHandle;
 
-  /// Entry identity: (file, page number, kPageColumn) for a raw page,
-  /// (file, leaf, column) for a decoded unit. Equality is exact, so an
-  /// overflowing page number can never alias another file's entry.
+  /// Entry identity: (file, leaf, column). Equality is exact, so an
+  /// overflowing leaf number can never alias another file's entry.
   struct Key {
     uint64_t file_id;
     uint64_t index;
@@ -188,7 +178,6 @@ class BufferCache {
     h *= 0xD6E8FEB86659FD93ULL;
     return h ^ (h >> 32);
   }
-  static constexpr int64_t kPageColumn = -2;
 
   // Entry fields are reached through Entry* rather than the cache, so
   // they carry no GUARDED_BY of their own; the invariant is structural:
@@ -249,9 +238,6 @@ class BufferCache {
   void LruPushFrontLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
   void LruUnlinkLocked(Entry* entry) LSMCOL_REQUIRES(mu_);
 
-  /// Shared miss/hit path of Fetch and FetchDecoded.
-  Result<CacheHandle> FetchEntry(const Key& key, const UnitLoader& load,
-                                 bool install) LSMCOL_EXCLUDES(mu_);
   void Unpin(Entry* entry) LSMCOL_EXCLUDES(mu_);
   void EvictIfNeededLocked() LSMCOL_REQUIRES(mu_);
   /// Remove a resident entry from the table and per-file list and
@@ -260,8 +246,7 @@ class BufferCache {
 
   /// Guards every mutable member below (entries, LRU, per-file lists,
   /// counters). Physical I/O and decoding run *outside* it: misses
-  /// publish a loading placeholder first, write-through writes go to a
-  /// file still private to its single writer.
+  /// publish a loading placeholder first.
   mutable Mutex mu_{MutexRank::kBufferCache};
   /// Signaled when a loading entry is published (or its load failed).
   CondVar load_cv_;

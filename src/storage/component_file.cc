@@ -25,26 +25,24 @@ Result<std::unique_ptr<ComponentWriter>> ComponentWriter::Create(
       new ComponentWriter(path, std::move(file), cache));
 }
 
-ComponentWriter::~ComponentWriter() {
-  if (file_ != nullptr && cache_ != nullptr) cache_->Invalidate(*file_);
-}
-
 Status ComponentWriter::WriteBlob(Slice blob, uint64_t* first_page,
                                   uint32_t* page_count) {
   const size_t page_size = file_->page_size();
   *first_page = next_page_;
   size_t offset = 0;
   uint32_t pages = 0;
+  Status st;
   while (offset < blob.size() || pages == 0) {
     size_t chunk = std::min(page_size, blob.size() - offset);
-    LSMCOL_RETURN_NOT_OK(cache_->WriteThrough(
-        *file_, next_page_, blob.SubSlice(offset, chunk)));
+    st = file_->WritePage(next_page_, blob.SubSlice(offset, chunk));
+    if (!st.ok()) break;
     offset += chunk;
     ++next_page_;
     ++pages;
   }
+  cache_->CountPagesWritten(pages);
   *page_count = pages;
-  return Status::OK();
+  return st;
 }
 
 Status ComponentWriter::AppendLeaf(Slice payload, int64_t min_key,
@@ -92,7 +90,8 @@ Status ComponentWriter::Finish(Slice metadata) {
   footer.AppendFixed32(meta_pages);
   footer.AppendFixed64(metadata.size());
   footer.AppendByte(1);  // valid
-  LSMCOL_RETURN_NOT_OK(cache_->WriteThrough(*file_, next_page_, footer.slice()));
+  LSMCOL_RETURN_NOT_OK(file_->WritePage(next_page_, footer.slice()));
+  cache_->CountPagesWritten(1);
   ++next_page_;
   return file_->Sync();
 }
@@ -185,40 +184,9 @@ ComponentReader::~ComponentReader() {
   if (!destroyed_ && cache_ != nullptr) cache_->Invalidate(*file_);
 }
 
-Status ComponentReader::ReadLeaf(size_t leaf_index, Buffer* out) const {
-  LSMCOL_CHECK(leaf_index < leaves_.size());
-  return ReadLeafRange(leaf_index, 0, leaves_[leaf_index].payload_size, out);
-}
-
 Status ComponentReader::ReadLeafRange(size_t leaf_index, uint64_t offset,
-                                      uint64_t size, Buffer* out) const {
-  LSMCOL_CHECK(leaf_index < leaves_.size());
-  const LeafEntry& leaf = leaves_[leaf_index];
-  if (offset + size > leaf.payload_size) {
-    return Status::OutOfRange("leaf range out of bounds");
-  }
-  out->clear();
-  if (size == 0) return Status::OK();
-  const size_t page_size = file_->page_size();
-  const uint64_t first = leaf.first_page + offset / page_size;
-  const uint64_t last = leaf.first_page + (offset + size - 1) / page_size;
-  uint64_t skip = offset % page_size;
-  for (uint64_t p = first; p <= last; ++p) {
-    LSMCOL_ASSIGN_OR_RETURN(CacheHandle handle, cache_->Fetch(*file_, p));
-    Slice data = handle.data();
-    const uint64_t want = size - out->size();
-    const uint64_t avail = data.size() - skip;
-    const uint64_t take = std::min(want, avail);
-    out->Append(data.data() + skip, take);
-    skip = 0;
-  }
-  return Status::OK();
-}
-
-Status ComponentReader::ReadLeafRangeUncached(size_t leaf_index,
-                                              uint64_t offset, uint64_t size,
-                                              Buffer* out,
-                                              LeafPageMemo* memo) const {
+                                      uint64_t size, Buffer* out,
+                                      LeafPageMemo* memo) const {
   LSMCOL_CHECK(leaf_index < leaves_.size());
   const LeafEntry& leaf = leaves_[leaf_index];
   if (offset + size > leaf.payload_size) {
@@ -275,11 +243,9 @@ Status ComponentReader::ReadLeafRangeUncached(size_t leaf_index,
   return Status::OK();
 }
 
-Status ComponentReader::ReadLeafUncached(size_t leaf_index,
-                                         Buffer* out) const {
+Status ComponentReader::ReadLeaf(size_t leaf_index, Buffer* out) const {
   LSMCOL_CHECK(leaf_index < leaves_.size());
-  return ReadLeafRangeUncached(leaf_index, 0,
-                               leaves_[leaf_index].payload_size, out);
+  return ReadLeafRange(leaf_index, 0, leaves_[leaf_index].payload_size, out);
 }
 
 size_t ComponentReader::LowerBoundLeaf(int64_t key) const {

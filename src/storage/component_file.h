@@ -43,18 +43,13 @@ struct LeafEntry {
 /// per megapage. Holds only such partially covered pages, by page number.
 using LeafPageMemo = std::vector<std::pair<uint64_t, Buffer>>;
 
-/// Sequential component writer (components are write-once).
+/// Sequential component writer (components are write-once). Pages go
+/// straight to the file; `cache` only counts them (pages_written).
 class ComponentWriter {
  public:
   static Result<std::unique_ptr<ComponentWriter>> Create(
       const std::string& path, BufferCache* cache, size_t page_size,
       FileSystem* fs = nullptr);
-
-  /// Drops the writer's cached pages: they are keyed by this PageFile
-  /// instance and can never be hit again once the writer is gone (readers
-  /// open their own PageFile — typically after the file was renamed into
-  /// its final component path).
-  ~ComponentWriter();
 
   /// Append one leaf; payload is split across ceil(size/page_size) pages.
   Status AppendLeaf(Slice payload, int64_t min_key, int64_t max_key,
@@ -81,9 +76,11 @@ class ComponentWriter {
   bool finished_ = false;
 };
 
-/// Read access to a finished component. Page reads go through the buffer
-/// cache: as cached raw pages (ReadLeaf, ReadLeafRange), or uncached and
-/// counted when a decoded unit is loaded (ReadLeafRangeUncached).
+/// Read access to a finished component. Reads come in two kinds:
+/// ReadLeaf and ReadLeafRange read pages from the file, verified and
+/// uncached (merges, the scrubber, and every unit loader); FetchDecoded
+/// serves a decoded unit from the buffer cache, running such a read on a
+/// miss.
 class ComponentReader {
  public:
   /// Opens a component file: its footer page must verify and carry the
@@ -102,33 +99,23 @@ class ComponentReader {
   uint64_t size_bytes() const { return file_->size_bytes(); }
   const std::string& path() const { return file_->path(); }
 
-  /// Read a leaf's full payload (row layouts, APAX).
-  Status ReadLeaf(size_t leaf_index, Buffer* out) const;
-
-  /// Read only `size` payload bytes starting at `offset` within a leaf —
-  /// touching only the physical pages that overlap the range (how AMAX
-  /// reads a single column's megapage, §4.4).
+  /// Read payload bytes [offset, offset + size) of a leaf — touching only
+  /// the physical pages that overlap the range (how AMAX reads a single
+  /// column's megapage, §4.4). The pages are read from the filesystem
+  /// with one read (PageFile::ReadPages) straight into `out`, their
+  /// trailers verified in place, and counted in the cache's pages_read;
+  /// nothing is cached. With `memo`, pages it holds are copied rather
+  /// than read again (splitting the read around them), and the partially
+  /// covered first and last pages read here are added to it. `out` keeps
+  /// room for the trailers of the pages read: a caller that caches it as
+  /// is may ShrinkToFit.
   Status ReadLeafRange(size_t leaf_index, uint64_t offset, uint64_t size,
-                       Buffer* out) const;
+                       Buffer* out, LeafPageMemo* memo = nullptr) const;
 
-  /// Read payload bytes [offset, offset + size) of a leaf bypassing the
-  /// cache's entries: the overlapping physical pages are read from the
-  /// filesystem with one read (PageFile::ReadPages) straight into `out`,
-  /// their trailers verified in place, and counted in the cache's
-  /// pages_read, but nothing is inserted. How a decoded unit's miss reads
-  /// its pages (the unit, not the pages, is then cached). With `memo`,
-  /// pages it holds are copied rather than read again (splitting the read
-  /// around them), and the partially covered first and last pages read
-  /// here are added to it. `out` keeps room for the trailers of the pages
-  /// read: a caller that caches it as is may ShrinkToFit.
-  Status ReadLeafRangeUncached(size_t leaf_index, uint64_t offset,
-                               uint64_t size, Buffer* out,
-                               LeafPageMemo* memo = nullptr) const;
-
-  /// The whole leaf payload, read as ReadLeafRangeUncached does. The
-  /// scrubber's read path — a cache hit must never mask media decay
-  /// under it, and scrubbing a cold dataset must not evict the hot set.
-  Status ReadLeafUncached(size_t leaf_index, Buffer* out) const;
+  /// The whole leaf payload, read as ReadLeafRange does. A cache hit can
+  /// never mask media decay under it, and a one-shot reader (a merge, the
+  /// scrubber) never evicts the hot set.
+  Status ReadLeaf(size_t leaf_index, Buffer* out) const;
 
   /// Fetch (and pin) decoded unit `column` of a leaf through the buffer
   /// cache (see BufferCache::FetchDecoded); `load` runs on a miss.
@@ -145,7 +132,7 @@ class ComponentReader {
   /// interior node); leaves().size() when none.
   size_t LowerBoundLeaf(int64_t key) const;
 
-  /// Remove the component's cached pages and delete the file.
+  /// Remove the component's cached units and delete the file.
   Status Destroy();
 
  private:

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "src/common/rng.h"
@@ -113,6 +114,92 @@ TEST_F(SecondaryIndexTest, ContainsProbe) {
   ASSERT_TRUE(index_->Flush().ok());
   EXPECT_TRUE(*index_->Contains(42));
   EXPECT_FALSE(*index_->Contains(41));
+}
+
+TEST_F(SecondaryIndexTest, FailedMergeAllKeepsMemtableEntries) {
+  for (int64_t i = 0; i < 10; ++i) ASSERT_TRUE(index_->Insert(i, i).ok());
+  ASSERT_TRUE(index_->Flush().ok());  // index_1.idx
+  ASSERT_TRUE(index_->Insert(50, 50).ok());
+  // The merge's output path is taken by a directory: it cannot be created.
+  const std::string blocker = dir_ + "/index_2.idx";
+  std::filesystem::create_directory(blocker);
+  EXPECT_FALSE(index_->MergeAll().ok());
+  std::filesystem::remove_all(blocker);
+  EXPECT_EQ(Range(50, 50),
+            (std::set<std::pair<int64_t, int64_t>>{{50, 50}}));
+  ASSERT_TRUE(index_->MergeAll().ok());
+  EXPECT_EQ(Range(INT64_MIN, INT64_MAX).size(), 11u);
+}
+
+TEST_F(SecondaryIndexTest, WarmScanReadsNoPages) {
+  for (int64_t i = 0; i < 50; ++i) ASSERT_TRUE(index_->Insert(i, i).ok());
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(Range(10, 20).size(), 11u);
+  cache_->ResetStats();
+  EXPECT_EQ(Range(10, 20).size(), 11u);
+  EXPECT_EQ(cache_->stats().misses, 0u);
+  EXPECT_EQ(cache_->stats().pages_read, 0u);
+  EXPECT_GT(cache_->stats().hits, 0u);
+}
+
+TEST_F(SecondaryIndexTest, MergeAllCachesNoInputUnit) {
+  // Room for a warm unit of another index plus about one merge input, so
+  // installing the inputs would evict the warm unit.
+  BufferCache cache(3 * kPage, kPage);
+  SecondaryIndexOptions options;
+  options.dir = dir_;
+  options.page_size = kPage;
+  options.name = "warm";
+  auto warm = SecondaryIndex::Create(options, &cache);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE((*warm)->Insert(1, 1).ok());
+  ASSERT_TRUE((*warm)->Flush().ok());
+  ASSERT_TRUE((*warm)->Contains(1).ok());
+  const size_t warm_bytes = cache.cached_bytes();
+  ASSERT_GT(warm_bytes, 0u);
+
+  options.name = "merged";
+  auto merged = SecondaryIndex::Create(options, &cache);
+  ASSERT_TRUE(merged.ok());
+  Rng rng(3);
+  for (int component = 0; component < 4; ++component) {
+    for (int i = 0; i < 600; ++i) {
+      ASSERT_TRUE((*merged)
+                      ->Insert(static_cast<int64_t>(rng.Next()),
+                               static_cast<int64_t>(rng.Next()))
+                      .ok());
+    }
+    ASSERT_TRUE((*merged)->Flush().ok());
+  }
+  ASSERT_GT((*merged)->OnDiskBytes(), 3 * kPage);
+  cache.ResetStats();
+  ASSERT_TRUE((*merged)->MergeAll().ok());
+  EXPECT_EQ(cache.stats().misses, 4u);  // one leaf per input, read once
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.cached_bytes(), warm_bytes);
+  ASSERT_TRUE((*warm)->Contains(1).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST_F(SecondaryIndexTest, CorruptLeafIsChecksumMismatch) {
+  for (int64_t i = 0; i < 50; ++i) ASSERT_TRUE(index_->Insert(i, i).ok());
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(Range(0, 100).size(), 50u);
+  {
+    // Flip one byte of the leaf's first page.
+    std::fstream file(dir_ + "/index_1.idx",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file.seekg(10);
+    char byte = 0;
+    file.get(byte);
+    file.seekp(10);
+    file.put(static_cast<char>(byte ^ 0x20));
+  }
+  cache_->Clear();
+  std::vector<IndexEntry> entries;
+  const Status st = index_->ScanRange(0, 100, &entries);
+  EXPECT_TRUE(st.IsChecksumMismatch()) << st.ToString();
 }
 
 class IndexedDatasetTest : public ::testing::TestWithParam<LayoutKind> {

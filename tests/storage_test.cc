@@ -339,145 +339,6 @@ TEST(FaultInjectionFsTest, DropUnsyncedWrites) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BufferCacheTest, HitAvoidsSecondRead) {
-  std::string path = TempPath("bc1");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->WritePage(0, Slice("hello")).ok());
-  BufferCache cache(16 * kPage, kPage);
-  {
-    auto h = cache.Fetch(**file, 0);
-    ASSERT_TRUE(h.ok());
-    EXPECT_EQ(std::string(h->data().data(), 5), "hello");
-  }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  {
-    auto h = cache.Fetch(**file, 0);
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().pages_read, 1u);
-  EXPECT_EQ(cache.stats().bytes_read, kPage);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, LruEvictsUnpinned) {
-  std::string path = TempPath("bc2");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  for (uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*file)->WritePage(i, Slice("x")).ok());
-  }
-  BufferCache cache(4 * kPage, kPage);  // room for 4 pages
-  for (uint64_t i = 0; i < 8; ++i) {
-    auto h = cache.Fetch(**file, i);
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_EQ(cache.stats().evictions, 4u);
-  EXPECT_LE(cache.cached_bytes(), 4 * kPage);
-  // Page 7 is hot; page 0 was evicted.
-  cache.ResetStats();
-  { auto h = cache.Fetch(**file, 7); ASSERT_TRUE(h.ok()); }
-  EXPECT_EQ(cache.stats().hits, 1u);
-  { auto h = cache.Fetch(**file, 0); ASSERT_TRUE(h.ok()); }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, PinnedPagesSurviveCapacityPressure) {
-  std::string path = TempPath("bc3");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*file)->WritePage(i, Slice("y")).ok());
-  }
-  BufferCache cache(2 * kPage, kPage);
-  auto pinned = cache.Fetch(**file, 0);
-  ASSERT_TRUE(pinned.ok());
-  for (uint64_t i = 1; i < 4; ++i) {
-    auto h = cache.Fetch(**file, i);
-    ASSERT_TRUE(h.ok());
-  }
-  // Page 0 stays fetchable as a hit while pinned.
-  cache.ResetStats();
-  { auto h = cache.Fetch(**file, 0); ASSERT_TRUE(h.ok()); }
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, ConfiscationCountsAgainstBudget) {
-  std::string path = TempPath("bc4");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*file)->WritePage(i, Slice("z")).ok());
-  }
-  BufferCache cache(4 * kPage, kPage);
-  for (uint64_t i = 0; i < 3; ++i) {
-    auto h = cache.Fetch(**file, i);
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.Confiscate(3 * kPage);  // squeezes the cache to 1 page
-  EXPECT_EQ(cache.stats().confiscations, 1u);
-  EXPECT_GE(cache.stats().evictions, 2u);
-  cache.ReturnConfiscated(3 * kPage);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, InvalidateDropsFilePages) {
-  std::string path = TempPath("bc5");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->WritePage(0, Slice("q")).ok());
-  BufferCache cache(8 * kPage, kPage);
-  { auto h = cache.Fetch(**file, 0); ASSERT_TRUE(h.ok()); }
-  cache.Invalidate(**file);
-  EXPECT_EQ(cache.cached_bytes(), 0u);
-  cache.ResetStats();
-  { auto h = cache.Fetch(**file, 0); ASSERT_TRUE(h.ok()); }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, EvictionsInterleaveWithInvalidateAcrossFiles) {
-  // Regression for the single-map frame index: evictions must drop the
-  // frame from the per-file list too, so a later Invalidate of the same
-  // file never touches a freed (or re-fetched) frame.
-  std::string path_a = TempPath("bc6a"), path_b = TempPath("bc6b");
-  auto file_a = PageFile::Create(path_a, kPage);
-  auto file_b = PageFile::Create(path_b, kPage);
-  ASSERT_TRUE(file_a.ok());
-  ASSERT_TRUE(file_b.ok());
-  for (uint64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE((*file_a)->WritePage(i, Slice("a")).ok());
-    ASSERT_TRUE((*file_b)->WritePage(i, Slice("b")).ok());
-  }
-  BufferCache cache(4 * kPage, kPage);  // forces steady eviction
-  for (int round = 0; round < 3; ++round) {
-    for (uint64_t i = 0; i < 6; ++i) {
-      { auto h = cache.Fetch(**file_a, i); ASSERT_TRUE(h.ok()); }
-      { auto h = cache.Fetch(**file_b, i); ASSERT_TRUE(h.ok()); }
-    }
-    cache.Invalidate(**file_a);  // must only drop file A's frames
-    for (uint64_t i = 0; i < 2; ++i) {
-      auto h = cache.Fetch(**file_b, i);
-      ASSERT_TRUE(h.ok());
-      EXPECT_EQ(h->data().data()[0], 'b');
-    }
-    cache.Invalidate(**file_b);
-    EXPECT_EQ(cache.cached_bytes(), 0u);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // Same page number in different files must stay distinct identities.
-  { auto h = cache.Fetch(**file_a, 3); ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h->data().data()[0], 'a'); }
-  { auto h = cache.Fetch(**file_b, 3); ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h->data().data()[0], 'b'); }
-  EXPECT_TRUE(RemoveFileIfExists(path_a).ok());
-  EXPECT_TRUE(RemoveFileIfExists(path_b).ok());
-}
-
 // ------------------------------------------------ decoded leaf units
 
 /// A unit loader producing `bytes` copies of `fill`, counting its calls.
@@ -488,6 +349,98 @@ BufferCache::UnitLoader FillLoader(size_t bytes, char fill,
     out->Append(std::string(bytes, fill));
     return Status::OK();
   };
+}
+
+TEST(BufferCacheTest, HitAvoidsSecondLoad) {
+  const std::string path = TempPath("bc1");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(16 * kPage, kPage);
+  std::atomic<int> loads{0};
+  // A miss that reads one page from the file, as a leaf's loader does.
+  auto load = [&](Buffer* out) {
+    cache.CountPagesRead(1);
+    return FillLoader(5, 'h', &loads)(out);
+  };
+  {
+    auto h = cache.FetchDecoded(**file, 0, -1, load);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h->data().ToString(), "hhhhh");
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  {
+    auto h = cache.FetchDecoded(**file, 0, -1, load);
+    ASSERT_TRUE(h.ok());
+  }
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(cache.stats().pages_read, 1u);
+  EXPECT_EQ(cache.stats().bytes_read, kPage);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(BufferCacheTest, ConfiscationCountsAgainstBudget) {
+  const std::string path = TempPath("bc4");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(4 * kPage, kPage);
+  std::atomic<int> loads{0};
+  for (uint64_t leaf = 0; leaf < 3; ++leaf) {
+    auto h = cache.FetchDecoded(**file, leaf, -1,
+                                FillLoader(kPage, 'z', &loads));
+    ASSERT_TRUE(h.ok());
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  cache.Confiscate(3 * kPage);  // squeezes the cache to 1 unit
+  EXPECT_EQ(cache.stats().confiscations, 1u);
+  EXPECT_GE(cache.stats().evictions, 2u);
+  EXPECT_LE(cache.cached_bytes(), kPage);
+  cache.ReturnConfiscated(3 * kPage);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
+TEST(BufferCacheTest, EvictionsInterleaveWithInvalidateAcrossFiles) {
+  // Regression for the single-map frame index: evictions must drop the
+  // entry from the per-file list too, so a later Invalidate of the same
+  // file never touches a freed (or re-fetched) entry.
+  const std::string path_a = TempPath("bc6a"), path_b = TempPath("bc6b");
+  auto file_a = PageFile::Create(path_a, kPage);
+  auto file_b = PageFile::Create(path_b, kPage);
+  ASSERT_TRUE(file_a.ok());
+  ASSERT_TRUE(file_b.ok());
+  BufferCache cache(4 * kPage, kPage);  // forces steady eviction
+  std::atomic<int> loads{0};
+  auto fetch = [&](const PageFile& file, uint64_t leaf, char fill) {
+    return cache.FetchDecoded(file, leaf, -1, FillLoader(kPage, fill, &loads));
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t i = 0; i < 6; ++i) {
+      { auto h = fetch(**file_a, i, 'a'); ASSERT_TRUE(h.ok()); }
+      { auto h = fetch(**file_b, i, 'b'); ASSERT_TRUE(h.ok()); }
+    }
+    cache.Invalidate(**file_a);  // must only drop file A's units
+    for (uint64_t i = 0; i < 2; ++i) {
+      auto h = fetch(**file_b, i, 'b');
+      ASSERT_TRUE(h.ok());
+      EXPECT_EQ(h->data().data()[0], 'b');
+    }
+    cache.Invalidate(**file_b);
+    EXPECT_EQ(cache.cached_bytes(), 0u);
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  // The same leaf index in different files must stay distinct identities:
+  // each file's unit is its own miss and keeps its own bytes.
+  cache.ResetStats();
+  { auto h = fetch(**file_a, 3, 'a'); ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h->data().data()[0], 'a'); }
+  { auto h = fetch(**file_b, 3, 'b'); ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h->data().data()[0], 'b'); }
+  { auto h = fetch(**file_a, 3, 'x'); ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h->data().data()[0], 'a'); }
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_TRUE(RemoveFileIfExists(path_a).ok());
+  EXPECT_TRUE(RemoveFileIfExists(path_b).ok());
 }
 
 TEST(DecodedUnitCacheTest, ChargedByDecodedBytesAndEvictedLru) {
@@ -517,8 +470,7 @@ TEST(DecodedUnitCacheTest, ChargedByDecodedBytesAndEvictedLru) {
     ASSERT_TRUE(u.ok()); }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(loads.load(), 4);
-  // Units of one leaf are distinct per column; a page of the same number
-  // is a different entry again.
+  // Units of one leaf are distinct per column.
   { auto u = cache.FetchDecoded(**file, 0, 3, FillLoader(100, 'c', &loads));
     ASSERT_TRUE(u.ok());
     EXPECT_EQ(u->data().ToString(), std::string(100, 'c')); }
@@ -635,7 +587,6 @@ TEST(DecodedUnitCacheTest, InvalidateAndClearDropUnits) {
   auto file_b = PageFile::Create(path_b, kPage);
   ASSERT_TRUE(file_a.ok());
   ASSERT_TRUE(file_b.ok());
-  ASSERT_TRUE((*file_a)->WritePage(0, Slice("page")).ok());
   BufferCache cache(1 << 20, kPage);
   std::atomic<int> loads{0};
   for (uint64_t leaf = 0; leaf < 3; ++leaf) {
@@ -644,9 +595,8 @@ TEST(DecodedUnitCacheTest, InvalidateAndClearDropUnits) {
     ASSERT_TRUE(cache.FetchDecoded(**file_b, leaf, 1,
                                    FillLoader(500, 'b', &loads)).ok());
   }
-  { auto page = cache.Fetch(**file_a, 0); ASSERT_TRUE(page.ok()); }
-  EXPECT_EQ(cache.cached_bytes(), 3 * 1000u + 3 * 500u + kPage);
-  cache.Invalidate(**file_a);  // file A's units and page, not file B's
+  EXPECT_EQ(cache.cached_bytes(), 3 * 1000u + 3 * 500u);
+  cache.Invalidate(**file_a);  // file A's units, not file B's
   EXPECT_EQ(cache.cached_bytes(), 3 * 500u);
   cache.ResetStats();
   ASSERT_TRUE(cache.FetchDecoded(**file_b, 1, 1,
@@ -872,7 +822,7 @@ TEST(DecodedUnitCacheTest, ConcurrentAttachmentsAgree) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
-TEST(DecodedUnitCacheTest, UncachedRangeReadCountsPagesAndCachesNothing) {
+TEST(DecodedUnitCacheTest, RangeReadCountsPagesAndCachesNothing) {
   const std::string path = TempPath("du7");
   BufferCache cache(64 * kPage, kPage);
   {
@@ -889,8 +839,7 @@ TEST(DecodedUnitCacheTest, UncachedRangeReadCountsPagesAndCachesNothing) {
   ASSERT_TRUE(reader.ok());
   cache.ResetStats();
   Buffer out;
-  ASSERT_TRUE(
-      (*reader)->ReadLeafRangeUncached(0, kPage - 50, 100, &out).ok());
+  ASSERT_TRUE((*reader)->ReadLeafRange(0, kPage - 50, 100, &out).ok());
   EXPECT_EQ(out.slice().ToString(),
             std::string(50, 'a') + std::string(50, 'b'));
   EXPECT_EQ(cache.stats().pages_read, 2u);
@@ -900,14 +849,11 @@ TEST(DecodedUnitCacheTest, UncachedRangeReadCountsPagesAndCachesNothing) {
   // (AMAX megapages sharing a page) read a shared page once.
   LeafPageMemo memo;
   cache.ResetStats();
-  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, 10, kPage - 20, &out,
-                                               &memo).ok());
-  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, kPage - 10, 20, &out,
-                                               &memo).ok());
+  ASSERT_TRUE((*reader)->ReadLeafRange(0, 10, kPage - 20, &out, &memo).ok());
+  ASSERT_TRUE((*reader)->ReadLeafRange(0, kPage - 10, 20, &out, &memo).ok());
   EXPECT_EQ(out.slice().ToString(),
             std::string(10, 'a') + std::string(10, 'b'));
-  ASSERT_TRUE((*reader)->ReadLeafRangeUncached(0, kPage + 10, kPage, &out,
-                                               &memo).ok());
+  ASSERT_TRUE((*reader)->ReadLeafRange(0, kPage + 10, kPage, &out, &memo).ok());
   EXPECT_EQ(out.slice().ToString(),
             std::string(kPage - 10, 'b') + std::string(10, 'c'));
   EXPECT_EQ(cache.stats().pages_read, 3u);  // pages 0, 1, 2 once each
@@ -1120,9 +1066,16 @@ TEST_F(ComponentFileTest, DestroyRemovesFileAndCacheEntries) {
   ASSERT_TRUE((*writer)->Finish(Slice("m")).ok());
   auto reader = ComponentReader::Open(path_, cache_.get(), kPage);
   ASSERT_TRUE(reader.ok());
-  Buffer out;
-  ASSERT_TRUE((*reader)->ReadLeaf(0, &out).ok());
+  const ComponentReader& r = **reader;
+  auto unit = r.FetchDecoded(
+      0, -1, [&](Buffer* out) { return r.ReadLeaf(0, out); },
+      /*install=*/true);
+  ASSERT_TRUE(unit.ok());
+  EXPECT_EQ(unit->data().ToString(), "data");
+  *unit = CacheHandle();
+  EXPECT_GT(cache_->cached_bytes(), 0u);
   ASSERT_TRUE((*reader)->Destroy().ok());
+  EXPECT_EQ(cache_->cached_bytes(), 0u);
   EXPECT_FALSE(PageFile::Open(path_, kPage).ok());
 }
 
