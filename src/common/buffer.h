@@ -106,7 +106,6 @@ class Buffer {
     }
     AppendByte(static_cast<uint8_t>(v));
   }
-  void AppendVarint32(uint32_t v) { AppendVarint64(v); }
   void AppendSignedVarint64(int64_t v) { AppendVarint64(ZigZagEncode(v)); }
 
   /// Varint length prefix followed by the bytes.
@@ -172,13 +171,6 @@ class BufferReader {
       }
     }
     return Status::Corruption("varint64 too long");
-  }
-  Status ReadVarint32(uint32_t* out) {
-    uint64_t v;
-    LSMCOL_RETURN_NOT_OK(ReadVarint64(&v));
-    if (v > UINT32_MAX) return Status::Corruption("varint32 overflow");
-    *out = static_cast<uint32_t>(v);
-    return Status::OK();
   }
   Status ReadSignedVarint64(int64_t* out) {
     uint64_t v = 0;

@@ -158,7 +158,7 @@ size_t AmaxPage0RecordBudget(size_t page_size, size_t column_count) {
   return records < 1 ? 1 : records;
 }
 
-Status AmaxPageZero::Init(Slice page0) {
+Status AmaxPageZero::Parse(Slice page0) {
   BufferReader r(page0);
   uint32_t pk_size = 0;
   LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&record_count_));
@@ -170,35 +170,37 @@ Status AmaxPageZero::Init(Slice page0) {
   max_key_ = static_cast<int64_t>(max_raw);
   LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&pk_size));
   if (column_count_ == 0) return Status::Corruption("amax: zero columns");
-  // Each non-PK column takes a 32-byte table entry: a count the page
-  // cannot hold is corrupt, not an allocation to attempt.
+  // Each non-PK column takes a 32-byte table entry.
   if (uint64_t{column_count_ - 1} * 32 > r.remaining()) {
     return Status::Corruption("amax: column table exceeds Page 0");
   }
-  extents_.resize(column_count_ - 1);
-  for (uint32_t c = 0; c + 1 < column_count_; ++c) {
-    AmaxColumnExtent& extent = extents_[c];
-    LSMCOL_RETURN_NOT_OK(r.ReadFixed64(&extent.offset));
-    LSMCOL_RETURN_NOT_OK(r.ReadFixed64(&extent.size));
-    Slice prefix;
-    LSMCOL_RETURN_NOT_OK(r.ReadBytes(8, &prefix));
-    std::memcpy(extent.min_prefix, prefix.data(), 8);
-    LSMCOL_RETURN_NOT_OK(r.ReadBytes(8, &prefix));
-    std::memcpy(extent.max_prefix, prefix.data(), 8);
-  }
-  Slice pk_bytes;
-  LSMCOL_RETURN_NOT_OK(r.ReadBytes(pk_size, &pk_bytes));
-  pk_chunk_.clear();
-  pk_chunk_.Append(pk_bytes);
-  return Status::OK();
+  LSMCOL_RETURN_NOT_OK(
+      r.ReadBytes(static_cast<size_t>(column_count_ - 1) * 32, &table_));
+  return r.ReadBytes(pk_size, &pk_chunk_);
 }
 
-const AmaxColumnExtent& AmaxPageZero::extent(int column_id) const {
+Status AmaxPageZero::Init(Slice page0) {
+  LSMCOL_RETURN_NOT_OK(Parse(page0));
+  // Everything parsed ends with the PK chunk; the page's padding is not
+  // kept.
+  storage_.clear();
+  storage_.Append(
+      Slice(page0.data(), pk_chunk_.data() + pk_chunk_.size() - page0.data()));
+  return Parse(storage_.slice());
+}
+
+AmaxColumnExtent AmaxPageZero::extent(int column_id) const {
+  AmaxColumnExtent extent;
   if (column_id <= 0 ||
       static_cast<uint32_t>(column_id) >= column_count_) {
-    return empty_extent_;
+    return extent;
   }
-  return extents_[column_id - 1];
+  const char* entry = table_.data() + static_cast<size_t>(column_id - 1) * 32;
+  extent.offset = DecodeFixed64(entry);
+  extent.size = DecodeFixed64(entry + 8);
+  std::memcpy(extent.min_prefix, entry + 16, 8);
+  std::memcpy(extent.max_prefix, entry + 24, 8);
+  return extent;
 }
 
 Status ParseAmaxMegapage(Slice raw, const ColumnInfo& info, bool compressed,
@@ -218,41 +220,6 @@ Status ParseAmaxMegapage(Slice raw, const ColumnInfo& info, bool compressed,
   }
   chunk->Append(r.rest());
   return Status::OK();
-}
-
-bool AmaxIntRangeOverlaps(const AmaxColumnExtent& extent, int64_t lo,
-                          int64_t hi) {
-  if (extent.size == 0) return false;
-  int64_t col_min = 0, col_max = 0;
-  std::memcpy(&col_min, extent.min_prefix, 8);
-  std::memcpy(&col_max, extent.max_prefix, 8);
-  return !(hi < col_min || lo > col_max);
-}
-
-bool AmaxDoubleRangeOverlaps(const AmaxColumnExtent& extent, double lo,
-                             double hi) {
-  if (extent.size == 0) return false;
-  double col_min = 0, col_max = 0;
-  std::memcpy(&col_min, extent.min_prefix, 8);
-  std::memcpy(&col_max, extent.max_prefix, 8);
-  return !(hi < col_min || lo > col_max);
-}
-
-bool AmaxStringRangeOverlaps(const AmaxColumnExtent& extent,
-                             const std::string* lo, const std::string* hi) {
-  if (extent.size == 0) return false;
-  uint8_t trunc[8];
-  if (hi != nullptr) {
-    std::memset(trunc, 0, 8);
-    std::memcpy(trunc, hi->data(), std::min<size_t>(8, hi->size()));
-    if (std::memcmp(trunc, extent.min_prefix, 8) < 0) return false;
-  }
-  if (lo != nullptr) {
-    std::memset(trunc, 0, 8);
-    std::memcpy(trunc, lo->data(), std::min<size_t>(8, lo->size()));
-    if (std::memcmp(trunc, extent.max_prefix, 8) > 0) return false;
-  }
-  return true;
 }
 
 }  // namespace lsmcol

@@ -18,6 +18,13 @@
 //
 // String megapages are prefixed with their full (not truncated) min and
 // max values, since 8-byte prefixes are not decisive for range filters.
+//
+// Readers reach a mega leaf through Component (its ColumnarLeaf handle):
+// Page 0 is the leaf's head unit, parsed in place (AmaxPageZero::Parse)
+// with its column table decoded one extent at a time; each megapage is a
+// column unit (ParseAmaxMegapage); and the Page-0 prefixes are the
+// column's zone map (Component::ColumnZone), tested by
+// TypedPredicate::OverlapsZone.
 
 #ifndef LSMCOL_LAYOUTS_AMAX_H_
 #define LSMCOL_LAYOUTS_AMAX_H_
@@ -62,30 +69,37 @@ Status EmitAmaxLeaf(ColumnWriterSet* writers, ComponentWriter* out,
 /// sizing so both paths cut mega leaves identically.
 size_t AmaxPage0RecordBudget(size_t page_size, size_t column_count);
 
-/// Parsed Page 0 of a mega leaf.
+/// Parsed Page 0 of a mega leaf. The column table is decoded one extent
+/// at a time, on demand.
 class AmaxPageZero {
  public:
-  /// `page0` must hold at least the first physical page of the leaf.
+  /// Parse `page0` in place, without copying it: pk_chunk() and the
+  /// column table point into `page0`, which must outlive their use
+  /// (readers pass a pinned buffer-cache unit). `page0` must hold at least
+  /// the first physical page of the leaf.
+  Status Parse(Slice page0);
+  /// Parse a copy of `page0`'s header, column table and PK chunk: valid
+  /// for the object's lifetime.
   Status Init(Slice page0);
 
   uint32_t record_count() const { return record_count_; }
   uint32_t column_count() const { return column_count_; }
   int64_t min_key() const { return min_key_; }
   int64_t max_key() const { return max_key_; }
-  /// PK chunk bytes (owned copy; valid for the object's lifetime).
-  Slice pk_chunk() const { return pk_chunk_.slice(); }
+  /// PK chunk bytes.
+  Slice pk_chunk() const { return pk_chunk_; }
   /// Extent of column id >= 1; columns not yet discovered when the leaf
   /// was written report size 0.
-  const AmaxColumnExtent& extent(int column_id) const;
+  AmaxColumnExtent extent(int column_id) const;
 
  private:
+  Buffer storage_;  // Init's copy
   uint32_t record_count_ = 0;
   uint32_t column_count_ = 0;
   int64_t min_key_ = 0;
   int64_t max_key_ = 0;
-  std::vector<AmaxColumnExtent> extents_;  // index 0 = column 1
-  Buffer pk_chunk_;
-  AmaxColumnExtent empty_extent_;
+  Slice table_;  // 32 bytes per column 1..column_count_-1
+  Slice pk_chunk_;
 };
 
 /// Decode a column megapage read from [extent.offset, extent.size): strips
@@ -95,22 +109,6 @@ class AmaxPageZero {
 Status ParseAmaxMegapage(Slice raw, const ColumnInfo& info, bool compressed,
                          Buffer* chunk, std::string* min_value,
                          std::string* max_value);
-
-/// Zone-filter helpers: conservative "might this megapage contain values
-/// in [lo, hi]" tests (§4.3/§4.4) over the Page-0 prefixes. A false
-/// positive only costs a wasted read; a false negative would be a bug.
-bool AmaxIntRangeOverlaps(const AmaxColumnExtent& extent, int64_t lo,
-                          int64_t hi);
-bool AmaxDoubleRangeOverlaps(const AmaxColumnExtent& extent, double lo,
-                             double hi);
-
-/// String variant over the truncated 8-byte prefixes. Zero-padded 8-byte
-/// truncation is monotone under memcmp (s <= t implies trunc8(s) <=
-/// trunc8(t)), so trunc8(hi) < min_prefix proves hi < column_min and
-/// trunc8(lo) > max_prefix proves lo > column_max — both safe to skip on.
-/// Null bounds are unbounded.
-bool AmaxStringRangeOverlaps(const AmaxColumnExtent& extent,
-                             const std::string* lo, const std::string* hi);
 
 }  // namespace lsmcol
 

@@ -144,7 +144,8 @@ Status ApaxLeaf::Parse(Slice payload) {
     LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&size));
     chunk = Slice(static_cast<const char*>(nullptr), size);
   }
-  // Every stats entry is checked here but decoded only by stats().
+  // Every stats entry is checked here but decoded only from a column unit
+  // (ParseApaxColumnUnit).
   const char* const stats_begin = r.rest().data();
   stats_offsets_.resize(column_count_);
   for (uint32_t& offset : stats_offsets_) {
@@ -156,17 +157,6 @@ Status ApaxLeaf::Parse(Slice payload) {
     LSMCOL_RETURN_NOT_OK(r.ReadBytes(chunk.size(), &chunk));
   }
   return Status::OK();
-}
-
-Result<ApaxChunkStats> ApaxLeaf::stats(int column_id) const {
-  ApaxChunkStats stats;
-  if (column_id < 0 || static_cast<uint32_t>(column_id) >= column_count_) {
-    return stats;
-  }
-  BufferReader r(stats_table_);
-  LSMCOL_RETURN_NOT_OK(r.Skip(stats_offsets_[column_id]));
-  LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, &stats));
-  return stats;
 }
 
 void ApaxLeaf::HeadUnit(Buffer* out) const {

@@ -55,8 +55,11 @@ struct ApaxChunkStats {
   std::string min_string, max_string;     ///< kString (full values)
 };
 
-/// Parsed APAX leaf: per-column chunk slices and zone stats over a
-/// decompressed payload.
+/// Parsed APAX leaf: per-column chunk slices over a decompressed payload.
+/// Parsing checks every column's stats entry; a reader decodes one from
+/// the column's unit (ColumnUnit, ParseApaxColumnUnit). Leaves always
+/// carry the stats table — components from before it existed are
+/// rejected by the footer-magic bump (see component_file.cc).
 class ApaxLeaf {
  public:
   /// Parse a payload as stored, keeping a decompressed (or copied) image
@@ -80,13 +83,6 @@ class ApaxLeaf {
     }
     return chunks_[column_id];
   }
-
-  /// Zone stats for a column, decoded from the leaf's stats table on each
-  /// call (Parse only checks the table); columns this leaf predates (id
-  /// beyond its column_count) report has_stats == false. Leaves always
-  /// carry the stats table — components from before it existed are
-  /// rejected by the footer-magic bump (see component_file.cc).
-  Result<ApaxChunkStats> stats(int column_id) const;
 
   /// Append the leaf's head unit to `out`.
   void HeadUnit(Buffer* out) const;

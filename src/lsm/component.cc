@@ -144,140 +144,185 @@ Result<CacheHandle> Component::FetchUnit(
   return unit;
 }
 
-Status Component::LoadApaxLeaf(size_t leaf_index,
-                               ApaxLeafImage* image) const {
-  if (image->leaf == leaf_index) return Status::OK();
-  image->leaf = SIZE_MAX;
+Status Component::LoadApaxLeaf(ColumnarLeaf* leaf) const {
+  if (leaf->image_leaf_ == leaf->leaf_) return Status::OK();
+  leaf->image_leaf_ = SIZE_MAX;
+  Buffer& bytes = leaf->image_bytes_;
   if (meta_.compressed) {
     Buffer stored;
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf_index, &stored));
-    image->bytes.clear();
-    LSMCOL_RETURN_NOT_OK(LzDecompress(stored.slice(), &image->bytes));
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf->leaf_, &stored));
+    bytes.clear();
+    LSMCOL_RETURN_NOT_OK(LzDecompress(stored.slice(), &bytes));
   } else {
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf_index, &image->bytes));
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf->leaf_, &bytes));
   }
-  LSMCOL_RETURN_NOT_OK(image->apax.Parse(image->bytes.slice()));
-  image->leaf = leaf_index;
+  LSMCOL_RETURN_NOT_OK(leaf->image_.Parse(bytes.slice()));
+  leaf->image_leaf_ = leaf->leaf_;
   return Status::OK();
 }
 
-Status Component::ReadApaxLeaf(size_t leaf_index,
-                               ApaxLeafImage* image) const {
-  LSMCOL_RETURN_NOT_OK(CheckReadable());
-  return NoteRead(LoadApaxLeaf(leaf_index, image));
-}
-
-Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index, CacheUse use,
-                                           ApaxLeafImage* image) const {
-  if (meta_.layout == LayoutKind::kApax) {
-    LSMCOL_DCHECK(image != nullptr);
-    return FetchUnit(leaf_index, -1, use, [&](Buffer* out) {
-      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(leaf_index, image));
-      image->apax.HeadUnit(out);
-      return Status::OK();
-    });
-  }
-  const LeafEntry& leaf = reader_->leaves()[leaf_index];
-  // An AMAX leaf's unit is its Page 0, which is stored uncompressed.
-  const bool amax = meta_.layout == LayoutKind::kAmax;
-  const uint64_t size =
-      amax ? std::min<uint64_t>(leaf.payload_size, reader_->page_size())
-           : leaf.payload_size;
-  const bool compressed = meta_.compressed && !amax;
+Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
+                                           CacheUse use) const {
+  LSMCOL_DCHECK(!schema_.has_value());
   return FetchUnit(leaf_index, -1, use, [&](Buffer* out) -> Status {
-    if (!compressed) {
-      LSMCOL_RETURN_NOT_OK(
-          reader_->ReadLeafRange(leaf_index, 0, size, out));
+    const uint64_t size = reader_->leaves()[leaf_index].payload_size;
+    if (!meta_.compressed) {
+      LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(leaf_index, 0, size, out));
       // Cached as read and charged by size: give back the trailers' room
       // and an unused last-page tail when they are a real share of it.
       if (out->capacity() > size + size / 8) out->ShrinkToFit();
       return Status::OK();
     }
     Buffer raw;
-    LSMCOL_RETURN_NOT_OK(
-        reader_->ReadLeafRange(leaf_index, 0, size, &raw));
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(leaf_index, 0, size, &raw));
     return LzDecompress(raw.slice(), out);
   });
 }
 
-Result<CacheHandle> Component::DecodedMinipage(size_t leaf_index,
-                                               int column_id,
-                                               ApaxLeafImage* image) const {
-  // A loader of at most two pointers fits std::function's inline storage,
-  // so a fetch (a lookup makes one per column) allocates nothing.
-  struct {
-    size_t leaf;
-    int column;
-    ApaxLeafImage* image;
-  } args{leaf_index, column_id, image};
-  return FetchUnit(leaf_index, column_id, CacheUse::kInstall,
-                   [this, &args](Buffer* out) -> Status {
-    LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(args.leaf, args.image));
-    const ApaxLeaf& leaf = args.image->apax;
-    if (args.column < 1 ||
-        static_cast<uint32_t>(args.column) >= leaf.column_count()) {
-      return Status::Corruption("apax leaf " + std::to_string(args.leaf) +
-                                " holds no column " +
-                                std::to_string(args.column));
-    }
-    leaf.ColumnUnit(args.column, out);
+Result<CacheHandle> Component::DecodedHead(ColumnarLeaf* leaf) const {
+  if (meta_.layout == LayoutKind::kApax) {
+    return FetchUnit(leaf->leaf_, -1, leaf->use_, [this, leaf](Buffer* out) {
+      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(leaf));
+      leaf->image_.HeadUnit(out);
+      return Status::OK();
+    });
+  }
+  // An AMAX leaf's head is its Page 0, which is stored uncompressed.
+  return FetchUnit(leaf->leaf_, -1, leaf->use_, [this, leaf](Buffer* out) {
+    const uint64_t size = std::min<uint64_t>(
+        reader_->leaves()[leaf->leaf_].payload_size, reader_->page_size());
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(leaf->leaf_, 0, size, out));
+    if (out->capacity() > size + size / 8) out->ShrinkToFit();
     return Status::OK();
   });
 }
 
-Result<CacheHandle> Component::DecodedMegapage(size_t leaf_index,
-                                               int column_id,
-                                               const AmaxColumnExtent& extent,
-                                               CacheUse use,
-                                               LeafPageMemo* memo) const {
-  return FetchUnit(leaf_index, column_id, use, [&](Buffer* out) {
+Result<CacheHandle> Component::DecodedColumn(ColumnarLeaf* leaf,
+                                             int column_id) const {
+  // A loader of at most two pointers fits std::function's inline storage,
+  // so a fetch (a lookup makes one per column) allocates nothing.
+  struct {
+    ColumnarLeaf* leaf;
+    int column;
+  } args{leaf, column_id};
+  if (meta_.layout == LayoutKind::kApax) {
+    return FetchUnit(leaf->leaf_, column_id, leaf->use_,
+                     [this, &args](Buffer* out) {
+      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(args.leaf));
+      const ApaxLeaf& image = args.leaf->image_;
+      if (static_cast<uint32_t>(args.column) >= image.column_count()) {
+        return Status::Corruption("apax leaf " +
+                                  std::to_string(args.leaf->leaf_) +
+                                  " holds no column " +
+                                  std::to_string(args.column));
+      }
+      image.ColumnUnit(args.column, out);
+      return Status::OK();
+    });
+  }
+  return FetchUnit(leaf->leaf_, column_id, leaf->use_,
+                   [this, &args](Buffer* out) {
+    const AmaxColumnExtent extent = args.leaf->page0_.extent(args.column);
     Buffer raw;
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(
-        leaf_index, extent.offset, extent.size, &raw, memo));
-    return ParseAmaxMegapage(raw.slice(), schema_->column(column_id),
+    LSMCOL_RETURN_NOT_OK(reader_->ReadLeafRange(args.leaf->leaf_,
+                                                extent.offset, extent.size,
+                                                &raw, &args.leaf->memo_));
+    return ParseAmaxMegapage(raw.slice(), schema_->column(args.column),
                              meta_.compressed, out, nullptr, nullptr);
   });
 }
 
-Status Component::OpenColumnarLeaf(size_t leaf_index,
-                                   ColumnarLeaf* leaf) const {
-  leaf->leaf = SIZE_MAX;
-  leaf->memo.clear();
-  LSMCOL_ASSIGN_OR_RETURN(
-      leaf->head, DecodedLeaf(leaf_index, CacheUse::kInstall, &leaf->image));
+Status Component::OpenColumnarLeaf(size_t leaf_index, ColumnarLeaf* leaf,
+                                   CacheUse use) const {
+  leaf->leaf_ = leaf_index;
+  leaf->use_ = use;
+  leaf->memo_.clear();
+  LSMCOL_ASSIGN_OR_RETURN(leaf->head_, DecodedHead(leaf));
   if (meta_.layout == LayoutKind::kApax) {
-    LSMCOL_RETURN_NOT_OK(leaf->apax.Parse(leaf->head.data()));
-    leaf->column_count = leaf->apax.column_count();
-    leaf->pk_chunk = leaf->apax.pk_chunk();
+    ApaxHead head;
+    LSMCOL_RETURN_NOT_OK(head.Parse(leaf->head_.data()));
+    leaf->column_count_ = head.column_count();
+    leaf->pk_chunk_ = head.pk_chunk();
   } else {
     // AMAX: only Page 0 (header, zone prefixes, PKs) is read here (§4.3).
-    LSMCOL_RETURN_NOT_OK(leaf->page0.Init(leaf->head.data()));
-    leaf->column_count = leaf->page0.column_count();
-    leaf->pk_chunk = leaf->page0.pk_chunk();
+    LSMCOL_RETURN_NOT_OK(leaf->page0_.Parse(leaf->head_.data()));
+    leaf->column_count_ = leaf->page0_.column_count();
+    leaf->pk_chunk_ = leaf->page0_.pk_chunk();
   }
-  leaf->leaf = leaf_index;
   return Status::OK();
 }
 
 Status Component::ColumnChunk(ColumnarLeaf* leaf, int column_id,
                               CacheHandle* unit, Slice* chunk) const {
   *chunk = Slice();
-  // Columns the leaf predates have no unit: all-missing.
-  if (static_cast<uint32_t>(column_id) >= leaf->column_count) {
+  if (column_id == 0) {
+    *chunk = leaf->pk_chunk_;
     return Status::OK();
   }
-  if (meta_.layout == LayoutKind::kApax) {
-    LSMCOL_ASSIGN_OR_RETURN(
-        *unit, DecodedMinipage(leaf->leaf, column_id, &leaf->image));
-    return ParseApaxColumnUnit(unit->data(), chunk, nullptr);
+  // Columns the leaf predates have no unit: all-missing.
+  if (static_cast<uint32_t>(column_id) >= leaf->column_count_) {
+    return Status::OK();
   }
-  const AmaxColumnExtent& extent = leaf->page0.extent(column_id);
-  if (extent.size == 0) return Status::OK();  // column unknown to the leaf
-  // Only this column's megapage (§4.3).
-  LSMCOL_ASSIGN_OR_RETURN(*unit,
-                          DecodedMegapage(leaf->leaf, column_id, extent,
-                                          CacheUse::kInstall, &leaf->memo));
+  const bool apax = meta_.layout == LayoutKind::kApax;
+  if (!unit->valid()) {
+    if (apax && leaf->use_ == CacheUse::kOneShot) {
+      // A one-shot reader reads every column of the leaf: cut the chunk
+      // from the leaf's image rather than build a unit per column.
+      if (leaf->image_leaf_ != leaf->leaf_) {
+        LSMCOL_RETURN_NOT_OK(CheckReadable());
+        LSMCOL_RETURN_NOT_OK(NoteRead(LoadApaxLeaf(leaf)));
+      }
+      *chunk = leaf->image_.chunk(column_id);
+      return Status::OK();
+    }
+    // An AMAX column unknown to the leaf has no megapage.
+    if (!apax && leaf->page0_.extent(column_id).size == 0) {
+      return Status::OK();
+    }
+    LSMCOL_ASSIGN_OR_RETURN(*unit, DecodedColumn(leaf, column_id));
+  }
+  if (apax) return ParseApaxColumnUnit(unit->data(), chunk, nullptr);
   *chunk = unit->data();
+  return Status::OK();
+}
+
+Status Component::ColumnZone(ColumnarLeaf* leaf, int column_id,
+                             CacheHandle* unit, ZoneMap* zone) const {
+  LSMCOL_DCHECK(column_id > 0);
+  *zone = ZoneMap();
+  zone->type = schema_->column(column_id).type;
+  if (static_cast<uint32_t>(column_id) >= leaf->column_count_) {
+    return Status::OK();  // absent from the leaf: no values
+  }
+  if (meta_.layout == LayoutKind::kAmax) {
+    const AmaxColumnExtent extent = leaf->page0_.extent(column_id);
+    zone->has_values = extent.size != 0;
+    std::memcpy(&zone->min_int, extent.min_prefix, 8);
+    std::memcpy(&zone->max_int, extent.max_prefix, 8);
+    std::memcpy(&zone->min_double, extent.min_prefix, 8);
+    std::memcpy(&zone->max_double, extent.max_prefix, 8);
+    if (zone->type == AtomicType::kString) {
+      zone->min_string.assign(
+          reinterpret_cast<const char*>(extent.min_prefix), 8);
+      zone->max_string.assign(
+          reinterpret_cast<const char*>(extent.max_prefix), 8);
+      zone->string_prefixes = true;
+    }
+    return Status::OK();
+  }
+  if (!unit->valid()) {
+    LSMCOL_ASSIGN_OR_RETURN(*unit, DecodedColumn(leaf, column_id));
+  }
+  Slice chunk;
+  ApaxChunkStats stats;
+  LSMCOL_RETURN_NOT_OK(ParseApaxColumnUnit(unit->data(), &chunk, &stats));
+  zone->has_values = !chunk.empty() && stats.has_stats;
+  zone->min_int = stats.min_int;
+  zone->max_int = stats.max_int;
+  zone->min_double = stats.min_double;
+  zone->max_double = stats.max_double;
+  zone->min_string = std::move(stats.min_string);
+  zone->max_string = std::move(stats.max_string);
   return Status::OK();
 }
 
@@ -388,12 +433,12 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
     return KeyProbe::kAbsent;
   }
   ColumnarLeaf columnar;
-  LSMCOL_RETURN_NOT_OK(OpenColumnarLeaf(leaf, &columnar));
+  LSMCOL_RETURN_NOT_OK(OpenColumnarLeaf(leaf, &columnar, CacheUse::kInstall));
   const size_t records = leaves[leaf].record_count;
   BufferCache* cache = reader_->cache();
   Result<Slice> keys_bytes =
-      cache->Attachment(columnar.head, [&](Buffer* built) {
-        return LeafKeys::Build(columnar.pk_chunk, schema_->column(0), records,
+      cache->Attachment(columnar.head_, [&](Buffer* built) {
+        return LeafKeys::Build(columnar.pk_chunk_, schema_->column(0), records,
                                built);
       });
   if (!keys_bytes.ok()) return NoteRead(keys_bytes.status());
@@ -622,79 +667,14 @@ Status ColumnarComponentCursor::EvaluateLeafZones() {
       }
     }
   }
-  const bool apax = component_->meta().layout == LayoutKind::kApax;
   for (const PredColumn& pc : pred_columns_) {
-    if (apax) {
-      Slice chunk;
-      LSMCOL_RETURN_NOT_OK(LeafChunk(pc.column_id, &chunk));
-      if (chunk.empty()) {
-        // Column absent from this leaf: the field is MISSING in every
-        // record, so nothing here can match.
+    ZoneMap zone;
+    LSMCOL_RETURN_NOT_OK(component_->ColumnZone(
+        &leaf_, pc.column_id, &State(pc.column_id).unit, &zone));
+    for (const TypedPredicate& pred : pc.preds) {
+      if (!pred.OverlapsZone(zone)) {
         leaf_zone_match_ = false;
         return Status::OK();
-      }
-      ApaxChunkStats stats;
-      LSMCOL_RETURN_NOT_OK(ParseApaxColumnUnit(
-          State(pc.column_id).unit.data(), &chunk, &stats));
-      if (!stats.has_stats) {
-        leaf_zone_match_ = false;  // zero present values in this leaf
-        return Status::OK();
-      }
-      for (const TypedPredicate& pred : pc.preds) {
-        bool overlap = true;
-        switch (pc.type) {
-          case AtomicType::kBoolean:
-          case AtomicType::kInt64:
-            overlap = pred.OverlapsIntZone(stats.min_int, stats.max_int);
-            break;
-          case AtomicType::kDouble:
-            overlap =
-                pred.OverlapsDoubleZone(stats.min_double, stats.max_double);
-            break;
-          case AtomicType::kString:
-            overlap =
-                pred.OverlapsStringZone(stats.min_string, stats.max_string);
-            break;
-        }
-        if (!overlap) {
-          leaf_zone_match_ = false;
-          return Status::OK();
-        }
-      }
-    } else {
-      const AmaxColumnExtent& extent = leaf_.page0.extent(pc.column_id);
-      if (extent.size == 0) {
-        leaf_zone_match_ = false;
-        return Status::OK();
-      }
-      for (const TypedPredicate& pred : pc.preds) {
-        bool overlap = true;
-        switch (pc.type) {
-          case AtomicType::kBoolean:
-          case AtomicType::kInt64: {
-            int64_t zmin = 0, zmax = 0;
-            std::memcpy(&zmin, extent.min_prefix, 8);
-            std::memcpy(&zmax, extent.max_prefix, 8);
-            overlap = pred.OverlapsIntZone(zmin, zmax);
-            break;
-          }
-          case AtomicType::kDouble: {
-            double zmin = 0, zmax = 0;
-            std::memcpy(&zmin, extent.min_prefix, 8);
-            std::memcpy(&zmax, extent.max_prefix, 8);
-            overlap = pred.OverlapsDoubleZone(zmin, zmax);
-            break;
-          }
-          case AtomicType::kString:
-            overlap = AmaxStringRangeOverlaps(
-                extent, pred.has_slo ? &pred.slo : nullptr,
-                pred.has_shi ? &pred.shi : nullptr);
-            break;
-        }
-        if (!overlap) {
-          leaf_zone_match_ = false;
-          return Status::OK();
-        }
       }
     }
   }
@@ -714,7 +694,8 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   }
   const auto& leaf = component_->reader().leaves()[leaf_index];
   leaf_records_ = leaf.record_count;
-  LSMCOL_RETURN_NOT_OK(component_->OpenColumnarLeaf(leaf_index, &leaf_));
+  LSMCOL_RETURN_NOT_OK(
+      component_->OpenColumnarLeaf(leaf_index, &leaf_, CacheUse::kInstall));
   LSMCOL_RETURN_NOT_OK(EvaluateLeafZones());
   if (!leaf_zone_match_ &&
       LeafRangeDisjointFromForeign(leaf.min_key, leaf.max_key)) {
@@ -725,7 +706,11 @@ Status ColumnarComponentCursor::LoadLeaf(size_t leaf_index) {
   } else {
     // The whole leaf's keys and anti-matter defs in one batched decode:
     // Next() degrades to array reads, and seeks binary-search the keys.
-    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(leaf_.pk_chunk,
+    Slice pk_chunk;
+    CacheHandle pk_unit;  // stays empty: the leaf's head holds the PKs
+    LSMCOL_RETURN_NOT_OK(
+        component_->ColumnChunk(&leaf_, 0, &pk_unit, &pk_chunk));
+    LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(pk_chunk,
                                         component_->schema()->column(0),
                                         leaf_records_, &pk_batch_));
   }

@@ -15,17 +15,23 @@
 // within a leaf (§4.3). It also hands out typed per-record spans of a
 // column's whole-leaf decode (RecordSpan) for the compiled engine.
 //
-// Cursors read leaves as decoded units pinned in the buffer cache, verified
+// Readers read leaves as decoded units pinned in the buffer cache, verified
 // and decompressed once on a miss and indexed in place afterwards — no
 // per-open copy or LZ. A row leaf is one unit, its payload. A columnar
-// leaf is a head unit (Component::DecodedLeaf: the column count and the
-// PK chunk; for AMAX its Page 0, with the zone prefixes) and one unit per
-// column the leaf holds (an APAX minipage with its stats entry, an AMAX
-// megapage; Component::ColumnChunk), so a cache holds only the columns its
-// readers touch. An AMAX column miss reads that column's pages. An APAX
-// miss reads the whole leaf once into an image private to the reader
-// (ApaxLeafImage) and cuts from it the units asked for; the leaf itself is
-// never cached.
+// leaf is a head unit (the column count and the PK chunk; for AMAX its
+// Page 0, with the zone prefixes) and one unit per column the leaf holds
+// (an APAX minipage with its stats entry, an AMAX megapage), so a cache
+// holds only the columns its readers touch.
+//
+// Component is the only code that knows how APAX and AMAX leaves are laid
+// out. Every columnar reader — a cursor, a lookup, the vertical merge —
+// reads a leaf through one handle, ColumnarLeaf: OpenColumnarLeaf pins
+// and parses its head, ColumnChunk returns a column's chunk and
+// ColumnZone a column's zone map. An AMAX column miss reads that column's
+// pages. An APAX miss reads the whole leaf once into an image the handle
+// keeps and cuts from it the units asked for (a one-shot reader, which
+// reads every column, takes its chunks straight from the image); the
+// leaf itself is never cached.
 //
 // Point lookups use no cursor: Component::Lookup checks the key fences,
 // binary-searches one leaf's keys (decoded once, kept as the head unit's
@@ -100,31 +106,28 @@ enum class CacheUse : uint8_t {
              ///< uncached (merge inputs): nothing is installed
 };
 
-/// An APAX leaf as one reader read it: its stored payload read with one
-/// pread, page trailers verified, decompressed and parsed once. Every APAX
-/// unit a miss builds is cut from it, so one reader's misses in a leaf
-/// cost one read of the leaf. Private to that reader (a cursor, a lookup
-/// or a merge input) and never cached.
-struct ApaxLeafImage {
-  size_t leaf = SIZE_MAX;  ///< the leaf `apax` holds; SIZE_MAX: none
-  Buffer bytes;            ///< the decompressed payload `apax` points into
-  ApaxLeaf apax;
-};
+/// One reader's handle on a columnar leaf (a cursor's current leaf, a
+/// lookup's leaf, a merge input's leaf): the head unit, pinned and parsed,
+/// and what the reader's misses in the leaf have read. Opened by
+/// Component::OpenColumnarLeaf and read through Component::ColumnChunk
+/// and Component::ColumnZone, the only code that knows how an APAX or
+/// AMAX leaf is laid out. Private to its reader.
+class ColumnarLeaf {
+ private:
+  friend class Component;
 
-/// One reader's view of the columnar leaf it reads (a cursor's current
-/// leaf, a lookup's leaf): the head unit, pinned and parsed, and what the
-/// reader's misses in the leaf have read — the APAX leaf image or the
-/// AMAX pages. Filled by Component::OpenColumnarLeaf; private to its
-/// reader.
-struct ColumnarLeaf {
-  size_t leaf = SIZE_MAX;     ///< the leaf `head` belongs to
-  CacheHandle head;           ///< APAX head unit or AMAX Page 0
-  ApaxHead apax;              ///< APAX: parsed over `head`
-  AmaxPageZero page0;         ///< AMAX: parsed over `head`
-  uint32_t column_count = 0;  ///< columns the leaf holds; later ids absent
-  Slice pk_chunk;
-  ApaxLeafImage image;  ///< APAX misses: the leaf, read once
-  LeafPageMemo memo;    ///< AMAX misses: pages shared by megapages
+  size_t leaf_ = SIZE_MAX;      // the leaf `head_` belongs to
+  CacheUse use_ = CacheUse::kInstall;
+  CacheHandle head_;            // APAX head unit or AMAX Page 0
+  uint32_t column_count_ = 0;   // columns the leaf holds; later ids absent
+  Slice pk_chunk_;              // points into head_
+  AmaxPageZero page0_;          // AMAX: parsed over head_
+  // APAX misses: the leaf's payload, read, decompressed and parsed once;
+  // every APAX unit a miss builds is cut from it.
+  size_t image_leaf_ = SIZE_MAX;  // the leaf `image_` holds
+  Buffer image_bytes_;
+  ApaxLeaf image_;
+  LeafPageMemo memo_;           // AMAX misses: pages shared by megapages
 };
 
 /// Decode a columnar leaf's whole PK chunk into `batch`: keys and
@@ -194,39 +197,36 @@ class Component {
   uint64_t size_bytes() const { return reader_->size_bytes(); }
   const std::string& path() const { return reader_->path(); }
 
-  /// The leaf's head unit, pinned in the buffer cache: a row leaf's
-  /// verified, decompressed payload, an APAX head unit (ApaxHead), or an
-  /// AMAX Page 0 (header, zone prefixes and keys). APAX requires `image`:
-  /// a miss reads the leaf into it unless it holds it already. Like every
-  /// checked read it fails fast once the component is quarantined, even
-  /// when the unit is cached, and a miss that surfaces data damage (a page
-  /// checksum, or an LZ stream or leaf that does not decode) quarantines
-  /// the component. Thread-safe.
-  Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use,
-                                  ApaxLeafImage* image = nullptr) const;
-  /// Columnar layouts: pin and parse leaf `leaf_index`'s head unit into
-  /// `leaf` (DecodedLeaf's rules), dropping what it held of another leaf.
-  Status OpenColumnarLeaf(size_t leaf_index, ColumnarLeaf* leaf) const;
-  /// Column `column_id`'s chunk in `leaf`, pinned by `unit`: the minipage
-  /// of its APAX column unit (ParseApaxColumnUnit splits the unit) or its
-  /// AMAX megapage. A miss reads through `leaf`'s image or memo. Empty,
-  /// with `unit` untouched, when the leaf holds no such column. Same
-  /// rules as DecodedLeaf.
+  /// A row leaf's verified, decompressed payload, pinned in the buffer
+  /// cache. Like every checked read it fails fast once the component is
+  /// quarantined, even when the unit is cached, and a miss that surfaces
+  /// data damage (a page checksum, or an LZ stream or leaf that does not
+  /// decode) quarantines the component. Thread-safe.
+  Result<CacheHandle> DecodedLeaf(size_t leaf_index, CacheUse use) const;
+  /// Columnar layouts: open `leaf` on leaf `leaf_index`, dropping what it
+  /// held of another leaf. Its head unit (an APAX leaf's column count and
+  /// PK chunk, an AMAX Page 0 with the zone prefixes) is pinned and
+  /// parsed in place; every read through the handle uses the cache as
+  /// `use` says. Same rules as DecodedLeaf.
+  Status OpenColumnarLeaf(size_t leaf_index, ColumnarLeaf* leaf,
+                          CacheUse use) const;
+  /// Column `column_id`'s chunk in `leaf`, the bytes ColumnChunkReader::
+  /// Init takes; column 0 is the PK chunk. Empty when the leaf holds no
+  /// such column. The chunk stays valid while `unit` and `leaf` do: `unit`
+  /// pins the column's unit when one holds the chunk, and when it already
+  /// pins it (from ColumnZone, or an earlier call in this leaf) it is not
+  /// fetched again. Every miss in a leaf reads its pages at most once: a
+  /// kOneShot APAX read cuts the chunk from the leaf, read whole into
+  /// `leaf` on the first miss, and builds no unit. Same rules as
+  /// DecodedLeaf.
   Status ColumnChunk(ColumnarLeaf* leaf, int column_id, CacheHandle* unit,
                      Slice* chunk) const;
-  /// One column's AMAX megapage at `extent` (from the leaf's Page 0),
-  /// decompressed and stripped of its string min/max prefix: the bytes
-  /// ColumnChunkReader::Init takes. Same rules as DecodedLeaf. A miss
-  /// reuses (and adds to) `memo`, the pages the caller already read from
-  /// this leaf, so megapages sharing a page cost one read of it.
-  Result<CacheHandle> DecodedMegapage(size_t leaf_index, int column_id,
-                                      const AmaxColumnExtent& extent,
-                                      CacheUse use,
-                                      LeafPageMemo* memo = nullptr) const;
-  /// Checked read of an APAX leaf into `image` (a no-op when it holds the
-  /// leaf already), around the buffer cache: how a merge reads its input
-  /// leaves. Same quarantine rules as ReadLeaf.
-  Status ReadApaxLeaf(size_t leaf_index, ApaxLeafImage* image) const;
+  /// Column `column_id`'s (>= 1) zone map in `leaf`: the APAX stats entry,
+  /// which comes with the column's unit (pinned in `unit` for a later
+  /// ColumnChunk), or the AMAX Page-0 prefixes, read without touching a
+  /// megapage. Same rules as DecodedLeaf.
+  Status ColumnZone(ColumnarLeaf* leaf, int column_id, CacheHandle* unit,
+                    ZoneMap* zone) const;
 
   /// Point lookup. Only the leaf whose key fences span `key` is read: its
   /// keys are binary-searched (decoded once per cached leaf), and a hit
@@ -272,13 +272,20 @@ class Component {
   /// a miss.
   Result<CacheHandle> FetchUnit(size_t leaf_index, int column, CacheUse use,
                                 const BufferCache::UnitLoader& load) const;
-  /// ReadApaxLeaf without the checks: the APAX units' miss path, whose
-  /// result FetchUnit notes.
-  Status LoadApaxLeaf(size_t leaf_index, ApaxLeafImage* image) const;
-  /// One column's APAX unit; `column_id` must be below the leaf's column
-  /// count. A miss reads the leaf into `image` unless it holds it already.
-  Result<CacheHandle> DecodedMinipage(size_t leaf_index, int column_id,
-                                      ApaxLeafImage* image) const;
+  /// Read `leaf`'s APAX payload into its image unless it holds it already,
+  /// without the checks: the APAX units' miss path, whose result
+  /// FetchUnit notes.
+  Status LoadApaxLeaf(ColumnarLeaf* leaf) const;
+  /// `leaf`'s head unit (see OpenColumnarLeaf). An APAX miss reads the
+  /// leaf into its image.
+  Result<CacheHandle> DecodedHead(ColumnarLeaf* leaf) const;
+  /// One column's unit in `leaf`, `column_id` below its column count: an
+  /// APAX minipage with its stats entry (ParseApaxColumnUnit splits it),
+  /// cut from the leaf's image on a miss, or an AMAX megapage,
+  /// decompressed and stripped of its string min/max prefix. An AMAX miss
+  /// reads through (and adds to) the leaf's memo, the pages already read
+  /// from the leaf, so megapages sharing a page cost one read of it.
+  Result<CacheHandle> DecodedColumn(ColumnarLeaf* leaf, int column_id) const;
   /// Record `st` if it is data damage (quarantining on first sight) and
   /// return it unchanged. Called on every checked read's result.
   Status NoteRead(Status st) const LSMCOL_EXCLUDES(fault_mu_);
@@ -455,8 +462,8 @@ class ColumnarComponentCursor : public TupleCursor {
   Status EnsureColumnCurrent(int column_id);
   Result<const LeafEntries*> LoadLeafEntries(int column_id);
   void ResolvePredicates(const ScanPredicateSet& predicates);
-  /// Zone tests for the current leaf; sets leaf_zone_match_. An APAX
-  /// predicate column's stats come with its column unit.
+  /// Zone tests for the current leaf; sets leaf_zone_match_. A zone read
+  /// may pin the column's unit for its later chunk read (ColumnZone).
   Status EvaluateLeafZones();
   bool LeafRangeDisjointFromForeign(int64_t min_key, int64_t max_key) const;
 

@@ -105,13 +105,11 @@ Status Dataset::OpenLocked(const DatasetOptions& validated) {
                           options_.fs));
     stats_.wal_replayed_records = replay.records;
     // The log shares the dataset's transient-retry policy for segment
-    // writes (fsync stays fail-closed; see WalOptions::retry).
-    WalOptions wal_options = validated.wal;
-    wal_options.retry = options_.io_retry;
+    // writes (fsync stays fail-closed; see WriteAheadLog::Open).
     LSMCOL_ASSIGN_OR_RETURN(
-        wal_, WriteAheadLog::Open(validated.dir, validated.name, wal_options,
-                                  replay.next_segment_seq, replay.next_lsn,
-                                  options_.fs));
+        wal_, WriteAheadLog::Open(validated.dir, validated.name, validated.wal,
+                                  options_.io_retry, replay.next_segment_seq,
+                                  replay.next_lsn, options_.fs));
   }
   return Status::OK();
 }
@@ -197,20 +195,8 @@ Status Dataset::RecoverFromManifest(const Manifest& manifest) {
   return Status::OK();
 }
 
-Status Dataset::WriteCurrentManifestLocked() {
-  // Claim the manifest-writer role. Rewrites are serialized in role-claim
-  // order; each snapshots the *current* in-memory state, so a later
-  // claimer's manifest always includes every earlier publication — the
-  // durable state advances monotonically no matter how concurrent
-  // flush/merge publications interleave with the role queue.
-  while (manifest_writing_) work_cv_.Wait(&mu_);
-  manifest_writing_ = true;
-  // Pick up any first-damage records components logged since the last
-  // rewrite, so every manifest write also persists known quarantines.
-  AbsorbDamageLogLocked();
-  const uint64_t damage_upto = damage_consumed_;
+Manifest Dataset::CurrentManifestLocked() const {
   Manifest manifest;
-  manifest.sequence = manifest_sequence_ + 1;
   manifest.dataset_name = options_.name;
   manifest.layout = static_cast<uint8_t>(options_.layout);
   manifest.pk_field = options_.pk_field;
@@ -229,6 +215,23 @@ Status Dataset::WriteCurrentManifestLocked() {
     schema_->SerializeTo(&blob);
     manifest.schema_blob.assign(blob.data(), blob.size());
   }
+  return manifest;
+}
+
+Status Dataset::WriteCurrentManifestLocked() {
+  // Claim the manifest-writer role. Rewrites are serialized in role-claim
+  // order; each snapshots the *current* in-memory state, so a later
+  // claimer's manifest always includes every earlier publication — the
+  // durable state advances monotonically no matter how concurrent
+  // flush/merge publications interleave with the role queue.
+  while (manifest_writing_) work_cv_.Wait(&mu_);
+  manifest_writing_ = true;
+  // Pick up any first-damage records components logged since the last
+  // rewrite, so every manifest write also persists known quarantines.
+  AbsorbDamageLogLocked();
+  const uint64_t damage_upto = damage_consumed_;
+  Manifest manifest = CurrentManifestLocked();
+  manifest.sequence = manifest_sequence_ + 1;
   for (const auto& [id, entry] : persisted_damage_) {
     manifest.damaged.push_back(entry);
   }
@@ -1106,27 +1109,8 @@ Status Dataset::BeginBackup(DatasetBackupPin* pin) {
     pin->name = options_.name;
     pin->dir = options_.dir;
     pin->snapshot = GetSnapshotLocked();
-    Manifest& m = pin->manifest;
-    m = Manifest();
-    m.sequence = manifest_sequence_;
-    m.dataset_name = options_.name;
-    m.layout = static_cast<uint8_t>(options_.layout);
-    m.pk_field = options_.pk_field;
-    m.page_size = options_.page_size;
-    m.next_component_id = next_component_id_;
-    m.wal_floor = wal_floor_;
-    for (const auto& component : components_) {
-      const std::string& path = component->path();
-      const size_t slash = path.find_last_of('/');
-      m.components.push_back(
-          {component->meta().component_id,
-           slash == std::string::npos ? path : path.substr(slash + 1)});
-    }
-    if (schema_ != nullptr) {
-      Buffer blob;
-      schema_->SerializeTo(&blob);
-      m.schema_blob.assign(blob.data(), blob.size());
-    }
+    pin->manifest = CurrentManifestLocked();
+    pin->manifest.sequence = manifest_sequence_;
     pin->wal_enabled = wal_ != nullptr;
     if (wal_ != nullptr) {
       pin->wal_cut_lsn = wal_->appended_lsn();

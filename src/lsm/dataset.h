@@ -426,6 +426,10 @@ class Dataset {
   /// writer role (manifest_writing_), so flush/merge publications do not
   /// stall writers on durable I/O; rewrites stay fully serialized.
   Status WriteCurrentManifestLocked() LSMCOL_REQUIRES(mu_);
+  /// The manifest of the current in-memory state (dataset identity,
+  /// counters, components and schema); the caller sets its sequence and
+  /// any damage records.
+  Manifest CurrentManifestLocked() const LSMCOL_REQUIRES(mu_);
   Status RecoverFromManifest(const Manifest& manifest) LSMCOL_REQUIRES(mu_);
   /// Record a background failure in both the consumable and the sticky
   /// error (first error wins in each).

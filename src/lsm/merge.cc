@@ -127,56 +127,37 @@ Status MergeRows(const DatasetOptions& options,
   return builder.Finish();
 }
 
-/// One input leaf's head, parsed: the APAX leaf (its whole payload, read
-/// around the cache) or the AMAX Page 0 (header, extents and keys).
-/// Megapage misses read the leaf's pages uncached; `memo` keeps the pages
-/// two adjacent megapages share, so each is read once however many column
-/// streams reach it.
-struct MergeLeaf {
-  ApaxLeafImage image;
-  AmaxPageZero page0;
-  mutable LeafPageMemo memo;
-};
-
-/// Parsed-leaf cache shared by the PK merge phase and all column streams
+/// Leaf-handle cache shared by the PK merge phase and all column streams
 /// of one component during a vertical merge. Columns sweep the same
 /// leaves in the same order, so a tiny FIFO turns the per-column re-reads
-/// of a leaf head into hits — one read and parse per leaf instead of one
-/// per leaf per column (which is quadratic-feeling for 900-column
-/// datasets). Entries are shared so a stream suspended mid-leaf across
-/// output-leaf boundaries keeps its chunk bytes alive even if the FIFO
-/// rotates the leaf out underneath it. Reads are one-shot: a merge input
-/// is read once, so its leaves are not installed in the buffer cache.
+/// of a leaf into hits: each leaf's pages are read once however many
+/// column streams reach it, instead of once per leaf per column (which is
+/// quadratic-feeling for 900-column datasets). Entries are shared so a
+/// stream suspended mid-leaf across output-leaf boundaries keeps its chunk
+/// bytes alive even if the FIFO rotates the leaf out underneath it. Reads
+/// are one-shot: a merge input is read once, so its leaves are not
+/// installed in the buffer cache.
 class MergeLeafCache {
  public:
   explicit MergeLeafCache(const Component* component)
       : component_(component) {}
 
-  Result<std::shared_ptr<const MergeLeaf>> Get(size_t leaf_index) {
+  Result<std::shared_ptr<ColumnarLeaf>> Get(size_t leaf_index) {
     for (auto& [index, leaf] : entries_) {
       if (index == leaf_index) return leaf;
     }
-    auto leaf = std::make_shared<MergeLeaf>();
-    if (component_->meta().layout == LayoutKind::kApax) {
-      LSMCOL_RETURN_NOT_OK(
-          component_->ReadApaxLeaf(leaf_index, &leaf->image));
-    } else {
-      // Page 0 keeps copies of what it parses; the page is released here.
-      LSMCOL_ASSIGN_OR_RETURN(
-          CacheHandle unit,
-          component_->DecodedLeaf(leaf_index, CacheUse::kOneShot));
-      LSMCOL_RETURN_NOT_OK(leaf->page0.Init(unit.data()));
-    }
+    auto leaf = std::make_shared<ColumnarLeaf>();
+    LSMCOL_RETURN_NOT_OK(component_->OpenColumnarLeaf(leaf_index, leaf.get(),
+                                                      CacheUse::kOneShot));
     if (entries_.size() >= kCapacity) entries_.erase(entries_.begin());
-    entries_.emplace_back(leaf_index,
-                          std::shared_ptr<const MergeLeaf>(std::move(leaf)));
+    entries_.emplace_back(leaf_index, std::move(leaf));
     return entries_.back().second;
   }
 
  private:
   static constexpr size_t kCapacity = 8;
   const Component* component_;
-  std::vector<std::pair<size_t, std::shared_ptr<const MergeLeaf>>> entries_;
+  std::vector<std::pair<size_t, std::shared_ptr<ColumnarLeaf>>> entries_;
 };
 
 /// Streams one component's primary keys, each leaf decoded in one batch
@@ -191,14 +172,16 @@ class MergePkSource {
   Result<bool> NextLeaf() {
     const auto& leaves = component_->reader().leaves();
     const ColumnInfo& info = component_->schema()->column(0);
-    const bool apax = component_->meta().layout == LayoutKind::kApax;
     while (leaf_index_ < leaves.size()) {
       LSMCOL_ASSIGN_OR_RETURN(auto leaf, leaf_cache_->Get(leaf_index_));
       // PK batches copy keys and defs out of the chunk, so the leaf bytes
       // may be released right after this decode.
+      Slice pk_chunk;
+      CacheHandle pk_unit;  // stays empty: the leaf's head holds the PKs
+      LSMCOL_RETURN_NOT_OK(
+          component_->ColumnChunk(leaf.get(), 0, &pk_unit, &pk_chunk));
       LSMCOL_RETURN_NOT_OK(DecodeLeafKeys(
-          apax ? leaf->image.apax.chunk(0) : leaf->page0.pk_chunk(), info,
-          leaves[leaf_index_].record_count, &batch_));
+          pk_chunk, info, leaves[leaf_index_].record_count, &batch_));
       ++leaf_index_;
       pos_ = 0;
       if (batch_.entry_count() == 0) continue;
@@ -345,23 +328,11 @@ class ComponentColumnStream {
     leaf_loaded_ = true;
     const size_t leaf = leaf_index_ - 1;
     const ColumnInfo& info = component_->schema()->column(column_id_);
-    LSMCOL_ASSIGN_OR_RETURN(leaf_head_, leaf_cache_->Get(leaf));
-    megapage_ = CacheHandle();
+    LSMCOL_ASSIGN_OR_RETURN(leaf_, leaf_cache_->Get(leaf));
+    unit_ = CacheHandle();
     Slice chunk;
-    if (component_->meta().layout == LayoutKind::kApax) {
-      chunk = leaf_head_->image.apax.chunk(column_id_);
-    } else if (column_id_ == 0) {
-      chunk = leaf_head_->page0.pk_chunk();
-    } else {
-      const AmaxColumnExtent& extent = leaf_head_->page0.extent(column_id_);
-      if (extent.size != 0) {
-        LSMCOL_ASSIGN_OR_RETURN(
-            megapage_,
-            component_->DecodedMegapage(leaf, column_id_, extent,
-                                        CacheUse::kOneShot, &leaf_head_->memo));
-        chunk = megapage_.data();
-      }
-    }
+    LSMCOL_RETURN_NOT_OK(
+        component_->ColumnChunk(leaf_.get(), column_id_, &unit_, &chunk));
     leaf_exists_ = !chunk.empty();
     if (leaf_exists_) LSMCOL_RETURN_NOT_OK(reader_.Init(chunk, info));
     if (leaf_exists_ && pending_skip_ > 0) {
@@ -381,8 +352,8 @@ class ComponentColumnStream {
   bool leaf_loaded_ = false;
   bool leaf_exists_ = false;
   uint64_t pending_skip_ = 0;    // records consumed before the chunk loaded
-  std::shared_ptr<const MergeLeaf> leaf_head_;
-  CacheHandle megapage_;  // AMAX: pins the chunk reader_ decodes
+  std::shared_ptr<ColumnarLeaf> leaf_;
+  CacheHandle unit_;  // with leaf_, pins the chunk reader_ decodes
   ColumnChunkReader reader_;
   ColumnEntryBatch batch_;
 };

@@ -1,6 +1,8 @@
 #include "src/lsm/scan_predicate.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace lsmcol {
 namespace {
@@ -111,6 +113,35 @@ bool IntDomainExact(const Value& v) {
 }
 
 }  // namespace
+
+bool TypedPredicate::OverlapsZone(const ZoneMap& zone) const {
+  if (!zone.has_values) return false;
+  switch (zone.type) {
+    case AtomicType::kBoolean:
+    case AtomicType::kInt64:
+      return OverlapsIntZone(zone.min_int, zone.max_int);
+    case AtomicType::kDouble:
+      return OverlapsDoubleZone(zone.min_double, zone.max_double);
+    case AtomicType::kString:
+      break;
+  }
+  if (!zone.string_prefixes) {
+    return OverlapsStringZone(zone.min_string, zone.max_string);
+  }
+  // Zero-padded 8-byte truncation is monotone under memcmp (s <= t
+  // implies trunc8(s) <= trunc8(t)), so trunc8(shi) < min prefix proves
+  // shi < the column's min and trunc8(slo) > max prefix proves slo > its
+  // max; inclusivity is ignored, as in the other zone tests.
+  const auto compare8 = [](const std::string& bound,
+                           const std::string& prefix) {
+    char trunc[8] = {0};
+    std::memcpy(trunc, bound.data(), std::min<size_t>(8, bound.size()));
+    return std::memcmp(trunc, prefix.data(), 8);
+  };
+  if (has_shi && compare8(shi, zone.min_string) < 0) return false;
+  if (has_slo && compare8(slo, zone.max_string) > 0) return false;
+  return true;
+}
 
 TypedPredicate CompileScanPredicate(const ScanPredicate& pred,
                                     const ColumnInfo& info) {

@@ -39,6 +39,22 @@ struct ScanPredicate {
 
 using ScanPredicateSet = std::vector<ScanPredicate>;
 
+/// A column's zone map in one leaf, whatever the leaf's layout stores:
+/// the closed range of the column's present values (Component::ColumnZone
+/// reads it from an APAX stats entry or from AMAX Page 0).
+struct ZoneMap {
+  /// False when no record of the leaf holds a value of the column: the
+  /// column is absent from the leaf, or its stats say none is present.
+  bool has_values = false;
+  AtomicType type = AtomicType::kInt64;  ///< the column's type
+  int64_t min_int = 0, max_int = 0;       ///< kBoolean (0/1) and kInt64
+  double min_double = 0, max_double = 0;  ///< kDouble
+  /// kString: the full min and max, or with `string_prefixes` their first
+  /// 8 bytes, zero-padded (AMAX Page 0).
+  std::string min_string, max_string;
+  bool string_prefixes = false;
+};
+
 /// A ScanPredicate compiled against one concrete column: bounds in the
 /// domain the engine would compare in (int columns promote to the double
 /// domain when the literal is a double, exactly mirroring SQL++ numeric
@@ -108,6 +124,9 @@ struct TypedPredicate {
     if (has_slo && slo > zmax) return false;
     return true;
   }
+  /// The overlap test for a leaf's zone map, by the column's type. False
+  /// when the zone holds no value.
+  bool OverlapsZone(const ZoneMap& zone) const;
 };
 
 /// Compile `pred` against the column it resolved to. The result's

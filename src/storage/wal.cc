@@ -305,10 +305,12 @@ Status CopyWalSegmentPrefix(const std::string& src, const std::string& dst,
 }
 
 WriteAheadLog::WriteAheadLog(std::string dir, std::string name,
-                             const WalOptions& options, FileSystem* fs)
+                             const WalOptions& options,
+                             const IoRetryOptions& retry, FileSystem* fs)
     : dir_(std::move(dir)),
       name_(std::move(name)),
       options_(options),
+      retry_(retry),
       fs_(fs) {}
 
 WriteAheadLog::~WriteAheadLog() {
@@ -328,12 +330,12 @@ WriteAheadLog::~WriteAheadLog() {
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& dir, const std::string& name,
-    const WalOptions& options, uint64_t next_segment_seq,
-    uint64_t next_lsn, FileSystem* fs) {
+    const WalOptions& options, const IoRetryOptions& retry,
+    uint64_t next_segment_seq, uint64_t next_lsn, FileSystem* fs) {
   LSMCOL_CHECK(next_segment_seq >= 1);
   LSMCOL_CHECK(next_lsn >= 1);
   std::unique_ptr<WriteAheadLog> wal(
-      new WriteAheadLog(dir, name, options, ResolveFs(fs)));
+      new WriteAheadLog(dir, name, options, retry, ResolveFs(fs)));
   {
     // No concurrency yet (the log is unpublished), but the guarded
     // fields and CreateActiveSegmentLocked demand the capability.
@@ -486,10 +488,10 @@ Status WriteAheadLog::WriteAndSync(FsFile* file, const std::string& batch,
         Slice(batch.data() + written, batch.size() - written), &appended);
     written += appended;
     if (st.ok()) break;
-    if (!st.IsIOError() || attempt >= options_.retry.max_retries) return st;
+    if (!st.IsIOError() || attempt >= retry_.max_retries) return st;
     const uint64_t delay = std::min(
-        options_.retry.max_backoff_micros,
-        options_.retry.initial_backoff_micros << attempt);
+        retry_.max_backoff_micros,
+        retry_.initial_backoff_micros << attempt);
     std::this_thread::sleep_for(std::chrono::microseconds(delay));
     ++*retries;
     *backoff_micros += delay;

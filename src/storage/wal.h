@@ -75,12 +75,6 @@ struct WalOptions {
   /// A lingering leader syncs as soon as the pending batch reaches this
   /// many bytes, window or not. Must be positive.
   size_t max_group_bytes = 1u << 20;
-  /// Transient-error policy for segment writes: a failed write() is
-  /// retried (resuming at the exact byte where it stopped) with capped
-  /// exponential backoff before the log fails closed. fsync failures are
-  /// never retried — after a failed fsync the kernel may have dropped
-  /// the dirty pages, so the only safe answer is fail-closed.
-  IoRetryOptions retry;
 };
 
 /// WAL observability, folded into DatasetStats by Dataset::stats().
@@ -148,10 +142,17 @@ class WriteAheadLog {
   /// Create the segment `next_segment_seq` and return a log whose next
   /// append gets `next_lsn`. The fresh segment's header is written,
   /// fsynced, and its dirent made durable before returning.
+  ///
+  /// `retry` is the transient-error policy for segment writes (a Dataset
+  /// passes its io_retry): a failed write() is retried, resuming at the
+  /// exact byte where it stopped, with capped exponential backoff before
+  /// the log fails closed. fsync failures are never retried — after a
+  /// failed fsync the kernel may have dropped the dirty pages, so the
+  /// only safe answer is fail-closed.
   static Result<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& dir, const std::string& name,
-      const WalOptions& options, uint64_t next_segment_seq,
-      uint64_t next_lsn, FileSystem* fs = nullptr);
+      const WalOptions& options, const IoRetryOptions& retry,
+      uint64_t next_segment_seq, uint64_t next_lsn, FileSystem* fs = nullptr);
 
   ~WriteAheadLog();
   WriteAheadLog(const WriteAheadLog&) = delete;
@@ -200,12 +201,12 @@ class WriteAheadLog {
   friend class Dataset;
 
   WriteAheadLog(std::string dir, std::string name, const WalOptions& options,
-                FileSystem* fs);
+                const IoRetryOptions& retry, FileSystem* fs);
 
   /// Open `active_segment_`'s file and write its header (not fsynced).
   Status CreateActiveSegmentLocked() LSMCOL_REQUIRES(mu_);
   /// Leader body: append `batch` to `file` then fsync it. Transient
-  /// write errors are retried per options_.retry, resuming at the byte
+  /// write errors are retried per retry_, resuming at the byte
   /// where the failed write stopped; fsync is never retried. Touches no
   /// shared state beyond const options — callers snapshot the file under
   /// mu_ and may (leader) or may not (rotation) release it around the
@@ -217,6 +218,7 @@ class WriteAheadLog {
   const std::string dir_;
   const std::string name_;
   const WalOptions options_;
+  const IoRetryOptions retry_;
   FileSystem* const fs_;
 
   mutable Mutex mu_{MutexRank::kWal};

@@ -1,6 +1,7 @@
-// Direct tests for the leaf layouts: APAX page structure, AMAX mega-leaf
-// layout (Page 0 contents, size-ordered megapages, empty-page tolerance,
-// zone-filter prefixes), and row leaves.
+// Direct tests for the leaf layouts: APAX page structure and zone stats,
+// AMAX mega-leaf layout (Page 0 contents, size-ordered megapages,
+// empty-page tolerance, zone-filter prefixes), and row leaves. Zone maps
+// are read as every reader reads them, through Component::ColumnZone.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include "src/layouts/amax.h"
 #include "src/layouts/apax.h"
 #include "src/layouts/row_leaf.h"
+#include "src/lsm/component.h"
+#include "src/lsm/scan_predicate.h"
 
 #include <sys/resource.h>
 
@@ -46,6 +49,43 @@ struct Shredded {
     LSMCOL_CHECK_OK(shredder->Shred(v));
   }
 };
+
+// Finish `writer` as a component of `layout` over `schema` and open it.
+std::unique_ptr<Component> FinishComponent(ComponentWriter* writer,
+                                           const std::string& path,
+                                           LayoutKind layout, bool compressed,
+                                           const Schema& schema,
+                                           BufferCache* cache) {
+  ComponentMeta meta;
+  meta.layout = layout;
+  meta.compressed = compressed;
+  Buffer blob;
+  meta.SerializeTo(&blob, &schema);
+  LSMCOL_CHECK_OK(writer->Finish(blob.slice()));
+  auto component = Component::Open(path, cache, kPage);
+  LSMCOL_CHECK_OK(component.status());
+  return std::move(*component);
+}
+
+// Leaf 0's zone map of `column_id`.
+ZoneMap LeafZone(const Component& component, int column_id) {
+  ColumnarLeaf leaf;
+  LSMCOL_CHECK_OK(component.OpenColumnarLeaf(0, &leaf, CacheUse::kInstall));
+  CacheHandle unit;
+  ZoneMap zone;
+  LSMCOL_CHECK_OK(component.ColumnZone(&leaf, column_id, &unit, &zone));
+  return zone;
+}
+
+// Whether a predicate lo <= column <= hi (Missing: unbounded) may match
+// a record of the zone.
+bool ZoneOverlaps(const ZoneMap& zone, const ColumnInfo& info, Value lo,
+                  Value hi) {
+  ScanPredicate pred;
+  pred.lower = std::move(lo);
+  pred.upper = std::move(hi);
+  return CompileScanPredicate(pred, info).OverlapsZone(zone);
+}
 
 TEST(ApaxLeafTest, HeaderAndChunksRoundTrip) {
   RemoveFileIfExists(TempPath("apax"));
@@ -80,9 +120,9 @@ TEST(ApaxLeafTest, HeaderAndChunksRoundTrip) {
   RemoveFileIfExists(TempPath("apax"));
 }
 
-// Parse checks every zone-stats entry but decodes none; stats(c) decodes
-// one on demand.
-TEST(ApaxLeafTest, StatsCheckedAtParseDecodedOnDemand) {
+// Parse checks every zone-stats entry but decodes none; a column's zone
+// map decodes its entry from the column's unit.
+TEST(ApaxLeafTest, StatsCheckedAtParseReadAsColumnZones) {
   RemoveFileIfExists(TempPath("apax_stats"));
   BufferCache cache(64 * kPage, kPage);
   auto writer = ComponentWriter::Create(TempPath("apax_stats"), &cache, kPage);
@@ -90,28 +130,55 @@ TEST(ApaxLeafTest, StatsCheckedAtParseDecodedOnDemand) {
   Shredded data;
   for (int64_t i = 10; i < 50; ++i) data.Add(i, i * 7, "t" + std::to_string(i));
   ASSERT_TRUE(EmitApaxLeaf(data.writers.get(), writer->get(), false).ok());
-  ASSERT_TRUE((*writer)->Finish(Slice("")).ok());
-  auto reader = ComponentReader::Open(TempPath("apax_stats"), &cache, kPage);
-  ASSERT_TRUE(reader.ok());
-  Buffer payload;
-  ASSERT_TRUE((*reader)->ReadLeaf(0, &payload).ok());
+  // A field first seen after the leaf was cut: a column it predates.
+  Value later = Value::MakeObject();
+  later.Set("id", Value::Int(50));
+  later.Set("later", Value::Int(1));
+  ASSERT_TRUE(data.shredder->Shred(later).ok());
+  ASSERT_EQ(data.schema.column_count(), 4);
+  auto component =
+      FinishComponent(writer->get(), TempPath("apax_stats"), LayoutKind::kApax,
+                      false, data.schema, &cache);
 
-  ApaxLeaf leaf;
-  ASSERT_TRUE(leaf.Parse(payload.slice()).ok());
-  auto num = leaf.stats(1);
-  ASSERT_TRUE(num.ok());
-  EXPECT_TRUE(num->has_stats);
-  EXPECT_EQ(num->type, AtomicType::kInt64);
-  EXPECT_EQ(num->min_int, 70);
-  EXPECT_EQ(num->max_int, 343);
-  auto txt = leaf.stats(2);
-  ASSERT_TRUE(txt.ok());
-  EXPECT_EQ(txt->type, AtomicType::kString);
-  EXPECT_EQ(txt->min_string, "t10");
-  EXPECT_EQ(txt->max_string, "t49");
-  auto absent = leaf.stats(7);  // a column this leaf predates
-  ASSERT_TRUE(absent.ok());
-  EXPECT_FALSE(absent->has_stats);
+  const ZoneMap num = LeafZone(*component, 1);
+  EXPECT_TRUE(num.has_values);
+  EXPECT_EQ(num.type, AtomicType::kInt64);
+  EXPECT_EQ(num.min_int, 70);
+  EXPECT_EQ(num.max_int, 343);
+  const ColumnInfo& num_info = data.schema.column(1);
+  EXPECT_TRUE(ZoneOverlaps(num, num_info, Value::Int(343), Value::Missing()));
+  EXPECT_FALSE(ZoneOverlaps(num, num_info, Value::Int(344), Value::Missing()));
+  EXPECT_FALSE(ZoneOverlaps(num, num_info, Value::Missing(), Value::Int(69)));
+  const ZoneMap txt = LeafZone(*component, 2);
+  EXPECT_EQ(txt.type, AtomicType::kString);
+  EXPECT_FALSE(txt.string_prefixes);  // APAX keeps the full values
+  EXPECT_EQ(txt.min_string, "t10");
+  EXPECT_EQ(txt.max_string, "t49");
+  const ColumnInfo& txt_info = data.schema.column(2);
+  EXPECT_TRUE(ZoneOverlaps(txt, txt_info, Value::String("t49"),
+                           Value::String("t49")));
+  EXPECT_FALSE(ZoneOverlaps(txt, txt_info, Value::String("t490"),
+                            Value::Missing()));
+  EXPECT_FALSE(LeafZone(*component, 3).has_values);  // predates the column
+
+  // The unit a zone read pins serves the column's chunk without a fetch.
+  ColumnarLeaf leaf;
+  ASSERT_TRUE(component->OpenColumnarLeaf(0, &leaf, CacheUse::kInstall).ok());
+  CacheHandle unit;
+  ZoneMap zone;
+  ASSERT_TRUE(component->ColumnZone(&leaf, 1, &unit, &zone).ok());
+  ASSERT_TRUE(unit.valid());
+  const uint64_t hits = cache.stats().hits;
+  const uint64_t misses = cache.stats().misses;
+  Slice chunk;
+  ASSERT_TRUE(component->ColumnChunk(&leaf, 1, &unit, &chunk).ok());
+  EXPECT_EQ(cache.stats().hits, hits);
+  EXPECT_EQ(cache.stats().misses, misses);
+  Buffer payload;
+  ASSERT_TRUE(component->ReadLeaf(0, &payload).ok());
+  ApaxLeaf parsed;
+  ASSERT_TRUE(parsed.Parse(payload.slice()).ok());
+  EXPECT_EQ(chunk, parsed.chunk(1));
 
   // Every truncation is Corruption.
   for (size_t n = 0; n < payload.size(); ++n) {
@@ -125,7 +192,7 @@ TEST(ApaxLeafTest, StatsCheckedAtParseDecodedOnDemand) {
   header.AppendVarint64(3);
   header.AppendSignedVarint64(10);
   header.AppendSignedVarint64(49);
-  for (int c = 0; c < 3; ++c) header.AppendVarint64(leaf.chunk(c).size());
+  for (int c = 0; c < 3; ++c) header.AppendVarint64(parsed.chunk(c).size());
   Buffer bad;
   bad.Append(payload.slice());
   ASSERT_EQ(bad.data()[header.size()], 1);  // column 0 has stats
@@ -150,7 +217,9 @@ TEST(AmaxLeafTest, PageZeroLayoutAndMegapageOrdering) {
   options.page_size = kPage;
   options.compress = false;
   ASSERT_TRUE(EmitAmaxLeaf(data.writers.get(), writer->get(), options).ok());
-  ASSERT_TRUE((*writer)->Finish(Slice("")).ok());
+  auto component =
+      FinishComponent(writer->get(), TempPath("amax"), LayoutKind::kAmax,
+                      false, data.schema, &cache);
 
   auto reader = ComponentReader::Open(TempPath("amax"), &cache, kPage);
   ASSERT_TRUE(reader.ok());
@@ -172,11 +241,17 @@ TEST(AmaxLeafTest, PageZeroLayoutAndMegapageOrdering) {
   EXPECT_GT(txt.size, num.size);
   EXPECT_GT(num.offset, txt.offset);
 
-  // Zone filter prefixes: num values are 1000..1049.
-  EXPECT_TRUE(AmaxIntRangeOverlaps(num, 1049, 2000));
-  EXPECT_TRUE(AmaxIntRangeOverlaps(num, 900, 1000));
-  EXPECT_FALSE(AmaxIntRangeOverlaps(num, 0, 999));
-  EXPECT_FALSE(AmaxIntRangeOverlaps(num, 1050, 9999));
+  // Zone maps from the Page-0 prefixes: num values are 1000..1049.
+  const ZoneMap num_zone = LeafZone(*component, 1);
+  const ColumnInfo& num_info = data.schema.column(1);
+  EXPECT_TRUE(
+      ZoneOverlaps(num_zone, num_info, Value::Int(1049), Value::Int(2000)));
+  EXPECT_TRUE(
+      ZoneOverlaps(num_zone, num_info, Value::Int(900), Value::Int(1000)));
+  EXPECT_FALSE(
+      ZoneOverlaps(num_zone, num_info, Value::Int(0), Value::Int(999)));
+  EXPECT_FALSE(
+      ZoneOverlaps(num_zone, num_info, Value::Int(1050), Value::Int(9999)));
 
   // The txt megapage decodes after stripping its full min/max prefix.
   Buffer raw;
@@ -193,6 +268,24 @@ TEST(AmaxLeafTest, PageZeroLayoutAndMegapageOrdering) {
   ColumnRecord rec;
   ASSERT_TRUE(txt_reader.NextRecord(&rec).ok());
   EXPECT_EQ(rec.values.size(), 1u);
+
+  // String zones hold 8-byte prefixes: a bound past the max but sharing
+  // its first 8 bytes may match; one past them may not.
+  const ZoneMap txt_zone = LeafZone(*component, 2);
+  const ColumnInfo& txt_info = data.schema.column(2);
+  EXPECT_TRUE(txt_zone.string_prefixes);
+  EXPECT_EQ(txt_zone.min_string, lo.substr(0, 8));
+  EXPECT_EQ(txt_zone.max_string, hi.substr(0, 8));
+  EXPECT_TRUE(ZoneOverlaps(txt_zone, txt_info, Value::String(lo),
+                           Value::String(lo)));
+  EXPECT_TRUE(ZoneOverlaps(txt_zone, txt_info, Value::String(hi + "~"),
+                           Value::Missing()));
+  EXPECT_FALSE(ZoneOverlaps(txt_zone, txt_info,
+                            Value::String(hi.substr(0, 7) + "~"),
+                            Value::Missing()));
+  EXPECT_FALSE(ZoneOverlaps(txt_zone, txt_info, Value::Missing(),
+                            Value::String("")));
+  component.reset();
   RemoveFileIfExists(TempPath("amax"));
 }
 

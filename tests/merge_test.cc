@@ -10,6 +10,8 @@
 //  * merge observability counters (records in/out, runs, adopted leaves);
 //  * the whole-leaf adoption fast path on disjoint (append-style) inputs,
 //    and its guard against splicing leaves of another compression setting;
+//  * a cold merge of wide inputs reads each input page at most once and
+//    installs nothing in the buffer cache;
 //  * a leaf whose index claims more records than its key column holds is
 //    refused by scans and merges alike.
 
@@ -458,6 +460,65 @@ TEST_P(LeafKeyCountTest, ScanAndMergeReturnCorruption) {
   const Status merge = ds->MergeAll();
   EXPECT_TRUE(merge.IsCorruption()) << merge.ToString();
 }
+
+// The vertical merge's column streams share one read of each input leaf:
+// a cold MergeAll over wide, interleaved inputs (nothing adoptable) reads
+// each input page at most once, however many columns reach it, and, as a
+// one-shot reader, leaves nothing in the cache. The inputs are small
+// enough (a few leaves each) that the merge's per-input leaf cache still
+// holds every leaf the PK phase opened when the columns are copied.
+class MergeIoTest : public MergeTest {};
+
+TEST_P(MergeIoTest, ColdMergeAllReadsEachInputPageOnceAndCachesNothing) {
+  auto ds = MustOpen(BaseOptions("ds"), cache_.get());
+  constexpr int kFields = 60;
+  constexpr int kInputs = 3;
+  Rng rng(7);
+  for (int64_t input = 0; input < kInputs; ++input) {
+    for (int64_t id = input; id < 450; id += kInputs) {
+      Value v = Value::MakeObject();
+      v.Set("id", Value::Int(id));
+      for (int f = 0; f < kFields; ++f) {
+        v.Set("f" + std::to_string(f),
+              Value::Int(static_cast<int64_t>(rng.Uniform(1000))));
+      }
+      ASSERT_TRUE(ds->Insert(v).ok());
+    }
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+  ASSERT_EQ(ds->component_count(), static_cast<size_t>(kInputs));
+  ASSERT_GT(ds->component(0).schema()->column_count(), 50);
+  uint64_t input_pages = 0;
+  size_t input_leaves = 0;
+  for (size_t c = 0; c < ds->component_count(); ++c) {
+    for (const LeafEntry& leaf : ds->component(c).reader().leaves()) {
+      input_pages += leaf.page_count;
+      ++input_leaves;
+    }
+  }
+  ASSERT_GT(input_leaves, static_cast<size_t>(kInputs));
+  const std::map<int64_t, std::string> before = ScanAll(ds.get());
+
+  // The snapshot keeps the inputs open, so a unit of theirs the merge
+  // installed would stay in the cache.
+  auto inputs = ds->GetSnapshot();
+  cache_->Clear();
+  cache_->ResetStats();
+  ASSERT_TRUE(ds->MergeAll().ok());
+  EXPECT_GT(cache_->stats().pages_read, 0u);
+  EXPECT_LE(cache_->stats().pages_read, input_pages);
+  EXPECT_EQ(cache_->cached_bytes(), 0u);
+  EXPECT_EQ(ds->stats().merge_leaves_adopted, 0u);
+  ASSERT_EQ(ds->component_count(), 1u);
+  EXPECT_EQ(ScanAll(ds.get()), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Columnar, MergeIoTest,
+                         ::testing::Values(LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Columnar, LeafKeyCountTest,
                          ::testing::Values(LayoutKind::kApax,

@@ -302,7 +302,7 @@ TEST(WalGroupCommit, MidGroupCutRecoversExactPrefix) {
 
   std::vector<uint64_t> frame_end;  // file size after each synced record
   {
-    auto ref = WriteAheadLog::Open(ref_dir, "log", UnitOptions(false), 1, 1);
+    auto ref = WriteAheadLog::Open(ref_dir, "log", UnitOptions(false), IoRetryOptions(), 1, 1);
     ASSERT_TRUE(ref.ok());
     frame_end.push_back(
         std::filesystem::file_size(WalSegmentPath(ref_dir, "log", 1)));
@@ -316,7 +316,7 @@ TEST(WalGroupCommit, MidGroupCutRecoversExactPrefix) {
   }
   {
     // Same records, one group: six appends, a single Sync, one fsync.
-    auto grp = WriteAheadLog::Open(grp_dir, "log", UnitOptions(true), 1, 1);
+    auto grp = WriteAheadLog::Open(grp_dir, "log", UnitOptions(true), IoRetryOptions(), 1, 1);
     ASSERT_TRUE(grp.ok());
     uint64_t last = 0;
     for (int i = 0; i < kRecords; ++i) {
@@ -361,7 +361,7 @@ TEST(WalGroupCommit, ConcurrentWritersShareFsyncs) {
   constexpr int kPerThread = 40;
   auto wal =
       WriteAheadLog::Open(dir, "log", UnitOptions(true, /*window_us=*/2000),
-                          1, 1);
+                          IoRetryOptions(), 1, 1);
   ASSERT_TRUE(wal.ok());
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -397,7 +397,7 @@ TEST(WalGroupCommit, ConcurrentWritersShareFsyncs) {
 TEST(WalReplayTest, CorruptionInNonFinalSegmentFails) {
   const std::string dir = WalUnitDir("old_segment_corrupt");
   {
-    auto wal = WriteAheadLog::Open(dir, "log", UnitOptions(false), 1, 1);
+    auto wal = WriteAheadLog::Open(dir, "log", UnitOptions(false), IoRetryOptions(), 1, 1);
     ASSERT_TRUE(wal.ok());
     for (int i = 0; i < 3; ++i) {
       auto lsn = (*wal)->Append(false, i, Slice("row"));
