@@ -66,12 +66,13 @@ void ColumnChunkWriter::AddString(Slice v) {
   LSMCOL_DCHECK(info_.type == AtomicType::kString);
   NoteValue();
   strings_.Add(v);
-  std::string s = v.ToString();
+  const std::string_view sv = v.view();
   if (value_count_ == 1) {
-    min_string_ = max_string_ = s;
+    min_string_.assign(sv);
+    max_string_.assign(sv);
   } else {
-    if (s < min_string_) min_string_ = s;
-    if (s > max_string_) max_string_ = s;
+    if (sv < std::string_view(min_string_)) min_string_.assign(sv);
+    if (sv > std::string_view(max_string_)) max_string_.assign(sv);
   }
 }
 
@@ -270,7 +271,7 @@ void ColumnWriterSet::SyncWithSchema() {
     const ColumnInfo& info = schema_->column(static_cast<int>(writers_.size()));
     auto writer = std::make_unique<ColumnChunkWriter>(info);
     // Backfill: previous records of this chunk never saw this column.
-    for (size_t i = 0; i < record_count_; ++i) writer->AddNull(0);
+    writer->AddNullRun(0, record_count_);
     writers_.push_back(std::move(writer));
   }
 }

@@ -10,9 +10,11 @@ void RecordShredder::MaterializePending(int column_id) {
   }
 }
 
-void RecordShredder::EmitNull(int column_id, int def) {
-  MaterializePending(column_id);
-  writers_->writer(column_id).AddNull(def);
+void RecordShredder::EmitNulls(const SchemaNode& node, int def) {
+  for (const int column_id : node.columns()) {
+    MaterializePending(column_id);
+    writers_->writer(column_id).AddNull(def);
+  }
 }
 
 void RecordShredder::EmitValue(const SchemaNode& leaf, const Value& v) {
@@ -24,6 +26,7 @@ void RecordShredder::EmitValue(const SchemaNode& leaf, const Value& v) {
       w.AddBool(v.bool_value());
       break;
     case AtomicType::kInt64:
+      // Also the PK: a present key at its def 1 is AddKey(key, false).
       w.AddInt64(v.int_value());
       break;
     case AtomicType::kDouble:
@@ -35,24 +38,36 @@ void RecordShredder::EmitValue(const SchemaNode& leaf, const Value& v) {
   }
 }
 
-void RecordShredder::FlushNulls(const SchemaNode& node, int def) {
-  switch (node.kind()) {
-    case SchemaNode::Kind::kAtomic:
-      EmitNull(node.column_id(), def);
-      break;
-    case SchemaNode::Kind::kObject:
-      for (const auto& [name, child] : node.fields()) FlushNulls(*child, def);
-      break;
-    case SchemaNode::Kind::kArray:
-      if (node.item() != nullptr) FlushNulls(*node.item(), def);
-      break;
-    case SchemaNode::Kind::kUnion:
-      for (const auto& alt : node.alternatives()) FlushNulls(*alt, def);
-      break;
+void RecordShredder::WalkObject(const SchemaNode& node, const Value& v,
+                                int array_depth) {
+  LSMCOL_DCHECK(v.is_object());
+  const auto& fields = node.fields();
+  // seen_ is a stack with one flag per field of each object being walked.
+  const size_t base = seen_.size();
+  seen_.resize(base + fields.size(), 0);
+  int hint = 0;
+  for (const auto& [name, field] : v.object()) {
+    // Every non-null member has a field (the schema was merged first); the
+    // first of duplicate names counts, as Value::Get finds it.
+    const int i = node.FieldIndex(name, hint);
+    if (i < 0 || seen_[base + static_cast<size_t>(i)] != 0) continue;
+    hint = i + 1;
+    seen_[base + static_cast<size_t>(i)] = 1;
+    const SchemaNode& child = *fields[static_cast<size_t>(i)].second;
+    if (field.is_null() || field.is_missing()) {
+      EmitNulls(child, node.def_level());
+    } else {
+      WalkValue(child, field, array_depth);
+    }
   }
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (seen_[base + i] == 0) EmitNulls(*fields[i].second, node.def_level());
+  }
+  seen_.resize(base);
 }
 
-void RecordShredder::WalkArray(const SchemaNode& array_node, const Value& v) {
+void RecordShredder::WalkArray(const SchemaNode& array_node, const Value& v,
+                               int array_depth) {
   const SchemaNode* item = array_node.item();
   if (item == nullptr) {
     // The array has never held a (non-null) element anywhere in the
@@ -63,98 +78,46 @@ void RecordShredder::WalkArray(const SchemaNode& array_node, const Value& v) {
   }
   const int array_def = array_node.def_level();
 
-  // Mark outer arrays open (for the record-terminating delimiter) —
-  // only when this array is the column's outermost.
-  struct Marker {
-    RecordShredder* self;
-    int array_def;
-    void Mark(const SchemaNode& n) {
-      switch (n.kind()) {
-        case SchemaNode::Kind::kAtomic: {
-          const ColumnInfo& info =
-              self->schema_->column(n.column_id());
-          if (!info.array_defs.empty() && info.array_defs[0] == array_def) {
-            ColumnState& st = self->states_[n.column_id()];
-            if (!st.outer_open) {
-              st.outer_open = true;
-              self->touched_arrays_.push_back(n.column_id());
-            }
-          }
-          break;
-        }
-        case SchemaNode::Kind::kObject:
-          for (const auto& [name, child] : n.fields()) Mark(*child);
-          break;
-        case SchemaNode::Kind::kArray:
-          if (n.item() != nullptr) Mark(*n.item());
-          break;
-        case SchemaNode::Kind::kUnion:
-          for (const auto& alt : n.alternatives()) Mark(*alt);
-          break;
+  // An outermost array is open until the record ends, which closes it
+  // with delimiter 0.
+  if (array_depth == 0) {
+    for (const int column_id : array_node.columns()) {
+      ColumnState& st = states_[column_id];
+      if (!st.outer_open) {
+        st.outer_open = true;
+        touched_arrays_.push_back(column_id);
       }
     }
-  };
-  Marker marker{this, array_def};
-  marker.Mark(*item);
+  }
 
-  size_t emitted = 0;
   for (const Value& element : v.array()) {
     if (element.is_null() || element.is_missing()) {
       // A null element occupies a position: def = the array's level.
-      FlushNulls(*item, array_def);
+      EmitNulls(*item, array_def);
     } else {
-      WalkPresent(*item, element);
+      WalkValue(*item, element, array_depth + 1);
     }
-    ++emitted;
   }
-  if (emitted == 0) {
+  if (v.array().empty()) {
     // Present-but-empty array: one entry at the array's level (§3.2.1 —
     // conflated with a single-null-element array at def granularity).
-    FlushNulls(*item, array_def);
+    EmitNulls(*item, array_def);
   }
 
   // Close this array instance: set the pending delimiter to the number of
-  // arrays that remain open (the 0-based index of this array among each
-  // column's array ancestors). Inner delimiters already pending are
-  // subsumed (§3.2.1).
-  struct Closer {
-    RecordShredder* self;
-    int array_def;
-    void Close(const SchemaNode& n) {
-      switch (n.kind()) {
-        case SchemaNode::Kind::kAtomic: {
-          const ColumnInfo& info = self->schema_->column(n.column_id());
-          int idx = -1;
-          for (size_t i = 0; i < info.array_defs.size(); ++i) {
-            if (info.array_defs[i] == array_def) {
-              idx = static_cast<int>(i);
-              break;
-            }
-          }
-          LSMCOL_DCHECK(idx >= 0);
-          ColumnState& st = self->states_[n.column_id()];
-          if (st.pending_delim < 0 || idx < st.pending_delim) {
-            st.pending_delim = idx;
-          }
-          break;
-        }
-        case SchemaNode::Kind::kObject:
-          for (const auto& [name, child] : n.fields()) Close(*child);
-          break;
-        case SchemaNode::Kind::kArray:
-          if (n.item() != nullptr) Close(*n.item());
-          break;
-        case SchemaNode::Kind::kUnion:
-          for (const auto& alt : n.alternatives()) Close(*alt);
-          break;
-      }
+  // arrays that remain open around it, its depth among each column's
+  // array ancestors. Inner delimiters already pending are subsumed
+  // (§3.2.1).
+  for (const int column_id : array_node.columns()) {
+    ColumnState& st = states_[column_id];
+    if (st.pending_delim < 0 || array_depth < st.pending_delim) {
+      st.pending_delim = array_depth;
     }
-  };
-  Closer closer{this, array_def};
-  closer.Close(*item);
+  }
 }
 
-void RecordShredder::WalkPresent(const SchemaNode& node, const Value& v) {
+void RecordShredder::WalkValue(const SchemaNode& node, const Value& v,
+                                 int array_depth) {
   switch (node.kind()) {
     case SchemaNode::Kind::kUnion: {
       const SchemaNode* alt = node.FindAlternative(v);
@@ -163,27 +126,18 @@ void RecordShredder::WalkPresent(const SchemaNode& node, const Value& v) {
         if (other.get() != alt) {
           // The branch not taken is NULL at the union position's parent
           // (union nodes add no def level, §3.2.2).
-          FlushNulls(*other, node.def_level() - 1);
+          EmitNulls(*other, node.def_level() - 1);
         }
       }
-      WalkPresent(*alt, v);
+      WalkValue(*alt, v, array_depth);
       break;
     }
-    case SchemaNode::Kind::kObject: {
-      LSMCOL_DCHECK(v.is_object());
-      for (const auto& [name, child] : node.fields()) {
-        const Value& fv = v.Get(name);
-        if (fv.is_null() || fv.is_missing()) {
-          FlushNulls(*child, node.def_level());
-        } else {
-          WalkPresent(*child, fv);
-        }
-      }
+    case SchemaNode::Kind::kObject:
+      WalkObject(node, v, array_depth);
       break;
-    }
     case SchemaNode::Kind::kArray:
       LSMCOL_DCHECK(v.is_array());
-      WalkArray(node, v);
+      WalkArray(node, v, array_depth);
       break;
     case SchemaNode::Kind::kAtomic:
       EmitValue(node, v);
@@ -197,19 +151,8 @@ Status RecordShredder::Shred(const Value& record) {
   states_.resize(schema_->column_count());
   touched_arrays_.clear();
 
-  const int64_t key = record.Get(schema_->pk_field()).int_value();
-  for (const auto& [name, child] : schema_->root().fields()) {
-    if (name == schema_->pk_field()) {
-      writers_->writer(0).AddKey(key, /*anti_matter=*/false);
-      continue;
-    }
-    const Value& fv = record.Get(name);
-    if (fv.is_null() || fv.is_missing()) {
-      FlushNulls(*child, 0);
-    } else {
-      WalkPresent(*child, fv);
-    }
-  }
+  // The record's members, the PK (column 0) among them.
+  WalkObject(schema_->root(), record, 0);
 
   // Terminate open outer arrays with the record's closing delimiter 0.
   for (int column_id : touched_arrays_) {
@@ -225,12 +168,11 @@ Status RecordShredder::Shred(const Value& record) {
 Status RecordShredder::ShredAntiMatter(int64_t key) {
   writers_->SyncWithSchema();
   states_.resize(schema_->column_count());
-  for (const auto& [name, child] : schema_->root().fields()) {
-    if (name == schema_->pk_field()) {
-      writers_->writer(0).AddKey(key, /*anti_matter=*/true);
-    } else {
-      FlushNulls(*child, 0);
-    }
+  writers_->writer(0).AddKey(key, /*anti_matter=*/true);
+  // Every other column, ascending after column 0, gets a def-0 NULL.
+  const std::span<const int> columns = schema_->root().columns();
+  for (size_t i = 1; i < columns.size(); ++i) {
+    writers_->writer(columns[i]).AddNull(0);
   }
   writers_->NoteRecordComplete();
   return Status::OK();

@@ -2,7 +2,10 @@
 // extended-Dremel columns (§3.2, §4.5). Each Shred() call first extends
 // the schema (tuple-compactor inference, §2.2) and then walks the record
 // once, emitting (def, value) entries — with suppressed inner delimiters
-// (§3.2.1) — into the per-column chunk writers.
+// (§3.2.1) — into the per-column chunk writers. The walk follows the
+// record's members, finding each one's schema field by name; the columns
+// of a field the record lacks get their NULLs from the field's column
+// list (SchemaNode::columns), without a walk of its subtree.
 
 #ifndef LSMCOL_COLUMNAR_SHREDDER_H_
 #define LSMCOL_COLUMNAR_SHREDDER_H_
@@ -37,19 +40,22 @@ class RecordShredder {
     bool outer_open = false;  // outermost array entered this record
   };
 
-  void EmitNull(int column_id, int def);
+  /// Emit a NULL entry at `def` for every column under `node`.
+  void EmitNulls(const SchemaNode& node, int def);
   void EmitValue(const SchemaNode& leaf, const Value& v);
   void MaterializePending(int column_id);
 
-  void WalkPresent(const SchemaNode& node, const Value& v);
-  /// Emit NULL entries at `def` for every column under `node`.
-  void FlushNulls(const SchemaNode& node, int def);
-  void WalkArray(const SchemaNode& array_node, const Value& v);
+  // `array_depth` counts the arrays around `node`.
+  void WalkValue(const SchemaNode& node, const Value& v, int array_depth);
+  void WalkObject(const SchemaNode& node, const Value& v, int array_depth);
+  void WalkArray(const SchemaNode& array_node, const Value& v,
+                 int array_depth);
 
   Schema* schema_;
   ColumnWriterSet* writers_;
   std::vector<ColumnState> states_;
   std::vector<int> touched_arrays_;  // columns whose outer array opened
+  std::vector<uint8_t> seen_;  // WalkObject: fields met, per open object
 };
 
 }  // namespace lsmcol

@@ -200,18 +200,34 @@ uint8_t* CompressTokens(const uint8_t* p, size_t n, uint8_t* op) {
   return EmitLiterals(p + literal_start, p + n, op);
 }
 
-/// Decodes tokens from [ip, ip_end) into exactly [op_begin, op_end). Runs a
-/// fast loop while both streams have kFastSlack bytes to spare, then a
-/// fully bounds-checked tail. Bytes past op but before op_end may hold
-/// leftovers of the fast loop's whole-chunk copies; every later token
-/// overwrites them, and an error leaves the range to the caller to drop.
-Status DecodeTokens(const uint8_t* ip, const uint8_t* const ip_end,
-                    uint8_t* const op_begin, uint8_t* const op_end) {
-  uint8_t* op = op_begin;
+/// Where a decode stands: the input left, and the output decoded so far
+/// (op) within the room [op_begin, op_end) there is for it.
+struct TokenStream {
+  const uint8_t* ip;
+  const uint8_t* ip_end;
+  uint8_t* op_begin;
+  uint8_t* op;
+  uint8_t* op_end;
+};
+
+/// Decodes whole tokens until the output reaches `target` (op <= target <=
+/// op_end), stopping at the first token boundary at or past it with `s`
+/// ready to resume. Runs a fast loop while both streams have
+/// kFastSlack bytes to spare, then a fully bounds-checked tail. Bytes past
+/// op but before op_end may hold leftovers of the fast loop's whole-chunk
+/// copies; every later token overwrites them, and an error leaves the
+/// range to the caller to drop.
+Status DecodeTokens(TokenStream* s, const uint8_t* const target) {
+  const uint8_t* ip = s->ip;
+  const uint8_t* const ip_end = s->ip_end;
+  uint8_t* const op_begin = s->op_begin;
+  uint8_t* const op_end = s->op_end;
+  uint8_t* op = s->op;
   if (ip_end - ip > static_cast<ptrdiff_t>(kFastSlack) &&
       op_end - op > static_cast<ptrdiff_t>(kFastSlack)) {
     const uint8_t* const ip_limit = ip_end - kFastSlack;
-    uint8_t* const op_limit = op_end - kFastSlack;
+    const uint8_t* const op_limit = std::min<const uint8_t*>(
+        op_end - kFastSlack, target);
     while (ip < ip_limit && op < op_limit) {
       const uint8_t tag = *ip++;
       if ((tag & 1) == 0) {
@@ -254,7 +270,7 @@ Status DecodeTokens(const uint8_t* ip, const uint8_t* const ip_end,
     }
   }
 
-  while (op < op_end) {
+  while (op < target) {
     if (ip == ip_end) return Status::Corruption("truncated LZ tag");
     const uint8_t tag = *ip++;
     if ((tag & 1) == 0) {
@@ -286,6 +302,22 @@ Status DecodeTokens(const uint8_t* ip, const uint8_t* const ip_end,
     for (size_t k = 0; k < len; ++k) op[k] = src[k];
     op += len;
   }
+  s->ip = ip;
+  s->op = op;
+  return Status::OK();
+}
+
+/// Reads a stream's header: its declared output length, and the tokens
+/// that follow it.
+Status ReadHeader(Slice input, uint64_t* declared, Slice* tokens) {
+  BufferReader reader(input);
+  LSMCOL_RETURN_NOT_OK(reader.ReadVarint64(declared));
+  // Every token that produces bytes occupies >= 2 and yields <= kMaxMatch
+  // of them, so a larger claim is corrupt; reject it before allocating.
+  if (*declared > reader.remaining() / 2 * kMaxMatch) {
+    return Status::Corruption("LZ declared length exceeds the stream");
+  }
+  *tokens = reader.rest();
   return Status::OK();
 }
 
@@ -316,21 +348,57 @@ void LzCompress(Slice input, Buffer* out) {
   out->ShrinkToFit();
 }
 
-Status LzDecompress(Slice input, Buffer* out) {
-  BufferReader reader(input);
+Status LzDecoder::Reset(Slice input, Buffer* out) {
+  out_ = out;
+  base_ = out->size();
+  tokens_ = Slice();
+  size_ = 0;
+  decoded_ = 0;
   uint64_t declared = 0;
-  LSMCOL_RETURN_NOT_OK(reader.ReadVarint64(&declared));
-  // Every token that produces bytes occupies >= 2 and yields <= kMaxMatch
-  // of them, so a larger claim is corrupt; reject it before allocating.
-  if (declared > reader.remaining() / 2 * kMaxMatch) {
-    return Status::Corruption("LZ declared length exceeds the stream");
+  status_ = ReadHeader(input, &declared, &tokens_);
+  if (status_.ok()) size_ = declared;
+  return status_;
+}
+
+void LzDecoder::Reserve(size_t n) {
+  n = std::min(n, size_);
+  const size_t room = out_->size() - base_;
+  if (room < n) out_->AppendUninitialized(n - room);
+}
+
+Status LzDecoder::DecodeTo(size_t n) {
+  if (!status_.ok() || decoded_ >= n || decoded_ == size_) return status_;
+  n = std::min(n, size_);
+  // A token that starts before n ends, whole-chunk copies included, less
+  // than kFastSlack bytes past it: the room the loop may write into.
+  Reserve(n + kFastSlack);
+  uint8_t* const op_begin =
+      reinterpret_cast<uint8_t*>(out_->mutable_data() + base_);
+  TokenStream stream{tokens_.udata(), tokens_.udata() + tokens_.size(),
+                     op_begin, op_begin + decoded_,
+                     op_begin + (out_->size() - base_)};
+  status_ = DecodeTokens(&stream, op_begin + n);
+  if (!status_.ok()) {
+    // A stream that fails exposes nothing, not even the prefix before
+    // the bad token.
+    decoded_ = 0;
+    return status_;
   }
+  tokens_ = Slice(reinterpret_cast<const char*>(stream.ip),
+                  static_cast<size_t>(stream.ip_end - stream.ip));
+  decoded_ = static_cast<size_t>(stream.op - op_begin);
+  return status_;
+}
+
+Status LzDecompress(Slice input, Buffer* out) {
   const size_t start = out->size();
-  out->reserve(start + declared);
-  uint8_t* const op =
-      reinterpret_cast<uint8_t*>(out->AppendUninitialized(declared));
-  const uint8_t* ip = reader.rest().udata();
-  Status s = DecodeTokens(ip, ip + reader.remaining(), op, op + declared);
+  LzDecoder decoder;
+  Status s = decoder.Reset(input, out);
+  if (s.ok()) {
+    out->reserve(start + decoder.size());
+    decoder.Reserve(decoder.size());
+    s = decoder.DecodeTo(decoder.size());
+  }
   if (!s.ok()) out->resize(start);  // never expose undecoded bytes
   return s;
 }

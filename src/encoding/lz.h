@@ -26,8 +26,46 @@ void LzCompress(Slice input, Buffer* out);
 
 /// Decompress a stream produced by LzCompress, appending exactly its
 /// declared length to out. Any malformed input returns Corruption and
-/// leaves out unchanged.
+/// leaves out unchanged. An LzDecoder run to the stream's end.
 Status LzDecompress(Slice input, Buffer* out);
+
+/// Resumable decoding of one LzCompress stream: decodes a prefix of the
+/// output on demand, whole tokens at a time, so a reader that needs only
+/// the start of a page decodes only that. The output buffer likewise
+/// holds only about as much as has been asked for: it grows, moving
+/// data(), when a request needs more room than Reserve gave it.
+class LzDecoder {
+ public:
+  /// Start decoding `input` into `out`, after the bytes `out` already
+  /// holds; reads only the header. Neither is copied or owned: `input`
+  /// must outlive the decoding, and `out` the decoder. Corruption on a
+  /// bad header.
+  Status Reset(Slice input, Buffer* out);
+
+  /// The stream's declared output length.
+  size_t size() const { return size_; }
+  /// Output bytes decoded so far; each equals the whole decode's byte at
+  /// its offset.
+  size_t decoded() const { return decoded_; }
+  /// The output; its first decoded() bytes are valid.
+  const char* data() const { return out_->data() + base_; }
+
+  /// Make room for the first min(n, size()) bytes of output: data() does
+  /// not move again until a DecodeTo asks for more.
+  void Reserve(size_t n);
+  /// Decode until at least min(n, size()) bytes are decoded. A stream
+  /// that fails stays failed: this and every later call return its
+  /// Corruption, and decoded() drops to 0.
+  Status DecodeTo(size_t n);
+
+ private:
+  Buffer* out_ = nullptr;  // holds the output from offset base_ on
+  size_t base_ = 0;
+  Slice tokens_;           // the input not yet decoded
+  size_t size_ = 0;
+  size_t decoded_ = 0;
+  Status status_;
+};
 
 /// Upper bound of LzCompress output size for `n` input bytes.
 size_t LzMaxCompressedSize(size_t n);

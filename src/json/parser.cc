@@ -154,20 +154,24 @@ class Parser {
             out->push_back('\t');
             break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
             unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Error("bad \\u escape digit");
+            LSMCOL_RETURN_NOT_OK(ParseHex4(&code));
+            if (code >= 0xDC00 && code <= 0xDFFF) {
+              return Error("lone low surrogate in \\u escape");
+            }
+            if (code >= 0xD800 && code <= 0xDBFF) {
+              // A high surrogate must be followed by an escaped low one;
+              // the pair encodes one code point past U+FFFF.
+              unsigned low = 0;
+              if (text_.substr(pos_, 2) != "\\u") {
+                return Error("lone high surrogate in \\u escape");
               }
+              pos_ += 2;
+              LSMCOL_RETURN_NOT_OK(ParseHex4(&low));
+              if (low < 0xDC00 || low > 0xDFFF) {
+                return Error("lone high surrogate in \\u escape");
+              }
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
             AppendUtf8(out, code);
             break;
@@ -182,14 +186,39 @@ class Parser {
     return Error("unterminated string");
   }
 
+  /// Four hex digits of a \u escape.
+  Status ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') {
+        *code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return Error("bad \\u escape digit");
+      }
+    }
+    return Status::OK();
+  }
+
   static void AppendUtf8(std::string* out, unsigned code) {
     if (code < 0x80) {
       out->push_back(static_cast<char>(code));
     } else if (code < 0x800) {
       out->push_back(static_cast<char>(0xC0 | (code >> 6)));
       out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
+    } else if (code < 0x10000) {
       out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
       out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
       out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }

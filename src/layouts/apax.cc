@@ -1,6 +1,6 @@
 #include "src/layouts/apax.h"
 
-#include "src/encoding/lz.h"
+#include <algorithm>
 
 namespace lsmcol {
 namespace {
@@ -112,50 +112,110 @@ Status EmitApaxLeaf(ColumnWriterSet* writers, ComponentWriter* out,
   return st;
 }
 
-Status ApaxLeaf::Init(Slice payload, bool compressed) {
-  storage_.clear();
+Status ApaxLeaf::Open(Slice payload, bool compressed) {
+  payload_ = payload;
+  lazy_ = compressed;
   if (compressed) {
-    LSMCOL_RETURN_NOT_OK(LzDecompress(payload, &storage_));
+    image_buf_.clear();
+    LSMCOL_RETURN_NOT_OK(lz_.Reset(payload, &image_buf_));
+    image_size_ = lz_.size();
   } else {
-    storage_.Append(payload);
+    image_size_ = payload.size();
   }
-  return Parse(storage_.slice());
+  return ParseHead();
 }
 
-Status ApaxLeaf::Parse(Slice payload) {
-  BufferReader r(payload);
+Status ApaxLeaf::Init(Slice payload, bool compressed) {
+  if (!compressed) {
+    copy_.clear();
+    copy_.Append(payload);
+    payload = copy_.slice();
+  }
+  LSMCOL_RETURN_NOT_OK(Open(payload, compressed));
+  return Reach(image_size_);
+}
+
+Status ApaxLeaf::Reach(size_t end) {
+  return lazy_ ? lz_.DecodeTo(end) : Status::OK();
+}
+
+Status ApaxLeaf::ReachChunk(int column_id) {
+  if (lazy_) lz_.Reserve(image_size_);
+  return Reach(chunk_offsets_[static_cast<size_t>(column_id) + 1]);
+}
+
+Status ApaxLeaf::ParseHead() {
+  // The image may move as it grows: each step reads it after its Reach.
+  const size_t size = image_size_;
+  // The fixed header is four varints: at most 40 bytes.
+  LSMCOL_RETURN_NOT_OK(Reach(40));
+  BufferReader r(Slice(image(), std::min<size_t>(size, 40)));
   uint64_t record_count = 0, column_count = 0;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&record_count));
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&column_count));
   LSMCOL_RETURN_NOT_OK(r.ReadSignedVarint64(&min_key_));
   LSMCOL_RETURN_NOT_OK(r.ReadSignedVarint64(&max_key_));
+  size_t pos = static_cast<size_t>(r.rest().data() - image());
   // Each column takes at least a size byte and a stats byte: a count the
   // payload cannot hold is corrupt, not an allocation to attempt.
-  if (record_count > UINT32_MAX || column_count > r.remaining() / 2) {
+  if (record_count > UINT32_MAX || column_count > (size - pos) / 2) {
     return Status::Corruption("apax leaf: bad record or column count");
   }
   record_count_ = static_cast<uint32_t>(record_count);
   column_count_ = static_cast<uint32_t>(column_count);
-  // Chunk sizes first, held as sizes of slices that get their bytes once
-  // the stats table is behind.
-  chunks_.resize(column_count_);
-  for (Slice& chunk : chunks_) {
-    uint64_t size = 0;
-    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&size));
-    chunk = Slice(static_cast<const char*>(nullptr), size);
+
+  // Chunk sizes (varints of at most 10 bytes each). The chunks fill the
+  // payload's end, so their total places the stats table before them.
+  const size_t sizes_end = std::min<size_t>(size, pos + 10 * column_count);
+  LSMCOL_RETURN_NOT_OK(Reach(sizes_end));
+  r = BufferReader(Slice(image() + pos, sizes_end - pos));
+  chunk_offsets_.resize(column_count_ + 1);
+  uint64_t chunk_bytes = 0;
+  for (uint32_t c = 0; c < column_count_; ++c) {
+    uint64_t chunk_size = 0;
+    LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&chunk_size));
+    if (chunk_size > size) {
+      return Status::Corruption("apax leaf: chunk larger than the leaf");
+    }
+    chunk_offsets_[c + 1] = static_cast<size_t>(chunk_size);
+    chunk_bytes += chunk_size;
   }
+  pos = sizes_end - r.remaining();
+  if (chunk_bytes > size - pos) {
+    return Status::Corruption("apax leaf: chunks overrun the leaf");
+  }
+  chunk_offsets_[0] = size - static_cast<size_t>(chunk_bytes);
+  for (uint32_t c = 0; c < column_count_; ++c) {
+    chunk_offsets_[c + 1] += chunk_offsets_[c];
+  }
+
+  // The stats table, then the PK chunk: the rest of the head.
+  stats_begin_ = pos;
+  LSMCOL_RETURN_NOT_OK(Reach(chunk_offsets_[column_count_ > 0 ? 1 : 0]));
+  r = BufferReader(Slice(image() + pos, chunk_offsets_[0] - pos));
   // Every stats entry is checked here but decoded only from a column unit
   // (ParseApaxColumnUnit).
-  const char* const stats_begin = r.rest().data();
-  stats_offsets_.resize(column_count_);
-  for (uint32_t& offset : stats_offsets_) {
-    offset = static_cast<uint32_t>(r.rest().data() - stats_begin);
+  stats_offsets_.resize(column_count_ + 1);
+  for (uint32_t c = 0; c < column_count_; ++c) {
+    stats_offsets_[c] =
+        static_cast<uint32_t>(r.rest().data() - (image() + stats_begin_));
     LSMCOL_RETURN_NOT_OK(ReadChunkStats(&r, nullptr));
   }
-  stats_table_ = Slice(stats_begin, r.rest().data() - stats_begin);
-  for (Slice& chunk : chunks_) {
-    LSMCOL_RETURN_NOT_OK(r.ReadBytes(chunk.size(), &chunk));
+  if (r.remaining() != 0) {
+    return Status::Corruption("apax leaf: stats table and chunks disagree");
   }
+  stats_offsets_[column_count_] =
+      static_cast<uint32_t>(chunk_offsets_[0] - stats_begin_);
+  return Status::OK();
+}
+
+Status ApaxLeaf::Chunk(int column_id, Slice* out) {
+  *out = Slice();
+  if (column_id < 0 || static_cast<uint32_t>(column_id) >= column_count_) {
+    return Status::OK();
+  }
+  LSMCOL_RETURN_NOT_OK(ReachChunk(column_id));
+  *out = chunk(column_id);
   return Status::OK();
 }
 
@@ -166,19 +226,19 @@ void ApaxLeaf::HeadUnit(Buffer* out) const {
   out->Append(pk);
 }
 
-void ApaxLeaf::ColumnUnit(int column_id, Buffer* out) const {
+Status ApaxLeaf::ColumnUnit(int column_id, Buffer* out) {
   LSMCOL_DCHECK(column_id >= 1 &&
                 static_cast<uint32_t>(column_id) < column_count_);
   const auto c = static_cast<size_t>(column_id);
-  const uint32_t end = c + 1 < stats_offsets_.size()
-                           ? stats_offsets_[c + 1]
-                           : static_cast<uint32_t>(stats_table_.size());
-  const Slice entry = stats_table_.SubSlice(stats_offsets_[c],
-                                            end - stats_offsets_[c]);
-  out->reserve(out->size() + 4 + chunks_[c].size() + entry.size());
-  out->AppendFixed32(static_cast<uint32_t>(chunks_[c].size()));
-  out->Append(chunks_[c]);
+  LSMCOL_RETURN_NOT_OK(ReachChunk(column_id));
+  const Slice minipage = chunk(column_id);
+  const Slice entry(image() + stats_begin_ + stats_offsets_[c],
+                    stats_offsets_[c + 1] - stats_offsets_[c]);
+  out->reserve(out->size() + 4 + minipage.size() + entry.size());
+  out->AppendFixed32(static_cast<uint32_t>(minipage.size()));
+  out->Append(minipage);
   out->Append(entry);
+  return Status::OK();
 }
 
 Status ApaxHead::Parse(Slice unit) {

@@ -144,19 +144,13 @@ Result<CacheHandle> Component::FetchUnit(
   return unit;
 }
 
-Status Component::LoadApaxLeaf(ColumnarLeaf* leaf) const {
+Status Component::OpenApaxImage(ColumnarLeaf* leaf) const {
   if (leaf->image_leaf_ == leaf->leaf_) return Status::OK();
   leaf->image_leaf_ = SIZE_MAX;
-  Buffer& bytes = leaf->image_bytes_;
-  if (meta_.compressed) {
-    Buffer stored;
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf->leaf_, &stored));
-    bytes.clear();
-    LSMCOL_RETURN_NOT_OK(LzDecompress(stored.slice(), &bytes));
-  } else {
-    LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf->leaf_, &bytes));
-  }
-  LSMCOL_RETURN_NOT_OK(leaf->image_.Parse(bytes.slice()));
+  leaf->stored_.clear();
+  LSMCOL_RETURN_NOT_OK(reader_->ReadLeaf(leaf->leaf_, &leaf->stored_));
+  LSMCOL_RETURN_NOT_OK(
+      leaf->image_.Open(leaf->stored_.slice(), meta_.compressed));
   leaf->image_leaf_ = leaf->leaf_;
   return Status::OK();
 }
@@ -182,7 +176,7 @@ Result<CacheHandle> Component::DecodedLeaf(size_t leaf_index,
 Result<CacheHandle> Component::DecodedHead(ColumnarLeaf* leaf) const {
   if (meta_.layout == LayoutKind::kApax) {
     return FetchUnit(leaf->leaf_, -1, leaf->use_, [this, leaf](Buffer* out) {
-      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(leaf));
+      LSMCOL_RETURN_NOT_OK(OpenApaxImage(leaf));
       leaf->image_.HeadUnit(out);
       return Status::OK();
     });
@@ -208,16 +202,15 @@ Result<CacheHandle> Component::DecodedColumn(ColumnarLeaf* leaf,
   if (meta_.layout == LayoutKind::kApax) {
     return FetchUnit(leaf->leaf_, column_id, leaf->use_,
                      [this, &args](Buffer* out) {
-      LSMCOL_RETURN_NOT_OK(LoadApaxLeaf(args.leaf));
-      const ApaxLeaf& image = args.leaf->image_;
+      LSMCOL_RETURN_NOT_OK(OpenApaxImage(args.leaf));
+      ApaxLeaf& image = args.leaf->image_;
       if (static_cast<uint32_t>(args.column) >= image.column_count()) {
         return Status::Corruption("apax leaf " +
                                   std::to_string(args.leaf->leaf_) +
                                   " holds no column " +
                                   std::to_string(args.column));
       }
-      image.ColumnUnit(args.column, out);
-      return Status::OK();
+      return image.ColumnUnit(args.column, out);
     });
   }
   return FetchUnit(leaf->leaf_, column_id, leaf->use_,
@@ -268,12 +261,9 @@ Status Component::ColumnChunk(ColumnarLeaf* leaf, int column_id,
     if (apax && leaf->use_ == CacheUse::kOneShot) {
       // A one-shot reader reads every column of the leaf: cut the chunk
       // from the leaf's image rather than build a unit per column.
-      if (leaf->image_leaf_ != leaf->leaf_) {
-        LSMCOL_RETURN_NOT_OK(CheckReadable());
-        LSMCOL_RETURN_NOT_OK(NoteRead(LoadApaxLeaf(leaf)));
-      }
-      *chunk = leaf->image_.chunk(column_id);
-      return Status::OK();
+      LSMCOL_RETURN_NOT_OK(CheckReadable());
+      LSMCOL_RETURN_NOT_OK(NoteRead(OpenApaxImage(leaf)));
+      return NoteRead(leaf->image_.Chunk(column_id, chunk));
     }
     // An AMAX column unknown to the leaf has no megapage.
     if (!apax && leaf->page0_.extent(column_id).size == 0) {

@@ -28,10 +28,13 @@
 // reads a leaf through one handle, ColumnarLeaf: OpenColumnarLeaf pins
 // and parses its head, ColumnChunk returns a column's chunk and
 // ColumnZone a column's zone map. An AMAX column miss reads that column's
-// pages. An APAX miss reads the whole leaf once into an image the handle
-// keeps and cuts from it the units asked for (a one-shot reader, which
-// reads every column, takes its chunks straight from the image); the
-// leaf itself is never cached.
+// pages. An APAX miss reads the whole leaf once and opens an image of it
+// the handle keeps, decoded only as far as the handle's reads reach: the
+// head (stats table and PK chunk) on open, which is all a head-only
+// reader such as the merge's PK phase decodes, then each missed column's
+// chunk in turn. The units asked for are cut from it (a one-shot reader
+// takes its chunks straight from the image); the leaf itself is never
+// cached.
 //
 // Point lookups use no cursor: Component::Lookup checks the key fences,
 // binary-searches one leaf's keys (decoded once, kept as the head unit's
@@ -122,11 +125,12 @@ class ColumnarLeaf {
   uint32_t column_count_ = 0;   // columns the leaf holds; later ids absent
   Slice pk_chunk_;              // points into head_
   AmaxPageZero page0_;          // AMAX: parsed over head_
-  // APAX misses: the leaf's payload, read, decompressed and parsed once;
-  // every APAX unit a miss builds is cut from it.
+  // APAX misses: the leaf's payload, read once, and its image, decoded
+  // only as far as the misses have asked; every APAX unit a miss builds
+  // is cut from it.
   size_t image_leaf_ = SIZE_MAX;  // the leaf `image_` holds
-  Buffer image_bytes_;
-  ApaxLeaf image_;
+  Buffer stored_;                 // the payload as stored, read whole
+  ApaxLeaf image_;                // opened over stored_
   LeafPageMemo memo_;           // AMAX misses: pages shared by megapages
 };
 
@@ -217,8 +221,8 @@ class Component {
   /// pins it (from ColumnZone, or an earlier call in this leaf) it is not
   /// fetched again. Every miss in a leaf reads its pages at most once: a
   /// kOneShot APAX read cuts the chunk from the leaf, read whole into
-  /// `leaf` on the first miss, and builds no unit. Same rules as
-  /// DecodedLeaf.
+  /// `leaf` on the first miss and decoded up to the chunk's end, and
+  /// builds no unit. Same rules as DecodedLeaf.
   Status ColumnChunk(ColumnarLeaf* leaf, int column_id, CacheHandle* unit,
                      Slice* chunk) const;
   /// Column `column_id`'s (>= 1) zone map in `leaf`: the APAX stats entry,
@@ -272,10 +276,10 @@ class Component {
   /// a miss.
   Result<CacheHandle> FetchUnit(size_t leaf_index, int column, CacheUse use,
                                 const BufferCache::UnitLoader& load) const;
-  /// Read `leaf`'s APAX payload into its image unless it holds it already,
-  /// without the checks: the APAX units' miss path, whose result
-  /// FetchUnit notes.
-  Status LoadApaxLeaf(ColumnarLeaf* leaf) const;
+  /// Read `leaf`'s APAX payload and open its image (head decoded only)
+  /// unless it holds it already, without the checks: the APAX units' miss
+  /// path, whose result FetchUnit notes.
+  Status OpenApaxImage(ColumnarLeaf* leaf) const;
   /// `leaf`'s head unit (see OpenColumnarLeaf). An APAX miss reads the
   /// leaf into its image.
   Result<CacheHandle> DecodedHead(ColumnarLeaf* leaf) const;

@@ -162,7 +162,9 @@ class MergeLeafCache {
 
 /// Streams one component's primary keys, each leaf decoded in one batch
 /// (keys + anti-matter def levels) — the input side of the run-level
-/// merge's PK phase.
+/// merge's PK phase. It reads only a leaf's head: an APAX leaf's image is
+/// decoded up to the end of its PK chunk, the rest only if a column
+/// stream copies from the leaf rather than adopting it.
 class MergePkSource {
  public:
   MergePkSource(const Component* component, MergeLeafCache* leaf_cache)

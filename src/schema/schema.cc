@@ -1,6 +1,7 @@
 #include "src/schema/schema.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace lsmcol {
 
@@ -43,11 +44,38 @@ bool IsAtomicValue(const Value& v) {
 
 }  // namespace
 
-const SchemaNode* SchemaNode::FindField(std::string_view name) const {
-  for (const auto& [field_name, child] : fields_) {
-    if (field_name == name) return child.get();
+int SchemaNode::LookupField(std::string_view name) const {
+  if (field_slots_.empty()) return -1;
+  const size_t mask = field_slots_.size() - 1;
+  for (size_t slot = std::hash<std::string_view>{}(name) & mask;;
+       slot = (slot + 1) & mask) {
+    const int i = field_slots_[slot];
+    if (i < 0 || fields_[static_cast<size_t>(i)].first == name) return i;
   }
-  return nullptr;
+}
+
+void SchemaNode::IndexField(int index) {
+  const size_t mask = field_slots_.size() - 1;
+  size_t slot = std::hash<std::string_view>{}(
+                    fields_[static_cast<size_t>(index)].first) &
+                mask;
+  while (field_slots_[slot] >= 0) slot = (slot + 1) & mask;
+  field_slots_[slot] = index;
+}
+
+int SchemaNode::AddField(std::string_view name) {
+  const int index = static_cast<int>(fields_.size());
+  fields_.emplace_back(std::string(name), nullptr);
+  if (2 * fields_.size() <= field_slots_.size()) {
+    IndexField(index);
+    return index;
+  }
+  // Grow to a quarter full, re-adding the fields in order.
+  size_t size = 8;
+  while (size < 4 * fields_.size()) size *= 2;
+  field_slots_.assign(size, -1);
+  for (int i = 0; i <= index; ++i) IndexField(i);
+  return index;
 }
 
 const SchemaNode* SchemaNode::FindAlternative(const Value& v) const {
@@ -83,7 +111,8 @@ Schema::Schema(std::string pk_field) : pk_field_(std::move(pk_field)) {
   auto pk_node = std::make_unique<SchemaNode>(SchemaNode::Kind::kAtomic, 1);
   pk_node->atomic_type_ = AtomicType::kInt64;
   pk_node->column_id_ = 0;
-  root_->fields_.emplace_back(pk_field_, std::move(pk_node));
+  root_->fields_[root_->AddField(pk_field_)].second = std::move(pk_node);
+  root_->subtree_columns_.push_back(0);
   ColumnInfo pk;
   pk.id = 0;
   pk.type = AtomicType::kInt64;
@@ -93,22 +122,23 @@ Schema::Schema(std::string pk_field) : pk_field_(std::move(pk_field)) {
   columns_.push_back(std::move(pk));
 }
 
-int Schema::RegisterColumn(AtomicType type, int max_def,
-                           const std::vector<int>& array_defs,
-                           const std::string& path) {
+int Schema::RegisterColumn(AtomicType type, int max_def) {
   ColumnInfo info;
   info.id = static_cast<int>(columns_.size());
   info.type = type;
   info.max_def = max_def;
-  info.array_defs = array_defs;
-  info.path = path;
+  info.array_defs = array_defs_;
+  info.path = path_;
   columns_.push_back(std::move(info));
-  return columns_.back().id;
+  const int id = columns_.back().id;
+  for (SchemaNode* ancestor : ancestors_) {
+    ancestor->subtree_columns_.push_back(id);
+  }
+  return id;
 }
 
-std::unique_ptr<SchemaNode> Schema::CreateNodeFor(
-    const Value& v, int def_level, const std::string& path,
-    std::vector<int>* array_defs) {
+std::unique_ptr<SchemaNode> Schema::CreateNodeFor(const Value& v,
+                                                  int def_level) {
   std::unique_ptr<SchemaNode> node;
   if (v.is_object()) {
     node = std::make_unique<SchemaNode>(SchemaNode::Kind::kObject, def_level);
@@ -118,40 +148,46 @@ std::unique_ptr<SchemaNode> Schema::CreateNodeFor(
     LSMCOL_DCHECK(IsAtomicValue(v));
     node = std::make_unique<SchemaNode>(SchemaNode::Kind::kAtomic, def_level);
     node->atomic_type_ = AtomicTypeOf(v);
-    node->column_id_ =
-        RegisterColumn(node->atomic_type_, def_level, *array_defs, path);
+    node->column_id_ = RegisterColumn(node->atomic_type_, def_level);
   }
   return node;
 }
 
+std::unique_ptr<SchemaNode> Schema::CreateAlternative(const Value& v,
+                                                      int def_level) {
+  const size_t path_size = path_.size();
+  path_ += '<';
+  path_ += v.is_object()  ? "object"
+           : v.is_array() ? "array"
+                          : AtomicTypeName(AtomicTypeOf(v));
+  path_ += '>';
+  std::unique_ptr<SchemaNode> alt = CreateNodeFor(v, def_level);
+  path_.resize(path_size);
+  return alt;
+}
+
 void Schema::MergeSlot(std::unique_ptr<SchemaNode>* slot, const Value& v,
-                       int def_level, const std::string& path,
-                       std::vector<int>* array_defs) {
+                       int def_level) {
   LSMCOL_DCHECK(!v.is_null() && !v.is_missing());
   if (*slot == nullptr) {
-    *slot = CreateNodeFor(v, def_level, path, array_defs);
-    MergeChildren(slot->get(), v, path, array_defs);
+    *slot = CreateNodeFor(v, def_level);
+    MergeChildren(slot->get(), v);
     return;
   }
   SchemaNode* node = slot->get();
   if (node->is_union()) {
-    const SchemaNode* alt_const = node->FindAlternative(v);
-    SchemaNode* alt = const_cast<SchemaNode*>(alt_const);
+    auto* alt = const_cast<SchemaNode*>(node->FindAlternative(v));
+    ancestors_.push_back(node);
     if (alt == nullptr) {
-      std::string alt_path =
-          path + "<" +
-          (v.is_object() ? "object"
-                         : (v.is_array() ? "array" : AtomicTypeName(AtomicTypeOf(v)))) +
-          ">";
-      node->alternatives_.push_back(
-          CreateNodeFor(v, def_level, alt_path, array_defs));
+      node->alternatives_.push_back(CreateAlternative(v, def_level));
       alt = node->alternatives_.back().get();
     }
-    MergeChildren(alt, v, path, array_defs);
+    MergeChildren(alt, v);
+    ancestors_.pop_back();
     return;
   }
   if (Matches(*node, v)) {
-    MergeChildren(node, v, path, array_defs);
+    MergeChildren(node, v);
     return;
   }
   // Type conflict: promote the slot to a union of {existing, new}
@@ -159,51 +195,49 @@ void Schema::MergeSlot(std::unique_ptr<SchemaNode>* slot, const Value& v,
   // untouched.
   auto union_node =
       std::make_unique<SchemaNode>(SchemaNode::Kind::kUnion, def_level);
+  union_node->subtree_columns_.assign(node->columns().begin(),
+                                      node->columns().end());
   union_node->alternatives_.push_back(std::move(*slot));
-  std::string alt_path =
-      path + "<" +
-      (v.is_object() ? "object"
-                     : (v.is_array() ? "array" : AtomicTypeName(AtomicTypeOf(v)))) +
-      ">";
-  union_node->alternatives_.push_back(
-      CreateNodeFor(v, def_level, alt_path, array_defs));
-  SchemaNode* new_alt = union_node->alternatives_.back().get();
+  SchemaNode* const promoted = union_node.get();
   *slot = std::move(union_node);
-  MergeChildren(new_alt, v, path, array_defs);
+  ancestors_.push_back(promoted);
+  promoted->alternatives_.push_back(CreateAlternative(v, def_level));
+  MergeChildren(promoted->alternatives_.back().get(), v);
+  ancestors_.pop_back();
 }
 
-void Schema::MergeChildren(SchemaNode* node, const Value& v,
-                           const std::string& path,
-                           std::vector<int>* array_defs) {
+void Schema::MergeChildren(SchemaNode* node, const Value& v) {
+  if (node->is_atomic()) return;
+  const size_t path_size = path_.size();
+  ancestors_.push_back(node);
   if (node->is_object()) {
     LSMCOL_DCHECK(v.is_object());
+    const bool root = node == root_.get();
+    int hint = 0;
     for (const auto& [name, value] : v.object()) {
       if (value.is_null() || value.is_missing()) continue;
-      std::unique_ptr<SchemaNode>* slot = nullptr;
-      for (auto& [field_name, child] : node->fields_) {
-        if (field_name == name) {
-          slot = &child;
-          break;
-        }
-      }
-      if (slot == nullptr) {
-        node->fields_.emplace_back(name, nullptr);
-        slot = &node->fields_.back().second;
-      }
-      MergeSlot(slot, value, node->def_level() + 1, path + "." + name,
-                array_defs);
+      if (root && name == pk_field_) continue;  // column 0, fixed type
+      int i = node->FieldIndex(name, hint);
+      if (i < 0) i = node->AddField(name);
+      hint = i + 1;
+      if (!root) path_ += '.';
+      path_ += name;
+      MergeSlot(&node->fields_[static_cast<size_t>(i)].second, value,
+                node->def_level() + 1);
+      path_.resize(path_size);
     }
-  } else if (node->is_array()) {
-    LSMCOL_DCHECK(v.is_array());
-    array_defs->push_back(node->def_level());
+  } else {
+    LSMCOL_DCHECK(node->is_array() && v.is_array());
+    array_defs_.push_back(node->def_level());
+    path_ += "[*]";
     for (const Value& element : v.array()) {
       if (element.is_null() || element.is_missing()) continue;
-      MergeSlot(&node->item_, element, node->def_level() + 1, path + "[*]",
-                array_defs);
+      MergeSlot(&node->item_, element, node->def_level() + 1);
     }
-    array_defs->pop_back();
+    path_.resize(path_size);
+    array_defs_.pop_back();
   }
-  // Atomic: nothing below.
+  ancestors_.pop_back();
 }
 
 Status Schema::MergeRecord(const Value& record) {
@@ -215,23 +249,7 @@ Status Schema::MergeRecord(const Value& record) {
     return Status::InvalidArgument("record primary key '" + pk_field_ +
                                    "' must be an int64");
   }
-  std::vector<int> array_defs;
-  for (const auto& [name, value] : record.object()) {
-    if (name == pk_field_) continue;  // column 0, fixed type
-    if (value.is_null() || value.is_missing()) continue;
-    std::unique_ptr<SchemaNode>* slot = nullptr;
-    for (auto& [field_name, child] : root_->fields_) {
-      if (field_name == name) {
-        slot = &child;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      root_->fields_.emplace_back(name, nullptr);
-      slot = &root_->fields_.back().second;
-    }
-    MergeSlot(slot, value, 1, name, &array_defs);
-  }
+  MergeChildren(root_.get(), record);
   ++merged_record_count_;
   return Status::OK();
 }
@@ -304,7 +322,9 @@ Status Schema::DeserializeNode(BufferReader* reader,
         LSMCOL_RETURN_NOT_OK(reader->ReadLengthPrefixed(&name));
         std::unique_ptr<SchemaNode> child;
         LSMCOL_RETURN_NOT_OK(DeserializeNode(reader, &child));
-        node->fields_.emplace_back(name.ToString(), std::move(child));
+        // A duplicate name keeps its first child reachable by name, as
+        // a linear search would.
+        node->fields_[node->AddField(name.view())].second = std::move(child);
       }
       break;
     }
@@ -393,7 +413,27 @@ Result<Schema> Schema::Deserialize(Slice input) {
   }
   // The PK column keeps its special def semantics.
   schema.columns_[0].max_def = 1;
+  CollectColumns(schema.root_.get());
   return schema;
+}
+
+void Schema::CollectColumns(SchemaNode* node) {
+  if (node->is_atomic()) return;
+  std::vector<int>& columns = node->subtree_columns_;
+  columns.clear();
+  auto take = [&columns](SchemaNode* child) {
+    CollectColumns(child);
+    columns.insert(columns.end(), child->columns().begin(),
+                   child->columns().end());
+  };
+  if (node->is_object()) {
+    for (auto& [name, child] : node->fields_) take(child.get());
+  } else if (node->is_array()) {
+    if (node->item_ != nullptr) take(node->item_.get());
+  } else {
+    for (auto& alt : node->alternatives_) take(alt.get());
+  }
+  std::sort(columns.begin(), columns.end());
 }
 
 const SchemaNode* Schema::ResolvePath(
@@ -426,31 +466,8 @@ const SchemaNode* Schema::ResolvePath(
 }
 
 std::vector<int> Schema::ColumnsUnder(const SchemaNode* node) {
-  std::vector<int> out;
-  if (node == nullptr) return out;
-  struct Walker {
-    std::vector<int>* out;
-    void Walk(const SchemaNode& n) {
-      switch (n.kind()) {
-        case SchemaNode::Kind::kAtomic:
-          out->push_back(n.column_id());
-          break;
-        case SchemaNode::Kind::kObject:
-          for (const auto& [name, child] : n.fields()) Walk(*child);
-          break;
-        case SchemaNode::Kind::kArray:
-          if (n.item() != nullptr) Walk(*n.item());
-          break;
-        case SchemaNode::Kind::kUnion:
-          for (const auto& alt : n.alternatives()) Walk(*alt);
-          break;
-      }
-    }
-  };
-  Walker walker{&out};
-  walker.Walk(*node);
-  std::sort(out.begin(), out.end());
-  return out;
+  if (node == nullptr) return {};
+  return std::vector<int>(node->columns().begin(), node->columns().end());
 }
 
 namespace {

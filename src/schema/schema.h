@@ -18,7 +18,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -80,13 +82,34 @@ class SchemaNode {
   AtomicType atomic_type() const { return atomic_type_; }
   int column_id() const { return column_id_; }
 
+  /// Every column id in the subtree, ascending: an atomic leaf's own, or
+  /// all of its descendants'.
+  std::span<const int> columns() const {
+    return is_atomic() ? std::span<const int>(&column_id_, 1)
+                       : std::span<const int>(subtree_columns_);
+  }
+
   // Object children (insertion-ordered).
   const std::vector<std::pair<std::string, std::unique_ptr<SchemaNode>>>&
   fields() const {
     return fields_;
   }
+  /// Index of the named child in fields(); -1 when absent. The field at
+  /// `hint` is tried first: a record's members tend to come in the
+  /// schema's order, so a walk passes one past the last match and skips
+  /// the hash lookup.
+  int FieldIndex(std::string_view name, int hint = -1) const {
+    if (hint >= 0 && static_cast<size_t>(hint) < fields_.size() &&
+        fields_[static_cast<size_t>(hint)].first == name) {
+      return hint;
+    }
+    return LookupField(name);
+  }
   /// Field lookup; nullptr when absent.
-  const SchemaNode* FindField(std::string_view name) const;
+  const SchemaNode* FindField(std::string_view name) const {
+    const int i = FieldIndex(name);
+    return i < 0 ? nullptr : fields_[static_cast<size_t>(i)].second.get();
+  }
 
   // Array item.
   const SchemaNode* item() const { return item_.get(); }
@@ -102,11 +125,23 @@ class SchemaNode {
  private:
   friend class Schema;
 
+  /// The hash lookup behind FieldIndex.
+  int LookupField(std::string_view name) const;
+  /// Append an empty child slot named `name`; returns its index.
+  int AddField(std::string_view name);
+  /// Put field `index` into field_slots_ (which has a free slot).
+  void IndexField(int index);
+
   Kind kind_;
   int def_level_;
   AtomicType atomic_type_ = AtomicType::kInt64;
   int column_id_ = -1;
+  std::vector<int> subtree_columns_;  // columns() of a non-atomic node
   std::vector<std::pair<std::string, std::unique_ptr<SchemaNode>>> fields_;
+  /// Name index over fields_: an open-addressing table of field indices
+  /// (-1 = empty), a power of two at most half full, probed linearly.
+  /// Of duplicate names the first is found first.
+  std::vector<int> field_slots_;
   std::unique_ptr<SchemaNode> item_;
   std::vector<std::unique_ptr<SchemaNode>> alternatives_;
 };
@@ -153,28 +188,32 @@ class Schema {
   /// Returns nullptr when the path does not exist in the schema.
   const SchemaNode* ResolvePath(const std::vector<std::string>& steps) const;
 
-  /// All column ids in the subtree rooted at `node` (in id order).
+  /// All column ids in the subtree rooted at `node` (in id order; empty
+  /// for nullptr): node->columns().
   static std::vector<int> ColumnsUnder(const SchemaNode* node);
 
   /// Human-readable multi-line dump (tests, examples, debugging).
   std::string ToString() const;
 
  private:
+  // MergeRecord's walk. Each call works at the slot the walk stands on:
+  // path_ is its dotted path, array_defs_ the def levels of its array
+  // ancestors and ancestors_ the nodes above it, whose column lists a
+  // column registered there joins.
+
   /// Extend (or create) the node held by *slot to cover v. v is non-null,
   /// non-missing. def_level is the level the node (or its union
   /// alternatives) sits at.
   void MergeSlot(std::unique_ptr<SchemaNode>* slot, const Value& v,
-                 int def_level, const std::string& path,
-                 std::vector<int>* array_defs);
+                 int def_level);
   /// Recurse into an already-matching node's children.
-  void MergeChildren(SchemaNode* node, const Value& v, const std::string& path,
-                     std::vector<int>* array_defs);
-  std::unique_ptr<SchemaNode> CreateNodeFor(const Value& v, int def_level,
-                                            const std::string& path,
-                                            std::vector<int>* array_defs);
-  int RegisterColumn(AtomicType type, int max_def,
-                     const std::vector<int>& array_defs,
-                     const std::string& path);
+  void MergeChildren(SchemaNode* node, const Value& v);
+  std::unique_ptr<SchemaNode> CreateNodeFor(const Value& v, int def_level);
+  /// A new union alternative for v: an atomic one names its column after
+  /// the slot and its type, e.g. `a<string>`.
+  std::unique_ptr<SchemaNode> CreateAlternative(const Value& v,
+                                                int def_level);
+  int RegisterColumn(AtomicType type, int max_def);
   static bool Matches(const SchemaNode& node, const Value& v);
 
   void SerializeNode(const SchemaNode& node, Buffer* out) const;
@@ -182,11 +221,17 @@ class Schema {
                                 std::unique_ptr<SchemaNode>* out);
   void RebuildColumnRegistry(const SchemaNode& node, const std::string& path,
                              std::vector<int>* array_defs, bool is_pk);
+  /// Fill the column lists of `node`'s subtree from its atomic leaves.
+  static void CollectColumns(SchemaNode* node);
 
   std::string pk_field_;
   std::unique_ptr<SchemaNode> root_;
   std::vector<ColumnInfo> columns_;
   uint64_t merged_record_count_ = 0;
+  // MergeRecord scratch (see MergeSlot).
+  std::string path_;
+  std::vector<int> array_defs_;
+  std::vector<SchemaNode*> ancestors_;
 };
 
 }  // namespace lsmcol

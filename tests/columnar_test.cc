@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/columnar/column_writer.h"
 #include "src/columnar/shredder.h"
 #include "src/common/rng.h"
+#include "src/datagen/datagen.h"
 #include "src/json/parser.h"
 #include "src/layouts/apax.h"
 #include "src/lsm/component.h"
@@ -194,6 +196,73 @@ TEST(SchemaInferenceTest, SerializationRoundTrip) {
   }
   EXPECT_TRUE(restored->column(0).is_pk);
   EXPECT_EQ(restored->ToString(), schema.ToString());
+}
+
+/// Every atomic column id in `node`'s subtree, by walking the tree.
+void CollectLeafColumns(const SchemaNode& node, std::vector<int>* out) {
+  if (node.is_atomic()) out->push_back(node.column_id());
+  for (const auto& [name, child] : node.fields()) {
+    CollectLeafColumns(*child, out);
+  }
+  if (node.item() != nullptr) CollectLeafColumns(*node.item(), out);
+  for (const auto& alt : node.alternatives()) CollectLeafColumns(*alt, out);
+}
+
+/// Checks every node's column list against a walk of its subtree, and
+/// every object's name index against its fields.
+void ExpectNodeIndexesMatchTree(const SchemaNode& node) {
+  std::vector<int> walked;
+  CollectLeafColumns(node, &walked);
+  std::sort(walked.begin(), walked.end());
+  EXPECT_EQ(std::vector<int>(node.columns().begin(), node.columns().end()),
+            walked);
+  const auto& fields = node.fields();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const int expected = static_cast<int>(i);
+    EXPECT_EQ(node.FieldIndex(fields[i].first), expected) << fields[i].first;
+    for (const int hint : {0, expected, expected + 1}) {
+      EXPECT_EQ(node.FieldIndex(fields[i].first, hint), expected);
+    }
+    ExpectNodeIndexesMatchTree(*fields[i].second);
+  }
+  EXPECT_EQ(node.FieldIndex("no such field"), -1);
+  EXPECT_EQ(node.FindField("no such field"), nullptr);
+  if (node.item() != nullptr) ExpectNodeIndexesMatchTree(*node.item());
+  for (const auto& alt : node.alternatives()) ExpectNodeIndexesMatchTree(*alt);
+}
+
+// Column lists and name indexes are kept up as the schema grows — through
+// new fields, wide objects, union promotion of atomic, object and array
+// slots — and rebuilt by Deserialize.
+TEST(SchemaInferenceTest, NodeColumnListsAndNameIndexesMatchTheTree) {
+  Schema schema("id");
+  Rng rng(5);
+  const Workload kWorkloads[] = {Workload::kCell, Workload::kSensors,
+                                 Workload::kTweet1, Workload::kWos,
+                                 Workload::kTweet2};
+  int64_t id = 0;
+  for (const Workload w : kWorkloads) {
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(schema.MergeRecord(MakeRecord(w, id++, &rng)).ok());
+    }
+  }
+  for (const char* shape :
+       {R"({"id":0,"u":1,"v":[1],"w":{"a":1}})",
+        R"({"id":0,"u":{"x":"s","y":[true]},"v":{"z":2.5},"w":[1,"s"]})",
+        R"({"id":0,"u":[[1],{"q":null}],"v":"t","w":{"a":{"b":1},"c":2}})"}) {
+    ASSERT_TRUE(schema.MergeRecord(*ParseJson(shape)).ok()) << shape;
+  }
+  ASSERT_GT(schema.root().fields().size(), 20u);  // the index grew
+  ExpectNodeIndexesMatchTree(schema.root());
+  EXPECT_EQ(schema.root().columns().size(),
+            static_cast<size_t>(schema.column_count()));
+
+  Buffer buf;
+  schema.SerializeTo(&buf);
+  auto restored = Schema::Deserialize(buf.slice());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->ToString(), schema.ToString());
+  ExpectNodeIndexesMatchTree(restored->root());
 }
 
 TEST(ShredRoundTripTest, PaperFigure4Gamers) {

@@ -6,12 +6,16 @@
 #include <limits>
 #include <vector>
 
+#include "src/columnar/shredder.h"
 #include "src/common/rng.h"
+#include "src/datagen/datagen.h"
 #include "src/encoding/bitpack.h"
 #include "src/encoding/delta.h"
 #include "src/encoding/lz.h"
 #include "src/encoding/rle.h"
 #include "src/encoding/strings.h"
+#include "src/layouts/apax.h"
+#include "src/storage/component_file.h"
 
 namespace lsmcol {
 namespace {
@@ -489,29 +493,34 @@ class LzStreamBuilder {
 };
 
 // Byte-at-a-time decoder of the format in docs/FORMAT.md: the oracle the
-// word-at-a-time kernel is checked against.
+// word-at-a-time kernel is checked against. On failure *out holds what the
+// tokens before the bad one decoded to.
 bool ReferenceLzDecode(Slice input, std::string* out) {
   BufferReader r(input);
   uint64_t len = 0;
-  if (!r.ReadVarint64(&len).ok()) return false;
   std::string s;
+  const auto fail = [&] {
+    *out = std::move(s);
+    return false;
+  };
+  if (!r.ReadVarint64(&len).ok()) return fail();
   while (s.size() < len) {
     uint8_t tag = 0;
-    if (!r.ReadByte(&tag).ok()) return false;
+    if (!r.ReadByte(&tag).ok()) return fail();
     if ((tag & 1) == 0) {
       Slice bytes;
-      if (tag == 0 || !r.ReadBytes(tag >> 1, &bytes).ok()) return false;
+      if (tag == 0 || !r.ReadBytes(tag >> 1, &bytes).ok()) return fail();
       s.append(bytes.data(), bytes.size());
     } else {
       uint64_t offset = 0;
-      if (!r.ReadVarint64(&offset).ok()) return false;
-      if (offset == 0 || offset > s.size()) return false;
+      if (!r.ReadVarint64(&offset).ok()) return fail();
+      if (offset == 0 || offset > s.size()) return fail();
       for (size_t k = 0; k < (tag >> 1) + 4u; ++k) {
         s.push_back(s[s.size() - offset]);
       }
     }
   }
-  if (s.size() != len) return false;
+  if (s.size() != len) return fail();
   *out = std::move(s);
   return true;
 }
@@ -871,6 +880,148 @@ TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
         << g.name << ": 0x" << std::hex << Fnv1a64(compressed.slice());
     RoundTripLz(g.input);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Resumable decoding (LzDecoder): a prefix decoded in steps of any size is
+// the whole decode's prefix, and a stream that fails exposes nothing.
+
+/// Compressed payloads of real APAX leaves: tweet_1 documents, shredded
+/// and cut into leaves as a flush does.
+std::vector<std::string> ApaxLeafStreams() {
+  const std::string path = testing::TempDir() + "/encoding_apax_leaves";
+  constexpr size_t kPage = 32u << 10;
+  BufferCache cache(64 * kPage, kPage);
+  auto writer = ComponentWriter::Create(path, &cache, kPage);
+  LSMCOL_CHECK_OK(writer.status());
+  Schema schema("id");
+  ColumnWriterSet writers(&schema);
+  RecordShredder shredder(&schema, &writers);
+  Rng rng(31);
+  for (int64_t id = 0; id < 120; ++id) {
+    LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(Workload::kTweet1, id, &rng)));
+    if (id % 40 == 39) {
+      LSMCOL_CHECK_OK(EmitApaxLeaf(&writers, writer->get(), /*compress=*/true));
+    }
+  }
+  LSMCOL_CHECK_OK((*writer)->Finish(Slice("")));
+  auto reader = ComponentReader::Open(path, &cache, kPage);
+  LSMCOL_CHECK_OK(reader.status());
+  std::vector<std::string> streams;
+  for (size_t leaf = 0; leaf < (*reader)->leaves().size(); ++leaf) {
+    Buffer stored;
+    LSMCOL_CHECK_OK((*reader)->ReadLeaf(leaf, &stored));
+    streams.push_back(stored.slice().ToString());
+  }
+  RemoveFileIfExists(path);
+  return streams;
+}
+
+/// Decodes `stream` asking for `step` more bytes at a time. Every byte the
+/// decoder exposes must equal `reference`'s byte at that offset; returns
+/// the status of the last call.
+Status DecodeInSteps(const std::string& stream, size_t step,
+                     const std::string& reference) {
+  Buffer out;
+  LzDecoder decoder;
+  Status st = decoder.Reset(Slice(stream), &out);
+  size_t checked = 0;
+  for (size_t want = step; st.ok(); want += step) {
+    st = decoder.DecodeTo(want);
+    if (!st.ok()) break;
+    EXPECT_GE(decoder.decoded(), std::min(want, decoder.size()));
+    EXPECT_LE(decoder.decoded(), decoder.size());
+    EXPECT_LE(decoder.decoded(), reference.size());
+    if (decoder.decoded() > reference.size()) break;
+    EXPECT_EQ(std::string_view(decoder.data() + checked,
+                               decoder.decoded() - checked),
+              std::string_view(reference).substr(checked,
+                                                 decoder.decoded() - checked))
+        << "bytes [" << checked << ", " << decoder.decoded() << ")";
+    checked = decoder.decoded();
+    if (checked == decoder.size()) break;
+  }
+  if (!st.ok()) {
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    // Failure sticks and exposes nothing.
+    EXPECT_EQ(decoder.decoded(), 0u);
+    EXPECT_EQ(decoder.DecodeTo(1).ToString(), st.ToString());
+    EXPECT_EQ(decoder.decoded(), 0u);
+  }
+  return st;
+}
+
+TEST(LzDecoderTest, EveryPrefixInEveryStepEqualsTheWholeDecode) {
+  Rng rng(41);
+  std::vector<std::string> inputs = {
+      std::string(), "abc", std::string(5000, 'z'), RandomBytes(&rng, 3000),
+      JsonTextPage().substr(0, 20000)};
+  std::vector<std::string> streams;
+  for (const std::string& input : inputs) {
+    Buffer compressed;
+    LzCompress(Slice(input), &compressed);
+    streams.push_back(compressed.slice().ToString());
+  }
+  for (std::string& leaf : ApaxLeafStreams()) {
+    streams.push_back(std::move(leaf));
+  }
+  ASSERT_GT(streams.size(), inputs.size() + 1);
+  for (const std::string& stream : streams) {
+    Buffer whole;
+    ASSERT_TRUE(LzDecompress(Slice(stream), &whole).ok());
+    const std::string reference = whole.slice().ToString();
+    for (const size_t step : {size_t{1}, size_t{2}, size_t{7}, size_t{100},
+                              size_t{4096}, reference.size() + 1}) {
+      ASSERT_TRUE(DecodeInSteps(stream, step, reference).ok()) << step;
+    }
+  }
+}
+
+TEST(LzDecoderTest, TruncatedAndCorruptStreamsFailWithoutExposingBytes) {
+  Rng rng(43);
+  std::vector<std::string> streams = ApaxLeafStreams();
+  {
+    Buffer compressed;
+    LzCompress(Slice(JsonTextPage().substr(0, 8000)), &compressed);
+    streams.push_back(compressed.slice().ToString());
+  }
+  // Every truncation of a short stream, and a sample of the leaves'.
+  for (const std::string& stream : streams) {
+    std::string reference;
+    ASSERT_TRUE(ReferenceLzDecode(Slice(stream), &reference));
+    const size_t stride = std::max<size_t>(1, stream.size() / 300);
+    for (size_t n = 0; n < stream.size(); n += stride) {
+      const std::string cut = stream.substr(0, n);
+      std::string partial;
+      ASSERT_FALSE(ReferenceLzDecode(Slice(cut), &partial));
+      EXPECT_TRUE(DecodeInSteps(cut, 1 + rng.Uniform(5000), partial)
+                      .IsCorruption()) << n;
+      Buffer out;
+      EXPECT_TRUE(LzDecompress(Slice(cut), &out).IsCorruption()) << n;
+      EXPECT_EQ(out.size(), 0u);
+    }
+  }
+  // Mutated streams: whatever a step exposes matches the reference's
+  // decode up to the first bad token, and a stream decodes to its end
+  // exactly when the reference accepts it.
+  size_t failed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string s = streams[rng.Uniform(streams.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      if (rng.Bernoulli(0.5)) {
+        s[rng.Uniform(s.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+      } else {
+        s.insert(rng.Uniform(s.size() + 1), 1, static_cast<char>(rng.Next()));
+      }
+    }
+    std::string reference;
+    const bool ref_ok = ReferenceLzDecode(Slice(s), &reference);
+    const Status st = DecodeInSteps(s, 1 + rng.Uniform(20000), reference);
+    ASSERT_EQ(st.ok(), ref_ok) << "round " << round << ": " << st.ToString();
+    if (!st.ok()) ++failed;
+  }
+  EXPECT_GT(failed, 0u);
 }
 
 // ---------------------------------------------------------------------------

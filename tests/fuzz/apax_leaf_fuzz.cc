@@ -1,12 +1,12 @@
-// libFuzzer entry point for the APAX leaf parser (ApaxLeaf::Parse): the
-// code every cold APAX scan and lookup runs over a decompressed leaf
-// payload. On any input, Parse must return OK or Corruption; after a
-// clean parse, every chunk(c) — one past the last column included — must
-// lie inside the input. Then the cached units a miss cuts from the leaf
-// are built and parsed back: the head unit (ApaxHead) and every column's
-// unit (ParseApaxColumnUnit). Parse checked every stats entry, so each
-// of these parses returns OK and gives back the leaf's column count, PK
-// chunk and minipage. Anything else aborts; ASan catches reads out of
+// libFuzzer entry point for the APAX leaf parser (ApaxLeaf::Open over an
+// uncompressed payload): the code every cold APAX scan and lookup runs
+// over a leaf's head. On any input, Open must return OK or Corruption;
+// after a clean open, every chunk(c) — one past the last column included
+// — must lie inside the input. Then the cached units a miss cuts from the
+// leaf are built and parsed back: the head unit (ApaxHead) and every
+// column's unit (ParseApaxColumnUnit). Open checked every stats entry, so
+// each of these parses returns OK and gives back the leaf's column count,
+// PK chunk and minipage. Anything else aborts; ASan catches reads out of
 // bounds.
 //
 // tests/CMakeLists.txt builds this target only when the compiler accepts
@@ -33,7 +33,7 @@ void Check(bool condition) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const lsmcol::Slice payload(reinterpret_cast<const char*>(data), size);
   lsmcol::ApaxLeaf leaf;
-  const lsmcol::Status st = leaf.Parse(payload);
+  const lsmcol::Status st = leaf.Open(payload, /*compressed=*/false);
   Check(st.ok() || st.IsCorruption());
   if (!st.ok()) return 0;
   const char* const end = payload.data() + payload.size();
@@ -55,7 +55,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (uint32_t c = 1; c < leaf.column_count(); ++c) {
     const int column = static_cast<int>(c);
     unit.clear();
-    leaf.ColumnUnit(column, &unit);
+    Check(leaf.ColumnUnit(column, &unit).ok());
     lsmcol::Slice chunk;
     lsmcol::ApaxChunkStats stats;
     Check(lsmcol::ParseApaxColumnUnit(unit.slice(), &chunk, &stats).ok());

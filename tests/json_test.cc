@@ -114,6 +114,42 @@ TEST(ParserTest, UnicodeEscapeMultibyte) {
   EXPECT_EQ(r->string_value(), "\xc3\xa9\xe4\xb8\xad");
 }
 
+TEST(ParserTest, UnicodeSurrogatePairIsOneCodePoint) {
+  // U+1F600 as the JSON escape pair: the 4-byte UTF-8 sequence, not two
+  // 3-byte encodings of the surrogates.
+  auto r = ParseJson(R"("\ud83d\ude00")");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->string_value(), "\xf0\x9f\x98\x80");
+  // The first and last code points past U+FFFF, upper-case hex, and a
+  // pair between other characters.
+  EXPECT_EQ(ParseJson(R"("\ud800\udc00")")->string_value(),
+            "\xf0\x90\x80\x80");
+  EXPECT_EQ(ParseJson(R"("\uDBFF\uDFFF")")->string_value(),
+            "\xf4\x8f\xbf\xbf");
+  EXPECT_EQ(ParseJson(R"("a\ud83d\ude00b")")->string_value(),
+            "a\xf0\x9f\x98\x80" "b");
+}
+
+TEST(ParserTest, LoneSurrogatesAreRejected) {
+  for (const char* text :
+       {R"("\ud83d")", R"("\ud83dx")", R"("\ud83dA")",
+        R"("\ud83d\ud83d")", R"("\ude00")", R"("a\ude00\ud83d")",
+        R"("\ud83d\")", R"("\ud83d\ude0")"}) {
+    const auto r = ParseJson(text);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << text;
+  }
+}
+
+TEST(ParserTest, SurrogatePairRoundTripsThroughToJson) {
+  auto r = ParseJson(R"({"s":"smile \ud83d\ude00!"})");
+  ASSERT_TRUE(r.ok());
+  const std::string text = ToJson(*r);
+  EXPECT_EQ(text, "{\"s\":\"smile \xf0\x9f\x98\x80!\"}");
+  auto again = ParseJson(text);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->Equals(*r));
+}
+
 TEST(ParserTest, EmptyContainers) {
   EXPECT_EQ(ParseJson("[]")->size(), 0u);
   EXPECT_EQ(ParseJson("{}")->size(), 0u);

@@ -12,6 +12,7 @@
 
 #include "src/columnar/shredder.h"
 #include "src/common/rng.h"
+#include "src/encoding/lz.h"
 #include "src/json/parser.h"
 #include "src/layouts/amax.h"
 #include "src/layouts/apax.h"
@@ -120,7 +121,63 @@ TEST(ApaxLeafTest, HeaderAndChunksRoundTrip) {
   RemoveFileIfExists(TempPath("apax"));
 }
 
-// Parse checks every zone-stats entry but decodes none; a column's zone
+// A compressed APAX leaf is decoded only as far as its reads reach: the
+// head (stats and PK chunk) opens without decoding the chunks behind it,
+// and a tail that passes its page checksums but does not LZ-decode fails
+// the first read that reaches it, which quarantines the component.
+TEST(ApaxLeafTest, UndecodableTailFailsTheFirstReadThatReachesIt) {
+  const std::string path = TempPath("apax_tail");
+  RemoveFileIfExists(path);
+  BufferCache cache(64 * kPage, kPage);
+  Shredded data;
+  for (int64_t i = 0; i < 200; ++i) {
+    data.Add(i, i * 3, "text " + std::to_string(i * 7919 % 1000));
+  }
+  // The leaf as stored: the uncompressed payload, LZ-compressed, with its
+  // stream cut short. Page checksums cover the cut stream.
+  Buffer payload;
+  {
+    auto raw = ComponentWriter::Create(path, &cache, kPage);
+    ASSERT_TRUE(raw.ok());
+    ASSERT_TRUE(EmitApaxLeaf(data.writers.get(), raw->get(), false).ok());
+    ASSERT_TRUE((*raw)->Finish(Slice("")).ok());
+    auto reader = ComponentReader::Open(path, &cache, kPage);
+    ASSERT_TRUE(reader.ok());
+    ASSERT_TRUE((*reader)->ReadLeaf(0, &payload).ok());
+  }
+  ApaxLeaf whole;
+  ASSERT_TRUE(whole.Open(payload.slice(), false).ok());
+  Buffer stream;
+  LzCompress(payload.slice(), &stream);
+  const Slice cut = stream.slice().SubSlice(0, stream.size() - 3);
+  RemoveFileIfExists(path);
+  auto writer = ComponentWriter::Create(path, &cache, kPage);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendLeaf(cut, 0, 199, 200).ok());
+  auto component = FinishComponent(writer->get(), path, LayoutKind::kApax,
+                                   true, data.schema, &cache);
+
+  ApaxLeaf head_only;
+  ASSERT_TRUE(head_only.Open(cut, true).ok());
+  EXPECT_EQ(head_only.column_count(), 3u);
+  Slice chunk;
+  EXPECT_TRUE(head_only.Chunk(1, &chunk).ok());
+  EXPECT_EQ(chunk, whole.chunk(1));  // pointers differ, bytes agree
+  EXPECT_TRUE(head_only.Chunk(2, &chunk).IsCorruption());
+  ApaxLeaf all;
+  EXPECT_TRUE(all.Init(cut, true).IsCorruption());
+
+  ColumnarLeaf leaf;
+  ASSERT_TRUE(component->OpenColumnarLeaf(0, &leaf, CacheUse::kOneShot).ok());
+  CacheHandle unit;
+  ASSERT_TRUE(component->ColumnChunk(&leaf, 1, &unit, &chunk).ok());
+  EXPECT_FALSE(component->quarantined());
+  EXPECT_TRUE(component->ColumnChunk(&leaf, 2, &unit, &chunk).IsCorruption());
+  EXPECT_TRUE(component->quarantined());
+  RemoveFileIfExists(path);
+}
+
+// Open checks every zone-stats entry but decodes none; a column's zone
 // map decodes its entry from the column's unit.
 TEST(ApaxLeafTest, StatsCheckedAtParseReadAsColumnZones) {
   RemoveFileIfExists(TempPath("apax_stats"));
@@ -177,13 +234,13 @@ TEST(ApaxLeafTest, StatsCheckedAtParseReadAsColumnZones) {
   Buffer payload;
   ASSERT_TRUE(component->ReadLeaf(0, &payload).ok());
   ApaxLeaf parsed;
-  ASSERT_TRUE(parsed.Parse(payload.slice()).ok());
+  ASSERT_TRUE(parsed.Open(payload.slice(), false).ok());
   EXPECT_EQ(chunk, parsed.chunk(1));
 
   // Every truncation is Corruption.
   for (size_t n = 0; n < payload.size(); ++n) {
     ApaxLeaf cut;
-    EXPECT_TRUE(cut.Parse(Slice(payload.data(), n)).IsCorruption()) << n;
+    EXPECT_TRUE(cut.Open(Slice(payload.data(), n), false).IsCorruption()) << n;
   }
   // So is a bad type byte in any entry, the first one here: the stats
   // table follows the header and the chunk sizes.
@@ -198,7 +255,7 @@ TEST(ApaxLeafTest, StatsCheckedAtParseReadAsColumnZones) {
   ASSERT_EQ(bad.data()[header.size()], 1);  // column 0 has stats
   bad.mutable_data()[header.size() + 1] = 9;
   ApaxLeaf rejected;
-  EXPECT_TRUE(rejected.Parse(bad.slice()).IsCorruption());
+  EXPECT_TRUE(rejected.Open(bad.slice(), false).IsCorruption());
   RemoveFileIfExists(TempPath("apax_stats"));
 }
 

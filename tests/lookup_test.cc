@@ -383,7 +383,7 @@ TEST_P(LookupTest, DamagedUnprojectedColumnFailsOnlyLookupsOfIt) {
     ASSERT_TRUE(component.reader().ReadLeaf(0, &payload).ok());
     if (GetParam() == LayoutKind::kApax) {
       ApaxLeaf apax;
-      ASSERT_TRUE(apax.Parse(payload.slice()).ok());
+      ASSERT_TRUE(apax.Open(payload.slice(), false).ok());
       offset = static_cast<uint64_t>(apax.chunk(name).data() - payload.data());
       size = apax.chunk(name).size();
     } else {
