@@ -132,12 +132,12 @@ int Run(int argc, char** argv) {
 
     const auto health = (*store)->Health();
     LSMCOL_CHECK(health.size() == 1);
-    const uint64_t verified = health[0].scrub_bytes;
+    const uint64_t verified = health[0].stats.scrub_bytes;
     const double achieved =
         scans_s + ingest_s > 0
             ? static_cast<double>(verified) / (scans_s + ingest_s)
             : 0.0;
-    LSMCOL_CHECK(health[0].scrub_damage_found == 0);
+    LSMCOL_CHECK(health[0].stats.scrub_damage_found == 0);
 
     std::printf("%-10s %10.2f %10.2f %9.2fx %14s %12s\n", mode.name,
                 ingest_s, scans_s, slowdown, HumanBytes(verified).c_str(),
@@ -151,7 +151,7 @@ int Run(int argc, char** argv) {
         .Num("scan_seconds", scans_s)
         .Num("slowdown", slowdown)
         .Int("scrub_bytes_verified", verified)
-        .Int("scrub_passes", health[0].scrub_passes);
+        .Int("scrub_passes", health[0].stats.scrub_passes);
     json.Add(row);
 
     LSMCOL_CHECK_OK((*store)->Close());

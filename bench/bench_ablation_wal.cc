@@ -14,8 +14,9 @@
 //
 // Expected shape: `group` beats `sync` by roughly the writer count at
 // >= 4 writers. At 1 writer `group` can trail `sync` slightly — the
-// leader lingers `group_window_us` for company that never arrives; that
-// linger penalty is honest and reported, not hidden.
+// leader yields once for writers mid-append to join its batch, and with
+// no other writer that yield buys nothing; the penalty is honest and
+// reported, not hidden.
 //
 // Layout is fixed to VB: the WAL frames the already-encoded row before
 // layout-specific work happens, so its cost is layout-independent.

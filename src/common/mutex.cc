@@ -26,8 +26,6 @@ const char* MutexRankName(MutexRank rank) {
       return "BufferCache";
     case MutexRank::kComponentFault:
       return "ComponentFault";
-    case MutexRank::kComponentFaultLog:
-      return "ComponentFaultLog";
     case MutexRank::kFaultFs:
       return "FaultFs";
     case MutexRank::kLeaf:

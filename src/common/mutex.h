@@ -59,7 +59,6 @@ enum class MutexRank : int {
   kWal = 40,              ///< WriteAheadLog::mu_ (pending batch, LSNs)
   kBufferCache = 50,      ///< BufferCache::mu_ (entry table)
   kComponentFault = 70,   ///< Component::fault_mu_ (quarantine reason)
-  kComponentFaultLog = 75, ///< ComponentFaultCounters::log_mu (damage log)
   kFaultFs = 900,         ///< FaultInjectionFs::mu_ (acquired during any I/O)
   kLeaf = 1000,           ///< never holds another mutex underneath
 };

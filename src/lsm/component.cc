@@ -96,36 +96,16 @@ void Component::Quarantine(const Status& reason) const {
   quarantine_reason_ = reason;
   quarantined_.store(true, std::memory_order_release);
   if (fault_counters_ != nullptr) {
-    fault_counters_->quarantines.fetch_add(1, std::memory_order_relaxed);
+    fault_counters_->quarantines.fetch_add(1, std::memory_order_release);
   }
 }
 
 Status Component::NoteRead(Status st) const {
   if (st.ok() || !st.IsDataDamage() || salvage_) return st;
-  bool first_damage = false;
-  {
-    MutexLock lock(&fault_mu_);
-    if (fault_counters_ != nullptr) {
-      fault_counters_->checksum_failures.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    }
-    if (!quarantined_.load(std::memory_order_relaxed)) {
-      quarantine_reason_ = st;
-      quarantined_.store(true, std::memory_order_release);
-      first_damage = true;
-      if (fault_counters_ != nullptr) {
-        fault_counters_->quarantines.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  if (fault_counters_ != nullptr) {
+    fault_counters_->checksum_failures.fetch_add(1, std::memory_order_relaxed);
   }
-  if (first_damage && fault_counters_ != nullptr) {
-    // Queue the damage record for the Dataset to persist. log_mu ranks
-    // above fault_mu_, so this is reachable from every read path without
-    // inverting the lock order.
-    MutexLock log_lock(&fault_counters_->log_mu);
-    fault_counters_->damage_log.emplace_back(meta_.component_id, st);
-    fault_counters_->damage_records.fetch_add(1, std::memory_order_release);
-  }
+  Quarantine(st);
   return st;
 }
 

@@ -42,6 +42,11 @@
 // record through the column's seek index, built on the column's first
 // lookup in the leaf and kept as its column unit's attachment. Columns the
 // projection leaves out are never indexed or read.
+//
+// A checked read that surfaces data damage quarantines the component:
+// later reads fail fast with the first reason. The component is the only
+// record of its quarantine; the owning Dataset copies the quarantines of
+// the components it holds into each manifest it writes.
 
 #ifndef LSMCOL_LSM_COMPONENT_H_
 #define LSMCOL_LSM_COMPONENT_H_
@@ -88,18 +93,11 @@ struct ComponentMeta {
 /// snapshot that pinned it dying.
 struct ComponentFaultCounters {
   std::atomic<uint64_t> checksum_failures{0};  ///< damaged reads observed
-  std::atomic<uint64_t> quarantines{0};        ///< components quarantined
-  /// First-damage records awaiting persistence. A component appends
-  /// {component_id, reason} under log_mu the moment it quarantines
-  /// itself (reads happen on arbitrary threads, possibly under component
-  /// locks — the log is the rank-75 sink those threads may reach); the
-  /// owning Dataset drains the log into the manifest so a restart does
-  /// not silently "heal" a known-bad component. damage_records mirrors
-  /// the append count so pollers skip log_mu when nothing is new.
-  std::atomic<uint64_t> damage_records{0};
-  mutable Mutex log_mu{MutexRank::kComponentFaultLog};
-  std::vector<std::pair<uint64_t, Status>> damage_log
-      LSMCOL_GUARDED_BY(log_mu);
+  /// Components quarantined. Bumped (release) after the quarantine is
+  /// visible on the component, so a Dataset that reads it (acquire)
+  /// before collecting its components' states sees every quarantine the
+  /// value counts: a moved value means the manifest may be behind.
+  std::atomic<uint64_t> quarantines{0};
 };
 
 /// How a reader's leaf reads use the buffer cache.
@@ -263,10 +261,10 @@ class Component {
     return quarantined_.load(std::memory_order_acquire);
   }
 
-  /// Quarantine without a read: used at recovery to re-apply a damage
-  /// record persisted in the manifest. Bumps the quarantine counter but
-  /// not checksum_failures, and does NOT append to the damage log (the
-  /// record is already durable). Idempotent.
+  /// Quarantine without a read (recovery re-applies a damage record
+  /// persisted in the manifest; NoteRead calls it on first damage).
+  /// Bumps the quarantine counter, not checksum_failures. Idempotent:
+  /// the first reason stays.
   void Quarantine(const Status& reason) const LSMCOL_EXCLUDES(fault_mu_);
 
  private:

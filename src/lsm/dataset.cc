@@ -180,18 +180,20 @@ Status Dataset::RecoverFromManifest(const Manifest& manifest) {
   }
   // Re-apply persisted first-damage records: a component observed damaged
   // before the restart comes back quarantined — a reboot must not
-  // silently "heal" a known-bad file. (The manifest writer pruned entries
-  // for components it no longer lists.)
+  // silently "heal" a known-bad file. (A manifest records damage only for
+  // components it lists.)
   for (const ManifestDamageEntry& entry : manifest.damaged) {
     for (const auto& component : components_) {
       if (component->meta().component_id != entry.component_id) continue;
       Status reason(static_cast<StatusCode>(entry.status_code), entry.reason);
       if (!reason.IsDataDamage()) reason = Status::Corruption(entry.reason);
       component->Quarantine(reason);
-      persisted_damage_.emplace(entry.component_id, entry);
       break;
     }
   }
+  // Every quarantine so far came from this manifest.
+  quarantines_persisted_ =
+      fault_counters_->quarantines.load(std::memory_order_acquire);
   return Status::OK();
 }
 
@@ -209,7 +211,17 @@ Manifest Dataset::CurrentManifestLocked() const {
     manifest.components.push_back(
         {component->meta().component_id,
          slash == std::string::npos ? path : path.substr(slash + 1)});
+    if (component->quarantined()) {
+      const Status reason = component->CheckReadable();
+      manifest.damaged.push_back({component->meta().component_id,
+                                  static_cast<uint8_t>(reason.code()),
+                                  reason.message()});
+    }
   }
+  std::sort(manifest.damaged.begin(), manifest.damaged.end(),
+            [](const ManifestDamageEntry& a, const ManifestDamageEntry& b) {
+              return a.component_id < b.component_id;
+            });
   if (schema_ != nullptr) {
     Buffer blob;
     schema_->SerializeTo(&blob);
@@ -226,15 +238,13 @@ Status Dataset::WriteCurrentManifestLocked() {
   // flush/merge publications interleave with the role queue.
   while (manifest_writing_) work_cv_.Wait(&mu_);
   manifest_writing_ = true;
-  // Pick up any first-damage records components logged since the last
-  // rewrite, so every manifest write also persists known quarantines.
-  AbsorbDamageLogLocked();
-  const uint64_t damage_upto = damage_consumed_;
+  // Read the quarantine count before collecting the components' states:
+  // every quarantine it counts is then in this manifest, and a later one
+  // moves it past the value recorded below (WriteManifestIfBehindLocked).
+  const uint64_t quarantines =
+      fault_counters_->quarantines.load(std::memory_order_acquire);
   Manifest manifest = CurrentManifestLocked();
   manifest.sequence = manifest_sequence_ + 1;
-  for (const auto& [id, entry] : persisted_damage_) {
-    manifest.damaged.push_back(entry);
-  }
   // The durable part (temp write + fsync + rename + dir fsync) runs
   // without mu_ so concurrent writers/readers don't stall on it; the
   // manifest-writer role keeps other rewrites out while it is dropped.
@@ -248,7 +258,7 @@ Status Dataset::WriteCurrentManifestLocked() {
   } else {
     manifest_dirty_ = false;
     ++manifest_sequence_;
-    damage_persisted_upto_ = std::max(damage_persisted_upto_, damage_upto);
+    quarantines_persisted_ = quarantines;
   }
   work_cv_.NotifyAll();
   return st;
@@ -720,13 +730,9 @@ Status Dataset::Flush() {
   if (st.ok()) st = prior;
   if (!st.ok()) return st;
   // A previous flush/merge may have installed state the manifest write
-  // failed to record; Flush() only reports success once it is recorded.
-  if (manifest_dirty_) {
-    LSMCOL_RETURN_NOT_OK(WriteCurrentManifestLocked());
-  }
-  // Likewise quarantines observed since the last rewrite: Flush() is the
-  // deterministic "make durable state current" entry point.
-  LSMCOL_RETURN_NOT_OK(MaybePersistDamageLocked());
+  // failed to record, or a read may have quarantined a component since:
+  // Flush() only reports success once the manifest records both.
+  LSMCOL_RETURN_NOT_OK(WriteManifestIfBehindLocked());
   if (had_data) ScheduleMergeLocked();
   lock.Unlock();
   return RunOwnTasks();
@@ -1042,38 +1048,18 @@ void Dataset::RecordBackgroundErrorLocked(const Status& st) {
 
 // ------------------------------------------- scrub / backup / repair
 
-void Dataset::AbsorbDamageLogLocked() {
-  const uint64_t total =
-      fault_counters_->damage_records.load(std::memory_order_acquire);
-  if (total == damage_consumed_) return;
-  std::vector<std::pair<uint64_t, Status>> fresh;
-  {
-    MutexLock log_lock(&fault_counters_->log_mu);
-    const auto& log = fault_counters_->damage_log;
-    for (size_t i = static_cast<size_t>(damage_consumed_); i < log.size();
-         ++i) {
-      fresh.push_back(log[i]);
-    }
-    damage_consumed_ = log.size();
+Status Dataset::WriteManifestIfBehindLocked() {
+  if (!manifest_dirty_ &&
+      fault_counters_->quarantines.load(std::memory_order_acquire) ==
+          quarantines_persisted_) {
+    return Status::OK();
   }
-  for (const auto& [id, reason] : fresh) {
-    ManifestDamageEntry entry;
-    entry.component_id = id;
-    entry.status_code = static_cast<uint8_t>(reason.code());
-    entry.reason = reason.message();
-    persisted_damage_.emplace(id, std::move(entry));
-  }
-}
-
-Status Dataset::MaybePersistDamageLocked() {
-  AbsorbDamageLogLocked();
-  if (damage_consumed_ <= damage_persisted_upto_) return Status::OK();
   return WriteCurrentManifestLocked();
 }
 
 Status Dataset::PersistDamageRecords() {
   MutexLock lock(&mu_);
-  return MaybePersistDamageLocked();
+  return WriteManifestIfBehindLocked();
 }
 
 void Dataset::NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,
@@ -1088,7 +1074,7 @@ void Dataset::NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,
     // Best effort: the scrubber's whole point is that damage found today
     // is still known after a restart. A failed rewrite retries with the
     // next flush/scrub slice.
-    Status ignored = MaybePersistDamageLocked();
+    Status ignored = WriteManifestIfBehindLocked();
     (void)ignored;
   }
 }
@@ -1242,7 +1228,6 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
           break;
         }
       }
-      persisted_damage_.erase(victim.id);
       ++repaired;
       // Drop the damage record from the durable manifest in the same
       // breath — a crash right after the swap must not re-quarantine the

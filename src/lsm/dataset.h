@@ -9,7 +9,10 @@
 // atomically rewrite the manifest — so a crash at any point leaves a
 // consistent, reopenable dataset (see src/storage/manifest.h). Only the
 // in-memory components (active memtable + sealed immutables) are
-// volatile: call Flush() to persist them.
+// volatile: call Flush() to persist them. Each rewrite also lists the
+// quarantined components, read from the components themselves, so a
+// reopen re-applies every quarantine the manifest recorded; Flush()
+// rewrites the manifest when a quarantine happened since the last one.
 //
 // Writes go to the in-memory component (row format; VB for the columnar
 // layouts, §4.5). When the memtable budget is exceeded, the component is
@@ -71,7 +74,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -311,9 +313,8 @@ class Dataset {
   /// manifest (best effort) so a restart cannot silently "heal" it.
   void NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,
                  uint64_t micros, bool pass_complete) LSMCOL_EXCLUDES(mu_);
-  /// Persist any quarantine records not yet recorded in the manifest
-  /// (no-op when none are pending). Called by the scrubber; recovery
-  /// re-applies the records via RecoverFromManifest.
+  /// Persist any quarantine the manifest does not hold yet (no-op when
+  /// it is current); recovery re-applies them via RecoverFromManifest.
   Status PersistDamageRecords() LSMCOL_EXCLUDES(mu_);
 
   /// Pin a consistent backup view (see DatasetBackupPin). Fails if any
@@ -427,19 +428,17 @@ class Dataset {
   /// stall writers on durable I/O; rewrites stay fully serialized.
   Status WriteCurrentManifestLocked() LSMCOL_REQUIRES(mu_);
   /// The manifest of the current in-memory state (dataset identity,
-  /// counters, components and schema); the caller sets its sequence and
-  /// any damage records.
+  /// counters, components, their quarantines and schema); the caller
+  /// sets its sequence.
   Manifest CurrentManifestLocked() const LSMCOL_REQUIRES(mu_);
   Status RecoverFromManifest(const Manifest& manifest) LSMCOL_REQUIRES(mu_);
   /// Record a background failure in both the consumable and the sticky
   /// error (first error wins in each).
   void RecordBackgroundErrorLocked(const Status& st) LSMCOL_REQUIRES(mu_);
-  /// Drain new first-damage records from the shared fault counters' log
-  /// into persisted_damage_ (the manifest-bound map).
-  void AbsorbDamageLogLocked() LSMCOL_REQUIRES(mu_);
-  /// Rewrite the manifest iff damage records absorbed so far have not all
-  /// been through a successful rewrite yet.
-  Status MaybePersistDamageLocked() LSMCOL_REQUIRES(mu_);
+  /// Rewrite the manifest iff it is behind the in-memory state: a
+  /// rewrite failed since the last successful one (manifest_dirty_), or
+  /// a component was quarantined since (quarantines_persisted_).
+  Status WriteManifestIfBehindLocked() LSMCOL_REQUIRES(mu_);
   /// Snapshot acquisition body (GetSnapshot's critical section), callable
   /// from paths that already hold mu_ (BeginBackup).
   Snapshot::Ref GetSnapshotLocked() const LSMCOL_REQUIRES(mu_);
@@ -538,18 +537,10 @@ class Dataset {
   /// monitoring sees failures the write path already surfaced-and-cleared.
   Status last_background_error_ LSMCOL_GUARDED_BY(mu_);
 
-  // --- Damage persistence (manifest v4 first-damage records) ---
-  /// Damage records bound for (or recovered from) the manifest, keyed by
-  /// component id. Repair erases its victim's entry; the manifest writer
-  /// prunes entries whose component is gone.
-  std::map<uint64_t, ManifestDamageEntry> persisted_damage_
-      LSMCOL_GUARDED_BY(mu_);
-  /// Prefix of fault_counters_->damage_log already drained into
-  /// persisted_damage_.
-  uint64_t damage_consumed_ LSMCOL_GUARDED_BY(mu_) = 0;
-  /// Highest damage_consumed_ value included in a successful manifest
-  /// rewrite (monotone; MaybePersistDamageLocked compares against it).
-  uint64_t damage_persisted_upto_ LSMCOL_GUARDED_BY(mu_) = 0;
+  /// fault_counters_->quarantines as of the last successful manifest
+  /// rewrite or recovery. The quarantined components themselves are the
+  /// record of damage; each rewrite lists those in components_.
+  uint64_t quarantines_persisted_ LSMCOL_GUARDED_BY(mu_) = 0;
 
   // --- Backup / repair state ---
   /// Live backup pins. While non-zero, WAL segment deletion is deferred

@@ -93,16 +93,6 @@ Status ValidateDatasetOptions(const DatasetOptions& options) {
       options.amax_empty_page_tolerance > 1.0) {
     return Bad("amax_empty_page_tolerance", "must be in [0, 1]");
   }
-  if (options.wal.enabled) {
-    if (options.wal.group_window_us > 1000000) {
-      return Bad("wal.group_window_us",
-                 "must be at most 1000000 (1 s), got " +
-                     std::to_string(options.wal.group_window_us));
-    }
-    if (options.wal.max_group_bytes == 0) {
-      return Bad("wal.max_group_bytes", "must be positive");
-    }
-  }
   if (options.io_retry.max_retries < 0) {
     return Bad("io_retry.max_retries", "must be >= 0, got " +
                    std::to_string(options.io_retry.max_retries));

@@ -18,10 +18,7 @@ std::string BackupManifestPath(const std::string& backup_dir) {
 
 Status WriteBackupManifest(const std::string& backup_dir,
                            const BackupManifest& manifest, FileSystem* fs) {
-  fs = ResolveFs(fs);
   Buffer out;
-  out.AppendFixed32(kBackupMagic);
-  out.AppendByte(kBackupVersion);
   out.AppendVarint64(manifest.sequence);
   out.AppendVarint64(manifest.files.size());
   for (const BackupFileEntry& f : manifest.files) {
@@ -32,55 +29,18 @@ Status WriteBackupManifest(const std::string& backup_dir,
     out.AppendFixed32(f.checksum);
     out.AppendVarint64(f.id);
   }
-  out.AppendFixed32(Fnv1a32(out.slice()));
-
-  const std::string path = BackupManifestPath(backup_dir);
-  const std::string tmp = path + ".tmp";
-  Status st;
-  {
-    auto file = fs->Create(tmp);
-    if (!file.ok()) return file.status();
-    st = (*file)->WriteAt(0, out.slice());
-    if (st.ok()) st = (*file)->Sync();
-  }
-  if (st.ok()) st = RenameFile(tmp, path, fs);
-  if (!st.ok()) (void)RemoveFileIfExists(tmp, fs);
-  return st;
+  return WriteFramedFile(BackupManifestPath(backup_dir), kBackupMagic,
+                         kBackupVersion, out.slice(), fs);
 }
 
 Result<BackupManifest> ReadBackupManifest(const std::string& backup_dir,
                                           FileSystem* fs) {
-  fs = ResolveFs(fs);
   const std::string path = BackupManifestPath(backup_dir);
-  LSMCOL_ASSIGN_OR_RETURN(auto file, fs->Open(path, /*writable=*/false));
-  std::string raw;
-  Buffer chunk;
-  uint64_t offset = 0;
-  while (true) {
-    LSMCOL_RETURN_NOT_OK(file->ReadAt(offset, kCopyChunk, &chunk));
-    if (chunk.size() == 0) break;
-    raw.append(chunk.data(), chunk.size());
-    offset += chunk.size();
-  }
-  if (raw.size() < 4 + 1 + 4) {
-    return Status::Corruption("backup manifest too short: " + path);
-  }
-  const Slice payload(raw.data(), raw.size() - 4);
-  if (Fnv1a32(payload) != DecodeFixed32(raw.data() + raw.size() - 4)) {
-    return Status::Corruption("backup manifest checksum mismatch: " + path);
-  }
-  BufferReader r(payload);
-  uint32_t magic = 0;
-  uint8_t version = 0;
-  LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&magic));
-  if (magic != kBackupMagic) {
-    return Status::Corruption("bad backup manifest magic: " + path);
-  }
-  LSMCOL_RETURN_NOT_OK(r.ReadByte(&version));
-  if (version != kBackupVersion) {
-    return Status::Corruption("unsupported backup manifest version " +
-                              std::to_string(version) + ": " + path);
-  }
+  LSMCOL_ASSIGN_OR_RETURN(
+      const std::string body,
+      ReadFramedFile(path, kBackupMagic, kBackupVersion, "backup manifest",
+                     fs));
+  BufferReader r{Slice(body)};
   BackupManifest m;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.sequence));
   uint64_t count = 0;

@@ -150,7 +150,8 @@ Status PageFile::WritePage(uint64_t page_no, Slice payload) {
   const size_t physical = physical_page_size();
   Buffer buf;
   char* page = buf.AppendUninitialized(physical);
-  ::memcpy(page, payload.data(), payload.size());
+  // An empty payload may have a null data(), which memcpy must not see.
+  if (!payload.empty()) ::memcpy(page, payload.data(), payload.size());
   ::memset(page + payload.size(), 0, page_size_ - payload.size());
   EncodeFixed32(page + page_size_,
                 PageChecksum(Slice(page, page_size_), page_no));
@@ -225,6 +226,62 @@ Status RenameFile(const std::string& from, const std::string& to,
   fs = ResolveFs(fs);
   LSMCOL_RETURN_NOT_OK(fs->Rename(from, to));
   return fs->SyncDir(ParentDir(to));
+}
+
+Status WriteFramedFile(const std::string& path, uint32_t magic,
+                       uint8_t version, Slice body, FileSystem* fs) {
+  fs = ResolveFs(fs);
+  Buffer out;
+  out.AppendFixed32(magic);
+  out.AppendByte(version);
+  out.Append(body);
+  out.AppendFixed32(Fnv1a32(out.slice()));
+  const std::string tmp = path + ".tmp";
+  // On any failure the temp file must not linger: the stale-file sweep
+  // would eventually collect it, but only at the next open — until then
+  // it wastes space and, worse, a later successful write would reuse the
+  // name of a file in unknown state.
+  Status st;
+  {
+    auto file = fs->Create(tmp);
+    if (!file.ok()) return file.status();
+    st = (*file)->WriteAt(0, out.slice());
+    if (st.ok()) st = (*file)->Sync();
+  }
+  if (st.ok()) st = RenameFile(tmp, path, fs);
+  if (!st.ok()) (void)RemoveFileIfExists(tmp, fs);
+  return st;
+}
+
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint8_t version, const std::string& what,
+                                   FileSystem* fs) {
+  LSMCOL_ASSIGN_OR_RETURN(auto file,
+                          ResolveFs(fs)->Open(path, /*writable=*/false));
+  std::string raw;
+  Buffer chunk;
+  while (true) {
+    LSMCOL_RETURN_NOT_OK(file->ReadAt(raw.size(), 64 * 1024, &chunk));
+    if (chunk.size() == 0) break;
+    raw.append(chunk.data(), chunk.size());
+  }
+  constexpr size_t kHeader = 4 + 1;
+  if (raw.size() < kHeader + 4) {
+    return Status::Corruption(what + " too short: " + path);
+  }
+  const size_t end = raw.size() - 4;
+  if (Fnv1a32(Slice(raw.data(), end)) != DecodeFixed32(raw.data() + end)) {
+    return Status::Corruption(what + " checksum mismatch: " + path);
+  }
+  if (DecodeFixed32(raw.data()) != magic) {
+    return Status::Corruption("bad " + what + " magic: " + path);
+  }
+  const uint8_t stored = static_cast<uint8_t>(raw[4]);
+  if (stored != version) {
+    return Status::Corruption("unsupported " + what + " version " +
+                              std::to_string(stored) + ": " + path);
+  }
+  return raw.substr(kHeader, end - kHeader);
 }
 
 Status CreateDirDurable(const std::string& dir, FileSystem* fs) {

@@ -124,6 +124,22 @@ bool FileExists(const std::string& path, FileSystem* fs = nullptr);
 Status RenameFile(const std::string& from, const std::string& to,
                   FileSystem* fs = nullptr);
 
+/// Write a small durable file (a dataset manifest, a backup catalog)
+/// atomically: a fixed32 `magic`, a `version` byte, `body`, then a
+/// fixed32 Fnv1a32 over all of them, written to a temp file that is
+/// fsynced and renamed over `path` (RenameFile). A failed write removes
+/// the temp file.
+Status WriteFramedFile(const std::string& path, uint32_t magic,
+                       uint8_t version, Slice body, FileSystem* fs = nullptr);
+
+/// Read a file WriteFramedFile wrote and return its body. Corruption,
+/// naming `what` and `path`, when the file is too short, the checksum
+/// does not match, or the magic or version differ: only `version` is
+/// readable.
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint8_t version, const std::string& what,
+                                   FileSystem* fs = nullptr);
+
 /// fsync a directory (durability of renames/creates within it).
 Status SyncDir(const std::string& dir, FileSystem* fs = nullptr);
 

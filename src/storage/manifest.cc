@@ -16,26 +16,6 @@ constexpr uint32_t kManifestMagic = 0x4C534D4Du;  // "LSMM"
 // v4: added the damage section (persisted quarantine records).
 constexpr uint8_t kManifestVersion = 4;
 
-/// Write `data` to `path` atomically: temp file + fsync + rename + dir
-/// fsync.
-Status WriteFileAtomic(const std::string& path, Slice data, FileSystem* fs) {
-  const std::string tmp = path + ".tmp";
-  // On any failure the temp file must not linger: the stale-file sweep
-  // would eventually collect it, but only at the next open — until then
-  // it wastes space and, worse, a later successful write would reuse the
-  // name of a file in unknown state.
-  Status st;
-  {
-    auto file = fs->Create(tmp);
-    if (!file.ok()) return file.status();
-    st = (*file)->WriteAt(0, data);
-    if (st.ok()) st = (*file)->Sync();
-  }
-  if (st.ok()) st = RenameFile(tmp, path, fs);
-  if (!st.ok()) (void)RemoveFileIfExists(tmp, fs);
-  return st;
-}
-
 bool AllDigits(std::string_view s) {
   return !s.empty() &&
          std::all_of(s.begin(), s.end(),
@@ -51,8 +31,6 @@ std::string ManifestPath(const std::string& dir, const std::string& name) {
 Status WriteManifest(const std::string& path, const Manifest& manifest,
                      FileSystem* fs) {
   Buffer out;
-  out.AppendFixed32(kManifestMagic);
-  out.AppendByte(kManifestVersion);
   out.AppendVarint64(manifest.sequence);
   out.AppendLengthPrefixed(Slice(manifest.dataset_name));
   out.AppendByte(manifest.layout);
@@ -66,63 +44,24 @@ Status WriteManifest(const std::string& path, const Manifest& manifest,
     out.AppendLengthPrefixed(Slice(c.file));
   }
   out.AppendLengthPrefixed(Slice(manifest.schema_blob));
-  // Damage section (v4): persist quarantines only for components the
-  // manifest still references — a merged-away or repaired file must not
-  // leave a ghost record behind.
-  std::vector<const ManifestDamageEntry*> live_damage;
+  out.AppendVarint64(manifest.damaged.size());
   for (const ManifestDamageEntry& d : manifest.damaged) {
-    for (const ManifestComponentEntry& c : manifest.components) {
-      if (c.id == d.component_id) {
-        live_damage.push_back(&d);
-        break;
-      }
-    }
+    out.AppendVarint64(d.component_id);
+    out.AppendByte(d.status_code);
+    out.AppendLengthPrefixed(Slice(d.reason));
   }
-  out.AppendVarint64(live_damage.size());
-  for (const ManifestDamageEntry* d : live_damage) {
-    out.AppendVarint64(d->component_id);
-    out.AppendByte(d->status_code);
-    out.AppendLengthPrefixed(Slice(d->reason));
-  }
-  out.AppendFixed32(Fnv1a32(out.slice()));
-  return WriteFileAtomic(path, out.slice(), ResolveFs(fs));
+  return WriteFramedFile(path, kManifestMagic, kManifestVersion, out.slice(),
+                         fs);
 }
 
 Result<Manifest> ReadManifest(const std::string& path, FileSystem* fs) {
-  LSMCOL_ASSIGN_OR_RETURN(auto file,
-                          ResolveFs(fs)->Open(path, /*writable=*/false));
-  std::string raw;
-  Buffer chunk;
-  uint64_t offset = 0;
-  while (true) {
-    LSMCOL_RETURN_NOT_OK(file->ReadAt(offset, 4096, &chunk));
-    if (chunk.size() == 0) break;
-    raw.append(chunk.data(), chunk.size());
-    offset += chunk.size();
-  }
-  if (raw.size() < 4 + 1 + 4) {
-    return Status::Corruption("manifest too short: " + path);
-  }
-  const Slice payload(raw.data(), raw.size() - 4);
-  const uint32_t want = DecodeFixed32(raw.data() + raw.size() - 4);
-  if (Fnv1a32(payload) != want) {
-    return Status::Corruption("manifest checksum mismatch: " + path);
-  }
-  BufferReader r(payload);
-  Manifest m;
-  uint32_t magic = 0;
-  uint8_t version = 0;
-  LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&magic));
-  if (magic != kManifestMagic) {
-    return Status::Corruption("bad manifest magic: " + path);
-  }
-  LSMCOL_RETURN_NOT_OK(r.ReadByte(&version));
   // Only the current version is readable; earlier ones (v2 without
   // wal_floor, v3 without the damage section) are rejected.
-  if (version != kManifestVersion) {
-    return Status::Corruption("unsupported manifest version " +
-                              std::to_string(version) + ": " + path);
-  }
+  LSMCOL_ASSIGN_OR_RETURN(
+      const std::string body,
+      ReadFramedFile(path, kManifestMagic, kManifestVersion, "manifest", fs));
+  BufferReader r{Slice(body)};
+  Manifest m;
   LSMCOL_RETURN_NOT_OK(r.ReadVarint64(&m.sequence));
   Slice s;
   LSMCOL_RETURN_NOT_OK(r.ReadLengthPrefixed(&s));

@@ -67,9 +67,9 @@ struct Manifest {
   uint64_t wal_floor = 1;
   std::vector<ManifestComponentEntry> components;  ///< newest first
   std::string schema_blob;  ///< serialized Schema; empty for row layouts
-  /// Quarantined components; entries for ids not in `components`
-  /// are pruned by the writer, so stale damage never outlives the file
-  /// it described.
+  /// The quarantined components among `components`, by ascending id.
+  /// Written as given: the writer (Dataset) lists only components it
+  /// holds, so damage never outlives the file it described.
   std::vector<ManifestDamageEntry> damaged;
 };
 

@@ -370,8 +370,6 @@ Result<uint64_t> WriteAheadLog::Append(bool anti_matter, int64_t key,
   pending_frames_.emplace_back(lsn, pending_.size());
   appended_lsn_ = lsn;
   ++stats_.appends;
-  // A lingering group-commit leader waits for the batch to grow; tell it.
-  if (pending_.size() >= options_.max_group_bytes) cv_.NotifyAll();
   return lsn;
 }
 
@@ -404,21 +402,6 @@ Status WriteAheadLog::Sync(uint64_t lsn) {
       std::this_thread::yield();
       lk.Lock();
       if (!io_status_.ok()) {
-        sync_in_flight_ = false;
-        cv_.NotifyAll();
-        return io_status_;
-      }
-    }
-    if (options_.group_commit && options_.group_window_us > 0) {
-      // Linger so concurrent writers can join the batch — the whole point
-      // of group commit: their records ride on our single fsync.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.group_window_us);
-      while (pending_.size() < options_.max_group_bytes && io_status_.ok() &&
-             cv_.WaitUntil(&mu_, deadline) != std::cv_status::timeout) {
-      }
-      if (!io_status_.ok()) {  // a concurrent Rotate failed while we slept
         sync_in_flight_ = false;
         cv_.NotifyAll();
         return io_status_;

@@ -10,13 +10,14 @@
 // vanished on crash).
 //
 // Group commit: appends land in an in-memory batch under the log mutex;
-// Sync(lsn) elects the first waiter as *leader*, which (optionally, after
-// lingering up to `group_window_us` or `max_group_bytes` to let more
-// writers join) writes the whole batch and issues a single fsync while
-// followers wait on the durable-LSN condvar. One fsync thus covers every
-// concurrent writer — the dominant single-core concurrency win the fig13
-// data shows. With `group_commit = false` each Sync covers only its own
-// LSN (sync-per-write, the degenerate case used as the ablation baseline).
+// Sync(lsn) elects the first waiter as *leader*, which writes the whole
+// batch and issues a single fsync while followers wait on the
+// durable-LSN condvar. Batches form without any linger: appends keep
+// landing while a leader's fsync is in flight, and the next leader
+// covers them all. One fsync thus covers every concurrent writer — the
+// dominant single-core concurrency win the fig13 data shows. With
+// `group_commit = false` each Sync covers only its own LSN
+// (sync-per-write, the degenerate case used as the ablation baseline).
 //
 // Segment lifecycle: the active segment always corresponds to the active
 // memtable — Dataset rotates the log (seal + fsync + new segment) exactly
@@ -56,25 +57,12 @@ namespace lsmcol {
 /// every acknowledged write.
 struct WalOptions {
   /// Log every Insert/Delete and replay the log at Dataset::Open. When
-  /// off, the other fields are ignored.
+  /// off, group_commit is ignored.
   bool enabled = false;
   /// Amortize fsyncs across concurrent writers (leader/follower group
   /// commit). false = sync-per-write: every acknowledged write pays its
   /// own fsync (the degenerate case; the WAL ablation's baseline).
   bool group_commit = true;
-  /// How long a group-commit leader lingers for more writers to join its
-  /// batch before syncing, in microseconds. 0 (the default) syncs
-  /// immediately — batches still form naturally, because appends keep
-  /// landing while the previous leader's fsync is in flight and the next
-  /// leader covers them all. A non-zero window stretches batches further
-  /// at the price of that much added commit latency on *every* group; it
-  /// only pays off when fsync is much cheaper than the window (rare) or
-  /// writers arrive in bursts wider than the fsync time. Capped at 1 s
-  /// by validation.
-  uint32_t group_window_us = 0;
-  /// A lingering leader syncs as soon as the pending batch reaches this
-  /// many bytes, window or not. Must be positive.
-  size_t max_group_bytes = 1u << 20;
 };
 
 /// WAL observability, folded into DatasetStats by Dataset::stats().
@@ -166,8 +154,8 @@ class WriteAheadLog {
       LSMCOL_EXCLUDES(mu_);
 
   /// Block until every record up to `lsn` is fsync-durable. Implements
-  /// group commit: the first waiter leads (lingers, writes, fsyncs once),
-  /// the rest ride along on its fsync.
+  /// group commit: the first waiter leads (writes the pending batch,
+  /// fsyncs once), the rest ride along on its fsync.
   Status Sync(uint64_t lsn) LSMCOL_EXCLUDES(mu_);
 
   /// Seal the active segment (write out pending records, fsync, close)
@@ -222,8 +210,8 @@ class WriteAheadLog {
   FileSystem* const fs_;
 
   mutable Mutex mu_{MutexRank::kWal};
-  /// Wakes followers when durable_lsn_ advances, the leader role frees,
-  /// or an append joins a lingering leader's batch.
+  /// Wakes followers when durable_lsn_ advances or the leader role
+  /// frees.
   CondVar cv_;
 
   std::unique_ptr<FsFile> file_ LSMCOL_GUARDED_BY(mu_);

@@ -34,16 +34,6 @@ Status ValidateStoreOptions(const StoreOptions& options) {
                "must be in [0, 256], got " +
                    std::to_string(options.background_threads));
   }
-  if (options.wal.enabled) {
-    if (options.wal.group_window_us > 1000000) {
-      return Bad("wal.group_window_us",
-                 "must be at most 1000000 (1 s), got " +
-                     std::to_string(options.wal.group_window_us));
-    }
-    if (options.wal.max_group_bytes == 0) {
-      return Bad("wal.max_group_bytes", "must be positive");
-    }
-  }
   LSMCOL_RETURN_NOT_OK(ValidateCompactionOptions(options.compaction,
                                                  "StoreOptions.compaction."));
   if (options.scrub.enabled) {
@@ -216,22 +206,8 @@ std::vector<DatasetHealth> Store::Health() const {
     for (const auto& [id, reason] : dataset->QuarantineList()) {
       h.quarantined.emplace_back(id, reason.message());
     }
-    const DatasetStats stats = dataset->stats();
-    // Current state, not the lifetime counter in DatasetStats: a
-    // repaired component leaves quarantine and leaves this count.
     h.quarantined_components = h.quarantined.size();
-    h.checksum_failures = stats.checksum_failures;
-    h.scrub_leaves = stats.scrub_leaves;
-    h.scrub_bytes = stats.scrub_bytes;
-    h.scrub_passes = stats.scrub_passes;
-    h.scrub_damage_found = stats.scrub_damage_found;
-    h.io_retries = stats.io_retries;
-    h.io_retry_backoff_micros = stats.io_retry_backoff_micros;
-    h.flush_bytes_out = stats.flush_bytes_out;
-    h.merge_bytes_in = stats.merged_bytes_in;
-    h.merge_bytes_out = stats.merge_bytes_out;
-    h.write_amplification = stats.write_amplification();
-    h.space_amplification = stats.space_amplification();
+    h.stats = dataset->stats();
     health.push_back(std::move(h));
   }
   return health;

@@ -94,23 +94,13 @@ struct DatasetHealth {
   Status wal_status;
   /// Every quarantined component: (component id, quarantine reason).
   std::vector<std::pair<uint64_t, std::string>> quarantined;
-  uint64_t quarantined_components = 0;  ///< damage-isolated components
-  uint64_t checksum_failures = 0;       ///< damaged reads observed
-  // Scrub progress rollup (see lsm/scrubber.h).
-  uint64_t scrub_leaves = 0;
-  uint64_t scrub_bytes = 0;
-  uint64_t scrub_passes = 0;
-  uint64_t scrub_damage_found = 0;
-  uint64_t io_retries = 0;              ///< transient errors retried
-  uint64_t io_retry_backoff_micros = 0;
-  // Compaction amplification rollup (see the DatasetStats fields of the
-  // same names): how much extra writing and disk the dataset's policy
-  // is paying for its read path.
-  uint64_t flush_bytes_out = 0;
-  uint64_t merge_bytes_in = 0;
-  uint64_t merge_bytes_out = 0;
-  double write_amplification = 0.0;
-  double space_amplification = 0.0;
+  /// Components quarantined now. A repaired component leaves this count;
+  /// stats.quarantined_components counts every quarantine since open.
+  uint64_t quarantined_components = 0;
+  /// The dataset's counters: damaged reads, scrub progress (see
+  /// lsm/scrubber.h), transient I/O retries, and what the compaction
+  /// policy pays in extra writing and disk.
+  DatasetStats stats;
 };
 
 /// Checks every field and returns InvalidArgument naming the offending

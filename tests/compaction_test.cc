@@ -753,14 +753,14 @@ TEST(AmplificationStatsTest, SurvivesStoreHealthRollup) {
   const std::vector<DatasetHealth> health = (*store)->Health();
   ASSERT_EQ(health.size(), 1u);
   EXPECT_EQ(health[0].name, "docs");
-  EXPECT_EQ(health[0].flush_bytes_out, stats.flush_bytes_out);
-  EXPECT_EQ(health[0].merge_bytes_in, stats.merged_bytes_in);
-  EXPECT_EQ(health[0].merge_bytes_out, stats.merge_bytes_out);
-  EXPECT_GT(health[0].flush_bytes_out, 0u);
-  EXPECT_GT(health[0].merge_bytes_out, 0u);
-  EXPECT_DOUBLE_EQ(health[0].write_amplification,
+  EXPECT_EQ(health[0].stats.flush_bytes_out, stats.flush_bytes_out);
+  EXPECT_EQ(health[0].stats.merged_bytes_in, stats.merged_bytes_in);
+  EXPECT_EQ(health[0].stats.merge_bytes_out, stats.merge_bytes_out);
+  EXPECT_GT(health[0].stats.flush_bytes_out, 0u);
+  EXPECT_GT(health[0].stats.merge_bytes_out, 0u);
+  EXPECT_DOUBLE_EQ(health[0].stats.write_amplification(),
                    stats.write_amplification());
-  EXPECT_DOUBLE_EQ(health[0].space_amplification, 1.0);
+  EXPECT_DOUBLE_EQ(health[0].stats.space_amplification(), 1.0);
   ASSERT_TRUE((*store)->Close().ok());
   store->reset();
   std::filesystem::remove_all(dir);

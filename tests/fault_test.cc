@@ -1,11 +1,12 @@
 // Integration tests for end-to-end I/O fault tolerance: ENOSPC mid-flush
 // cleanup and resume, transient-error retry, bit-flip detection +
 // component quarantine across all four layouts (including under the
-// decoded-unit cache), mixed-format-version datasets, and the
-// Store::Health() accessor.
+// decoded-unit cache), quarantines persisted in the manifest across
+// flushes, repairs, merges and reopens, and the Store::Health() accessor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -16,6 +17,7 @@
 #include "src/storage/component_file.h"
 #include "src/storage/fault_injection_fs.h"
 #include "src/storage/file.h"
+#include "src/storage/manifest.h"
 #include "src/store/store.h"
 
 namespace lsmcol {
@@ -196,7 +198,7 @@ TEST_P(FaultTest, BitFlipQuarantinesOnlyAffectedComponent) {
   EXPECT_EQ(health[0].name, "docs");
   EXPECT_FALSE(health[0].has_background_error);
   EXPECT_EQ(health[0].quarantined_components, 1u);
-  EXPECT_GE(health[0].checksum_failures, 1u);
+  EXPECT_GE(health[0].stats.checksum_failures, 1u);
 }
 
 // Decoded-unit cache: damage under a unit nobody has read yet surfaces
@@ -268,6 +270,257 @@ TEST_P(FaultTest, QuarantinedComponentServesNoCachedUnit) {
   EXPECT_TRUE(st.IsDataDamage()) << st.ToString();
   EXPECT_EQ(ds->cache()->stats().hits, warm.hits);
 }
+
+// --------------------------------------------- damage persistence
+//
+// A quarantine is durable: the manifest lists each quarantined component
+// the dataset still holds, with its reason, and a reopen re-applies it.
+// Damage is injected with read-side bit flips, so the files at rest stay
+// clean and only the manifest can carry the quarantine across a reopen.
+
+class DamagePersistenceTest : public FaultTest {
+ protected:
+  /// Insert `count` records from `first` and flush them into a component.
+  static void FlushRange(Dataset* ds, int64_t first, int64_t count) {
+    for (int64_t i = first; i < first + count; ++i) {
+      ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+    }
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+
+  /// Every read of the component file at `path` returns flipped bytes.
+  static void DecayOnRead(FaultInjectionFs* fs, const std::string& path) {
+    FaultRule rule;
+    rule.path_substring =
+        "/" + std::filesystem::path(path).filename().string();
+    rule.op = FaultOp::kRead;
+    rule.flip_bit = true;
+    fs->AddRule(rule);
+  }
+
+  /// Drain a full scan of `snapshot`; the first error, or OK.
+  static Status ScanAll(const Snapshot& snapshot) {
+    auto cursor = snapshot.Scan(Projection::All());
+    if (!cursor.ok()) return cursor.status();
+    while (true) {
+      auto more = (*cursor)->Next();
+      if (!more.ok()) return more.status();
+      if (!*more) return Status::OK();
+      Value record;
+      LSMCOL_RETURN_NOT_OK((*cursor)->Record(&record));
+    }
+  }
+
+  /// The damage section of the manifest on disk.
+  std::vector<ManifestDamageEntry> ManifestDamage() const {
+    auto manifest = ReadManifest(ManifestPath(dir_ + "/docs", "docs"));
+    EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+    if (!manifest.ok()) return {};
+    return manifest->damaged;
+  }
+
+  /// The quarantine list of a freshly reopened store.
+  std::vector<std::pair<uint64_t, Status>> ReopenedQuarantine() {
+    auto store = Store::Open(Options());
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    if (!store.ok()) return {};
+    auto ds = (*store)->OpenDataset("docs", DocOptions());
+    EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+    if (!ds.ok()) return {};
+    return (*ds)->QuarantineList();
+  }
+
+  /// Damage found by a lookup, optionally persisted by a Flush, then
+  /// repaired from a backup taken before it; checked after a reopen.
+  void RepairThenReopen(bool flush_before_repair) {
+    const std::string backup_dir = dir_ + "_backup";
+    std::filesystem::remove_all(backup_dir);
+    FaultInjectionFs fault_fs;
+    {
+      auto store = Store::Open(Options(&fault_fs));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+      ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+      Dataset* ds = *ds_or;
+      FlushRange(ds, 0, 80);
+      ASSERT_TRUE((*store)->CreateBackup(backup_dir).ok());
+      const auto components = ComponentFiles();
+      ASSERT_EQ(components.size(), 1u);
+
+      DecayOnRead(&fault_fs, components[0]);
+      Value record;
+      EXPECT_TRUE(ds->Lookup(10, &record).IsDataDamage());
+      fault_fs.ClearRules();
+      if (flush_before_repair) {
+        ASSERT_TRUE(ds->Flush().ok());
+        EXPECT_EQ(ManifestDamage().size(), 1u);
+      }
+      ASSERT_TRUE(ds->RepairQuarantined(backup_dir).ok());
+      EXPECT_TRUE(ds->QuarantineList().empty());
+      EXPECT_TRUE(ManifestDamage().empty());
+    }
+    EXPECT_TRUE(ReopenedQuarantine().empty());
+    EXPECT_TRUE(ManifestDamage().empty());
+    std::filesystem::remove_all(backup_dir);
+  }
+
+  static std::vector<std::pair<uint64_t, Status>> SortedById(
+      std::vector<std::pair<uint64_t, Status>> list) {
+    std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    return list;
+  }
+};
+
+// Damage found by a lookup and by a scan reaches the manifest at the
+// next Flush, sorted by component id, and a reopen restores both
+// quarantines with the same code and reason.
+TEST_P(DamagePersistenceTest, ReadDamageSurvivesFlushAndReopen) {
+  FaultInjectionFs fault_fs;
+  std::vector<std::pair<uint64_t, Status>> found;
+  {
+    auto store = Store::Open(Options(&fault_fs));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+    ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+    Dataset* ds = *ds_or;
+    FlushRange(ds, 0, 80);
+    FlushRange(ds, 1000, 80);
+    FlushRange(ds, 2000, 80);
+    const auto components = ComponentFiles();  // oldest first
+    ASSERT_EQ(components.size(), 3u);
+
+    // A scan stops at its first damaged source: decay only the newest.
+    DecayOnRead(&fault_fs, components[2]);
+    EXPECT_TRUE(ScanAll(*ds->GetSnapshot()).IsDataDamage());
+    // The newer components' key fences exclude key 10: the lookup reads
+    // only the oldest.
+    DecayOnRead(&fault_fs, components[0]);
+    Value record;
+    EXPECT_TRUE(ds->Lookup(10, &record).IsDataDamage());
+    fault_fs.ClearRules();
+
+    found = SortedById(ds->QuarantineList());
+    ASSERT_EQ(found.size(), 2u);
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+  const auto damage = ManifestDamage();
+  ASSERT_EQ(damage.size(), 2u);
+  for (size_t i = 0; i < damage.size(); ++i) {
+    EXPECT_EQ(damage[i].component_id, found[i].first);
+    EXPECT_EQ(damage[i].status_code,
+              static_cast<uint8_t>(found[i].second.code()));
+    EXPECT_EQ(damage[i].reason, found[i].second.message());
+  }
+  const auto reopened = SortedById(ReopenedQuarantine());
+  ASSERT_EQ(reopened.size(), 2u);
+  for (size_t i = 0; i < reopened.size(); ++i) {
+    EXPECT_EQ(reopened[i].first, found[i].first);
+    EXPECT_EQ(reopened[i].second.ToString(), found[i].second.ToString());
+  }
+}
+
+// A component repaired from a backup is healthy after a reopen, and the
+// manifest holds no record for it.
+TEST_P(DamagePersistenceTest, RepairedComponentStaysHealthyAfterReopen) {
+  RepairThenReopen(/*flush_before_repair=*/true);
+}
+
+// Likewise when the repair comes before any rewrite persisted the damage:
+// the repair's own rewrite must not record it for the repaired file.
+TEST_P(DamagePersistenceTest, RepairOfUnpersistedDamageLeavesNoRecord) {
+  RepairThenReopen(/*flush_before_repair=*/false);
+}
+
+// A merged-away component that only a snapshot still pins is not in the
+// dataset: damage found through the snapshot quarantines it there but
+// never reaches the manifest.
+TEST_P(DamagePersistenceTest, MergedAwayDamageStaysOutOfManifest) {
+  FaultInjectionFs fault_fs;
+  {
+    auto store = Store::Open(Options(&fault_fs));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+    ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+    Dataset* ds = *ds_or;
+    FlushRange(ds, 0, 80);
+    FlushRange(ds, 1000, 80);
+    const auto inputs = ComponentFiles();
+    ASSERT_EQ(inputs.size(), 2u);
+    const Snapshot::Ref pinned = ds->GetSnapshot();
+    ASSERT_TRUE(ds->MergeAll().ok());
+    ASSERT_EQ(ds->component_count(), 1u);
+
+    DecayOnRead(&fault_fs, inputs[0]);
+    Value record;
+    EXPECT_TRUE(pinned->Lookup(10, &record).IsDataDamage());
+    fault_fs.ClearRules();
+    EXPECT_GE(ds->stats().checksum_failures, 1u);
+    EXPECT_TRUE(ds->QuarantineList().empty());
+    ASSERT_TRUE(ds->Flush().ok());
+    EXPECT_TRUE(ManifestDamage().empty());
+    ASSERT_TRUE(ds->Lookup(10, &record).ok());
+  }
+  EXPECT_TRUE(ManifestDamage().empty());
+  EXPECT_TRUE(ReopenedQuarantine().empty());
+}
+
+// A manifest rewrite that fails leaves the damage pending: the next
+// Flush retries the rewrite and persists it.
+TEST_P(DamagePersistenceTest, FailedRewriteRetriedByFlush) {
+  FaultInjectionFs fault_fs;
+  std::vector<std::pair<uint64_t, Status>> found;
+  {
+    StoreOptions options = Options(&fault_fs);
+    options.io_retry.max_retries = 0;
+    auto store = Store::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+    ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+    Dataset* ds = *ds_or;
+    FlushRange(ds, 0, 80);
+    const auto components = ComponentFiles();
+    ASSERT_EQ(components.size(), 1u);
+
+    DecayOnRead(&fault_fs, components[0]);
+    Value record;
+    EXPECT_TRUE(ds->Lookup(10, &record).IsDataDamage());
+    found = ds->QuarantineList();
+    ASSERT_EQ(found.size(), 1u);
+    FaultRule full;
+    full.path_substring = ".MANIFEST";
+    full.op = FaultOp::kWrite;
+    full.error_code = ENOSPC;
+    fault_fs.AddRule(full);
+    const uint64_t sequence = ds->manifest_sequence();
+    EXPECT_FALSE(ds->Flush().ok());
+    EXPECT_EQ(ds->manifest_sequence(), sequence);
+    EXPECT_TRUE(ManifestDamage().empty());
+
+    fault_fs.ClearRules();
+    ASSERT_TRUE(ds->Flush().ok());
+    EXPECT_EQ(ds->manifest_sequence(), sequence + 1);
+    const auto damage = ManifestDamage();
+    ASSERT_EQ(damage.size(), 1u);
+    EXPECT_EQ(damage[0].component_id, found[0].first);
+    // Nothing is pending any more: a further Flush writes nothing.
+    ASSERT_TRUE(ds->Flush().ok());
+    EXPECT_EQ(ds->manifest_sequence(), sequence + 1);
+  }
+  const auto reopened = ReopenedQuarantine();
+  ASSERT_EQ(reopened.size(), 1u);
+  EXPECT_EQ(reopened[0].first, found[0].first);
+  EXPECT_EQ(reopened[0].second.ToString(), found[0].second.ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayouts, DamagePersistenceTest,
+                         ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
+                                           LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, FaultTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,

@@ -248,8 +248,8 @@ TEST_P(ScrubTest, ScrubNowDetectsDecayUnderWarmCache) {
   const auto health = (*store)->Health();
   ASSERT_EQ(health.size(), 1u);
   ASSERT_EQ(health[0].quarantined.size(), 1u);
-  EXPECT_GE(health[0].scrub_passes, 2u);
-  EXPECT_GE(health[0].scrub_damage_found, 1u);
+  EXPECT_GE(health[0].stats.scrub_passes, 2u);
+  EXPECT_GE(health[0].stats.scrub_damage_found, 1u);
   // A second pass skips the quarantined component instead of re-probing.
   auto again = (*store)->ScrubNow();
   ASSERT_TRUE(again.ok());

@@ -152,7 +152,7 @@ TEST_P(ScrubTortureTest, BackupScrubRepairRoundtrip) {
     ASSERT_EQ(health[0].quarantined.size(), 1u);
     victim_id = health[0].quarantined[0].first;
     EXPECT_FALSE(health[0].quarantined[0].second.empty());
-    EXPECT_EQ(health[0].scrub_damage_found, 1u);
+    EXPECT_EQ(health[0].stats.scrub_damage_found, 1u);
     EXPECT_EQ(victim_basename,
               "docs_" + std::to_string(victim_id) + ".cmp");
   }

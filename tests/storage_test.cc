@@ -955,6 +955,19 @@ TEST_F(ComponentFileTest, EmptyComponent) {
   EXPECT_EQ((*reader)->metadata().ToString(), "empty");
 }
 
+// An empty blob is written as one zero-filled page; a default Slice's
+// null data() is never copied from.
+TEST_F(ComponentFileTest, EmptyMetadataFromNullSlice) {
+  auto writer = ComponentWriter::Create(path_, cache_.get(), kPage);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendLeaf(Slice("leaf"), 0, 9, 1).ok());
+  ASSERT_TRUE((*writer)->Finish(Slice()).ok());
+  auto reader = ComponentReader::Open(path_, cache_.get(), kPage);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ((*reader)->leaves().size(), 1u);
+  EXPECT_TRUE((*reader)->metadata().empty());
+}
+
 TEST_F(ComponentFileTest, CorruptFooterRejected) {
   {
     auto file = PageFile::Create(path_, kPage);

@@ -276,13 +276,98 @@ std::string WalUnitDir(const std::string& name) {
   return dir;
 }
 
-WalOptions UnitOptions(bool group_commit, uint32_t window_us = 0) {
+WalOptions UnitOptions(bool group_commit) {
   WalOptions options;
   options.enabled = true;
   options.group_commit = group_commit;
-  options.group_window_us = window_us;
   return options;
 }
+
+/// The POSIX filesystem, except that once armed the first Sync of a
+/// created file blocks until `writers` NoteAppended calls: every writer
+/// has appended while one leader's fsync is in flight.
+class SyncGateFs final : public FileSystem {
+ public:
+  explicit SyncGateFs(int writers) : writers_(writers) {}
+
+  void Arm() {
+    MutexLock lock(&mu_);
+    armed_ = true;
+  }
+  void NoteAppended() {
+    MutexLock lock(&mu_);
+    ++appended_;
+    cv_.NotifyAll();
+  }
+
+  Result<std::unique_ptr<FsFile>> Create(const std::string& path) override {
+    LSMCOL_ASSIGN_OR_RETURN(auto file, base_->Create(path));
+    return std::unique_ptr<FsFile>(new GatedFile(this, std::move(file)));
+  }
+  Result<std::unique_ptr<FsFile>> Open(const std::string& path,
+                                       bool writable) override {
+    return base_->Open(path, writable);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  bool Exists(const std::string& path) override {
+    return base_->Exists(path);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return base_->CreateDirs(dir);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+
+ private:
+  class GatedFile final : public FsFile {
+   public:
+    GatedFile(SyncGateFs* gate, std::unique_ptr<FsFile> base)
+        : FsFile(base->path()), gate_(gate), base_(std::move(base)) {}
+    Status ReadInto(uint64_t offset, size_t n, char* dst,
+                    size_t* got) override {
+      return base_->ReadInto(offset, n, dst, got);
+    }
+    Status WriteAt(uint64_t offset, Slice data) override {
+      return base_->WriteAt(offset, data);
+    }
+    Status Append(Slice data, size_t* appended) override {
+      return base_->Append(data, appended);
+    }
+    Status Sync() override {
+      gate_->WaitAtFirstSync();
+      return base_->Sync();
+    }
+    Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+    Result<uint64_t> Size() override { return base_->Size(); }
+
+   private:
+    SyncGateFs* const gate_;
+    std::unique_ptr<FsFile> base_;
+  };
+
+  void WaitAtFirstSync() {
+    MutexLock lock(&mu_);
+    if (!armed_) return;
+    armed_ = false;
+    while (appended_ < writers_) cv_.Wait(&mu_);
+  }
+
+  FileSystem* const base_ = DefaultFileSystem();
+  const int writers_;
+  Mutex mu_{MutexRank::kLeaf};
+  CondVar cv_;
+  bool armed_ LSMCOL_GUARDED_BY(mu_) = false;
+  int appended_ LSMCOL_GUARDED_BY(mu_) = 0;
+};
 
 uint64_t CountReplayed(const std::string& dir, uint64_t floor = 1) {
   auto result = ReplayWalSegments(
@@ -353,22 +438,26 @@ TEST(WalGroupCommit, MidGroupCutRecoversExactPrefix) {
 }
 
 // Concurrent writers coalesce: N threads, each append+sync per record,
-// must finish with (usually far) fewer fsyncs than records while every
-// record is durable and replayable.
+// finish with fewer fsyncs than records while every record is durable
+// and replayable. The first fsync is held until every writer has
+// appended, so the next leader's batch holds the others' records: the
+// bounds below hold on any schedule.
 TEST(WalGroupCommit, ConcurrentWritersShareFsyncs) {
   const std::string dir = WalUnitDir("group_threads");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 40;
-  auto wal =
-      WriteAheadLog::Open(dir, "log", UnitOptions(true, /*window_us=*/2000),
-                          IoRetryOptions(), 1, 1);
+  SyncGateFs gate(kThreads);
+  auto wal = WriteAheadLog::Open(dir, "log", UnitOptions(true),
+                                 IoRetryOptions(), 1, 1, &gate);
   ASSERT_TRUE(wal.ok());
+  gate.Arm();
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         auto lsn = (*wal)->Append(false, t * kPerThread + i, Slice("row"));
+        if (i == 0) gate.NoteAppended();  // even a failed one: never strand
         if (!lsn.ok() || !(*wal)->Sync(*lsn).ok()) {
           failures.fetch_add(1);
           return;
@@ -382,9 +471,6 @@ TEST(WalGroupCommit, ConcurrentWritersShareFsyncs) {
   constexpr uint64_t kTotal = kThreads * kPerThread;
   EXPECT_EQ(stats.appends, kTotal);
   EXPECT_EQ((*wal)->durable_lsn(), kTotal);
-  // The whole point: one fsync covers many writers. With an 8-thread
-  // pile-up and a 2 ms linger this is far below one sync per record; the
-  // bound is deliberately loose so scheduling noise cannot flake it.
   EXPECT_LT(stats.syncs, kTotal);
   EXPECT_GT(stats.group_entries_max, 1u);
   wal->reset();
