@@ -22,7 +22,7 @@ Dataset::Dataset(const DatasetOptions& options, BufferCache* cache)
                                               : owned_scheduler_.get()),
       compaction_policy_(MakeCompactionPolicy(options)),
       mu_(MutexRank::kDataset),
-      memtable_(std::make_shared<MemTable>()),
+      memtable_(std::make_shared<ActiveMemTable>()),
       manifest_path_(ManifestPath(options.dir, options.name)),
       fault_counters_(std::make_shared<ComponentFaultCounters>()) {
   row_codec_ = &GetRowCodec(columnar() ? LayoutKind::kVb : options_.layout);
@@ -89,7 +89,7 @@ Status Dataset::OpenLocked(const DatasetOptions& validated) {
     // re-inserted rows shadow identical rows in the newest component.
     // The raw pointer keeps the replay lambda (analyzed as a separate
     // function) off the guarded member.
-    MemTable* memtable = memtable_.get();
+    MemTable* memtable = &memtable_->table;
     LSMCOL_ASSIGN_OR_RETURN(
         WalReplayResult replay,
         ReplayWalSegments(validated.dir, validated.name, wal_floor_,
@@ -270,12 +270,12 @@ std::string Dataset::ComponentFilePath(uint64_t id) const {
 }
 
 MemTable* Dataset::MutableMemtableLocked() {
-  if (memtable_.use_count() > 1) {
+  if (memtable_->snapshot_pins.load(std::memory_order_acquire) > 0) {
     // A snapshot shares this memtable: give writers a private copy so the
     // snapshot's view stays frozen.
-    memtable_ = std::make_shared<MemTable>(*memtable_);
+    memtable_ = std::make_shared<ActiveMemTable>(memtable_->table);
   }
-  return memtable_.get();
+  return &memtable_->table;
 }
 
 Result<std::shared_ptr<Schema>> Dataset::CloneSchemaLocked() {
@@ -346,7 +346,7 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
                                       std::string(row.data(), row.size()));
       ++stats_.inserts;
     }
-    if (memtable_->approximate_bytes() >= options_.memtable_bytes) {
+    if (memtable_->table.approximate_bytes() >= options_.memtable_bytes) {
       LSMCOL_RETURN_NOT_OK(RotateMemtableLocked());
       ScheduleFlushLocked();
       WaitForWriteRoomLocked();
@@ -361,7 +361,7 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
 }
 
 Status Dataset::RotateMemtableLocked() {
-  if (memtable_->empty()) return Status::OK();
+  if (memtable_->table.empty()) return Status::OK();
   if (wal_ != nullptr) {
     // Seal the covering log segment with the memtable: the segment holds
     // exactly the writes since the previous rotation (every append lands
@@ -372,9 +372,11 @@ Status Dataset::RotateMemtableLocked() {
     if (!sealed.ok()) return sealed.status();  // memtable stays active
     immutable_wal_upto_.insert(immutable_wal_upto_.begin(), *sealed);
   }
-  immutables_.insert(immutables_.begin(), memtable_);  // newest first
+  immutables_.insert(immutables_.begin(),  // newest first
+                     std::shared_ptr<const MemTable>(memtable_,
+                                                     &memtable_->table));
   immutable_claimed_.insert(immutable_claimed_.begin(), false);
-  memtable_ = std::make_shared<MemTable>();
+  memtable_ = std::make_shared<ActiveMemTable>();
   return Status::OK();
 }
 
@@ -695,19 +697,12 @@ Status Dataset::FlushOneImmutableLocked() {
     // Only after the manifest is durable: before that, the segments below
     // the floor are still the sole copy of this flush's writes. Deletion
     // failure is harmless — the next open's sweep (driven by the
-    // manifest's recorded floor) collects the leftovers. A live backup
-    // pin defers the unlink entirely (the backup may still be copying
-    // those segments); EndBackup catches up.
+    // manifest's recorded floor) collects the leftovers.
     const uint64_t floor = wal_floor_;
-    if (backup_holds_ > 0) {
-      wal_pending_delete_floor_ =
-          std::max(wal_pending_delete_floor_, floor);
-    } else {
-      mu_.Unlock();
-      Status ignored = wal_->DeleteSegmentsBelow(floor);
-      (void)ignored;
-      mu_.Lock();
-    }
+    mu_.Unlock();
+    Status ignored = wal_->DeleteSegmentsBelow(floor);
+    (void)ignored;
+    mu_.Lock();
   }
   --flush_building_;
   work_cv_.NotifyAll();
@@ -810,7 +805,7 @@ Status Dataset::MergeUntilSatisfiedLocked(bool background) {
 Status Dataset::MergeAll() {
   {
     MutexLock lock(&mu_);
-    if (memtable_->empty() && immutables_.empty() &&
+    if (memtable_->table.empty() && immutables_.empty() &&
         components_.size() < 2) {
       return Status::OK();
     }
@@ -930,7 +925,10 @@ Snapshot::Ref Dataset::GetSnapshotLocked() const {
   auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
   snapshot->layout_ = options_.layout;
   snapshot->row_codec_ = row_codec_;
-  snapshot->memtable_ = memtable_;
+  memtable_->snapshot_pins.fetch_add(1, std::memory_order_relaxed);
+  snapshot->memtable_pins_ = &memtable_->snapshot_pins;
+  snapshot->memtable_ =
+      std::shared_ptr<const MemTable>(memtable_, &memtable_->table);
   snapshot->immutables_.assign(immutables_.begin(), immutables_.end());
   snapshot->schema_ = schema_;
   snapshot->components_.assign(components_.begin(), components_.end());
@@ -1079,62 +1077,24 @@ void Dataset::NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,
   }
 }
 
-Status Dataset::BeginBackup(DatasetBackupPin* pin) {
-  {
-    MutexLock lock(&mu_);
-    for (const auto& component : components_) {
-      if (!component->quarantined()) continue;
-      const Status reason = component->CheckReadable();
-      return Status(reason.code(),
-                    "dataset " + options_.name + " component " +
-                        std::to_string(component->meta().component_id) +
-                        " is quarantined; repair it before taking a backup"
-                        " (" +
-                        reason.message() + ")");
-    }
-    pin->name = options_.name;
-    pin->dir = options_.dir;
-    pin->snapshot = GetSnapshotLocked();
-    pin->manifest = CurrentManifestLocked();
-    pin->manifest.sequence = manifest_sequence_;
-    pin->wal_enabled = wal_ != nullptr;
-    if (wal_ != nullptr) {
-      pin->wal_cut_lsn = wal_->appended_lsn();
-      pin->wal_first_segment = wal_floor_;
-      pin->wal_last_segment = wal_->active_segment();
-    }
-    ++backup_holds_;
+Status Dataset::PinForBackup(DatasetBackupPin* pin) {
+  MutexLock lock(&mu_);
+  for (const auto& component : components_) {
+    if (!component->quarantined()) continue;
+    const Status reason = component->CheckReadable();
+    return Status(reason.code(),
+                  "dataset " + options_.name + " component " +
+                      std::to_string(component->meta().component_id) +
+                      " is quarantined; repair it before taking a backup"
+                      " (" +
+                      reason.message() + ")");
   }
-  if (pin->wal_enabled && pin->wal_cut_lsn > 0) {
-    // Make every record up to the cut disk-intact before the copy phase
-    // walks the segments (CopyWalSegmentPrefix stops at the first torn
-    // frame, which after this sync is necessarily beyond the cut).
-    Status st = wal_->Sync(pin->wal_cut_lsn);
-    if (!st.ok()) {
-      EndBackup();
-      return st;
-    }
-  }
+  pin->name = options_.name;
+  pin->dir = options_.dir;
+  pin->snapshot = GetSnapshotLocked();
+  pin->manifest = CurrentManifestLocked();
+  pin->manifest.sequence = manifest_sequence_;
   return Status::OK();
-}
-
-void Dataset::EndBackup() {
-  uint64_t floor = 0;
-  {
-    MutexLock lock(&mu_);
-    LSMCOL_CHECK(backup_holds_ > 0);
-    --backup_holds_;
-    if (backup_holds_ == 0) {
-      floor = wal_pending_delete_floor_;
-      wal_pending_delete_floor_ = 0;
-    }
-  }
-  if (floor > 0 && wal_ != nullptr) {
-    // Catch up the segment deletions the pin deferred. Failure is
-    // harmless (next open's sweep collects them).
-    Status ignored = wal_->DeleteSegmentsBelow(floor);
-    (void)ignored;
-  }
 }
 
 Status Dataset::RepairQuarantined(const std::string& backup_dir) {

@@ -45,7 +45,9 @@
 //   * Component/memtable/schema *contents* are never mutated after
 //     publication; snapshots share them via shared_ptr (whose refcounts
 //     are atomic), so reads run lock-free after the brief GetSnapshot
-//     critical section, and include the immutable memtables.
+//     critical section, and include the immutable memtables. The active
+//     memtable is the one exception: writers update it in place only
+//     while no snapshot pins it, and copy it otherwise (ActiveMemTable).
 //   * Several sealed memtables may be *built* into components in
 //     parallel (one flush task per sealed memtable), but publication is
 //     strictly ordered oldest-first, so the component list always agrees
@@ -171,23 +173,15 @@ struct DatasetStats {
 };
 
 /// Everything a consistent hot backup needs from one dataset, captured in
-/// a single Dataset::BeginBackup critical section: the pinned snapshot
+/// a single Dataset::PinForBackup critical section: the pinned snapshot
 /// keeps every component file alive (a concurrent merge may unpublish
-/// them, but the pinned references defer deletion), the manifest mirrors
-/// exactly that component list, and the WAL cut bounds which log records
-/// belong to the backup (everything acknowledged at pin time). Release
-/// with Dataset::EndBackup — the pin also defers WAL segment deletion so
-/// the segments named by [wal_first_segment, wal_last_segment] stay
-/// copyable while the backup runs.
+/// them, but the pinned references defer deletion), and the manifest
+/// mirrors exactly that component list. Dropping the pin releases it.
 struct DatasetBackupPin {
   std::string name;
   std::string dir;               ///< dataset directory (source of copies)
   Snapshot::Ref snapshot;        ///< pins the component files on disk
   Manifest manifest;             ///< constructed at pin time, not read back
-  bool wal_enabled = false;
-  uint64_t wal_cut_lsn = 0;      ///< last acknowledged LSN at pin time
-  uint64_t wal_first_segment = 1;  ///< lowest segment still covering data
-  uint64_t wal_last_segment = 0;   ///< active segment at pin time
 };
 
 /// \brief One document collection stored in a primary LSM index.
@@ -263,7 +257,7 @@ class Dataset {
 
   // --- Introspection ---
   // Counters/counts are thread-safe. The reference-returning accessors
-  // (component(i), memtable(), schema()) hand out state that a concurrent
+  // (component(i), schema()) hand out state that a concurrent
   // flush/merge may unpublish — call them only on a quiescent dataset
   // (tests, benches) or read through a Snapshot instead.
   const DatasetOptions& options() const { return options_; }
@@ -274,12 +268,6 @@ class Dataset {
   BufferCache* cache() { return cache_; }
   size_t component_count() const LSMCOL_EXCLUDES(mu_);
   const Component& component(size_t i) const LSMCOL_EXCLUDES(mu_);
-  const MemTable& memtable() const LSMCOL_EXCLUDES(mu_) {
-    // The lock covers the pointer read; the reference stays valid only
-    // under this accessor's quiescence contract (see above).
-    MutexLock lock(&mu_);
-    return *memtable_;
-  }
   /// Sealed memtables not yet flushed. In the caller-runs form each
   /// write runs its own flush, so this is 0 between calls unless a flush
   /// failed.
@@ -319,11 +307,9 @@ class Dataset {
 
   /// Pin a consistent backup view (see DatasetBackupPin). Fails if any
   /// pinned component is quarantined (a backup must never capture known
-  /// damage). On success the WAL (if enabled) has been synced through the
-  /// cut LSN and segment deletion is deferred until EndBackup — every
-  /// successful BeginBackup must be paired with exactly one EndBackup.
-  Status BeginBackup(DatasetBackupPin* pin) LSMCOL_EXCLUDES(mu_);
-  void EndBackup() LSMCOL_EXCLUDES(mu_);
+  /// damage). The pin covers components only: Store::CreateBackup
+  /// flushes the dataset first.
+  Status PinForBackup(DatasetBackupPin* pin) LSMCOL_EXCLUDES(mu_);
 
   /// Replace every quarantined component's file with a verified copy from
   /// `backup_dir` (a directory written by Store::CreateBackup whose
@@ -440,7 +426,7 @@ class Dataset {
   /// a component was quarantined since (quarantines_persisted_).
   Status WriteManifestIfBehindLocked() LSMCOL_REQUIRES(mu_);
   /// Snapshot acquisition body (GetSnapshot's critical section), callable
-  /// from paths that already hold mu_ (BeginBackup).
+  /// from paths that already hold mu_ (PinForBackup).
   Snapshot::Ref GetSnapshotLocked() const LSMCOL_REQUIRES(mu_);
 
   /// Run `op` (returning Status or Result<T>), retrying transient
@@ -500,8 +486,21 @@ class Dataset {
   /// for the flush role, WaitForBackgroundWork, and the destructor.
   mutable CondVar work_cv_;
 
+  /// The active memtable and the number of live snapshots that share
+  /// it. The count sits beside the table, not inside it, because
+  /// copy-on-write copies the table and the copy starts unshared.
+  struct ActiveMemTable {
+    ActiveMemTable() = default;
+    explicit ActiveMemTable(const MemTable& from) : table(from) {}
+    MemTable table;
+    /// Raised under mu_ by GetSnapshotLocked; each snapshot lowers it
+    /// with release order when it dies, and writers read it with acquire
+    /// order, so a snapshot's last read of the table happens before any
+    /// in-place write that follows.
+    std::atomic<size_t> snapshot_pins{0};
+  };
   /// Active memtable; shared with snapshots (COW).
-  std::shared_ptr<MemTable> memtable_ LSMCOL_GUARDED_BY(mu_);
+  std::shared_ptr<ActiveMemTable> memtable_ LSMCOL_GUARDED_BY(mu_);
   /// Sealed memtables awaiting flush, newest first (matches the snapshot
   /// reconciliation order). Never mutated after rotation.
   std::vector<std::shared_ptr<const MemTable>> immutables_
@@ -542,12 +541,6 @@ class Dataset {
   /// record of damage; each rewrite lists those in components_.
   uint64_t quarantines_persisted_ LSMCOL_GUARDED_BY(mu_) = 0;
 
-  // --- Backup / repair state ---
-  /// Live backup pins. While non-zero, WAL segment deletion is deferred
-  /// (the backup may still be copying segments the floor moved past).
-  size_t backup_holds_ LSMCOL_GUARDED_BY(mu_) = 0;
-  /// Highest WAL floor whose segment deletion was deferred by a backup.
-  uint64_t wal_pending_delete_floor_ LSMCOL_GUARDED_BY(mu_) = 0;
   /// At most one RepairQuarantined runs at a time.
   bool repairing_ LSMCOL_GUARDED_BY(mu_) = false;
 

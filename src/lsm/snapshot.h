@@ -27,6 +27,7 @@
 #ifndef LSMCOL_LSM_SNAPSHOT_H_
 #define LSMCOL_LSM_SNAPSHOT_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,6 +106,14 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
  public:
   using Ref = std::shared_ptr<const Snapshot>;
 
+  ~Snapshot() {
+    if (memtable_pins_ != nullptr) {
+      memtable_pins_->fetch_sub(1, std::memory_order_release);
+    }
+  }
+  Snapshot(const Snapshot&) = delete;
+  Snapshot& operator=(const Snapshot&) = delete;
+
   /// Reconciled scan of the pinned view. For columnar layouts the
   /// projection limits which megapages/minipage chunks are ever decoded
   /// (and, for AMAX, read).
@@ -159,6 +168,9 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
   LayoutKind layout_ = LayoutKind::kOpen;
   const RowCodec* row_codec_ = nullptr;
   std::shared_ptr<const MemTable> memtable_;  // active at snapshot time
+  /// The dataset's count of snapshots sharing memtable_, which keeps it
+  /// alive; released in the destructor (see Dataset::ActiveMemTable).
+  std::atomic<size_t>* memtable_pins_ = nullptr;
   /// Sealed memtables awaiting flush, newest first: reconciliation order
   /// is active memtable, then these, then the disk components.
   std::vector<std::shared_ptr<const MemTable>> immutables_;

@@ -49,7 +49,12 @@ Result<BackupManifest> ReadBackupManifest(const std::string& backup_dir,
     BackupFileEntry entry;
     uint8_t kind = 0;
     LSMCOL_RETURN_NOT_OK(r.ReadByte(&kind));
-    if (kind < 1 || kind > 3) {
+    if (kind == 2) {
+      return Status::NotSupported(
+          path + " lists a WAL segment copy (catalog kind 2), which this "
+                 "version does not restore; take a new backup");
+    }
+    if (kind != 1 && kind != 3) {
       return Status::Corruption("bad backup file kind in " + path);
     }
     entry.kind = static_cast<BackupFileKind>(kind);

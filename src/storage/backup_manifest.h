@@ -1,14 +1,14 @@
 // BackupManifest: the checksummed catalog of one backup directory.
 //
 // A backup is a directory holding, per dataset, a subdirectory of copied
-// component files, trimmed WAL segments, and the dataset MANIFEST taken
-// at the pin instant — plus this top-level BACKUP.MANIFEST naming every
-// file with its size and whole-file checksum. The catalog is written
-// atomically LAST (after every data file is synced), so a crash while
-// the backup was being taken leaves either a complete, verifiable backup
-// or one with no catalog — never a catalog pointing at missing or torn
-// files. Restore and repair refuse any file whose size or checksum
-// disagrees with the catalog.
+// component files and the dataset MANIFEST taken at the pin instant —
+// plus this top-level BACKUP.MANIFEST naming every file with its size
+// and whole-file checksum. The catalog is written atomically LAST (after
+// every data file is synced), so a crash while the backup was being
+// taken leaves either a complete, verifiable backup or one with no
+// catalog — never a catalog pointing at missing or torn files. Restore
+// and repair refuse any file whose size or checksum disagrees with the
+// catalog.
 //
 // This lives in the storage layer (not src/store) so Dataset's repair
 // path can read catalogs without a store->lsm dependency cycle; the
@@ -26,10 +26,10 @@
 
 namespace lsmcol {
 
-/// What one cataloged file is. Stored as a raw byte on disk.
+/// What one cataloged file is. Stored as a raw byte on disk. Kind 2, a
+/// WAL segment copy, is retired: ReadBackupManifest rejects it.
 enum class BackupFileKind : uint8_t {
   kComponent = 1,        ///< immutable component file (id = component id)
-  kWalSegment = 2,       ///< trimmed WAL segment (id = segment sequence)
   kDatasetManifest = 3,  ///< the dataset MANIFEST at the pin instant
 };
 
@@ -41,7 +41,7 @@ struct BackupFileEntry {
   std::string rel_path;  ///< path relative to the backup root
   uint64_t size = 0;     ///< exact file size in bytes
   uint32_t checksum = 0; ///< FNV-1a32 of the whole file content
-  uint64_t id = 0;       ///< component id / WAL sequence; 0 for manifests
+  uint64_t id = 0;       ///< component id; 0 for manifests
 };
 
 struct BackupManifest {
@@ -59,7 +59,8 @@ Status WriteBackupManifest(const std::string& backup_dir,
                            const BackupManifest& manifest,
                            FileSystem* fs = nullptr);
 
-/// Read and verify (magic, version, checksum) a backup catalog.
+/// Read and verify (magic, version, checksum) a backup catalog. A catalog
+/// that lists a WAL segment copy (kind 2) is NotSupported.
 Result<BackupManifest> ReadBackupManifest(const std::string& backup_dir,
                                           FileSystem* fs = nullptr);
 

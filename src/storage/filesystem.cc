@@ -122,20 +122,6 @@ class PosixFileSystem final : public FileSystem {
     return Status::OK();
   }
 
-  Status LinkFile(const std::string& from, const std::string& to) override {
-    if (::link(from.c_str(), to.c_str()) != 0) {
-      if (errno == EXDEV || errno == EPERM || errno == ENOTSUP ||
-          errno == EOPNOTSUPP) {
-        // Cross-filesystem or links disabled: a policy limitation, not an
-        // I/O failure — callers fall back to copying on NotSupported.
-        return Status::NotSupported("link failed for " + from + " -> " + to +
-                                    ": " + ErrnoMessage(errno));
-      }
-      return ErrnoStatus("link", from + " -> " + to);
-    }
-    return Status::OK();
-  }
-
   Status RemoveFile(const std::string& path) override {
     if (::unlink(path.c_str()) != 0) return ErrnoStatus("unlink", path);
     return Status::OK();

@@ -104,15 +104,6 @@ class FileSystem {
   /// new dirent needs a subsequent SyncDir of the parent.
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
 
-  /// link(2): make `to` a second name for `from`'s inode (no data copy —
-  /// the same-filesystem backup fast path for immutable files). Default
-  /// is NotSupported; callers must fall back to copying. `to` must not
-  /// exist.
-  virtual Status LinkFile(const std::string& from, const std::string& to) {
-    return Status::NotSupported("hard links not supported: " + from + " -> " +
-                                to);
-  }
-
   /// unlink(2); removing a non-existent file is an error here (use
   /// RemoveFileIfExists in file.h for the tolerant flavor).
   virtual Status RemoveFile(const std::string& path) = 0;

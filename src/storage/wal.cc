@@ -153,11 +153,10 @@ Result<WalReplayResult> ReplayWalSegments(
 
   // Segments below the floor are fully covered by manifest-durable
   // components (the crash hit between the manifest rewrite and the
-  // unlink); finish the delete now.
+  // unlink); the caller's stale-file sweep deletes them.
   size_t live_begin = 0;
   while (live_begin < segments.size() &&
          segments[live_begin].first < floor) {
-    LSMCOL_RETURN_NOT_OK(RemoveFileIfExists(segments[live_begin].second, fs));
     ++live_begin;
   }
 
@@ -259,51 +258,6 @@ Result<WalReplayResult> ReplayWalSegments(
   return result;
 }
 
-Status CopyWalSegmentPrefix(const std::string& src, const std::string& dst,
-                            uint64_t seq, uint64_t cut_lsn, uint64_t* frames,
-                            FileSystem* fs) {
-  fs = ResolveFs(fs);
-  if (frames != nullptr) *frames = 0;
-  LSMCOL_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(src, fs));
-  BufferReader reader{Slice(data)};
-  LSMCOL_RETURN_NOT_OK(CheckSegmentHeader(&reader, seq, src));
-  // Walk frames, extending the copied prefix over every intact frame
-  // with lsn <= cut_lsn. The first bad or beyond-the-cut frame ends the
-  // prefix (see the header contract: nothing acknowledged lives there).
-  size_t prefix_end = data.size() - reader.remaining();
-  uint64_t copied = 0;
-  while (!reader.empty()) {
-    uint32_t payload_len = 0, want_crc = 0;
-    if (reader.remaining() < kFrameHeaderBytes) break;
-    if (!reader.ReadFixed32(&payload_len).ok()) break;
-    if (!reader.ReadFixed32(&want_crc).ok()) break;
-    if (payload_len > kMaxRecordBytes || payload_len > reader.remaining()) {
-      break;
-    }
-    Slice payload;
-    if (!reader.ReadBytes(payload_len, &payload).ok()) break;
-    if (Fnv1a32(payload) != want_crc) break;
-    BufferReader payload_reader(payload);
-    uint64_t lsn = 0;
-    if (!payload_reader.ReadVarint64(&lsn).ok()) break;
-    if (lsn > cut_lsn) break;
-    prefix_end = data.size() - reader.remaining();
-    ++copied;
-  }
-  Status st;
-  {
-    LSMCOL_ASSIGN_OR_RETURN(auto out, fs->Create(dst));
-    st = out->WriteAt(0, Slice(data.data(), prefix_end));
-    if (st.ok()) st = out->Sync();
-  }
-  if (!st.ok()) {
-    (void)RemoveFileIfExists(dst, fs);
-    return st;
-  }
-  if (frames != nullptr) *frames = copied;
-  return Status::OK();
-}
-
 WriteAheadLog::WriteAheadLog(std::string dir, std::string name,
                              const WalOptions& options,
                              const IoRetryOptions& retry, FileSystem* fs)
@@ -342,7 +296,6 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     MutexLock lk(&wal->mu_);
     wal->active_segment_ = next_segment_seq;
     wal->next_lsn_ = next_lsn;
-    wal->appended_lsn_ = next_lsn - 1;
     wal->durable_lsn_ = next_lsn - 1;
     LSMCOL_RETURN_NOT_OK(wal->CreateActiveSegmentLocked());
     LSMCOL_RETURN_NOT_OK(wal->file_->Sync());
@@ -368,7 +321,6 @@ Result<uint64_t> WriteAheadLog::Append(bool anti_matter, int64_t key,
   const uint64_t lsn = next_lsn_++;
   EncodeRecord(&pending_, lsn, anti_matter, key, row);
   pending_frames_.emplace_back(lsn, pending_.size());
-  appended_lsn_ = lsn;
   ++stats_.appends;
   return lsn;
 }
@@ -525,7 +477,7 @@ Result<uint64_t> WriteAheadLog::Rotate() {
       cv_.NotifyAll();
       return st;
     }
-    durable_lsn_ = appended_lsn_;
+    durable_lsn_ = next_lsn_ - 1;
     synced_bytes_ += pending_.size();
     ++stats_.syncs;
     stats_.bytes += pending_.size();
@@ -558,19 +510,9 @@ Status WriteAheadLog::DeleteSegmentsBelow(uint64_t floor) {
   return Status::OK();
 }
 
-uint64_t WriteAheadLog::active_segment() const {
-  MutexLock lk(&mu_);
-  return active_segment_;
-}
-
 uint64_t WriteAheadLog::durable_lsn() const {
   MutexLock lk(&mu_);
   return durable_lsn_;
-}
-
-uint64_t WriteAheadLog::appended_lsn() const {
-  MutexLock lk(&mu_);
-  return appended_lsn_;
 }
 
 Status WriteAheadLog::io_status() const {

@@ -100,27 +100,15 @@ std::string WalSegmentPath(const std::string& dir, const std::string& name,
 
 /// Replay every live segment (sequence >= `floor`) of `<dir>/<name>` in
 /// sequence order, invoking `apply` per record in LSN order. Segments
-/// below `floor` are crash leftovers (their data is manifest-durable) and
-/// are deleted. The newest segment is torn-tail tolerant: replay stops at
-/// the first bad frame and truncates the file there; a bad frame in an
-/// older segment returns Corruption. `apply` returning non-OK aborts.
+/// below `floor` are crash leftovers (their data is manifest-durable):
+/// replay skips them, and Dataset::Open's stale-file sweep deletes them.
+/// The newest segment is torn-tail tolerant: replay stops at the first
+/// bad frame and truncates the file there; a bad frame in an older
+/// segment returns Corruption. `apply` returning non-OK aborts.
 Result<WalReplayResult> ReplayWalSegments(
     const std::string& dir, const std::string& name, uint64_t floor,
     const std::function<Status(const WalReplayEntry&)>& apply,
     FileSystem* fs = nullptr);
-
-/// Copy the prefix of WAL segment `src` (with sequence `seq`) whose
-/// records all have LSN <= `cut_lsn` into `dst`, validating the segment
-/// header and every frame checksum along the way; the copy is fsynced.
-/// The hot-backup helper: the caller pins `cut_lsn` and syncs the log up
-/// to it first, so every frame <= cut_lsn is intact on disk — the walk
-/// stops at the first frame beyond the cut or at the first torn/bad
-/// frame (necessarily the unsynced tail, which holds no acknowledged
-/// write). Frames actually copied are reported via `*frames` (may be
-/// null).
-Status CopyWalSegmentPrefix(const std::string& src, const std::string& dst,
-                            uint64_t seq, uint64_t cut_lsn, uint64_t* frames,
-                            FileSystem* fs = nullptr);
 
 /// The append/commit side. Thread-safe: any number of concurrent
 /// Append+Sync callers; Rotate and DeleteSegmentsBelow are serialized by
@@ -171,12 +159,8 @@ class WriteAheadLog {
   /// syncs proceed.
   Status DeleteSegmentsBelow(uint64_t floor);
 
-  /// Sequence of the segment currently receiving appends.
-  uint64_t active_segment() const LSMCOL_EXCLUDES(mu_);
   /// Highest LSN acknowledged durable so far.
   uint64_t durable_lsn() const LSMCOL_EXCLUDES(mu_);
-  /// Highest LSN ever handed out by Append (pending or durable).
-  uint64_t appended_lsn() const LSMCOL_EXCLUDES(mu_);
   /// The sticky failed-closed error, or OK. While non-OK the log rejects
   /// appends and syncs ("wedged") until the next Rotate() recovers it —
   /// surfaced through Store::Health() so operators see the wedge.
@@ -216,9 +200,8 @@ class WriteAheadLog {
 
   std::unique_ptr<FsFile> file_ LSMCOL_GUARDED_BY(mu_);
   uint64_t active_segment_ LSMCOL_GUARDED_BY(mu_) = 1;
+  /// One past the highest LSN in pending_ or durable.
   uint64_t next_lsn_ LSMCOL_GUARDED_BY(mu_) = 1;
-  /// Highest LSN in pending_ or durable.
-  uint64_t appended_lsn_ LSMCOL_GUARDED_BY(mu_) = 0;
   uint64_t durable_lsn_ LSMCOL_GUARDED_BY(mu_) = 0;
   /// Framed records awaiting write+fsync.
   std::string pending_ LSMCOL_GUARDED_BY(mu_);

@@ -10,7 +10,6 @@
 #include "src/storage/backup_manifest.h"
 #include "src/storage/file.h"
 #include "src/storage/manifest.h"
-#include "src/storage/wal.h"
 #include "src/store/store.h"
 
 namespace lsmcol {
@@ -30,11 +29,11 @@ const BackupFileEntry* FindPrior(const BackupManifest& prior,
   return nullptr;
 }
 
-/// Copy (or hardlink) one immutable component file into the backup,
-/// reusing the prior generation's copy when its checksum still matches.
+/// Copy one immutable component file into the backup, reusing the prior
+/// generation's copy when its checksum still matches.
 Status BackupComponent(const DatasetBackupPin& pin,
                        const ManifestComponentEntry& comp,
-                       const BackupManifest& prior, const BackupOptions& opts,
+                       const BackupManifest& prior,
                        const std::string& backup_dir, BackupManifest* next,
                        FileSystem* fs) {
   const std::string src = pin.dir + "/" + comp.file;
@@ -52,82 +51,33 @@ Status BackupComponent(const DatasetBackupPin& pin,
     // Overwriting it in place is safe precisely because it no longer
     // matches the prior catalog: there is nothing left to preserve.
   }
-  uint64_t size = 0;
-  uint32_t sum = 0;
-  LSMCOL_RETURN_NOT_OK(HashFile(src, &size, &sum, fs));
-  const std::string rel = pin.name + "/" + comp.file;
-  const std::string dst = backup_dir + "/" + rel;
-  bool done = false;
-  if (opts.hardlink) {
-    (void)RemoveFileIfExists(dst, fs);
-    Status link = fs->LinkFile(src, dst);
-    if (link.ok()) {
-      uint64_t lsize = 0;
-      uint32_t lsum = 0;
-      LSMCOL_RETURN_NOT_OK(HashFile(dst, &lsize, &lsum, fs));
-      if (lsize != size || lsum != sum) {
-        (void)RemoveFileIfExists(dst, fs);
-        return Status::ChecksumMismatch("hardlinked backup of " + src +
-                                        " does not hash like its source");
-      }
-      done = true;
-    } else if (link.code() != StatusCode::kNotSupported) {
-      return link;
-    }
-  }
-  if (!done) {
-    LSMCOL_RETURN_NOT_OK(CopyFileVerified(src, dst, size, sum, fs));
-  }
   BackupFileEntry entry;
   entry.kind = BackupFileKind::kComponent;
   entry.dataset = pin.name;
-  entry.rel_path = rel;
-  entry.size = size;
-  entry.checksum = sum;
+  entry.rel_path = pin.name + "/" + comp.file;
   entry.id = comp.id;
+  LSMCOL_RETURN_NOT_OK(HashFile(src, &entry.size, &entry.checksum, fs));
+  LSMCOL_RETURN_NOT_OK(CopyFileVerified(src, backup_dir + "/" + entry.rel_path,
+                                        entry.size, entry.checksum, fs));
   next->files.push_back(std::move(entry));
   return Status::OK();
 }
 
 Status BackupOneDataset(const DatasetBackupPin& pin,
                         const BackupManifest& prior,
-                        const BackupOptions& opts,
                         const std::string& backup_dir, BackupManifest* next,
                         FileSystem* fs) {
   const std::string subdir = backup_dir + "/" + pin.name;
   LSMCOL_RETURN_NOT_OK(CreateDirDurable(subdir, fs));
   for (const ManifestComponentEntry& comp : pin.manifest.components) {
     LSMCOL_RETURN_NOT_OK(
-        BackupComponent(pin, comp, prior, opts, backup_dir, next, fs));
-  }
-  // WAL prefix covering everything newer than the pinned components
-  // (memtable + immutables). Segments mutate between backups, so each
-  // generation writes fresh `.<gen>.walbk` names — the prior
-  // generation's files stay untouched until the new catalog is durable.
-  if (pin.wal_enabled) {
-    for (uint64_t seq = pin.wal_first_segment; seq <= pin.wal_last_segment;
-         ++seq) {
-      const std::string src = WalSegmentPath(pin.dir, pin.name, seq);
-      if (!FileExists(src, fs)) continue;  // already deleted by a flush
-      const std::string rel = pin.name + "/" + pin.name + "_" +
-                              std::to_string(seq) + "." +
-                              std::to_string(next->sequence) + ".walbk";
-      uint64_t frames = 0;
-      LSMCOL_RETURN_NOT_OK(CopyWalSegmentPrefix(src, backup_dir + "/" + rel,
-                                                seq, pin.wal_cut_lsn, &frames,
-                                                fs));
-      BackupFileEntry entry;
-      entry.kind = BackupFileKind::kWalSegment;
-      entry.dataset = pin.name;
-      entry.rel_path = rel;
-      LSMCOL_RETURN_NOT_OK(
-          HashFile(backup_dir + "/" + rel, &entry.size, &entry.checksum, fs));
-      entry.id = seq;
-      next->files.push_back(std::move(entry));
-    }
+        BackupComponent(pin, comp, prior, backup_dir, next, fs));
   }
   // The dataset manifest exactly as of the pin (NOT the live file, which
-  // concurrent flushes keep rewriting past the pinned state).
+  // concurrent flushes keep rewriting past the pinned state). It changes
+  // between backups, so each generation writes it under a fresh
+  // `.<gen>.` name — the prior generation's copy stays untouched until
+  // the new catalog is durable.
   const std::string mrel = pin.name + "/" + pin.name + "." +
                            std::to_string(next->sequence) + ".MANIFEST";
   LSMCOL_RETURN_NOT_OK(
@@ -143,7 +93,7 @@ Status BackupOneDataset(const DatasetBackupPin& pin,
 }
 
 /// Remove files in the backup's dataset subdirectories that the (just
-/// committed) catalog does not reference: superseded WAL/manifest
+/// committed) catalog does not reference: superseded manifest
 /// generations and components dropped by merges. Best effort — leftovers
 /// cost space, never correctness.
 void PruneUnreferenced(const std::string& backup_dir,
@@ -166,8 +116,7 @@ void PruneUnreferenced(const std::string& backup_dir,
 
 }  // namespace
 
-Status Store::CreateBackup(const std::string& backup_dir,
-                           const BackupOptions& opts) {
+Status Store::CreateBackup(const std::string& backup_dir) {
   std::vector<Dataset*> datasets;
   {
     MutexLock lock(&mu_);
@@ -179,46 +128,34 @@ Status Store::CreateBackup(const std::string& backup_dir,
   MutexLock backup_lock(&backup_mu_);
   FileSystem* fs = ResolveFs(options_.fs);
 
-  // Pin every dataset first: quarantine anywhere refuses the whole
-  // backup before a single byte is written.
+  // Flush first: every write acknowledged before this call then lives in
+  // a component, and components are all a backup copies.
+  for (Dataset* dataset : datasets) LSMCOL_RETURN_NOT_OK(dataset->Flush());
+  // Pin every dataset next: quarantine anywhere refuses the whole backup
+  // before a single byte is written.
   std::vector<DatasetBackupPin> pins(datasets.size());
-  {
-    Status st;
-    size_t pinned = 0;
-    for (; pinned < datasets.size(); ++pinned) {
-      st = datasets[pinned]->BeginBackup(&pins[pinned]);
-      if (!st.ok()) break;
-    }
-    if (!st.ok()) {
-      for (size_t i = 0; i < pinned; ++i) datasets[i]->EndBackup();
-      return st;
-    }
+  for (size_t i = 0; i < datasets.size(); ++i) {
+    LSMCOL_RETURN_NOT_OK(datasets[i]->PinForBackup(&pins[i]));
   }
 
-  Status result = [&]() -> Status {
-    LSMCOL_RETURN_NOT_OK(CreateDirDurable(backup_dir, fs));
-    BackupManifest next;
-    BackupManifest prior;
-    {
-      auto read = ReadBackupManifest(backup_dir, fs);
-      if (read.ok()) prior = std::move(*read);
-      // Unreadable/absent catalog == fresh full backup into this dir.
-    }
-    next.sequence = prior.sequence + 1;
-    for (const DatasetBackupPin& pin : pins) {
-      LSMCOL_RETURN_NOT_OK(
-          BackupOneDataset(pin, prior, opts, backup_dir, &next, fs));
-    }
-    // The commit point: until this rename lands, the directory's
-    // authoritative content is still the prior catalog (whose files were
-    // never touched); after it, the new one. Prune only after.
-    LSMCOL_RETURN_NOT_OK(WriteBackupManifest(backup_dir, next, fs));
-    PruneUnreferenced(backup_dir, next, fs);
-    return Status::OK();
-  }();
-
-  for (Dataset* dataset : datasets) dataset->EndBackup();
-  return result;
+  LSMCOL_RETURN_NOT_OK(CreateDirDurable(backup_dir, fs));
+  BackupManifest prior;
+  {
+    auto read = ReadBackupManifest(backup_dir, fs);
+    if (read.ok()) prior = std::move(*read);
+    // Unreadable/absent catalog == fresh full backup into this dir.
+  }
+  BackupManifest next;
+  next.sequence = prior.sequence + 1;
+  for (const DatasetBackupPin& pin : pins) {
+    LSMCOL_RETURN_NOT_OK(BackupOneDataset(pin, prior, backup_dir, &next, fs));
+  }
+  // The commit point: until this rename lands, the directory's
+  // authoritative content is still the prior catalog (whose files were
+  // never touched); after it, the new one. Prune only after.
+  LSMCOL_RETURN_NOT_OK(WriteBackupManifest(backup_dir, next, fs));
+  PruneUnreferenced(backup_dir, next, fs);
+  return Status::OK();
 }
 
 Status Store::RestoreFromBackup(const std::string& backup_dir,
@@ -254,15 +191,9 @@ Status RestoreStoreFromBackup(const std::string& backup_dir,
   std::set<std::string> made_dirs;
   auto target_of = [&](const BackupFileEntry& f) {
     const std::string ddir = target_dir + "/" + f.dataset;
-    switch (f.kind) {
-      case BackupFileKind::kWalSegment:
-        return WalSegmentPath(ddir, f.dataset, f.id);
-      case BackupFileKind::kDatasetManifest:
-        return ManifestPath(ddir, f.dataset);
-      case BackupFileKind::kComponent:
-      default:
-        return ddir + "/" + Basename(f.rel_path);
-    }
+    return f.kind == BackupFileKind::kDatasetManifest
+               ? ManifestPath(ddir, f.dataset)
+               : ddir + "/" + Basename(f.rel_path);
   };
   // Two phases: data files first, dataset manifests last — a restore
   // that dies midway leaves directories Store::Open treats as junk (no

@@ -1,26 +1,28 @@
 // Consistent hot backup, restore, and component salvage.
 //
-// CreateBackup (a Store method; the engine lives here) pins one snapshot
-// per open dataset and copies, without ever blocking writers:
+// CreateBackup (a Store method; the engine lives here) flushes every open
+// dataset, pins one snapshot per dataset, and copies, without ever
+// blocking writers:
 //
 //   <backup_dir>/
 //     BACKUP.MANIFEST                  checksummed catalog, written LAST
 //     <dataset>/
 //       <dataset>_<id>.cmp             immutable components (stable names)
-//       <dataset>_<seq>.<gen>.walbk    WAL prefix up to the pin's cut LSN
 //       <dataset>.<gen>.MANIFEST       dataset manifest at the pin instant
 //
-// Component files are write-once, so their backup names are stable and
-// incremental backups reuse any copy whose checksum still matches the
-// prior catalog. WAL segments and dataset manifests DO change between
-// backups, so each backup generation writes them under fresh
-// (`.<gen>.`) names and prunes the superseded generation only after the
-// new catalog is durable — at every instant the directory holds one
-// complete, verifiable backup.
+// The flush puts every write acknowledged before the call into a
+// component, so components and the manifest that lists them are the
+// whole backup; no log is copied. Component files are write-once, so
+// their backup names are stable and incremental backups reuse any copy
+// whose checksum still matches the prior catalog. Dataset manifests DO
+// change between backups, so each backup generation writes them under
+// fresh (`.<gen>.`) names and prunes the superseded generation only
+// after the new catalog is durable — at every instant the directory
+// holds one complete, verifiable backup.
 //
 // Restore copies every cataloged file (verified against its checksum)
 // into a fresh store root, dataset manifests last; the result recovers
-// through the ordinary Store::Open path, WAL replay included.
+// through the ordinary Store::Open path with no log to replay.
 //
 // Salvage is the last resort when there is no backup: it walks a damaged
 // component file leaf by leaf in salvage mode (no quarantine
@@ -38,17 +40,6 @@
 #include "src/storage/filesystem.h"
 
 namespace lsmcol {
-
-struct BackupOptions {
-  /// Hardlink component files into the backup instead of copying them
-  /// (same-filesystem backups: O(1) per reused byte). The link is
-  /// re-hashed and verified against the source like a copy; filesystems
-  /// that cannot link (or a cross-device backup_dir) fall back to
-  /// copying. Off by default: a hardlinked backup shares inodes with the
-  /// live store, so media decay damages both — opt in only for staging
-  /// areas that are themselves shipped elsewhere.
-  bool hardlink = false;
-};
 
 /// Restore the backup at `backup_dir` into `target_dir` (created if
 /// missing; must not already contain files — restoring over a live or

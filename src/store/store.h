@@ -153,23 +153,24 @@ class Store {
   std::vector<DatasetHealth> Health() const LSMCOL_EXCLUDES(mu_);
 
   /// Consistent hot backup of every open dataset into `backup_dir`
-  /// (created if missing). Pins one snapshot per dataset — flushes,
-  /// merges, and writers keep running; the backup sees exactly the
-  /// pinned state plus the WAL prefix that covers it. Incremental: a
-  /// component already present in the directory's catalog with a
-  /// matching checksum is reused, not re-copied. The catalog
-  /// (BACKUP.MANIFEST) is written atomically last, so an interrupted
-  /// backup leaves the previous one intact. Refuses (without writing)
-  /// when any component is quarantined — back up before damage, repair
-  /// after. One backup at a time per store; see store/backup.h.
-  Status CreateBackup(const std::string& backup_dir,
-                      const BackupOptions& options = BackupOptions())
+  /// (created if missing). Flushes each dataset, then pins one snapshot
+  /// per dataset — flushes, merges, and writers keep running; the
+  /// backup holds exactly the pinned components, which include every
+  /// write acknowledged before the call, and the manifest that lists
+  /// them. Incremental: a component already present in the directory's
+  /// catalog with a matching checksum is reused, not re-copied. The
+  /// catalog (BACKUP.MANIFEST) is written atomically last, so an
+  /// interrupted backup leaves the previous one intact. Returns a
+  /// flush's error, and refuses (without writing) when any component is
+  /// quarantined — back up before damage, repair after. One backup at a
+  /// time per store; see store/backup.h.
+  Status CreateBackup(const std::string& backup_dir)
       LSMCOL_EXCLUDES(mu_, backup_mu_);
 
   /// Restore a backup into `target_dir`, which must not already hold a
   /// store (refuses rather than merging or overwriting). The restored
   /// directory is a normal store root: Store::Open + OpenDataset recover
-  /// it, replaying the backed-up WAL prefix. Forwards to
+  /// it from its components, with no log to replay. Forwards to
   /// RestoreStoreFromBackup (store/backup.h).
   static Status RestoreFromBackup(const std::string& backup_dir,
                                   const std::string& target_dir,

@@ -1,8 +1,8 @@
 // Integration tests for consistent hot backup and restore: roundtrips
-// across all four layouts (WAL tail included), backups concurrent with
-// ingest + flush + merge, incremental reuse, restore-over-existing
-// refusal, hardlink opt-in, quarantine refusal, and crash images of the
-// backup directory itself.
+// across all four layouts (unflushed writes included, WAL on or off),
+// backups concurrent with ingest + flush + merge, incremental reuse,
+// restore-over-existing refusal, refusal of retired catalog kinds,
+// quarantine refusal, and crash images of the backup directory itself.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/json/parser.h"
 #include "src/storage/backup_manifest.h"
 #include "src/storage/fault_injection_fs.h"
@@ -50,6 +51,24 @@ std::vector<std::pair<int64_t, std::string>> ScanDigest(Dataset* ds) {
     out.emplace_back((*cursor)->key(), ToJson(v));
   }
   return out;
+}
+
+/// A seeded write history that ends with unflushed writes: a flushed
+/// base of keys 0..199, then (never flushed) upserts of old and new keys
+/// and deletes of flushed and unflushed keys.
+void WriteSeededHistory(Dataset* ds, uint64_t seed) {
+  Rng rng(seed);
+  for (int64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+  for (int i = 0; i < 60; ++i) {
+    const int64_t key = rng.UniformRange(0, 400);
+    ASSERT_TRUE(ds->Insert(MakeRecord(key)).ok());
+  }
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(ds->Delete(rng.UniformRange(0, 400)).ok());
+  }
 }
 
 class BackupTest : public ::testing::TestWithParam<LayoutKind> {
@@ -110,7 +129,7 @@ class BackupTest : public ::testing::TestWithParam<LayoutKind> {
 };
 
 // Tentpole: backup of a WAL-enabled store captures flushed components
-// AND the acked-but-unflushed tail; the restore replays it.
+// AND the acked-but-unflushed tail, which CreateBackup flushes first.
 TEST_P(BackupTest, RoundtripIncludesWalTail) {
   auto store = Store::Open(Options(nullptr, /*wal=*/true));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -238,6 +257,92 @@ TEST_P(BackupTest, IncrementalBackupReusesComponents) {
   EXPECT_EQ(RestoredDigest(), want);
 }
 
+// Regression: with the WAL off, the backup still holds writes that were
+// acknowledged but never flushed, because CreateBackup flushes first.
+TEST_P(BackupTest, WalOffBackupKeepsUnflushedWrites) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  ASSERT_NO_FATAL_FAILURE(WriteSeededHistory(ds, 11));
+  const auto want = ScanDigest(ds);
+  ASSERT_TRUE((*store)->CreateBackup(backup_dir_).ok());
+
+  ASSERT_TRUE(Store::RestoreFromBackup(backup_dir_, restore_dir_).ok());
+  EXPECT_EQ(RestoredDigest(), want);
+}
+
+// Regression: a backup of a store with the WAL on copies components and
+// the manifest only; the restored dataset has no log to replay.
+TEST_P(BackupTest, WalOnBackupCopiesNoLog) {
+  auto store = Store::Open(Options(nullptr, /*wal=*/true));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  ASSERT_NO_FATAL_FAILURE(WriteSeededHistory(ds, 23));
+  const auto want = ScanDigest(ds);
+  ASSERT_TRUE((*store)->CreateBackup(backup_dir_).ok());
+
+  for (const auto& entry :
+       std::filesystem::directory_iterator(backup_dir_ + "/docs")) {
+    EXPECT_NE(entry.path().extension(), ".walbk") << entry.path();
+  }
+  ASSERT_TRUE(Store::RestoreFromBackup(backup_dir_, restore_dir_).ok());
+  StoreOptions options;
+  options.dir = restore_dir_;
+  options.page_size = kPage;
+  options.cache_bytes = 512 * kPage;
+  options.wal.enabled = true;
+  auto restored = Store::Open(options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto rds = (*restored)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(rds.ok()) << rds.status().ToString();
+  EXPECT_EQ((*rds)->stats().wal_replayed_records, 0u);
+  EXPECT_EQ(ScanDigest(*rds), want);
+}
+
+// Regression: a catalog that lists a WAL segment copy (kind 2, written by
+// older versions) is refused rather than restored as a component; a new
+// backup into the same directory replaces it.
+TEST_P(BackupTest, RestoreRejectsWalSegmentCatalogKind) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  ASSERT_NO_FATAL_FAILURE(WriteSeededHistory(ds, 37));
+  ASSERT_TRUE((*store)->CreateBackup(backup_dir_).ok());
+
+  auto catalog = ReadBackupManifest(backup_dir_);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  BackupFileEntry wal_copy;
+  wal_copy.kind = static_cast<BackupFileKind>(2);
+  wal_copy.dataset = "docs";
+  wal_copy.rel_path = "docs/docs_1.1.walbk";
+  wal_copy.id = 1;
+  { std::ofstream(backup_dir_ + "/" + wal_copy.rel_path) << "old log copy"; }
+  ASSERT_TRUE(HashFile(backup_dir_ + "/" + wal_copy.rel_path, &wal_copy.size,
+                       &wal_copy.checksum)
+                  .ok());
+  catalog->files.insert(catalog->files.begin(), wal_copy);
+  ASSERT_TRUE(WriteBackupManifest(backup_dir_, *catalog).ok());
+
+  Status refused = Store::RestoreFromBackup(backup_dir_, restore_dir_);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.message().find("kind 2"), std::string::npos)
+      << refused.ToString();
+  EXPECT_FALSE(std::filesystem::exists(restore_dir_ + "/docs"));
+
+  const auto want = ScanDigest(ds);
+  ASSERT_TRUE((*store)->CreateBackup(backup_dir_).ok());
+  EXPECT_FALSE(
+      std::filesystem::exists(backup_dir_ + "/" + wal_copy.rel_path));
+  ASSERT_TRUE(Store::RestoreFromBackup(backup_dir_, restore_dir_).ok());
+  EXPECT_EQ(RestoredDigest(), want);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, BackupTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,
@@ -336,33 +441,6 @@ TEST_F(BackupFsTest, QuarantineRefusesBackup) {
   EXPECT_NE(refused.message().find("quarantined"), std::string::npos)
       << refused.ToString();
   EXPECT_FALSE(std::filesystem::exists(backup_dir_ + "/BACKUP.MANIFEST"));
-}
-
-// Satellite: hardlink opt-in produces a verified, restorable backup.
-TEST_F(BackupFsTest, HardlinkBackupRestores) {
-  auto store = Store::Open(Options());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto ds_or = (*store)->OpenDataset("docs");
-  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
-  Dataset* ds = *ds_or;
-  for (int64_t i = 0; i < 80; ++i) {
-    ASSERT_TRUE(ds->Insert(MakeRecord(i)).ok());
-  }
-  ASSERT_TRUE(ds->Flush().ok());
-  const auto want = ScanDigest(ds);
-  BackupOptions opts;
-  opts.hardlink = true;
-  ASSERT_TRUE((*store)->CreateBackup(backup_dir_, opts).ok());
-  ASSERT_TRUE(Store::RestoreFromBackup(backup_dir_, restore_dir_).ok());
-  StoreOptions roptions;
-  roptions.dir = restore_dir_;
-  roptions.page_size = kPage;
-  roptions.cache_bytes = 256 * kPage;
-  auto rstore = Store::Open(roptions);
-  ASSERT_TRUE(rstore.ok());
-  auto rds = (*rstore)->OpenDataset("docs");
-  ASSERT_TRUE(rds.ok());
-  EXPECT_EQ(ScanDigest(*rds), want);
 }
 
 // Tentpole: the backup directory itself is crash-consistent. A crash

@@ -120,7 +120,7 @@ TEST_P(LsmTest, FlushPersistsRecords) {
   }
   ASSERT_TRUE(dataset_->Flush().ok());
   EXPECT_GE(dataset_->component_count(), 1u);
-  EXPECT_TRUE(dataset_->memtable().empty());
+  EXPECT_TRUE(dataset_->GetSnapshot()->memtable().empty());
   EXPECT_GT(dataset_->OnDiskBytes(), 0u);
   auto got = ScanAll();
   ASSERT_EQ(got.size(), expected.size());
