@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
+#include <numeric>
 
 #include "src/columnar/column_writer.h"
 #include "src/encoding/bitpack.h"
@@ -430,100 +430,154 @@ Status ColumnChunkReader::CopyRecordTo(ColumnChunkWriter* writer) {
   return ParseRecordInto(nullptr, ParseMode::kCopy, writer);
 }
 
+template <typename OnRun>
+Status ColumnChunkReader::DecodeDefRuns(size_t n, ColumnEntryBatch* out,
+                                        size_t* values, OnRun&& on_run) {
+  if (n > static_cast<size_t>(INT32_MAX)) {
+    return Status::Corruption("column chunk holds too many entries");
+  }
+  out->defs.resize(n);
+  out->value_index.resize(n);
+  const uint64_t max_def = static_cast<uint64_t>(info_.max_def);
+  const bool pk = info_.is_pk;
+  int* defs = out->defs.data();
+  int32_t* index = out->value_index.data();
+  int32_t next_value = 0;
+  size_t i = 0;
+  LSMCOL_RETURN_NOT_OK(defs_.VisitRuns(
+      n,
+      [&](uint64_t def, size_t count) {
+        const int e = static_cast<int>(def);
+        std::fill_n(defs + i, count, e);
+        if (pk || def == max_def) {
+          std::iota(index + i, index + i + count, next_value);
+          next_value += static_cast<int32_t>(count);
+        } else {
+          std::fill_n(index + i, count, -1);
+        }
+        on_run(e, i, count);
+        i += count;
+      },
+      [&](const uint64_t* packed, size_t count) {
+        for (size_t j = 0; j < count; ++j) {
+          defs[i + j] = static_cast<int>(packed[j]);
+          index[i + j] = pk || packed[j] == max_def ? next_value++ : -1;
+        }
+        for (size_t j = 0; j < count; ++j) {
+          on_run(static_cast<int>(packed[j]), i + j, 1);
+        }
+        i += count;
+      }));
+  if (i != n) return Status::Corruption("def levels exhausted");
+  entries_read_ += n;
+  *values = static_cast<size_t>(next_value);
+  return Status::OK();
+}
+
 Status ColumnChunkReader::NextEntryBatch(size_t max_entries,
                                          ColumnEntryBatch* out) {
   out->Clear();
   size_t n = entry_count() - entries_read_;
   if (n > max_entries) n = max_entries;
   if (n == 0) return Status::OK();
-
-  // Def levels, run-granular, staged through a small fixed buffer so a
-  // whole-chunk batch costs no chunk-sized scratch.
-  out->defs.resize(n);
-  out->value_index.resize(n);
-  const uint64_t max_def = static_cast<uint64_t>(info_.max_def);
   size_t values = 0;
-  uint64_t staged[512];
-  for (size_t done = 0; done < n;) {
-    const size_t take = std::min(n - done, std::size(staged));
-    size_t decoded = 0;
-    LSMCOL_RETURN_NOT_OK(defs_.DecodeBatch(take, staged, &decoded));
-    LSMCOL_DCHECK(decoded == take);
-    for (size_t i = 0; i < take; ++i) {
-      out->defs[done + i] = static_cast<int>(staged[i]);
-      out->value_index[done + i] = info_.is_pk || staged[i] == max_def
-                                       ? static_cast<int32_t>(values++)
-                                       : -1;
-    }
-    done += take;
-  }
-  entries_read_ += n;
-
+  LSMCOL_RETURN_NOT_OK(
+      DecodeDefRuns(n, out, &values, [](int, size_t, size_t) {}));
   // All present values in one typed batch.
-  if (values == 0) return Status::OK();
-  switch (info_.type) {
-    case AtomicType::kBoolean: {
-      out->bools.resize(values);
-      return bools_.DecodeBatch(values, out->bools.data(), nullptr);
-    }
-    case AtomicType::kInt64: {
-      out->ints.resize(values);
-      return ints_.DecodeBatch(values, out->ints.data(), nullptr);
-    }
-    case AtomicType::kDouble: {
-      if (doubles_remaining_ < values) {
-        return Status::Corruption("double column values exhausted");
-      }
-      // Plain-encoded: one contiguous read instead of per-value calls.
-      Slice raw;
-      LSMCOL_RETURN_NOT_OK(doubles_.ReadBytes(8 * values, &raw));
-      out->doubles.resize(values);
-      std::memcpy(out->doubles.data(), raw.data(), 8 * values);
-      doubles_remaining_ -= values;
-      return Status::OK();
-    }
-    case AtomicType::kString: {
-      out->strings.resize(values);
-      return strings_.NextBatch(values, out->strings.data(), nullptr);
-    }
-  }
-  return Status::Corruption("unknown column type");
+  return DecodeValues(values, out);
 }
 
-Status RecordStarts(const ColumnInfo& info, const std::vector<int>& defs,
-                    std::vector<uint32_t>* starts) {
+Status ColumnChunkReader::DecodeRecords(ColumnEntryBatch* out,
+                                        std::vector<uint32_t>* starts,
+                                        size_t* values) {
+  out->Clear();
   starts->clear();
-  const std::vector<int>& darr = info.array_defs;
-  const int m = info.array_count();
+  *values = 0;
+  const size_t n = entry_count() - entries_read_;
+  const bool flat = info_.is_pk || info_.array_count() == 0;
+  const std::vector<int>& darr = info_.array_defs;
+  const int m = info_.array_count();
   // Arrays an entry of def level e implies open (ParseRecordInto's k).
   auto opened = [&](int e) {
     int k = 0;
     while (k < m && darr[k] <= e) ++k;
     return k;
   };
-  size_t i = 0;
-  while (i < defs.size()) {
-    starts->push_back(static_cast<uint32_t>(i));
-    const int d0 = defs[i++];
-    // Flat columns, and records whose outermost array is missing, are one
-    // standalone entry.
-    if (info.is_pk || m == 0 || d0 < darr[0]) continue;
-    int current = opened(d0);
-    while (true) {
-      if (i >= defs.size()) {
-        return Status::Corruption("column record missing closing delimiter");
+  bool in_record = false;  // a record's closing delimiter is still due
+  int current = 0;         // arrays open while in_record
+  auto split = [&](int e, size_t first, size_t count) {
+    if (flat) {
+      // One entry per record.
+      for (size_t j = 0; j < count; ++j) {
+        starts->push_back(static_cast<uint32_t>(first + j));
       }
-      const int e = defs[i++];
-      if (e > current - 1) {
-        current = opened(e);  // a value entry
-      } else if (e == 0) {
-        break;  // the record's closing delimiter
+      return;
+    }
+    for (size_t j = 0; j < count;) {
+      if (!in_record) {
+        // A record's first entry. One whose outermost array is missing
+        // is the whole record.
+        starts->push_back(static_cast<uint32_t>(first + j++));
+        if (e >= darr[0]) {
+          in_record = true;
+          current = opened(e);
+        }
+      } else if (e > current - 1) {
+        // Value entries: opened(e) <= e, so after the first the rest of
+        // the run are values that leave `current` where it is.
+        current = opened(e);
+        return;
       } else {
-        current = e;  // a delimiter: e arrays remain open
+        // A delimiter: e arrays remain open; 0 closes the record.
+        ++j;
+        if (e == 0) {
+          in_record = false;
+        } else {
+          current = e;
+        }
       }
     }
+  };
+  LSMCOL_RETURN_NOT_OK(DecodeDefRuns(n, out, values, split));
+  if (in_record) {
+    return Status::Corruption("column record missing closing delimiter");
   }
-  starts->push_back(static_cast<uint32_t>(defs.size()));
+  starts->push_back(static_cast<uint32_t>(n));
+  return Status::OK();
+}
+
+Status ColumnChunkReader::DecodeValues(size_t n, ColumnEntryBatch* out) {
+  if (n == 0) return Status::OK();
+  size_t decoded = 0;
+  switch (info_.type) {
+    case AtomicType::kBoolean:
+      out->bools.resize(n);
+      LSMCOL_RETURN_NOT_OK(bools_.DecodeBatch(n, out->bools.data(), &decoded));
+      break;
+    case AtomicType::kInt64:
+      out->ints.resize(n);
+      LSMCOL_RETURN_NOT_OK(ints_.DecodeBatch(n, out->ints.data(), &decoded));
+      break;
+    case AtomicType::kDouble: {
+      if (doubles_remaining_ < n) break;
+      // Plain-encoded: one contiguous read instead of per-value calls.
+      Slice raw;
+      LSMCOL_RETURN_NOT_OK(doubles_.ReadBytes(8 * n, &raw));
+      out->doubles.resize(n);
+      std::memcpy(out->doubles.data(), raw.data(), 8 * n);
+      doubles_remaining_ -= n;
+      decoded = n;
+      break;
+    }
+    case AtomicType::kString:
+      out->strings.resize(n);
+      LSMCOL_RETURN_NOT_OK(
+          strings_.NextBatch(n, out->strings.data(), &decoded));
+      break;
+  }
+  if (decoded != n) {
+    return Status::Corruption("column values exhausted");
+  }
   return Status::OK();
 }
 

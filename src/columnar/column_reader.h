@@ -2,7 +2,9 @@
 // reader that parses each record's entries — using the delimiter state
 // machine of §3.2.1 — into a small nested structure (ShredCell) that the
 // record assembler consumes, plus batched record skipping used during LSM
-// reconciliation (§4.4) and a vectorized entry decode that pushed-down
+// reconciliation (§4.4) and two vectorized decodes: NextEntryBatch, an
+// entry span for the merge, and DecodeRecords/DecodeValues, a whole chunk
+// split into records from its def-level runs, which pushed-down
 // predicates and the compiled query engine (§5) index into.
 //
 // Point lookups reach one record with Seek: a chunk's seek index, built
@@ -144,6 +146,30 @@ class ColumnChunkReader {
   ///  * returned string slices alias the chunk passed to Init.
   Status NextEntryBatch(size_t max_entries, ColumnEntryBatch* out);
 
+  /// Whole-chunk read for column-native evaluation (§5): from a fresh
+  /// Init, decodes every entry's def level into out->defs and
+  /// out->value_index (out cleared first; typed values are left to
+  /// DecodeValues) and splits the entries into records with the delimiter
+  /// rule of NextRecord: record r spans entries [(*starts)[r],
+  /// (*starts)[r + 1]), and starts->back() == entry_count(). *values is
+  /// the number of present values.
+  ///
+  /// Def levels are read as the stream stores them (RleDecoder::
+  /// VisitRuns), and an RLE run costs one step, not one per entry: a run
+  /// of value entries steps the §3.2.1 state machine once, since a value
+  /// entry leaves the open-array count where the run's first entry put
+  /// it; delimiter runs and bit-packed entries step entry by entry.
+  /// Corruption when the last record lacks its closing delimiter.
+  Status DecodeRecords(ColumnEntryBatch* out, std::vector<uint32_t>* starts,
+                       size_t* values);
+
+  /// Decode the next n present values into out's typed storage for the
+  /// column's type, resized to n (its other arrays are left as they are).
+  /// Corruption when the chunk holds fewer. The value stream is apart
+  /// from the def levels, so after a fresh Init this reads a chunk's
+  /// values without decoding its def levels.
+  Status DecodeValues(size_t n, ColumnEntryBatch* out);
+
  private:
   enum class ParseMode { kMaterialize, kSkip, kCopy };
 
@@ -153,6 +179,14 @@ class ColumnChunkReader {
   Status SkipValue();
   Status SkipValues(size_t n);  // batched typed-decoder advance
   Status TransferValue(ColumnChunkWriter* writer);
+  /// Decodes the next n entries' def levels into out->defs and
+  /// out->value_index (both resized to n), and calls on_run(def,
+  /// first_entry, count) per stretch of equal def levels: once per RLE
+  /// run, which is filled whole, and once per bit-packed entry. *values
+  /// is the number of present values among the n entries.
+  template <typename OnRun>
+  Status DecodeDefRuns(size_t n, ColumnEntryBatch* out, size_t* values,
+                       OnRun&& on_run);
   /// A checkpoint: the def stream's mark, then the value stream's.
   size_t MarkSize() const;
   void AppendMark(Buffer* out) const;
@@ -172,14 +206,6 @@ class ColumnChunkReader {
   size_t doubles_remaining_ = 0;
   DeltaLengthStringDecoder strings_;
 };
-
-/// Splits a chunk's def levels, decoded from its first entry on (e.g. by
-/// one NextEntryBatch over the whole chunk), into records with the
-/// delimiter rule of ColumnChunkReader::NextRecord: record r spans entries
-/// [(*starts)[r], (*starts)[r + 1]), and starts->back() == defs.size().
-/// Corruption when the last record lacks its closing delimiter.
-Status RecordStarts(const ColumnInfo& info, const std::vector<int>& defs,
-                    std::vector<uint32_t>* starts);
 
 }  // namespace lsmcol
 

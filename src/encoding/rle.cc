@@ -290,40 +290,6 @@ Status RleDecoder::DecodeBatch(size_t n, uint64_t* out, size_t* decoded) {
   return Status::OK();
 }
 
-Status RleDecoder::DecodeRuns(size_t max_values, std::vector<RleRun>* out) {
-  if (max_values > remaining()) max_values = remaining();
-  size_t produced = 0;
-  while (produced < max_values) {
-    if (run_remaining_ == 0) LSMCOL_RETURN_NOT_OK(Refill());
-    size_t take = max_values - produced;
-    if (take > run_remaining_) take = run_remaining_;
-    if (in_rle_run_) {
-      if (!out->empty() && out->back().value == rle_value_) {
-        out->back().count += take;
-      } else {
-        out->push_back({rle_value_, take});
-      }
-      run_remaining_ -= take;
-      position_ += take;
-      produced += take;
-    } else {
-      // Bit-packed: coalesce adjacent equal values as we walk.
-      for (size_t i = 0; i < take; ++i) {
-        const uint64_t v = unpacked_[unpacked_pos_++];
-        if (!out->empty() && out->back().value == v) {
-          ++out->back().count;
-        } else {
-          out->push_back({v, 1});
-        }
-      }
-      run_remaining_ -= take;
-      position_ += take;
-      produced += take;
-    }
-  }
-  return Status::OK();
-}
-
 Status RleDecoder::SkipAndCount(size_t n, uint64_t target, size_t* count) {
   if (n > remaining()) return Status::OutOfRange("RLE skip past end");
   size_t matched = 0;

@@ -57,20 +57,12 @@ class RleEncoder {
   Buffer body_;
 };
 
-/// One maximal stretch of equal decoded values, as surfaced by
-/// RleDecoder::DecodeRuns. Bit-packed regions degrade to per-value runs
-/// unless adjacent values happen to repeat.
-struct RleRun {
-  uint64_t value = 0;
-  size_t count = 0;
-};
-
 /// Streaming decoder with O(1)-amortized Skip. Reads the varint count
 /// header on Init. A bit-packed run is unpacked whole when reached;
 /// restoring a Mark inside one unpacks just the group it lands in, and the
 /// next refill the rest of the run.
 ///
-/// Batch-API invariants (shared by DecodeBatch/DecodeRuns/SkipAndCount):
+/// Batch-API invariants (shared by DecodeBatch/VisitRuns/SkipAndCount):
 ///  * they consume exactly the requested number of values (clamped to
 ///    remaining()), never more, and interleave freely with Next/Skip;
 ///  * an encoded run crossing a batch boundary is resumed on the next
@@ -108,10 +100,30 @@ class RleDecoder {
   /// loop, bit-packed regions are copied — no per-value call overhead.
   Status DecodeBatch(size_t n, uint64_t* out, size_t* decoded);
 
-  /// Decode up to max_values values as (value, count) runs appended to
-  /// out. Consecutive equal values are coalesced across encoded-run
-  /// boundaries, so callers can advance whole runs at a time.
-  Status DecodeRuns(size_t max_values, std::vector<RleRun>* out);
+  /// Decode exactly min(n, remaining()) values as the stream stores them:
+  /// on_run(value, count) for a stretch of an RLE run, and
+  /// on_packed(values, count) for a stretch of bit-packed values (the
+  /// array is valid during the call). A stretch ends at an encoded-run or
+  /// batch boundary, so an RLE run costs one call however long it is,
+  /// and bit-packed values cost no per-value coalescing.
+  template <typename OnRun, typename OnPacked>
+  Status VisitRuns(size_t n, OnRun&& on_run, OnPacked&& on_packed) {
+    if (n > remaining()) n = remaining();
+    while (n > 0) {
+      if (run_remaining_ == 0) LSMCOL_RETURN_NOT_OK(Refill());
+      const size_t take = n < run_remaining_ ? n : run_remaining_;
+      if (in_rle_run_) {
+        on_run(rle_value_, take);
+      } else {
+        on_packed(unpacked_.data() + unpacked_pos_, take);
+        unpacked_pos_ += take;
+      }
+      run_remaining_ -= take;
+      position_ += take;
+      n -= take;
+    }
+    return Status::OK();
+  }
 
   /// Skip exactly n values while counting how many equal `target` —
   /// run-granular: an RLE run contributes in O(1). Used to advance a

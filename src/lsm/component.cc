@@ -780,32 +780,46 @@ Status ColumnarComponentCursor::EnsureColumnCurrent(int column_id) {
 }
 
 Result<const ColumnarComponentCursor::LeafEntries*>
-ColumnarComponentCursor::LoadLeafEntries(int column_id) {
+ColumnarComponentCursor::LoadLeafEntries(int column_id, bool values) {
   ColumnState& st = State(column_id);
-  if (st.entries != nullptr) return st.entries.get();
-  Slice chunk;
-  LSMCOL_RETURN_NOT_OK(LeafChunk(column_id, &chunk));
-  auto le = std::make_unique<LeafEntries>();
-  if (!chunk.empty()) {
-    const ColumnInfo& info = component_->schema()->column(column_id);
-    ColumnChunkReader reader;
-    LSMCOL_RETURN_NOT_OK(reader.Init(chunk, info));
-    LSMCOL_RETURN_NOT_OK(
-        reader.NextEntryBatch(reader.entry_count(), &le->batch));
-    LSMCOL_RETURN_NOT_OK(RecordStarts(info, le->batch.defs, &le->starts));
-    if (le->starts.size() != static_cast<size_t>(leaf_records_) + 1) {
-      return Status::Corruption("column " + info.path + " holds " +
-                                std::to_string(le->starts.size() - 1) +
-                                " records in a leaf of " +
-                                std::to_string(leaf_records_));
+  if (st.entries == nullptr) {
+    Slice chunk;
+    LSMCOL_RETURN_NOT_OK(LeafChunk(column_id, &chunk));
+    auto le = std::make_unique<LeafEntries>();
+    if (!chunk.empty()) {
+      const ColumnInfo& info = component_->schema()->column(column_id);
+      ColumnChunkReader reader;
+      LSMCOL_RETURN_NOT_OK(reader.Init(chunk, info));
+      LSMCOL_RETURN_NOT_OK(
+          reader.DecodeRecords(&le->batch, &le->starts, &le->values));
+      if (le->starts.size() != static_cast<size_t>(leaf_records_) + 1) {
+        return Status::Corruption("column " + info.path + " holds " +
+                                  std::to_string(le->starts.size() - 1) +
+                                  " records in a leaf of " +
+                                  std::to_string(leaf_records_));
+      }
     }
+    st.entries = std::move(le);
   }
-  st.entries = std::move(le);
-  return st.entries.get();
+  LeafEntries* le = st.entries.get();
+  if (values && !le->values_decoded) {
+    if (!le->starts.empty()) {
+      // The value stream stands apart from the def levels: a fresh reader
+      // decodes it without walking them again.
+      ColumnChunkReader reader;
+      LSMCOL_RETURN_NOT_OK(
+          reader.Init(st.chunk, component_->schema()->column(column_id)));
+      LSMCOL_RETURN_NOT_OK(reader.DecodeValues(le->values, &le->batch));
+    }
+    le->values_decoded = true;
+  }
+  return le;
 }
 
-Status ColumnarComponentCursor::RecordSpan(int column_id, ColumnSpan* out) {
-  LSMCOL_ASSIGN_OR_RETURN(const LeafEntries* le, LoadLeafEntries(column_id));
+Status ColumnarComponentCursor::RecordSpan(int column_id, ColumnSpan* out,
+                                           bool values) {
+  LSMCOL_ASSIGN_OR_RETURN(const LeafEntries* le,
+                          LoadLeafEntries(column_id, values));
   *out = ColumnSpan();
   if (le->starts.empty()) return Status::OK();  // absent from the leaf
   const size_t rec = static_cast<size_t>(position_in_leaf_ - 1);
@@ -825,7 +839,7 @@ Result<PredicateVerdict> ColumnarComponentCursor::TestPushedPredicates() {
   const size_t rec = static_cast<size_t>(position_in_leaf_ - 1);
   for (const PredColumn& pc : pred_columns_) {
     LSMCOL_ASSIGN_OR_RETURN(const LeafEntries* le,
-                            LoadLeafEntries(pc.column_id));
+                            LoadLeafEntries(pc.column_id, /*values=*/true));
     // Flat column: entries == records. A column absent from the leaf is
     // MISSING, which compares false (its zone test vetoes the leaf first).
     const ColumnEntryBatch& batch = le->batch;

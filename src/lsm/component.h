@@ -13,7 +13,8 @@
 // columns' iterators in batches when a record is actually accessed (§4.4),
 // and — for AMAX — fetches a column's megapage only on first access
 // within a leaf (§4.3). It also hands out typed per-record spans of a
-// column's whole-leaf decode (RecordSpan) for the compiled engine.
+// column's whole-leaf decode (RecordSpan) for the compiled engine; a
+// column's values are decoded only once a span asks for them.
 //
 // Readers read leaves as decoded units pinned in the buffer cache, verified
 // and decompressed once on a miss and indexed in place afterwards — no
@@ -414,10 +415,14 @@ class ColumnarComponentCursor : public TupleCursor {
     size_t end = 0;
   };
   /// Typed access for the compiled engine. The first call for a column in
-  /// a leaf decodes the column's whole chunk in one NextEntryBatch and
-  /// splits it into records (RecordStarts); later records index into that
-  /// decode. The span stays valid until the cursor leaves the leaf.
-  Status RecordSpan(int column_id, ColumnSpan* out);
+  /// a leaf decodes the column's whole chunk and splits it into records in
+  /// the same pass (ColumnChunkReader::DecodeRecords); later records index
+  /// into that decode. Without `values` only the def levels and value
+  /// indices are decoded — enough to count an array's elements — and the
+  /// span's typed arrays may be empty; the first call with `values` in
+  /// the leaf decodes them. The span stays valid until the cursor leaves
+  /// the leaf, which frees the decode.
+  Status RecordSpan(int column_id, ColumnSpan* out, bool values = true);
 
   const Schema* component_schema() const { return component_->schema(); }
 
@@ -429,6 +434,9 @@ class ColumnarComponentCursor : public TupleCursor {
     /// Record r spans entries [starts[r], starts[r + 1]); empty when the
     /// column is absent from the leaf.
     std::vector<uint32_t> starts;
+    /// Present values in the chunk, and whether `batch` holds them yet.
+    size_t values = 0;
+    bool values_decoded = false;
   };
 
   /// A column the cursor has read. Made on the column's first use, so a
@@ -462,7 +470,7 @@ class ColumnarComponentCursor : public TupleCursor {
   /// cache on the first call per leaf only.
   Status LeafChunk(int column_id, Slice* out);
   Status EnsureColumnCurrent(int column_id);
-  Result<const LeafEntries*> LoadLeafEntries(int column_id);
+  Result<const LeafEntries*> LoadLeafEntries(int column_id, bool values);
   void ResolvePredicates(const ScanPredicateSet& predicates);
   /// Zone tests for the current leaf; sets leaf_zone_match_. A zone read
   /// may pin the column's unit for its later chunk read (ColumnZone).

@@ -1,6 +1,7 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "src/query/pushdown.h"
@@ -31,57 +32,63 @@ struct AggState {
   Value max;
 };
 
-/// An item column a column-native unnest reads: its values hold entries
-/// whose def level is max_def. id -1: the field is absent from the
-/// component, so every value is MISSING.
+/// An item column a column-native unnest reads. id -1: the field is
+/// absent from the component, so every value is MISSING.
 struct ItemColumn {
   int id = -1;
-  int max_def = 0;
   AtomicType type = AtomicType::kInt64;
 };
 
 using ColumnSpan = ColumnarComponentCursor::ColumnSpan;
 
-/// Sets *best to the value index of the first minimal (max: maximal) value
-/// among the entries [begin, end) that hold one; false when none does.
-/// `key` maps a value index to something whose operator< is
-/// CompareValues' order within the column's type; the first of equal
-/// values wins, as with Fold's strict comparisons.
-template <typename Key>
-bool FirstBest(const ColumnEntryBatch& batch, size_t begin, size_t end,
-               int max_def, bool max, Key key, size_t* best) {
-  bool found = false;
-  for (size_t e = begin; e < end; ++e) {
-    if (batch.defs[e] != max_def) continue;
-    const auto vi = static_cast<size_t>(batch.value_index[e]);
-    if (!found || (max ? key(*best) < key(vi) : key(vi) < key(*best))) {
-      *best = vi;
-      found = true;
-    }
-  }
-  return found;
+/// The values entries [begin, end) hold are [*v0, *v1): value indices
+/// rise by one per entry that holds a value, so a span's values are
+/// contiguous whether or not every entry holds one. Only entries without
+/// a value at the span's two ends are stepped over.
+void SpanValues(const ColumnEntryBatch& b, size_t begin, size_t end,
+                size_t* v0, size_t* v1) {
+  while (begin < end && b.value_index[begin] < 0) ++begin;
+  while (end > begin && b.value_index[end - 1] < 0) --end;
+  *v0 = begin == end ? 0 : static_cast<size_t>(b.value_index[begin]);
+  *v1 = begin == end ? 0 : static_cast<size_t>(b.value_index[end - 1]) + 1;
 }
 
-bool BestValueIndex(const ColumnEntryBatch& b, const ItemColumn& column,
-                    size_t begin, size_t end, bool max, size_t* best) {
-  const int def = column.max_def;
-  switch (column.type) {
+/// The index of the first minimal (kMax: maximal) value among the values
+/// [v0, v1), v0 < v1. `key` maps a value index to something whose
+/// operator< is CompareValues' order within the column's type; the first
+/// of equal values wins, as with Fold's strict comparisons.
+template <bool kMax, typename Key>
+size_t FirstBest(size_t v0, size_t v1, Key key) {
+  size_t best = v0;
+  auto best_key = key(v0);
+  for (size_t vi = v0 + 1; vi < v1; ++vi) {
+    const auto k = key(vi);
+    if (kMax ? best_key < k : k < best_key) {
+      best = vi;
+      best_key = k;
+    }
+  }
+  return best;
+}
+
+size_t BestValueIndex(const ColumnEntryBatch& b, AtomicType type, size_t v0,
+                      size_t v1, bool max) {
+  auto first_best = [&](auto key) {
+    return max ? FirstBest<true>(v0, v1, key) : FirstBest<false>(v0, v1, key);
+  };
+  switch (type) {
     case AtomicType::kBoolean:
-      return FirstBest(b, begin, end, def, max,
-                       [&](size_t i) { return b.bools[i]; }, best);
+      return first_best([&](size_t i) { return b.bools[i]; });
     case AtomicType::kInt64:
       // CompareValues orders every number as a double.
-      return FirstBest(
-          b, begin, end, def, max,
-          [&](size_t i) { return static_cast<double>(b.ints[i]); }, best);
+      return first_best(
+          [&](size_t i) { return static_cast<double>(b.ints[i]); });
     case AtomicType::kDouble:
-      return FirstBest(b, begin, end, def, max,
-                       [&](size_t i) { return b.doubles[i]; }, best);
+      return first_best([&](size_t i) { return b.doubles[i]; });
     case AtomicType::kString:
-      return FirstBest(b, begin, end, def, max,
-                       [&](size_t i) { return b.strings[i].view(); }, best);
+      return first_best([&](size_t i) { return b.strings[i].view(); });
   }
-  return false;
+  return v0;
 }
 
 Value BatchValue(const ColumnEntryBatch& b, AtomicType type, size_t vi) {
@@ -145,7 +152,8 @@ class Aggregator {
   /// elements are `span`'s first n entries (span.batch null: all
   /// MISSING). Folds the same values in the same order as n Add() calls,
   /// except that MIN/MAX fold only the record's first-best value, which
-  /// ends in the same state.
+  /// ends in the same state. The elements' values are contiguous in the
+  /// decode (SpanValues), so each aggregate folds over them directly.
   void AddElements(Group* group, size_t i, size_t n, const ItemColumn& column,
                    const ColumnSpan& span) {
     const AggSpec& spec = plan_->aggregates[i];
@@ -156,32 +164,26 @@ class Aggregator {
     }
     if (span.batch == nullptr) return;
     const ColumnEntryBatch& b = *span.batch;
-    const size_t begin = span.begin;
-    const size_t end = begin + n;
+    size_t v0 = 0;
+    size_t v1 = 0;
+    SpanValues(b, span.begin, span.begin + n, &v0, &v1);
+    if (v0 == v1) return;  // no element holds a value
     switch (spec.kind) {
       case AggSpec::Kind::kCount:
-        for (size_t e = begin; e < end; ++e) {
-          if (b.defs[e] == column.max_def) ++state.count;
-        }
+        state.count += v1 - v0;
         break;
       case AggSpec::Kind::kSum:
-        if (column.type != AtomicType::kInt64 &&
-            column.type != AtomicType::kDouble) {
-          break;  // SUM skips non-numbers
+        if (column.type == AtomicType::kInt64) {
+          Sum(b.ints.data() + v0, v1 - v0, &state);
+        } else if (column.type == AtomicType::kDouble) {
+          Sum(b.doubles.data() + v0, v1 - v0, &state);
         }
-        for (size_t e = begin; e < end; ++e) {
-          if (b.defs[e] != column.max_def) continue;
-          const auto vi = static_cast<size_t>(b.value_index[e]);
-          Fold(spec, BatchValue(b, column.type, vi), &state);
-        }
-        break;
+        break;  // SUM skips non-numbers
       case AggSpec::Kind::kMin:
       case AggSpec::Kind::kMax: {
-        size_t vi = 0;
-        if (BestValueIndex(b, column, begin, end,
-                           spec.kind == AggSpec::Kind::kMax, &vi)) {
-          Fold(spec, BatchValue(b, column.type, vi), &state);
-        }
+        const size_t vi = BestValueIndex(b, column.type, v0, v1,
+                                         spec.kind == AggSpec::Kind::kMax);
+        Fold(spec, BatchValue(b, column.type, vi), &state);
         break;
       }
     }
@@ -219,6 +221,24 @@ class Aggregator {
   }
 
  private:
+  /// Fold's SUM over n numbers of one type, in order.
+  static void Sum(const int64_t* v, size_t n, AggState* state) {
+    state->count += n;
+    if (state->sum_is_int) {
+      for (size_t i = 0; i < n; ++i) state->isum += v[i];
+    } else {
+      for (size_t i = 0; i < n; ++i) state->sum += static_cast<double>(v[i]);
+    }
+  }
+  static void Sum(const double* v, size_t n, AggState* state) {
+    state->count += n;
+    if (state->sum_is_int) {
+      state->sum = static_cast<double>(state->isum);
+      state->sum_is_int = false;
+    }
+    for (size_t i = 0; i < n; ++i) state->sum += v[i];
+  }
+
   /// Folds one input value into an aggregate's state.
   static void Fold(const AggSpec& spec, const Value& v, AggState* state) {
     if (v.is_missing() || v.is_null()) return;
@@ -256,18 +276,40 @@ class Aggregator {
   std::unordered_map<std::string, Group> groups_;
 };
 
+/// ORDER BY and LIMIT: a stable sort, then a cut. When the LIMIT k cuts
+/// rows, only a top-k is ordered: a partial sort of row positions by
+/// (value, position), a total order that breaks ties as the stable sort
+/// does, so it keeps the same rows in the same order.
 void ApplyOrderAndLimit(const QueryPlan& plan, QueryResult* result) {
+  std::vector<std::vector<Value>>& rows = result->rows;
+  const bool cut = plan.limit > 0 && rows.size() > plan.limit;
   if (plan.order_by >= 0) {
     const size_t column = static_cast<size_t>(plan.order_by);
-    std::stable_sort(result->rows.begin(), result->rows.end(),
-                     [&](const auto& a, const auto& b) {
-                       int c = CompareValues(a[column], b[column]);
-                       return plan.order_desc ? c > 0 : c < 0;
-                     });
+    auto before = [&](int c) { return plan.order_desc ? c > 0 : c < 0; };
+    if (!cut) {
+      std::stable_sort(rows.begin(), rows.end(),
+                       [&](const auto& a, const auto& b) {
+                         return before(CompareValues(a[column], b[column]));
+                       });
+    } else {
+      std::vector<size_t> order(rows.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      const auto k = order.begin() + static_cast<ptrdiff_t>(plan.limit);
+      std::partial_sort(order.begin(), k, order.end(),
+                        [&](size_t a, size_t b) {
+                          const int c =
+                              CompareValues(rows[a][column], rows[b][column]);
+                          return c != 0 ? before(c) : a < b;
+                        });
+      std::vector<std::vector<Value>> top;
+      top.reserve(plan.limit);
+      for (auto it = order.begin(); it != k; ++it) {
+        top.push_back(std::move(rows[*it]));
+      }
+      rows = std::move(top);
+    }
   }
-  if (plan.limit > 0 && result->rows.size() > plan.limit) {
-    result->rows.resize(plan.limit);
-  }
+  if (cut) rows.resize(plan.limit);
 }
 
 // Runs the epilogue-facing part for one pipeline tuple.
@@ -555,8 +597,9 @@ class ColumnUnnest {
       }
     }
     if (length.batch == nullptr) {
-      LSMCOL_RETURN_NOT_OK(
-          columnar->RecordSpan(binding.count_column, &length));
+      // Only the array's length is wanted: the count column's def levels.
+      LSMCOL_RETURN_NOT_OK(columnar->RecordSpan(binding.count_column, &length,
+                                                /*values=*/false));
       if (!present(length)) return true;  // no array: no rows
     }
     // A lone element at the array's own level is an empty array.
@@ -629,7 +672,7 @@ class ColumnUnnest {
         if (field != nullptr) {
           if (!field->is_atomic()) return binding;
           const ColumnInfo& info = schema.column(field->column_id());
-          column = ItemColumn{info.id, info.max_def, info.type};
+          column = ItemColumn{info.id, info.type};
         }
       }
       binding.inputs.push_back(column);

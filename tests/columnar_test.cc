@@ -969,6 +969,319 @@ TEST(SeekTest, LazyStringLengthsAreCheckedAtTheRead) {
   EXPECT_TRUE(indexer.BuildSeekIndex(&index).IsCorruption());
 }
 
+// ------------------------------------ record split from def-level runs
+
+// The per-entry split DecodeRecords replaced, kept as its oracle: walks
+// the def levels one by one with NextRecord's delimiter rule.
+Status OracleRecordStarts(const ColumnInfo& info, const std::vector<int>& defs,
+                          std::vector<uint32_t>* starts) {
+  starts->clear();
+  const std::vector<int>& darr = info.array_defs;
+  const int m = info.array_count();
+  auto opened = [&](int e) {
+    int k = 0;
+    while (k < m && darr[k] <= e) ++k;
+    return k;
+  };
+  size_t i = 0;
+  while (i < defs.size()) {
+    starts->push_back(static_cast<uint32_t>(i));
+    const int d0 = defs[i++];
+    if (info.is_pk || m == 0 || d0 < darr[0]) continue;
+    int current = opened(d0);
+    while (true) {
+      if (i >= defs.size()) {
+        return Status::Corruption("column record missing closing delimiter");
+      }
+      const int e = defs[i++];
+      if (e > current - 1) {
+        current = opened(e);
+      } else if (e == 0) {
+        break;
+      } else {
+        current = e;
+      }
+    }
+  }
+  starts->push_back(static_cast<uint32_t>(defs.size()));
+  return Status::OK();
+}
+
+// A PK (shape 0), flat (1) or 1-3 level array column (2-4) with random
+// def levels a schema could give it.
+ColumnInfo RandomColumnInfo(int shape, Rng* rng) {
+  ColumnInfo info;
+  info.id = 1;
+  info.path = "x";
+  if (shape == 0) {
+    info.is_pk = true;
+    info.max_def = 1;
+    return info;
+  }
+  int level = 0;
+  for (int k = 0; k < shape - 1; ++k) {
+    level += 1 + static_cast<int>(rng->Uniform(2));
+    info.array_defs.push_back(level);
+  }
+  info.max_def = level + 1 + static_cast<int>(rng->Uniform(2));
+  return info;
+}
+
+// Writes seeded random records of one int column as RecordShredder does:
+// an outermost array missing (one entry below its level) or present, its
+// elements null, missing the path below, values, or empty or nested
+// arrays; each array's close leaves a pending delimiter that the next
+// entry materializes, and the record ends with delimiter 0. Long dense
+// arrays and streaks of equal records make RLE runs, the rest bit-packed
+// runs; a record's closing 0 before a missing-array record at def 0, and
+// a delimiter before a null element at its level, put equal delimiters
+// side by side.
+class RandomColumnWriter {
+ public:
+  RandomColumnWriter(const ColumnInfo& info, Rng* rng)
+      : info_(info), writer_(info), rng_(rng) {}
+
+  /// Adds 1 record, or a streak of equal ones; returns how many.
+  size_t AddRecords() {
+    if (info_.is_pk) {
+      const bool anti_matter = rng_->Bernoulli(0.1);
+      writer_.AddKey(key_++, anti_matter);
+      defs_.push_back(anti_matter ? 0 : 1);
+      return 1;
+    }
+    if (info_.array_count() == 0) {
+      const size_t streak = rng_->Bernoulli(0.1) ? 20 : 1;
+      const int def =
+          rng_->Bernoulli(0.6)
+              ? info_.max_def
+              : static_cast<int>(rng_->Uniform(
+                    static_cast<uint64_t>(info_.max_def)));
+      for (size_t i = 0; i < streak; ++i) Entry(def);
+      return streak;
+    }
+    const int outer = info_.array_defs[0];
+    if (rng_->Bernoulli(0.15)) {
+      const size_t streak = rng_->Bernoulli(0.3) ? 20 : 1;
+      const int def =
+          static_cast<int>(rng_->Uniform(static_cast<uint64_t>(outer)));
+      for (size_t i = 0; i < streak; ++i) Entry(def);
+      return streak;
+    }
+    Array(0);
+    pending_ = -1;
+    writer_.AddDelimiter(0);
+    defs_.push_back(0);
+    return 1;
+  }
+
+  void FinishInto(Buffer* out) { writer_.FinishInto(out); }
+
+  /// Every entry's def level, as written.
+  const std::vector<int>& defs() const { return defs_; }
+
+ private:
+  void Entry(int def) {
+    if (pending_ >= 0) {
+      writer_.AddDelimiter(pending_);
+      defs_.push_back(pending_);
+      pending_ = -1;
+    }
+    if (def == info_.max_def) {
+      writer_.AddInt64(next_value_++);
+    } else {
+      writer_.AddNull(def);
+    }
+    defs_.push_back(def);
+  }
+
+  // A random def in (lo, hi), or -1 when there is none.
+  int Between(int lo, int hi) {
+    if (hi - lo < 2) return -1;
+    return lo + 1 + static_cast<int>(rng_->Uniform(
+                        static_cast<uint64_t>(hi - lo - 1)));
+  }
+
+  // Array instance k (0 = outermost) of the column.
+  void Array(int k) {
+    const int def = info_.array_defs[static_cast<size_t>(k)];
+    const bool innermost = k + 1 == info_.array_count();
+    const int below = innermost ? info_.max_def
+                                : info_.array_defs[static_cast<size_t>(k) + 1];
+    const bool dense = rng_->Bernoulli(0.3);
+    const uint64_t shape = rng_->Uniform(10);
+    const size_t n = shape < 2   ? 0
+                     : shape < 4 ? 16 + rng_->Uniform(40)
+                                 : 1 + rng_->Uniform(5);
+    if (n == 0) Entry(def);  // present but empty
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t r = dense ? 9 : rng_->Uniform(10);
+      const int missing = Between(def, below);
+      if (r == 0) {
+        Entry(def);  // a null element
+      } else if (r == 1 && missing >= 0) {
+        Entry(missing);  // the path below the element is missing
+      } else if (innermost) {
+        Entry(info_.max_def);
+      } else {
+        Array(k + 1);
+      }
+    }
+    if (pending_ < 0 || k < pending_) pending_ = k;
+  }
+
+  const ColumnInfo& info_;
+  ColumnChunkWriter writer_;
+  Rng* rng_;
+  int pending_ = -1;
+  int64_t next_value_ = 0;
+  int64_t key_ = 0;
+  std::vector<int> defs_;
+};
+
+TEST(RecordSplitTest, RunDrivenSplitMatchesThePerEntryRule) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    const int shape = static_cast<int>(seed % 5);
+    const ColumnInfo info = RandomColumnInfo(shape, &rng);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", arrays " +
+                 std::to_string(info.array_count()) + ", max_def " +
+                 std::to_string(info.max_def));
+    RandomColumnWriter writer(info, &rng);
+    const size_t target = 1 + rng.Uniform(400);
+    size_t records = 0;
+    while (records < target) records += writer.AddRecords();
+    Buffer chunk;
+    writer.FinishInto(&chunk);
+
+    // The oracle: the entries as written, their value indices, and the
+    // values 0, 1, ... in order (keys, for the PK).
+    ColumnEntryBatch expected;
+    expected.defs = writer.defs();
+    for (const int def : expected.defs) {
+      const bool value = info.is_pk || def == info.max_def;
+      expected.value_index.push_back(
+          value ? static_cast<int32_t>(expected.ints.size()) : -1);
+      if (value) {
+        expected.ints.push_back(static_cast<int64_t>(expected.ints.size()));
+      }
+    }
+    std::vector<uint32_t> expected_starts;
+    ASSERT_TRUE(
+        OracleRecordStarts(info, expected.defs, &expected_starts).ok());
+    ASSERT_EQ(expected_starts.size(), records + 1);
+
+    // The entry batch decodes the same entries, in batches of any size.
+    ColumnChunkReader batches;
+    ASSERT_TRUE(batches.Init(chunk.slice(), info).ok());
+    ColumnEntryBatch all;
+    while (!batches.AtEnd()) {
+      ColumnEntryBatch batch;
+      ASSERT_TRUE(batches.NextEntryBatch(1 + rng.Uniform(700), &batch).ok());
+      const auto first_value = static_cast<int32_t>(all.ints.size());
+      for (size_t e = 0; e < batch.defs.size(); ++e) {
+        all.defs.push_back(batch.defs[e]);
+        all.value_index.push_back(batch.value_index[e] < 0
+                                      ? -1
+                                      : first_value + batch.value_index[e]);
+      }
+      all.ints.insert(all.ints.end(), batch.ints.begin(), batch.ints.end());
+    }
+    EXPECT_EQ(all.defs, expected.defs);
+    EXPECT_EQ(all.value_index, expected.value_index);
+    EXPECT_EQ(all.ints, expected.ints);
+
+    ColumnChunkReader reader;
+    ASSERT_TRUE(reader.Init(chunk.slice(), info).ok());
+    ColumnEntryBatch got;
+    std::vector<uint32_t> starts;
+    size_t values = 0;
+    ASSERT_TRUE(reader.DecodeRecords(&got, &starts, &values).ok());
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(starts, expected_starts);
+    EXPECT_EQ(got.defs, expected.defs);
+    EXPECT_EQ(got.value_index, expected.value_index);
+    EXPECT_TRUE(got.ints.empty());  // values wait for DecodeValues
+    ASSERT_EQ(values, expected.ints.size());
+    ASSERT_TRUE(reader.DecodeValues(values, &got).ok());
+    EXPECT_EQ(got.ints, expected.ints);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(RecordSplitTest, MissingClosingDelimiterIsCorruption) {
+  ColumnInfo info;
+  info.id = 1;
+  info.path = "a[*]";
+  info.array_defs = {1};
+  info.max_def = 2;
+  ColumnChunkWriter writer(info);
+  writer.AddInt64(1);
+  writer.AddInt64(2);
+  writer.AddDelimiter(0);
+  writer.AddNull(0);  // a record whose array is missing
+  writer.AddInt64(3);  // the last record's array is never closed
+  writer.AddInt64(4);
+  Buffer chunk;
+  writer.FinishInto(&chunk);
+  ColumnChunkReader reader;
+  ASSERT_TRUE(reader.Init(chunk.slice(), info).ok());
+  ColumnEntryBatch batch;
+  std::vector<uint32_t> starts;
+  size_t values = 0;
+  const Status st = reader.DecodeRecords(&batch, &starts, &values);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  // The oracle agrees.
+  ColumnChunkReader oracle;
+  ASSERT_TRUE(oracle.Init(chunk.slice(), info).ok());
+  ASSERT_TRUE(oracle.NextEntryBatch(oracle.entry_count(), &batch).ok());
+  EXPECT_TRUE(OracleRecordStarts(info, batch.defs, &starts).IsCorruption());
+}
+
+TEST(RecordSplitTest, ValuesDecodedAfterDefsOnlyAreTheSame) {
+  // The count column of an unnest is read defs-only first; a later read
+  // of the same column in the leaf decodes its values once.
+  ColumnInfo info;
+  info.id = 1;
+  info.path = "a[*]";
+  info.array_defs = {1};
+  info.max_def = 2;
+  info.type = AtomicType::kString;
+  ColumnChunkWriter writer(info);
+  for (int r = 0; r < 50; ++r) {
+    for (int i = 0; i < r % 4; ++i) {
+      writer.AddString(Slice("v" + std::to_string(r * 10 + i)));
+    }
+    if (r % 4 == 0) writer.AddNull(1);  // an empty array
+    writer.AddDelimiter(0);
+  }
+  Buffer chunk;
+  writer.FinishInto(&chunk);
+  ColumnChunkReader defs_only;
+  ASSERT_TRUE(defs_only.Init(chunk.slice(), info).ok());
+  ColumnEntryBatch batch;
+  std::vector<uint32_t> starts;
+  size_t values = 0;
+  ASSERT_TRUE(defs_only.DecodeRecords(&batch, &starts, &values).ok());
+  ASSERT_EQ(starts.size(), 51u);
+  EXPECT_TRUE(batch.strings.empty());
+  ColumnChunkReader value_reader;
+  ASSERT_TRUE(value_reader.Init(chunk.slice(), info).ok());
+  ASSERT_TRUE(value_reader.DecodeValues(values, &batch).ok());
+  ASSERT_EQ(batch.strings.size(), values);
+  for (size_t r = 0; r < 50; ++r) {
+    for (uint32_t e = starts[r]; e + 1 < starts[r + 1]; ++e) {
+      if (batch.value_index[e] < 0) continue;
+      const size_t i = e - starts[r];
+      EXPECT_EQ(batch.strings[static_cast<size_t>(batch.value_index[e])]
+                    .ToString(),
+                "v" + std::to_string(r * 10 + i));
+    }
+  }
+  // Asking for more values than the chunk holds is Corruption.
+  ColumnEntryBatch past;
+  EXPECT_TRUE(value_reader.DecodeValues(1, &past).IsCorruption());
+}
+
 // ------------------------------- sibling columns disagreeing on an array
 
 // A one-record APAX component of {"id":1,"a":[{"x":1,"y":2},{"x":3,"y":4}]}
@@ -988,7 +1301,9 @@ class MismatchedArrayComponent {
     std::filesystem::remove_all(dir_);
   }
 
-  void Build(const std::string& victim) {
+  /// `victim_records` copies of the short record go into the victim's
+  /// chunk.
+  void Build(const std::string& victim, int victim_records = 1) {
     Schema schema("id");
     ColumnWriterSet writers(&schema);
     RecordShredder shredder(&schema, &writers);
@@ -996,7 +1311,10 @@ class MismatchedArrayComponent {
                       R"({"id":1,"a":[{"x":1,"y":2},{"x":3,"y":4}]})"));
     ColumnWriterSet short_writers(&schema);
     RecordShredder short_shredder(&schema, &short_writers);
-    ASSERT_TRUE(Shred(&short_shredder, R"({"id":1,"a":[{"x":1,"y":2}]})"));
+    for (int r = 0; r < victim_records; ++r) {
+      ASSERT_TRUE(
+          Shred(&short_shredder, R"({"id":1,"a":[{"x":1,"y":2}]})"));
+    }
     int column = -1;
     for (int c = 0; c < schema.column_count(); ++c) {
       if (schema.column(c).path == "a[*]." + victim) column = c;
@@ -1071,6 +1389,30 @@ TEST(ArrayLengthMismatchTest, ScanPathAndLookupReturnCorruption) {
     auto probe = fixture.component()->Lookup(1, Projection::All(), &out);
     EXPECT_TRUE(probe.status().IsCorruption())
         << probe.status().ToString() << " " << ToJson(out);
+  }
+}
+
+TEST(ArrayLengthMismatchTest, RecordSpanOfAChunkWithOtherRecordsIsCorruption) {
+  // A chunk whose record split disagrees with the leaf's record count.
+  for (int records : {2, 3}) {
+    MismatchedArrayComponent fixture;
+    fixture.Build("x", records);
+    ASSERT_NE(fixture.component(), nullptr);
+    const Schema* schema = fixture.component()->schema();
+    int column = -1;
+    for (int c = 0; c < schema->column_count(); ++c) {
+      if (schema->column(c).path == "a[*].x") column = c;
+    }
+    ASSERT_GE(column, 0);
+    for (bool values : {true, false}) {
+      ColumnarComponentCursor cursor(fixture.component(),
+                                     Projection::Of({{"a"}}));
+      auto next = cursor.Next();
+      ASSERT_TRUE(next.ok() && *next);
+      ColumnarComponentCursor::ColumnSpan span;
+      const Status st = cursor.RecordSpan(column, &span, values);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    }
   }
 }
 

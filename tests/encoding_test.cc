@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/columnar/shredder.h"
@@ -1242,35 +1243,76 @@ TEST(RleBatchTest, DecodeBatchInterleavesWithNextAndSkip) {
   for (size_t i = 0; i < 10; ++i) EXPECT_EQ(scratch[i], values[111 + i]);
 }
 
-TEST(RleBatchTest, DecodeRunsSurfacesRunStructure) {
+TEST(RleBatchTest, VisitRunsSurfacesRunStructure) {
+  // RLE runs arrive whole, bit-packed values as arrays; together they are
+  // the stream in order.
   std::vector<uint64_t> values;
   values.insert(values.end(), 80, 2);
   values.insert(values.end(), 30, 5);
+  values.insert(values.end(), {1, 3, 1, 4});
+  values.insert(values.end(), 40, 6);
   Buffer encoded = EncodeRle(values, 3);
   RleDecoder dec;
   ASSERT_TRUE(dec.Init(encoded.slice(), 3).ok());
-  std::vector<RleRun> runs;
-  ASSERT_TRUE(dec.DecodeRuns(values.size(), &runs).ok());
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].value, 2u);
-  EXPECT_EQ(runs[0].count, 80u);
-  EXPECT_EQ(runs[1].value, 5u);
-  EXPECT_EQ(runs[1].count, 30u);
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(dec.VisitRuns(
+                     values.size(),
+                     [&](uint64_t value, size_t count) {
+                       runs.emplace_back(value, count);
+                       decoded.insert(decoded.end(), count, value);
+                     },
+                     [&](const uint64_t* packed, size_t count) {
+                       decoded.insert(decoded.end(), packed, packed + count);
+                     })
+                  .ok());
+  EXPECT_EQ(decoded, values);
+  ASSERT_GE(runs.size(), 3u);
+  EXPECT_EQ(runs[0], std::make_pair(uint64_t{2}, size_t{80}));
+  EXPECT_EQ(runs[1].first, 5u);
+  EXPECT_EQ(runs.back().first, 6u);
   EXPECT_EQ(dec.remaining(), 0u);
+
+  const std::vector<uint64_t> mixed = MixedRleStream();
+  Buffer mixed_encoded = EncodeRle(mixed, 3);
+  ASSERT_TRUE(dec.Init(mixed_encoded.slice(), 3).ok());
+  decoded.clear();
+  size_t calls = 0;
+  while (dec.remaining() > 0) {
+    ASSERT_TRUE(dec.VisitRuns(
+                       37,
+                       [&](uint64_t value, size_t count) {
+                         ++calls;
+                         decoded.insert(decoded.end(), count, value);
+                       },
+                       [&](const uint64_t* packed, size_t count) {
+                         ++calls;
+                         decoded.insert(decoded.end(), packed,
+                                        packed + count);
+                       })
+                    .ok());
+  }
+  EXPECT_EQ(decoded, mixed);
+  EXPECT_LT(calls, mixed.size());
 }
 
-TEST(RleBatchTest, DecodeRunsHonorsMaxValuesMidRun) {
+TEST(RleBatchTest, VisitRunsHonorsCountMidRun) {
   std::vector<uint64_t> values(100, 7);
   Buffer encoded = EncodeRle(values, 3);
   RleDecoder dec;
   ASSERT_TRUE(dec.Init(encoded.slice(), 3).ok());
-  std::vector<RleRun> runs;
-  ASSERT_TRUE(dec.DecodeRuns(30, &runs).ok());
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  auto on_run = [&](uint64_t value, size_t count) {
+    runs.emplace_back(value, count);
+  };
+  auto on_packed = [&](const uint64_t*, size_t) { ADD_FAILURE(); };
+  ASSERT_TRUE(dec.VisitRuns(30, on_run, on_packed).ok());
   ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].count, 30u);
-  ASSERT_TRUE(dec.DecodeRuns(1000, &runs).ok());  // resumes; coalesces
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].count, 100u);
+  EXPECT_EQ(runs[0], std::make_pair(uint64_t{7}, size_t{30}));
+  ASSERT_TRUE(dec.VisitRuns(1000, on_run, on_packed).ok());  // resumes
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1], std::make_pair(uint64_t{7}, size_t{70}));
+  EXPECT_EQ(dec.remaining(), 0u);
 }
 
 TEST(RleBatchTest, SkipAndCountCountsTargetRunGranular) {

@@ -335,6 +335,194 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, EngineEquivalenceTest,
                            return std::string(LayoutKindName(info.param));
                          });
 
+/// A document for the column-native paths. Its readings are dense (every
+/// element holds c, v, z and e) or sparse (null elements, v missing or
+/// null); c comes first, so it is the array's count column; z (+0.0 and
+/// -0.0) and e (ints equal as doubles) tie within a record, where the
+/// first value must win; `late` exists only when `with_late`, so older
+/// components lack its column or, once merged, hold it backfilled.
+Value MakeSpanDoc(int64_t id, bool with_late, Rng* rng) {
+  Value doc = Value::MakeObject();
+  doc.Set("id", Value::Int(id));
+  doc.Set("g", Value::Int(id % 3));
+  if (rng->Bernoulli(0.1)) return doc;  // readings missing
+  Value readings = Value::MakeArray();
+  const bool dense = rng->Bernoulli(0.6);
+  const uint64_t n = rng->Bernoulli(0.3) ? 16 + rng->Uniform(30)
+                                         : 1 + rng->Uniform(6);
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!dense && rng->Bernoulli(0.1)) {
+      readings.Push(Value::Null());
+      continue;
+    }
+    Value r = Value::MakeObject();
+    r.Set("c", Value::Int(static_cast<int64_t>(rng->Uniform(5))));
+    if (dense || rng->Bernoulli(0.6)) {
+      r.Set("v", !dense && rng->Bernoulli(0.2)
+                     ? Value::Null()
+                     : Value::Double(static_cast<double>(rng->Uniform(20)) /
+                                     4));
+    }
+    r.Set("z", Value::Double(rng->Bernoulli(0.5) ? -0.0 : 0.0));
+    r.Set("e", Value::Int((int64_t{1} << 53) +
+                          static_cast<int64_t>(rng->Uniform(2))));
+    if (with_late && (dense || rng->Bernoulli(0.5))) {
+      r.Set("late", Value::Int(static_cast<int64_t>(rng->Uniform(100))));
+    }
+    readings.Push(std::move(r));
+  }
+  doc.Set("readings", std::move(readings));
+  return doc;
+}
+
+std::vector<NamedPlan> SpanPlans() {
+  std::vector<NamedPlan> plans;
+  {
+    QueryPlan plan = UnnestReadings();
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"count_star_defs_only", plan});
+  }
+  {
+    // The count column is also an aggregate input.
+    QueryPlan plan = UnnestReadings();
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plan.aggregates.push_back(AggSpec::Max(R("c")));
+    plan.aggregates.push_back(AggSpec::Min(R("c")));
+    plan.aggregates.push_back(AggSpec::Sum(R("c")));
+    plan.aggregates.push_back(AggSpec::Count(R("c")));
+    plans.push_back({"count_column_as_input", plan});
+  }
+  for (const char* field : {"v", "late"}) {
+    QueryPlan plan = UnnestReadings();
+    plan.aggregates.push_back(AggSpec::Max(R(field)));
+    plan.aggregates.push_back(AggSpec::Min(R(field)));
+    plan.aggregates.push_back(AggSpec::Sum(R(field)));
+    plan.aggregates.push_back(AggSpec::Count(R(field)));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({std::string("sparse_and_dense_") + field, plan});
+  }
+  {
+    QueryPlan plan = UnnestReadings();
+    plan.aggregates.push_back(AggSpec::Max(R("z")));
+    plan.aggregates.push_back(AggSpec::Min(R("z")));
+    plan.aggregates.push_back(AggSpec::Max(R("e")));
+    plan.aggregates.push_back(AggSpec::Min(R("e")));
+    plans.push_back({"first_best_ties", plan});
+  }
+  {
+    QueryPlan plan = UnnestReadings();
+    plan.group_keys.push_back(Expr::Field({"g"}));
+    plan.aggregates.push_back(AggSpec::Max(R("v")));
+    plan.aggregates.push_back(AggSpec::Min(R("z")));
+    plan.aggregates.push_back(AggSpec::Sum(R("c")));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plan.order_by = 1;
+    plan.limit = 2;
+    plans.push_back({"grouped_top_k", plan});
+  }
+  return plans;
+}
+
+class ColumnSpanEquivalenceTest
+    : public ::testing::TestWithParam<LayoutKind> {};
+
+TEST_P(ColumnSpanEquivalenceTest, DenseSparseAndBackfilledSpansAgree) {
+  const std::string dir = testing::TempDir() + "/column_span_" +
+                          std::string(LayoutKindName(GetParam()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  BufferCache cache(1024 * kPage, kPage);
+  DatasetOptions options;
+  options.layout = GetParam();
+  options.dir = dir;
+  options.page_size = kPage;
+  options.memtable_bytes = 1 << 20;
+  options.amax_max_records = 40;
+  auto ds = Dataset::Open(options, &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Dataset* dataset = ds->get();
+  const std::vector<NamedPlan> plans = SpanPlans();
+  auto check = [&](const std::string& stage) {
+    SCOPED_TRACE(stage);
+    const Snapshot::Ref snapshot = dataset->GetSnapshot();
+    for (const NamedPlan& named : plans) {
+      SCOPED_TRACE(named.name);
+      auto interpreted = RunInterpreted(*snapshot, named.plan);
+      ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+      auto compiled = RunCompiled(*snapshot, named.plan);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      EXPECT_EQ(compiled->pipeline_tuples, interpreted->pipeline_tuples);
+      EXPECT_EQ(Canonical(*compiled), Canonical(*interpreted));
+    }
+  };
+  Rng rng(17);
+  int64_t id = 0;
+  auto insert = [&](int64_t count, bool with_late) {
+    for (int64_t i = 0; i < count; ++i, ++id) {
+      ASSERT_TRUE(dataset->Insert(MakeSpanDoc(id, with_late, &rng)).ok());
+    }
+  };
+  insert(150, false);
+  ASSERT_TRUE(dataset->Flush().ok());
+  insert(150, false);
+  ASSERT_TRUE(dataset->Flush().ok());
+  insert(100, true);
+  ASSERT_TRUE(dataset->Flush().ok());
+  check("late field in the newest component only");
+  ASSERT_TRUE(dataset->MergeAll().ok());
+  check("late field backfilled by a merge");
+  {
+    // The count column read defs-only, then with values, in every leaf
+    // gives the spans and values a read with values alone gives.
+    const Component& component = dataset->component(0);
+    const Schema* schema = component.schema();
+    const SchemaNode* item =
+        schema->root().FindField("readings")->item()->FindField("c");
+    ASSERT_NE(item, nullptr);
+    const int column = item->column_id();
+    ASSERT_EQ(column, Schema::ColumnsUnder(schema->root().FindField(
+                          "readings"))[0]);  // the count column
+    ColumnarComponentCursor lazy(&component, Projection::All());
+    ColumnarComponentCursor eager(&component, Projection::All());
+    size_t records = 0;
+    while (true) {
+      auto a = lazy.Next();
+      auto b = eager.Next();
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(*a, *b);
+      if (!*a) break;
+      ++records;
+      ColumnarComponentCursor::ColumnSpan defs_only, late_values, values;
+      ASSERT_TRUE(lazy.RecordSpan(column, &defs_only, false).ok());
+      ASSERT_TRUE(lazy.RecordSpan(column, &late_values, true).ok());
+      ASSERT_TRUE(eager.RecordSpan(column, &values, true).ok());
+      ASSERT_EQ(defs_only.begin, values.begin);
+      ASSERT_EQ(defs_only.end, values.end);
+      ASSERT_EQ(late_values.begin, values.begin);
+      ASSERT_EQ(late_values.end, values.end);
+      for (size_t e = values.begin; e < values.end; ++e) {
+        const int32_t vi = values.batch->value_index[e];
+        ASSERT_EQ(late_values.batch->value_index[e], vi);
+        if (vi < 0) continue;
+        EXPECT_EQ(late_values.batch->ints[static_cast<size_t>(vi)],
+                  values.batch->ints[static_cast<size_t>(vi)]);
+      }
+    }
+    EXPECT_GT(records, 0u);
+  }
+  insert(40, true);
+  check("with a memtable");
+  ds->reset();
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(ColumnarLayouts, ColumnSpanEquivalenceTest,
+                         ::testing::Values(LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
 TEST(ColumnNativeUnnestTest, ReadsOnlyTheItemColumnsItAggregates) {
   // Cold AMAX cache: MAX(r.temp) fetches the readings.temp megapages only;
   // the same plan with a pre-filter on the whole array must also fetch

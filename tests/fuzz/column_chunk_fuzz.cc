@@ -2,11 +2,13 @@
 // the decoder point lookups and scans run over every cached megapage and
 // APAX minipage. The input's first bytes choose a well-formed ColumnInfo
 // (type, PK flag, definition levels of the array ancestors), the rest is
-// the chunk. On any input Init, NextEntryBatch, SkipRecords, NextRecord,
-// BuildSeekIndex and Seek must return OK, Corruption or OutOfRange; and
-// when the whole chunk walks cleanly, Seek(r) then NextRecord must parse
-// exactly what SkipRecords(r) then NextRecord does. Anything else aborts;
-// ASan catches reads out of bounds.
+// the chunk. On any input Init, NextEntryBatch, DecodeRecords,
+// DecodeValues, SkipRecords, NextRecord, BuildSeekIndex and Seek must
+// return OK, Corruption or OutOfRange, and DecodeRecords' spans and value
+// indices must stay in bounds; when the whole chunk walks cleanly,
+// DecodeRecords must split it into as many records, and Seek(r) then
+// NextRecord must parse exactly what SkipRecords(r) then NextRecord does.
+// Anything else aborts; ASan catches reads out of bounds.
 //
 // tests/CMakeLists.txt builds this target only when the compiler accepts
 // -fsanitize=fuzzer (clang). Run it over a seed corpus of real tweet_2
@@ -112,6 +114,24 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     Check(Expected(st));
   }
 
+  // The whole-chunk decode behind a cursor's RecordSpan: its spans stay
+  // inside the entries and its value indices inside the values.
+  ColumnChunkReader whole;
+  Check(whole.Init(chunk, info).ok());
+  std::vector<uint32_t> starts;
+  size_t values = 0;
+  const Status split = whole.DecodeRecords(&batch, &starts, &values);
+  Check(Expected(split));
+  if (split.ok()) {
+    Check(!starts.empty() && starts.front() == 0 &&
+          starts.back() == batch.entry_count() &&
+          std::is_sorted(starts.begin(), starts.end()));
+    for (const int32_t vi : batch.value_index) {
+      Check(vi >= -1 && vi < static_cast<int64_t>(values));
+    }
+    Check(Expected(whole.DecodeValues(values, &batch)));
+  }
+
   // Record by record, counting the records of a clean walk.
   ColumnChunkReader walker;
   Check(walker.Init(chunk, info).ok());
@@ -128,6 +148,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     ++records;
   }
+
+  // A clean walk's records are the whole-chunk decode's spans.
+  if (clean) Check(split.ok() && starts.size() == records + 1);
 
   ColumnChunkReader indexer;
   Check(indexer.Init(chunk, info).ok());

@@ -1,7 +1,8 @@
 // Seeded mutation test for the AMAX megapage decoders: every megapage a
 // column read decodes goes through ParseAmaxMegapage (string min/max
-// prefix, LZ), then ColumnChunkReader::Init and NextEntryBatch. Real
-// megapages of sensors and tweet_2 leaves, compressed and not, are fed
+// prefix, LZ), then ColumnChunkReader::Init, NextEntryBatch, and the
+// whole-chunk DecodeRecords and DecodeValues behind a cursor's RecordSpan.
+// Real megapages of sensors and tweet_2 leaves, compressed and not, are fed
 // whole, cut at every length and with seeded byte flips; each step must
 // return OK or Corruption, and ASan/UBSan catch anything that reads out
 // of bounds. A libFuzzer-free companion of tests/fuzz/: it runs wherever
@@ -100,6 +101,37 @@ std::vector<Megapage> RealMegapages(Workload workload, bool compress) {
 
 bool OkOrCorruption(const Status& st) { return st.ok() || st.IsCorruption(); }
 
+// The whole-chunk decode behind a cursor's RecordSpan, values after the
+// def levels; false once a step fails. Its status must be OK or
+// Corruption, and a decode that succeeds must split into spans inside the
+// entries, with value indices inside the values.
+bool DecodeWhole(Slice chunk, const ColumnInfo& info) {
+  ColumnChunkReader reader;
+  Status st = reader.Init(chunk, info);
+  EXPECT_TRUE(st.ok()) << st.ToString();  // it read once already
+  ColumnEntryBatch batch;
+  std::vector<uint32_t> starts;
+  size_t values = 0;
+  st = reader.DecodeRecords(&batch, &starts, &values);
+  EXPECT_TRUE(OkOrCorruption(st)) << st.ToString();
+  if (!st.ok()) return false;
+  EXPECT_FALSE(starts.empty());
+  EXPECT_EQ(starts.front(), 0u);
+  EXPECT_EQ(starts.back(), batch.entry_count());
+  EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
+  for (const int32_t vi : batch.value_index) {
+    EXPECT_GE(vi, -1);
+    EXPECT_LT(vi, static_cast<int64_t>(values));
+  }
+  st = reader.DecodeValues(values, &batch);
+  EXPECT_TRUE(OkOrCorruption(st)) << st.ToString();
+  if (!st.ok()) return false;
+  const size_t decoded = batch.ints.size() + batch.bools.size() +
+                         batch.doubles.size() + batch.strings.size();
+  EXPECT_EQ(decoded, values);
+  return true;
+}
+
 // Decode `raw` as a column read does; false once a step fails. Every
 // step's status must be OK or Corruption.
 bool Decode(Slice raw, const ColumnInfo& info, bool compressed) {
@@ -112,6 +144,9 @@ bool Decode(Slice raw, const ColumnInfo& info, bool compressed) {
   st = reader.Init(chunk.slice(), info);
   EXPECT_TRUE(OkOrCorruption(st)) << st.ToString();
   if (!st.ok()) return false;
+  // Both reads run whatever the other returns.
+  const bool whole = reader.entry_count() > kMaxEntries ||
+                     DecodeWhole(chunk.slice(), info);
   ColumnEntryBatch batch;
   size_t walked = 0;
   while (!reader.AtEnd() && walked < kMaxEntries) {
@@ -120,7 +155,7 @@ bool Decode(Slice raw, const ColumnInfo& info, bool compressed) {
     if (!st.ok()) return false;
     walked += batch.entry_count();
   }
-  return true;
+  return whole;
 }
 
 class MegapageMutationTest

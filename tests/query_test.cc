@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -351,6 +352,63 @@ TEST_P(QueryEngineTest, FieldPastTheKeyIsMissing) {
   }
   for (size_t c = 0; c < dataset_->component_count(); ++c) {
     EXPECT_FALSE(dataset_->component(c).quarantined()) << c;
+  }
+}
+
+TEST_P(QueryEngineTest, TopKKeepsTheRowsAStableSortKeeps) {
+  // ORDER BY ... LIMIT k keeps a top-k, not a sorted copy of every row.
+  // It must keep exactly what a stable sort then a cut keeps, ties that
+  // straddle the limit included: on a projection (rows in key order) and
+  // on groups, in both engines and both directions.
+  QueryPlan projection;
+  projection.projections.push_back(Expr::Field({"id"}));
+  projection.projections.push_back(Expr::Field({"age"}));
+  QueryPlan grouped;
+  grouped.group_keys.push_back(Expr::Field({"age"}));
+  grouped.aggregates.push_back(AggSpec::CountStar());
+  const Snapshot::Ref snapshot = dataset_->GetSnapshot();
+  for (const QueryPlan& plan : {projection, grouped}) {
+    for (bool compiled : {false, true}) {
+      for (bool desc : {true, false}) {
+        SCOPED_TRACE(std::string(plan.aggregates.empty() ? "projection"
+                                                         : "grouped") +
+                     (compiled ? ", compiled" : ", interpreted") +
+                     (desc ? ", desc" : ", asc"));
+        auto unordered = RunQuery(*snapshot, plan, compiled);
+        ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+        std::vector<std::vector<Value>> sorted = unordered->rows;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [&](const auto& a, const auto& b) {
+                           const int c = CompareValues(a[1], b[1]);
+                           return desc ? c > 0 : c < 0;
+                         });
+        // The first limit past 2 that cuts a run of equal values.
+        size_t k = 3;
+        while (k < sorted.size() &&
+               CompareValues(sorted[k - 1][1], sorted[k][1]) != 0) {
+          ++k;
+        }
+        ASSERT_LT(k, sorted.size());
+        for (size_t limit : {k, sorted.size(), size_t{0}}) {
+          QueryPlan ordered = plan;
+          ordered.order_by = 1;
+          ordered.order_desc = desc;
+          ordered.limit = limit;
+          auto result = RunQuery(*snapshot, ordered, compiled);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          const size_t expected = limit == 0 ? sorted.size() : limit;
+          ASSERT_EQ(result->rows.size(), expected);
+          for (size_t r = 0; r < expected; ++r) {
+            for (size_t c = 0; c < 2; ++c) {
+              EXPECT_TRUE(ValueEquivalent(result->rows[r][c], sorted[r][c]))
+                  << "limit " << limit << ", row " << r << ": "
+                  << ToJson(result->rows[r][c]) << " vs "
+                  << ToJson(sorted[r][c]);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
