@@ -87,36 +87,54 @@ bool Value::Equals(const Value& other) const {
 
 namespace {
 
-void StepValueInto(const Value& v, const std::string& field, Value* out) {
-  if (v.is_object()) {
-    *out = v.Get(field);
-    return;
+/// Follows object steps from path[*step] without copying. Stops at an
+/// array that a remaining step meets (*step names that step), or returns
+/// Missing where a step finds no field or meets an atom.
+const Value* Descend(const Value& root, const std::vector<std::string>& path,
+                     size_t* step) {
+  const Value* v = &root;
+  for (; *step < path.size(); ++*step) {
+    if (v->is_array()) return v;
+    v = &v->Get(path[*step]);  // Missing for an absent field or an atom
+    if (v->is_missing()) return v;
   }
-  if (v.is_array()) {
-    Value mapped = Value::MakeArray();
-    for (const Value& e : v.array()) {
-      Value sub;
-      StepValueInto(e, field, &sub);
-      if (!sub.is_missing()) mapped.Push(std::move(sub));
+  return v;
+}
+
+/// Maps path[step..] over the elements of `array`, dropping missing
+/// results; an element that is itself an array is mapped over in turn.
+void StepValueInto(const Value& array, const std::vector<std::string>& path,
+                   size_t step, Value* out) {
+  *out = Value::MakeArray();
+  for (const Value& element : array.array()) {
+    size_t i = step;
+    const Value* v = Descend(element, path, &i);
+    if (i < path.size() && v->is_array()) {
+      Value mapped;
+      StepValueInto(*v, path, i, &mapped);
+      out->Push(std::move(mapped));
+    } else if (!v->is_missing()) {
+      out->Push(*v);
     }
-    *out = std::move(mapped);
-    return;
   }
-  *out = Value::Missing();
 }
 
 }  // namespace
 
+const Value* FindValuePath(const Value& root,
+                           const std::vector<std::string>& path,
+                           size_t start) {
+  const Value* v = Descend(root, path, &start);
+  return start < path.size() && v->is_array() ? nullptr : v;
+}
+
 Value WalkValuePath(const Value& root, const std::vector<std::string>& path,
                     size_t start) {
-  Value current = root;
-  for (size_t i = start; i < path.size(); ++i) {
-    Value next;
-    StepValueInto(current, path[i], &next);
-    current = std::move(next);
-    if (current.is_missing()) break;
-  }
-  return current;
+  const Value* v = Descend(root, path, &start);
+  if (start == path.size() || !v->is_array()) return *v;
+  Value mapped;
+  StepValueInto(*v, path, start, &mapped);
+  return mapped;
 }
 
 bool ValueEquivalent(const Value& a, const Value& b) {

@@ -3,6 +3,11 @@
 // not sort fields), and any field may hold values of different types in
 // different documents — the heterogeneity the paper's extended Dremel
 // format is designed for.
+//
+// Paths are read by reference: FindValuePath follows object fields to a
+// value inside the tree and copies nothing. Only a step into an array
+// builds a new value (SQL++ maps the rest of the path over the elements),
+// which WalkValuePath returns.
 
 #ifndef LSMCOL_JSON_VALUE_H_
 #define LSMCOL_JSON_VALUE_H_
@@ -172,9 +177,21 @@ const Value& MissingValue();
 /// normalizes fields to schema order; see AssemblyPlan::Assemble).
 bool ValueEquivalent(const Value& a, const Value& b);
 
+/// The value at path[start..] below `root`, found without copying: object
+/// steps follow the field (an absent field, or a step into an atom, gives
+/// &MissingValue()). Returns nullptr at the first step that meets an
+/// array, where SQL++ maps the rest of the path over the elements and the
+/// result is a new value (WalkValuePath). Any other result points into
+/// `root` or at MissingValue(), and lives as long as they do.
+const Value* FindValuePath(const Value& root,
+                           const std::vector<std::string>& path,
+                           size_t start = 0);
+
 /// SQL++-style path walk starting at path[start]: object steps access the
-/// field; array steps map the remaining path over the elements (a[*].b),
-/// dropping missing results. Atoms yield Missing.
+/// field; an array step maps the remaining path over the elements
+/// (a[*].b), dropping missing results, so the result is an array of the
+/// elements' results (nested arrays stay nested). Atoms yield Missing.
+/// Copies only the result: the object steps go through FindValuePath.
 Value WalkValuePath(const Value& root, const std::vector<std::string>& path,
                     size_t start = 0);
 

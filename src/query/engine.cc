@@ -1,6 +1,7 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 #include <unordered_map>
 
@@ -115,17 +116,23 @@ class Aggregator {
   explicit Aggregator(const QueryPlan* plan) : plan_(plan) {}
 
   /// The current tuple's group (keys evaluated in ctx), created on first
-  /// use.
+  /// use. The keys are read by reference; a new group copies them, so a
+  /// group keeps the key values it was first seen with.
   Result<Group*> GroupFor(EvalContext* ctx) {
-    std::string key;
-    std::vector<Value> key_values(plan_->group_keys.size());
-    for (size_t i = 0; i < plan_->group_keys.size(); ++i) {
-      LSMCOL_RETURN_NOT_OK(plan_->group_keys[i]->Eval(ctx, &key_values[i]));
-      AppendGroupKeyPart(GroupKey(key_values[i]), &key);
+    const size_t n = plan_->group_keys.size();
+    key_scratch_.resize(n);
+    key_refs_.resize(n);
+    key_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      LSMCOL_RETURN_NOT_OK(
+          plan_->group_keys[i]->Ref(ctx, &key_scratch_[i], &key_refs_[i]));
+      AppendGroupKeyPart(GroupKey(*key_refs_[i]), &key_);
     }
-    Group& group = groups_[key];
-    if (group.states.empty()) {
-      group.keys = std::move(key_values);
+    auto [it, created] = groups_.try_emplace(key_);
+    Group& group = it->second;
+    if (created) {
+      group.keys.reserve(n);
+      for (const Value* v : key_refs_) group.keys.push_back(*v);
       group.states.resize(plan_->aggregates.size());
     }
     return &group;
@@ -140,9 +147,10 @@ class Aggregator {
         ++state.count;
         continue;
       }
-      Value v;
-      LSMCOL_RETURN_NOT_OK(spec.input->Eval(ctx, &v));
-      Fold(spec, v, &state);
+      Value scratch;
+      const Value* v = nullptr;
+      LSMCOL_RETURN_NOT_OK(spec.input->Ref(ctx, &scratch, &v));
+      Fold(spec, *v, &state);
     }
     return Status::OK();
   }
@@ -224,11 +232,18 @@ class Aggregator {
   /// Fold's SUM over n numbers of one type, in order.
   static void Sum(const int64_t* v, size_t n, AggState* state) {
     state->count += n;
+    size_t i = 0;
     if (state->sum_is_int) {
-      for (size_t i = 0; i < n; ++i) state->isum += v[i];
-    } else {
-      for (size_t i = 0; i < n; ++i) state->sum += static_cast<double>(v[i]);
+      for (; i < n; ++i) {
+        int64_t sum = 0;
+        if (__builtin_add_overflow(state->isum, v[i], &sum)) break;
+        state->isum = sum;
+      }
+      if (i == n) return;
+      state->sum = static_cast<double>(state->isum);  // overflow at v[i]
+      state->sum_is_int = false;
     }
+    for (; i < n; ++i) state->sum += static_cast<double>(v[i]);
   }
   static void Sum(const double* v, size_t n, AggState* state) {
     state->count += n;
@@ -250,14 +265,18 @@ class Aggregator {
         if (!v.is_number()) break;
         ++state->count;
         if (v.is_int() && state->sum_is_int) {
-          state->isum += v.int_value();
-        } else {
-          if (state->sum_is_int) {
-            state->sum = static_cast<double>(state->isum);
-            state->sum_is_int = false;
+          int64_t sum = 0;
+          if (!__builtin_add_overflow(state->isum, v.int_value(), &sum)) {
+            state->isum = sum;
+            break;
           }
-          state->sum += v.as_double();
         }
+        // A double, or an int64 overflow: the sum is a double from here on.
+        if (state->sum_is_int) {
+          state->sum = static_cast<double>(state->isum);
+          state->sum_is_int = false;
+        }
+        state->sum += v.as_double();
         break;
       case AggSpec::Kind::kMin:
         if (state->min.is_missing() || CompareValues(v, state->min) < 0) {
@@ -274,6 +293,10 @@ class Aggregator {
 
   const QueryPlan* plan_;
   std::unordered_map<std::string, Group> groups_;
+  // GroupFor's per-tuple state, reused across tuples.
+  std::string key_;
+  std::vector<Value> key_scratch_;
+  std::vector<const Value*> key_refs_;
 };
 
 /// ORDER BY and LIMIT: a stable sort, then a cut. When the LIMIT k cuts
@@ -344,10 +367,11 @@ Status ApplyUnnests(const QueryPlan& plan, EvalContext* ctx, size_t level,
     return EmitTuple(plan, ctx, aggregator, result);
   }
   const UnnestSpec& unnest = plan.unnests[level];
-  Value arr;
-  LSMCOL_RETURN_NOT_OK(unnest.array->Eval(ctx, &arr));
-  if (!arr.is_array()) return Status::OK();  // UNNEST of non-array: no rows
-  for (const Value& element : arr.array()) {
+  Value scratch;
+  const Value* arr = nullptr;
+  LSMCOL_RETURN_NOT_OK(unnest.array->Ref(ctx, &scratch, &arr));
+  if (!arr->is_array()) return Status::OK();  // UNNEST of non-array: no rows
+  for (const Value& element : arr->array()) {
     ctx->vars.emplace_back(unnest.var, &element);
     Status st =
         ApplyUnnests(plan, ctx, level + 1, aggregator, result, skip_filter);
@@ -408,10 +432,12 @@ Result<QueryResult> RunInterpreted(const Snapshot& snapshot,
         for (size_t i = 0; i < row.unnest_vars.size(); ++i) {
           ctx.vars.emplace_back(plan.unnests[i].var, &row.unnest_vars[i]);
         }
-        Value arr;
-        LSMCOL_RETURN_NOT_OK(plan.unnests[level].array->Eval(&ctx, &arr));
-        if (!arr.is_array()) continue;
-        for (const Value& element : arr.array()) {
+        Value scratch;
+        const Value* arr = nullptr;
+        LSMCOL_RETURN_NOT_OK(
+            plan.unnests[level].array->Ref(&ctx, &scratch, &arr));
+        if (!arr->is_array()) continue;
+        for (const Value& element : arr->array()) {
           InterpretedRow widened;
           widened.record = row.record;  // the materialization copy
           widened.unnest_vars = row.unnest_vars;
@@ -463,37 +489,49 @@ namespace {
 
 /// FieldSource over the live scan cursor: paths are extracted straight
 /// from the storage (columnar layouts assemble only the requested
-/// subtree), memoized per record. The memo is keyed by the path vector's
-/// ADDRESS — the plan's expression nodes are stable for the query's
-/// lifetime, so pointer identity replaces per-record string hashing.
+/// subtree), memoized per record, and lent from the memo. The memo is
+/// keyed by the path vector's ADDRESS — the plan's expression nodes are
+/// stable for the query's lifetime, so pointer identity replaces
+/// per-record string hashing.
 class CursorFieldSource : public FieldSource {
  public:
   explicit CursorFieldSource(TupleCursor* cursor) : cursor_(cursor) {}
 
-  void NewRecord() { memo_.clear(); }
+  void NewRecord() { used_ = 0; }
 
-  Status Get(const std::vector<std::string>& path, Value* out) override {
-    for (const MemoEntry& entry : memo_) {
+  Status Find(const std::vector<std::string>& path, Value* /*scratch*/,
+              const Value** out) override {
+    for (size_t i = 0; i < used_; ++i) {
+      const MemoEntry& entry = memo_[i];
       // Pointer identity first (same Expr node); content equality catches
       // distinct nodes naming the same path.
       if (entry.key == &path || *entry.key == path) {
-        *out = entry.value;
+        *out = &entry.value;
         return Status::OK();
       }
     }
-    LSMCOL_RETURN_NOT_OK(cursor_->Path(path, out));
-    memo_.push_back({&path, *out});
+    if (used_ == memo_.size()) memo_.emplace_back();
+    MemoEntry& entry = memo_[used_];
+    LSMCOL_RETURN_NOT_OK(cursor_->Path(path, &entry.value));
+    entry.key = &path;
+    ++used_;
+    *out = &entry.value;
     return Status::OK();
   }
 
  private:
   struct MemoEntry {
-    const std::vector<std::string>* key;
+    const std::vector<std::string>* key = nullptr;
     Value value;
   };
 
   TupleCursor* cursor_;
-  std::vector<MemoEntry> memo_;  // a handful of paths; linear scan wins
+  // The first used_ entries are the current record's: a handful of paths,
+  // so a linear scan wins. A deque keeps every entry at its address, so a
+  // value lent for one path stays valid while later paths are added, and
+  // the entries are reused across records.
+  std::deque<MemoEntry> memo_;
+  size_t used_ = 0;
 };
 
 bool UsesVar(const Expr& e, const std::string& var) {

@@ -7,9 +7,13 @@
 
 namespace lsmcol {
 
-Status ValueFieldSource::Get(const std::vector<std::string>& path,
-                             Value* out) {
-  *out = WalkValuePath(*record_, path);
+Status ValueFieldSource::Find(const std::vector<std::string>& path,
+                              Value* scratch, const Value** out) {
+  *out = FindValuePath(*record_, path);
+  if (*out == nullptr) {  // the path steps into an array
+    *scratch = WalkValuePath(*record_, path);
+    *out = scratch;
+  }
   return Status::OK();
 }
 
@@ -174,30 +178,42 @@ void Expr::CollectPaths(std::vector<std::vector<std::string>>* out) const {
 }
 
 Status Expr::Eval(EvalContext* ctx, Value* out) const {
+  const Value* v = nullptr;
+  LSMCOL_RETURN_NOT_OK(Ref(ctx, out, &v));
+  if (v != out) *out = *v;
+  return Status::OK();
+}
+
+Status Expr::Ref(EvalContext* ctx, Value* scratch, const Value** out) const {
+  *out = scratch;  // every kind but the four that borrow
   switch (kind_) {
     case Kind::kLiteral:
-      *out = literal_;
+      *out = &literal_;
       return Status::OK();
     case Kind::kField:
-      return ctx->record->Get(path_, out);
+      return ctx->record->Find(path_, scratch, out);
     case Kind::kVar: {
       const Value* v = ctx->FindVar(var_name_);
-      *out = v != nullptr ? *v : Value::Missing();
+      *out = v != nullptr ? v : &MissingValue();
       return Status::OK();
     }
     case Kind::kVarPath: {
       const Value* v = ctx->FindVar(var_name_);
       if (v == nullptr) {
-        *out = Value::Missing();
+        *out = &MissingValue();
         return Status::OK();
       }
       ValueFieldSource source(v);
-      return source.Get(path_, out);
+      return source.Find(path_, scratch, out);
     }
     case Kind::kCompare: {
-      Value l, r;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &l));
-      LSMCOL_RETURN_NOT_OK(children_[1]->Eval(ctx, &r));
+      Value ls, rs;
+      const Value* lp = nullptr;
+      const Value* rp = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &ls, &lp));
+      LSMCOL_RETURN_NOT_OK(children_[1]->Ref(ctx, &rs, &rp));
+      const Value& l = *lp;
+      const Value& r = *rp;
       // Incompatible types -> Missing (the paper's 10 > "ten" example).
       const bool numeric = l.is_number() && r.is_number();
       const bool strings = l.is_string() && r.is_string();
@@ -205,14 +221,14 @@ Status Expr::Eval(EvalContext* ctx, Value* out) const {
       if (!numeric && !strings && !bools) {
         if (cmp_op_ == CmpOp::kEq || cmp_op_ == CmpOp::kNe) {
           if (l.is_missing() || r.is_missing() || l.is_null() || r.is_null()) {
-            *out = Value::Missing();
+            *scratch = Value::Missing();
             return Status::OK();
           }
           const bool eq = CompareValues(l, r) == 0 && l.Equals(r);
-          *out = Value::Bool(cmp_op_ == CmpOp::kEq ? eq : !eq);
+          *scratch = Value::Bool(cmp_op_ == CmpOp::kEq ? eq : !eq);
           return Status::OK();
         }
-        *out = Value::Missing();
+        *scratch = Value::Missing();
         return Status::OK();
       }
       const int c = CompareValues(l, r);
@@ -237,37 +253,43 @@ Status Expr::Eval(EvalContext* ctx, Value* out) const {
           result = c != 0;
           break;
       }
-      *out = Value::Bool(result);
+      *scratch = Value::Bool(result);
       return Status::OK();
     }
     case Kind::kArith: {
-      Value l, r;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &l));
-      LSMCOL_RETURN_NOT_OK(children_[1]->Eval(ctx, &r));
-      if (!l.is_number() || !r.is_number()) {
-        *out = Value::Missing();
+      Value ls, rs;
+      const Value* l = nullptr;
+      const Value* r = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &ls, &l));
+      LSMCOL_RETURN_NOT_OK(children_[1]->Ref(ctx, &rs, &r));
+      if (!l->is_number() || !r->is_number()) {
+        *scratch = Value::Missing();
         return Status::OK();
       }
-      if (l.is_int() && r.is_int() && arith_op_ != ArithOp::kDiv) {
-        int64_t a = l.int_value(), b = r.int_value();
+      if (l->is_int() && r->is_int() && arith_op_ != ArithOp::kDiv) {
+        const int64_t a = l->int_value(), b = r->int_value();
         int64_t v = 0;
+        bool overflow = false;
         switch (arith_op_) {
           case ArithOp::kAdd:
-            v = a + b;
+            overflow = __builtin_add_overflow(a, b, &v);
             break;
           case ArithOp::kSub:
-            v = a - b;
+            overflow = __builtin_sub_overflow(a, b, &v);
             break;
           case ArithOp::kMul:
-            v = a * b;
+            overflow = __builtin_mul_overflow(a, b, &v);
             break;
           case ArithOp::kDiv:
             break;
         }
-        *out = Value::Int(v);
-        return Status::OK();
+        if (!overflow) {
+          *scratch = Value::Int(v);
+          return Status::OK();
+        }
+        // An int64 overflow promotes to double, as a double operand does.
       }
-      const double a = l.as_double(), b = r.as_double();
+      const double a = l->as_double(), b = r->as_double();
       double v = 0;
       switch (arith_op_) {
         case ArithOp::kAdd:
@@ -281,102 +303,116 @@ Status Expr::Eval(EvalContext* ctx, Value* out) const {
           break;
         case ArithOp::kDiv:
           if (b == 0) {
-            *out = Value::Missing();
+            *scratch = Value::Missing();
             return Status::OK();
           }
           v = a / b;
           break;
       }
-      *out = Value::Double(v);
+      *scratch = Value::Double(v);
       return Status::OK();
     }
-    case Kind::kAnd: {
-      Value l;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &l));
-      if (!IsTrue(l)) {
-        *out = Value::Bool(false);
-        return Status::OK();
-      }
-      Value r;
-      LSMCOL_RETURN_NOT_OK(children_[1]->Eval(ctx, &r));
-      *out = Value::Bool(IsTrue(r));
-      return Status::OK();
-    }
+    case Kind::kAnd:
     case Kind::kOr: {
-      Value l;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &l));
-      if (IsTrue(l)) {
-        *out = Value::Bool(true);
+      // Short circuit: AND stops at a left side that is not true, OR at
+      // one that is.
+      const bool is_and = kind_ == Kind::kAnd;
+      Value s;
+      const Value* v = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &s, &v));
+      if (IsTrue(*v) != is_and) {
+        *scratch = Value::Bool(!is_and);
         return Status::OK();
       }
-      Value r;
-      LSMCOL_RETURN_NOT_OK(children_[1]->Eval(ctx, &r));
-      *out = Value::Bool(IsTrue(r));
+      LSMCOL_RETURN_NOT_OK(children_[1]->Ref(ctx, &s, &v));
+      *scratch = Value::Bool(IsTrue(*v));
       return Status::OK();
     }
-    case Kind::kNot: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_bool()) {
-        *out = Value::Missing();
+    case Kind::kNot:
+    case Kind::kIsArray:
+    case Kind::kIsMissing:
+    case Kind::kLength:
+    case Kind::kLower:
+    case Kind::kArrayCount:
+    case Kind::kArrayDistinct:
+    case Kind::kArrayPairs: {
+      Value s;
+      const Value* v = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &s, &v));
+      *scratch = Unary(*v);
+      return Status::OK();
+    }
+    case Kind::kArrayContains: {
+      Value as, ns;
+      const Value* arr = nullptr;
+      const Value* needle = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &as, &arr));
+      LSMCOL_RETURN_NOT_OK(children_[1]->Ref(ctx, &ns, &needle));
+      if (!arr->is_array()) {
+        *scratch = Value::Missing();
         return Status::OK();
       }
-      *out = Value::Bool(!v.bool_value());
-      return Status::OK();
-    }
-    case Kind::kIsArray: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      *out = Value::Bool(v.is_array());
-      return Status::OK();
-    }
-    case Kind::kIsMissing: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      *out = Value::Bool(v.is_missing() || v.is_null());
-      return Status::OK();
-    }
-    case Kind::kLength: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_string()) {
-        *out = Value::Missing();
-        return Status::OK();
+      bool found = false;
+      for (const Value& e : arr->array()) {
+        if (e.Equals(*needle)) {
+          found = true;
+          break;
+        }
       }
-      *out = Value::Int(static_cast<int64_t>(v.string_value().size()));
+      *scratch = Value::Bool(found);
       return Status::OK();
     }
+    case Kind::kSome: {
+      Value as;
+      const Value* arr = nullptr;
+      LSMCOL_RETURN_NOT_OK(children_[0]->Ref(ctx, &as, &arr));
+      bool satisfied = false;
+      if (arr->is_array()) {
+        Value ps;
+        for (const Value& e : arr->array()) {
+          ctx->vars.emplace_back(var_name_, &e);
+          const Value* pred = nullptr;
+          Status st = children_[1]->Ref(ctx, &ps, &pred);
+          ctx->vars.pop_back();
+          LSMCOL_RETURN_NOT_OK(st);
+          if (IsTrue(*pred)) {
+            satisfied = true;
+            break;
+          }
+        }
+      }
+      *scratch = Value::Bool(satisfied);
+      return Status::OK();
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+Value Expr::Unary(const Value& v) const {
+  switch (kind_) {
+    case Kind::kNot:
+      return v.is_bool() ? Value::Bool(!v.bool_value()) : Value::Missing();
+    case Kind::kIsArray:
+      return Value::Bool(v.is_array());
+    case Kind::kIsMissing:
+      return Value::Bool(v.is_missing() || v.is_null());
+    case Kind::kLength:
+      return v.is_string()
+                 ? Value::Int(static_cast<int64_t>(v.string_value().size()))
+                 : Value::Missing();
     case Kind::kLower: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_string()) {
-        *out = Value::Missing();
-        return Status::OK();
-      }
+      if (!v.is_string()) return Value::Missing();
       std::string s = v.string_value();
       std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
         return static_cast<char>(std::tolower(c));
       });
-      *out = Value::String(std::move(s));
-      return Status::OK();
+      return Value::String(std::move(s));
     }
-    case Kind::kArrayCount: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_array()) {
-        *out = Value::Missing();
-        return Status::OK();
-      }
-      *out = Value::Int(static_cast<int64_t>(v.array().size()));
-      return Status::OK();
-    }
+    case Kind::kArrayCount:
+      return v.is_array() ? Value::Int(static_cast<int64_t>(v.array().size()))
+                          : Value::Missing();
     case Kind::kArrayDistinct: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_array()) {
-        *out = Value::Missing();
-        return Status::OK();
-      }
+      if (!v.is_array()) return Value::Missing();
       Value result = Value::MakeArray();
       for (const Value& e : v.array()) {
         bool seen = false;
@@ -388,33 +424,10 @@ Status Expr::Eval(EvalContext* ctx, Value* out) const {
         }
         if (!seen) result.Push(e);
       }
-      *out = std::move(result);
-      return Status::OK();
-    }
-    case Kind::kArrayContains: {
-      Value arr, needle;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &arr));
-      LSMCOL_RETURN_NOT_OK(children_[1]->Eval(ctx, &needle));
-      if (!arr.is_array()) {
-        *out = Value::Missing();
-        return Status::OK();
-      }
-      for (const Value& e : arr.array()) {
-        if (e.Equals(needle)) {
-          *out = Value::Bool(true);
-          return Status::OK();
-        }
-      }
-      *out = Value::Bool(false);
-      return Status::OK();
+      return result;
     }
     case Kind::kArrayPairs: {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &v));
-      if (!v.is_array()) {
-        *out = Value::Missing();
-        return Status::OK();
-      }
+      if (!v.is_array()) return Value::Missing();
       Value result = Value::MakeArray();
       const auto& elements = v.array();
       for (size_t i = 0; i < elements.size(); ++i) {
@@ -431,32 +444,11 @@ Status Expr::Eval(EvalContext* ctx, Value* out) const {
           result.Push(std::move(pair));
         }
       }
-      *out = std::move(result);
-      return Status::OK();
+      return result;
     }
-    case Kind::kSome: {
-      Value arr;
-      LSMCOL_RETURN_NOT_OK(children_[0]->Eval(ctx, &arr));
-      if (!arr.is_array()) {
-        *out = Value::Bool(false);
-        return Status::OK();
-      }
-      for (const Value& e : arr.array()) {
-        ctx->vars.emplace_back(var_name_, &e);
-        Value pred;
-        Status st = children_[1]->Eval(ctx, &pred);
-        ctx->vars.pop_back();
-        LSMCOL_RETURN_NOT_OK(st);
-        if (IsTrue(pred)) {
-          *out = Value::Bool(true);
-          return Status::OK();
-        }
-      }
-      *out = Value::Bool(false);
-      return Status::OK();
-    }
+    default:
+      return Value::Missing();
   }
-  return Status::Internal("unhandled expression kind");
 }
 
 }  // namespace lsmcol

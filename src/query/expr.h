@@ -6,6 +6,13 @@
 // Record fields are resolved through a FieldSource so the same expression
 // tree runs against a fully assembled record (interpreted engine) or
 // against lazily extracted column paths (compiled engine).
+//
+// Evaluation lends rather than copies: Expr::Ref points at a record field,
+// a variable or a literal where one is the result, and evaluates into a
+// caller's scratch Value only when the result is new (an operator's value,
+// or a path mapped over an array). A borrowed pointer stays valid until the
+// FieldSource moves to the next record; Eval copies a borrowed result into
+// a Value it owns.
 
 #ifndef LSMCOL_QUERY_EXPR_H_
 #define LSMCOL_QUERY_EXPR_H_
@@ -23,16 +30,21 @@ namespace lsmcol {
 class FieldSource {
  public:
   virtual ~FieldSource() = default;
-  virtual Status Get(const std::vector<std::string>& path, Value* out) = 0;
+  /// Points *out at the path's value: one the source holds, valid until it
+  /// moves to the next record (two finds on one record never invalidate
+  /// each other), or *scratch, filled with a new value.
+  virtual Status Find(const std::vector<std::string>& path, Value* scratch,
+                      const Value** out) = 0;
 };
 
 /// FieldSource over an assembled record Value (interpreted engine).
 /// Stepping a path into an array maps the remaining path over the
-/// elements (SQL++ `a[*].b` semantics).
+/// elements (SQL++ `a[*].b` semantics); other paths borrow from the record.
 class ValueFieldSource : public FieldSource {
  public:
   explicit ValueFieldSource(const Value* record) : record_(record) {}
-  Status Get(const std::vector<std::string>& path, Value* out) override;
+  Status Find(const std::vector<std::string>& path, Value* scratch,
+              const Value** out) override;
 
  private:
   const Value* record_;
@@ -83,6 +95,12 @@ class Expr {
 
   /// Evaluate; type mismatches produce Missing, never an error. Status
   /// errors are reserved for storage-level failures in the FieldSource.
+  /// Points *out at the result: kField, kVar, kVarPath and kLiteral borrow
+  /// from the record, the variable or the literal (kField and kVarPath
+  /// evaluate into *scratch when the path steps into an array); every other
+  /// kind evaluates into *scratch.
+  Status Ref(EvalContext* ctx, Value* scratch, const Value** out) const;
+  /// Ref, copied into *out only when borrowed.
   Status Eval(EvalContext* ctx, Value* out) const;
 
   Kind kind() const { return kind_; }
@@ -128,6 +146,10 @@ class Expr {
 
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
+  /// The result of a kind with one operand (kNot, kIsArray, kIsMissing,
+  /// kLength, kLower, kArrayCount, kArrayDistinct, kArrayPairs) on its
+  /// operand's value.
+  Value Unary(const Value& v) const;
 
   Kind kind_;
   Value literal_;

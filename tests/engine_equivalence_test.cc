@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -564,6 +565,380 @@ TEST(ColumnNativeUnnestTest, ReadsOnlyTheItemColumnsItAggregates) {
   ds->reset();
   std::filesystem::remove_all(dir);
 }
+
+/// A document for the plans whose operands the engines read by reference.
+/// "k" is MISSING, null or an int, and "k2" null, MISSING or an int, each
+/// from the first record on, so the one group MISSING and null share keeps
+/// whichever the scan meets first; "s" is a string that later records
+/// replace as the MIN and MAX; "tags" are objects SOME reads beside the
+/// record's "lim"; "addr" holds countries under an array-mapped path
+/// (wos Q3/Q4's shape) and "entities.hashtags" texts (tweet_1's).
+Value MakeBorrowDoc(int64_t id, Rng* rng) {
+  static const char* const kCountries[] = {"USA", "China", "Japan", "Peru"};
+  static const char* const kTags[] = {"jobs", "news", "ai"};
+  Value doc = Value::MakeObject();
+  doc.Set("id", Value::Int(id));
+  doc.Set("g", Value::Int(id % 3));
+  switch (id % 5) {
+    case 0:
+      break;
+    case 1:
+      doc.Set("k", Value::Null());
+      break;
+    default:
+      doc.Set("k", Value::Int(id % 2));
+  }
+  switch ((id + 1) % 4) {
+    case 1:
+      doc.Set("k2", Value::Null());
+      break;
+    case 2:
+      break;
+    default:
+      doc.Set("k2", Value::Int(7));
+  }
+  if (rng->Bernoulli(0.9)) doc.Set("s", Value::String(rng->Word(1, 6)));
+  doc.Set("lim", Value::Int(static_cast<int64_t>(rng->Uniform(10))));
+  Value tags = Value::MakeArray();
+  for (uint64_t i = 0, n = rng->Uniform(4); i < n; ++i) {
+    Value tag = Value::MakeObject();
+    tag.Set("n", Value::Int(static_cast<int64_t>(rng->Uniform(12))));
+    if (rng->Bernoulli(0.8)) {
+      tag.Set("t", Value::String(kTags[rng->Uniform(3)]));
+    }
+    tags.Push(std::move(tag));
+  }
+  doc.Set("tags", std::move(tags));
+  if (rng->Bernoulli(0.85)) {
+    Value addr = Value::MakeArray();
+    for (uint64_t i = 0, n = rng->Uniform(4); i < n; ++i) {
+      Value spec = Value::MakeObject();
+      if (rng->Bernoulli(0.9)) {
+        spec.Set("country", Value::String(kCountries[rng->Uniform(4)]));
+      }
+      Value a = Value::MakeObject();
+      a.Set("spec", std::move(spec));
+      addr.Push(std::move(a));
+    }
+    doc.Set("addr", std::move(addr));
+  }
+  Value hashtags = Value::MakeArray();
+  for (uint64_t i = 0, n = rng->Uniform(3); i < n; ++i) {
+    Value h = Value::MakeObject();
+    h.Set("text", Value::String(kTags[rng->Uniform(3)]));
+    hashtags.Push(std::move(h));
+  }
+  Value entities = Value::MakeObject();
+  entities.Set("hashtags", std::move(hashtags));
+  doc.Set("entities", std::move(entities));
+  return doc;
+}
+
+std::vector<NamedPlan> BorrowPlans() {
+  const std::vector<std::string> kCountry = {"addr", "spec", "country"};
+  const std::vector<std::string> kHashtag = {"entities", "hashtags", "text"};
+  std::vector<NamedPlan> plans;
+  {
+    QueryPlan plan;
+    plan.group_keys.push_back(Expr::Field({"k"}));
+    plan.group_keys.push_back(Expr::Field({"k2"}));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"missing_and_null_keys", plan});
+  }
+  {
+    QueryPlan plan;
+    plan.pre_filter = Expr::And(
+        Expr::Compare(Expr::CmpOp::kLt, Expr::Int(1),
+                      Expr::Literal(Value::Double(1.5))),
+        Expr::Compare(Expr::CmpOp::kLt, Expr::Field({"lim"}), Expr::Int(5)));
+    plan.group_keys.push_back(
+        Expr::Compare(Expr::CmpOp::kEq, Expr::Str("a"), Expr::Str("a")));
+    plan.group_keys.push_back(
+        Expr::Compare(Expr::CmpOp::kGt, Expr::Int(10), Expr::Str("ten")));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"literal_compare", plan});
+  }
+  {
+    QueryPlan plan;
+    plan.pre_filter = Expr::Some(
+        "t", Expr::Field({"tags"}),
+        Expr::And(Expr::Compare(Expr::CmpOp::kGt, Expr::VarPath("t", {"n"}),
+                                Expr::Field({"lim"})),
+                  Expr::Not(Expr::IsMissing(Expr::VarPath("t", {"t"})))));
+    plan.group_keys.push_back(Expr::Field({"g"}));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plan.aggregates.push_back(AggSpec::Max(Expr::Field({"lim"})));
+    plans.push_back({"some_reads_var_and_field", plan});
+  }
+  {
+    // wos Q3's shape.
+    auto countries = [&] { return Expr::ArrayDistinct(Expr::Field(kCountry)); };
+    QueryPlan plan;
+    plan.pre_filter = Expr::And(
+        Expr::IsArray(Expr::Field({"addr"})),
+        Expr::And(Expr::Compare(Expr::CmpOp::kGt,
+                                Expr::ArrayCount(countries()), Expr::Int(1)),
+                  Expr::ArrayContains(countries(), Expr::Str("USA"))));
+    plan.unnests.push_back({countries(), "country"});
+    plan.filter = Expr::Compare(Expr::CmpOp::kNe, Expr::Var("country"),
+                                Expr::Str("USA"));
+    plan.group_keys.push_back(Expr::Var("country"));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"array_contains_distinct", plan});
+    // wos Q4's shape.
+    QueryPlan pairs;
+    pairs.pre_filter = Expr::Compare(
+        Expr::CmpOp::kGt, Expr::ArrayCount(countries()), Expr::Int(1));
+    pairs.unnests.push_back({Expr::ArrayPairs(countries()), "pair"});
+    pairs.group_keys.push_back(Expr::Var("pair"));
+    pairs.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"array_pairs", pairs});
+  }
+  {
+    QueryPlan plan;
+    plan.group_keys.push_back(Expr::Field({"g"}));
+    plan.aggregates.push_back(AggSpec::Min(Expr::Field({"s"})));
+    plan.aggregates.push_back(AggSpec::Max(Expr::Field({"s"})));
+    plan.aggregates.push_back(AggSpec::Min(Expr::Lower(Expr::Field({"s"}))));
+    plans.push_back({"string_min_max", plan});
+  }
+  {
+    QueryPlan plan;
+    plan.pre_filter = Expr::ArrayContains(Expr::Field(kHashtag),
+                                          Expr::Str("jobs"));
+    plan.group_keys.push_back(Expr::Field(kHashtag));
+    plan.aggregates.push_back(AggSpec::CountStar());
+    plans.push_back({"array_mapped_path", plan});
+  }
+  return plans;
+}
+
+/// The rows of BorrowPlans() on MakeBorrowDoc's documents, each plan's
+/// rows as Canonical() prints them under its name, recorded before the
+/// engines read operands by reference. The columnar layouts read a null
+/// object field as MISSING, so only the first plan's rows differ between
+/// the row and the columnar layouts.
+std::string ExpectedBorrowTable(LayoutKind layout) {
+  const bool columnar =
+      layout == LayoutKind::kApax || layout == LayoutKind::kAmax;
+  std::string table = "missing_and_null_keys:\n";
+  table += columnar ? R"(int64:0|int64:7|int64:36|
+int64:0|missing:null|int64:36|
+int64:1|int64:7|int64:36|
+int64:1|missing:null|int64:36|
+missing:null|int64:7|int64:48|
+missing:null|missing:null|int64:48|
+)"
+                    : R"(int64:0|int64:7|int64:36|
+int64:0|null:null|int64:36|
+int64:1|int64:7|int64:36|
+int64:1|missing:null|int64:36|
+missing:null|null:null|int64:48|
+null:null|int64:7|int64:48|
+)";
+  return table + R"(literal_compare:
+boolean:true|missing:null|int64:109|
+some_reads_var_and_field:
+int64:0|int64:35|int64:9|
+int64:1|int64:39|int64:8|
+int64:2|int64:32|int64:8|
+array_contains_distinct:
+string:"China"|int64:15|
+string:"Japan"|int64:15|
+string:"Peru"|int64:21|
+array_pairs:
+array:["China","Japan"]|int64:8|
+array:["China","Peru"]|int64:11|
+array:["China","USA"]|int64:15|
+array:["Japan","Peru"]|int64:16|
+array:["Japan","USA"]|int64:15|
+array:["Peru","USA"]|int64:21|
+string_min_max:
+int64:0|string:"a"|string:"zoxh"|string:"a"|
+int64:1|string:"a"|string:"znr"|string:"a"|
+int64:2|string:"aic"|string:"zfn"|string:"aic"|
+array_mapped_path:
+array:["ai","jobs"]|int64:10|
+array:["jobs","ai"]|int64:7|
+array:["jobs","jobs"]|int64:12|
+array:["jobs","news"]|int64:11|
+array:["jobs"]|int64:22|
+array:["news","jobs"]|int64:8|
+)";
+}
+
+class BorrowedOperandTest : public ::testing::TestWithParam<LayoutKind> {};
+
+TEST_P(BorrowedOperandTest, EnginesAgreeWithRecordedRows) {
+  const std::string dir = testing::TempDir() + "/borrowed_operands_" +
+                          std::string(LayoutKindName(GetParam()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  BufferCache cache(1024 * kPage, kPage);
+  DatasetOptions options;
+  options.layout = GetParam();
+  options.dir = dir;
+  options.page_size = kPage;
+  options.memtable_bytes = 1 << 20;
+  options.amax_max_records = 40;
+  auto ds = Dataset::Open(options, &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Dataset* dataset = ds->get();
+  Rng rng(33);
+  for (int64_t id = 0; id < 240; ++id) {
+    ASSERT_TRUE(dataset->Insert(MakeBorrowDoc(id, &rng)).ok());
+    if (id == 99 || id == 179) {
+      ASSERT_TRUE(dataset->Flush().ok());
+    }
+    if (id == 199) {
+      ASSERT_TRUE(dataset->MergeAll().ok());
+    }
+  }
+  const Snapshot::Ref snapshot = dataset->GetSnapshot();
+  std::string table;
+  for (const NamedPlan& named : BorrowPlans()) {
+    SCOPED_TRACE(named.name);
+    auto interpreted = RunInterpreted(*snapshot, named.plan);
+    ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+    auto compiled = RunCompiled(*snapshot, named.plan);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_EQ(compiled->pipeline_tuples, interpreted->pipeline_tuples);
+    const std::vector<std::string> rows = Canonical(*interpreted);
+    EXPECT_EQ(Canonical(*compiled), rows);
+    table += named.name + ":\n";
+    for (const std::string& row : rows) table += row + "\n";
+  }
+  EXPECT_EQ(table, ExpectedBorrowTable(GetParam()));
+  ds->reset();
+  std::filesystem::remove_all(dir);
+}
+
+class IntegerOverflowTest : public ::testing::TestWithParam<LayoutKind> {};
+
+TEST_P(IntegerOverflowTest, SumAndArithmeticPromoteToDouble) {
+  // ~1,100 values near 2^53 sum past INT64_MAX; SUM goes on in double from
+  // the value that overflows, in scan order, over a record field (Fold)
+  // and over an unnested column (the compiled engine's typed loop on the
+  // columnar layouts). Int64 +, - and * that overflow give doubles.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::string dir = testing::TempDir() + "/int_overflow_" +
+                          std::string(LayoutKindName(GetParam()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  BufferCache cache(1024 * kPage, kPage);
+  DatasetOptions options;
+  options.layout = GetParam();
+  options.dir = dir;
+  options.page_size = kPage;
+  options.memtable_bytes = 1 << 20;
+  options.amax_max_records = 100;
+  auto ds = Dataset::Open(options, &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Dataset* dataset = ds->get();
+  Rng rng(9);
+  std::vector<int64_t> bigs, readings;
+  for (int64_t id = 0; id < 1100; ++id) {
+    Value doc = Value::MakeObject();
+    doc.Set("id", Value::Int(id));
+    doc.Set("g", Value::Int(id % 2));
+    bigs.push_back((int64_t{1} << 53) + static_cast<int64_t>(rng.Uniform(99)));
+    doc.Set("big", Value::Int(bigs.back()));
+    Value array = Value::MakeArray();
+    for (uint64_t i = 0, n = 1 + rng.Uniform(3); i < n; ++i) {
+      Value r = Value::MakeObject();
+      readings.push_back((int64_t{1} << 53) +
+                         static_cast<int64_t>(rng.Uniform(99)));
+      r.Set("v", Value::Int(readings.back()));
+      array.Push(std::move(r));
+    }
+    doc.Set("readings", std::move(array));
+    if (id == 500) {
+      doc.Set("max", Value::Int(kMax));
+      doc.Set("min", Value::Int(kMin));
+    }
+    ASSERT_TRUE(dataset->Insert(doc).ok());
+    if (id == 399 || id == 799) {
+      ASSERT_TRUE(dataset->Flush().ok());
+    }
+    if (id == 999) {
+      ASSERT_TRUE(dataset->MergeAll().ok());
+    }
+  }
+  auto expected_sum = [](const std::vector<int64_t>& values) {
+    int64_t isum = 0;
+    size_t i = 0;
+    for (; i < values.size() && isum <= kMax - values[i]; ++i) {
+      isum += values[i];  // values are positive
+    }
+    if (i == values.size()) return Value::Int(isum);
+    double sum = static_cast<double>(isum);
+    for (; i < values.size(); ++i) sum += static_cast<double>(values[i]);
+    return Value::Double(sum);
+  };
+  const double two63 = 9223372036854775808.0;
+  QueryPlan field_sum;
+  field_sum.aggregates.push_back(AggSpec::Sum(Expr::Field({"big"})));
+  QueryPlan unnest_sum = UnnestReadings();
+  unnest_sum.aggregates.push_back(AggSpec::Sum(R("v")));
+  QueryPlan grouped_sum = unnest_sum;
+  grouped_sum.group_keys.push_back(Expr::Field({"g"}));
+  QueryPlan arith;
+  arith.pre_filter = Expr::Not(Expr::IsMissing(Expr::Field({"max"})));
+  arith.projections.push_back(
+      Expr::Arith(Expr::ArithOp::kAdd, Expr::Field({"max"}), Expr::Int(1)));
+  arith.projections.push_back(
+      Expr::Arith(Expr::ArithOp::kSub, Expr::Field({"min"}), Expr::Int(1)));
+  arith.projections.push_back(
+      Expr::Arith(Expr::ArithOp::kMul, Expr::Field({"max"}), Expr::Int(2)));
+  const std::vector<NamedPlan> plans = {
+      {"field_sum", field_sum},
+      {"unnest_sum", unnest_sum},
+      {"grouped_unnest_sum", grouped_sum},
+      {"arith", arith}};
+  const std::vector<std::vector<Value>> expected = {
+      {expected_sum(bigs)},
+      {expected_sum(readings)},
+      {},
+      {Value::Double(two63), Value::Double(-two63), Value::Double(2 * two63)}};
+  const Snapshot::Ref snapshot = dataset->GetSnapshot();
+  for (size_t p = 0; p < plans.size(); ++p) {
+    SCOPED_TRACE(plans[p].name);
+    auto interpreted = RunInterpreted(*snapshot, plans[p].plan);
+    ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+    auto compiled = RunCompiled(*snapshot, plans[p].plan);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_EQ(compiled->pipeline_tuples, interpreted->pipeline_tuples);
+    EXPECT_EQ(Canonical(*compiled), Canonical(*interpreted));
+    if (expected[p].empty()) continue;
+    ASSERT_EQ(interpreted->rows.size(), 1u);
+    const std::vector<Value>& row = interpreted->rows[0];
+    ASSERT_EQ(row.size(), expected[p].size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      EXPECT_TRUE(row[c].is_double()) << ToJson(row[c]);
+      EXPECT_TRUE(row[c].Equals(expected[p][c]))
+          << ToJson(row[c]) << " vs " << ToJson(expected[p][c]);
+    }
+  }
+  ds->reset();
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayouts, BorrowedOperandTest,
+                         ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
+                                           LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
+
+INSTANTIATE_TEST_SUITE_P(AllLayouts, IntegerOverflowTest,
+                         ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
+                                           LayoutKind::kApax,
+                                           LayoutKind::kAmax),
+                         [](const auto& info) {
+                           return std::string(LayoutKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace lsmcol

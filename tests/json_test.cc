@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/datagen/datagen.h"
 #include "src/json/parser.h"
 #include "src/json/value.h"
 
@@ -229,6 +235,172 @@ TEST(PrinterTest, PrettyPrintIsReparseable) {
   auto v2 = ParseJson(pretty);
   ASSERT_TRUE(v2.ok()) << pretty;
   EXPECT_TRUE(v->Equals(*v2));
+}
+
+// ------------------------------------------------------------ path walk
+
+/// The copy-based walk WalkValuePath replaced, kept as the oracle: copy
+/// the root, then step the whole current value at each path step.
+void OracleStep(const Value& v, const std::string& field, Value* out) {
+  if (v.is_object()) {
+    *out = v.Get(field);
+    return;
+  }
+  if (v.is_array()) {
+    Value mapped = Value::MakeArray();
+    for (const Value& e : v.array()) {
+      Value sub;
+      OracleStep(e, field, &sub);
+      if (!sub.is_missing()) mapped.Push(std::move(sub));
+    }
+    *out = std::move(mapped);
+    return;
+  }
+  *out = Value::Missing();
+}
+
+Value OracleWalk(const Value& root, const std::vector<std::string>& path,
+                 size_t start) {
+  Value current = root;
+  for (size_t i = start; i < path.size(); ++i) {
+    Value next;
+    OracleStep(current, path[i], &next);
+    current = std::move(next);
+    if (current.is_missing()) break;
+  }
+  return current;
+}
+
+/// Whether the oracle walk takes a step on an array.
+bool OracleMeetsArray(const Value& root, const std::vector<std::string>& path,
+                      size_t start) {
+  Value current = root;
+  for (size_t i = start; i < path.size(); ++i) {
+    if (current.is_array()) return true;
+    Value next;
+    OracleStep(current, path[i], &next);
+    current = std::move(next);
+    if (current.is_missing()) return false;
+  }
+  return false;
+}
+
+void CollectNames(const Value& v, std::set<std::string>* names) {
+  if (v.is_object()) {
+    for (const auto& [name, child] : v.object()) {
+      names->insert(name);
+      CollectNames(child, names);
+    }
+  } else if (v.is_array()) {
+    for (const Value& e : v.array()) CollectNames(e, names);
+  }
+}
+
+void CollectAddresses(const Value& v, std::set<const Value*>* out) {
+  out->insert(&v);
+  if (v.is_object()) {
+    for (const auto& member : v.object()) CollectAddresses(member.second, out);
+  } else if (v.is_array()) {
+    for (const Value& e : v.array()) CollectAddresses(e, out);
+  }
+}
+
+/// Small values in the shapes a path walk must map: arrays of arrays,
+/// atoms in the middle of a path, empty arrays and objects, and fields
+/// missing from some elements.
+Value MakeNested(Rng* rng, int depth) {
+  const uint64_t kind = depth == 0 ? rng->Uniform(4) : rng->Uniform(9);
+  switch (kind) {
+    case 0:
+      return Value::Int(static_cast<int64_t>(rng->Uniform(5)));
+    case 1:
+      return Value::String(rng->Word(1, 2));
+    case 2:
+      return Value::Null();
+    case 3:
+      return rng->Bernoulli(0.5) ? Value::MakeArray() : Value::MakeObject();
+    case 4:
+    case 5: {
+      Value array = Value::MakeArray();
+      for (uint64_t i = 0, n = rng->Uniform(4); i < n; ++i) {
+        array.Push(MakeNested(rng, depth - 1));
+      }
+      return array;
+    }
+    default: {
+      static const char* const kNames[] = {"a", "b", "c"};
+      Value object = Value::MakeObject();
+      for (const char* name : kNames) {
+        if (rng->Bernoulli(0.6)) object.Set(name, MakeNested(rng, depth - 1));
+      }
+      return object;
+    }
+  }
+}
+
+TEST(PathWalkTest, MatchesTheCopyingWalkOnEveryStart) {
+  Rng rng(2024);
+  std::vector<Value> values;
+  for (Workload w : {Workload::kCell, Workload::kSensors, Workload::kTweet1,
+                     Workload::kWos, Workload::kTweet2}) {
+    for (int64_t id = 0; id < 8; ++id) {
+      values.push_back(MakeRecord(w, id, &rng));
+    }
+  }
+  for (int i = 0; i < 400; ++i) values.push_back(MakeNested(&rng, 4));
+  size_t walks = 0, borrowed = 0, mapped = 0;
+  for (const Value& root : values) {
+    std::set<std::string> name_set;
+    CollectNames(root, &name_set);
+    std::vector<std::string> names(name_set.begin(), name_set.end());
+    names.push_back("no_such_field");
+    std::set<const Value*> inside;
+    CollectAddresses(root, &inside);
+    for (int p = 0; p < 40; ++p) {
+      std::vector<std::string> path(1 + rng.Uniform(4));
+      for (std::string& step : path) step = names[rng.Uniform(names.size())];
+      for (size_t start = 0; start <= path.size(); ++start) {
+        SCOPED_TRACE(ToJson(root) + " at " + std::to_string(start));
+        const Value expected = OracleWalk(root, path, start);
+        const Value walked = WalkValuePath(root, path, start);
+        ASSERT_TRUE(walked.Equals(expected))
+            << ToJson(walked) << " vs " << ToJson(expected);
+        ASSERT_EQ(ToJson(walked), ToJson(expected));
+        const Value* found = FindValuePath(root, path, start);
+        ++walks;
+        if (OracleMeetsArray(root, path, start)) {
+          ASSERT_EQ(found, nullptr);
+          ++mapped;
+          continue;
+        }
+        ASSERT_NE(found, nullptr);
+        ASSERT_TRUE(found->Equals(expected));
+        if (found->is_missing()) {
+          ASSERT_EQ(found, &MissingValue());
+        } else {
+          ASSERT_EQ(inside.count(found), 1u);  // borrowed, not copied
+          ++borrowed;
+        }
+      }
+    }
+  }
+  // The draw reaches every case.
+  EXPECT_GT(borrowed, walks / 10);
+  EXPECT_GT(mapped, walks / 20);
+}
+
+TEST(PathWalkTest, ArrayStepsMapTheRestOfThePath) {
+  auto root = ParseJson(
+      R"({"a":[{"b":{"c":1}},{"b":[{"c":2},{"d":3},[{"c":4}]]},{"x":0},7,[],
+               {"b":[]}]})");
+  ASSERT_TRUE(root.ok());
+  const std::vector<std::string> path = {"a", "b", "c"};
+  EXPECT_EQ(FindValuePath(*root, path), nullptr);
+  EXPECT_EQ(ToJson(WalkValuePath(*root, path)), "[1,[2,[4]],[],[]]");
+  EXPECT_EQ(ToJson(OracleWalk(*root, path, 0)), "[1,[2,[4]],[],[]]");
+  EXPECT_EQ(FindValuePath(*root, {"a"}), &root->Get("a"));
+  EXPECT_EQ(FindValuePath(*root, {"a", "b"}, 2), root.operator->());
+  EXPECT_EQ(FindValuePath(*root, {"z", "b"}), &MissingValue());
 }
 
 }  // namespace

@@ -121,6 +121,36 @@ TEST(ExprTest, ArithmeticAndDivByZero) {
   EXPECT_TRUE(v.is_missing());
 }
 
+TEST(ExprTest, IntegerOverflowPromotesToDouble) {
+  // An int64 result that overflows is computed in double, as when either
+  // operand is a double; one that fits stays an int.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double two63 = 9223372036854775808.0;
+  struct Case {
+    Expr::ArithOp op;
+    int64_t a, b;
+    Value expected;
+  };
+  const Case cases[] = {
+      {Expr::ArithOp::kAdd, kMax, 1, Value::Double(two63)},
+      {Expr::ArithOp::kSub, kMin, 1, Value::Double(-two63)},
+      {Expr::ArithOp::kMul, kMax, 2, Value::Double(2 * two63)},
+      {Expr::ArithOp::kMul, kMin, -1, Value::Double(two63)},
+      {Expr::ArithOp::kAdd, kMax, 0, Value::Int(kMax)},
+      {Expr::ArithOp::kSub, kMin, -1, Value::Int(kMin + 1)},
+      {Expr::ArithOp::kMul, kMin, 1, Value::Int(kMin)},
+  };
+  EvalContext ctx;
+  for (const Case& c : cases) {
+    Value v;
+    ASSERT_TRUE(
+        Expr::Arith(c.op, Expr::Int(c.a), Expr::Int(c.b))->Eval(&ctx, &v).ok());
+    EXPECT_TRUE(v.Equals(c.expected))
+        << c.a << " op " << c.b << ": " << ToJson(v);
+  }
+}
+
 // ------------------------------------------------ engine equivalence ---
 
 class QueryEngineTest : public ::testing::TestWithParam<LayoutKind> {
@@ -410,6 +440,84 @@ TEST_P(QueryEngineTest, TopKKeepsTheRowsAStableSortKeeps) {
       }
     }
   }
+}
+
+TEST_P(QueryEngineTest, SumAndArithmeticPromoteToDoubleOnOverflow) {
+  // ~1,100 values near 2^53 sum past INT64_MAX. SUM then goes on in
+  // double from the value that overflows, in scan order: through Fold on a
+  // record field, and through the compiled engine's typed loop on an
+  // unnested column (the columnar layouts).
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Rng rng(5);
+  std::vector<int64_t> bigs, items;
+  for (int64_t id = 1000; id < 2100; ++id) {
+    Value v = Value::MakeObject();
+    v.Set("id", Value::Int(id));
+    bigs.push_back((int64_t{1} << 53) +
+                   static_cast<int64_t>(rng.Uniform(1000)));
+    v.Set("big", Value::Int(bigs.back()));
+    Value array = Value::MakeArray();
+    for (int i = 0; i < 3; ++i) {
+      Value item = Value::MakeObject();
+      items.push_back((int64_t{1} << 52) +
+                      static_cast<int64_t>(rng.Uniform(1000)));
+      item.Set("v", Value::Int(items.back()));
+      array.Push(std::move(item));
+    }
+    v.Set("items", std::move(array));
+    if (id == 1000) {
+      v.Set("max", Value::Int(kMax));
+      v.Set("min", Value::Int(kMin));
+    }
+    ASSERT_TRUE(dataset_->Insert(v).ok());
+  }
+  ASSERT_TRUE(dataset_->Flush().ok());
+  // The expected sums, folded the same way.
+  auto expected_sum = [](const std::vector<int64_t>& values) {
+    int64_t isum = 0;
+    size_t i = 0;
+    for (; i < values.size(); ++i) {
+      if (isum > kMax - values[i]) break;  // values are positive
+      isum += values[i];
+    }
+    if (i == values.size()) return Value::Int(isum);
+    double sum = static_cast<double>(isum);
+    for (; i < values.size(); ++i) sum += static_cast<double>(values[i]);
+    return Value::Double(sum);
+  };
+
+  QueryPlan field_sum;
+  field_sum.aggregates.push_back(AggSpec::Sum(Expr::Field({"big"})));
+  auto result = RunBoth(field_sum);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_TRUE(result.rows[0][0].is_double());
+  EXPECT_TRUE(result.rows[0][0].Equals(expected_sum(bigs)))
+      << ToJson(result.rows[0][0]);
+
+  QueryPlan unnest_sum;
+  unnest_sum.unnests.push_back({Expr::Field({"items"}), "it"});
+  unnest_sum.aggregates.push_back(AggSpec::Sum(Expr::VarPath("it", {"v"})));
+  result = RunBoth(unnest_sum);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_TRUE(result.rows[0][0].is_double());
+  EXPECT_TRUE(result.rows[0][0].Equals(expected_sum(items)))
+      << ToJson(result.rows[0][0]);
+
+  QueryPlan arith;
+  arith.pre_filter = Expr::Not(Expr::IsMissing(Expr::Field({"max"})));
+  arith.projections.push_back(Expr::Arith(
+      Expr::ArithOp::kAdd, Expr::Field({"max"}), Expr::Int(1)));
+  arith.projections.push_back(Expr::Arith(
+      Expr::ArithOp::kSub, Expr::Field({"min"}), Expr::Int(1)));
+  arith.projections.push_back(Expr::Arith(
+      Expr::ArithOp::kMul, Expr::Field({"max"}), Expr::Int(2)));
+  result = RunBoth(arith);
+  ASSERT_EQ(result.rows.size(), 1u);
+  const double two63 = 9223372036854775808.0;
+  EXPECT_TRUE(result.rows[0][0].Equals(Value::Double(two63)));
+  EXPECT_TRUE(result.rows[0][1].Equals(Value::Double(-two63)));
+  EXPECT_TRUE(result.rows[0][2].Equals(Value::Double(2 * two63)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, QueryEngineTest,
