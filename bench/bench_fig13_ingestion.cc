@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/lsm/memtable.h"
 #include "src/lsm/scheduler.h"
 
 namespace lsmcol::bench {
@@ -46,7 +47,7 @@ size_t ComparisonMemtableBytes(Workload w, uint64_t records) {
   for (int i = 0; i < kSamples; ++i) {
     Buffer row;
     codec.Encode(MakeRecord(w, i, &rng), &row);
-    sampled += row.size() + 48;  // MemTable's per-entry overhead
+    sampled += row.size() + MemTable::kEntryOverhead;
   }
   if (const char* env = std::getenv("LSMCOL_BENCH_MEMTABLE")) {
     return static_cast<size_t>(std::atoll(env));  // experiments only

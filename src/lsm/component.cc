@@ -945,16 +945,16 @@ Status ColumnarComponentCursor::SeekForward(int64_t target) {
 Result<bool> MemTableCursor::Next() {
   if (!started_) {
     started_ = true;
-  } else if (it_ != memtable_->entries().end()) {
+  } else if (it_ != memtable_->end()) {
     ++it_;
   }
-  while (it_ != memtable_->entries().end() && it_->first < seek_floor_) {
+  while (it_ != memtable_->end() && it_.key() < seek_floor_) {
     ++it_;
   }
-  if (it_ == memtable_->entries().end()) return false;
-  key_ = it_->first;
-  anti_matter_ = it_->second.anti_matter;
-  row_ = &it_->second.row;
+  if (it_ == memtable_->end()) return false;
+  key_ = it_.key();
+  anti_matter_ = it_.entry().anti_matter;
+  row_ = &it_.entry().row;
   return true;
 }
 
@@ -969,14 +969,11 @@ Status MemTableCursor::Path(const std::vector<std::string>& path, Value* out) {
 
 Status MemTableCursor::SeekForward(int64_t target) {
   seek_floor_ = std::max(seek_floor_, target);
-  if (!started_ || (it_ != memtable_->entries().end() && key_ < target)) {
-    // Jump with the map's lower_bound instead of a linear walk. Mark the
+  if (!started_ || (it_ != memtable_->end() && key_ < target)) {
+    // Jump with the table's lower_bound instead of a linear walk. Mark the
     // iterator as "pending" so the next Next() does not skip it.
-    it_ = memtable_->entries().lower_bound(target);
+    it_ = memtable_->lower_bound(target);
     started_ = false;
-    if (it_ != memtable_->entries().end()) {
-      // Next() will consume it_ directly.
-    }
   }
   return Status::OK();
 }

@@ -518,12 +518,11 @@ class ColumnarComponentCursor : public TupleCursor {
 };
 
 /// Cursor over the in-memory component. The memtable must not be mutated
-/// while the cursor lives.
+/// while the cursor lives (a snapshot's frozen copy never is).
 class MemTableCursor : public TupleCursor {
  public:
   MemTableCursor(const MemTable* memtable, const RowCodec* codec)
-      : memtable_(memtable), codec_(codec),
-        it_(memtable->entries().begin()) {}
+      : memtable_(memtable), codec_(codec), it_(memtable->begin()) {}
 
   Result<bool> Next() override;
   int64_t key() const override { return key_; }
@@ -535,7 +534,7 @@ class MemTableCursor : public TupleCursor {
  private:
   const MemTable* memtable_;
   const RowCodec* codec_;
-  std::map<int64_t, MemTable::Entry>::const_iterator it_;
+  MemTable::Iterator it_;
   bool started_ = false;
   int64_t key_ = 0;
   bool anti_matter_ = false;

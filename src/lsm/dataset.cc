@@ -22,7 +22,6 @@ Dataset::Dataset(const DatasetOptions& options, BufferCache* cache)
                                               : owned_scheduler_.get()),
       compaction_policy_(MakeCompactionPolicy(options)),
       mu_(MutexRank::kDataset),
-      memtable_(std::make_shared<ActiveMemTable>()),
       manifest_path_(ManifestPath(options.dir, options.name)),
       fault_counters_(std::make_shared<ComponentFaultCounters>()) {
   row_codec_ = &GetRowCodec(columnar() ? LayoutKind::kVb : options_.layout);
@@ -89,7 +88,7 @@ Status Dataset::OpenLocked(const DatasetOptions& validated) {
     // re-inserted rows shadow identical rows in the newest component.
     // The raw pointer keeps the replay lambda (analyzed as a separate
     // function) off the guarded member.
-    MemTable* memtable = &memtable_->table;
+    MemTable* memtable = &memtable_;
     LSMCOL_ASSIGN_OR_RETURN(
         WalReplayResult replay,
         ReplayWalSegments(validated.dir, validated.name, wal_floor_,
@@ -269,15 +268,6 @@ std::string Dataset::ComponentFilePath(uint64_t id) const {
          ".cmp";
 }
 
-MemTable* Dataset::MutableMemtableLocked() {
-  if (memtable_->snapshot_pins.load(std::memory_order_acquire) > 0) {
-    // A snapshot shares this memtable: give writers a private copy so the
-    // snapshot's view stays frozen.
-    memtable_ = std::make_shared<ActiveMemTable>(memtable_->table);
-  }
-  return &memtable_->table;
-}
-
 Result<std::shared_ptr<Schema>> Dataset::CloneSchemaLocked() {
   LSMCOL_CHECK(schema_ != nullptr);
   // Schema is move-only; clone through its serialized form (column ids,
@@ -339,14 +329,13 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
       wal_lsn = *appended;
     }
     if (anti_matter) {
-      MutableMemtableLocked()->Delete(key);
+      memtable_.Delete(key);
       ++stats_.deletes;
     } else {
-      MutableMemtableLocked()->Upsert(key,
-                                      std::string(row.data(), row.size()));
+      memtable_.Upsert(key, std::string(row.data(), row.size()));
       ++stats_.inserts;
     }
-    if (memtable_->table.approximate_bytes() >= options_.memtable_bytes) {
+    if (memtable_.approximate_bytes() >= options_.memtable_bytes) {
       LSMCOL_RETURN_NOT_OK(RotateMemtableLocked());
       ScheduleFlushLocked();
       WaitForWriteRoomLocked();
@@ -361,7 +350,7 @@ Status Dataset::InsertEncoded(int64_t key, Buffer row, bool anti_matter) {
 }
 
 Status Dataset::RotateMemtableLocked() {
-  if (memtable_->table.empty()) return Status::OK();
+  if (memtable_.empty()) return Status::OK();
   if (wal_ != nullptr) {
     // Seal the covering log segment with the memtable: the segment holds
     // exactly the writes since the previous rotation (every append lands
@@ -373,10 +362,8 @@ Status Dataset::RotateMemtableLocked() {
     immutable_wal_upto_.insert(immutable_wal_upto_.begin(), *sealed);
   }
   immutables_.insert(immutables_.begin(),  // newest first
-                     std::shared_ptr<const MemTable>(memtable_,
-                                                     &memtable_->table));
+                     std::make_shared<const MemTable>(std::move(memtable_)));
   immutable_claimed_.insert(immutable_claimed_.begin(), false);
-  memtable_ = std::make_shared<ActiveMemTable>();
   return Status::OK();
 }
 
@@ -805,7 +792,7 @@ Status Dataset::MergeUntilSatisfiedLocked(bool background) {
 Status Dataset::MergeAll() {
   {
     MutexLock lock(&mu_);
-    if (memtable_->table.empty() && immutables_.empty() &&
+    if (memtable_.empty() && immutables_.empty() &&
         components_.size() < 2) {
       return Status::OK();
     }
@@ -925,10 +912,7 @@ Snapshot::Ref Dataset::GetSnapshotLocked() const {
   auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
   snapshot->layout_ = options_.layout;
   snapshot->row_codec_ = row_codec_;
-  memtable_->snapshot_pins.fetch_add(1, std::memory_order_relaxed);
-  snapshot->memtable_pins_ = &memtable_->snapshot_pins;
-  snapshot->memtable_ =
-      std::shared_ptr<const MemTable>(memtable_, &memtable_->table);
+  snapshot->memtable_ = std::make_shared<const MemTable>(memtable_.Share());
   snapshot->immutables_.assign(immutables_.begin(), immutables_.end());
   snapshot->schema_ = schema_;
   snapshot->components_.assign(components_.begin(), components_.end());

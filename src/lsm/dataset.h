@@ -36,18 +36,19 @@
 // is deterministic: the same inputs yield the same components. The
 // threading model (documented in detail in docs/ARCHITECTURE.md) is:
 //
-//   * `mu_` guards all mutable dataset state: the active memtable (and
-//     its COW swap), the immutable-memtable list, the component list,
-//     the schema pointer, and counters/stats. Manifest rewrites are
+//   * `mu_` guards all mutable dataset state: the active memtable, the
+//     immutable-memtable list, the component list, the schema pointer,
+//     and counters/stats. Manifest rewrites are
 //     serialized by a dedicated writer role; their contents are
 //     snapshotted under `mu_` but the fsync-heavy write itself runs with
 //     the lock released, like the component builds.
 //   * Component/memtable/schema *contents* are never mutated after
 //     publication; snapshots share them via shared_ptr (whose refcounts
 //     are atomic), so reads run lock-free after the brief GetSnapshot
-//     critical section, and include the immutable memtables. The active
-//     memtable is the one exception: writers update it in place only
-//     while no snapshot pins it, and copy it otherwise (ActiveMemTable).
+//     critical section, and include the immutable memtables. A snapshot
+//     holds a frozen copy of the active memtable (MemTable::Share, O(1)):
+//     the table is persistent, and a writer copies the root and the one
+//     leaf it changes when they are shared, never the whole table.
 //   * Several sealed memtables may be *built* into components in
 //     parallel (one flush task per sealed memtable), but publication is
 //     strictly ordered oldest-first, so the component list always agrees
@@ -242,8 +243,8 @@ class Dataset {
   /// An immutable, refcounted view of the current state. Later inserts,
   /// flushes, and merges never disturb it; components it pins survive
   /// (on disk and in memory) until the last reference drops. Taking a
-  /// snapshot is O(component count) — no data is copied (writers
-  /// copy-on-write the shared memtable instead). Thread-safe.
+  /// snapshot is O(component count) — no data is copied (the memtable
+  /// is shared persistently; see MemTable::Share). Thread-safe.
   Snapshot::Ref GetSnapshot() const LSMCOL_EXCLUDES(mu_);
 
   // Convenience reads over an implicit snapshot of the current state.
@@ -328,8 +329,6 @@ class Dataset {
            options_.layout == LayoutKind::kAmax;
   }
   std::string ComponentFilePath(uint64_t id) const;
-  /// The memtable, detached from live snapshots (copy-on-write).
-  MemTable* MutableMemtableLocked() LSMCOL_REQUIRES(mu_);
   /// Clone of the current schema via a serialization round-trip (ids and
   /// counters survive exactly). Called under mu_; the clone is private to
   /// the caller until it is published back into schema_.
@@ -486,21 +485,10 @@ class Dataset {
   /// for the flush role, WaitForBackgroundWork, and the destructor.
   mutable CondVar work_cv_;
 
-  /// The active memtable and the number of live snapshots that share
-  /// it. The count sits beside the table, not inside it, because
-  /// copy-on-write copies the table and the copy starts unshared.
-  struct ActiveMemTable {
-    ActiveMemTable() = default;
-    explicit ActiveMemTable(const MemTable& from) : table(from) {}
-    MemTable table;
-    /// Raised under mu_ by GetSnapshotLocked; each snapshot lowers it
-    /// with release order when it dies, and writers read it with acquire
-    /// order, so a snapshot's last read of the table happens before any
-    /// in-place write that follows.
-    std::atomic<size_t> snapshot_pins{0};
-  };
-  /// Active memtable; shared with snapshots (COW).
-  std::shared_ptr<ActiveMemTable> memtable_ LSMCOL_GUARDED_BY(mu_);
+  /// Active memtable. Snapshots hold frozen copies of it
+  /// (MemTable::Share); mutable because sharing, which GetSnapshot does,
+  /// starts a new write epoch.
+  mutable MemTable memtable_ LSMCOL_GUARDED_BY(mu_);
   /// Sealed memtables awaiting flush, newest first (matches the snapshot
   /// reconciliation order). Never mutated after rotation.
   std::vector<std::shared_ptr<const MemTable>> immutables_

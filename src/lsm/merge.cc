@@ -53,7 +53,7 @@ Status FlushColumnar(const DatasetOptions& options, const MemTable& memtable,
   const RowCodec& row_codec = GetRowCodec(LayoutKind::kVb);
   ColumnWriterSet writers(schema);
   RecordShredder shredder(schema, &writers);
-  for (const auto& [key, entry] : memtable.entries()) {
+  for (const auto& [key, entry] : memtable) {
     if (entry.anti_matter) {
       LSMCOL_RETURN_NOT_OK(shredder.ShredAntiMatter(key));
     } else {
@@ -70,7 +70,7 @@ Status FlushColumnar(const DatasetOptions& options, const MemTable& memtable,
 Status FlushRows(const DatasetOptions& options, const MemTable& memtable,
                  ComponentWriter* writer) {
   RowLeafBuilder builder(writer, options.page_size, options.compress);
-  for (const auto& [key, entry] : memtable.entries()) {
+  for (const auto& [key, entry] : memtable) {
     LSMCOL_RETURN_NOT_OK(
         builder.Add(key, entry.anti_matter, Slice(entry.row)));
   }

@@ -111,9 +111,8 @@ std::optional<std::pair<int64_t, int64_t>> ComponentKeyRange(
 
 std::optional<std::pair<int64_t, int64_t>> MemtableKeyRange(
     const MemTable& memtable) {
-  if (memtable.entries().empty()) return std::nullopt;
-  return std::make_pair(memtable.entries().begin()->first,
-                        memtable.entries().rbegin()->first);
+  if (memtable.empty()) return std::nullopt;
+  return std::make_pair(memtable.first_key(), memtable.last_key());
 }
 
 }  // namespace

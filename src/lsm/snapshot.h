@@ -1,15 +1,17 @@
 // Snapshot: an immutable, refcounted view of one dataset — the unit every
 // read in lsmcol executes against.
 //
-// A snapshot pins (1) the active in-memory component as of GetSnapshot()
-// time, (2) the sealed (immutable) memtables awaiting background flush,
-// (3) the disk component list (newest first), and (4) the schema, all via
-// shared ownership: flushes swap in a fresh memtable, merges publish a new
-// component list and mark the inputs obsolete, and writers copy-on-write a
-// shared memtable — none of which disturbs a live snapshot. A component
-// merged away while pinned is deleted only when the last snapshot
-// referencing it dies (the LSM invariant that components are immutable and
-// readers enter/exit them, §2.1.1).
+// A snapshot pins (1) a frozen copy of the active in-memory component as
+// of GetSnapshot() time (MemTable::Share: it shares the table's nodes, and
+// the writer copies a node before changing it), (2) the sealed (immutable)
+// memtables awaiting background flush, (3) the disk component list (newest
+// first), and (4) the schema, all via shared ownership: flushes swap in a
+// fresh memtable, merges publish a new component list and mark the inputs
+// obsolete, and writers copy the root and leaf of the memtable they change
+// — none of which disturbs a live snapshot. A component merged away while
+// pinned is deleted only when the last snapshot referencing it dies (the
+// LSM invariant that components are immutable and readers enter/exit
+// them, §2.1.1).
 //
 // Thread safety: snapshot acquisition happens under Dataset::mu_ (one
 // brief critical section copying shared_ptrs — no data; the lock
@@ -27,7 +29,6 @@
 #ifndef LSMCOL_LSM_SNAPSHOT_H_
 #define LSMCOL_LSM_SNAPSHOT_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,11 +107,6 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
  public:
   using Ref = std::shared_ptr<const Snapshot>;
 
-  ~Snapshot() {
-    if (memtable_pins_ != nullptr) {
-      memtable_pins_->fetch_sub(1, std::memory_order_release);
-    }
-  }
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
@@ -167,10 +163,8 @@ class Snapshot : public std::enable_shared_from_this<Snapshot> {
 
   LayoutKind layout_ = LayoutKind::kOpen;
   const RowCodec* row_codec_ = nullptr;
-  std::shared_ptr<const MemTable> memtable_;  // active at snapshot time
-  /// The dataset's count of snapshots sharing memtable_, which keeps it
-  /// alive; released in the destructor (see Dataset::ActiveMemTable).
-  std::atomic<size_t>* memtable_pins_ = nullptr;
+  /// Frozen copy of the memtable active at snapshot time.
+  std::shared_ptr<const MemTable> memtable_;
   /// Sealed memtables awaiting flush, newest first: reconciliation order
   /// is active memtable, then these, then the disk components.
   std::vector<std::shared_ptr<const MemTable>> immutables_;

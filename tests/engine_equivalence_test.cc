@@ -310,7 +310,7 @@ TEST_P(EngineEquivalenceTest, RandomDocumentsAgreeOnEveryPlan) {
       }
     }
     const Snapshot::Ref snapshot = dataset->GetSnapshot();
-    ASSERT_GT(snapshot->memtable().entries().size(), 0u);
+    ASSERT_GT(snapshot->memtable().record_count(), 0u);
 
     for (const NamedPlan& named : plans) {
       SCOPED_TRACE(named.name);
