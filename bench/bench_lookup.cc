@@ -11,6 +11,10 @@
 //   mixed    80% live keys, 20% keys past every component's key fences
 //   misses   keys past every key fence only
 //
+// Each row also counts the work: units_per_hit is the cache units (hits +
+// misses in CacheStats) the timed lookups fetched, per hit. It repeats
+// exactly from run to run, so a change in it is a finding.
+//
 // Usage: bench_lookup [--json PATH] [--verify]
 //   --json PATH  record one row per (layout, policy, mix) as a JSON array.
 //   --verify     check every result against scan-and-seek (a merged scan
@@ -69,8 +73,9 @@ bool Run(bool verify, BenchJson* json) {
       static_cast<unsigned long long>(records),
       static_cast<unsigned long long>(lookups),
       verify ? ", each verified" : "");
-  std::printf("%-6s %-14s %-7s %6s %6s %10s %10s %10s\n", "layout", "policy",
-              "mix", "comps", "hits", "mean", "p50", "p99");
+  std::printf("%-6s %-14s %-7s %6s %6s %10s %10s %10s %7s\n", "layout",
+              "policy", "mix", "comps", "hits", "mean", "p50", "p99",
+              "units");
   bool ok = true;
   for (LayoutKind layout : kAllLayouts) {
     for (CompactionStrategy strategy : kStrategies) {
@@ -119,6 +124,7 @@ bool Run(bool verify, BenchJson* json) {
         std::vector<double> us;
         us.reserve(keys.size());
         uint64_t hits = 0;
+        const CacheStats before = ws.cache->stats();
         for (int64_t key : keys) {
           Timer timer;
           Status st = snapshot->Lookup(key, &v);
@@ -129,15 +135,22 @@ bool Run(bool verify, BenchJson* json) {
             LSMCOL_CHECK(st.IsNotFound());
           }
         }
+        const CacheStats after = ws.cache->stats();
+        const double units_per_hit =
+            hits == 0 ? 0
+                      : static_cast<double>((after.hits + after.misses) -
+                                            (before.hits + before.misses)) /
+                            static_cast<double>(hits);
         double total = 0;
         for (double u : us) total += u;
         const double mean = total / static_cast<double>(us.size());
         const double p50 = Percentile(us, 0.5);
         const double p99 = Percentile(us, 0.99);
-        std::printf("%-6s %-14s %-7s %6zu %6llu %7.1f us %7.1f us %7.1f us\n",
-                    LayoutKindName(layout), policy, mix.name,
-                    snapshot->component_count(),
-                    static_cast<unsigned long long>(hits), mean, p50, p99);
+        std::printf(
+            "%-6s %-14s %-7s %6zu %6llu %7.1f us %7.1f us %7.1f us %7.2f\n",
+            LayoutKindName(layout), policy, mix.name,
+            snapshot->component_count(), static_cast<unsigned long long>(hits),
+            mean, p50, p99, units_per_hit);
         if (verify) {
           for (int64_t key : keys) {
             Value expected;
@@ -168,6 +181,7 @@ bool Run(bool verify, BenchJson* json) {
               .Num("mean_us", mean)
               .Num("p50_us", p50)
               .Num("p99_us", p99)
+              .Num("units_per_hit", units_per_hit)
               .Int("verified", verify ? 1 : 0)
               .Int("hardware_threads", std::thread::hardware_concurrency());
           json->Add(obj);

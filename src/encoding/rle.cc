@@ -114,6 +114,7 @@ Status RleDecoder::Init(Slice input, int bit_width) {
   unpacked_.clear();
   unpacked_pos_ = 0;
   packed_groups_left_ = 0;
+  refill_groups_ = SIZE_MAX;
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&count));
   value_count_ = count;
@@ -121,7 +122,7 @@ Status RleDecoder::Init(Slice input, int bit_width) {
 }
 
 Status RleDecoder::Refill() {
-  if (packed_groups_left_ > 0) return UnpackGroups();
+  if (packed_groups_left_ > 0) return UnpackGroups(refill_groups_);
   uint64_t header = 0;
   LSMCOL_RETURN_NOT_OK(reader_.ReadVarint64(&header));
   if ((header & 1) == 0) {
@@ -142,7 +143,7 @@ Status RleDecoder::Refill() {
       return Status::Corruption("empty bit-packed run");
     }
     LSMCOL_RETURN_NOT_OK(CheckPackedBytes(offset()));
-    return UnpackGroups();
+    return UnpackGroups(refill_groups_);
   }
   return Status::OK();
 }
@@ -205,6 +206,9 @@ RleDecoder::Mark RleDecoder::mark() const {
   return m;
 }
 
+// A seek walks fewer than 64 records from its checkpoint.
+constexpr size_t kRestoredRefillGroups = 8;
+
 Status RleDecoder::Restore(const Mark& m) {
   if (m.offset > input_.size() || m.position > value_count_) {
     return Status::Corruption("RLE mark out of range");
@@ -213,6 +217,7 @@ Status RleDecoder::Restore(const Mark& m) {
   position_ = m.position;
   run_remaining_ = 0;
   packed_groups_left_ = 0;
+  refill_groups_ = kRestoredRefillGroups;
   switch (m.kind) {
     case Mark::kBetweenRuns:
       return Status::OK();

@@ -159,6 +159,11 @@ class RleDecoder {
   size_t unpacked_pos_ = 0;
   size_t unpacked_offset_ = 0;
   size_t packed_groups_left_ = 0;  // of the run, not yet unpacked
+  /// Groups a Refill unpacks at most: all of the run after Init, a few
+  /// after a Restore. A restored decoder serves a seek, which reads a few
+  /// dozen values; unpacking the rest of a long bit-packed run would cost
+  /// more than the seek.
+  size_t refill_groups_ = SIZE_MAX;
 };
 
 }  // namespace lsmcol

@@ -28,6 +28,12 @@ constexpr uint8_t kTagString = 5;
 constexpr uint8_t kTagObject = 6;
 constexpr uint8_t kTagArray = 7;
 
+// The deepest nesting a row decoder accepts. Arbitrary bytes must not
+// exhaust the stack; no JSON document nests deeper than 257 levels.
+constexpr int kMaxRowNesting = 1024;
+
+Status TooDeep() { return Status::Corruption("row nests too deep"); }
+
 // ---------------------------------------------------------------- Open ---
 
 // Recursive encoding: each child is built in its own buffer, then copied
@@ -105,8 +111,23 @@ void OpenEncodeValue(const Value& v, Buffer* out) {
   }
 }
 
-Status OpenDecodeValue(Slice bytes, Value* out) {
+// A container's children follow its entries in entry order, each
+// ending where the next begins (the last at the container's total size):
+// an offset must lie past the entries read so far and past the previous
+// offset. So a child is decoded from its own bytes only, and no decode
+// revisits bytes or loops.
+Status CheckChildOffset(uint32_t offset, size_t entries_end,
+                        uint32_t previous, bool first, uint32_t total) {
+  if (offset < entries_end || offset >= total ||
+      (!first && offset <= previous)) {
+    return Status::Corruption("open: bad offset");
+  }
+  return Status::OK();
+}
+
+Status OpenDecodeValue(Slice bytes, Value* out, int depth = 0) {
   if (bytes.empty()) return Status::Corruption("open: empty value");
+  if (depth > kMaxRowNesting) return TooDeep();
   const uint8_t tag = static_cast<uint8_t>(bytes[0]);
   BufferReader r(bytes.SubSlice(1, bytes.size() - 1));
   switch (tag) {
@@ -139,41 +160,45 @@ Status OpenDecodeValue(Slice bytes, Value* out) {
       *out = Value::String(s.ToString());
       return Status::OK();
     }
-    case kTagObject: {
-      uint32_t total = 0, count = 0;
-      LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&total));
-      LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&count));
-      if (total > bytes.size()) return Status::Corruption("open: bad size");
-      *out = Value::MakeObject();
-      for (uint32_t i = 0; i < count; ++i) {
-        uint32_t name_len = 0, offset = 0;
-        LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&name_len));
-        Slice name;
-        LSMCOL_RETURN_NOT_OK(r.ReadBytes(name_len, &name));
-        LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&offset));
-        if (offset >= total) return Status::Corruption("open: bad offset");
-        Value child;
-        LSMCOL_RETURN_NOT_OK(OpenDecodeValue(
-            bytes.SubSlice(offset, total - offset), &child));
-        out->Set(name.ToString(), std::move(child));
-      }
-      return Status::OK();
-    }
+    case kTagObject:
     case kTagArray: {
+      const bool object = tag == kTagObject;
       uint32_t total = 0, count = 0;
       LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&total));
       LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&count));
       if (total > bytes.size()) return Status::Corruption("open: bad size");
-      *out = Value::MakeArray();
-      for (uint32_t i = 0; i < count; ++i) {
-        uint32_t offset = 0;
-        LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&offset));
-        if (offset >= total) return Status::Corruption("open: bad offset");
+      *out = object ? Value::MakeObject() : Value::MakeArray();
+      // Child i is decoded once entry i + 1 gives its end.
+      Slice name;
+      uint32_t offset = 0;
+      auto add_child = [&](uint32_t end) -> Status {
         Value child;
         LSMCOL_RETURN_NOT_OK(OpenDecodeValue(
-            bytes.SubSlice(offset, total - offset), &child));
-        out->Push(std::move(child));
+            bytes.SubSlice(offset, end - offset), &child, depth + 1));
+        if (object) {
+          out->Set(name.ToString(), std::move(child));
+        } else {
+          out->Push(std::move(child));
+        }
+        return Status::OK();
+      };
+      for (uint32_t i = 0; i < count; ++i) {
+        Slice next_name;
+        if (object) {
+          uint32_t name_len = 0;
+          LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&name_len));
+          LSMCOL_RETURN_NOT_OK(r.ReadBytes(name_len, &next_name));
+        }
+        uint32_t next_offset = 0;
+        LSMCOL_RETURN_NOT_OK(r.ReadFixed32(&next_offset));
+        LSMCOL_RETURN_NOT_OK(CheckChildOffset(next_offset,
+                                              bytes.size() - r.remaining(),
+                                              offset, i == 0, total));
+        if (i > 0) LSMCOL_RETURN_NOT_OK(add_child(next_offset));
+        name = next_name;
+        offset = next_offset;
       }
+      if (count > 0) LSMCOL_RETURN_NOT_OK(add_child(total));
       return Status::OK();
     }
     default:
@@ -290,7 +315,8 @@ void VbEncodeValue(const Value& v, const std::vector<std::string>& names,
 }
 
 Status VbDecodeValue(BufferReader* r, const std::vector<Slice>& names,
-                     Value* out) {
+                     Value* out, int depth = 0) {
+  if (depth > kMaxRowNesting) return TooDeep();
   uint8_t tag = 0;
   LSMCOL_RETURN_NOT_OK(r->ReadByte(&tag));
   switch (tag) {
@@ -332,7 +358,7 @@ Status VbDecodeValue(BufferReader* r, const std::vector<Slice>& names,
           return Status::Corruption("vb: bad name id");
         }
         Value child;
-        LSMCOL_RETURN_NOT_OK(VbDecodeValue(r, names, &child));
+        LSMCOL_RETURN_NOT_OK(VbDecodeValue(r, names, &child, depth + 1));
         out->Set(names[name_id].ToString(), std::move(child));
       }
       return Status::OK();
@@ -343,7 +369,7 @@ Status VbDecodeValue(BufferReader* r, const std::vector<Slice>& names,
       *out = Value::MakeArray();
       for (uint64_t i = 0; i < count; ++i) {
         Value child;
-        LSMCOL_RETURN_NOT_OK(VbDecodeValue(r, names, &child));
+        LSMCOL_RETURN_NOT_OK(VbDecodeValue(r, names, &child, depth + 1));
         out->Push(std::move(child));
       }
       return Status::OK();
@@ -437,6 +463,8 @@ Status VbExtract(BufferReader* r, const std::vector<Slice>& names,
 Status VbReadNames(BufferReader* r, std::vector<Slice>* names) {
   uint64_t count = 0;
   LSMCOL_RETURN_NOT_OK(r->ReadVarint64(&count));
+  // Each name takes at least its length byte.
+  if (count > r->remaining()) return Status::Corruption("vb: bad name count");
   names->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     LSMCOL_RETURN_NOT_OK(r->ReadLengthPrefixed(&(*names)[i]));

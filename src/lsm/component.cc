@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/columnar/presence_index.h"
 #include "src/encoding/lz.h"
 
 namespace lsmcol {
@@ -298,8 +299,18 @@ Status Component::ColumnZone(ColumnarLeaf* leaf, int column_id,
 
 namespace {
 
-// What a columnar leaf's head unit carries for lookups (its cache
-// attachment), built on the leaf's first lookup:
+// What a columnar leaf's head unit carries for lookups, as two cache
+// attachments charged with it and evicted with it:
+//  - the leaf's keys (LeafKeys), built on the leaf's first lookup, hit or
+//    miss;
+//  - its presence index (PresenceIndex), built on the first full-record
+//    lookup that finds its key. A miss, an anti-matter hit or a projected
+//    lookup never builds it: building reads every column of the leaf, and
+//    a projected lookup reads only the columns it asks for.
+constexpr size_t kLeafKeysSlot = 0;
+constexpr size_t kPresenceSlot = 1;
+
+// The leaf keys attachment:
 //   records × int64 key | records × byte, 1 for anti-matter.
 class LeafKeys {
  public:
@@ -406,46 +417,64 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
   LSMCOL_RETURN_NOT_OK(OpenColumnarLeaf(leaf, &columnar, CacheUse::kInstall));
   const size_t records = leaves[leaf].record_count;
   BufferCache* cache = reader_->cache();
-  Result<Slice> keys_bytes =
-      cache->Attachment(columnar.head_, [&](Buffer* built) {
+  Result<Slice> keys_bytes = cache->Attachment(
+      columnar.head_,
+      [&](Buffer* built) {
         return LeafKeys::Build(columnar.pk_chunk_, schema_->column(0), records,
                                built);
-      });
+      },
+      kLeafKeysSlot);
   if (!keys_bytes.ok()) return NoteRead(keys_bytes.status());
   const LeafKeys keys(*keys_bytes, records);
   const size_t record = keys.Find(key);
   if (record == records) return KeyProbe::kAbsent;
   if (keys.anti_matter(record)) return KeyProbe::kAntiMatter;
 
-  // The record's entries of each column the plan reads, assembled exactly
-  // as ColumnarComponentCursor::Record does. A column's seek index is built
-  // on its first lookup in the leaf and kept as its unit's attachment.
+  // The columns to read: a projection's, or the ones the leaf's presence
+  // index lists for the record, built on the leaf's first full-record hit.
   std::optional<AssemblyPlan> projected_plan;
-  if (!projection.all) {
+  std::vector<int> listed;
+  std::vector<CacheHandle> units;  // by column id: what a build fetched
+  if (projection.all) {
+    Result<Slice> presence = cache->Attachment(
+        columnar.head_,
+        [&](Buffer* built) {
+          return BuildPresenceIndex(&columnar, records, built, &units);
+        },
+        kPresenceSlot);
+    if (!presence.ok()) return presence.status();  // noted by the build
+    PresenceIndex(*presence, records).Columns(record, &listed);
+  } else {
     const std::vector<bool> projected = ProjectedColumns(projection);
     projected_plan.emplace(AssemblyPlan::ForRecord(*schema_, &projected));
   }
   const AssemblyPlan& plan =
       projected_plan.has_value() ? *projected_plan : *record_plan_;
-  const std::vector<int>& plan_columns = plan.columns();
-  std::vector<ColumnRecord> cells(plan_columns.size());
+  const std::vector<int>& read = projection.all ? listed : plan.columns();
+
+  // The record's entries of each column read, assembled exactly as
+  // ColumnarComponentCursor::Record does; a column not read is all-missing
+  // (nullptr). A column's seek index is built on its first lookup in the
+  // leaf and kept as its unit's attachment.
+  ColumnRecord pk;
+  pk.root.kind = ShredCell::Kind::kLeaf;
+  pk.root.def = 1;
+  pk.root.value_index = 0;
+  pk.values.push_back(Value::Int(key));
   std::vector<const ColumnRecord*> by_column(
       static_cast<size_t>(schema_->column_count()));
+  by_column[0] = &pk;
+  std::vector<ColumnRecord> cells(read.size());
   ColumnChunkReader column;
-  for (size_t i = 0; i < plan_columns.size(); ++i) {
-    const int c = plan_columns[i];
-    by_column[static_cast<size_t>(c)] = &cells[i];
-    if (c == 0) {
-      ColumnRecord& pk = cells[i];
-      pk.root.kind = ShredCell::Kind::kLeaf;
-      pk.root.def = 1;
-      pk.root.value_index = 0;
-      pk.values.push_back(Value::Int(key));
-      continue;
-    }
+  for (size_t i = 0; i < read.size(); ++i) {
+    const int c = read[i];
+    if (c == 0) continue;  // the PK, from the key
     const ColumnInfo& info = schema_->column(c);
     Slice chunk;
-    CacheHandle holder;  // pins the bytes `chunk` and its index point into
+    // Pins the bytes `chunk` and its index point into; a unit the build
+    // just fetched is not fetched again.
+    CacheHandle holder;
+    if (static_cast<size_t>(c) < units.size()) holder = std::move(units[c]);
     LSMCOL_RETURN_NOT_OK(ColumnChunk(&columnar, c, &holder, &chunk));
     if (chunk.empty()) continue;  // column unknown to the leaf: missing
     Result<Slice> index = cache->Attachment(holder, [&](Buffer* built) {
@@ -462,10 +491,31 @@ Result<KeyProbe> Component::Lookup(int64_t key, const Projection& projection,
                                 std::to_string(record) + " of its leaf");
     }
     LSMCOL_RETURN_NOT_OK(st);
+    by_column[static_cast<size_t>(c)] = &cells[i];
   }
   AssemblyScratch scratch;
   LSMCOL_RETURN_NOT_OK(plan.Assemble(by_column, &scratch, out));
   return KeyProbe::kRecord;
+}
+
+Status Component::BuildPresenceIndex(ColumnarLeaf* leaf, size_t records,
+                                     Buffer* out,
+                                     std::vector<CacheHandle>* units) const {
+  PresenceIndexBuilder builder(*schema_, records);
+  const auto columns = std::min<uint32_t>(
+      leaf->column_count_, static_cast<uint32_t>(schema_->column_count()));
+  units->clear();
+  units->resize(columns);
+  for (uint32_t c = 1; c < columns; ++c) {
+    const int column_id = static_cast<int>(c);
+    Slice chunk;
+    LSMCOL_RETURN_NOT_OK(ColumnChunk(leaf, column_id, &(*units)[c], &chunk));
+    if (chunk.empty()) continue;
+    LSMCOL_RETURN_NOT_OK(
+        NoteRead(builder.AddColumn(chunk, schema_->column(column_id))));
+  }
+  builder.Finish(out);
+  return Status::OK();
 }
 
 // ------------------------------------------------------ RowComponentCursor

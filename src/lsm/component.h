@@ -38,11 +38,14 @@
 // cached.
 //
 // Point lookups use no cursor: Component::Lookup checks the key fences,
-// binary-searches one leaf's keys (decoded once, kept as the head unit's
-// cache attachment), and seeks each projected column straight to the
-// record through the column's seek index, built on the column's first
-// lookup in the leaf and kept as its column unit's attachment. Columns the
-// projection leaves out are never indexed or read.
+// binary-searches one leaf's keys (decoded once, kept as a head unit
+// attachment), and seeks each column it reads straight to the record
+// through the column's seek index, built on the column's first lookup in
+// the leaf and kept as its column unit's attachment. A full-record lookup
+// reads only the columns the leaf's presence index (the head unit's second
+// attachment, src/columnar/presence_index.h) lists for the record; a
+// projected one reads its projected columns. Other columns are never
+// indexed or read.
 //
 // A checked read that surfaces data damage quarantines the component:
 // later reads fail fast with the first reason. The component is the only
@@ -233,14 +236,17 @@ class Component {
 
   /// Point lookup. Only the leaf whose key fences span `key` is read: its
   /// keys are binary-searched (decoded once per cached leaf), and a hit
-  /// materializes just that record's entries of the projected columns,
+  /// materializes just that record's entries of the columns it reads,
   /// each column reader jumping to the record through the column's seek
   /// index (built once per cached column) — no cursor, no walk from the
-  /// leaf's first record. A failure to build a key list or seek index is
-  /// data damage and quarantines like a failed load. Records of row
-  /// layouts come back whole, and columnar ones limited to `projection`
-  /// as ColumnarComponentCursor assembles them. Thread-safe; same
-  /// quarantine rules as DecodedLeaf.
+  /// leaf's first record. A full-record hit reads the columns the leaf's
+  /// presence index lists for the record (the index is built once per
+  /// cached leaf, on its first full-record hit, from every column), a
+  /// projected hit the projected columns. A failure to build a key list,
+  /// presence index or seek index is data damage and quarantines like a
+  /// failed load. Records of row layouts come back whole, and columnar
+  /// ones limited to `projection` as ColumnarComponentCursor assembles
+  /// them. Thread-safe; same quarantine rules as DecodedLeaf.
   Result<KeyProbe> Lookup(int64_t key, const Projection& projection,
                           Value* out) const;
 
@@ -289,6 +295,12 @@ class Component {
   /// reads through (and adds to) the leaf's memo, the pages already read
   /// from the leaf, so megapages sharing a page cost one read of it.
   Result<CacheHandle> DecodedColumn(ColumnarLeaf* leaf, int column_id) const;
+  /// Build `leaf`'s presence index over its `records` records into *out:
+  /// every column the leaf holds is fetched, its unit left pinned in
+  /// (*units)[column id] for the caller's reads, and its def levels
+  /// decoded. Failures are noted (NoteRead) here.
+  Status BuildPresenceIndex(ColumnarLeaf* leaf, size_t records, Buffer* out,
+                            std::vector<CacheHandle>* units) const;
   /// Record `st` if it is data damage (quarantining on first sight) and
   /// return it unchanged. Called on every checked read's result.
   Status NoteRead(Status st) const LSMCOL_EXCLUDES(fault_mu_);

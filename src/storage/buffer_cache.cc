@@ -100,21 +100,22 @@ Result<CacheHandle> BufferCache::FetchDecoded(const PageFile& file,
 }
 
 Result<Slice> BufferCache::Attachment(const CacheHandle& unit,
-                                      const UnitLoader& build) {
+                                      const UnitLoader& build, size_t slot) {
   LSMCOL_DCHECK(unit.cache_ == this);
+  LSMCOL_DCHECK(slot < kAttachmentSlots);
   auto* entry = static_cast<Entry*>(unit.entry_);
-  if (entry->has_attachment.load(std::memory_order_acquire)) {
-    return entry->attachment.slice();
-  }
+  Buffer& attachment = entry->attachment[slot];
+  std::atomic<bool>& attached = entry->has_attachment[slot];
+  if (attached.load(std::memory_order_acquire)) return attachment.slice();
   Buffer built;
   LSMCOL_RETURN_NOT_OK(build(&built));
   MutexLock lock(&mu_);
-  if (entry->has_attachment.load(std::memory_order_relaxed)) {
-    return entry->attachment.slice();  // another thread's build won
+  if (attached.load(std::memory_order_relaxed)) {
+    return attachment.slice();  // another thread's build won
   }
-  entry->attachment = std::move(built);
-  entry->has_attachment.store(true, std::memory_order_release);
-  const Slice bytes = entry->attachment.slice();
+  attachment = std::move(built);
+  attached.store(true, std::memory_order_release);
+  const Slice bytes = attachment.slice();
   if (entry->resident) {
     // Pinned by `unit`, so the eviction below cannot pick this entry.
     entry->charge += bytes.size();

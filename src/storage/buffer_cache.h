@@ -10,10 +10,11 @@
 // read around the cache (ComponentReader::ReadLeaf and ReadLeafRange
 // never install anything), and component writes go straight to the file.
 //
-// A decoded unit may carry an attachment: bytes derived from it once and
-// kept with it (a column's seek index, a leaf's decoded keys — what point
-// lookups jump with). Every byte is charged in decoded form: the unit's
-// plus its attachment's.
+// A decoded unit may carry attachments: bytes derived from it once and
+// kept with it, one per slot (a column's seek index; a leaf's decoded
+// keys and, beside them, its presence index — what point lookups jump
+// with). Every byte is charged in decoded form: the unit's plus its
+// attachments'.
 //
 // It also provides the "temporary buffer confiscation" used by the AMAX
 // writer (§4.5.2): megapage staging buffers are charged against the cache
@@ -26,7 +27,7 @@
 // with it released behind a pinned loading placeholder. Pinned entries
 // are never evicted and have stable addresses (entries are heap objects
 // the table points to), so a CacheHandle's bytes stay valid without the lock;
-// so do a pinned unit's attachment bytes, published once behind an
+// so do a pinned unit's attachment bytes, each published once behind an
 // atomic flag. A pinned entry may hold the cache above its budget until it
 // is unpinned.
 
@@ -110,13 +111,18 @@ class BufferCache {
                                    int column, const UnitLoader& load,
                                    bool install = true) LSMCOL_EXCLUDES(mu_);
 
+  /// Attachment slots per unit.
+  static constexpr size_t kAttachmentSlots = 2;
+
   /// Bytes derived from a pinned unit — a column's seek index, a leaf's
-  /// decoded keys — built once by `build` (with mu_ released) and kept
-  /// with the unit: charged with it, freed with it. A built attachment is
-  /// read without the lock. Concurrent first calls may both build; one
-  /// result is kept. The bytes stay valid while `unit` is pinned.
-  Result<Slice> Attachment(const CacheHandle& unit, const UnitLoader& build)
-      LSMCOL_EXCLUDES(mu_);
+  /// decoded keys or presence index — built once per slot (`slot` <
+  /// kAttachmentSlots) by `build` (with mu_ released) and kept with the
+  /// unit: charged with it, freed with it. A built attachment is read
+  /// without the lock; the slots are independent. Concurrent first calls
+  /// may both build; one result is kept. The bytes stay valid while
+  /// `unit` is pinned.
+  Result<Slice> Attachment(const CacheHandle& unit, const UnitLoader& build,
+                           size_t slot = 0) LSMCOL_EXCLUDES(mu_);
 
   /// Count physical page reads, which bypass the cache's entries (a
   /// decoded unit's miss reads its pages straight from the file).
@@ -206,12 +212,13 @@ class BufferCache {
     Buffer data;
     size_t charge = 0;  ///< bytes counted in charged_bytes_ (once loaded)
     size_t file_pos = 0;  ///< index into by_file_[key.file_id]
-    /// Derived bytes (Attachment): set once, under mu_, before
-    /// has_attachment, and freed with the entry, so readers holding a pin
-    /// read them lock-free once has_attachment is set. Kept in the entry,
-    /// not behind a pointer: a lookup reads one per column.
-    Buffer attachment;
-    std::atomic<bool> has_attachment{false};
+    /// Derived bytes (Attachment), one per slot: set once, under mu_,
+    /// before its has_attachment flag, and freed with the entry, so
+    /// readers holding a pin read them lock-free once the flag is set.
+    /// Kept in the entry, not behind a pointer: a lookup reads one per
+    /// column.
+    Buffer attachment[kAttachmentSlots];
+    std::atomic<bool> has_attachment[kAttachmentSlots]{};
 
     Entry() = default;
     Entry(const Entry&) = delete;

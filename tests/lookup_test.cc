@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <future>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/columnar/presence_index.h"
 #include "src/common/rng.h"
 #include "src/json/parser.h"
 #include "src/lsm/dataset.h"
@@ -410,6 +414,448 @@ TEST_P(LookupTest, DamagedUnprojectedColumnFailsOnlyLookupsOfIt) {
   Status st = snapshot->Lookup(leaf.min_key, Projection::Of({{"name"}}), &out);
   EXPECT_TRUE(st.IsDataDamage()) << st.ToString();
   EXPECT_TRUE(snapshot->component(0).quarantined());
+}
+
+// Documents that hit every case of a columnar leaf's presence index:
+// objects present with none of their known leaves (`"meta":{}` once other
+// documents gave `meta` children, at two depths), null and missing
+// objects, a union whose branch flips with the version (atomic, object,
+// empty object, array), arrays holding nulls, nested arrays and arrays of
+// objects, and columns only keys from `late_from` on have, so leaves
+// written before a column appeared predate it.
+Value MakePresenceDoc(int64_t id, int version, int64_t late_from, Rng* rng) {
+  Value v = Value::MakeObject();
+  v.Set("id", Value::Int(id));
+  v.Set("version", Value::Int(version));
+  switch (rng->Uniform(6)) {
+    case 0: {
+      Value meta = Value::MakeObject();
+      meta.Set("level", Value::Int(static_cast<int64_t>(rng->Uniform(5))));
+      Value x = Value::MakeObject();
+      x.Set("y", Value::String(rng->Word(1, 6)));
+      Value deep = Value::MakeObject();
+      deep.Set("x", std::move(x));
+      meta.Set("deep", std::move(deep));
+      v.Set("meta", std::move(meta));
+      break;
+    }
+    case 1:
+      v.Set("meta", Value::MakeObject());
+      break;
+    case 2: {
+      // meta.deep.x present with no leaf: the deepest witness case.
+      Value deep = Value::MakeObject();
+      deep.Set("x", Value::MakeObject());
+      Value meta = Value::MakeObject();
+      meta.Set("deep", std::move(deep));
+      v.Set("meta", std::move(meta));
+      break;
+    }
+    case 3:
+      v.Set("meta", Value::Null());
+      break;
+    default:
+      break;  // no meta
+  }
+  switch ((id + version) % 5) {
+    case 0:
+      v.Set("u", Value::Int(id));
+      break;
+    case 1:
+      v.Set("u", Value::String("u" + std::to_string(version)));
+      break;
+    case 2: {
+      Value u = Value::MakeObject();
+      u.Set("k", Value::Int(version));
+      v.Set("u", std::move(u));
+      break;
+    }
+    case 3:
+      v.Set("u", Value::MakeObject());
+      break;
+    default: {
+      Value u = Value::MakeArray();
+      u.Push(Value::Int(id));
+      u.Push(Value::Null());
+      v.Set("u", std::move(u));
+      break;
+    }
+  }
+  if (rng->Bernoulli(0.7)) {
+    Value arr = Value::MakeArray();
+    for (uint64_t i = 0; i < rng->Uniform(4); ++i) {
+      arr.Push(rng->Bernoulli(0.3) ? Value::Null()
+                                   : Value::Int(static_cast<int64_t>(i)));
+    }
+    v.Set("arr", std::move(arr));
+  }
+  if (rng->Bernoulli(0.6)) {
+    Value nest = Value::MakeArray();
+    for (uint64_t i = 0; i < rng->Uniform(3); ++i) {
+      Value inner = Value::MakeArray();
+      for (uint64_t j = 0; j < rng->Uniform(3); ++j) {
+        inner.Push(rng->Bernoulli(0.2) ? Value::Null()
+                                       : Value::Double(0.5 * j));
+      }
+      nest.Push(std::move(inner));
+    }
+    v.Set("nest", std::move(nest));
+  }
+  if (rng->Bernoulli(0.6)) {
+    Value objs = Value::MakeArray();
+    for (uint64_t i = 0; i < 1 + rng->Uniform(3); ++i) {
+      switch (rng->Uniform(4)) {
+        case 0: {
+          Value o = Value::MakeObject();
+          o.Set("k", Value::Int(static_cast<int64_t>(i)));
+          Value m = Value::MakeArray();
+          m.Push(Value::String("m"));
+          o.Set("m", std::move(m));
+          objs.Push(std::move(o));
+          break;
+        }
+        case 1:
+          objs.Push(Value::MakeObject());
+          break;
+        case 2:
+          objs.Push(Value::Null());
+          break;
+        default: {
+          Value o = Value::MakeObject();
+          o.Set("k", Value::Null());
+          o.Set("m", Value::MakeArray());
+          objs.Push(std::move(o));
+          break;
+        }
+      }
+    }
+    v.Set("objs", std::move(objs));
+  }
+  if (id >= late_from) {
+    Value late = Value::MakeObject();
+    if (rng->Bernoulli(0.5)) late.Set("z", Value::Int(id));
+    v.Set("late", std::move(late));
+  }
+  return v;
+}
+
+// The round-trip repros of ROADMAP item 1, each at its own key. Lookups
+// must equal scan-and-seek on them, whatever the store gives back.
+const char* const kRoundTripRepros[] = {
+    R"({"id":0,"entities":{"hashtags":[]},"x":1})",
+    R"({"id":0,"entities":{"hashtags":["a"]}})",
+    R"({"id":0,"a":[]})",
+    R"({"id":0,"o":{}})",
+    R"({"id":0,"a":[[]]})",
+    R"({"id":0,"a":{"b":[{}]}})",
+    R"({"id":0,"a":[1,"s",{"b":[]}]})",
+    R"({"id":0,"a":null})",
+};
+
+std::vector<Projection> PresenceProjections() {
+  return {Projection::All(),
+          Projection::Of({{"meta"}}),
+          Projection::Of({{"meta", "deep"}, {"version"}}),
+          Projection::Of({{"meta", "level"}}),
+          Projection::Of({{"u"}}),
+          Projection::Of({{"objs"}, {"nest"}}),
+          Projection::Of({{"late"}}),
+          Projection::Of({{"a"}, {"o"}, {"entities"}})};
+}
+
+// Every lookup, full and projected, equals scan-and-seek on documents that
+// hit every presence case, after flushes, a merge and a reopen.
+TEST_P(LookupTest, PresenceCasesMatchScanAfterFlushMergeAndReopen) {
+  constexpr int64_t kKeys = 900;
+  constexpr int64_t kRepros = 1000;
+  Rng rng(91);
+  auto check = [&](Dataset* ds, const char* stage) {
+    SCOPED_TRACE(stage);
+    Snapshot::Ref snapshot = ds->GetSnapshot();
+    for (const Projection& projection : PresenceProjections()) {
+      for (int64_t key = -1; key < kKeys + 1; ++key) {
+        ExpectLookupMatchesOracle(*snapshot, key, projection);
+      }
+      for (int64_t i = 0; i < std::ssize(kRoundTripRepros); ++i) {
+        ExpectLookupMatchesOracle(*snapshot, kRepros + i, projection);
+      }
+    }
+  };
+  {
+    auto ds = Dataset::Open(Options(), &cache_);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    for (int64_t key = 0; key < kKeys; key += 2) {
+      ASSERT_TRUE((*ds)->Insert(MakePresenceDoc(key, 0, 600, &rng)).ok());
+    }
+    for (int64_t i = 0; i < std::ssize(kRoundTripRepros); ++i) {
+      auto doc = ParseJson(kRoundTripRepros[i]);
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      doc->Set("id", Value::Int(kRepros + i));
+      ASSERT_TRUE((*ds)->Insert(*doc).ok());
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());
+    // A second component: odd keys, rewrites whose union branch flips,
+    // and deletes (anti-matter).
+    for (int64_t key = 1; key < kKeys; key += 2) {
+      ASSERT_TRUE((*ds)->Insert(MakePresenceDoc(key, 1, 600, &rng)).ok());
+    }
+    for (int64_t key = 0; key < kKeys; key += 7) {
+      if (key % 3 == 0) {
+        ASSERT_TRUE((*ds)->Delete(key).ok());
+      } else {
+        ASSERT_TRUE((*ds)->Insert(MakePresenceDoc(key, 2, 300, &rng)).ok());
+      }
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());
+    ASSERT_EQ((*ds)->component_count(), 2u);
+    check(ds->get(), "flushed");
+    ASSERT_TRUE((*ds)->MergeAll().ok());
+    ASSERT_EQ((*ds)->component_count(), 1u);
+    check(ds->get(), "merged");
+  }
+  BufferCache cache(1024 * kPage, kPage);
+  auto ds = Dataset::Open(Options(), &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  check(ds->get(), "reopened");
+}
+
+// Each column's cells of every record in `leaf`, by column id (empty for a
+// column the leaf does not hold), and the leaf's presence index.
+struct LeafCells {
+  std::vector<std::vector<ColumnRecord>> cells;
+  Buffer presence;
+};
+
+void ReadLeafCells(const Component& component, size_t leaf,
+                   LeafCells* out) {
+  const Schema& schema = *component.schema();
+  const size_t records = component.reader().leaves()[leaf].record_count;
+  ColumnarLeaf columnar;
+  ASSERT_TRUE(
+      component.OpenColumnarLeaf(leaf, &columnar, CacheUse::kInstall).ok());
+  PresenceIndexBuilder builder(schema, records);
+  out->cells.assign(static_cast<size_t>(schema.column_count()), {});
+  for (int c = 1; c < schema.column_count(); ++c) {
+    CacheHandle unit;
+    Slice chunk;
+    ASSERT_TRUE(component.ColumnChunk(&columnar, c, &unit, &chunk).ok());
+    if (chunk.empty()) continue;
+    ASSERT_TRUE(builder.AddColumn(chunk, schema.column(c)).ok());
+    ColumnChunkReader reader;
+    ASSERT_TRUE(reader.Init(chunk, schema.column(c)).ok());
+    auto& column = out->cells[static_cast<size_t>(c)];
+    column.resize(records);
+    for (ColumnRecord& cell : column) {
+      ASSERT_TRUE(reader.NextRecord(&cell).ok());
+    }
+  }
+  builder.Finish(&out->presence);
+}
+
+// The listing rule itself: for every record of every leaf, the record
+// assembled from its listed columns alone equals the record assembled
+// from every column, and some listed column holds only a missing cell
+// (a witness: `"meta":{}` and `"meta":{"deep":{"x":{}}}` need one).
+TEST_P(LookupTest, PresenceIndexListsEveryColumnThatShapesTheRecord) {
+  if (GetParam() != LayoutKind::kApax && GetParam() != LayoutKind::kAmax) {
+    GTEST_SKIP() << "row leaves have no columns";
+  }
+  auto ds = Dataset::Open(Options(), &cache_);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Rng rng(12);
+  for (int64_t key = 0; key < 900; ++key) {
+    if (key % 11 == 4) {
+      ASSERT_TRUE((*ds)->Delete(key).ok());
+    } else {
+      ASSERT_TRUE((*ds)->Insert(MakePresenceDoc(key, 0, 500, &rng)).ok());
+    }
+  }
+  ASSERT_TRUE((*ds)->Flush().ok());
+  Snapshot::Ref snapshot = (*ds)->GetSnapshot();
+  const Component& component = snapshot->component(0);
+  const Schema& schema = *component.schema();
+  const size_t width = static_cast<size_t>(schema.column_count());
+  ASSERT_GT(component.reader().leaves().size(), 2u);
+  size_t witnesses = 0, listed_total = 0, records_total = 0;
+  for (size_t leaf = 0; leaf < component.reader().leaves().size(); ++leaf) {
+    LeafCells leaf_cells;
+    ReadLeafCells(component, leaf, &leaf_cells);
+    if (HasFatalFailure()) return;
+    const size_t records = component.reader().leaves()[leaf].record_count;
+    const PresenceIndex index(leaf_cells.presence.slice(), records);
+    ColumnRecord pk;
+    pk.root.kind = ShredCell::Kind::kLeaf;
+    pk.root.def = 1;
+    pk.root.value_index = 0;
+    pk.values.push_back(Value::Int(0));
+    std::vector<int> listed;
+    for (size_t r = 0; r < records; ++r) {
+      std::vector<const ColumnRecord*> all(width), only_listed(width);
+      all[0] = only_listed[0] = &pk;
+      for (size_t c = 1; c < width; ++c) {
+        if (!leaf_cells.cells[c].empty()) all[c] = &leaf_cells.cells[c][r];
+      }
+      index.Columns(r, &listed);
+      for (const int c : listed) {
+        const ColumnRecord* cell = all[static_cast<size_t>(c)];
+        ASSERT_NE(cell, nullptr) << "listed column " << c << " not in leaf";
+        only_listed[static_cast<size_t>(c)] = cell;
+        if (cell->root.kind == ShredCell::Kind::kMissing) ++witnesses;
+      }
+      listed_total += listed.size();
+      ++records_total;
+      AssemblyScratch scratch;
+      Value expected, got;
+      ASSERT_TRUE(
+          component.record_plan().Assemble(all, &scratch, &expected).ok());
+      ASSERT_TRUE(
+          component.record_plan().Assemble(only_listed, &scratch, &got).ok());
+      EXPECT_EQ(ToJson(got), ToJson(expected))
+          << "leaf " << leaf << " record " << r;
+    }
+  }
+  EXPECT_GT(witnesses, 0u);
+  // The listing costs the records' width, not the schema's.
+  EXPECT_LT(listed_total, records_total * (width - 1) / 2);
+}
+
+// Cache units one Snapshot::Lookup fetches (hits + misses).
+uint64_t UnitsFetched(const Snapshot& snapshot, BufferCache* cache,
+                      int64_t key, const Projection& projection) {
+  const CacheStats before = cache->stats();
+  Value out;
+  (void)snapshot.Lookup(key, projection, &out);
+  const CacheStats after = cache->stats();
+  return (after.hits + after.misses) - (before.hits + before.misses);
+}
+
+// A warm full-record lookup fetches the leaf's head and the columns the
+// presence index lists for the record; misses and projected lookups fetch
+// no unit of a column they do not project, and never build the index.
+TEST_P(LookupTest, LookupsFetchOnlyTheUnitsTheyRead) {
+  if (GetParam() != LayoutKind::kApax && GetParam() != LayoutKind::kAmax) {
+    GTEST_SKIP() << "row leaves are one unit";
+  }
+  constexpr int64_t kKeys = 3000;
+  {
+    auto ds = Dataset::Open(Options(), &cache_);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    Rng rng(3);
+    for (int64_t key = 0; key < kKeys; key += 2) {
+      // tweet_2's shape: a few of many sparse fields per record.
+      Value doc = MakePresenceDoc(key, 0, 700, &rng);
+      Value extended = Value::MakeObject();
+      for (int i = 0; i < 4; ++i) {
+        extended.Set("ext_" + std::to_string(rng.Uniform(150)),
+                     Value::Int(key));
+      }
+      doc.Set("extended", std::move(extended));
+      ASSERT_TRUE((*ds)->Insert(doc).ok());
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());
+  }
+  BufferCache cache(1024 * kPage, kPage);
+  auto ds = Dataset::Open(Options(), &cache);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  Snapshot::Ref snapshot = (*ds)->GetSnapshot();
+  ASSERT_EQ(snapshot->component_count(), 1u);
+  const Component& component = snapshot->component(0);
+  const auto& leaves = component.reader().leaves();
+  ASSERT_GT(leaves.size(), 2u);
+  const auto width = static_cast<uint64_t>(component.schema()->column_count());
+
+  // On a cold cache: misses read only heads, projected hits only heads
+  // and projected columns, in every leaf.
+  const Projection narrow = Projection::Of({{"meta", "level"}, {"u"}});
+  const std::vector<bool> projected = component.ProjectedColumns(narrow);
+  const auto narrow_columns = static_cast<uint64_t>(
+      std::count(projected.begin() + 1, projected.end(), true));
+  ASSERT_GT(narrow_columns, 0u);
+  for (int64_t key = 1; key < kKeys; key += 2) {
+    EXPECT_LE(UnitsFetched(*snapshot, &cache, key, Projection::All()), 1u)
+        << "miss " << key;
+  }
+  for (int64_t key = 0; key < kKeys; key += 2) {
+    EXPECT_LE(UnitsFetched(*snapshot, &cache, key, narrow),
+              1 + narrow_columns)
+        << "projected hit " << key;
+  }
+  EXPECT_LE(cache.stats().misses, leaves.size() * (1 + narrow_columns));
+
+  for (size_t leaf = 0; leaf < leaves.size(); ++leaf) {
+    LeafCells leaf_cells;
+    ReadLeafCells(component, leaf, &leaf_cells);
+    if (HasFatalFailure()) return;
+    const PresenceIndex index(leaf_cells.presence.slice(),
+                              leaves[leaf].record_count);
+    // The first full-record hit builds the leaf's index; the later ones
+    // are warm.
+    (void)UnitsFetched(*snapshot, &cache, leaves[leaf].min_key,
+                       Projection::All());
+    std::vector<int> listed;
+    for (size_t r = 0; r < leaves[leaf].record_count; r += 7) {
+      index.Columns(r, &listed);
+      const int64_t key = leaves[leaf].min_key + 2 * static_cast<int64_t>(r);
+      const uint64_t units =
+          UnitsFetched(*snapshot, &cache, key, Projection::All());
+      EXPECT_LE(units, 1 + listed.size()) << "key " << key;
+      EXPECT_LT(units, width / 2) << "key " << key;
+    }
+  }
+}
+
+// Threads race the first full-record lookups of fresh leaves, so the
+// presence index builds race and one result is kept; every answer equals
+// scan-and-seek.
+TEST_P(LookupTest, ConcurrentFirstFullLookupsOfAFreshLeaf) {
+  constexpr int kThreads = 4;
+  {
+    auto ds = Dataset::Open(Options(), &cache_);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    Rng rng(44);
+    for (int64_t key = 0; key < 900; ++key) {
+      ASSERT_TRUE((*ds)->Insert(MakePresenceDoc(key, 0, 450, &rng)).ok());
+    }
+    ASSERT_TRUE((*ds)->Flush().ok());
+  }
+  for (int round = 0; round < 3; ++round) {
+    BufferCache cache(1024 * kPage, kPage);
+    auto ds = Dataset::Open(Options(), &cache);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    Snapshot::Ref snapshot = (*ds)->GetSnapshot();
+    const auto& leaves = snapshot->component(0).reader().leaves();
+    const LeafEntry& leaf = leaves[static_cast<size_t>(round) % leaves.size()];
+    // The oracle scans with cursors, which build no presence index.
+    std::vector<int64_t> keys;
+    std::vector<std::string> expected;
+    for (int64_t key = leaf.min_key; key <= leaf.max_key; ++key) {
+      const std::optional<Value> found =
+          ScanAndSeek(*snapshot, key, Projection::All());
+      ASSERT_TRUE(found.has_value()) << key;
+      keys.push_back(key);
+      expected.push_back(ToJson(*found));
+    }
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    std::vector<int> mismatches(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        // Each thread starts at its own record, then walks the leaf.
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(t) * 13) % keys.size();
+          Value got;
+          Status st = snapshot->Lookup(keys[k], &got);
+          if (!st.ok() || ToJson(got) != expected[k]) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0) << "round " << round << " thread " << t;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, LookupTest,

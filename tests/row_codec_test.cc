@@ -97,6 +97,22 @@ TEST_P(RowCodecTest, RandomizedDocumentsRoundTrip) {
   }
 }
 
+// The deepest document the JSON parser accepts (257 levels) decodes.
+TEST_P(RowCodecTest, DeepestJsonDocumentRoundTrips) {
+  std::string json = "{\"id\":1,\"a\":";
+  for (int i = 0; i < 255; ++i) json += "[";
+  json += "7";
+  for (int i = 0; i < 255; ++i) json += "]";
+  json += "}";
+  auto v = ParseJson(json);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  Buffer encoded;
+  codec().Encode(*v, &encoded);
+  Value decoded;
+  ASSERT_TRUE(codec().Decode(encoded.slice(), &decoded).ok());
+  EXPECT_TRUE(v->Equals(decoded));
+}
+
 INSTANTIATE_TEST_SUITE_P(Codecs, RowCodecTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb),
                          [](const auto& info) {
@@ -135,6 +151,80 @@ TEST(RowCodecSizeTest, VbNameTableDeduplicatesRepeatedKeys) {
   GetRowCodec(LayoutKind::kOpen).Encode(v, &open);
   GetRowCodec(LayoutKind::kVb).Encode(v, &vb);
   EXPECT_GT(open.size(), 3 * vb.size());
+}
+
+// Damaged rows (found by fuzzing the row parsers, tests/fuzz/
+// row_leaf_fuzz.cc): each decodes to Corruption, not a crash.
+
+// An Open container header: tag, total size, count.
+void AppendOpenHeader(uint8_t tag, uint32_t total, uint32_t count,
+                      Buffer* out) {
+  out->AppendByte(tag);
+  out->AppendFixed32(total);
+  out->AppendFixed32(count);
+}
+
+TEST(RowCodecDamageTest, OpenChildAtItsParentsOffset) {
+  // {"a": <itself>}: the child's offset 0 is the object's own tag, which
+  // recursed until the stack ran out.
+  Buffer row;
+  AppendOpenHeader(6, 18, 1, &row);
+  row.AppendFixed32(1);
+  row.Append(Slice("a"));
+  row.AppendFixed32(0);
+  Value out;
+  EXPECT_TRUE(GetRowCodec(LayoutKind::kOpen).Decode(row.slice(), &out)
+                  .IsCorruption());
+}
+
+TEST(RowCodecDamageTest, OpenChildrenSharingBytes) {
+  // Arrays of 64 elements all at one offset, nested 6 deep: 64^6 values
+  // from a few kilobytes.
+  Buffer row;
+  constexpr uint32_t kFanout = 64;
+  constexpr int kDepth = 6;
+  const uint32_t header = 9 + 4 * kFanout;
+  for (int level = 0; level < kDepth; ++level) {
+    AppendOpenHeader(7, header * (kDepth - level) + 1, kFanout, &row);
+    for (uint32_t i = 0; i < kFanout; ++i) row.AppendFixed32(header);
+  }
+  row.AppendByte(0);  // null
+  Value out;
+  EXPECT_TRUE(GetRowCodec(LayoutKind::kOpen).Decode(row.slice(), &out)
+                  .IsCorruption());
+}
+
+TEST(RowCodecDamageTest, NestingPastTheLimit) {
+  constexpr int kDepth = 200000;
+  Buffer open;
+  for (int level = 0; level < kDepth; ++level) {
+    AppendOpenHeader(7, static_cast<uint32_t>(13 * (kDepth - level) + 1), 1,
+                     &open);
+    open.AppendFixed32(13);
+  }
+  open.AppendByte(0);
+  Buffer vb;
+  vb.AppendVarint64(0);  // no names
+  for (int level = 0; level < kDepth; ++level) {
+    vb.AppendByte(7);
+    vb.AppendVarint64(1);
+  }
+  vb.AppendByte(0);
+  Value out;
+  EXPECT_TRUE(GetRowCodec(LayoutKind::kOpen).Decode(open.slice(), &out)
+                  .IsCorruption());
+  EXPECT_TRUE(GetRowCodec(LayoutKind::kVb).Decode(vb.slice(), &out)
+                  .IsCorruption());
+}
+
+TEST(RowCodecDamageTest, VbNameCountPastTheRow) {
+  // A name table of 2^40 entries was allocated before any was read.
+  Buffer row;
+  row.AppendVarint64(uint64_t{1} << 40);
+  row.AppendByte(0);
+  Value out;
+  EXPECT_TRUE(
+      GetRowCodec(LayoutKind::kVb).Decode(row.slice(), &out).IsCorruption());
 }
 
 }  // namespace

@@ -789,6 +789,58 @@ TEST(DecodedUnitCacheTest, AttachmentIsChargedAndFreedWithItsUnit) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
+// A unit's attachment slots (a leaf head's keys and presence index) are
+// built independently, each once, and charged and freed with the unit.
+TEST(DecodedUnitCacheTest, AttachmentSlotsAreIndependent) {
+  const std::string path = TempPath("du_attach_slots");
+  auto file = PageFile::Create(path, kPage);
+  ASSERT_TRUE(file.ok());
+  BufferCache cache(10000, kPage);
+  std::atomic<int> loads{0};
+  int builds[BufferCache::kAttachmentSlots] = {};
+  auto builder = [&](size_t slot, size_t size) {
+    return [&builds, slot, size](Buffer* out) {
+      ++builds[slot];
+      out->Append(std::string(size, static_cast<char>('a' + slot)));
+      return Status::OK();
+    };
+  };
+  {
+    auto unit =
+        cache.FetchDecoded(**file, 0, -1, FillLoader(1000, 'u', &loads));
+    ASSERT_TRUE(unit.ok());
+    auto first = cache.Attachment(*unit, builder(0, 100), 0);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(cache.cached_bytes(), 1100u);
+    // A failed build of one slot leaves the other alone.
+    auto failed = cache.Attachment(
+        *unit, [](Buffer*) { return Status::Corruption("bad"); }, 1);
+    EXPECT_TRUE(failed.status().IsCorruption());
+    auto second = cache.Attachment(*unit, builder(1, 300), 1);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second->ToString(), std::string(300, 'b'));
+    EXPECT_EQ(first->ToString(), std::string(100, 'a'));
+    EXPECT_EQ(cache.cached_bytes(), 1400u);
+  }
+  {
+    auto unit =
+        cache.FetchDecoded(**file, 0, -1, FillLoader(1000, 'u', &loads));
+    ASSERT_TRUE(unit.ok());
+    auto second = cache.Attachment(*unit, builder(1, 300), 1);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second->size(), 300u);
+    auto first = cache.Attachment(*unit, builder(0, 100), 0);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->size(), 100u);
+  }
+  EXPECT_EQ(builds[0], 1);
+  EXPECT_EQ(builds[1], 1);
+  EXPECT_EQ(loads.load(), 1);
+  cache.Clear();
+  EXPECT_EQ(cache.cached_bytes(), 0u);
+  EXPECT_TRUE(RemoveFileIfExists(path).ok());
+}
+
 // Threads racing to attach to one unit all get the same bytes.
 TEST(DecodedUnitCacheTest, ConcurrentAttachmentsAgree) {
   const std::string path = TempPath("du_attach_mt");
