@@ -5,15 +5,19 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/columnar/shredder.h"
 #include "src/common/rng.h"
 #include "src/datagen/datagen.h"
 #include "src/encoding/delta.h"
 #include "src/encoding/lz.h"
 #include "src/encoding/rle.h"
 #include "src/encoding/strings.h"
+#include "src/layouts/apax.h"
+#include "src/storage/component_file.h"
 #include "src/storage/file.h"
 
 namespace lsmcol {
@@ -240,14 +244,16 @@ void SetLzShapeCounters(benchmark::State& state, Slice stream, size_t raw) {
 }
 
 void LzCompressBench(benchmark::State& state, const std::string& page) {
+  Buffer out;
   for (auto _ : state) {
-    Buffer out;
+    out = Buffer();
     LzCompress(Slice(page), &out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(page.size()));
+  SetLzShapeCounters(state, out.slice(), page.size());
 }
 
 void LzDecompressBench(benchmark::State& state, const std::string& page) {
@@ -285,6 +291,74 @@ void BM_LzDecompressDoublesMegapage(benchmark::State& state) {
   LzDecompressBench(state, DoublesMegapage());
 }
 BENCHMARK(BM_LzDecompressDoublesMegapage);
+
+// Real payloads, uncompressed, as the write path hands them to LZ.
+
+// One wos APAX leaf: generated documents shredded until the pending
+// chunks fill a 128 KiB page, the flush's cut rule.
+std::string WosApaxLeafPayload() {
+  constexpr size_t kPage = 128u << 10;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lsmcol_bench_wos_leaf")
+          .string();
+  BufferCache cache(8 * kPage, kPage);
+  auto writer = ComponentWriter::Create(path, &cache, kPage);
+  LSMCOL_CHECK_OK(writer.status());
+  Schema schema("id");
+  ColumnWriterSet writers(&schema);
+  RecordShredder shredder(&schema, &writers);
+  Rng rng(8);
+  for (int64_t id = 0; writers.EstimatedTotalSize() < kPage; ++id) {
+    LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(Workload::kWos, id, &rng)));
+  }
+  LSMCOL_CHECK_OK(EmitApaxLeaf(&writers, writer->get(), /*compress=*/false));
+  LSMCOL_CHECK_OK((*writer)->Finish(Slice("")));
+  auto reader = ComponentReader::Open(path, &cache, kPage);
+  LSMCOL_CHECK_OK(reader.status());
+  Buffer payload;
+  LSMCOL_CHECK_OK((*reader)->ReadLeaf(0, &payload));
+  RemoveFileIfExists(path);
+  return payload.slice().ToString();
+}
+
+// The largest column chunk of a tweet_2 AMAX leaf of 2,000 documents,
+// about what a 1 MiB memtable flush holds.
+std::string Tweet2AmaxMegapage() {
+  Schema schema("id");
+  ColumnWriterSet writers(&schema);
+  RecordShredder shredder(&schema, &writers);
+  Rng rng(9);
+  for (int64_t id = 0; id < 2000; ++id) {
+    LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(Workload::kTweet2, id, &rng)));
+  }
+  std::string largest;
+  for (size_t c = 1; c < writers.column_count(); ++c) {
+    Buffer chunk;
+    writers.writer(static_cast<int>(c)).FinishInto(&chunk);
+    if (chunk.size() > largest.size()) largest = chunk.slice().ToString();
+  }
+  return largest;
+}
+
+void BM_LzCompressWosApaxLeaf(benchmark::State& state) {
+  LzCompressBench(state, WosApaxLeafPayload());
+}
+BENCHMARK(BM_LzCompressWosApaxLeaf);
+
+void BM_LzDecompressWosApaxLeaf(benchmark::State& state) {
+  LzDecompressBench(state, WosApaxLeafPayload());
+}
+BENCHMARK(BM_LzDecompressWosApaxLeaf);
+
+void BM_LzCompressTweet2AmaxMegapage(benchmark::State& state) {
+  LzCompressBench(state, Tweet2AmaxMegapage());
+}
+BENCHMARK(BM_LzCompressTweet2AmaxMegapage);
+
+void BM_LzDecompressTweet2AmaxMegapage(benchmark::State& state) {
+  LzDecompressBench(state, Tweet2AmaxMegapage());
+}
+BENCHMARK(BM_LzDecompressTweet2AmaxMegapage);
 
 void PrintSizeTable() {
   std::printf("\n==== Ablation A1: encoded sizes (10k values) ====\n");

@@ -14,6 +14,10 @@ constexpr size_t kMaxMatch = kMaxMatchToken + kMinMatch;  // bytes per token
 constexpr size_t kMaxLiteralRun = 127;
 constexpr size_t kWindow = 65535;
 constexpr size_t kHashBits = 15;
+// The match finder's probe step: one byte, plus one per kSkipAfter
+// consecutive misses, up to kMaxStep bytes.
+constexpr size_t kSkipAfter = 128;
+constexpr size_t kMaxStep = 8;
 
 // The decoder's fast loop runs while more than this many input and output
 // bytes remain. A token then needs no bounds check: it reads at most a tag
@@ -160,20 +164,39 @@ uint8_t* EmitLiterals(const uint8_t* src, const uint8_t* end, uint8_t* op) {
 
 /// Greedy matcher over input[0, n), n >= kMinMatch + 4. Writes the tokens
 /// at op and returns the end of what it wrote.
+///
+/// Which matches it finds is encoder policy, not format: the decoder takes
+/// any token stream. Two choices keep it cheap per byte, and one wins back
+/// what they lose:
+///  - after a match it seeds the hash table at two positions only: the one
+///    after the match start and the one before the match end;
+///  - the probe step grows with consecutive misses (as in Snappy and LZ4),
+///    so incompressible bytes are probed sparsely, and a match resets it.
+///    The step stays small: an APAX leaf puts compressible minipages right
+///    after incompressible ones;
+///  - a match found past its true start is extended backwards over the
+///    pending literals.
 uint8_t* CompressTokens(const uint8_t* p, size_t n, uint8_t* op) {
   thread_local MatchTable table;
   table.Start(n);
   size_t literal_start = 0;
   size_t i = 0;
+  size_t misses = 0;  // consecutive probes without a match
   const size_t limit = n - kMinMatch;  // last position where a match can start
   while (i <= limit) {
     const uint32_t h = Hash4(p + i);
-    const size_t candidate = table.Get(h);
+    size_t candidate = table.Get(h);
     table.Set(h, i);
     if (candidate == SIZE_MAX || i - candidate > kWindow ||
         Load32(p + candidate) != Load32(p + i)) {
-      ++i;
+      i += std::min(1 + misses++ / kSkipAfter, kMaxStep);
       continue;
+    }
+    misses = 0;
+    while (i > literal_start && candidate > 0 &&
+           p[i - 1] == p[candidate - 1]) {
+      --i;
+      --candidate;
     }
     const size_t match_len =
         kMinMatch +
@@ -191,10 +214,8 @@ uint8_t* CompressTokens(const uint8_t* p, size_t n, uint8_t* op) {
     const size_t src = i;
     i = src + match_len - remaining;
     literal_start = i;
-    // Seed the hash table inside the match region sparsely.
-    for (size_t j = src + 1; j + kMinMatch <= i && j < src + 16; ++j) {
-      table.Set(Hash4(p + j), j);
-    }
+    if (src + 1 <= limit) table.Set(Hash4(p + src + 1), src + 1);
+    if (i - 1 <= limit) table.Set(Hash4(p + i - 1), i - 1);
   }
   table.Finish(n);
   return EmitLiterals(p + literal_start, p + n, op);

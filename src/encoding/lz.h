@@ -1,12 +1,17 @@
 // Byte-oriented LZ77 compressor used for page-level compression — the
 // repo's substitute for Snappy (§6; docs/FORMAT.md, "Encoding framings").
-// Greedy single-probe hash matcher over a 64 KiB window; format:
+// Format:
 //   varint uncompressed_length
 //   tokens (one raw tag byte each):
 //     tag & 1 == 0: literal run, length = tag >> 1 (1..127), bytes follow
 //                   (long runs use repeated tokens)
 //     tag & 1 == 1: match, length = (tag >> 1) + 4 (4..131), then a varint
 //                   back-offset (1 .. 65535)
+// The encoder is a greedy single-probe hash matcher over the 64 KiB
+// window; how it finds matches (two hash seeds per match, a probe step
+// that grows over misses) is encoder policy, not format. Any stream that
+// follows the grammar decodes, so streams written by earlier encoders read
+// unchanged.
 // Like Snappy, it compresses row pages (repeated field names, JSON syntax)
 // well, and already-encoded column pages poorly — which is exactly the
 // behaviour the paper's storage results depend on.

@@ -76,9 +76,8 @@ class Parser {
       SkipWhitespace();
       if (Peek() != ':') return Error("expected ':' after key");
       ++pos_;
-      Value v;
-      LSMCOL_RETURN_NOT_OK(ParseValue(&v, depth + 1));
-      out->Set(std::move(key), std::move(v));
+      LSMCOL_RETURN_NOT_OK(ParseValue(MemberSlot(out, std::move(key)),
+                                      depth + 1));
       SkipWhitespace();
       char c = Peek();
       if (c == ',') {
@@ -93,6 +92,16 @@ class Parser {
     }
   }
 
+  /// The slot a member's value is parsed into: a duplicate key keeps its
+  /// first position and takes the last value, as Value::Set does.
+  static Value* MemberSlot(Value* object, std::string key) {
+    Value::Object& members = object->mutable_object();
+    for (Value::Member& m : members) {
+      if (m.first == key) return &m.second;
+    }
+    return &members.emplace_back(std::move(key), Value()).second;
+  }
+
   Status ParseArray(Value* out, int depth) {
     ++pos_;  // '['
     *out = Value::MakeArray();
@@ -101,10 +110,9 @@ class Parser {
       ++pos_;
       return Status::OK();
     }
+    Value::Array& elements = out->mutable_array();
     while (true) {
-      Value v;
-      LSMCOL_RETURN_NOT_OK(ParseValue(&v, depth + 1));
-      out->Push(std::move(v));
+      LSMCOL_RETURN_NOT_OK(ParseValue(&elements.emplace_back(), depth + 1));
       SkipWhitespace();
       char c = Peek();
       if (c == ',') {
@@ -122,68 +130,81 @@ class Parser {
   Status ParseString(std::string* out) {
     ++pos_;  // opening quote
     out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Error("bad escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'u': {
-            unsigned code = 0;
-            LSMCOL_RETURN_NOT_OK(ParseHex4(&code));
-            if (code >= 0xDC00 && code <= 0xDFFF) {
-              return Error("lone low surrogate in \\u escape");
-            }
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // A high surrogate must be followed by an escaped low one;
-              // the pair encodes one code point past U+FFFF.
-              unsigned low = 0;
-              if (text_.substr(pos_, 2) != "\\u") {
-                return Error("lone high surrogate in \\u escape");
-              }
-              pos_ += 2;
-              LSMCOL_RETURN_NOT_OK(ParseHex4(&low));
-              if (low < 0xDC00 || low > 0xDFFF) {
-                return Error("lone high surrogate in \\u escape");
-              }
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-            AppendUtf8(out, code);
-            break;
+    const char* const text = text_.data();
+    const char* const end = text + text_.size();
+    // The first quote at or after the run, or end. Searched again only
+    // once a run starts past it, so escapes never rescan the string.
+    const char* quote = text;
+    while (true) {
+      // Copy the run up to the next quote or backslash in one append.
+      const char* const run = text + pos_;
+      if (quote < run) {
+        quote = static_cast<const char*>(
+            std::memchr(run, '"', static_cast<size_t>(end - run)));
+        if (quote == nullptr) quote = end;
+      }
+      const char* stop = static_cast<const char*>(
+          std::memchr(run, '\\', static_cast<size_t>(quote - run)));
+      if (stop == nullptr) stop = quote;
+      out->append(run, static_cast<size_t>(stop - run));
+      pos_ = static_cast<size_t>(stop - text);
+      if (stop == end) return Error("unterminated string");
+      ++pos_;
+      if (*stop == '"') return Status::OK();
+      if (pos_ >= text_.size()) return Error("bad escape");
+      const char e = text_[pos_++];
+      switch (e) {
+        case '"':
+          out->push_back('"');
+          break;
+        case '\\':
+          out->push_back('\\');
+          break;
+        case '/':
+          out->push_back('/');
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'u': {
+          unsigned code = 0;
+          LSMCOL_RETURN_NOT_OK(ParseHex4(&code));
+          if (code >= 0xDC00 && code <= 0xDFFF) {
+            return Error("lone low surrogate in \\u escape");
           }
-          default:
-            return Error("unknown escape character");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must be followed by an escaped low one;
+            // the pair encodes one code point past U+FFFF.
+            unsigned low = 0;
+            if (text_.substr(pos_, 2) != "\\u") {
+              return Error("lone high surrogate in \\u escape");
+            }
+            pos_ += 2;
+            LSMCOL_RETURN_NOT_OK(ParseHex4(&low));
+            if (low < 0xDC00 || low > 0xDFFF) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          }
+          AppendUtf8(out, code);
+          break;
         }
-      } else {
-        out->push_back(c);
+        default:
+          return Error("unknown escape character");
       }
     }
-    return Error("unterminated string");
   }
 
   /// Four hex digits of a \u escape.

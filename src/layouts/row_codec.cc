@@ -248,36 +248,30 @@ Status OpenExtract(Slice bytes, const std::vector<std::string>& path,
 
 // ------------------------------------------------------------------ VB ---
 
-void VbCollectNames(const Value& v, std::vector<std::string>* names) {
+/// A record's field names, each once in first-seen order, and the name id
+/// of every object member in the order VbEncodeValue visits them.
+struct VbNames {
+  std::vector<std::string_view> names;
+  std::vector<uint64_t> member_ids;
+};
+
+void VbCollectNames(const Value& v, VbNames* out) {
   if (v.is_object()) {
     for (const auto& [name, child] : v.object()) {
-      bool found = false;
-      for (const auto& n : *names) {
-        if (n == name) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) names->push_back(name);
-      VbCollectNames(child, names);
+      size_t id = 0;
+      while (id < out->names.size() && out->names[id] != name) ++id;
+      if (id == out->names.size()) out->names.push_back(name);
+      out->member_ids.push_back(id);
+      VbCollectNames(child, out);
     }
   } else if (v.is_array()) {
-    for (const Value& e : v.array()) VbCollectNames(e, names);
+    for (const Value& e : v.array()) VbCollectNames(e, out);
   }
 }
 
-uint64_t VbNameId(const std::vector<std::string>& names,
-                  const std::string& name) {
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return i;
-  }
-  LSMCOL_CHECK(false);
-  return 0;
-}
-
-// Single forward pass; every value written exactly once.
-void VbEncodeValue(const Value& v, const std::vector<std::string>& names,
-                   Buffer* out) {
+// Single forward pass; every value written exactly once. *member_id walks
+// VbNames::member_ids.
+void VbEncodeValue(const Value& v, const uint64_t** member_id, Buffer* out) {
   switch (v.type()) {
     case ValueType::kMissing:
     case ValueType::kNull:
@@ -301,15 +295,15 @@ void VbEncodeValue(const Value& v, const std::vector<std::string>& names,
     case ValueType::kObject:
       out->AppendByte(kTagObject);
       out->AppendVarint64(v.object().size());
-      for (const auto& [name, child] : v.object()) {
-        out->AppendVarint64(VbNameId(names, name));
-        VbEncodeValue(child, names, out);
+      for (const Value::Member& member : v.object()) {
+        out->AppendVarint64(*(*member_id)++);
+        VbEncodeValue(member.second, member_id, out);
       }
       return;
     case ValueType::kArray:
       out->AppendByte(kTagArray);
       out->AppendVarint64(v.array().size());
-      for (const Value& e : v.array()) VbEncodeValue(e, names, out);
+      for (const Value& e : v.array()) VbEncodeValue(e, member_id, out);
       return;
   }
 }
@@ -489,11 +483,14 @@ Status OpenCodec::ExtractPath(Slice bytes,
 }
 
 void VbCodec::Encode(const Value& record, Buffer* out) const {
-  std::vector<std::string> names;
+  VbNames names;
   VbCollectNames(record, &names);
-  out->AppendVarint64(names.size());
-  for (const auto& name : names) out->AppendLengthPrefixed(Slice(name));
-  VbEncodeValue(record, names, out);
+  out->AppendVarint64(names.names.size());
+  for (const std::string_view name : names.names) {
+    out->AppendLengthPrefixed(Slice(name));
+  }
+  const uint64_t* member_id = names.member_ids.data();
+  VbEncodeValue(record, &member_id, out);
 }
 
 Status VbCodec::Decode(Slice bytes, Value* out) const {

@@ -16,6 +16,7 @@
 #include "src/encoding/rle.h"
 #include "src/encoding/strings.h"
 #include "src/layouts/apax.h"
+#include "src/layouts/row_codec.h"
 #include "src/storage/component_file.h"
 
 namespace lsmcol {
@@ -855,9 +856,11 @@ uint64_t Fnv1a64(Slice s) {
   return h;
 }
 
-// The encoder's output bytes are part of the format's contract with
-// stored data sizes: these digests were recorded from the byte-at-a-time
-// encoder, and any change to hashing, window or token choice breaks them.
+// The encoder's output bytes decide stored data sizes: these digests pin
+// them, and any change to hashing, window, probe step or token choice
+// breaks them. They do not pin the format: the decoder reads any token
+// stream. Recorded from the match finder that seeds two positions per
+// match and grows its probe step over misses.
 TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
   Rng rng(103);
   struct Golden {
@@ -866,9 +869,9 @@ TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
     size_t size;
     uint64_t digest;
   } cases[] = {
-      {"json text", JsonTextPage(), 49668, 0x36373d6f2378064aull},
-      {"short-match column", ShortMatchColumnPage(), 58198,
-       0x28204fb6c52c7135ull},
+      {"json text", JsonTextPage(), 49692, 0x0493218312150fa2ull},
+      {"short-match column", ShortMatchColumnPage(), 57166,
+       0xfe07b7950311efe7ull},
       {"incompressible", RandomBytes(&rng, 65536), 66056,
        0x094f1acbcaeb2a3bull},
       {"same byte", std::string(65536, 'x'), 1007, 0x1fe9633417c3b619ull},
@@ -883,6 +886,132 @@ TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
   }
 }
 
+// The match finder's probe step grows over a run of misses. On random
+// bytes that must still respect the worst-case bound, and a repetitive
+// tail after a long random run must compress about as well as it does
+// alone: the first match there resets the step.
+TEST(LzTest, ProbeStepStaysWithinTheBoundOnRandomBytes) {
+  Rng rng(47);
+  for (const size_t n : {size_t{13}, size_t{200}, size_t{5000},
+                         size_t{1} << 20}) {
+    RoundTripLz(RandomBytes(&rng, n));
+  }
+}
+
+TEST(LzTest, MatchesAfterALongRandomRunAreFound) {
+  Rng rng(48);
+  std::string text;
+  for (int i = 0; text.size() < 50000; ++i) {
+    text += "{\"name\":\"record\",\"index\":" + std::to_string(i % 200) +
+            "}";
+  }
+  Buffer alone;
+  LzCompress(Slice(text), &alone);
+  ASSERT_LT(alone.size(), text.size() / 10);
+  for (const size_t random : {size_t{1000}, size_t{60000}, size_t{500000}}) {
+    const std::string input = RandomBytes(&rng, random) + text;
+    Buffer compressed;
+    LzCompress(Slice(input), &compressed);
+    EXPECT_LE(compressed.size(), LzMaxCompressedSize(input.size()));
+    // The random run costs its length plus a tag per 127 bytes; the text
+    // may lose a few short matches while the step shrinks back.
+    EXPECT_LE(compressed.size(),
+              random + random / 127 + 1 + alone.size() + 256)
+        << random;
+    RoundTripLz(input);
+  }
+}
+
+/// Uncompressed payloads of real leaves over `records` generated
+/// `workload` documents: APAX leaves cut at a 128 KiB page as a flush cuts
+/// them, or the column chunks one AMAX leaf compresses into megapages.
+std::vector<std::string> RealLeafPayloads(Workload workload,
+                                          LayoutKind layout, int records) {
+  constexpr size_t kPage = 128u << 10;
+  Schema schema("id");
+  ColumnWriterSet writers(&schema);
+  RecordShredder shredder(&schema, &writers);
+  Rng rng(53);
+  std::vector<std::string> payloads;
+  if (layout == LayoutKind::kAmax) {
+    for (int64_t id = 0; id < records; ++id) {
+      LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(workload, id, &rng)));
+    }
+    for (size_t c = 1; c < writers.column_count(); ++c) {
+      Buffer chunk;
+      writers.writer(static_cast<int>(c)).FinishInto(&chunk);
+      payloads.push_back(chunk.slice().ToString());
+    }
+    return payloads;
+  }
+  const std::string path = testing::TempDir() + "/encoding_real_leaves";
+  BufferCache cache(64 * kPage, kPage);
+  auto writer = ComponentWriter::Create(path, &cache, kPage);
+  LSMCOL_CHECK_OK(writer.status());
+  for (int64_t id = 0; id < records; ++id) {
+    LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(workload, id, &rng)));
+    if (writers.EstimatedTotalSize() >= kPage || id + 1 == records) {
+      LSMCOL_CHECK_OK(
+          EmitApaxLeaf(&writers, writer->get(), /*compress=*/false));
+    }
+  }
+  LSMCOL_CHECK_OK((*writer)->Finish(Slice("")));
+  auto reader = ComponentReader::Open(path, &cache, kPage);
+  LSMCOL_CHECK_OK(reader.status());
+  for (size_t leaf = 0; leaf < (*reader)->leaves().size(); ++leaf) {
+    Buffer payload;
+    LSMCOL_CHECK_OK((*reader)->ReadLeaf(leaf, &payload));
+    payloads.push_back(payload.slice().ToString());
+  }
+  RemoveFileIfExists(path);
+  return payloads;
+}
+
+// Every generator's real payloads round-trip, and compress to about the
+// sizes recorded from the encoder that seeded up to 15 positions after
+// every match and probed every byte, or less.
+TEST(LzTest, RealLeafPayloadsRoundTripWithinTheRecordedSizes) {
+  struct Case {
+    Workload workload;
+    LayoutKind layout;
+    size_t recorded;  // compressed bytes
+  } cases[] = {
+      {Workload::kCell, LayoutKind::kApax, 18536},
+      {Workload::kCell, LayoutKind::kAmax, 18775},
+      {Workload::kSensors, LayoutKind::kApax, 588514},
+      {Workload::kSensors, LayoutKind::kAmax, 589276},
+      {Workload::kTweet1, LayoutKind::kApax, 811547},
+      {Workload::kTweet1, LayoutKind::kAmax, 587612},
+      {Workload::kWos, LayoutKind::kApax, 948263},
+      {Workload::kWos, LayoutKind::kAmax, 854976},
+      {Workload::kTweet2, LayoutKind::kApax, 116566},
+      {Workload::kTweet2, LayoutKind::kAmax, 131310},
+  };
+  size_t total = 0, recorded_total = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(WorkloadName(c.workload)) + " " +
+                 LayoutKindName(c.layout));
+    size_t raw = 0, compressed_bytes = 0;
+    for (const std::string& payload :
+         RealLeafPayloads(c.workload, c.layout, 500)) {
+      Buffer compressed;
+      LzCompress(Slice(payload), &compressed);
+      EXPECT_LE(compressed.size(), LzMaxCompressedSize(payload.size()));
+      Buffer decompressed;
+      ASSERT_TRUE(LzDecompress(compressed.slice(), &decompressed).ok());
+      ASSERT_EQ(decompressed.slice(), Slice(payload));
+      raw += payload.size();
+      compressed_bytes += compressed.size();
+    }
+    // Near-incompressible payloads (sensors) move by a few dozen bytes
+    // either way with the hash table's luck; the total may not grow.
+    EXPECT_LE(compressed_bytes, c.recorded + c.recorded / 1000) << raw;
+    total += compressed_bytes;
+    recorded_total += c.recorded;
+  }
+  EXPECT_LE(total, recorded_total);
+}
+
 // ---------------------------------------------------------------------------
 // Resumable decoding (LzDecoder): a prefix decoded in steps of any size is
 // the whole decode's prefix, and a stream that fails exposes nothing.
@@ -890,31 +1019,13 @@ TEST(LzTest, EncoderOutputMatchesGoldenDigests) {
 /// Compressed payloads of real APAX leaves: tweet_1 documents, shredded
 /// and cut into leaves as a flush does.
 std::vector<std::string> ApaxLeafStreams() {
-  const std::string path = testing::TempDir() + "/encoding_apax_leaves";
-  constexpr size_t kPage = 32u << 10;
-  BufferCache cache(64 * kPage, kPage);
-  auto writer = ComponentWriter::Create(path, &cache, kPage);
-  LSMCOL_CHECK_OK(writer.status());
-  Schema schema("id");
-  ColumnWriterSet writers(&schema);
-  RecordShredder shredder(&schema, &writers);
-  Rng rng(31);
-  for (int64_t id = 0; id < 120; ++id) {
-    LSMCOL_CHECK_OK(shredder.Shred(MakeRecord(Workload::kTweet1, id, &rng)));
-    if (id % 40 == 39) {
-      LSMCOL_CHECK_OK(EmitApaxLeaf(&writers, writer->get(), /*compress=*/true));
-    }
-  }
-  LSMCOL_CHECK_OK((*writer)->Finish(Slice("")));
-  auto reader = ComponentReader::Open(path, &cache, kPage);
-  LSMCOL_CHECK_OK(reader.status());
   std::vector<std::string> streams;
-  for (size_t leaf = 0; leaf < (*reader)->leaves().size(); ++leaf) {
-    Buffer stored;
-    LSMCOL_CHECK_OK((*reader)->ReadLeaf(leaf, &stored));
-    streams.push_back(stored.slice().ToString());
+  for (const std::string& payload :
+       RealLeafPayloads(Workload::kTweet1, LayoutKind::kApax, 120)) {
+    Buffer compressed;
+    LzCompress(Slice(payload), &compressed);
+    streams.push_back(compressed.slice().ToString());
   }
-  RemoveFileIfExists(path);
   return streams;
 }
 

@@ -1,11 +1,13 @@
-// libFuzzer entry point for the LZ page decoder. On any input LzDecompress
-// must either return OK having appended exactly the declared length, or
-// return Corruption having left its output untouched; a decoded payload
-// must also survive an encode/decode round trip. The resumable decoder
-// (LzDecoder), asked for a few more bytes at a time, must expose only
-// bytes of the whole decode, reach the end exactly when LzDecompress
-// succeeds, and once it fails return Corruption on every call with nothing
-// exposed. Any other outcome aborts.
+// libFuzzer entry point for the LZ page codec. Every input, taken as raw
+// bytes, must compress within LzMaxCompressedSize and decompress back to
+// itself, whatever the match finder's probe step does on it. Taken as a
+// stream, LzDecompress must either return OK having appended exactly the
+// declared length, or return Corruption having left its output untouched;
+// a decoded payload must also survive an encode/decode round trip. The
+// resumable decoder (LzDecoder), asked for a few more bytes at a time,
+// must expose only bytes of the whole decode, reach the end exactly when
+// LzDecompress succeeds, and once it fails return Corruption on every call
+// with nothing exposed. Any other outcome aborts.
 //
 // tests/CMakeLists.txt builds this target only when the compiler accepts
 // -fsanitize=fuzzer (clang). Run it over a seed corpus of compressed pages:
@@ -27,6 +29,16 @@ constexpr size_t kPrefixSize = sizeof(kPrefix) - 1;
 
 void Check(bool condition) {
   if (!condition) std::abort();
+}
+
+/// Compresses `raw` and checks the bound and the round trip.
+void CheckRoundTrip(lsmcol::Slice raw) {
+  lsmcol::Buffer compressed;
+  lsmcol::LzCompress(raw, &compressed);
+  Check(compressed.size() <= lsmcol::LzMaxCompressedSize(raw.size()));
+  lsmcol::Buffer again;
+  Check(lsmcol::LzDecompress(compressed.slice(), &again).ok());
+  Check(again.slice() == raw);
 }
 
 /// Decodes `input` with LzDecoder, asking for `step` more bytes per call.
@@ -63,6 +75,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using lsmcol::Buffer;
   using lsmcol::Slice;
   const Slice input(data, size);
+  CheckRoundTrip(input);
   Buffer out;
   out.Append(kPrefix, kPrefixSize);
   const lsmcol::Status status = lsmcol::LzDecompress(input, &out);
@@ -82,11 +95,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   const Slice decoded = out.slice().SubSlice(kPrefixSize, declared);
   Check(DecodeInSteps(input, step, &decoded));
-  Buffer compressed;
-  lsmcol::LzCompress(decoded, &compressed);
-  Check(compressed.size() <= lsmcol::LzMaxCompressedSize(decoded.size()));
-  Buffer again;
-  Check(lsmcol::LzDecompress(compressed.slice(), &again).ok());
-  Check(again.slice() == decoded);
+  CheckRoundTrip(decoded);
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -235,6 +236,178 @@ TEST(PrinterTest, PrettyPrintIsReparseable) {
   auto v2 = ParseJson(pretty);
   ASSERT_TRUE(v2.ok()) << pretty;
   EXPECT_TRUE(v->Equals(*v2));
+}
+
+TEST(ParserTest, DuplicateKeysKeepFirstPositionAndLastValue) {
+  auto r = ParseJson(R"({"a":1,"b":[2],"a":{"c":[3,"x"]},"d":4,"b":null})");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Value expected = Value::MakeObject();
+  expected.Set("a", Value::Int(1));
+  expected.Set("b", Value::Int(2));
+  expected.Set("a", *ParseJson(R"({"c":[3,"x"]})"));
+  expected.Set("d", Value::Int(4));
+  expected.Set("b", Value::Null());
+  EXPECT_TRUE(r->Equals(expected)) << ToJson(*r);
+  EXPECT_EQ(ToJson(*r), R"({"a":{"c":[3,"x"]},"b":null,"d":4})");
+}
+
+// ------------------------------------------------------------ strings
+// The parser copies each run of a string up to the next quote or
+// backslash in one append. These strings put escapes, \u escapes,
+// surrogate pairs and raw UTF-8 at the start and end of runs of every
+// length from zero up.
+
+void AppendUtf8(uint32_t code, std::string* out) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
+std::string HexEscape(Rng* rng, uint32_t unit) {
+  char buf[7];
+  std::snprintf(buf, sizeof(buf), rng->Bernoulli(0.5) ? "\\u%04x" : "\\u%04X",
+                unit);
+  return buf;
+}
+
+/// A generated string: its JSON spelling, quotes included, and the bytes
+/// it decodes to.
+struct GeneratedString {
+  std::string json;
+  std::string bytes;
+};
+
+GeneratedString GenerateString(Rng* rng) {
+  static const char* const kEscapes[][2] = {
+      {"\\\"", "\""}, {"\\\\", "\\"}, {"\\/", "/"},  {"\\b", "\b"},
+      {"\\f", "\f"},  {"\\n", "\n"},  {"\\r", "\r"}, {"\\t", "\t"}};
+  GeneratedString s{"\"", ""};
+  const int pieces = static_cast<int>(rng->Uniform(8));
+  for (int p = 0; p < pieces; ++p) {
+    switch (rng->Uniform(5)) {
+      case 0: {  // a plain run, up to 40 printable ASCII bytes
+        const size_t n = rng->Uniform(41);
+        for (size_t k = 0; k < n; ++k) {
+          char c = static_cast<char>('!' + rng->Uniform(94));
+          if (c == '"' || c == '\\') c = 'q';
+          s.json.push_back(c);
+          s.bytes.push_back(c);
+        }
+        break;
+      }
+      case 1: {  // a two-character escape
+        const auto& e = kEscapes[rng->Uniform(8)];
+        s.json += e[0];
+        s.bytes += e[1];
+        break;
+      }
+      case 2: {  // \u of a code point below U+10000, surrogates excluded
+        uint32_t code = 1 + static_cast<uint32_t>(rng->Uniform(0xFFFF));
+        if (code >= 0xD800 && code <= 0xDFFF) code -= 0x800;
+        s.json += HexEscape(rng, code);
+        AppendUtf8(code, &s.bytes);
+        break;
+      }
+      case 3: {  // a surrogate pair
+        const uint32_t code =
+            0x10000 + static_cast<uint32_t>(rng->Uniform(0x100000));
+        s.json += HexEscape(rng, 0xD800 + ((code - 0x10000) >> 10));
+        s.json += HexEscape(rng, 0xDC00 + ((code - 0x10000) & 0x3FF));
+        AppendUtf8(code, &s.bytes);
+        break;
+      }
+      default: {  // raw UTF-8
+        const uint32_t code =
+            rng->Bernoulli(0.5)
+                ? 0x80 + static_cast<uint32_t>(rng->Uniform(0xD800 - 0x80))
+                : 0x10000 + static_cast<uint32_t>(rng->Uniform(0x100000));
+        std::string utf8;
+        AppendUtf8(code, &utf8);
+        s.json += utf8;
+        s.bytes += utf8;
+        break;
+      }
+    }
+  }
+  s.json.push_back('"');
+  return s;
+}
+
+TEST(ParserStringTest, GeneratedStringsDecodeAndRoundTrip) {
+  Rng rng(61);
+  for (int round = 0; round < 2000; ++round) {
+    // {"<key>":<string>,"<key>":[<string>,...],...}; keys come from a
+    // small pool too, so some repeat.
+    std::string text = "{";
+    Value expected = Value::MakeObject();
+    const int members = static_cast<int>(rng.Uniform(6));
+    for (int m = 0; m < members; ++m) {
+      GeneratedString key = rng.Bernoulli(0.3)
+                                ? GeneratedString{"\"k\"", "k"}
+                                : GenerateString(&rng);
+      if (m > 0) text += ",";
+      text += key.json + ":";
+      if (rng.Bernoulli(0.5)) {
+        const GeneratedString value = GenerateString(&rng);
+        text += value.json;
+        expected.Set(key.bytes, Value::String(value.bytes));
+      } else {
+        Value elements = Value::MakeArray();
+        text += "[";
+        const int n = static_cast<int>(rng.Uniform(4));
+        for (int e = 0; e < n; ++e) {
+          const GeneratedString value = GenerateString(&rng);
+          text += (e > 0 ? "," : "") + value.json;
+          elements.Push(Value::String(value.bytes));
+        }
+        text += "]";
+        expected.Set(key.bytes, std::move(elements));
+      }
+    }
+    text += "}";
+    auto parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    ASSERT_TRUE(parsed->Equals(expected)) << text;
+    auto again = ParseJson(ToJson(expected));
+    ASSERT_TRUE(again.ok()) << ToJson(expected);
+    ASSERT_TRUE(again->Equals(expected)) << ToJson(expected);
+  }
+}
+
+TEST(ParserStringTest, BadStringsAfterALongRunAreRejected) {
+  const std::string run(10000, 'a');
+  struct Case {
+    std::string text;
+    const char* error;
+  } cases[] = {
+      {"\"" + run, "offset 10001: unterminated string"},
+      {"\"" + run + "\\\"", "offset 10003: unterminated string"},
+      {"[\"" + run + "\\\"]", "offset 10005: unterminated string"},
+      {"\"" + run + "\\", "offset 10002: bad escape"},
+      {"\"" + run + "\\q" + run + "\"", "offset 10003: unknown escape"},
+      {"\"" + run + "\\u12x4\"", "offset 10006: bad \\u escape digit"},
+      {"\"" + run + "\\u12", "offset 10003: bad \\u escape"},
+      {"\"" + run + "\\ud83d" + run + "\"",
+       "offset 10007: lone high surrogate"},
+  };
+  for (const Case& c : cases) {
+    const auto r = ParseJson(c.text);
+    ASSERT_TRUE(r.status().IsInvalidArgument()) << c.error;
+    EXPECT_NE(r.status().ToString().find(c.error), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 // ------------------------------------------------------------ path walk
