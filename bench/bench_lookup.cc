@@ -36,7 +36,6 @@ namespace {
 
 const CompactionStrategy kStrategies[] = {
     CompactionStrategy::kTiered,
-    CompactionStrategy::kLeveled,
     CompactionStrategy::kLazyLeveling,
 };
 
@@ -85,7 +84,7 @@ bool Run(bool verify, BenchJson* json) {
                    /*page_size=*/32 * 1024, /*cache_bytes=*/64u << 20);
       auto options = BenchOptions(ws, layout, "lookup");
       options.memtable_bytes = 1u << 20;
-      options.compaction.strategy = strategy;
+      options.compaction = strategy;
       auto ds = Dataset::Open(options, ws.cache.get());
       LSMCOL_CHECK(ds.ok());
       Rng rng(42);

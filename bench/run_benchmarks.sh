@@ -13,8 +13,9 @@
 #                     fsync-per-write vs group commit at 1/4/8 writers
 #                     (crash-image replay verified)
 #   BENCH_compaction.json  Ablation A5: compaction policy — tiered vs
-#                     leveled vs lazy-leveling write/space amplification
-#                     and read cost (cross-policy contents verified)
+#                     lazy-leveling write/space amplification and read
+#                     cost (cross-policy contents and every timed lookup
+#                     verified)
 #   BENCH_lookup.json warm point lookups on tweet_2 by layout, compaction
 #                     policy and hit/miss mix (each result verified
 #                     against a merged scan sought to the key)

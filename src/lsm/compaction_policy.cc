@@ -1,23 +1,19 @@
 #include "src/lsm/compaction_policy.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace lsmcol {
 namespace {
 
-/// The historical size-tiered rule, extracted verbatim from
-/// Dataset::PickMergeCountLocked so the default policy is bit-for-bit
-/// plan-compatible with every dataset built before policies existed:
-/// merge the newest prefix [0, i] whose accumulated size reaches
-/// size_ratio times component i, else force the two newest once the
-/// stack exceeds max_components. Any quarantined component suspends
-/// merging entirely (the historical behavior: quarantine is rare and
-/// an operator decision point, so the policy goes quiet rather than
-/// merging around damage).
-CompactionPlan TieredPick(const std::vector<CompactionComponentView>& views,
-                          size_t n, double size_ratio, int max_components) {
-  if (n < 2) return {};
+/// Lazy-leveling absorbs the young components into the oldest run once
+/// they reach 1/kLazyLevelingFanout of its size.
+constexpr uint64_t kLazyLevelingFanout = 4;
+
+/// The size-tiered rule over the newest `n` views: merge the newest
+/// prefix [0, i] whose accumulated size reaches size_ratio times
+/// component i, else force the two newest once the stack exceeds
+/// max_components.
+size_t TieredCount(const std::vector<CompactionComponentView>& views,
+                   size_t n, double size_ratio, int max_components) {
+  if (n < 2) return 0;
   size_t merge_count = 0;
   uint64_t younger_total = 0;
   for (size_t i = 0; i + 1 <= n; ++i) {
@@ -30,209 +26,69 @@ CompactionPlan TieredPick(const std::vector<CompactionComponentView>& views,
   if (merge_count < 2 && n > static_cast<size_t>(max_components)) {
     merge_count = 2;
   }
-  if (merge_count < 2) return {};
-  return {0, merge_count};
+  return merge_count < 2 ? 0 : merge_count;
 }
 
-class TieredPolicy : public CompactionPolicy {
- public:
-  TieredPolicy(double size_ratio, int max_components)
-      : size_ratio_(size_ratio), max_components_(max_components) {}
+/// Tiered: any quarantined component suspends merging entirely
+/// (quarantine is rare and an operator decision point, so the policy
+/// goes quiet rather than merging around damage).
+size_t TieredPick(const DatasetOptions& options,
+                  const std::vector<CompactionComponentView>& views) {
+  for (const auto& view : views) {
+    if (view.quarantined) return 0;
+  }
+  return TieredCount(views, views.size(), options.size_ratio,
+                     options.max_components);
+}
 
-  const char* name() const override { return "tiered"; }
-
-  CompactionPlan PickMerge(
-      const std::vector<CompactionComponentView>& views) const override {
-    for (const auto& view : views) {
-      if (view.quarantined) return {};
+/// Lazy-leveling (Dostoevsky): tiering everywhere except the last level.
+/// The oldest component is kept as a single large run; the younger part
+/// of the stack runs the tiered rule among themselves, and the big run
+/// absorbs them only when their combined size reaches 1/fanout of its
+/// own — so the expensive full rewrite happens once per fanout-fold of
+/// growth instead of per size_ratio trigger.
+size_t LazyLevelingPick(const DatasetOptions& options,
+                        const std::vector<CompactionComponentView>& views) {
+  // Only the healthy newest prefix is compactable: quarantined components
+  // and everything older stay fenced off, but fresh flushes in front of
+  // them must still merge or ingest would wedge behind one damaged
+  // component.
+  size_t n = 0;
+  while (n < views.size() && !views[n].quarantined) ++n;
+  if (n < 2) return 0;
+  if (n == views.size()) {
+    // The prefix reaches the oldest component — the "last level" run.
+    uint64_t young_bytes = 0;
+    for (size_t i = 0; i + 1 < n; ++i) young_bytes += views[i].size_bytes;
+    if (young_bytes * kLazyLevelingFanout >= views[n - 1].size_bytes) {
+      // Absorb: one full merge leaves a single last-level run again.
+      return n;
     }
-    return TieredPick(views, views.size(), size_ratio_, max_components_);
+    // Otherwise tier among the young components only.
+    --n;
   }
-
-  /// The historical hardcoded bound: the policy keeps at most
-  /// max_components in steady state, so twice that absorbs a merge
-  /// backlog before writers stall.
-  size_t stall_component_limit() const override {
-    return static_cast<size_t>(max_components_) * 2;
-  }
-
- private:
-  const double size_ratio_;
-  const int max_components_;
-};
-
-/// Leveled: components are classed into size levels — level 0 holds
-/// fresh flushes (size <= base), level l holds sizes in
-/// (base*fanout^(l-1), base*fanout^l] — and the invariant is at most
-/// one run per level >= 1. Flushes accumulate in level 0; once
-/// level0_components of them pile up they merge together with, via the
-/// cascade below, every older component the growing output catches up
-/// to. Partial (mid-stack) merges use the same newest-first adjacency:
-/// a plan is always a contiguous range, executed by MergeRangeLocked.
-class LeveledPolicy : public CompactionPolicy {
- public:
-  LeveledPolicy(uint64_t base_bytes, int fanout, int level0_components)
-      : base_bytes_(std::max<uint64_t>(1, base_bytes)),
-        fanout_(fanout),
-        level0_components_(static_cast<size_t>(level0_components)) {}
-
-  const char* name() const override { return "leveled"; }
-
-  CompactionPlan PickMerge(
-      const std::vector<CompactionComponentView>& views) const override {
-    // Operate only on the healthy (not-quarantined) newest prefix:
-    // quarantined components and everything older stay fenced off, but
-    // fresh flushes in front of them must still be compactable or
-    // ingest would wedge behind a single damaged component.
-    size_t n = 0;
-    while (n < views.size() && !views[n].quarantined) ++n;
-    if (n < 2) return {};
-
-    // Count the leading level-0 run (fresh flushes).
-    size_t k0 = 0;
-    while (k0 < n && LevelOf(views[k0].size_bytes) == 0) ++k0;
-
-    CompactionPlan plan;
-    uint64_t out_bytes = 0;
-    if (k0 >= level0_components_) {
-      // Level-0 trigger: merge the whole flush backlog at once.
-      plan = {0, k0};
-    } else {
-      // Steady-state invariant repair: two runs sharing a level >= 1
-      // (the previous cascade's output landed in an occupied level).
-      // Scanning starts at k0 so a still-accumulating level-0 backlog
-      // is never nibbled two-at-a-time.
-      size_t pair = n;
-      for (size_t i = k0; i + 1 < n; ++i) {
-        if (LevelOf(views[i].size_bytes) ==
-            LevelOf(views[i + 1].size_bytes)) {
-          pair = i;
-          break;
-        }
-      }
-      if (pair == n) return {};
-      plan = {pair, 2};
-    }
-    for (size_t i = plan.begin; i < plan.end(); ++i) {
-      out_bytes += views[i].size_bytes;
-    }
-    // Cascade: while the next-older component sits in a level the
-    // accumulated output has already reached, fold it in too. This is
-    // what keeps levels single-run: the output never lands beside an
-    // equal-or-smaller resident, it absorbs them on the way down.
-    while (plan.end() < n &&
-           LevelOf(views[plan.end()].size_bytes) <= LevelOf(out_bytes)) {
-      out_bytes += views[plan.end()].size_bytes;
-      ++plan.count;
-    }
-    return plan;
-  }
-
-  /// Steady state holds level0_components-1 fresh flushes plus one run
-  /// in each of the O(log_fanout(data/base)) deeper levels; twice the
-  /// level-0 trigger plus generous level headroom bounds the stack
-  /// without ever stalling a healthy workload.
-  size_t stall_component_limit() const override {
-    return level0_components_ * 2 + 16;
-  }
-
-  /// Size class of a component: 0 for anything at most one memtable's
-  /// worth, else the smallest l with size <= base * fanout^l.
-  size_t LevelOf(uint64_t size_bytes) const {
-    uint64_t cap = base_bytes_;
-    size_t level = 0;
-    while (size_bytes > cap) {
-      ++level;
-      // fanout <= 64 < 2^7, so this guard fires before cap*fanout can
-      // wrap; everything larger shares one bottom level.
-      if (cap > (std::numeric_limits<uint64_t>::max() >> 7)) break;
-      cap *= static_cast<uint64_t>(fanout_);
-    }
-    return level;
-  }
-
- private:
-  const uint64_t base_bytes_;
-  const int fanout_;
-  const size_t level0_components_;
-};
-
-/// Lazy-leveling (Dostoevsky): tiering everywhere except the last
-/// level. The oldest component is kept as a single large run; the
-/// younger part of the stack runs the exact tiered rule among
-/// themselves, and the big run absorbs them only when their combined
-/// size reaches 1/fanout of its own — so the expensive full rewrite
-/// happens once per fanout-fold of growth instead of per size_ratio
-/// trigger.
-class LazyLevelingPolicy : public CompactionPolicy {
- public:
-  LazyLevelingPolicy(double size_ratio, int max_components, int fanout)
-      : size_ratio_(size_ratio),
-        max_components_(max_components),
-        fanout_(fanout) {}
-
-  const char* name() const override { return "lazy-leveling"; }
-
-  CompactionPlan PickMerge(
-      const std::vector<CompactionComponentView>& views) const override {
-    // Healthy newest prefix, as in LeveledPolicy.
-    size_t n = 0;
-    while (n < views.size() && !views[n].quarantined) ++n;
-    if (n < 2) return {};
-
-    if (n == views.size()) {
-      // The prefix reaches the oldest component — the "last level" run.
-      uint64_t young_bytes = 0;
-      for (size_t i = 0; i + 1 < n; ++i) young_bytes += views[i].size_bytes;
-      const uint64_t oldest = views[n - 1].size_bytes;
-      if (young_bytes * static_cast<uint64_t>(fanout_) >= oldest) {
-        // Absorb: one full merge leaves a single max-level run again.
-        return {0, n};
-      }
-      // Otherwise tier among the young components only.
-      return TieredPick(views, n - 1, size_ratio_, max_components_);
-    }
-    // A quarantined component hides the oldest run; everything healthy
-    // counts as "young" and tiers among itself.
-    return TieredPick(views, n, size_ratio_, max_components_);
-  }
-
-  /// Like tiered (the young part obeys the same max_components), plus
-  /// the one resident last-level run and one slot of slack for a merge
-  /// output in flight.
-  size_t stall_component_limit() const override {
-    return static_cast<size_t>(max_components_) * 2 + 2;
-  }
-
- private:
-  const double size_ratio_;
-  const int max_components_;
-  const int fanout_;
-};
+  // (A quarantined component hides the oldest run: everything healthy
+  // counts as young and tiers among itself.)
+  return TieredCount(views, n, options.size_ratio, options.max_components);
+}
 
 }  // namespace
 
-std::unique_ptr<CompactionPolicy> MakeCompactionPolicy(
-    const DatasetOptions& options) {
-  const CompactionOptions& c = options.compaction;
-  switch (c.strategy) {
-    case CompactionStrategy::kLeveled: {
-      // A flushed component never exceeds the memtable that produced
-      // it, so memtable_bytes is the natural level-0 size class.
-      const uint64_t base = c.level_base_bytes != 0
-                                ? c.level_base_bytes
-                                : static_cast<uint64_t>(options.memtable_bytes);
-      return std::make_unique<LeveledPolicy>(base, c.level_fanout,
-                                             c.level0_components);
-    }
-    case CompactionStrategy::kLazyLeveling:
-      return std::make_unique<LazyLevelingPolicy>(
-          options.size_ratio, options.max_components, c.level_fanout);
-    case CompactionStrategy::kTiered:
-      break;
-  }
-  return std::make_unique<TieredPolicy>(options.size_ratio,
-                                        options.max_components);
+size_t PickMergeCount(const DatasetOptions& options,
+                      const std::vector<CompactionComponentView>& components) {
+  return options.compaction == CompactionStrategy::kLazyLeveling
+             ? LazyLevelingPick(options, components)
+             : TieredPick(options, components);
+}
+
+size_t StallComponentLimit(const DatasetOptions& options) {
+  // Tiered keeps at most max_components in steady state, so twice that
+  // absorbs a merge backlog before writers stall. Lazy-leveling's young
+  // part obeys the same max_components, plus the one resident last-level
+  // run and one slot of slack for a merge output in flight.
+  const size_t tiered = static_cast<size_t>(options.max_components) * 2;
+  return options.compaction == CompactionStrategy::kLazyLeveling ? tiered + 2
+                                                                 : tiered;
 }
 
 }  // namespace lsmcol

@@ -1,29 +1,23 @@
-// Pluggable merge selection ("compaction policy") for the primary LSM
-// index. The policy answers two questions the dataset used to hardcode:
+// Merge selection ("compaction policy") for the primary LSM index. The
+// policy answers two questions:
 //
-//   1. Given the current stack of disk components, which contiguous
-//      range (if any) should the next merge rewrite?  (PickMerge)
+//   1. Given the current stack of disk components, how many of the
+//      newest should the next merge rewrite?  (PickMergeCount)
 //   2. How many disk components may pile up before writers stall to let
-//      merges catch up?  (stall_component_limit)
+//      merges catch up?  (StallComponentLimit)
 //
-// Policies are pure functions over a snapshot of component descriptors
-// (CompactionComponentView): no I/O, no clock, no internal state. That
+// Both are pure functions of the options and a snapshot of component
+// descriptors (CompactionComponentView): no I/O, no clock, no state. That
 // makes plan selection deterministic and directly unit-testable with
-// injected descriptors (tests/compaction_test.cc), and means a policy
-// object is trivially thread-safe — the dataset calls it under its own
-// mutex but nothing here depends on that.
-//
-// Three policies span the tiering<->leveling design space mapped by the
-// LSM survey and "How to Grow an LSM-tree" (arXiv:2504.17178); see the
-// CompactionStrategy enum in options.h for the one-paragraph contrast
-// and docs/ARCHITECTURE.md for the invariants each one maintains.
+// injected descriptors (tests/compaction_test.cc). The two policies are
+// described at CompactionStrategy in options.h and in
+// docs/ARCHITECTURE.md.
 
 #ifndef LSMCOL_LSM_COMPACTION_POLICY_H_
 #define LSMCOL_LSM_COMPACTION_POLICY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/lsm/options.h"
@@ -34,66 +28,26 @@ namespace lsmcol {
 /// newest-first, matching Dataset's component stack: index 0 is the most
 /// recent flush/merge output, the last index is the oldest data.
 struct CompactionComponentView {
-  /// Monotonic id from the manifest; newer components have larger ids.
-  /// Informational (policies key off position, which encodes recency).
-  uint64_t component_id = 0;
   /// On-disk file size — the currency of amplification accounting.
   uint64_t size_bytes = 0;
-  /// Records in the component (anti-matter entries included).
-  uint64_t entry_count = 0;
-  /// Primary-key range [min_key, max_key], valid when has_key_range.
-  /// Empty components (pure-delete flushes can produce them) have none.
-  int64_t min_key = 0;
-  int64_t max_key = 0;
-  bool has_key_range = false;
-  /// Damaged component fenced off by the checksum/corruption path (PR 8).
-  /// No policy may select a quarantined component: merging one would
-  /// read damaged pages.
+  /// Damaged component fenced off by the checksum/corruption path. No
+  /// policy may select a quarantined component: merging one would read
+  /// damaged pages.
   bool quarantined = false;
 };
 
-/// A policy's answer: merge `count` adjacent components starting at
-/// position `begin` (newest-first indexing, so begin == 0 means the
-/// newest `count` components). count < 2 means "no merge now" —
-/// rewriting a single component is never useful.
-struct CompactionPlan {
-  size_t begin = 0;
-  size_t count = 0;
+/// Select the next merge from a newest-first component snapshot: merge
+/// the newest `count` components, or none when the result is 0 (merging
+/// a single component is never useful, so a merge count is 0 or >= 2).
+/// Never selects a quarantined component.
+size_t PickMergeCount(const DatasetOptions& options,
+                      const std::vector<CompactionComponentView>& components);
 
-  bool none() const { return count < 2; }
-  /// One past the last selected index.
-  size_t end() const { return begin + count; }
-};
-
-class CompactionPolicy {
- public:
-  virtual ~CompactionPolicy() = default;
-
-  /// Stable printable name ("tiered" | "leveled" | "lazy-leveling").
-  virtual const char* name() const = 0;
-
-  /// Select the next merge from a newest-first component snapshot.
-  /// Must be deterministic in `components` alone, must never select a
-  /// quarantined component, and must return a range within bounds
-  /// (plan.end() <= components.size()).
-  virtual CompactionPlan PickMerge(
-      const std::vector<CompactionComponentView>& components) const = 0;
-
-  /// Writer back-pressure bound: once this many disk components exist,
-  /// writers block in WaitForWriteRoomLocked until merges shrink the
-  /// stack (previously hardcoded as 2 * max_components). Policies with
-  /// more components in steady state (tiered) need a larger bound than
-  /// ones that merge eagerly (leveled); each policy documents its
-  /// derivation. Must exceed the policy's steady-state component count
-  /// or writers would stall permanently.
-  virtual size_t stall_component_limit() const = 0;
-};
-
-/// Policy factory keyed on options.compaction.strategy. The returned
-/// policy captures the knobs it needs by value (options may die after
-/// the call). Never returns nullptr for validated options.
-std::unique_ptr<CompactionPolicy> MakeCompactionPolicy(
-    const DatasetOptions& options);
+/// Writer back-pressure bound: once this many disk components exist,
+/// writers block in WaitForWriteRoomLocked until merges shrink the
+/// stack. Exceeds the policy's steady-state component count, or writers
+/// would stall permanently.
+size_t StallComponentLimit(const DatasetOptions& options);
 
 }  // namespace lsmcol
 

@@ -20,7 +20,6 @@ Dataset::Dataset(const DatasetOptions& options, BufferCache* cache)
                            : nullptr),
       scheduler_(options.scheduler != nullptr ? options.scheduler
                                               : owned_scheduler_.get()),
-      compaction_policy_(MakeCompactionPolicy(options)),
       mu_(MutexRank::kDataset),
       manifest_path_(ManifestPath(options.dir, options.name)),
       fault_counters_(std::make_shared<ComponentFaultCounters>()) {
@@ -388,7 +387,7 @@ void Dataset::ScheduleFlushLocked() {
 void Dataset::ScheduleMergeLocked() {
   if (!options_.auto_merge || shutting_down_) return;
   if (merge_queued_ || merge_active_) return;
-  if (PickMergePlanLocked().none()) return;
+  if (PickMergeCountLocked() == 0) return;
   merge_queued_ = true;
   scheduler_->Schedule(this, [this] { BackgroundMergeTask(); });
 }
@@ -427,7 +426,7 @@ void Dataset::WaitForWriteRoomLocked() {
   // derives a limit above its steady-state stack depth) so writers
   // outrunning the merger slow to its pace instead of growing the stack
   // unboundedly.
-  const size_t component_stall = compaction_policy_->stall_component_limit();
+  const size_t component_stall = StallComponentLimit(options_);
   if (HasWriteRoomLocked(component_stall)) return;
   ++stats_.write_stalls;
   while (!HasWriteRoomLocked(component_stall)) {
@@ -737,37 +736,25 @@ Status Dataset::WaitForBackgroundWork() {
 
 // ------------------------------------------------------------------ merge
 
-CompactionPlan Dataset::PickMergePlanLocked() const {
+size_t Dataset::PickMergeCountLocked() const {
   // Snapshot the stack into plain descriptors: policies are pure
   // functions over these (no I/O, no dataset access), which is what
-  // makes plan selection unit-testable with injected views. The plan is
+  // makes plan selection unit-testable with injected views. The count is
   // consumed immediately under the same critical section, so it can
   // never go stale against a concurrent flush.
   std::vector<CompactionComponentView> views;
   views.reserve(components_.size());
   for (const auto& component : components_) {
-    CompactionComponentView view;
-    view.component_id = component->meta().component_id;
-    view.size_bytes = component->size_bytes();
-    view.entry_count = component->meta().entry_count;
-    const auto& leaves = component->reader().leaves();
-    if (!leaves.empty()) {
-      view.min_key = leaves.front().min_key;
-      view.max_key = leaves.back().max_key;
-      view.has_key_range = true;
-    }
-    view.quarantined = component->quarantined();
-    views.push_back(view);
+    views.push_back({component->size_bytes(), component->quarantined()});
   }
-  CompactionPlan plan = compaction_policy_->PickMerge(views);
-  if (plan.none()) return {};
+  const size_t count = PickMergeCount(options_, views);
   // Fence the policy contract: a malformed plan (out of bounds, or
   // selecting a quarantined component) is ignored rather than executed.
-  if (plan.end() > components_.size()) return {};
-  for (size_t i = plan.begin; i < plan.end(); ++i) {
-    if (components_[i]->quarantined()) return {};
+  if (count < 2 || count > components_.size()) return 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (components_[i]->quarantined()) return 0;
   }
-  return plan;
+  return count;
 }
 
 Status Dataset::MaybeMerge() {
@@ -782,9 +769,9 @@ Status Dataset::MaybeMerge() {
 
 Status Dataset::MergeUntilSatisfiedLocked(bool background) {
   while (!background || (!shutting_down_ && background_error_.ok())) {
-    const CompactionPlan plan = PickMergePlanLocked();
-    if (plan.none()) break;
-    LSMCOL_RETURN_NOT_OK(MergeRangeLocked(plan.begin, plan.count));
+    const size_t count = PickMergeCountLocked();
+    if (count == 0) break;
+    LSMCOL_RETURN_NOT_OK(MergeNewestLocked(count));
   }
   return Status::OK();
 }
@@ -802,24 +789,23 @@ Status Dataset::MergeAll() {
   while (merge_active_) work_cv_.Wait(&mu_);
   if (components_.size() < 2) return Status::OK();
   merge_active_ = true;
-  Status st = MergeRangeLocked(0, components_.size());
+  Status st = MergeNewestLocked(components_.size());
   merge_active_ = false;
   work_cv_.NotifyAll();
   return st;
 }
 
-Status Dataset::MergeRangeLocked(size_t begin, size_t count) {
+Status Dataset::MergeNewestLocked(size_t count) {
   LSMCOL_CHECK(merge_active_);
-  LSMCOL_CHECK(count >= 2 && begin + count <= components_.size());
+  LSMCOL_CHECK(count >= 2 && count <= components_.size());
   // Capture the inputs by reference: a concurrent background flush only
   // *prepends* components, so these stay live, contiguous, and in order
   // while the merge builds — they are re-located at publish time.
   std::vector<std::shared_ptr<Component>> inputs(
-      components_.begin() + static_cast<long>(begin),
-      components_.begin() + static_cast<long>(begin + count));
+      components_.begin(), components_.begin() + static_cast<long>(count));
   // Anti-matter may annihilate only when no older component could still
-  // hold a record it deletes — i.e. when the range reaches the oldest.
-  const bool includes_oldest = begin + count == components_.size();
+  // hold a record it deletes — i.e. when the merge takes the whole stack.
+  const bool includes_oldest = count == components_.size();
   const uint64_t id = next_component_id_++;
   uint64_t bytes_in = 0;
   for (const auto& component : inputs) bytes_in += component->size_bytes();
@@ -863,7 +849,7 @@ Status Dataset::MergeRangeLocked(size_t begin, size_t count) {
   // build returned above without touching any byte counter).
   stats_.merged_bytes_in += bytes_in;
   stats_.merge_bytes_out += (*built)->size_bytes();
-  if (includes_oldest && begin == 0) {
+  if (includes_oldest) {
     // A true full merge: its output is exactly the live data, the
     // baseline space_amplification() measures against.
     stats_.last_full_merge_bytes = (*built)->size_bytes();

@@ -60,7 +60,7 @@
 //   * Writers stall (back-pressure) when immutable memtables or the
 //     component count pile up faster than the background work drains
 //     them (max_immutable_memtables; the compaction policy's
-//     stall_component_limit). In the caller-runs form a stalled writer
+//     StallComponentLimit). In the caller-runs form a stalled writer
 //     runs the queued tasks itself instead of sleeping.
 //
 // Reads execute against a Snapshot (src/lsm/snapshot.h): an immutable,
@@ -123,8 +123,8 @@ struct DatasetStats {
 
   /// Cumulative write amplification: total component bytes written per
   /// byte a flush first persisted. 1.0 means data was written exactly
-  /// once (no merges yet); tiered stays low, leveled pays more for a
-  /// shallower read path. 0 before the first flush.
+  /// once (no merges yet); each compaction policy trades it against the
+  /// number of components reads visit. 0 before the first flush.
   double write_amplification() const {
     if (flush_bytes_out == 0) return 0.0;
     return static_cast<double>(flush_bytes_out + merge_bytes_out) /
@@ -393,15 +393,14 @@ class Dataset {
       uint64_t id, const Schema* schema,
       const std::function<Result<uint64_t>(ComponentWriter*)>& fill);
   /// One round of the compaction policy: snapshot the component stack
-  /// into CompactionComponentViews and ask compaction_policy_ for the
-  /// next merge range (plan.none() = policy satisfied). The caller must
-  /// hold the merge role before acting on the answer.
-  CompactionPlan PickMergePlanLocked() const LSMCOL_REQUIRES(mu_);
-  /// Merge the `count` adjacent components starting at newest-first
-  /// position `begin` into one and republish in place (mu_ dropped
-  /// around the build). Anti-matter annihilates only when the range
-  /// reaches the oldest component.
-  Status MergeRangeLocked(size_t begin, size_t count) LSMCOL_REQUIRES(mu_);
+  /// into CompactionComponentViews and ask PickMergeCount how many of the
+  /// newest components to merge next (0 = policy satisfied). The caller
+  /// must hold the merge role before acting on the answer.
+  size_t PickMergeCountLocked() const LSMCOL_REQUIRES(mu_);
+  /// Merge the newest `count` components into one and republish in place
+  /// (mu_ dropped around the build). Anti-matter annihilates only when
+  /// the merge takes the whole stack.
+  Status MergeNewestLocked(size_t count) LSMCOL_REQUIRES(mu_);
   /// Merge the ranges the policy picks until it is satisfied; the caller
   /// holds the merge role. `background` also stops at shutdown or once a
   /// background error is pending. Returns the first merge failure.
@@ -468,12 +467,6 @@ class Dataset {
   /// Runs every flush and merge task: options_.scheduler or the owned
   /// one. Never null.
   FlushMergeScheduler* scheduler_;
-  /// Merge selection + writer-stall bound (see compaction_policy.h).
-  /// Set once in the constructor, immutable and internally stateless
-  /// afterwards, so it is callable without mu_ (PickMergePlanLocked
-  /// holds mu_ only for the component snapshot it passes in).
-  std::unique_ptr<CompactionPolicy> compaction_policy_;
-
   /// Guards every LSMCOL_GUARDED_BY(mu_) field below; see the threading
   /// model above. ACQUIRED_BEFORE declares the one cross-subsystem order
   /// edge statically: the write path appends to the WAL (whose mutex is

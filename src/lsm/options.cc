@@ -14,39 +14,10 @@ const char* CompactionStrategyName(CompactionStrategy strategy) {
   switch (strategy) {
     case CompactionStrategy::kTiered:
       return "tiered";
-    case CompactionStrategy::kLeveled:
-      return "leveled";
     case CompactionStrategy::kLazyLeveling:
       return "lazy-leveling";
   }
   return "unknown";
-}
-
-Status ValidateCompactionOptions(const CompactionOptions& options,
-                                 const std::string& field_prefix) {
-  const auto bad = [&field_prefix](const char* field, const std::string& why) {
-    return Status::InvalidArgument(field_prefix + field + " " + why);
-  };
-  switch (options.strategy) {
-    case CompactionStrategy::kTiered:
-    case CompactionStrategy::kLeveled:
-    case CompactionStrategy::kLazyLeveling:
-      break;
-    default:
-      return bad("strategy",
-                 "must be kTiered, kLeveled, or kLazyLeveling, got " +
-                     std::to_string(static_cast<int>(options.strategy)));
-  }
-  if (options.level_fanout < 2 || options.level_fanout > 64) {
-    return bad("level_fanout", "must be in [2, 64], got " +
-                                   std::to_string(options.level_fanout));
-  }
-  if (options.level0_components < 2) {
-    return bad("level0_components",
-               "must be >= 2, got " +
-                   std::to_string(options.level0_components));
-  }
-  return Status::OK();
 }
 
 Status ValidateDatasetOptions(const DatasetOptions& options) {
@@ -76,8 +47,12 @@ Status ValidateDatasetOptions(const DatasetOptions& options) {
     return Bad("max_components", "must be >= 2, got " +
                                      std::to_string(options.max_components));
   }
-  LSMCOL_RETURN_NOT_OK(ValidateCompactionOptions(options.compaction,
-                                                 "DatasetOptions.compaction."));
+  if (options.compaction != CompactionStrategy::kTiered &&
+      options.compaction != CompactionStrategy::kLazyLeveling) {
+    return Bad("compaction",
+               "must be kTiered or kLazyLeveling, got " +
+                   std::to_string(static_cast<int>(options.compaction)));
+  }
   if (options.max_immutable_memtables < 1) {
     return Bad("max_immutable_memtables", "must be >= 1, got " +
                    std::to_string(options.max_immutable_memtables));

@@ -24,58 +24,25 @@ class FlushMergeScheduler;
 inline constexpr size_t kMinPageSize = 4096;
 
 /// Which compaction (merge-selection) policy a dataset runs — the LSM
-/// design-space axis mapped by the LSM survey and "How to Grow an
-/// LSM-tree" (arXiv:2504.17178). The policy decides *which* contiguous
-/// range of on-disk components each merge rewrites, trading write
-/// amplification against the number of components reads must reconcile:
+/// design-space axis mapped by the LSM survey (arXiv:1812.07527) and "How
+/// to Grow an LSM-tree" (arXiv:2504.17178). Every plan merges the newest
+/// `k` components; the policy picks `k`, trading write amplification
+/// against the number of components reads must reconcile:
 ///
 ///   kTiered        Size-tiered (the paper's §6.3 setup and the default):
 ///                  merge the youngest run whose accumulated size reaches
 ///                  `size_ratio` times the next-older component, else the
-///                  two newest once `max_components` is exceeded. Lowest
-///                  write-amp, most components for reads to visit.
-///   kLeveled       Size-classed levels with at most one run per level:
-///                  flushes accumulate in level 0; once
-///                  `compaction.level0_components` of them pile up they
-///                  merge into the resident of the level the output
-///                  reaches, cascading deeper while the output keeps
-///                  growing into occupied levels. Highest write-amp,
-///                  fewest components (cheapest scans/lookups).
+///                  two newest once `max_components` is exceeded.
 ///   kLazyLeveling  Dostoevsky's hybrid: the youngest part is tiered
 ///                  (same `size_ratio`/`max_components` knobs) while the
 ///                  oldest, largest component is kept as a single run —
-///                  absorbed only when the accumulated younger data
-///                  reaches 1/`level_fanout` of its size. Write-amp near
-///                  tiered, space-amp and point-read cost near leveled.
-enum class CompactionStrategy { kTiered, kLeveled, kLazyLeveling };
+///                  absorbed only when the younger components together
+///                  reach a quarter of its size. Lower write-amp and
+///                  space-amp than tiered at depth (BENCH_compaction.json).
+enum class CompactionStrategy { kTiered, kLazyLeveling };
 
-/// Printable policy name ("tiered", "leveled", "lazy-leveling").
+/// Printable policy name ("tiered", "lazy-leveling").
 const char* CompactionStrategyName(CompactionStrategy strategy);
-
-/// Compaction-policy selection and shaping (see CompactionStrategy; the
-/// tiered knobs `size_ratio`/`max_components` live directly on
-/// DatasetOptions for §6.3 continuity). Validated by
-/// ValidateDatasetOptions/ValidateStoreOptions.
-struct CompactionOptions {
-  CompactionStrategy strategy = CompactionStrategy::kTiered;
-  /// Size ratio between adjacent levels (leveled's level width and
-  /// lazy-leveling's absorb threshold). Must be in [2, 64].
-  int level_fanout = 4;
-  /// Leveled only: how many level-0 runs (fresh flushes) accumulate
-  /// before they merge into the tree. Must be >= 2.
-  int level0_components = 4;
-  /// Leveled only: the level-0 size class boundary in bytes — components
-  /// no larger than this count as fresh flushes. 0 (the default) derives
-  /// it from DatasetOptions::memtable_bytes (a flushed component never
-  /// exceeds the memtable that produced it).
-  uint64_t level_base_bytes = 0;
-};
-
-/// Field-by-field validation shared by ValidateDatasetOptions and
-/// ValidateStoreOptions; `field_prefix` names the offending field's owner
-/// (e.g. "DatasetOptions.compaction.").
-Status ValidateCompactionOptions(const CompactionOptions& options,
-                                 const std::string& field_prefix);
 
 struct DatasetOptions {
   /// Physical record layout of the primary index.
@@ -97,12 +64,10 @@ struct DatasetOptions {
   // Tiering merge policy (§6.3).
   double size_ratio = 1.2;
   int max_components = 5;
-  /// Which compaction policy picks merges (and the writer-stall bound);
-  /// the default reproduces the historical size-tiered behavior exactly.
+  /// Which compaction policy picks merges (and the writer-stall bound).
   /// A runtime knob, not part of the durable identity: a dataset may be
-  /// reopened under any policy. Store::OpenDataset sets it from
-  /// StoreOptions::compaction.
-  CompactionOptions compaction;
+  /// reopened under either policy.
+  CompactionStrategy compaction = CompactionStrategy::kTiered;
   /// Merge automatically after flushes according to the policy. Each
   /// auto-merge is a scheduler task, like the flush that triggered it
   /// (see `scheduler`).

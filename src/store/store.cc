@@ -34,8 +34,6 @@ Status ValidateStoreOptions(const StoreOptions& options) {
                "must be in [0, 256], got " +
                    std::to_string(options.background_threads));
   }
-  LSMCOL_RETURN_NOT_OK(ValidateCompactionOptions(options.compaction,
-                                                 "StoreOptions.compaction."));
   if (options.scrub.enabled) {
     if (options.background_threads < 1) {
       return Bad("scrub.enabled",
@@ -166,7 +164,6 @@ Result<Dataset*> Store::OpenDataset(const std::string& name,
   options.wal = options_.wal;
   options.fs = options_.fs;
   options.io_retry = options_.io_retry;
-  options.compaction = options_.compaction;
   LSMCOL_ASSIGN_OR_RETURN(auto dataset, Dataset::Open(options, &cache_));
   Dataset* raw = dataset.get();
   open_.emplace(name, std::move(dataset));

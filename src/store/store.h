@@ -66,11 +66,6 @@ struct StoreOptions {
   /// Transient-I/O retry policy for every dataset of this store (copied
   /// into DatasetOptions::io_retry by OpenDataset); see that field.
   IoRetryOptions io_retry;
-  /// Compaction policy for every dataset of this store (copied into
-  /// DatasetOptions::compaction by OpenDataset); see CompactionStrategy
-  /// in src/lsm/options.h. The default reproduces the historical
-  /// size-tiered behavior exactly.
-  CompactionOptions compaction;
   /// Background integrity scrubbing (see lsm/scrubber.h). Requires
   /// background_threads >= 1 when enabled — slices run on the shared
   /// scheduler's low-priority lane.
@@ -130,10 +125,11 @@ class Store {
   Status Close() LSMCOL_EXCLUDES(mu_);
 
   /// Create-or-recover the named dataset. `options.dir`, `options.name`,
-  /// `options.page_size`, and `options.wal` are owned by the store and
-  /// overwritten; the
-  /// rest are the caller's runtime knobs (and, for a brand-new dataset,
-  /// its durable identity: layout and pk_field). Returns the same pointer
+  /// `options.page_size`, `options.scheduler`, `options.wal`,
+  /// `options.fs`, and `options.io_retry` are owned by the store and
+  /// overwritten; the rest are the caller's runtime knobs (compaction
+  /// policy included) and, for a brand-new dataset, its durable
+  /// identity: layout and pk_field. Returns the same pointer
   /// on repeated calls — the first open's options win. The pointer stays
   /// owned by the store and valid until the store dies.
   Result<Dataset*> OpenDataset(const std::string& name,

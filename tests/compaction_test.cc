@@ -2,20 +2,22 @@
 //
 //  * deterministic plan-selection simulations — each policy driven
 //    through scripted component stacks (injected descriptors, no I/O),
-//    asserting the exact merge plans chosen, the per-policy structural
-//    invariants (tiered: size-ratio prefix grouping; leveled: at most
-//    one run per level >= 1), and that quarantined components are never
-//    selected;
+//    asserting the exact merge counts chosen, the per-policy structural
+//    invariants (tiered: size-ratio prefix grouping; lazy-leveling: a
+//    tiered young part above one last-level run), and that quarantined
+//    components are never selected;
 //  * randomized cross-policy equivalence x4 layouts: one seeded
-//    ingest/update/delete schedule under tiered, leveled, and
-//    lazy-leveling must produce identical Scan and Lookup results,
-//    including across close/reopen;
+//    ingest/update/delete schedule under tiered and lazy-leveling must
+//    produce identical Scan and Lookup results, including across
+//    close/reopen under the other policy;
+//  * lazy-leveling's quiescent invariant on a real component stack;
 //  * amplification accounting: exact write-amp on a hand-computed
 //    scenario, counter monotonicity under a random schedule, and the
 //    Store::Health() rollup;
-//  * the policy-derived writer-stall threshold: leveled back-pressure
-//    must surface a background flush fault and fully recover, never
-//    wedge (extends the tiered re-arm regression in wal_test.cc).
+//  * the policy-derived writer-stall threshold: lazy-leveling
+//    back-pressure must surface a background flush fault and fully
+//    recover, never wedge (extends the tiered re-arm regression in
+//    wal_test.cc).
 //
 // Everything here is deterministic — fixed seeds, no worker threads except
 // the single-threaded back-pressure regression, no timing dependence.
@@ -41,49 +43,25 @@ constexpr size_t kPage = 8192;
 
 // ------------------------------------------------- plan-selection helpers
 
-/// Newest-first descriptor stack from plain sizes (ids descend with age,
-/// like real component ids).
+/// Newest-first descriptor stack from plain sizes.
 std::vector<CompactionComponentView> Views(
     const std::vector<uint64_t>& sizes) {
   std::vector<CompactionComponentView> views;
-  uint64_t id = sizes.size();
-  for (uint64_t size : sizes) {
-    CompactionComponentView view;
-    view.component_id = id--;
-    view.size_bytes = size;
-    view.entry_count = size / 64;
-    views.push_back(view);
-  }
+  for (uint64_t size : sizes) views.push_back({size, false});
   return views;
 }
 
-std::unique_ptr<CompactionPolicy> Tiered(double size_ratio = 1.2,
-                                         int max_components = 5) {
+DatasetOptions Tiered(double size_ratio = 1.2, int max_components = 5) {
   DatasetOptions options;
   options.size_ratio = size_ratio;
   options.max_components = max_components;
-  return MakeCompactionPolicy(options);
+  return options;
 }
 
-std::unique_ptr<CompactionPolicy> Leveled(uint64_t base_bytes, int fanout = 4,
-                                          int level0 = 4) {
-  DatasetOptions options;
-  options.compaction.strategy = CompactionStrategy::kLeveled;
-  options.compaction.level_base_bytes = base_bytes;
-  options.compaction.level_fanout = fanout;
-  options.compaction.level0_components = level0;
-  return MakeCompactionPolicy(options);
-}
-
-std::unique_ptr<CompactionPolicy> LazyLeveling(double size_ratio = 1.2,
-                                               int max_components = 5,
-                                               int fanout = 4) {
-  DatasetOptions options;
-  options.compaction.strategy = CompactionStrategy::kLazyLeveling;
-  options.size_ratio = size_ratio;
-  options.max_components = max_components;
-  options.compaction.level_fanout = fanout;
-  return MakeCompactionPolicy(options);
+DatasetOptions LazyLeveling(double size_ratio = 1.2, int max_components = 5) {
+  DatasetOptions options = Tiered(size_ratio, max_components);
+  options.compaction = CompactionStrategy::kLazyLeveling;
+  return options;
 }
 
 /// Independent reimplementation of the historical tiering rule (§6.3),
@@ -107,56 +85,41 @@ size_t ReferenceTieredCount(const std::vector<uint64_t>& sizes,
   return merge_count < 2 ? 0 : merge_count;
 }
 
-/// The leveled policy's size classes, reimplemented for invariant checks.
-size_t LevelOf(uint64_t size, uint64_t base, int fanout) {
-  uint64_t cap = base;
-  size_t level = 0;
-  while (size > cap) {
-    ++level;
-    cap *= static_cast<uint64_t>(fanout);
-  }
-  return level;
-}
-
-/// Apply `plan` to a simulated stack: the merged range is replaced by
-/// one component of the summed size (no annihilation — the conservative
-/// upper bound a size-only simulation can know).
-void ApplyPlan(std::vector<uint64_t>* sizes, const CompactionPlan& plan) {
-  ASSERT_LE(plan.end(), sizes->size());
+/// Apply a merge of the newest `count` components to a simulated stack:
+/// they are replaced by one component of the summed size (no
+/// annihilation — the conservative upper bound a size-only simulation
+/// can know).
+void ApplyMerge(std::vector<uint64_t>* sizes, size_t count) {
+  ASSERT_GE(count, 2u);
+  ASSERT_LE(count, sizes->size());
   uint64_t out = 0;
-  for (size_t i = plan.begin; i < plan.end(); ++i) out += (*sizes)[i];
-  sizes->erase(sizes->begin() + static_cast<long>(plan.begin),
-               sizes->begin() + static_cast<long>(plan.end()));
-  sizes->insert(sizes->begin() + static_cast<long>(plan.begin), out);
+  for (size_t i = 0; i < count; ++i) out += (*sizes)[i];
+  sizes->erase(sizes->begin(), sizes->begin() + static_cast<long>(count));
+  sizes->insert(sizes->begin(), out);
 }
 
 // ------------------------------------------------------- tiered policy
 
 TEST(TieredPolicyTest, HandComputedPlans) {
-  auto policy = Tiered(1.2, 5);
-  EXPECT_STREQ(policy->name(), "tiered");
+  const DatasetOptions policy = Tiered(1.2, 5);
   // Singleton and empty stacks: nothing to merge.
-  EXPECT_TRUE(policy->PickMerge(Views({})).none());
-  EXPECT_TRUE(policy->PickMerge(Views({100})).none());
+  EXPECT_EQ(PickMergeCount(policy, Views({})), 0u);
+  EXPECT_EQ(PickMergeCount(policy, Views({100})), 0u);
   // Two equal components miss the 1.2 ratio (100 < 120).
-  EXPECT_TRUE(policy->PickMerge(Views({100, 100})).none());
+  EXPECT_EQ(PickMergeCount(policy, Views({100, 100})), 0u);
   // Ratio trigger: 100 >= 1.2 * 80.
-  CompactionPlan plan = policy->PickMerge(Views({100, 80}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 2u);
+  EXPECT_EQ(PickMergeCount(policy, Views({100, 80})), 2u);
   // The *longest* qualifying prefix wins: [100,100,100] accumulates
   // 200 >= 120 at i=2, then 300 >= 120 at... (n=3) -> whole prefix.
-  plan = policy->PickMerge(Views({100, 100, 100}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 3u);
+  EXPECT_EQ(PickMergeCount(policy, Views({100, 100, 100})), 3u);
   // Steeply descending sizes never meet the ratio; under the component
   // cap that means no merge at all.
-  EXPECT_TRUE(
-      policy->PickMerge(Views({10, 100, 1000, 10000, 100000})).none());
+  EXPECT_EQ(
+      PickMergeCount(policy, Views({10, 100, 1000, 10000, 100000})), 0u);
   // Over the cap the historical fallback merges exactly the two newest.
-  plan = policy->PickMerge(Views({10, 100, 1000, 10000, 100000, 1000000}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 2u);
+  EXPECT_EQ(PickMergeCount(
+                policy, Views({10, 100, 1000, 10000, 100000, 1000000})),
+            2u);
 }
 
 TEST(TieredPolicyTest, ScriptedSequenceMatchesHistoricalRule) {
@@ -164,21 +127,17 @@ TEST(TieredPolicyTest, ScriptedSequenceMatchesHistoricalRule) {
   // every plan equals the independent reimplementation of the
   // historical rule — the bit-for-bit compatibility the default policy
   // promises (plans are always newest-prefixes of the same length).
-  auto policy = Tiered(1.2, 5);
+  const DatasetOptions policy = Tiered(1.2, 5);
   std::vector<uint64_t> sizes;
   for (int flush = 0; flush < 200; ++flush) {
     sizes.insert(sizes.begin(), 100 + (static_cast<uint64_t>(flush) * 37) % 211);
     for (;;) {
-      const CompactionPlan plan = policy->PickMerge(Views(sizes));
+      const size_t count = PickMergeCount(policy, Views(sizes));
       const size_t want =
           ReferenceTieredCount(sizes, /*size_ratio=*/1.2, /*max_components=*/5);
-      if (want == 0) {
-        ASSERT_TRUE(plan.none()) << "flush " << flush;
-        break;
-      }
-      ASSERT_EQ(plan.begin, 0u) << "flush " << flush;
-      ASSERT_EQ(plan.count, want) << "flush " << flush;
-      ApplyPlan(&sizes, plan);
+      ASSERT_EQ(count, want) << "flush " << flush;
+      if (want == 0) break;
+      ApplyMerge(&sizes, count);
     }
     // Size-ratio grouping invariant: once the policy is satisfied, no
     // newest-prefix reaches size_ratio x its oldest member.
@@ -194,167 +153,62 @@ TEST(TieredPolicyTest, ScriptedSequenceMatchesHistoricalRule) {
 }
 
 TEST(TieredPolicyTest, QuarantineSuspendsMerging) {
-  auto policy = Tiered(1.2, 2);
+  const DatasetOptions policy = Tiered(1.2, 2);
   // Without damage this stack merges (over the cap).
   std::vector<CompactionComponentView> views =
       Views({10, 100, 1000, 10000});
-  ASSERT_FALSE(policy->PickMerge(views).none());
+  ASSERT_NE(PickMergeCount(policy, views), 0u);
   // Any quarantined component suspends the tiered policy entirely (the
   // historical behavior: quarantine is an operator decision point).
   for (size_t i = 0; i < views.size(); ++i) {
     auto damaged = views;
     damaged[i].quarantined = true;
-    EXPECT_TRUE(policy->PickMerge(damaged).none()) << "quarantined " << i;
-  }
-}
-
-// ------------------------------------------------------ leveled policy
-
-TEST(LeveledPolicyTest, LevelZeroAccumulatesThenMerges) {
-  auto policy = Leveled(/*base_bytes=*/1000, /*fanout=*/4, /*level0=*/4);
-  EXPECT_STREQ(policy->name(), "leveled");
-  // Below the level-0 trigger nothing happens: flushes accumulate.
-  EXPECT_TRUE(policy->PickMerge(Views({500})).none());
-  EXPECT_TRUE(policy->PickMerge(Views({500, 500})).none());
-  EXPECT_TRUE(policy->PickMerge(Views({500, 500, 500})).none());
-  // The fourth flush triggers a merge of exactly the level-0 backlog.
-  CompactionPlan plan = policy->PickMerge(Views({500, 500, 500, 500}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 4u);
-}
-
-TEST(LeveledPolicyTest, CascadeAbsorbsReachedLevels) {
-  auto policy = Leveled(1000, 4, 4);
-  // Four 500-byte flushes merge to 2000 bytes — level 1 (<= 4000) — so
-  // the level-1 resident (3000) is absorbed in the same plan; the
-  // output (5000) then reaches level 2 and absorbs 12000 too.
-  CompactionPlan plan =
-      policy->PickMerge(Views({500, 500, 500, 500, 3000, 12000}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 6u);
-  // A deep resident out of the output's reach is left alone.
-  plan = policy->PickMerge(Views({500, 500, 500, 500, 60000}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 4u);
-}
-
-TEST(LeveledPolicyTest, MidStackPairRepairsSharedLevel) {
-  auto policy = Leveled(1000, 4, 4);
-  // One fresh flush, then two runs sharing level 1: the policy repairs
-  // the invariant with a partial (mid-stack) merge, leaving the still-
-  // accumulating level-0 backlog untouched.
-  CompactionPlan plan = policy->PickMerge(Views({500, 2000, 3000}));
-  EXPECT_EQ(plan.begin, 1u);
-  EXPECT_EQ(plan.count, 2u);
-  // The level-0 backlog itself is never nibbled two-at-a-time.
-  EXPECT_TRUE(policy->PickMerge(Views({500, 500, 3000})).none());
-}
-
-TEST(LeveledPolicyTest, QuarantineFencesButDoesNotWedge) {
-  auto policy = Leveled(1000, 4, 4);
-  // A quarantined mid-stack component fences everything older, but the
-  // healthy newest prefix still compacts — ingest must not wedge behind
-  // damage. The quarantined index (4) is never part of a plan.
-  std::vector<CompactionComponentView> views =
-      Views({500, 500, 500, 500, 5000, 500});
-  views[4].quarantined = true;
-  CompactionPlan plan = policy->PickMerge(views);
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 4u);
-  // A quarantined component directly behind a single flush: no legal
-  // merge exists.
-  views = Views({500, 5000});
-  views[1].quarantined = true;
-  EXPECT_TRUE(policy->PickMerge(views).none());
-}
-
-TEST(LeveledPolicyTest, SimulatedIngestKeepsOneRunPerLevel) {
-  // 300 simulated flushes of varying (deterministic) sizes, merging to
-  // quiescence after each: the defining leveled invariants must hold at
-  // every quiescent point — at most one run per level >= 1, levels
-  // non-decreasing with age, level-0 backlog under the trigger.
-  const uint64_t base = 1000;
-  const int fanout = 4;
-  auto policy = Leveled(base, fanout, 4);
-  Rng rng(20260808);
-  std::vector<uint64_t> sizes;
-  for (int flush = 0; flush < 300; ++flush) {
-    sizes.insert(sizes.begin(), 200 + rng.Uniform(801));  // <= base
-    for (;;) {
-      const CompactionPlan plan = policy->PickMerge(Views(sizes));
-      if (plan.none()) break;
-      ApplyPlan(&sizes, plan);
-    }
-    std::map<size_t, int> runs_per_level;
-    size_t previous_level = 0;
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      const size_t level = LevelOf(sizes[i], base, fanout);
-      ++runs_per_level[level];
-      ASSERT_GE(level, previous_level)
-          << "flush " << flush << ": levels must grow with age";
-      previous_level = level;
-    }
-    for (const auto& [level, runs] : runs_per_level) {
-      if (level == 0) {
-        ASSERT_LT(runs, 4) << "flush " << flush << ": level-0 over trigger";
-      } else {
-        ASSERT_EQ(runs, 1)
-            << "flush " << flush << ": level " << level << " has " << runs
-            << " runs";
-      }
-    }
+    EXPECT_EQ(PickMergeCount(policy, damaged), 0u) << "quarantined " << i;
   }
 }
 
 // ------------------------------------------------ lazy-leveling policy
 
 TEST(LazyLevelingPolicyTest, YoungPartTiersOldestStaysSingle) {
-  auto policy = LazyLeveling(1.2, 5, 4);
-  EXPECT_STREQ(policy->name(), "lazy-leveling");
+  const DatasetOptions policy = LazyLeveling(1.2, 5);
   // The young part obeys the tiered rule among themselves: three equal
   // young components group (200 >= 1.2 * 100) without touching the
   // last-level run (2000 > 4 * 300).
-  CompactionPlan plan = policy->PickMerge(Views({100, 100, 100, 2000}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 3u);
+  EXPECT_EQ(PickMergeCount(policy, Views({100, 100, 100, 2000})), 3u);
   // Steeply descending young sizes satisfy the tiered rule, and the
   // young part (11100 bytes) is under 1/4 of the big run: no merge.
-  EXPECT_TRUE(policy->PickMerge(Views({100, 1000, 10000, 100000})).none());
+  EXPECT_EQ(PickMergeCount(policy, Views({100, 1000, 10000, 100000})), 0u);
 }
 
 TEST(LazyLevelingPolicyTest, AbsorbsWhenYoungReachesFractionOfOldest) {
-  auto policy = LazyLeveling(1.2, 5, 4);
+  const DatasetOptions policy = LazyLeveling(1.2, 5);
   // Young total 41000; 41000 * 4 >= 100000 — absorb everything into a
   // single new last-level run.
-  CompactionPlan plan = policy->PickMerge(Views({30000, 1000, 10000, 100000}));
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 4u);
+  EXPECT_EQ(PickMergeCount(policy, Views({30000, 1000, 10000, 100000})), 4u);
 }
 
 TEST(LazyLevelingPolicyTest, QuarantineHidesOldestAndYoungStillTiers) {
-  auto policy = LazyLeveling(1.2, 5, 4);
+  const DatasetOptions policy = LazyLeveling(1.2, 5);
   std::vector<CompactionComponentView> views =
       Views({100, 100, 100, 500, 100000});
   views[3].quarantined = true;
   // The quarantined component hides the last-level run: the healthy
   // young prefix tiers among itself and never selects index 3 or 4.
-  CompactionPlan plan = policy->PickMerge(views);
-  EXPECT_EQ(plan.begin, 0u);
-  EXPECT_EQ(plan.count, 3u);
+  EXPECT_EQ(PickMergeCount(policy, views), 3u);
 }
 
 TEST(LazyLevelingPolicyTest, SimulatedIngestKeepsSingleLastLevelRun) {
   // Quiescent-state invariant: one big run at the bottom, a tiered
   // young part above it that never exceeds max_components.
-  auto policy = LazyLeveling(1.2, 4, 4);
+  const DatasetOptions policy = LazyLeveling(1.2, 4);
   Rng rng(97);
   std::vector<uint64_t> sizes;
   for (int flush = 0; flush < 300; ++flush) {
     sizes.insert(sizes.begin(), 200 + rng.Uniform(801));
     for (;;) {
-      const CompactionPlan plan = policy->PickMerge(Views(sizes));
-      if (plan.none()) break;
-      ApplyPlan(&sizes, plan);
+      const size_t count = PickMergeCount(policy, Views(sizes));
+      if (count == 0) break;
+      ApplyMerge(&sizes, count);
     }
     if (sizes.size() < 2) continue;
     // Young components stay under max_components, and their combined
@@ -371,45 +225,27 @@ TEST(LazyLevelingPolicyTest, SimulatedIngestKeepsSingleLastLevelRun) {
 TEST(CompactionPolicyTest, StallLimitsDeriveFromThePolicy) {
   // Tiered keeps the historical hardcoded bound exactly (bit-for-bit
   // behavioral compatibility includes back-pressure).
-  EXPECT_EQ(Tiered(1.2, 5)->stall_component_limit(), 10u);
-  EXPECT_EQ(Tiered(1.2, 3)->stall_component_limit(), 6u);
-  // The others must leave room above their steady-state stack depth
-  // (leveled: level0 backlog + one run per level; lazy: tiered young
-  // part + the last-level run) or healthy workloads would stall.
-  EXPECT_GE(Leveled(1000, 4, 4)->stall_component_limit(), 8u);
-  EXPECT_GE(LazyLeveling(1.2, 5, 4)->stall_component_limit(), 11u);
+  EXPECT_EQ(StallComponentLimit(Tiered(1.2, 5)), 10u);
+  EXPECT_EQ(StallComponentLimit(Tiered(1.2, 3)), 6u);
+  // Lazy-leveling leaves room for the tiered young part, the last-level
+  // run and a merge output in flight.
+  EXPECT_EQ(StallComponentLimit(LazyLeveling(1.2, 5)), 12u);
 }
 
 TEST(CompactionPolicyTest, OptionsAreValidated) {
   BufferCache cache(64 * kPage, kPage);
   DatasetOptions options;
   options.dir = testing::TempDir() + "/compaction_validate";
-  options.compaction.level_fanout = 1;
+  // The policy arrives from outside the library, so an out-of-range
+  // value is rejected, not run as some policy.
+  options.compaction = static_cast<CompactionStrategy>(7);
   auto ds = Dataset::Open(options, &cache);
   ASSERT_FALSE(ds.ok());
-  EXPECT_NE(ds.status().ToString().find("compaction.level_fanout"),
+  EXPECT_TRUE(ds.status().IsInvalidArgument()) << ds.status().ToString();
+  EXPECT_NE(ds.status().ToString().find("DatasetOptions.compaction"),
             std::string::npos)
       << ds.status().ToString();
-  options.compaction.level_fanout = 65;
-  EXPECT_FALSE(Dataset::Open(options, &cache).ok());
-  options.compaction.level_fanout = 4;
-  options.compaction.level0_components = 1;
-  ds = Dataset::Open(options, &cache);
-  ASSERT_FALSE(ds.ok());
-  EXPECT_NE(ds.status().ToString().find("compaction.level0_components"),
-            std::string::npos)
-      << ds.status().ToString();
-
-  StoreOptions store_options;
-  store_options.dir = testing::TempDir() + "/compaction_validate_store";
-  store_options.compaction.level_fanout = 0;
-  auto store = Store::Open(store_options);
-  ASSERT_FALSE(store.ok());
-  EXPECT_NE(store.status().ToString().find("StoreOptions.compaction"),
-            std::string::npos)
-      << store.status().ToString();
   std::filesystem::remove_all(options.dir);
-  std::filesystem::remove_all(store_options.dir);
 }
 
 // ------------------------------------- cross-policy result equivalence
@@ -450,8 +286,7 @@ class CompactionEquivalenceTest : public ::testing::TestWithParam<LayoutKind> {
     // flushes, so each policy runs many real (inline, deterministic)
     // merges over genuinely overlapping components.
     options.memtable_bytes = 4 * 1024;
-    options.compaction.strategy = strategy;
-    options.compaction.level_base_bytes = 48 * 1024;
+    options.compaction = strategy;
     options.amax_max_records = 64;
     return options;
   }
@@ -487,8 +322,7 @@ class CompactionEquivalenceTest : public ::testing::TestWithParam<LayoutKind> {
 
 TEST_P(CompactionEquivalenceTest, PoliciesAgreeOnSeededSchedule) {
   constexpr CompactionStrategy kStrategies[] = {
-      CompactionStrategy::kTiered, CompactionStrategy::kLeveled,
-      CompactionStrategy::kLazyLeveling};
+      CompactionStrategy::kTiered, CompactionStrategy::kLazyLeveling};
   constexpr int64_t kKeySpace = 150;
 
   // One seeded schedule, replayed identically per policy (fresh Rng per
@@ -525,17 +359,16 @@ TEST_P(CompactionEquivalenceTest, PoliciesAgreeOnSeededSchedule) {
     EXPECT_GT(stats.flushes, 0u);
     EXPECT_GE(stats.write_amplification(), 1.0);
   }
-  ASSERT_EQ(scans.size(), 3u);
-  EXPECT_EQ(scans[0], scans[1]) << "tiered vs leveled";
-  EXPECT_EQ(scans[0], scans[2]) << "tiered vs lazy-leveling";
+  ASSERT_EQ(scans.size(), 2u);
+  EXPECT_EQ(scans[0], scans[1]) << "tiered vs lazy-leveling";
   EXPECT_FALSE(scans[0].empty());
 
   // Reopen every dataset (fresh manifest recovery) — and reopen each
-  // under a *different* policy than wrote it, which must be legal (the
+  // under the other policy, which must be legal (the
   // policy is a runtime knob) and change nothing about the contents.
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < 2; ++i) {
     DatasetOptions options = BaseOptions(kStrategies[i]);
-    options.compaction.strategy = kStrategies[(i + 1) % 3];
+    options.compaction = kStrategies[(i + 1) % 2];
     auto ds = MustOpen(options, cache_.get());
     EXPECT_EQ(ScanAll(ds.get()), scans[i])
         << "reopen of " << CompactionStrategyName(kStrategies[i]);
@@ -550,24 +383,18 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, CompactionEquivalenceTest,
                            return std::string(LayoutKindName(info.param));
                          });
 
-// ------------------------------------------------- leveled on real data
+// ------------------------------------------- lazy-leveling on real data
 
-TEST(LeveledDatasetTest, RealIngestHoldsLevelInvariants) {
-  const std::string dir = testing::TempDir() + "/compaction_leveled_real";
+TEST(LazyLevelingDatasetTest, RealIngestKeepsSingleLastLevelRun) {
+  const std::string dir = testing::TempDir() + "/compaction_lazy_real";
   std::filesystem::remove_all(dir);
   BufferCache cache(1024 * kPage, kPage);
-  DatasetOptions options;
+  DatasetOptions options = LazyLeveling();
   options.layout = LayoutKind::kAmax;
   options.dir = dir;
   options.page_size = kPage;
   options.memtable_bytes = 8 * 1024;
   options.amax_max_records = 64;
-  options.compaction.strategy = CompactionStrategy::kLeveled;
-  // Components are page-granular, so the level-0 boundary is set
-  // explicitly well above one flush's output.
-  options.compaction.level_base_bytes = 64 * 1024;
-  options.compaction.level_fanout = 4;
-  options.compaction.level0_components = 3;
   auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
 
@@ -579,38 +406,22 @@ TEST(LeveledDatasetTest, RealIngestHoldsLevelInvariants) {
   }
   ASSERT_TRUE((*ds)->Flush().ok());
 
-  // Quiescent leveled invariants on the real component stack: at most
-  // one run per level >= 1 — which also makes per-level key ranges
-  // trivially non-overlapping — and a level-0 backlog under the
-  // trigger. The key-range check is still asserted directly so a
-  // future multi-run-per-level policy variant inherits it.
-  std::map<size_t, std::vector<std::pair<int64_t, int64_t>>> level_ranges;
-  for (size_t i = 0; i < (*ds)->component_count(); ++i) {
-    const Component& component = (*ds)->component(i);
-    const size_t level =
-        LevelOf(component.size_bytes(), options.compaction.level_base_bytes,
-                options.compaction.level_fanout);
-    const auto& leaves = component.reader().leaves();
-    ASSERT_FALSE(leaves.empty());
-    level_ranges[level].emplace_back(leaves.front().min_key,
-                                     leaves.back().max_key);
+  // Quiescent lazy-leveling invariant on the real component stack: the
+  // young part (all but the oldest component) is tiered-quiet, and
+  // together it is under a quarter of the oldest, last-level run.
+  const size_t n = (*ds)->component_count();
+  ASSERT_GE(n, 1u);
+  std::vector<uint64_t> young;
+  uint64_t young_bytes = 0;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    young.push_back((*ds)->component(i).size_bytes());
+    young_bytes += young.back();
   }
-  for (const auto& [level, ranges] : level_ranges) {
-    if (level == 0) {
-      EXPECT_LT(ranges.size(),
-                static_cast<size_t>(options.compaction.level0_components));
-      continue;
-    }
-    EXPECT_EQ(ranges.size(), 1u) << "level " << level;
-    for (size_t a = 0; a < ranges.size(); ++a) {
-      for (size_t b = a + 1; b < ranges.size(); ++b) {
-        const bool disjoint = ranges[a].second < ranges[b].first ||
-                              ranges[b].second < ranges[a].first;
-        EXPECT_TRUE(disjoint) << "level " << level << " overlap";
-      }
-    }
-  }
-  // The policy actually merged (this workload flushes ~dozens of times).
+  EXPECT_EQ(ReferenceTieredCount(young, options.size_ratio,
+                                 options.max_components),
+            0u);
+  EXPECT_LT(young_bytes * 4, (*ds)->component(n - 1).size_bytes());
+  // The policy actually merged (this workload flushes dozens of times).
   EXPECT_GT((*ds)->stats().merges, 0u);
   ds->reset();
   std::filesystem::remove_all(dir);
@@ -687,8 +498,7 @@ TEST(AmplificationStatsTest, CountersMonotoneUnderRandomSchedule) {
   options.page_size = kPage;
   options.memtable_bytes = 4 * 1024;
   options.amax_max_records = 64;
-  options.compaction.strategy = CompactionStrategy::kLeveled;
-  options.compaction.level_base_bytes = 48 * 1024;
+  options.compaction = CompactionStrategy::kLazyLeveling;
   auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
 
@@ -730,7 +540,6 @@ TEST(AmplificationStatsTest, SurvivesStoreHealthRollup) {
   store_options.dir = dir;
   store_options.page_size = kPage;
   store_options.cache_bytes = 512 * kPage;
-  store_options.compaction.strategy = CompactionStrategy::kLazyLeveling;
   auto store = Store::Open(store_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
@@ -738,11 +547,11 @@ TEST(AmplificationStatsTest, SurvivesStoreHealthRollup) {
   options.layout = LayoutKind::kAmax;
   options.memtable_bytes = 4 * 1024;
   options.amax_max_records = 64;
+  options.compaction = CompactionStrategy::kLazyLeveling;
   auto ds = (*store)->OpenDataset("docs", options);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  // The store-level policy reaches the dataset.
-  EXPECT_EQ((*ds)->options().compaction.strategy,
-            CompactionStrategy::kLazyLeveling);
+  // The dataset's own policy survives OpenDataset.
+  EXPECT_EQ((*ds)->options().compaction, CompactionStrategy::kLazyLeveling);
   for (int64_t key = 0; key < 600; ++key) {
     ASSERT_TRUE((*ds)->Insert(MakeRecord(key, 1)).ok());
   }
@@ -766,16 +575,16 @@ TEST(AmplificationStatsTest, SurvivesStoreHealthRollup) {
   std::filesystem::remove_all(dir);
 }
 
-// -------------------------------------- leveled back-pressure regression
+// -------------------------------- lazy-leveling back-pressure regression
 
-// The writer-stall threshold now derives from the active policy. Extends
-// the tiered re-arm regression (wal_test.cc): under the *leveled* policy
-// with a background flush fault, back-pressure must surface the error to
-// a writer (never wedge on the policy-derived component bound) and fully
-// recover once the fault clears.
-TEST(DatasetBackpressureTest, LeveledPolicyRecoversAfterFlushFault) {
+// The writer-stall threshold derives from the active policy. Extends the
+// tiered re-arm regression (wal_test.cc): under lazy-leveling, with its
+// larger stall bound, a background flush fault must surface to a writer
+// (never wedge on the policy-derived component bound) and the dataset
+// must fully recover once the fault clears.
+TEST(DatasetBackpressureTest, LazyLevelingPolicyRecoversAfterFlushFault) {
   const std::string dir =
-      testing::TempDir() + "/compaction_backpressure_leveled";
+      testing::TempDir() + "/compaction_backpressure_lazy";
   std::filesystem::remove_all(dir);
   FaultInjectionFs fault_fs;
   StoreOptions store_options;
@@ -786,8 +595,6 @@ TEST(DatasetBackpressureTest, LeveledPolicyRecoversAfterFlushFault) {
   store_options.fs = &fault_fs;
   store_options.io_retry.max_retries = 1;
   store_options.io_retry.initial_backoff_micros = 100;
-  store_options.compaction.strategy = CompactionStrategy::kLeveled;
-  store_options.compaction.level0_components = 2;
   auto store = Store::Open(store_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
@@ -796,10 +603,13 @@ TEST(DatasetBackpressureTest, LeveledPolicyRecoversAfterFlushFault) {
   options.memtable_bytes = 2 * 1024;  // a handful of records per memtable
   options.max_immutable_memtables = 1;
   options.amax_max_records = 200;
+  // A small young part: merges are frequent and the stall bound is
+  // StallComponentLimit = 2 * 2 + 2 = 6 components.
+  options.max_components = 2;
+  options.compaction = CompactionStrategy::kLazyLeveling;
   auto ds = (*store)->OpenDataset("docs", options);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  ASSERT_EQ((*ds)->options().compaction.strategy,
-            CompactionStrategy::kLeveled);
+  ASSERT_EQ((*ds)->options().compaction, CompactionStrategy::kLazyLeveling);
 
   {
     FaultRule rule;
@@ -854,7 +664,7 @@ TEST(DatasetBackpressureTest, LeveledPolicyRecoversAfterFlushFault) {
     }
     EXPECT_EQ(scanned, acked.size());
   }
-  // The leveled policy kept merging through the run (its write-amp
+  // The policy kept merging through the run (its write-amp
   // bookkeeping confirms real merges happened under back-pressure).
   EXPECT_GT((*ds)->stats().merges, 0u);
   ASSERT_TRUE((*store)->Close().ok());

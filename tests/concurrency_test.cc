@@ -248,8 +248,7 @@ TEST_P(ConcurrencyTest, StoppedSchedulerStillMergesAndBoundsComponents) {
   DatasetOptions options = SmallMemtableOptions();
   options.dir = dir_;
   options.scheduler = &scheduler;
-  const size_t stall_limit =
-      MakeCompactionPolicy(options)->stall_component_limit();
+  const size_t stall_limit = StallComponentLimit(options);
   auto ds = Dataset::Open(options, &cache);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   constexpr int64_t kRecords = 3000;

@@ -325,6 +325,46 @@ TEST_P(StoreTest, LayoutMismatchOnReopenIsInvalidArgument) {
   EXPECT_NE(ds.status().message().find("layout"), std::string::npos);
 }
 
+// The compaction policy is the caller's runtime knob: a dataset opened
+// through a store runs the policy its DatasetOptions ask for, on the same
+// merge schedule as a standalone dataset with the same options.
+TEST_P(StoreTest, OpenDatasetKeepsTheCallersCompactionPolicy) {
+  DatasetOptions options = DocOptions();
+  options.compaction = CompactionStrategy::kLazyLeveling;
+  auto store = OpenStore();
+  auto ds = store->OpenDataset("docs", options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ((*ds)->options().compaction, CompactionStrategy::kLazyLeveling);
+
+  BufferCache cache(512 * kPage, kPage);
+  DatasetOptions twin_options = options;
+  twin_options.dir = dir_ + "_twin";
+  twin_options.page_size = kPage;
+  std::filesystem::remove_all(twin_options.dir);
+  auto twin = Dataset::Open(twin_options, &cache);
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+
+  // Both datasets run their flushes and merges on the writing thread, so
+  // the same writes give the same component stack after every insert.
+  Rng rng(11);
+  Rng twin_rng(11);
+  for (int64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE((*ds)->Insert(MakeRecord(i % 1000, &rng)).ok());
+    ASSERT_TRUE((*twin)->Insert(MakeRecord(i % 1000, &twin_rng)).ok());
+    ASSERT_EQ((*ds)->component_count(), (*twin)->component_count())
+        << "after insert " << i;
+    for (size_t c = 0; c < (*ds)->component_count(); ++c) {
+      ASSERT_EQ((*ds)->component(c).size_bytes(),
+                (*twin)->component(c).size_bytes())
+          << "component " << c << " after insert " << i;
+    }
+  }
+  EXPECT_GT((*ds)->stats().merges, 0u);
+  EXPECT_EQ((*ds)->stats().merges, (*twin)->stats().merges);
+  twin->reset();
+  std::filesystem::remove_all(twin_options.dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, StoreTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,
