@@ -410,24 +410,19 @@ void PrintSizeTable() {
     report("  + LZ page compression", raw, lz.size());
   }
   {
-    // Sorted identifiers: front coding (delta strings) shines.
     std::vector<std::string> ids;
     for (int i = 0; i < 10000; ++i) {
       ids.push_back("user_prefix_" + std::to_string(1000000 + i));
     }
     size_t raw = 0;
-    DeltaStringEncoder front;
     DeltaLengthStringEncoder plain;
     for (const auto& s : ids) {
       raw += s.size() + 4;
-      front.Add(Slice(s));
       plain.Add(Slice(s));
     }
-    Buffer f, p;
-    front.FinishInto(&f);
+    Buffer p;
     plain.FinishInto(&p);
     report("delta-length / sorted ids", raw, p.size());
-    report("delta string / sorted ids", raw, f.size());
   }
 }
 

@@ -97,76 +97,4 @@ Status DeltaLengthStringDecoder::NextBatch(size_t n, Slice* out,
   return Status::OK();
 }
 
-void DeltaStringEncoder::Add(Slice value) {
-  size_t prefix = 0;
-  const size_t max_prefix =
-      previous_.size() < value.size() ? previous_.size() : value.size();
-  while (prefix < max_prefix && previous_[prefix] == value[prefix]) ++prefix;
-  prefix_lengths_.Add(static_cast<int64_t>(prefix));
-  suffix_lengths_.Add(static_cast<int64_t>(value.size() - prefix));
-  suffixes_.Append(value.data() + prefix, value.size() - prefix);
-  previous_.assign(value.data(), value.size());
-}
-
-void DeltaStringEncoder::FinishInto(Buffer* out) {
-  prefix_lengths_.FinishInto(out);
-  suffix_lengths_.FinishInto(out);
-  out->Append(suffixes_.slice());
-}
-
-void DeltaStringEncoder::Clear() {
-  prefix_lengths_.Clear();
-  suffix_lengths_.Clear();
-  suffixes_.clear();
-  previous_.clear();
-}
-
-Status DeltaStringDecoder::Init(Slice input) {
-  prefix_lengths_.clear();
-  suffix_lengths_.clear();
-  position_ = 0;
-  suffix_pos_ = 0;
-  current_.clear();
-  DeltaInt64Decoder prefix_decoder;
-  LSMCOL_RETURN_NOT_OK(prefix_decoder.Init(input));
-  LSMCOL_RETURN_NOT_OK(prefix_decoder.DecodeAll(&prefix_lengths_));
-  DeltaInt64Decoder suffix_decoder;
-  LSMCOL_RETURN_NOT_OK(suffix_decoder.Init(prefix_decoder.rest()));
-  LSMCOL_RETURN_NOT_OK(suffix_decoder.DecodeAll(&suffix_lengths_));
-  suffixes_ = suffix_decoder.rest();
-  if (prefix_lengths_.size() != suffix_lengths_.size()) {
-    return Status::Corruption("prefix/suffix count mismatch");
-  }
-  value_count_ = prefix_lengths_.size();
-  return Status::OK();
-}
-
-Status DeltaStringDecoder::Next(Slice* out) {
-  if (position_ >= value_count_) {
-    return Status::OutOfRange("delta string decoder exhausted");
-  }
-  const int64_t prefix = prefix_lengths_[position_];
-  const int64_t suffix = suffix_lengths_[position_];
-  if (prefix < 0 || suffix < 0 ||
-      static_cast<size_t>(prefix) > current_.size() ||
-      suffix_pos_ + static_cast<size_t>(suffix) > suffixes_.size()) {
-    return Status::Corruption("invalid front-coding lengths");
-  }
-  current_.resize(static_cast<size_t>(prefix));
-  current_.append(suffixes_.data() + suffix_pos_, static_cast<size_t>(suffix));
-  suffix_pos_ += static_cast<size_t>(suffix);
-  ++position_;
-  *out = Slice(current_);
-  return Status::OK();
-}
-
-Status DeltaStringDecoder::Skip(size_t n) {
-  // Front coding chains values, so Skip must still reconstruct each one.
-  Slice scratch;
-  for (size_t i = 0; i < n; ++i) {
-    LSMCOL_RETURN_NOT_OK(Next(&scratch));
-  }
-  return Status::OK();
-}
-
 }  // namespace lsmcol

@@ -1,16 +1,11 @@
-// String codecs:
-//  * DELTA_LENGTH_BYTE_ARRAY — all lengths delta-binary-packed up front,
-//    followed by the concatenated bytes. The default for string columns.
-//  * DELTA_BYTE_ARRAY ("delta strings") — incremental front coding: per
-//    value, the prefix length shared with the previous value plus the
-//    suffix. Wins on sorted or highly repetitive strings; offered for the
-//    encoding ablation and for sorted key columns.
+// The string codec, DELTA_LENGTH_BYTE_ARRAY: all lengths
+// delta-binary-packed up front, followed by the concatenated bytes. Every
+// string column chunk is written this way.
 
 #ifndef LSMCOL_ENCODING_STRINGS_H_
 #define LSMCOL_ENCODING_STRINGS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -119,45 +114,6 @@ class DeltaLengthStringDecoder {
   DeltaInt64Decoder lengths_;  // reads from the front of input_
   std::vector<int64_t> batch_;
   size_t byte_pos_ = 0;  // offset in input_; 0 = payload not located yet
-};
-
-/// DELTA_BYTE_ARRAY (front-coded) encoder.
-class DeltaStringEncoder {
- public:
-  void Add(Slice value);
-  size_t value_count() const { return prefix_lengths_.value_count(); }
-  void FinishInto(Buffer* out);
-  void Clear();
-
- private:
-  DeltaInt64Encoder prefix_lengths_;
-  DeltaInt64Encoder suffix_lengths_;
-  Buffer suffixes_;
-  std::string previous_;
-};
-
-/// DELTA_BYTE_ARRAY decoder. Values are materialized into an internal
-/// string (front coding needs the previous value), returned by reference.
-class DeltaStringDecoder {
- public:
-  Status Init(Slice input);
-
-  size_t value_count() const { return value_count_; }
-  size_t remaining() const { return value_count_ - position_; }
-
-  /// The returned Slice points into internal storage valid until the next
-  /// Next/Skip call.
-  Status Next(Slice* out);
-  Status Skip(size_t n);
-
- private:
-  std::vector<int64_t> prefix_lengths_;
-  std::vector<int64_t> suffix_lengths_;
-  Slice suffixes_;
-  size_t suffix_pos_ = 0;
-  std::string current_;
-  size_t value_count_ = 0;
-  size_t position_ = 0;
 };
 
 }  // namespace lsmcol

@@ -809,23 +809,21 @@ Status Dataset::MergeNewestLocked(size_t count) {
   const uint64_t id = next_component_id_++;
   uint64_t bytes_in = 0;
   for (const auto& component : inputs) bytes_in += component->size_bytes();
-  std::shared_ptr<Schema> schema_clone;
-  if (columnar()) {
-    LSMCOL_ASSIGN_OR_RETURN(schema_clone, CloneSchemaLocked());
-  }
+  // Merges copy existing columns and never discover new ones, so the
+  // merge builds against the published schema, which covers every column
+  // its inputs could contain. Published schemas are never mutated (a
+  // flush publishes a new one), so this reference stays valid and
+  // unchanged while the merge builds outside mu_.
+  const std::shared_ptr<const Schema> schema = schema_;
   mu_.Unlock();
-  // The schema clone is a private scratch copy: merges copy existing
-  // columns and never discover new ones, so it is NOT published back —
-  // concurrent flushes own schema inference. The merged component stores
-  // the clone, which covers every column its inputs could contain.
-  Schema* schema = schema_clone.get();
   MergeOutcome outcome;
   const auto merge_start = std::chrono::steady_clock::now();
   Result<std::shared_ptr<Component>> built = BuildComponent(
-      id, schema, [&](ComponentWriter* writer) -> Result<uint64_t> {
+      id, schema.get(), [&](ComponentWriter* writer) -> Result<uint64_t> {
         outcome = MergeOutcome();  // counters restart with each attempt
-        LSMCOL_RETURN_NOT_OK(BuildMergeLeaves(
-            options_, inputs, includes_oldest, writer, schema, &outcome));
+        LSMCOL_RETURN_NOT_OK(BuildMergeLeaves(options_, inputs,
+                                              includes_oldest, writer,
+                                              schema.get(), &outcome));
         // Exact surviving entry count from the merge plan (records plus
         // preserved anti-matter).
         return outcome.records_out;
@@ -1023,11 +1021,6 @@ Status Dataset::WriteManifestIfBehindLocked() {
     return Status::OK();
   }
   return WriteCurrentManifestLocked();
-}
-
-Status Dataset::PersistDamageRecords() {
-  MutexLock lock(&mu_);
-  return WriteManifestIfBehindLocked();
 }
 
 void Dataset::NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,

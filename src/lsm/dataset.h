@@ -302,9 +302,6 @@ class Dataset {
   /// manifest (best effort) so a restart cannot silently "heal" it.
   void NoteScrub(uint64_t leaves, uint64_t bytes, uint64_t damaged,
                  uint64_t micros, bool pass_complete) LSMCOL_EXCLUDES(mu_);
-  /// Persist any quarantine the manifest does not hold yet (no-op when
-  /// it is current); recovery re-applies them via RecoverFromManifest.
-  Status PersistDamageRecords() LSMCOL_EXCLUDES(mu_);
 
   /// Pin a consistent backup view (see DatasetBackupPin). Fails if any
   /// pinned component is quarantined (a backup must never capture known

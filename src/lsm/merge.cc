@@ -414,7 +414,7 @@ struct InputLeafCursor {
 Status MergeColumnar(const DatasetOptions& options,
                      const std::vector<std::shared_ptr<Component>>& inputs,
                      bool includes_oldest, ComponentWriter* writer,
-                     Schema* schema, MergeOutcome* outcome) {
+                     const Schema* schema, MergeOutcome* outcome) {
   const size_t count = inputs.size();
   // Per-input parsed-leaf caches, shared between the PK phase and the
   // column streams: small components merge with one read and parse per
@@ -707,7 +707,7 @@ Status BuildFlushLeaves(const DatasetOptions& options,
 Status BuildMergeLeaves(const DatasetOptions& options,
                         const std::vector<std::shared_ptr<Component>>& inputs,
                         bool includes_oldest, ComponentWriter* writer,
-                        Schema* schema, MergeOutcome* outcome) {
+                        const Schema* schema, MergeOutcome* outcome) {
   if (IsColumnar(options.layout)) {
     return MergeColumnar(options, inputs, includes_oldest, writer, schema,
                          outcome);

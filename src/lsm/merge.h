@@ -55,7 +55,7 @@ Status BuildFlushLeaves(const DatasetOptions& options,
 Status BuildMergeLeaves(const DatasetOptions& options,
                         const std::vector<std::shared_ptr<Component>>& inputs,
                         bool includes_oldest, ComponentWriter* writer,
-                        Schema* schema, MergeOutcome* outcome);
+                        const Schema* schema, MergeOutcome* outcome);
 
 }  // namespace lsmcol
 

@@ -15,19 +15,23 @@
 // the scrubber simply skips already-quarantined components. Repair is
 // Dataset::RepairQuarantined (from a backup) or offline salvage.
 //
-// Progress is tracked per dataset as a set of fully-scrubbed component
-// ids plus a (component id, next leaf) resume point. Components are
-// immutable, so resuming mid-component after the snapshot was re-pinned
-// is safe; a component merged away between slices is simply dropped.
-// Each slice pins its own snapshot and releases it before sleeping, so
-// the scrubber never holds merged-away components alive between slices.
+// One walk serves both entry points: it verifies a snapshot's components
+// in ascending component id from a resume point (component id, next
+// leaf) up to a byte budget. ScrubDataset walks from {0, 0} with no
+// budget; each background slice walks on from where the last one
+// stopped. Ids only grow, so the component with the smallest id at or
+// above the resume id is the next one in the pass: a component merged
+// away between slices is passed over, and its merge output (a newer id)
+// is reached later in the same pass. Components are immutable, so
+// resuming mid-component after the snapshot was re-pinned is safe. Each
+// slice pins its own snapshot and releases it before sleeping, so the
+// scrubber never holds merged-away components alive between slices.
 
 #ifndef LSMCOL_LSM_SCRUBBER_H_
 #define LSMCOL_LSM_SCRUBBER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -38,6 +42,7 @@
 namespace lsmcol {
 
 class Dataset;
+class Snapshot;
 
 /// Knobs for background scrubbing (StoreOptions::scrub).
 struct ScrubOptions {
@@ -54,7 +59,8 @@ struct ScrubOptions {
   uint64_t max_slice_bytes = 4ull << 20;
 };
 
-/// Tallies of one full synchronous pass (ScrubDataset / Store::ScrubNow).
+/// Tallies of one walk: a full synchronous pass (ScrubDataset /
+/// Store::ScrubNow), or one background slice.
 struct ScrubPassResult {
   uint64_t components = 0;            ///< components fully verified
   uint64_t leaves = 0;                ///< leaves probed (incl. damaged)
@@ -95,13 +101,22 @@ class Scrubber {
   static Result<ScrubPassResult> ScrubDataset(Dataset* dataset);
 
  private:
-  /// Resume point of the background rotation.
-  struct Cursor {
-    size_t dataset = 0;           ///< index into datasets_
-    std::set<uint64_t> done;      ///< component ids finished this pass
-    uint64_t current_id = 0;      ///< mid-component resume (0 = none)
-    size_t next_leaf = 0;
+  /// Where a walk goes on: the component with the smallest id at or
+  /// above `component`, at `leaf` if that is its id, else at leaf 0.
+  struct ResumePoint {
+    uint64_t component = 0;
+    size_t leaf = 0;
   };
+
+  /// Verifies `snap`'s components in ascending id from `*at`, adding to
+  /// `*tally`, until `max_bytes` are verified or `stop` is set. Returns
+  /// true once no component is left, false when the budget or `stop`
+  /// ended the walk first. A transient (non-damage) read error is
+  /// returned with `*at` on the leaf that failed, so a later walk
+  /// retries it; damage ends that component's walk.
+  static Result<bool> Walk(const Snapshot& snap, uint64_t max_bytes,
+                           const std::atomic<bool>* stop, ResumePoint* at,
+                           ScrubPassResult* tally);
 
   /// The scheduled task: scrub up to max_slice_bytes, then reschedule.
   void RunSlice() LSMCOL_EXCLUDES(mu_);
@@ -114,7 +129,9 @@ class Scrubber {
   mutable Mutex mu_{MutexRank::kScrubber};
   CondVar cv_;
   std::vector<Dataset*> datasets_ LSMCOL_GUARDED_BY(mu_);
-  Cursor cursor_ LSMCOL_GUARDED_BY(mu_);
+  /// Background rotation: datasets_[dataset_] is being walked from at_.
+  size_t dataset_ LSMCOL_GUARDED_BY(mu_) = 0;
+  ResumePoint at_ LSMCOL_GUARDED_BY(mu_);
   bool started_ LSMCOL_GUARDED_BY(mu_) = false;
   bool running_ LSMCOL_GUARDED_BY(mu_) = false;  ///< slice executing now
   uint64_t slices_ LSMCOL_GUARDED_BY(mu_) = 0;

@@ -174,19 +174,6 @@ void BufferCache::Clear() {
   while (!by_file_.empty()) DropLocked(by_file_.begin()->second.back());
 }
 
-void BufferCache::Confiscate(size_t bytes) {
-  MutexLock lock(&mu_);
-  confiscated_bytes_ += bytes;
-  ++stats_.confiscations;
-  EvictIfNeededLocked();
-}
-
-void BufferCache::ReturnConfiscated(size_t bytes) {
-  MutexLock lock(&mu_);
-  LSMCOL_DCHECK(bytes <= confiscated_bytes_);
-  confiscated_bytes_ -= bytes;
-}
-
 void BufferCache::Unpin(Entry* entry) {
   MutexLock lock(&mu_);
   LSMCOL_DCHECK(entry->pins > 0);
@@ -200,8 +187,7 @@ void BufferCache::Unpin(Entry* entry) {
 }
 
 void BufferCache::EvictIfNeededLocked() {
-  while (charged_bytes_ + confiscated_bytes_ > capacity_bytes_ &&
-         lru_tail_ != nullptr) {
+  while (charged_bytes_ > capacity_bytes_ && lru_tail_ != nullptr) {
     ++stats_.evictions;
     DropLocked(lru_tail_);
   }

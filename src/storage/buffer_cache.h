@@ -16,9 +16,9 @@
 // with). Every byte is charged in decoded form: the unit's plus its
 // attachments'.
 //
-// It also provides the "temporary buffer confiscation" used by the AMAX
-// writer (§4.5.2): megapage staging buffers are charged against the cache
-// budget instead of a dedicated allocation.
+// The AMAX writer stages its megapages in buffers of its own; none are
+// charged to the cache budget (§4.5.2's buffer confiscation is not
+// implemented).
 //
 // Thread-safe: one cache is shared by every dataset of a Store, and with
 // background flushes/merges, writer threads (counting their writes) and
@@ -57,7 +57,9 @@ struct CacheStats {
   uint64_t hits = 0;           ///< decoded-unit hits
   uint64_t misses = 0;         ///< decoded-unit misses
   uint64_t evictions = 0;
-  uint64_t confiscations = 0;  ///< AMAX staging buffers taken (§4.5.2)
+  /// Always 0: no writer takes buffers from the cache budget. Kept
+  /// because the end-to-end benchmark reports it.
+  uint64_t confiscations = 0;
 };
 
 class BufferCache;
@@ -139,10 +141,6 @@ class BufferCache {
   /// Drop every cached entry (cold-cache measurements); pinned entries
   /// are detached as in Invalidate.
   void Clear() LSMCOL_EXCLUDES(mu_);
-
-  /// Account for an AMAX staging buffer taken from the cache budget.
-  void Confiscate(size_t bytes) LSMCOL_EXCLUDES(mu_);
-  void ReturnConfiscated(size_t bytes) LSMCOL_EXCLUDES(mu_);
 
   /// Returns a consistent copy (counters move concurrently).
   CacheStats stats() const LSMCOL_EXCLUDES(mu_) {
@@ -260,7 +258,6 @@ class BufferCache {
   size_t capacity_bytes_;
   size_t page_size_;
   size_t charged_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
-  size_t confiscated_bytes_ LSMCOL_GUARDED_BY(mu_) = 0;
   CacheStats stats_ LSMCOL_GUARDED_BY(mu_);
   // The resident entries, which the table owns; size is a power of two
   // (or zero before the first insert).

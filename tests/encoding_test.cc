@@ -1,5 +1,5 @@
 // Unit and property tests for the encoding module: bit-packing, RLE/bit-
-// packed hybrid, delta binary packed, string codecs, and the LZ compressor.
+// packed hybrid, delta binary packed, the string codec, and the LZ compressor.
 
 #include <gtest/gtest.h>
 
@@ -353,47 +353,6 @@ TEST(DeltaLengthStringTest, CorruptPayloadDetected) {
   ASSERT_TRUE(dec.Init(truncated).ok());
   Slice got;
   EXPECT_TRUE(dec.Next(&got).IsCorruption());
-}
-
-TEST(DeltaStringTest, SortedStringsCompressBetterThanPlainLengths) {
-  std::vector<std::string> values;
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back("user_prefix_common_" + std::to_string(100000 + i));
-  }
-  DeltaStringEncoder front;
-  DeltaLengthStringEncoder plain;
-  for (const auto& v : values) {
-    front.Add(Slice(v));
-    plain.Add(Slice(v));
-  }
-  Buffer front_out, plain_out;
-  front.FinishInto(&front_out);
-  plain.FinishInto(&plain_out);
-  EXPECT_LT(front_out.size(), plain_out.size() / 2);
-
-  DeltaStringDecoder dec;
-  ASSERT_TRUE(dec.Init(front_out.slice()).ok());
-  for (const auto& expected : values) {
-    Slice got;
-    ASSERT_TRUE(dec.Next(&got).ok());
-    EXPECT_EQ(got.ToString(), expected);
-  }
-}
-
-TEST(DeltaStringTest, UnsortedRoundTrip) {
-  Rng rng(5);
-  std::vector<std::string> values;
-  for (int i = 0; i < 300; ++i) values.push_back(rng.Word(0, 15));
-  DeltaStringEncoder enc;
-  for (const auto& v : values) enc.Add(Slice(v));
-  Buffer out;
-  enc.FinishInto(&out);
-  DeltaStringDecoder dec;
-  ASSERT_TRUE(dec.Init(out.slice()).ok());
-  ASSERT_TRUE(dec.Skip(100).ok());
-  Slice got;
-  ASSERT_TRUE(dec.Next(&got).ok());
-  EXPECT_EQ(got.ToString(), values[100]);
 }
 
 void RoundTripLz(const std::string& input) {
@@ -1234,37 +1193,26 @@ TEST(DeltaPropertyTest, RandomVectorsRoundTrip) {
 }
 
 void RoundTripStrings(const std::vector<std::string>& values) {
-  DeltaLengthStringEncoder plain;
-  DeltaStringEncoder front;
-  for (const auto& v : values) {
-    plain.Add(Slice(v));
-    front.Add(Slice(v));
-  }
-  Buffer plain_out, front_out;
-  plain.FinishInto(&plain_out);
-  front.FinishInto(&front_out);
+  DeltaLengthStringEncoder enc;
+  for (const auto& v : values) enc.Add(Slice(v));
+  Buffer out;
+  enc.FinishInto(&out);
 
-  DeltaLengthStringDecoder plain_dec;
-  ASSERT_TRUE(plain_dec.Init(plain_out.slice()).ok());
-  ASSERT_EQ(plain_dec.value_count(), values.size());
-  DeltaStringDecoder front_dec;
-  ASSERT_TRUE(front_dec.Init(front_out.slice()).ok());
-  ASSERT_EQ(front_dec.value_count(), values.size());
+  DeltaLengthStringDecoder dec;
+  ASSERT_TRUE(dec.Init(out.slice()).ok());
+  ASSERT_EQ(dec.value_count(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     Slice got;
-    ASSERT_TRUE(plain_dec.Next(&got).ok()) << i;
-    EXPECT_EQ(got.ToString(), values[i]) << i;
-    ASSERT_TRUE(front_dec.Next(&got).ok()) << i;
+    ASSERT_TRUE(dec.Next(&got).ok()) << i;
     EXPECT_EQ(got.ToString(), values[i]) << i;
   }
-  // Both streams must be exhausted: no extra trailing values.
+  // The stream must be exhausted: no extra trailing values.
   Slice extra;
-  EXPECT_FALSE(plain_dec.Next(&extra).ok());
-  EXPECT_EQ(front_dec.remaining(), 0u);
-  EXPECT_FALSE(front_dec.Next(&extra).ok());
+  EXPECT_EQ(dec.remaining(), 0u);
+  EXPECT_FALSE(dec.Next(&extra).ok());
 }
 
-TEST(StringCodecPropertyTest, RandomVectorsRoundTripBothCodecs) {
+TEST(StringCodecPropertyTest, RandomVectorsRoundTrip) {
   for (uint64_t seed = 0; seed < 50; ++seed) {
     Rng rng(seed * 104729 + 11);
     std::vector<std::string> values;

@@ -425,6 +425,169 @@ TEST_P(ScrubTest, RateBudgetSpreadsSlices) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
+// A failed read is not damage: ScrubNow surfaces the I/O error, reports
+// no tallies and quarantines nothing; once the device answers again the
+// same pass succeeds.
+TEST_P(ScrubTest, ScrubNowSurfacesTransientReadErrors) {
+  FaultInjectionFs fault_fs;
+  auto store = Store::Open(Options(&fault_fs));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t batch = 0; batch < 2; ++batch) {
+    for (int64_t i = 0; i < 200; ++i) {
+      ASSERT_TRUE(ds->Insert(MakeRecord(batch * 1000 + i)).ok());
+    }
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+  ASSERT_EQ(ds->component_count(), 2u);
+
+  FaultRule rule;
+  rule.path_substring = ".cmp";
+  rule.op = FaultOp::kRead;
+  fault_fs.AddRule(rule);
+  auto failed = (*store)->ScrubNow();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_GE(fault_fs.injected_errors(), 1u);
+  EXPECT_TRUE(ds->QuarantineList().empty());
+  DatasetStats stats = ds->stats();
+  EXPECT_EQ(stats.quarantined_components, 0u);
+  EXPECT_EQ(stats.scrub_passes, 0u);
+  EXPECT_EQ(stats.scrub_damage_found, 0u);
+
+  fault_fs.ClearRules();
+  auto pass = (*store)->ScrubNow();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->components, 2u);
+  EXPECT_EQ(pass->damaged, 0u);
+  EXPECT_EQ(pass->skipped_quarantined, 0u);
+  EXPECT_GT(pass->bytes, 0u);
+  EXPECT_EQ(ds->stats().scrub_passes, 1u);
+}
+
+// Polls `done` every 2 ms for up to 30 s; returns its last answer.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+// The background scrubber, on reads that fail and then recover, retries
+// the leaf that failed in a later slice: the pass verifies every byte
+// exactly once, counts the failed probes as leaves, and finds no damage.
+TEST_P(ScrubTest, BackgroundRetriesTransientReadErrors) {
+  FaultInjectionFs fault_fs;
+  auto store = Store::Open(Options(&fault_fs));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t batch = 0; batch < 2; ++batch) {
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(ds->Insert(MakeRecord(batch * 1000 + i)).ok());
+    }
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+
+  constexpr int kFailures = 3;
+  FaultRule rule;
+  rule.path_substring = ".cmp";
+  rule.op = FaultOp::kRead;
+  rule.max_failures = kFailures;
+  fault_fs.AddRule(rule);
+
+  // One pass and no second one: the tallies below belong to that pass.
+  ScrubOptions scrub;
+  scrub.bytes_per_sec = 0;
+  scrub.interval_ms = 3600 * 1000;
+  FlushMergeScheduler scheduler(1);
+  Scrubber scrubber(&scheduler, scrub);
+  scrubber.Register(ds);
+  scrubber.Start();
+  ASSERT_TRUE(WaitFor([&] { return ds->stats().scrub_passes >= 1; }))
+      << "background pass never finished";
+  scrubber.Stop();
+  scheduler.Stop();
+
+  const DatasetStats stats = ds->stats();
+  EXPECT_EQ(fault_fs.injected_errors(), static_cast<uint64_t>(kFailures));
+  EXPECT_EQ(stats.scrub_passes, 1u);
+  EXPECT_EQ(stats.scrub_damage_found, 0u);
+  EXPECT_EQ(stats.quarantined_components, 0u);
+  EXPECT_GE(scrubber.slices_run(), static_cast<uint64_t>(kFailures) + 1);
+
+  auto pass = (*store)->ScrubNow();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass->components, 2u);
+  EXPECT_EQ(stats.scrub_bytes, pass->bytes);
+  EXPECT_EQ(stats.scrub_leaves, pass->leaves + kFailures);
+}
+
+// A pass that a merge interrupts still verifies the merged component:
+// it replaces its inputs with a newer id, which the pass reaches later.
+TEST_P(ScrubTest, BackgroundPassVerifiesComponentMergedMidPass) {
+  auto store = Store::Open(Options());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  for (int64_t batch = 0; batch < 3; ++batch) {
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(ds->Insert(MakeRecord(batch * 1000 + i)).ok());
+    }
+    ASSERT_TRUE(ds->Flush().ok());
+  }
+  ASSERT_EQ(ds->component_count(), 3u);
+
+  // One leaf per slice, throttled, and one pass only.
+  ScrubOptions scrub;
+  scrub.max_slice_bytes = 1;
+  scrub.bytes_per_sec = 32 * 1024;  // >= 40 ms between slices
+  scrub.interval_ms = 3600 * 1000;
+  FlushMergeScheduler scheduler(1);
+  Scrubber scrubber(&scheduler, scrub);
+  scrubber.Register(ds);
+  scrubber.Start();
+  ASSERT_TRUE(WaitFor([&] { return ds->stats().scrub_leaves >= 1; }));
+
+  // Hold the scrubber's only worker while the merge runs, so the pass is
+  // interrupted between two slices and resumes over the merged stack.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  scheduler.Schedule(nullptr, [&] {
+    holding = true;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ASSERT_TRUE(WaitFor([&] { return holding.load(); }));
+  ASSERT_EQ(ds->stats().scrub_passes, 0u) << "pass ended before the merge";
+  ASSERT_TRUE(ds->MergeAll().ok());
+  ASSERT_EQ(ds->component_count(), 1u);
+  release = true;
+
+  ASSERT_TRUE(WaitFor([&] { return ds->stats().scrub_passes >= 1; }))
+      << "background pass never finished";
+  scrubber.Stop();
+  scheduler.Stop();
+  const DatasetStats stats = ds->stats();
+  EXPECT_EQ(stats.scrub_passes, 1u);
+  EXPECT_EQ(stats.scrub_damage_found, 0u);
+
+  auto merged = (*store)->ScrubNow();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->components, 1u);
+  EXPECT_GT(merged->bytes, 0u);
+  EXPECT_GE(stats.scrub_bytes, merged->bytes);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, ScrubTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,

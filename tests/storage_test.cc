@@ -1,5 +1,5 @@
 // Tests for the storage layer: PageFile, BufferCache (LRU, pinning, I/O
-// stats, confiscation, decoded leaf units), ComponentWriter/Reader
+// stats, decoded leaf units), ComponentWriter/Reader
 // (leaves, index, metadata, validity, range reads).
 
 #include <gtest/gtest.h>
@@ -376,26 +376,6 @@ TEST(BufferCacheTest, HitAvoidsSecondLoad) {
   EXPECT_EQ(loads.load(), 1);
   EXPECT_EQ(cache.stats().pages_read, 1u);
   EXPECT_EQ(cache.stats().bytes_read, kPage);
-  EXPECT_TRUE(RemoveFileIfExists(path).ok());
-}
-
-TEST(BufferCacheTest, ConfiscationCountsAgainstBudget) {
-  const std::string path = TempPath("bc4");
-  auto file = PageFile::Create(path, kPage);
-  ASSERT_TRUE(file.ok());
-  BufferCache cache(4 * kPage, kPage);
-  std::atomic<int> loads{0};
-  for (uint64_t leaf = 0; leaf < 3; ++leaf) {
-    auto h = cache.FetchDecoded(**file, leaf, -1,
-                                FillLoader(kPage, 'z', &loads));
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.Confiscate(3 * kPage);  // squeezes the cache to 1 unit
-  EXPECT_EQ(cache.stats().confiscations, 1u);
-  EXPECT_GE(cache.stats().evictions, 2u);
-  EXPECT_LE(cache.cached_bytes(), kPage);
-  cache.ReturnConfiscated(3 * kPage);
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
 }
 
