@@ -243,6 +243,9 @@ Status Dataset::WriteCurrentManifestLocked() {
       fault_counters_->quarantines.load(std::memory_order_acquire);
   Manifest manifest = CurrentManifestLocked();
   manifest.sequence = manifest_sequence_ + 1;
+  // These left components_ before the snapshot: the manifest omits them.
+  std::vector<std::shared_ptr<Component>> retired;
+  retired.swap(retiring_);
   // The durable part (temp write + fsync + rename + dir fsync) runs
   // without mu_ so concurrent writers/readers don't stall on it; the
   // manifest-writer role keeps other rewrites out while it is dropped.
@@ -253,30 +256,68 @@ Status Dataset::WriteCurrentManifestLocked() {
   manifest_writing_ = false;
   if (!st.ok()) {
     manifest_dirty_ = true;
+    // The durable manifest may still list them: keep their files.
+    retiring_.insert(retiring_.end(), retired.begin(), retired.end());
   } else {
     manifest_dirty_ = false;
     ++manifest_sequence_;
     quarantines_persisted_ = quarantines;
+    // Each file goes with its last reference: here, unless a snapshot
+    // pins it.
+    for (const auto& component : retired) component->MarkObsolete();
   }
   work_cv_.NotifyAll();
+  return st;
+}
+
+Status Dataset::PublishLocked(StackEdit edit) {
+  // Swap. Flushes may have prepended components since the caller took
+  // `removed`, but never reorder them: re-locate, still contiguous.
+  auto pos = std::search(components_.begin(), components_.end(),
+                         edit.removed.begin(), edit.removed.end());
+  LSMCOL_CHECK(edit.removed.empty() || pos != components_.end());
+  pos = components_.erase(pos, pos + edit.removed.size());
+  components_.insert(pos, edit.added);
+  if (edit.flushed != nullptr) {
+    // Oldest first: the flushed data moves from the oldest memtable to the
+    // newest component, which sort next to each other, so snapshots keep
+    // reconciling in order. Segments seal in rotation order, so the WAL
+    // floor only advances.
+    LSMCOL_CHECK(immutables_.back() == edit.flushed);
+    immutables_.pop_back();
+    immutable_claimed_.pop_back();
+    if (wal_ != nullptr) {
+      wal_floor_ = immutable_wal_upto_.back() + 1;
+      immutable_wal_upto_.pop_back();
+    }
+  }
+  if (edit.schema != nullptr) schema_ = std::move(edit.schema);
+  for (auto& component : edit.removed) {
+    // A repair replaces a file in place: its old object keeps the path.
+    if (component->path() != edit.added->path()) {
+      retiring_.push_back(std::move(component));
+    }
+  }
+  const uint64_t wal_floor = wal_floor_;
+  work_cv_.NotifyAll();  // back-pressure + publication-order waiters
+
+  // Record. A failure leaves the swap standing and the manifest dirty for
+  // the next Flush() to retry.
+  const Status st = WriteCurrentManifestLocked();
+  if (st.ok() && edit.flushed != nullptr && wal_ != nullptr) {
+    // Until a manifest with this floor is durable, the segments below it
+    // are the sole copy of the flushed writes. A failed delete is swept at
+    // the next open.
+    mu_.Unlock();
+    (void)wal_->DeleteSegmentsBelow(wal_floor);
+    mu_.Lock();
+  }
   return st;
 }
 
 std::string Dataset::ComponentFilePath(uint64_t id) const {
   return options_.dir + "/" + options_.name + "_" + std::to_string(id) +
          ".cmp";
-}
-
-Result<std::shared_ptr<Schema>> Dataset::CloneSchemaLocked() {
-  LSMCOL_CHECK(schema_ != nullptr);
-  // Schema is move-only; clone through its serialized form (column ids,
-  // def levels, and merged_record_count round-trip exactly). Published
-  // schemas are never mutated, so serializing under mu_ is safe; the
-  // clone stays private to the flush/merge that requested it.
-  Buffer blob;
-  schema_->SerializeTo(&blob);
-  LSMCOL_ASSIGN_OR_RETURN(Schema clone, Schema::Deserialize(blob.slice()));
-  return std::make_shared<Schema>(std::move(clone));
 }
 
 // -------------------------------------------------------------- write path
@@ -573,18 +614,22 @@ Status Dataset::FlushOneImmutableLocked() {
   const uint64_t id = next_component_id_++;
 
   Status st = Status::OK();
-  std::shared_ptr<Component> component;
-  std::shared_ptr<Schema> schema_clone;
-  bool clone_dirty = false;
+  StackEdit edit;
+  edit.flushed = victim;
   while (true) {
+    std::shared_ptr<Schema> schema_clone;
     std::string base_structure;
     if (columnar()) {
-      auto clone = CloneSchemaLocked();
+      // Schema is move-only: clone through its serialized form (ids and
+      // counters round-trip exactly); it stays private until publication.
+      Buffer blob;
+      schema_->SerializeTo(&blob);
+      auto clone = Schema::Deserialize(blob.slice());
       if (!clone.ok()) {
         st = clone.status();
         break;
       }
-      schema_clone = std::move(*clone);
+      schema_clone = std::make_shared<Schema>(std::move(*clone));
       base_structure = SchemaStructure(*schema_clone);
     }
     // Build outside the lock: the victim is sealed, the schema clone is
@@ -603,9 +648,7 @@ Status Dataset::FlushOneImmutableLocked() {
       st = built.status();
       break;
     }
-    component = std::move(*built);
-    clone_dirty =
-        columnar() && SchemaStructure(*schema_clone) != base_structure;
+    edit.added = std::move(*built);
     // Ordered publication: components must enter the list oldest-first or
     // snapshots would see a newer component below a still-sealed older
     // memtable and reconcile in the wrong order.
@@ -613,27 +656,37 @@ Status Dataset::FlushOneImmutableLocked() {
       work_cv_.Wait(&mu_);
     }
     if (immutables_.back() != victim) {
-      st = background_error_;  // abandoned: an older build failed
+      // Abandoned: an older build failed. No manifest will ever list this
+      // component (a retry builds the victim under a new id), so its
+      // renamed file goes now, with the last reference.
+      st = background_error_;
+      edit.added->MarkObsolete();
+      edit.added.reset();
       break;
     }
-    if (clone_dirty) {
+    if (columnar() && SchemaStructure(*schema_clone) != base_structure) {
       // Our build discovered columns. If a concurrent older flush also
       // advanced the schema since we cloned it, our column ids may clash
       // with the published tree — rebuild against the new base. Rare:
       // only while the schema is still being discovered.
       if (SchemaStructure(*schema_) != base_structure) {
-        component.reset();  // the renamed file is overwritten by the redo
+        edit.added.reset();  // the renamed file is overwritten by the redo
         continue;
       }
+      edit.schema = std::move(schema_clone);
     }
     break;
   }
 
-  if (!st.ok() || component == nullptr) {
-    if (st.ok()) st = Status::IOError("flush abandoned");
-    // Record so builds waiting for publication order wake and abandon
-    // instead of waiting forever on this victim.
-    RecordBackgroundErrorLocked(st);
+  if (st.ok()) {
+    stats_.flush_bytes_out += edit.added->size_bytes();
+    ++stats_.flushes;
+    // flush_building_ stays up until the publication is recorded, so
+    // DrainImmutablesLocked (and through it an explicit Flush) never
+    // reports success while a publication of this drain is still being
+    // recorded.
+    st = PublishLocked(std::move(edit));
+  } else {
     // Unclaim: the victim stays sealed and readable; a later drain
     // retries it. (Re-locate it — rotations shift indices.)
     for (size_t i = 0; i < immutables_.size(); ++i) {
@@ -642,57 +695,14 @@ Status Dataset::FlushOneImmutableLocked() {
         break;
       }
     }
-    --flush_building_;
-    work_cv_.NotifyAll();
-    return st;
   }
-
-  // Publish: component in, sealed memtable out, schema advanced — one
-  // critical section, so every snapshot sees exactly one of the two
-  // states and reconciliation order is preserved (the flushed data moves
-  // from "oldest memtable" to "newest component", both of which sort
-  // between the remaining memtables and the older components).
-  stats_.flush_bytes_out += component->size_bytes();
-  components_.insert(components_.begin(), std::move(component));
-  LSMCOL_CHECK(immutables_.back() == victim);
-  immutables_.pop_back();
-  immutable_claimed_.pop_back();
-  if (wal_ != nullptr) {
-    // This memtable's writes are now component-durable; once the manifest
-    // rewrite below records the component (and this floor), its covering
-    // WAL segments are dead weight. Publication is ordered oldest-first
-    // and segments seal in rotation order, so the floor only advances.
-    wal_floor_ = immutable_wal_upto_.back() + 1;
-    immutable_wal_upto_.pop_back();
-  }
-  if (clone_dirty) schema_ = std::move(schema_clone);
-  ++stats_.flushes;
-  work_cv_.NotifyAll();  // back-pressure + publication-order waiters
-  // Manifest failure leaves the installed component unrecorded: in-memory
-  // state stays consistent, the caller sees the error (via
-  // background_error_), and the orphan file is swept on the next open if
-  // no later rewrite records it. flush_building_ stays up until the
-  // manifest write finishes, so DrainImmutablesLocked (and through it an
-  // explicit Flush) never reports success while a publication of this
-  // drain is still being recorded.
-  Status manifest_status = WriteCurrentManifestLocked();
-  if (!manifest_status.ok()) {
-    RecordBackgroundErrorLocked(manifest_status);
-  }
-  if (manifest_status.ok() && wal_ != nullptr) {
-    // Only after the manifest is durable: before that, the segments below
-    // the floor are still the sole copy of this flush's writes. Deletion
-    // failure is harmless — the next open's sweep (driven by the
-    // manifest's recorded floor) collects the leftovers.
-    const uint64_t floor = wal_floor_;
-    mu_.Unlock();
-    Status ignored = wal_->DeleteSegmentsBelow(floor);
-    (void)ignored;
-    mu_.Lock();
-  }
+  // Record a failure so the caller sees it and, for a failed build, so
+  // builds waiting for publication order wake and abandon instead of
+  // waiting forever on this victim.
+  if (!st.ok()) RecordBackgroundErrorLocked(st);
   --flush_building_;
   work_cv_.NotifyAll();
-  return manifest_status;
+  return st;
 }
 
 Status Dataset::Flush() {
@@ -838,6 +848,7 @@ Status Dataset::MergeNewestLocked(size_t count) {
   // file). Its partial outcome counters are discarded with it, so the
   // stats only ever describe merges that produced a component.
   if (!built.ok()) return built.status();
+  ++stats_.merges;
   stats_.merge_records_in += outcome.records_in;
   stats_.merge_records_out += outcome.records_out;
   stats_.merge_runs_copied += outcome.runs_copied;
@@ -852,37 +863,12 @@ Status Dataset::MergeNewestLocked(size_t count) {
     // baseline space_amplification() measures against.
     stats_.last_full_merge_bytes = (*built)->size_bytes();
   }
-
-  // Publish the new version: the merged component replaces its inputs in
-  // place. Concurrent flushes may have prepended newer components, so the
-  // inputs are re-located (they are still contiguous — only this merge
-  // holds the merge role, and flushes never reorder).
-  size_t pos = 0;
-  while (pos < components_.size() && components_[pos] != inputs.front()) {
-    ++pos;
-  }
-  LSMCOL_CHECK(pos + count <= components_.size());
-  for (size_t i = 0; i < count; ++i) {
-    LSMCOL_CHECK(components_[pos + i] == inputs[i]);
-  }
-  components_.erase(components_.begin() + static_cast<long>(pos),
-                    components_.begin() + static_cast<long>(pos + count));
-  components_.insert(components_.begin() + static_cast<long>(pos),
-                     std::move(*built));
-  ++stats_.merges;
-  work_cv_.NotifyAll();  // component-count back-pressure waiters
-  Status st = WriteCurrentManifestLocked();
-  // Retire the inputs only once the manifest stopped referencing them —
-  // on a failed rewrite the durable manifest still lists them, so their
-  // files must survive (they are merely orphaned-on-disk until a later
-  // successful rewrite, or swept at the next open). On success each file
-  // is deleted when its last reference drops — right here unless a live
-  // snapshot still pins it.
-  if (st.ok()) {
-    for (auto& component : inputs) component->MarkObsolete();
-  }
-  inputs.clear();
-  return st;
+  // The merged component replaces its inputs in place. Only this merge
+  // holds the merge role, so the inputs are still in the stack.
+  StackEdit edit;
+  edit.removed = std::move(inputs);
+  edit.added = std::move(*built);
+  return PublishLocked(std::move(edit));
 }
 
 // ------------------------------------------------------------------ reads
@@ -1063,11 +1049,7 @@ Status Dataset::PinForBackup(DatasetBackupPin* pin) {
 Status Dataset::RepairQuarantined(const std::string& backup_dir) {
   LSMCOL_ASSIGN_OR_RETURN(BackupManifest catalog,
                           ReadBackupManifest(backup_dir, options_.fs));
-  struct Victim {
-    uint64_t id;
-    std::string path;
-  };
-  std::vector<Victim> victims;
+  std::vector<std::shared_ptr<Component>> victims;
   {
     MutexLock lock(&mu_);
     if (repairing_) {
@@ -1075,10 +1057,7 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
                                      " already has a repair in progress");
     }
     for (const auto& component : components_) {
-      if (component->quarantined()) {
-        victims.push_back(
-            {component->meta().component_id, component->path()});
-      }
+      if (component->quarantined()) victims.push_back(component);
     }
     if (victims.empty()) return Status::OK();
     repairing_ = true;
@@ -1086,12 +1065,13 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
 
   Status first_failure;
   size_t repaired = 0;
-  for (const Victim& victim : victims) {
+  for (const auto& victim : victims) {
+    const uint64_t id = victim->meta().component_id;
     Status one = [&]() -> Status {
       const BackupFileEntry* entry = nullptr;
       for (const auto& f : catalog.files) {
         if (f.kind == BackupFileKind::kComponent &&
-            f.dataset == options_.name && f.id == victim.id) {
+            f.dataset == options_.name && f.id == id) {
           entry = &f;
           break;
         }
@@ -1099,11 +1079,11 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
       if (entry == nullptr) {
         return Status::NotFound(
             "backup " + backup_dir + " holds no component " +
-            std::to_string(victim.id) + " of dataset " + options_.name);
+            std::to_string(id) + " of dataset " + options_.name);
       }
       // Stage under `<path>.tmp`: a crash mid-repair leaves only a temp
       // file the next open's stale-file sweep removes.
-      const std::string tmp = victim.path + ".tmp";
+      const std::string tmp = victim->path() + ".tmp";
       LSMCOL_RETURN_NOT_OK(CopyFileVerified(backup_dir + "/" + entry->rel_path,
                                             tmp, entry->size, entry->checksum,
                                             options_.fs));
@@ -1116,10 +1096,10 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
                                       options_.fs);
         Status st = probe.status();
         if (st.ok()) {
-          if ((*probe)->meta().component_id != victim.id ||
+          if ((*probe)->meta().component_id != id ||
               (*probe)->meta().layout != options_.layout) {
             st = Status::Corruption(
-                "backup copy of component " + std::to_string(victim.id) +
+                "backup copy of component " + std::to_string(id) +
                 " carries the wrong identity");
           }
         }
@@ -1136,26 +1116,28 @@ Status Dataset::RepairQuarantined(const std::string& backup_dir) {
         }
       }
       // The damaged file is replaced in place; the old Component object
-      // keeps its open handle to the dead inode and is dropped below
-      // WITHOUT MarkObsolete (it shares the path with the repaired file —
-      // its destructor must not unlink it).
-      LSMCOL_RETURN_NOT_OK(RenameFile(tmp, victim.path, options_.fs));
+      // keeps its open handle to the dead inode.
+      LSMCOL_RETURN_NOT_OK(RenameFile(tmp, victim->path(), options_.fs));
+      StackEdit edit;
+      edit.removed = {victim};
       LSMCOL_ASSIGN_OR_RETURN(
-          auto fresh, Component::Open(victim.path, cache_, options_.page_size,
-                                      options_.fs, fault_counters_));
-      std::shared_ptr<Component> replacement(std::move(fresh));
+          edit.added, Component::Open(victim->path(), cache_,
+                                      options_.page_size, options_.fs,
+                                      fault_counters_));
       MutexLock lock(&mu_);
-      for (auto& component : components_) {
-        if (component->meta().component_id == victim.id) {
-          component = replacement;
-          break;
-        }
+      // A merge that read the victim before its quarantine may still
+      // publish it away: wait it out. New merges skip a quarantined
+      // component or fail on it. If the victim is gone, its retirement
+      // takes the renamed file.
+      while (merge_active_) work_cv_.Wait(&mu_);
+      if (std::find(components_.begin(), components_.end(), victim) ==
+          components_.end()) {
+        return Status::OK();
       }
       ++repaired;
-      // Drop the damage record from the durable manifest in the same
-      // breath — a crash right after the swap must not re-quarantine the
-      // freshly repaired file.
-      return WriteCurrentManifestLocked();
+      // The rewrite drops the damage record in the same breath: a crash
+      // right after the swap must not re-quarantine the repaired file.
+      return PublishLocked(std::move(edit));
     }();
     if (!one.ok() && first_failure.ok()) first_failure = one;
   }

@@ -326,10 +326,6 @@ class Dataset {
            options_.layout == LayoutKind::kAmax;
   }
   std::string ComponentFilePath(uint64_t id) const;
-  /// Clone of the current schema via a serialization round-trip (ids and
-  /// counters survive exactly). Called under mu_; the clone is private to
-  /// the caller until it is published back into schema_.
-  Result<std::shared_ptr<Schema>> CloneSchemaLocked() LSMCOL_REQUIRES(mu_);
 
   /// The locked phase of Open (recovery, first manifest, WAL replay);
   /// an instance method so the capability is this->mu_ throughout.
@@ -402,11 +398,26 @@ class Dataset {
   /// holds the merge role. `background` also stops at shutdown or once a
   /// background error is pending. Returns the first merge failure.
   Status MergeUntilSatisfiedLocked(bool background) LSMCOL_REQUIRES(mu_);
+  /// One change of the component stack: a flush, merge or repair.
+  struct StackEdit {
+    /// Adjacent in components_, newest first; empty: `added` goes on top.
+    std::vector<std::shared_ptr<Component>> removed;
+    std::shared_ptr<Component> added;
+    /// The oldest sealed memtable when `added` is its flush, else null.
+    std::shared_ptr<const MemTable> flushed;
+    /// Published with the edit; null keeps the current schema.
+    std::shared_ptr<Schema> schema;
+  };
+  /// The only stack change after recovery: swap `edit` in under mu_,
+  /// record it with WriteCurrentManifestLocked, then retire what it
+  /// replaced (via retiring_) and a flush's WAL segments below its floor.
+  Status PublishLocked(StackEdit edit) LSMCOL_REQUIRES(mu_);
   /// Rebuild + atomically rewrite the manifest from current state. The
   /// contents are snapshotted under mu_, but the write itself (fsync +
   /// rename + dir fsync) runs with the lock released under a dedicated
   /// writer role (manifest_writing_), so flush/merge publications do not
-  /// stall writers on durable I/O; rewrites stay fully serialized.
+  /// stall writers on durable I/O; rewrites stay fully serialized. Once
+  /// durable, it marks obsolete what retiring_ held at its snapshot.
   Status WriteCurrentManifestLocked() LSMCOL_REQUIRES(mu_);
   /// The manifest of the current in-memory state (dataset identity,
   /// counters, components, their quarantines and schema); the caller
@@ -494,6 +505,8 @@ class Dataset {
   std::shared_ptr<Schema> schema_ LSMCOL_GUARDED_BY(mu_);
   /// On-disk components, newest first.
   std::vector<std::shared_ptr<Component>> components_ LSMCOL_GUARDED_BY(mu_);
+  /// Removed from components_ but maybe still in the durable manifest.
+  std::vector<std::shared_ptr<Component>> retiring_ LSMCOL_GUARDED_BY(mu_);
 
   // Background-task state (all under mu_).
   /// Queued-or-running background flush tasks.

@@ -2,16 +2,23 @@
 // snapshots over sealed memtables, back-pressure, shutdown during
 // background work, a stopped pool running its tasks on the caller,
 // concurrent writers on a zero-worker store, a writers-vs-readers
-// stress run with background merges enabled, and point lookups checked
-// against a model of concurrent upserts and deletes. Built to run clean under
-// ThreadSanitizer (the CI tsan job runs this suite).
+// stress run with background merges enabled, point lookups checked
+// against a model of concurrent upserts and deletes, an abandoned flush
+// build deleting its file, and seeded flush, merge, backup, repair and
+// reopen orders around a held worker, checked against the manifest on
+// disk. Built to run clean under ThreadSanitizer (the CI tsan job runs
+// this suite).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,6 +29,10 @@
 #include "src/lsm/compaction_policy.h"
 #include "src/lsm/dataset.h"
 #include "src/lsm/scheduler.h"
+#include "src/storage/backup_manifest.h"
+#include "src/storage/fault_injection_fs.h"
+#include "src/storage/filesystem.h"
+#include "src/storage/manifest.h"
 #include "src/store/store.h"
 
 namespace lsmcol {
@@ -479,6 +490,317 @@ TEST_P(ConcurrencyTest, LookupsBesideWritesAndBackgroundMerges) {
     }
   }
   ASSERT_TRUE((*store)->Close().ok());
+}
+
+/// Holds the only worker of a one-thread scheduler from construction to
+/// destruction: flush and merge tasks queued meanwhile run after it, in
+/// one batch.
+class HeldWorker {
+ public:
+  explicit HeldWorker(FlushMergeScheduler* scheduler) {
+    auto running = std::make_shared<std::promise<void>>();
+    std::future<void> started = running->get_future();
+    std::shared_future<void> released = release_.get_future().share();
+    scheduler->Schedule(nullptr, [running, released] {
+      running->set_value();
+      released.wait();
+    });
+    started.wait();
+  }
+  ~HeldWorker() { release_.set_value(); }
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+
+ private:
+  std::promise<void> release_;
+};
+
+/// The state publications leave behind once no background work runs:
+/// the manifest on disk lists the snapshot's component stack in order, no
+/// WAL segment below the manifest's floor remains, the directory holds
+/// exactly the listed component files (no snapshot is pinned here), and a
+/// full scan equals the model.
+void CheckPublishedState(Dataset* ds, const std::string& dir,
+                         const std::map<int64_t, Value>& model) {
+  auto manifest = ReadManifest(ManifestPath(dir, "docs"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::vector<uint64_t> listed;
+  std::set<std::string> listed_files;
+  for (const ManifestComponentEntry& entry : manifest->components) {
+    listed.push_back(entry.id);
+    listed_files.insert(entry.file);
+  }
+  {
+    const Snapshot::Ref snapshot = ds->GetSnapshot();
+    std::vector<uint64_t> stack;
+    for (size_t i = 0; i < snapshot->component_count(); ++i) {
+      stack.push_back(snapshot->component(i).meta().component_id);
+    }
+    EXPECT_EQ(stack, listed);
+  }
+  std::set<std::string> component_files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".cmp") component_files.insert(name);
+    if (entry.path().extension() == ".wal") {
+      const uint64_t seq = std::stoull(name.substr(name.find('_') + 1));
+      EXPECT_GE(seq, manifest->wal_floor) << name;
+    }
+  }
+  EXPECT_EQ(component_files, listed_files);
+
+  std::map<int64_t, Value> scanned;
+  auto cursor = ds->Scan(Projection::All());
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  while (true) {
+    auto more = (*cursor)->Next();
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    Value record;
+    ASSERT_TRUE((*cursor)->Record(&record).ok());
+    scanned.emplace((*cursor)->key(), std::move(record));
+  }
+  ASSERT_EQ(scanned.size(), model.size());
+  for (const auto& [key, expected] : model) {
+    auto it = scanned.find(key);
+    ASSERT_NE(it, scanned.end()) << "key " << key << " lost";
+    EXPECT_TRUE(ValueEquivalent(it->second, expected))
+        << "key " << key << ": " << ToJson(it->second);
+  }
+}
+
+/// The POSIX filesystem, except that creating a file whose path contains
+/// `gated` blocks until Release() and then fails. The wait is bounded, so
+/// a test that fails before Release() can still close its store.
+class GatedCreateFs final : public FileSystem {
+ public:
+  explicit GatedCreateFs(std::string gated)
+      : gated_(std::move(gated)),
+        reached_(reach_.get_future().share()),
+        released_(release_.get_future().share()) {}
+
+  /// Returns once a Create of the gated path is waiting.
+  void WaitForGatedCreate() { reached_.wait(); }
+  void Release() { release_.set_value(); }
+
+  Result<std::unique_ptr<FsFile>> Create(const std::string& path) override {
+    if (path.find(gated_) == std::string::npos) return base_->Create(path);
+    std::call_once(reach_once_, [this] { reach_.set_value(); });
+    released_.wait_for(std::chrono::seconds(30));
+    return Status::IOError("injected: create " + path);
+  }
+  Result<std::unique_ptr<FsFile>> Open(const std::string& path,
+                                       bool writable) override {
+    return base_->Open(path, writable);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  bool Exists(const std::string& path) override { return base_->Exists(path); }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return base_->CreateDirs(dir);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+
+ private:
+  FileSystem* const base_ = DefaultFileSystem();
+  const std::string gated_;
+  std::once_flag reach_once_;
+  std::promise<void> reach_;
+  std::promise<void> release_;
+  std::shared_future<void> reached_;
+  std::shared_future<void> released_;
+};
+
+// Two flush builds in flight: the newer one renames its component into
+// place and waits to publish after the older one, which then fails. The
+// newer build is abandoned, and since no manifest will ever list its
+// file, it deletes it. Both sealed memtables stay readable, and the next
+// Flush publishes them under new ids.
+TEST_P(ConcurrencyTest, AbandonedFlushBuildDeletesItsFile) {
+  GatedCreateFs fs("/docs_1.cmp.tmp");
+  StoreOptions store_options = DefaultStoreOptions(2);
+  store_options.fs = &fs;
+  store_options.io_retry.max_retries = 0;
+  auto store = Store::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  DatasetOptions options = SmallMemtableOptions();
+  options.auto_merge = false;
+  auto ds_or = (*store)->OpenDataset("docs", options);
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  int64_t next = 0;
+  auto seal_up_to = [&](size_t sealed) {
+    while (ds->immutable_memtable_count() < sealed) {
+      ASSERT_TRUE(ds->Insert(MakeRecord(next++)).ok());
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(seal_up_to(1));
+  fs.WaitForGatedCreate();  // component 1's build holds one worker
+  ASSERT_NO_FATAL_FAILURE(seal_up_to(2));
+  const std::string newer = dir_ + "/docs/docs_2.cmp";
+  for (int i = 0; i < 10000 && !std::filesystem::exists(newer); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(std::filesystem::exists(newer)) << "second build never ended";
+  fs.Release();
+  EXPECT_FALSE(ds->WaitForBackgroundWork().ok());
+  EXPECT_FALSE(std::filesystem::exists(newer));
+  EXPECT_EQ(ds->immutable_memtable_count(), 2u);
+
+  ASSERT_TRUE(ds->Flush().ok());
+  std::map<int64_t, Value> model;
+  for (int64_t key = 0; key < next; ++key) model[key] = MakeRecord(key);
+  CheckPublishedState(ds, dir_ + "/docs", model);
+}
+
+// Seeded publication order without a scheduler mode: a gate task holds
+// the store's only worker, so the flush and merge tasks that writes and
+// flushes queue wait while the test thread flushes, merges, backs up,
+// repairs a quarantined component and reopens in a seeded order; the
+// held tasks run at seeded release points. Records gain a field mid-run,
+// so flushes publish new schemas. Every step is checked by
+// CheckPublishedState. Writes stop short of back-pressure, which would
+// wait on the held worker.
+TEST_P(ConcurrencyTest, SeededStepsKeepManifestStackAndFilesInStep) {
+  constexpr int kSteps = 80;
+  constexpr int64_t kKeys = 400;
+  const std::string backup_dir = dir_ + "_backup";
+  int repairs = 0;
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(backup_dir);
+    Rng rng(seed);
+    FaultInjectionFs fs;
+    StoreOptions store_options = DefaultStoreOptions(1);
+    store_options.wal.enabled = true;
+    store_options.fs = &fs;
+    std::unique_ptr<Store> store;
+    Dataset* ds = nullptr;
+    std::optional<HeldWorker> held;  // released before the store closes
+    auto open = [&] {
+      auto opened = Store::Open(store_options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      store = std::move(*opened);
+      auto ds_or = store->OpenDataset("docs", SmallMemtableOptions());
+      ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+      ds = *ds_or;
+      held.emplace(store->scheduler());
+    };
+    auto release = [&] {
+      held.reset();
+      ASSERT_TRUE(ds->WaitForBackgroundWork().ok());
+    };
+    ASSERT_NO_FATAL_FAILURE(open());
+    const size_t component_stall = StallComponentLimit(ds->options());
+
+    std::map<int64_t, Value> model;
+    bool backed_up = false;
+    const int late_step =
+        kSteps / 3 + static_cast<int>(rng.Uniform(kSteps / 3));
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const uint64_t pick = rng.Uniform(100);
+      std::string what;
+      if (pick < 45) {
+        what = "writes";
+        const uint64_t writes = 1 + rng.Uniform(200);
+        for (uint64_t w = 0; w < writes; ++w) {
+          if (ds->immutable_memtable_count() + 1 >=
+                  ds->options().max_immutable_memtables ||
+              ds->component_count() + 1 >= component_stall) {
+            break;  // a rotation would stall on the held worker
+          }
+          const auto key = static_cast<int64_t>(rng.Uniform(kKeys));
+          if (rng.Uniform(6) == 0) {
+            ASSERT_TRUE(ds->Delete(key).ok());
+            model.erase(key);
+            continue;
+          }
+          Value record = Value::MakeObject();
+          record.Set("id", Value::Int(key));
+          record.Set("name", Value::String("s" + std::to_string(step) + "_" +
+                                           std::to_string(w)));
+          record.Set("n", Value::Int(step * 1000 + static_cast<int64_t>(w)));
+          if (step >= late_step && rng.Uniform(2) == 0) {
+            record.Set("late", Value::String("l" + std::to_string(key)));
+          }
+          ASSERT_TRUE(ds->Insert(record).ok());
+          model[key] = std::move(record);
+        }
+      } else if (pick < 57) {
+        what = "Flush";
+        ASSERT_TRUE(ds->Flush().ok());
+      } else if (pick < 65) {
+        what = "MaybeMerge";
+        ASSERT_TRUE(ds->MaybeMerge().ok());
+      } else if (pick < 70) {
+        what = "MergeAll";
+        ASSERT_TRUE(ds->MergeAll().ok());
+      } else if (pick < 82) {
+        what = "release";
+        ASSERT_NO_FATAL_FAILURE(release());
+        held.emplace(store->scheduler());
+      } else if (pick < 88) {
+        what = "CreateBackup";
+        ASSERT_TRUE(store->CreateBackup(backup_dir).ok());
+        backed_up = true;
+      } else if (pick < 94) {
+        what = "quarantine and repair";
+        if (!backed_up) continue;
+        auto catalog = ReadBackupManifest(backup_dir);
+        ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+        std::set<uint64_t> in_backup;
+        for (const BackupFileEntry& f : catalog->files) {
+          if (f.kind == BackupFileKind::kComponent) in_backup.insert(f.id);
+        }
+        std::vector<uint64_t> candidates;
+        {
+          const Snapshot::Ref snapshot = ds->GetSnapshot();
+          for (size_t i = 0; i < snapshot->component_count(); ++i) {
+            const uint64_t id = snapshot->component(i).meta().component_id;
+            if (in_backup.count(id) != 0) candidates.push_back(id);
+          }
+        }
+        if (candidates.empty()) continue;
+        const uint64_t victim = candidates[rng.Uniform(candidates.size())];
+        FaultRule rule;
+        rule.path_substring = "/docs_" + std::to_string(victim) + ".cmp";
+        rule.op = FaultOp::kRead;
+        rule.flip_bit = true;
+        fs.AddRule(rule);
+        auto scrubbed = store->ScrubNow();
+        fs.ClearRules();
+        ASSERT_TRUE(scrubbed.ok()) << scrubbed.status().ToString();
+        EXPECT_GE(scrubbed->damaged, 1u);
+        ASSERT_EQ(ds->QuarantineList().size(), 1u);
+        ASSERT_TRUE(ds->RepairQuarantined(backup_dir).ok());
+        EXPECT_TRUE(ds->QuarantineList().empty());
+        ++repairs;
+      } else {
+        what = "reopen";
+        ASSERT_NO_FATAL_FAILURE(release());
+        store.reset();
+        ASSERT_NO_FATAL_FAILURE(open());
+      }
+      SCOPED_TRACE("after " + what);
+      ASSERT_NO_FATAL_FAILURE(
+          CheckPublishedState(ds, dir_ + "/docs", model));
+    }
+    held.reset();
+    ASSERT_TRUE(store->Close().ok());
+  }
+  EXPECT_GT(repairs, 0) << "no seed reached a repair";
+  std::filesystem::remove_all(backup_dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayouts, ConcurrencyTest,

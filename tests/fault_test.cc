@@ -514,6 +514,42 @@ TEST_P(DamagePersistenceTest, FailedRewriteRetriedByFlush) {
   EXPECT_EQ(reopened[0].second.ToString(), found[0].second.ToString());
 }
 
+// A merge whose manifest rewrite fails leaves its inputs listed on disk.
+// The next successful rewrite, here a Flush with nothing to flush, drops
+// them from the manifest and deletes their files: afterwards the
+// directory holds exactly the merged component.
+TEST_P(DamagePersistenceTest, FailedMergeRewriteRetiresInputsOnNextRewrite) {
+  FaultInjectionFs fault_fs;
+  StoreOptions options = Options(&fault_fs);
+  options.io_retry.max_retries = 0;
+  auto store = Store::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto ds_or = (*store)->OpenDataset("docs", DocOptions());
+  ASSERT_TRUE(ds_or.ok()) << ds_or.status().ToString();
+  Dataset* ds = *ds_or;
+  FlushRange(ds, 0, 80);
+  FlushRange(ds, 1000, 80);
+  ASSERT_EQ(ComponentFiles().size(), 2u);
+
+  FaultRule full;
+  full.path_substring = ".MANIFEST";
+  full.op = FaultOp::kWrite;
+  full.error_code = ENOSPC;
+  fault_fs.AddRule(full);
+  EXPECT_FALSE(ds->MergeAll().ok());
+  fault_fs.ClearRules();
+  ASSERT_TRUE(ds->Flush().ok());
+
+  auto manifest = ReadManifest(ManifestPath(dir_ + "/docs", "docs"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->components.size(), 1u);
+  EXPECT_EQ(ComponentFiles(),
+            std::vector<std::string>{dir_ + "/docs/" +
+                                     manifest->components[0].file});
+  Value record;
+  EXPECT_TRUE(ds->Lookup(1010, &record).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLayouts, DamagePersistenceTest,
                          ::testing::Values(LayoutKind::kOpen, LayoutKind::kVb,
                                            LayoutKind::kApax,

@@ -3,7 +3,8 @@
 // transient errors, ENOSPC quotas, and a mid-run simulated crash, then
 // verifies the invariant the engine promises: every acknowledged write
 // survives (with its exact value) or the failure was reported — never a
-// silent loss, never a silently wrong result.
+// silent loss, never a silently wrong result. Once quiesced, the live
+// directory must hold exactly the components the manifest lists.
 //
 // Seeds are controlled by environment variables so CI shards and local
 // repro runs (tools/run_torture.sh) use the same binary:
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "src/storage/fault_injection_fs.h"
+#include "src/storage/manifest.h"
 #include "src/store/store.h"
 
 namespace lsmcol {
@@ -228,6 +230,21 @@ void RunSeed(uint64_t seed) {
   DatasetStats stats = ds->stats();
   EXPECT_EQ(stats.checksum_failures, 0u);  // faults were transient only
   EXPECT_EQ(stats.quarantined_components, 0u);
+  // Every publication retired what it replaced: the live directory holds
+  // exactly the components the manifest lists.
+  auto manifest = ReadManifest(ManifestPath(dir + "/docs", "docs"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::set<std::string> listed, on_disk;
+  for (const ManifestComponentEntry& entry : manifest->components) {
+    listed.insert(entry.file);
+  }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir + "/docs")) {
+    if (entry.path().extension() == ".cmp") {
+      on_disk.insert(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(on_disk, listed);
   store->reset();
 
   // ---- clean reopen over the real filesystem -------------------------

@@ -1,14 +1,16 @@
 // Golden write path: ingests a fixed, seeded document stream into APAX and
 // AMAX and pins a hash of every component file the ingest and a final
-// MergeAll leave behind. The stream runs twice per layout: without
-// automatic merges, so every flush's component is pinned, and with the
-// default tiered merges after flushes. It mixes documents of every
-// src/datagen generator with deletes, upserts, type flips, union-typed
-// arrays, and the empty-container shapes the columnar layouts do not yet
-// round-trip (an empty array or object, an array of empty arrays, an
-// object inside a union array). The pinned hashes describe today's
-// on-disk bytes, empty-container handling included: a change that moves
-// them changes the stored bytes and must update them on purpose.
+// MergeAll leave behind, and of the manifest that lists them (its
+// sequence counts the manifest rewrites). The stream runs twice per
+// layout: without automatic merges, so every flush's component is
+// pinned, and with the default tiered merges after flushes. It mixes
+// documents of every src/datagen generator with deletes, upserts, type
+// flips, union-typed arrays, and the empty-container shapes the columnar
+// layouts do not yet round-trip (an empty array or object, an array of
+// empty arrays, an object inside a union array). The pinned hashes
+// describe today's on-disk bytes, empty-container handling included: a
+// change that moves them changes the stored bytes and must update them
+// on purpose.
 // A second set pins what the components decompress to, without the
 // compressed bytes or megapage offsets: a change to compression alone
 // moves the first set and keeps the second.
@@ -46,11 +48,15 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
-/// Component file name -> "size:fnv1a64" of every component in `dir`.
+/// File name -> "size:fnv1a64" of every component in `dir` and of the
+/// dataset's manifest, which lists them.
 std::map<std::string, std::string> HashComponents(const std::string& dir) {
   std::map<std::string, std::string> out;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".cmp") continue;
+    if (entry.path().extension() != ".cmp" &&
+        entry.path().filename() != "golden.MANIFEST") {
+      continue;
+    }
     std::ifstream in(entry.path(), std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
@@ -239,13 +245,15 @@ class WritePathGoldenTest : public ::testing::TestWithParam<LayoutKind> {
 };
 
 // Recorded from the write path after the LZ match finder moved to two
-// seeds per match and a growing probe step; see the file comment. Keyed
-// by automatic merges off/on.
+// seeds per match and a growing probe step (the manifests later, from the
+// same write path); see the file comment. Keyed by automatic merges
+// off/on.
 using Hashes = std::map<std::string, std::string>;
 const std::map<LayoutKind, std::map<bool, Hashes>> kIngest = {
     {LayoutKind::kApax,
      {{false,
        Hashes{
+           {"golden.MANIFEST", "16839:e12e6d5930b7c48e"},
            {"golden_1.cmp", "327720:25f01df90afdb3f3"},
            {"golden_10.cmp", "393264:754084ada0968a18"},
            {"golden_11.cmp", "327720:afcf33edede6eb0c"},
@@ -264,12 +272,14 @@ const std::map<LayoutKind, std::map<bool, Hashes>> kIngest = {
        }},
       {true,
        Hashes{
+           {"golden.MANIFEST", "16653:5d5c2e25cea0e634"},
            {"golden_21.cmp", "6095592:08963b58065063c6"},
            {"golden_22.cmp", "262176:9d3824449d6a3147"},
        }}}},
     {LayoutKind::kAmax,
      {{false,
        Hashes{
+           {"golden.MANIFEST", "16839:1d8503dc56fe4ced"},
            {"golden_1.cmp", "327720:b04aaf55b7566517"},
            {"golden_10.cmp", "524352:7ee67e80a6e5bd68"},
            {"golden_11.cmp", "393264:f60d3074ab2334ec"},
@@ -288,6 +298,7 @@ const std::map<LayoutKind, std::map<bool, Hashes>> kIngest = {
        }},
       {true,
        Hashes{
+           {"golden.MANIFEST", "16653:7fb2b327ff56dc36"},
            {"golden_20.cmp", "1966320:abb1ccbfc9f571ad"},
            {"golden_21.cmp", "327720:80c26fff04091bb1"},
        }}}},
@@ -296,19 +307,23 @@ const std::map<LayoutKind, std::map<bool, Hashes>> kMerged = {
     {LayoutKind::kApax,
      {{false,
        Hashes{
+           {"golden.MANIFEST", "16638:3a9d4c38624f52a3"},
            {"golden_16.cmp", "4522536:293d0966651183b2"},
        }},
       {true,
        Hashes{
+           {"golden.MANIFEST", "16638:ac2bacf9aa03babd"},
            {"golden_23.cmp", "6751032:5295cdbf099a619a"},
        }}}},
     {LayoutKind::kAmax,
      {{false,
        Hashes{
+           {"golden.MANIFEST", "16638:aad272f00ac72221"},
            {"golden_16.cmp", "2097408:29e20bbd213831b9"},
        }},
       {true,
        Hashes{
+           {"golden.MANIFEST", "16638:c77167d68908ae7a"},
            {"golden_22.cmp", "2097408:76d972613fca6750"},
        }}}},
 };
@@ -318,8 +333,8 @@ TEST_P(WritePathGoldenTest, ComponentFilesMatchGoldenHashes) {
     SCOPED_TRACE(auto_merge ? "tiered merges" : "flushes only");
     Pins after_ingest, after_merge;
     Ingest(auto_merge, &after_ingest, &after_merge);
-    EXPECT_GT(after_ingest.files.size(), 1u);
-    EXPECT_EQ(after_merge.files.size(), 1u);
+    EXPECT_GT(after_ingest.files.size(), 2u);
+    EXPECT_EQ(after_merge.files.size(), 2u);  // one component + manifest
     EXPECT_EQ(after_ingest.files, kIngest.at(GetParam()).at(auto_merge))
         << "after the ingest:\n" << Describe(after_ingest.files);
     EXPECT_EQ(after_merge.files, kMerged.at(GetParam()).at(auto_merge))
